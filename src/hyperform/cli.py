@@ -449,9 +449,12 @@ def invert(**kwargs):
              tol=cfg["tol"])
         for R, e in zip(cfg["R_grid"], errs)
     ]
-    decreasing = all(b < a for a, b in zip(errs, errs[1:]))
-    worst = max((b / a for a, b in zip(errs, errs[1:])), default=0.0)
-    rows.append(_row("error_decreasing", worst, ok=decreasing))
+    # the error is O(1/R) but not monotone (cos^2(lambda R)/R for an
+    # e-atom at n = 3), so the gate bounds the envelope max_R R err
+    envelope = max(float(R) * e for R, e in zip(cfg["R_grid"], errs))
+    bound = cfg["tol"] * min(cfg["R_grid"])
+    rows.append(_row("error_envelope", envelope, tol=bound,
+                     ok=np.isfinite(envelope) and envelope <= bound))
     _emit(cfg, rows, extra_meta={"k_samples": int(cfg["samples"]),
                                  "norm_sq": truth_sq / max(ks.shape[0], 1)})
 
@@ -482,9 +485,9 @@ def fourier(**kwargs):
         ratios.append(ratio)
         rows.append(_row(f"restriction_ratio[R={R:g}]", ratio,
                          stderr=nu * stderr / (float(R) * nf2)))
+    # informational: no bound on the spread is known, so it gates nothing
     spread = max(ratios) / min(ratios) if min(ratios) > 0 else float("inf")
-    rows.append(_row("ratio_spread", spread, ok=np.isfinite(spread)))
-    _emit(cfg, rows)
+    _emit(cfg, rows, extra_meta={"ratio_spread": spread})
 
 
 if __name__ == "__main__":

@@ -18,9 +18,11 @@ problems.  The module provides
   * extrapolated limits with the two-sided norm-equivalence constant,
   * Hilbert-Schmidt ball averages of Eisenstein integrals,
   * boundary-value reconstruction F_R from a Poisson image, with the
-    rotation integral of the dual kernel reduced exactly to a zonal
-    quadrature (a literal Monte Carlo mode exists for cross-checks at
-    small R; its variance grows like e^{(n-1)R}, see the docstring),
+    rotation integral of the dual kernel in closed form: a spherical
+    component of the transpose-dual type at -t (the zonal quadrature
+    _j_pair_grid is kept only as its test oracle; a literal Monte Carlo
+    mode exists for cross-checks at small R, and its variance grows
+    like e^{(n-1)R}, see the docstring),
   * ball-averaged residuals of the asymptotic head, and
   * a windowed energy-capture diagnostic for the spectral projections.
 
@@ -329,7 +331,7 @@ def _radial_conjugate_batch(pt, mats, components):
     t1 = xr.tau_matrix_batch(k1, pt.p)
     t2 = xr.tau_matrix_batch(k2, pt.p)
     # Phi(g) = tau(k2)^T mid tau(k1)^T for g = k1 a_t k2
-    return np.einsum("bji,bjk,blk->bil", t2, mid, t1)
+    return np.swapaxes(t2, -1, -2) @ mid @ np.swapaxes(t1, -1, -2)
 
 
 def _spherical_batch(pt, mats):
@@ -545,7 +547,9 @@ def _zonal_iwasawa(t, thetas):
 
 
 def _j_pair_grid(pt, ts, mu, n_panels=12, n_nodes=24):
-    """Zonal quadrature of the rotation-reduced inversion kernel.
+    """Zonal quadrature of the rotation-reduced inversion kernel; the
+    test oracle of the closed form in _pair_kernel, called by no
+    production path.
 
     For each output block eta' of P_sigma and each isotype eta, the
     scalar
@@ -588,16 +592,64 @@ def _j_pair_grid(pt, ts, mu, n_panels=12, n_nodes=24):
     return out
 
 
-def inversion_ratios(pt, R, mu=None, order=20, n_panels=12, n_nodes=24):
+def _transpose_dual(spec, eta):
+    """The bundle and label (spec', T eta) with P_{T eta} = P_eta^T.
+
+    Read off the projectors, not a table: the half-odd sigma^{+-} swap
+    at n = 3 and 7 but not at n = 5, and a chirality bundle at n = 2
+    (mod 4) has the other chirality's projector as its transpose, whose
+    spherical components equal its own.
+    """
+    target = xr.proj_matrix(spec, eta).T
+    specs = [spec]
+    if spec.chirality != "none":
+        other = "minus" if spec.chirality == "plus" else "plus"
+        specs.append(xr.BundleSpec(spec.n, spec.p, other))
+    for cand_spec in specs:
+        for cand in xr.branching(cand_spec):
+            if np.allclose(target, xr.proj_matrix(cand_spec, cand), atol=1e-12):
+                return cand_spec, cand
+    raise ArithmeticError(f"no transpose dual for {eta} in {spec}")
+
+
+def _pair_kernel(pt, ts, mu):
+    """The rotation-reduced inversion kernel of _j_pair_grid in closed
+    form, keyed (eta', eta) the same way:
+
+      j_{eta',eta}(t; mu) = (d_eta/d_tau) phi^{(T eta', mu)}_{T eta}(-t),
+
+    with T the transpose dual (P_{T eta} = P_eta^T).  One component
+    grid per output block eta'.
+    """
+    spec = pt.spec
+    ts = np.asarray(ts, dtype=float)
+    d_tau, d_eta = _dims_table(spec)
+    t_eta = {eta: _transpose_dual(spec, eta)[1] for eta in d_eta}
+    out = {}
+    for b in _sigma_blocks(spec, pt.sigma):
+        dual_spec, dual_b = _transpose_dual(spec, b)
+        dual = _component_grid(SpectralPoint(dual_spec, dual_b, mu), -ts)
+        for eta, d in d_eta.items():
+            out[(b, eta)] = (d / d_tau) * dual[t_eta[eta]]
+    return out
+
+
+def inversion_ratios(pt, R, mu=None, order=20):
     """Per-block scalars r_{eta'}(R) of the reduced reconstruction.
 
     F_R = sum_{eta'} r_{eta'}(R) P_{eta'} F^(mu) for atomic data; the
     matched kernel (mu = lambda) drives every r_{eta'}(R) -> 1.
+
+    The pairing kernel comes from the transpose-dual identity of
+    _pair_kernel, which test_pairing_kernel_is_transpose_dual_spherical_component
+    pins against the zonal quadrature _j_pair_grid (kept only as that
+    test oracle).  Its accuracy is that of _component_grid, which the
+    phi factor of the pairing uses as well.
     """
     lam = pt.lam_real
     mu = lam if mu is None else float(mu)
     ts, ws = _osc_nodes(0.0, float(R), max(abs(lam), abs(mu)), order=order)
-    pair = _j_pair_grid(pt, ts, mu, n_panels=n_panels, n_nodes=n_nodes)
+    pair = _pair_kernel(pt, ts, mu)
     nu = plancherel_density(pt)
     # pair w(t) phi j as (1-e^{-2t})^{n-1} (e^{rho t} phi)(e^{rho t} j)
     s = np.exp(0.5 * pt.rho * ts)
@@ -671,6 +723,7 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
     proj = _sigma_projector(pt.spec, pt.sigma)
     sd = sqrt(_dim_ratio(pt))
     radial = ws * radial_weight(ts, n) * pi * nu / float(R)
+    at_neg = lg._at_mat(-ts, n)
 
     def sampler(kmats):
         kmats = np.asarray(kmats, dtype=float)
@@ -679,11 +732,11 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
         out = np.zeros((kmats.shape[0], pt.spec.dim_full), dtype=complex)
         for bi in range(kmats.shape[0]):
             kb = _embed_k_batch(kmats[bi][None])[0]
+            k1_inv_k = np.swapaxes(k1e, -1, -2) @ kb
             acc = np.zeros(pt.spec.dim_full, dtype=complex)
             for i in range(ts.size):
                 # e(k^{-1} k1 a_t) needs H, kappa of a_{-t} k1^{-1} k
-                args = np.einsum("ij,bkj,kl->bil",
-                                 lg._at_mat(-ts[i], n), k1e, kb)
+                args = at_neg[i] @ k1_inv_k
                 hs, _, kap = lg._iwasawa_full(args)
                 tk = xr.tau_matrix_batch(kap, pt.p)
                 vec = np.einsum("bji,bj->bi", tk, fvals[i])

@@ -67,6 +67,41 @@ def test_pairing_kernel_is_transpose_dual_spherical_component():
                     (spec, sigma, b, eta)
 
 
+def _oracle_ratios(pt, R, mu):
+    # inversion_ratios with the pairing kernel from the zonal quadrature
+    ts, ws = st._osc_nodes(0.0, R, max(pt.lam_real, mu), order=20)
+    pair = st._j_pair_grid(pt, ts, mu)
+    s = np.exp(0.5 * pt.rho * ts)
+    weight = st._stable_weight(ts, pt.n) * ws * pi * sph.plancherel_density(pt) / R
+    grid = sph._component_grid(pt, ts)
+    return {b: complex(np.sum(weight * sum(
+                st._rescale(phi, s) * st._rescale(pair[(b, eta)], s)
+                for eta, phi in grid.items())))
+            for b in st._sigma_blocks(pt.spec, pt.sigma)}
+
+
+def test_closed_form_pairing_kernel_matches_zonal_quadrature():
+    # (6,3,minus): no label of the bundle is the transpose dual; the
+    # other cases pair against a mismatched frequency mu != lambda
+    cases = [
+        (BundleSpec(6, 3, "minus"), sigma_q(3), 1.0, (0.5, 2.0)),
+        (BundleSpec(3, 1), sigma_q(1), 1.7, (0.5, 2.0, 6.0)),
+        (BundleSpec(5, 2), SIGMA_PLUS, 1.7, (0.5, 2.0, 6.0)),
+    ]
+    for spec, sigma, mu, ts in cases:
+        pt = SpectralPoint(spec, sigma, 1.0)
+        want = st._j_pair_grid(pt, np.array(ts), mu)
+        got = st._pair_kernel(pt, np.array(ts), mu)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.max(np.abs(got[key] - want[key])) < 1e-13, (spec, key)
+    pt = SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0)
+    got = st.inversion_ratios(pt, 2.0, mu=1.7)
+    want = _oracle_ratios(pt, 2.0, 1.7)
+    for b in want:
+        assert abs(got[b] - want[b]) < 1e-13
+
+
 def test_cross_term_matches_direct_quadrature():
     mpmath.mp.dps = 30
     for n in (2, 3, 4, 6):
