@@ -26,8 +26,12 @@ problems.  The module provides
   * ball-averaged residuals of the asymptotic head, and
   * a windowed energy-capture diagnostic for the spectral projections.
 
-Radial integrals use adaptive Gauss-Legendre bisection; sweeps over
-grid points run on the thread pool sized by HYPERFORM_THREADS.
+Every Schur-reduced radial integral goes through one engine,
+_radial_sweep: a composite Gauss-Legendre rule on [0, max R] with a
+breakpoint at each R of the grid and panels of at most a quarter period
+of e^{2 i lambda t}, the profile evaluated once over the nodes of an
+order pair, and cumulative sums per R.  The two orders must agree to a
+relative 1e-10 at every R, or the sweep raises ArithmeticError.
 """
 
 import json
@@ -58,15 +62,6 @@ __all__ = [
 ]
 
 _DEFAULT_R_GRID = (12.5, 25.0, 50.0, 100.0, 200.0)
-
-
-def _pmap(fn, items):
-    threads = tfm._n_threads()
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -152,57 +147,6 @@ def _gl_rule(order):
     return xs, ws
 
 
-def _adaptive_gl(fn, a, b, abs_tol=1e-10, order=16, max_depth=30, edges=None):
-    """Adaptive Gauss-Legendre bisection of a vectorized real integrand.
-
-    A panel is accepted when doubling the rule moves the value by less
-    than its length-share of abs_tol.  `edges` seeds the initial
-    partition (oscillatory integrands want period-sized panels to start
-    from).  Returns (integral, error sum).
-    """
-    xs1, ws1 = _gl_rule(order)
-    xs2, ws2 = _gl_rule(2 * order)
-
-    def panel(lo, hi):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        c = half * np.dot(ws1, fn(mid + half * xs1))
-        f = half * np.dot(ws2, fn(mid + half * xs2))
-        return c, f
-
-    total, err = 0.0, 0.0
-    if edges is None:
-        edges = [float(a), float(b)]
-    stack = [(float(lo), float(hi), 0) for lo, hi in zip(edges, edges[1:])]
-    span = float(b - a)
-    while stack:
-        lo, hi, depth = stack.pop()
-        coarse, fine = panel(lo, hi)
-        diff = abs(fine - coarse)
-        if not np.isfinite(diff):
-            if depth >= max_depth:
-                raise ArithmeticError(
-                    f"integrand not finite on [{lo:.6g}, {hi:.6g}]")
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid, depth + 1))
-            stack.append((mid, hi, depth + 1))
-            continue
-        if diff <= abs_tol * max((hi - lo) / span, 1e-3) or depth >= max_depth:
-            total += fine
-            err += diff
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid, depth + 1))
-            stack.append((mid, hi, depth + 1))
-    return total, err
-
-
-def _osc_edges(a, b, lam, per_period=1, max_panels=4096):
-    """Panel edges no wider than a period of e^{2 i lam t}."""
-    width = pi / max(abs(float(lam)), 0.25) / per_period
-    panels = min(max(int(ceil((b - a) / width)), 1), max_panels)
-    return list(np.linspace(float(a), float(b), panels + 1))
-
-
 def _osc_nodes(a, b, lam, order=20, per_period=2, max_panels=2048):
     """Composite fixed Gauss-Legendre nodes resolving oscillation at
     frequency ~2 lam: panels no longer than a half period."""
@@ -215,6 +159,59 @@ def _osc_nodes(a, b, lam, order=20, per_period=2, max_panels=2048):
     nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
     weights = (half[:, None] * ws[None, :]).ravel()
     return nodes, weights
+
+
+# Gauss-Legendre order pair of the radial sweep, its profile block size
+# (bounds the memory of one profile call) and its relative tolerance
+_SWEEP_ORDERS = (20, 30)
+_SWEEP_BLOCK = 2048
+_SWEEP_RTOL = 1e-10
+
+
+def _radial_sweep(profile, R_grid, lam):
+    """int_0^R profile(t) dt for every R of R_grid, in one pass.
+
+    One composite Gauss-Legendre rule covers [0, max R]: every R is a
+    breakpoint and panels are at most a quarter period of e^{2 i lam t}
+    wide, with no cap on their number (it grows like lam R).  The
+    vectorized profile is evaluated once over the nodes of both orders
+    on the same panels, in blocks of at most _SWEEP_BLOCK nodes, and the
+    panel sums accumulate per R.  Returns (values, errors) over R_grid,
+    the error being |fine - coarse|; raises ArithmeticError when a value
+    is not finite or its error exceeds _SWEEP_RTOL of it.
+    """
+    R_grid = np.asarray(R_grid, dtype=float)
+    if R_grid.size == 0 or not np.all(R_grid > 0.0):
+        raise ValueError("ball radii must be positive")
+    ends = np.sort(R_grid)
+    starts = np.concatenate(([0.0], ends[:-1]))
+    nodes, weights, bins = [], [], []
+    for rank, order in enumerate(_SWEEP_ORDERS):
+        for seg, (a, b) in enumerate(zip(starts, ends)):
+            ts, ws = _osc_nodes(a, b, lam, order=order, max_panels=np.inf)
+            nodes.append(ts)
+            weights.append(ws)
+            bins.append(np.full(ts.size, rank * ends.size + seg))
+    nodes, weights, bins = map(np.concatenate, (nodes, weights, bins))
+    sums = np.zeros(len(_SWEEP_ORDERS) * ends.size)
+    for lo in range(0, nodes.size, _SWEEP_BLOCK):
+        sl = slice(lo, lo + _SWEEP_BLOCK)
+        sums += np.bincount(bins[sl], weights=weights[sl] * profile(nodes[sl]),
+                            minlength=sums.size)
+    if not np.all(np.isfinite(sums)):
+        raise ArithmeticError(
+            f"radial profile not finite on [0, {ends[-1]:g}]")
+    coarse, fine = np.cumsum(sums.reshape(-1, ends.size), axis=1)[[0, -1]]
+    err = np.abs(fine - coarse)
+    bad = ~(err <= _SWEEP_RTOL * np.abs(fine))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ArithmeticError(
+            f"radial quadrature to R={ends[i]:g} did not converge: orders "
+            f"{_SWEEP_ORDERS[0]}/{_SWEEP_ORDERS[-1]} give "
+            f"{float(coarse[i])!r} and {float(fine[i])!r}")
+    idx = np.searchsorted(ends, R_grid)
+    return fine[idx], err[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -346,25 +343,36 @@ def _head_batch(pt, mats):
 # ball averages
 
 
+def _base_point_norm2(atoms):
+    """||sum_i w_i v_i||^2 when every atom sits at the base point (the
+    Schur-reducible case), else None."""
+    if not all(_is_identity_atom(a) for a, _ in atoms):
+        return None
+    v_eff = sum(w * a.v.coeffs for a, w in atoms)
+    return float(np.real(np.vdot(v_eff, v_eff)))
+
+
+def _schur_sweep(pt, R_grid, vnorm2=1.0, kind="spherical", dims="schur"):
+    """Exact ball averages (1/R) int_0^R of the weighted square profile
+    times vnorm2, with their quadrature error estimates, over R_grid."""
+    R_grid = np.asarray(R_grid, dtype=float)
+    vals, errs = _radial_sweep(
+        lambda ts: _weighted_square_profile(pt, ts, kind=kind, dims=dims),
+        R_grid, pt.lam_real)
+    return vals / R_grid * vnorm2, errs / R_grid * vnorm2
+
+
 def _ball_average_detail(pt, section, R, k_samples=4096, rng=None,
-                         abs_tol=1e-10, kernel="spherical"):
+                         kernel="spherical"):
     atoms = _atom_list(section)
     R = float(R)
     if R <= 0.0:
         raise ValueError("ball radius must be positive")
     n = pt.n
-    if all(_is_identity_atom(a) for a, _ in atoms):
-        v_eff = np.zeros(pt.spec.dim_full, dtype=complex)
-        for a, w in atoms:
-            v_eff += w * a.v.coeffs
-        vnorm2 = float(np.real(np.vdot(v_eff, v_eff)))
-
-        def integrand(ts):
-            return _weighted_square_profile(pt, ts, kind=kernel) * vnorm2
-
-        val, err = _adaptive_gl(integrand, 0.0, R, abs_tol=abs_tol,
-                                edges=_osc_edges(0.0, R, pt.lam_real))
-        return val / R, err / R, "schur_1d"
+    vnorm2 = _base_point_norm2(atoms)
+    if vnorm2 is not None:
+        vals, errs = _schur_sweep(pt, [R], vnorm2, kind=kernel)
+        return float(vals[0]), float(errs[0]), "schur_1d"
 
     if rng is None:
         rng = np.random.default_rng(0)
@@ -448,19 +456,22 @@ def strichartz_limit(pt, section, R_grid=None, k_samples=4096, rng=None):
         R_grid = _DEFAULT_R_GRID
     if len(R_grid) < 4:
         raise ValueError("R_grid too short: need at least 4 radii to fit")
-    # generators are not thread safe: pre-split one stream per radius
-    if rng is None:
-        rngs = [None] * len(R_grid)
+    vnorm2 = _base_point_norm2(_atom_list(section))
+    if vnorm2 is not None:
+        values, stderrs = _schur_sweep(pt, R_grid, vnorm2)
+        method = "schur_1d"
     else:
-        seeds = rng.integers(0, 2 ** 63 - 1, size=len(R_grid))
-        rngs = [np.random.default_rng(int(s)) for s in seeds]
-    rows = _pmap(lambda pair: _ball_average_detail(pt, section, pair[0],
-                                                   k_samples=k_samples,
-                                                   rng=pair[1]),
-                 list(zip(R_grid, rngs)))
-    values = [r[0] for r in rows]
-    stderrs = [r[1] for r in rows]
-    method = rows[0][2]
+        # streams split up front: each radius samples independently
+        if rng is None:
+            rngs = [None] * len(R_grid)
+        else:
+            seeds = rng.integers(0, 2 ** 63 - 1, size=len(R_grid))
+            rngs = [np.random.default_rng(int(s)) for s in seeds]
+        rows = [_ball_average_detail(pt, section, r, k_samples=k_samples, rng=g)
+                for r, g in zip(R_grid, rngs)]
+        values = [r[0] for r in rows]
+        stderrs = [r[1] for r in rows]
+        method = "mc_k"
     limit, fit_err = _fit_limit(R_grid, values)
     norm_f2 = section_norm2(section)
     nu = plancherel_density(pt)
@@ -474,7 +485,7 @@ def strichartz_limit(pt, section, R_grid=None, k_samples=4096, rng=None):
                              bound_constant=bound_c, norm_f2=norm_f2)
 
 
-def eisenstein_hs_limit(pt, R_grid=None, abs_tol=1e-10):
+def eisenstein_hs_limit(pt, R_grid=None):
     """Ball averages of the squared Hilbert-Schmidt norm of the
     Eisenstein integral at delta = tau.
 
@@ -488,18 +499,7 @@ def eisenstein_hs_limit(pt, R_grid=None, abs_tol=1e-10):
     if len(R_grid) < 4:
         raise ValueError("R_grid too short: need at least 4 radii to fit")
     d_sigma = xr.dims(pt.spec, pt.sigma)[1]
-
-    def profile(ts):
-        return _weighted_square_profile(pt, ts, dims="hs")
-
-    def one(r):
-        val, err = _adaptive_gl(profile, 0.0, float(r), abs_tol=abs_tol,
-                                edges=_osc_edges(0.0, float(r), pt.lam_real))
-        return val / r, err / r
-
-    rows = _pmap(one, list(R_grid))
-    values = [v for v, _ in rows]
-    stderrs = [e for _, e in rows]
+    values, stderrs = _schur_sweep(pt, R_grid, dims="hs")
     limit, fit_err = _fit_limit(R_grid, values)
     nu = plancherel_density(pt)
     target = d_sigma / (pi * nu)
@@ -752,17 +752,11 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
 # asymptotic residual sweeps
 
 
-def head_ball_average(pt, R, vnorm2=1.0, abs_tol=1e-10):
+def head_ball_average(pt, R, vnorm2=1.0):
     """Exact ball average of the squared two-term Weyl head applied to
     a vector of squared norm vnorm2; bounded by
     2 |c_sigma|^2 (d_sigma/d_tau) vnorm2 in the limit."""
-
-    def integrand(ts):
-        return _weighted_square_profile(pt, ts, kind="head")
-
-    val, _ = _adaptive_gl(integrand, 0.0, float(R), abs_tol=abs_tol,
-                          edges=_osc_edges(0.0, float(R), pt.lam_real))
-    return val / float(R) * vnorm2
+    return float(_schur_sweep(pt, [R], vnorm2, kind="head")[0][0])
 
 
 def asymptotic_residual_sweep(pt, atom, R_grid=(10.0, 20.0, 40.0),
@@ -776,26 +770,22 @@ def asymptotic_residual_sweep(pt, atom, R_grid=(10.0, 20.0, 40.0),
     one exponential order below the head).
     """
     section = BoundarySection.from_atoms(pt, [(atom, weight)])
-    rows = []
-    for r in R_grid:
-        if _is_identity_atom(atom):
-            vnorm2 = abs(weight) ** 2 * float(np.real(np.vdot(atom.v.coeffs,
-                                                              atom.v.coeffs)))
-
-            def integrand(ts):
-                return _weighted_square_profile(pt, ts, kind="residual")
-
-            dev, err = _adaptive_gl(integrand, 0.0, float(r),
-                                    edges=_osc_edges(0.0, float(r),
-                                                     pt.lam_real))
-            dev = dev / float(r) * vnorm2
-            err = err / float(r) * vnorm2
-        else:
+    vnorm2 = _base_point_norm2(section.atoms)
+    if vnorm2 is not None:
+        devs, errs = _schur_sweep(pt, R_grid, vnorm2, kind="residual")
+        avgs, _ = _schur_sweep(pt, R_grid, vnorm2)
+        sweep = zip(devs, errs, avgs)
+    else:
+        sweep = []
+        for r in R_grid:
             dev, err, _ = _ball_average_detail(pt, section, r,
                                                k_samples=k_samples, rng=rng,
                                                kernel="residual")
-        avg, _, _ = _ball_average_detail(pt, section, r, k_samples=k_samples,
-                                         rng=rng)
+            avg, _, _ = _ball_average_detail(pt, section, r,
+                                             k_samples=k_samples, rng=rng)
+            sweep.append((dev, err, avg))
+    rows = []
+    for r, (dev, err, avg) in zip(R_grid, sweep):
         rows.append({"R": float(r), "deviation": float(dev),
                      "average": float(avg),
                      "ratio": float(dev / avg) if avg > 0 else float("inf"),

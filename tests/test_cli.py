@@ -30,3 +30,14 @@ def test_invert_gate_fails_on_tight_tolerance():
     assert res.exit_code == 1
     rows = {r["name"]: r for r in json.loads(res.output)["rows"]}
     assert not rows["error_envelope"]["pass"]
+
+
+def test_limit_exits_cleanly_when_the_sweep_cannot_converge():
+    # at n = 7 the profile underflows past t ~ 177, so the R = 200 sweep
+    # of the default grid cannot meet its tolerance
+    res = CliRunner().invoke(main, ["limit", "--n", "7", "--p", "2",
+                                    "--sigma", "q:2"])
+    assert res.exit_code == 1
+    assert "did not converge" in res.output
+    assert "Traceback" not in res.output
+    assert not isinstance(res.exception, ArithmeticError)

@@ -4,7 +4,7 @@ limits, the dual-pairing inversion, and the windowed energy capture."""
 import numpy as np
 import mpmath
 import pytest
-from math import pi, sqrt
+from math import ceil, pi, sqrt
 
 import hyperform.extrep as xr
 import hyperform.liegroup as lg
@@ -252,6 +252,63 @@ def test_residual_sweep_deviation_halves_per_doubling():
     for a, b in zip(devs, devs[1:]):
         assert 1.9 < a / b < 2.1
     assert ratios[0] > ratios[1] > ratios[2] > 0.0
+
+
+def _sweep_panel_edges(R_grid, lam):
+    # the sweep's panel edges: each [R_{j-1}, R_j] split into at least
+    # four equal panels no wider than a quarter period of e^{2 i lam t}
+    width = pi / max(2.0 * lam, 0.5) / 2.0
+    edges = [0.0]
+    for a, b in zip((0.0,) + tuple(R_grid[:-1]), R_grid):
+        panels = max(ceil((b - a) / width), 4)
+        edges += list(np.linspace(a, b, panels + 1)[1:])
+    return edges
+
+
+def test_radial_sweep_matches_mpmath_quadrature():
+    R_grid = (2.5, 5.0, 10.0)
+    for spec, sigma in ((BundleSpec(6, 2), sigma_q(1)),
+                        (BundleSpec(4, 2, "plus"), sigma_q(2))):
+        pt = SpectralPoint(spec, sigma, 1.0)
+
+        def profile(ts):
+            return st._weighted_square_profile(pt, ts)
+
+        got, _ = st._radial_sweep(profile, R_grid, 1.0)
+        edges = _sweep_panel_edges(R_grid, 1.0)
+        total = mpmath.mpf(0)
+        want = []
+        for a, b in zip(edges, edges[1:]):
+            total += mpmath.quad(lambda t: profile(np.array([float(t)]))[0],
+                                 [a, b])
+            if b in R_grid:
+                want.append(float(total))
+        assert len(want) == len(R_grid)
+        for g, w in zip(got, want):
+            assert abs(g - w) < 1e-12 * abs(w), (spec, g, w)
+
+
+def test_radial_sweep_cumulative_equals_single_radius():
+    pt = SpectralPoint(BundleSpec(5, 2), SIGMA_PLUS, 0.5)
+
+    def profile(ts):
+        return st._weighted_square_profile(pt, ts)
+
+    R_grid = (1.5, 12.5, 25.0, 50.0)
+    vals, errs = st._radial_sweep(profile, R_grid, 0.5)
+    assert np.all(errs <= 1e-10 * vals)
+    for R, v in zip(R_grid, vals):
+        single, _ = st._radial_sweep(profile, [R], 0.5)
+        assert abs(single[0] - v) < 1e-13 * v, R
+
+
+def test_radial_sweep_raises_on_unresolved_or_nonfinite_profile():
+    # cos^2(40 t) oscillates far above the panel scale set by lam = 1
+    with pytest.raises(ArithmeticError):
+        st._radial_sweep(lambda ts: np.cos(40.0 * ts) ** 2, (5.0, 10.0), 1.0)
+    with pytest.raises(ArithmeticError):
+        st._radial_sweep(lambda ts: np.where(ts > 7.0, np.inf, 1.0),
+                         (5.0, 10.0), 1.0)
 
 
 def test_head_ball_average_approaches_comparison_asymptote():
