@@ -7,8 +7,7 @@ single report at the end.  JSON reports follow the schema
 tol, pass}]}; CSV reports carry the same rows.  Identical (config,
 seed) pairs produce byte-identical output.  Exit status: 0 when every
 row passes, 1 when a numerical check fails or a quadrature cannot meet
-its tolerance, 2 for inadmissible configuration or unreadable input.  The HYPERFORM_THREADS environment
-variable caps worker threads inside the numerical modules.
+its tolerance, 2 for inadmissible configuration or unreadable input.
 """
 
 import csv

@@ -25,7 +25,7 @@ and self-adjointness in floating point.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -210,54 +210,56 @@ def _rank_table(n, p):
 # tau matrices
 
 
+@lru_cache(maxsize=None)
+def _laplace_tables(n, q):
+    """Index tables of the first-row Laplace expansion of the q x q
+    minors u[I, J] over the colex basis: the first row i_0 of each I,
+    the rank of I minus i_0 among the (q-1)-subsets, the k-th column j_k
+    of each J, and the rank of J minus j_k (whose k = 0 column is the
+    second table)."""
+    masks, elems = _basis(n, q)
+    rank_dn = _rank_table(n, q - 1)
+    drop = np.array([[rank_dn[int(m) ^ (1 << int(j))] for j in row]
+                     for m, row in zip(masks, elems)]).reshape(elems.shape)
+    return elems[:, 0], drop[:, 0], elems, drop
+
+
 def tau_matrix(u, p):
     """Matrix of Lambda^p(u) over the colex basis: p x p minors of u."""
-    u = np.asarray(u, dtype=float)
-    n = u.shape[-1]
-    if p == 0:
-        return np.ones((1, 1))
-    if p == 1:
-        return u.copy()
-    _, elems = _basis(n, p)
-    sub = u[elems[:, None, :, None], elems[None, :, None, :]]
-    # sub[I, J] = u[rows I, cols J]; minors via LU on the stacked blocks.
-    return np.linalg.det(sub)
+    return tau_matrix_batch(np.asarray(u, dtype=float)[None], p)[0]
 
 
 def tau_matrix_batch(us, p):
-    """Lambda^p(u) for stacked rotations (..., n, n).
+    """Lambda^p(u) for stacked matrices (..., n, n): the p x p minors
+    u[I, J] over the colex basis.
 
-    Uses the Leibniz expansion (p! terms) for p <= 3, which vectorizes
-    cleanly; larger p falls back to per-matrix evaluation.
+    Built degree by degree from Lambda^1(u) = u by the Laplace expansion
+    along the first row of each minor,
+
+        det u[I, J] = sum_k (-1)^k u[i_0, j_k] det u[I - i_0, J - j_k],
+
+    whose (q-1)-minors are entries of Lambda^(q-1)(u); one gather per
+    column k over precomputed index tables, O(q C(n,q)^2) per matrix.
     """
     us = np.asarray(us, dtype=float)
     n = us.shape[-1]
-    if p == 1:
-        return us.copy()
-    if p > 3:
-        flat = us.reshape(-1, n, n)
-        out = np.stack([tau_matrix(m, p) for m in flat])
-        return out.reshape(us.shape[:-2] + out.shape[-2:])
-    _, elems = _basis(n, p)
-    rows = elems  # (Np, p)
-    cols = elems
-    out = None
-    for perm in permutations(range(p)):
-        sign = _perm_sign(perm)
-        term = np.ones(us.shape[:-2] + (rows.shape[0], cols.shape[0]))
-        for r, pr in enumerate(perm):
-            term = term * us[..., rows[:, None, r], cols[None, :, pr]]
-        out = sign * term if out is None else out + sign * term
+    if p == 0:
+        return np.ones(us.shape[:-2] + (1, 1))
+    out = us.copy()
+    for q in range(2, p + 1):
+        first, rest, cols, drop = _laplace_tables(n, q)
+        prev = out
+        for k in range(q):
+            # in place, so at most three (..., C(n,q), C(n,q)) arrays live
+            term = us[..., first[:, None], cols[None, :, k]]
+            term *= prev[..., rest[:, None], drop[None, :, k]]
+            if k == 0:
+                out = term
+            elif k % 2:
+                out -= term
+            else:
+                out += term
     return out
-
-
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def tau_apply(k, xi):

@@ -17,9 +17,13 @@ taking e_1 to b/|b| (b the upper right column), built from a
 deterministic Householder reflection with a sign fix, so decompositions
 are reproducible across runs.
 
-Most functions accept stacked arrays (..., n+1, n+1) and are the
-vectorized work horses of the transform modules; the thin GroupElement
-and KElement wrappers carry validation for the scalar public API.
+This module owns the batch geometry of the package: the private array
+kernels take stacked matrices (..., n+1, n+1) (embedding of rotations,
+inversion J g^T J, boosts, horospherical elements, plane rotations, the
+Iwasawa and Cartan factors) and every other module builds on them.  The
+scalar public API (make_*, iwasawa, cartan, GroupElement.inv) wraps the
+same kernels, with the GroupElement and KElement wrappers carrying the
+validation.
 """
 
 import numpy as np
@@ -135,10 +139,7 @@ class GroupElement:
         return self.mat.shape[0] - 1
 
     def inv(self):
-        # g^-1 = J g^T J, which is exact up to rounding of the transpose.
-        n = self.n
-        jj = _metric(n)
-        return GroupElement(jj @ self.mat.T @ jj, check=False)
+        return GroupElement(_inv_mats(self.mat), check=False)
 
     def __matmul__(self, other):
         if isinstance(other, GroupElement):
@@ -182,6 +183,28 @@ def _embed_rotation(u):
     out = np.zeros(u.shape[:-2] + (n + 1, n + 1))
     out[..., :n, :n] = u
     out[..., n, n] = 1.0
+    return out
+
+
+def _inv_mats(mats):
+    """(..., n+1, n+1) group matrices -> their inverses J g^T J, exact
+    (a transpose and sign flips)."""
+    jj = np.ones(mats.shape[-1])
+    jj[-1] = -1.0
+    return jj[:, None] * np.swapaxes(mats, -1, -2) * jj[None, :]
+
+
+def _plane_rotation_batch(n, c, s):
+    """(...,) cosines and sines -> (..., n, n) rotations in the (e1, e2)
+    coordinate plane of R^n, [[c, -s], [s, c]] in the upper left."""
+    c = np.asarray(c, dtype=float)
+    out = np.zeros(c.shape + (n, n))
+    idx = np.arange(2, n)
+    out[..., idx, idx] = 1.0
+    out[..., 0, 0] = c
+    out[..., 0, 1] = -s
+    out[..., 1, 0] = s
+    out[..., 1, 1] = c
     return out
 
 
@@ -243,21 +266,15 @@ def make_ny(y):
 # decompositions
 
 
-def _iwasawa_h(mats):
-    """H(g) for stacked matrices; asserts positivity of c_1 + d."""
-    s = mats[..., -1, 0] + mats[..., -1, -1]
-    if np.any(s <= 0.0):
-        raise ValueError("Iwasawa argument c_1 + d is not positive")
-    return np.log(s)
-
-
 def _iwasawa_hy(mats):
+    """(H, y) for stacked matrices; raises unless c_1 + d > 0."""
     s = mats[..., -1, 0] + mats[..., -1, -1]
     if np.any(s <= 0.0):
         raise ValueError("Iwasawa argument c_1 + d is not positive")
     h = np.log(s)
     y = mats[..., -1, 1:-1] / s[..., None]
     return h, y
+
 
 def _iwasawa_full(mats):
     """(H, y, kappa block) for stacked matrices."""
@@ -376,7 +393,7 @@ def e_defect(g, x):
     tp_gx = float(_cartan_radius(gx))
     tp_x = float(_cartan_radius(x.mat))
     _, k1x, _ = _cartan_batch(x.mat[None, ...])
-    h = float(_iwasawa_h(g.mat @ _embed_rotation(k1x[0])))
+    h = float(_iwasawa_hy(g.mat @ _embed_rotation(k1x[0]))[0])
     return tp_gx - tp_x - h
 
 

@@ -252,7 +252,7 @@ def c_jacobi(alpha, beta, lam):
                 / [Gamma((i lam + a + b + 1)/2) Gamma((i lam + a - b + 1)/2)]
 
     Meromorphic in lambda with a pole at lambda = 0 coming from
-    Gamma(i lambda); evaluation within 1e-6 of that pole is refused.
+    Gamma(i lambda); evaluation within 1e-6 of that pole raises ValueError.
     """
     a = complex(alpha)
     b = complex(beta)

@@ -20,12 +20,13 @@ Jacobi-function machinery, only group decompositions and projectors.
 """
 
 from dataclasses import dataclass
-from math import comb, gamma, pi, sqrt
+from math import gamma, pi, sqrt
 
 import numpy as np
 
 from . import extrep as xr
-from .liegroup import GroupElement, cartan, iwasawa, make_at
+from .liegroup import (GroupElement, _cartan_batch, _embed_rotation, _iwasawa_full,
+                       _plane_rotation_batch, make_at)
 from .specialfn import JacobiParams, c_jacobi, jacobi_phi
 
 __all__ = [
@@ -154,62 +155,79 @@ def scalar_components(pt, t):
     return SphericalValue(t, {eta: complex(v[0]) for eta, v in grid.items()})
 
 
-def _component_labels(spec):
-    return list(xr.branching(spec))
-
-
 # ---------------------------------------------------------------------------
 # operator values
 
 
-def _diag_operator(spec, components):
-    mats = [complex(components[eta]) * xr.proj_matrix(spec, eta) for eta in components]
-    return sum(mats)
+def _sigma_blocks(spec, sigma):
+    """Irreducible isotypic labels carried by P_sigma: the unsplit
+    sigma_p at p = (n-1)/2 is sigma^+ (+) sigma^-."""
+    if spec.case == "half_odd" and sigma == xr.sigma_q(spec.p):
+        return [xr.SIGMA_PLUS, xr.SIGMA_MINUS]
+    return [sigma]
 
 
-def spherical_at(pt, g):
-    """Phi(g) as a matrix on the Lambda^p coordinates, via the Cartan
-    decomposition and tau-radiality Phi(k1 a_t k2) = tau(k1) Phi(a_t) tau(k2)."""
-    if isinstance(g, GroupElement):
-        fac = cartan(g)
-    else:
-        fac = cartan(GroupElement(np.asarray(g, dtype=float)))
-    mid = _diag_operator(pt.spec, scalar_components(pt, fac.t).components)
-    return _conjugate_radial(pt, fac, mid)
+def _sigma_projector(spec, sigma):
+    return sum(xr.proj_matrix(spec, eta) for eta in _sigma_blocks(spec, sigma))
 
 
-def _conjugate_radial(pt, fac, mid):
-    # g = k1 a_t k2 and Phi(k1 g k2) = tau(k2)^{-1} Phi(g) tau(k1)^{-1},
-    # so Phi(g) = tau(k2)^T mid tau(k1)^T
-    t1 = xr.tau_matrix(fac.k1.mat, pt.p)
-    t2 = xr.tau_matrix(fac.k2.mat, pt.p)
-    return t2.T @ mid @ t1.T
-
-
-def asymptotic_head(pt, g):
-    """Two-term Weyl-sum head of Phi(g); exact leading asymptotics."""
-    if isinstance(g, GroupElement):
-        fac = cartan(g)
-    else:
-        fac = cartan(GroupElement(np.asarray(g, dtype=float)))
-    t = fac.t
+def _head_components(pt, ts):
+    """Scalars of the two-term Weyl head on each isotypic summand."""
+    ts = np.asarray(ts, dtype=float)
     lam, rho = complex(pt.lam), pt.rho
-    mid = np.zeros((pt.spec.dim_full,) * 2, dtype=complex)
+    out = {eta: np.zeros(ts.shape, dtype=complex) for eta in xr.branching(pt.spec)}
     for s in (+1, -1):
         if s > 0:
             sig_s, lam_s = pt.sigma, lam
         else:
             sig_s, lam_s = weyl_reflect(pt.sigma, lam)
         coeff = _c_sigma_scalar(pt.spec, sig_s, lam_s)
-        weight = np.exp((1j * s * lam - rho) * t)
-        mid = mid + coeff * weight * _sigma_projector(pt.spec, sig_s)
-    return _conjugate_radial(pt, fac, mid)
+        weight = coeff * np.exp((1j * s * lam - rho) * ts)
+        for eta in _sigma_blocks(pt.spec, sig_s):
+            out[eta] = out[eta] + weight
+    return out
 
 
-def _sigma_projector(spec, sigma):
-    if spec.case == "half_odd" and sigma == xr.sigma_q(spec.p):
-        return xr.proj_matrix(spec, xr.SIGMA_PLUS) + xr.proj_matrix(spec, xr.SIGMA_MINUS)
-    return xr.proj_matrix(spec, sigma)
+def _radial_conjugate_batch(pt, mats, components):
+    """tau-radial operators on stacked group matrices (..., n+1, n+1):
+    the diagonal operator sum_eta components(t)[eta] P_eta at the Cartan
+    radius t, conjugated by the Lambda^p images of the K factors."""
+    t, k1, k2 = _cartan_batch(mats)
+    grid = components(t)
+    dim = pt.spec.dim_full
+    mid = np.zeros(mats.shape[:-2] + (dim, dim), dtype=complex)
+    for eta, vals in grid.items():
+        mid += vals[..., None, None] * xr.proj_matrix(pt.spec, eta)[None]
+    t1 = xr.tau_matrix_batch(k1, pt.p)
+    t2 = xr.tau_matrix_batch(k2, pt.p)
+    # g = k1 a_t k2 and Phi(k1 g k2) = tau(k2)^{-1} Phi(g) tau(k1)^{-1},
+    # so Phi(g) = tau(k2)^T mid tau(k1)^T
+    return np.swapaxes(t2, -1, -2) @ mid @ np.swapaxes(t1, -1, -2)
+
+
+def _spherical_batch(pt, mats):
+    return _radial_conjugate_batch(pt, mats, lambda t: _component_grid(pt, t))
+
+
+def _head_batch(pt, mats):
+    return _radial_conjugate_batch(pt, mats, lambda t: _head_components(pt, t))
+
+
+def _group_mat(g):
+    if not isinstance(g, GroupElement):
+        g = GroupElement(np.asarray(g, dtype=float))
+    return g.mat[None]
+
+
+def spherical_at(pt, g):
+    """Phi(g) as a matrix on the Lambda^p coordinates, via the Cartan
+    decomposition and tau-radiality Phi(k1 a_t k2) = tau(k1) Phi(a_t) tau(k2)."""
+    return _spherical_batch(pt, _group_mat(g))[0]
+
+
+def asymptotic_head(pt, g):
+    """Two-term Weyl-sum head of Phi(g); exact leading asymptotics."""
+    return _head_batch(pt, _group_mat(g))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -275,30 +293,11 @@ def weyl_reflect(sigma, lam):
 
 
 def op_norm(mat):
-    """Spectral norm by power iteration on mat^H mat; the matrices in
-    scope are small dense blocks, so this is cheap and reliable."""
+    """Spectral norm (largest singular value); 0.0 for an empty matrix."""
     a = np.asarray(mat, dtype=complex)
     if a.size == 0:
         return 0.0
-    b = a.conj().T @ a
-    m = b.shape[0]
-    best = 0.0
-    for shift in (0, 1):
-        v = np.cos(np.arange(m) * 1.7 + shift)
-        v /= np.linalg.norm(v)
-        prev = 0.0
-        for _ in range(500):
-            w = b @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                break
-            v = w / nw
-            cur = float(np.real(np.vdot(v, b @ v)))
-            if abs(cur - prev) <= 1e-10 * max(cur, 1e-30):
-                break
-            prev = cur
-        best = max(best, prev if prev else float(np.real(np.vdot(v, b @ v))))
-    return sqrt(max(best, 0.0))
+    return float(np.linalg.norm(a, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +338,13 @@ def eisenstein_integral_at(pt, t, n_panels=16, n_nodes=32):
     spec, lam, rho = pt.spec, complex(pt.lam), pt.rho
     n, p = pt.n, pt.p
     thetas, ws = _zonal_nodes(t, n_panels, n_nodes)
-    rots = np.stack([make_rotation_theta(n, th) for th in thetas])
-    embedded = np.zeros((thetas.size, n + 1, n + 1))
-    embedded[:, :n, :n] = rots
-    embedded[:, n, n] = 1.0
-    gs = make_at(-t, n).mat[None, :, :] @ embedded
-    hs, kappas = _iwasawa_batch(gs)
+    rots = _plane_rotation_batch(n, np.cos(thetas), np.sin(thetas))
+    gs = make_at(-t, n).mat[None, :, :] @ _embed_rotation(rots)
+    hs, _, kappas = _iwasawa_full(gs)
     tau_kappa = xr.tau_matrix_batch(kappas, p)
     tau_rot = xr.tau_matrix_batch(rots, p)
     p_sigma = _sigma_projector(spec, pt.sigma)
-    d_ts = comb(n, p) / (comb(n - 1, pt.sigma.q) if pt.sigma.kind == "q" else comb(n - 1, p) / 2)
-    if spec.chirality != "none":
-        d_ts = 1.0
+    d_ts = xr.dims(spec, pt.sigma)[2]
     phase = np.exp(-(1j * lam + rho) * hs)
     kernel = np.einsum("kab,bc,kdc->kad", tau_kappa, p_sigma, tau_rot)
     out = {}
@@ -362,25 +356,3 @@ def eisenstein_integral_at(pt, t, n_panels=16, n_nodes=32):
         val = np.sum(jac * phase * tr) * d_ts / (_zonal_mass(n) * d_eta)
         out[eta] = complex(val)
     return out
-
-
-def make_rotation_theta(n, theta):
-    """Rotation by theta in the (e1, e2) coordinate plane of R^n."""
-    u = np.eye(n)
-    c, s = np.cos(theta), np.sin(theta)
-    u[0, 0] = c
-    u[0, 1] = -s
-    u[1, 0] = s
-    u[1, 1] = c
-    return u
-
-
-def _iwasawa_batch(gs):
-    """H and kappa for a stack of group matrices."""
-    hs = np.empty(gs.shape[0])
-    kappas = np.empty((gs.shape[0], gs.shape[-1] - 1, gs.shape[-1] - 1))
-    for i, g in enumerate(gs):
-        fac = iwasawa(GroupElement(g, check=False))
-        hs[i] = fac.h
-        kappas[i] = fac.kappa.mat
-    return hs, kappas

@@ -42,11 +42,11 @@ import numpy as np
 from . import extrep as xr
 from . import liegroup as lg
 from .liegroup import radial_weight
-from .spherical import (SpectralPoint, _c_sigma_scalar, _component_grid,
-                        _sigma_projector, _zonal_mass, _zonal_nodes,
-                        plancherel_density, weyl_reflect)
+from .spherical import (SpectralPoint, _component_grid, _head_batch, _head_components,
+                        _sigma_blocks, _sigma_projector, _spherical_batch, _zonal_mass,
+                        _zonal_nodes, plancherel_density)
 from . import transforms as tfm
-from .transforms import BoundarySection, _dim_ratio, _embed_k_batch, gram_matrix
+from .transforms import BoundarySection, gram_matrix
 
 __all__ = [
     "BallAverageReport",
@@ -147,11 +147,12 @@ def _gl_rule(order):
     return xs, ws
 
 
-def _osc_nodes(a, b, lam, order=20, per_period=2, max_panels=2048):
+def _osc_nodes(a, b, lam, order=20):
     """Composite fixed Gauss-Legendre nodes resolving oscillation at
-    frequency ~2 lam: panels no longer than a half period."""
-    width = pi / max(2.0 * abs(float(lam)), 0.5) / per_period
-    panels = min(max(int(ceil((b - a) / width)), 4), max_panels)
+    frequency ~2 lam: at least 4 panels, none longer than a quarter
+    period of e^{2 i lam t}."""
+    width = pi / max(2.0 * abs(float(lam)), 0.5) / 2
+    panels = max(int(ceil((b - a) / width)), 4)
     edges = np.linspace(a, b, panels + 1)
     xs, ws = _gl_rule(order)
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -188,7 +189,7 @@ def _radial_sweep(profile, R_grid, lam):
     nodes, weights, bins = [], [], []
     for rank, order in enumerate(_SWEEP_ORDERS):
         for seg, (a, b) in enumerate(zip(starts, ends)):
-            ts, ws = _osc_nodes(a, b, lam, order=order, max_panels=np.inf)
+            ts, ws = _osc_nodes(a, b, lam, order=order)
             nodes.append(ts)
             weights.append(ws)
             bins.append(np.full(ts.size, rank * ends.size + seg))
@@ -268,30 +269,6 @@ def _weighted_square_profile(pt, ts, kind="spherical", dims="schur"):
     return _stable_weight(ts, pt.n) * out
 
 
-def _head_components(pt, ts):
-    """Scalars of the two-term Weyl head on each isotypic summand."""
-    ts = np.asarray(ts, dtype=float)
-    lam, rho = complex(pt.lam), pt.rho
-    out = {eta: np.zeros(ts.shape, dtype=complex) for eta in xr.branching(pt.spec)}
-    for s in (+1, -1):
-        if s > 0:
-            sig_s, lam_s = pt.sigma, lam
-        else:
-            sig_s, lam_s = weyl_reflect(pt.sigma, lam)
-        coeff = _c_sigma_scalar(pt.spec, sig_s, lam_s)
-        weight = coeff * np.exp((1j * s * lam - rho) * ts)
-        for eta in _sigma_blocks(pt.spec, sig_s):
-            out[eta] = out[eta] + weight
-    return out
-
-
-def _sigma_blocks(spec, sigma):
-    """Irreducible isotypic labels carried by P_sigma."""
-    if spec.case == "half_odd" and sigma == xr.sigma_q(spec.p):
-        return [xr.SIGMA_PLUS, xr.SIGMA_MINUS]
-    return [sigma]
-
-
 def _is_identity_atom(atom):
     n = atom.g.n
     return float(np.max(np.abs(atom.g.mat - np.eye(n + 1)))) <= 1e-12
@@ -312,31 +289,6 @@ def section_norm2(section):
     w = np.array([c for _, c in atoms], dtype=complex)
     val = w @ gm @ w.conj()
     return float(np.real(val))
-
-
-# ---------------------------------------------------------------------------
-# batched spherical / head evaluation at general group points
-
-
-def _radial_conjugate_batch(pt, mats, components):
-    t, k1, k2 = lg._cartan_batch(mats)
-    grid = components(t)
-    dim = pt.spec.dim_full
-    mid = np.zeros(mats.shape[:-2] + (dim, dim), dtype=complex)
-    for eta, vals in grid.items():
-        mid += vals[..., None, None] * xr.proj_matrix(pt.spec, eta)[None]
-    t1 = xr.tau_matrix_batch(k1, pt.p)
-    t2 = xr.tau_matrix_batch(k2, pt.p)
-    # Phi(g) = tau(k2)^T mid tau(k1)^T for g = k1 a_t k2
-    return np.swapaxes(t2, -1, -2) @ mid @ np.swapaxes(t1, -1, -2)
-
-
-def _spherical_batch(pt, mats):
-    return _radial_conjugate_batch(pt, mats, lambda t: _component_grid(pt, t))
-
-
-def _head_batch(pt, mats):
-    return _radial_conjugate_batch(pt, mats, lambda t: _head_components(pt, t))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +329,7 @@ def _ball_average_detail(pt, section, R, k_samples=4096, rng=None,
     if rng is None:
         rng = np.random.default_rng(0)
     ks = lg.haar_sample_K(n, size=k_samples, rng=rng)
-    kemb = _embed_k_batch(ks)
+    kemb = lg._embed_rotation(ks)
     ts, ws = _osc_nodes(0.0, R, pt.lam_real if np.isreal(pt.lam) else 1.0,
                         order=12)
     per_k = np.zeros(k_samples)
@@ -512,20 +464,6 @@ def eisenstein_hs_limit(pt, R_grid=None):
 # inversion: boundary values from ball averages of the dual pairing
 
 
-def _plane_rotation_batch(n, c, s):
-    """Stacked rotations with given cosines/sines in the (e1, e2)
-    plane, same layout as make_rotation_theta."""
-    c = np.asarray(c, dtype=float)
-    out = np.zeros(c.shape + (n, n))
-    idx = np.arange(2, n)
-    out[..., idx, idx] = 1.0
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = s
-    out[..., 1, 1] = c
-    return out
-
-
 def _zonal_iwasawa(t, thetas):
     """Closed-form Iwasawa data of a_{-t} R(theta), for t >= 0.
 
@@ -577,9 +515,9 @@ def _j_pair_grid(pt, ts, mu, n_panels=12, n_nodes=24):
         # scale ratio, so the panel count grows linearly with t
         np_t = max(n_panels, int(np.ceil(abs(t) / 1.5)) + 2)
         thetas, ws = _zonal_nodes(t, np_t, n_nodes)
-        rots = _plane_rotation_batch(n, np.cos(thetas), np.sin(thetas))
+        rots = lg._plane_rotation_batch(n, np.cos(thetas), np.sin(thetas))
         hs, cpsi, spsi = _zonal_iwasawa(t, thetas)
-        kappas = _plane_rotation_batch(n, cpsi, spsi)
+        kappas = lg._plane_rotation_batch(n, cpsi, spsi)
         tau_kappa = xr.tau_matrix_batch(kappas, p)
         tau_rot = xr.tau_matrix_batch(rots, p)
         jac = np.sin(thetas) ** (n - 2) * ws
@@ -708,7 +646,7 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
     nu = plancherel_density(pt)
     rho = pt.rho
     k1 = lg.haar_sample_K(n, size=mc_k1, rng=rng)
-    k1e = _embed_k_batch(k1)
+    k1e = lg._embed_rotation(k1)
     ts, ws = _osc_nodes(0.0, float(R), max(abs(lam), abs(mu_val)),
                         order=mc_t_order)
     # Poisson image on the sample sheet k1 a_t, one t-slab at a time
@@ -721,7 +659,7 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
             fvals[i] += w * np.einsum("bij,j->bi", _spherical_batch(pt, mats),
                                       a.v.coeffs)
     proj = _sigma_projector(pt.spec, pt.sigma)
-    sd = sqrt(_dim_ratio(pt))
+    sd = sqrt(xr.dims(pt.spec, pt.sigma)[2])
     radial = ws * radial_weight(ts, n) * pi * nu / float(R)
     at_neg = lg._at_mat(-ts, n)
 
@@ -731,7 +669,7 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
             kmats = kmats[None]
         out = np.zeros((kmats.shape[0], pt.spec.dim_full), dtype=complex)
         for bi in range(kmats.shape[0]):
-            kb = _embed_k_batch(kmats[bi][None])[0]
+            kb = lg._embed_rotation(kmats[bi])
             k1_inv_k = np.swapaxes(k1e, -1, -2) @ kb
             acc = np.zeros(pt.spec.dim_full, dtype=complex)
             for i in range(ts.size):
@@ -831,26 +769,24 @@ def spectral_projection_energy(f, lam_grid, R, g_samples=160, k_samples=800,
     t_i = rng.random(g_samples) * R
     k_i = lg.haar_sample_K(n, size=g_samples, rng=rng)
     w_i = radial_weight(t_i, n)
-    g_mats = _embed_k_batch(k_i) @ lg._at_mat(t_i, n)
+    g_mats = lg._embed_rotation(k_i) @ lg._at_mat(t_i, n)
     # shared rotation samples and horocycle profiles
     us = lg.haar_sample_K(n, size=k_samples, rng=rng)
     tq, wq = _gl_rule(t_nodes)
     tq = tq * f.r_supp
     wq = wq * f.r_supp
-    prof = np.zeros((k_samples, t_nodes, spec.dim_full), dtype=complex)
-    for j in range(k_samples):
-        for q in range(t_nodes):
-            prof[j, q] = tfm.radon(f, tq[q], us[j], grid=grid).coeffs
-    # Iwasawa data of g_i^{-1} u_j, shared across the window
-    inv_g = tfm._inv_mats(g_mats)
+    prof = tfm._radon_batch(f, tq, us, grid=grid)
+    # Iwasawa data of g_i^{-1} u_j, shared across the window, formed in
+    # blocks of ball points
+    inv_g = lg._inv_mats(g_mats)
+    uemb = lg._embed_rotation(us)
     hs = np.zeros((g_samples, k_samples))
     tks = np.zeros((g_samples, k_samples, spec.dim_full, spec.dim_full))
-    uemb = _embed_k_batch(us)
-    for i in range(g_samples):
-        mats = inv_g[i][None] @ uemb
-        h, _, kap = lg._iwasawa_full(mats)
-        hs[i] = h
-        tks[i] = xr.tau_matrix_batch(kap, spec.p)
+    step = max(1, tfm._GROUP_BLOCK // k_samples)
+    for lo in range(0, g_samples, step):
+        sl = slice(lo, lo + step)
+        hs[sl], _, kap = lg._iwasawa_full(inv_g[sl, None] @ uemb[None])
+        tks[sl] = xr.tau_matrix_batch(kap, spec.p)
     rows = []
     etas = xr.branching(spec)
     for lam in lam_grid:
@@ -860,7 +796,7 @@ def spectral_projection_energy(f, lam_grid, R, g_samples=160, k_samples=800,
         for sigma in etas:
             pt = SpectralPoint(spec, sigma, lam)
             nu = plancherel_density(pt)
-            sd = sqrt(_dim_ratio(pt))
+            sd = sqrt(xr.dims(spec, sigma)[2])
             proj = _sigma_projector(spec, sigma)
             fv = sd * np.einsum("q,jqd->jd", fourier_weight, prof) @ proj.T
             # Q f(g_i) = nu * mean_j sqrt(d) e^{-(i lam + rho) h} tau(kappa) fv_j

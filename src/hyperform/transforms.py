@@ -15,14 +15,13 @@ deterministic seed-splitting.
 Compactly supported bundle sections on G are integrated over horocycles
 by tensor Gauss-Legendre quadrature in the N-coordinates (dn is taken
 as gamma_N dy with gamma_N the constant that normalizes the opposite
-horocyclic measure; the Fourier dual-path test pins this calibration).
+horocyclic measure; the Fourier dual-path test pins this calibration),
+in one batched routine over every (rotation, radius) pair.
 The Euclidean Fourier transform of the horocycle integral gives the
 Helgason-Fourier coefficient, and the spectral projection is its
 Poisson synthesis weighted by the Plancherel density.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from math import comb, gamma, pi, sqrt
 
 import numpy as np
@@ -31,8 +30,8 @@ from . import extrep as xr
 from . import liegroup as lg
 from .extrep import FormVector
 from .liegroup import GroupElement, KElement
-from .spherical import (SpectralPoint, _sigma_projector, plancherel_density,
-                        spherical_at, weyl_reflect)
+from .spherical import (SpectralPoint, _sigma_projector, _spherical_batch,
+                        plancherel_density, spherical_at, weyl_reflect)
 
 __all__ = [
     "BoundaryAtom",
@@ -53,13 +52,6 @@ __all__ = [
 ]
 
 
-def _n_threads():
-    try:
-        return max(int(os.environ.get("HYPERFORM_THREADS", "1")), 1)
-    except ValueError:
-        return 1
-
-
 def gamma_n_measure(n):
     """Normalization of dn = gamma_N dy on the horocycle group: the
     constant making the opposite-horocycle integral of e^{-2 rho H}
@@ -67,23 +59,9 @@ def gamma_n_measure(n):
     return gamma(n - 1) / (pi ** ((n - 1) / 2) * gamma((n - 1) / 2))
 
 
-def _embed_k_batch(kmats):
-    kmats = np.asarray(kmats, dtype=float)
-    if kmats.ndim == 2:
-        kmats = kmats[None]
-    b, n = kmats.shape[0], kmats.shape[-1]
-    out = np.zeros((b, n + 1, n + 1))
-    out[:, :n, :n] = kmats
-    out[:, n, n] = 1.0
-    return out
-
-
-def _dim_ratio(pt):
-    if pt.spec.chirality != "none":
-        return 1.0
-    if pt.sigma.kind == "q":
-        return comb(pt.n, pt.p) / comb(pt.n - 1, pt.sigma.q)
-    return 2.0 * comb(pt.n, pt.p) / comb(pt.n - 1, pt.p)
+# Group matrices per block of the batched horocycle quadrature and of the
+# energy capture's Iwasawa data; bounds the memory of one block
+_GROUP_BLOCK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +124,7 @@ class BoundarySection:
 
 
 def _atom_eval_batch(pt, atom, kmats):
-    mats = atom.g.inv().mat[None, :, :] @ _embed_k_batch(kmats)
+    mats = atom.g.inv().mat[None, :, :] @ lg._embed_rotation(kmats)
     h, _, kap = lg._iwasawa_full(mats)
     tk = xr.tau_matrix_batch(kap, pt.p)
     # tau(kappa)^{-1} v = tau(kappa)^T v
@@ -154,7 +132,7 @@ def _atom_eval_batch(pt, atom, kmats):
     proj = _sigma_projector(pt.spec, pt.sigma)
     vec = vec @ proj.T
     lam, rho = complex(pt.lam), pt.rho
-    return sqrt(_dim_ratio(pt)) * np.exp((1j * lam - rho) * h)[:, None] * vec
+    return sqrt(xr.dims(pt.spec, pt.sigma)[2]) * np.exp((1j * lam - rho) * h)[:, None] * vec
 
 
 def atom_eval(pt, atom, k):
@@ -175,7 +153,7 @@ def poisson_atom(pt, atom, x):
     return FormVector(pt.n, pt.p, out, spec=pt.spec)
 
 
-def _haar_chunks(n, samples, rng, chunk=4096):
+def _haar_chunks(samples, rng, chunk=4096):
     if rng is None:
         rng = np.random.default_rng(0)
     k = (samples + chunk - 1) // chunk
@@ -202,29 +180,18 @@ def poisson_mc(pt, section, x, samples, rng=None):
         raise ValueError("sampler budget below requested samples")
     lam, rho = complex(pt.lam), pt.rho
     xinv = x.inv().mat
-    root_d = sqrt(_dim_ratio(pt))
-
-    def one_chunk(args):
-        sub_rng, b = args
+    root_d = sqrt(xr.dims(pt.spec, pt.sigma)[2])
+    tot = tot2 = 0
+    for sub_rng, b in _haar_chunks(samples, rng):
         ks = lg.haar_sample_K(pt.n, size=b, rng=sub_rng)
         fvals = section.eval_batch(ks)
-        mats = xinv[None, :, :] @ _embed_k_batch(ks)
+        mats = xinv[None, :, :] @ lg._embed_rotation(ks)
         h, _, kap = lg._iwasawa_full(mats)
         tk = xr.tau_matrix_batch(kap, pt.p)
         integ = root_d * np.exp(-(1j * lam + rho) * h)[:, None] \
             * np.einsum("bij,bj->bi", tk, fvals)
-        return integ.sum(axis=0), (np.abs(integ) ** 2).sum(axis=0), b
-
-    chunks = _haar_chunks(pt.n, samples, rng)
-    # black-box samplers are not assumed thread-safe
-    workers = _n_threads() if section.is_atomic else 1
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(one_chunk, chunks))
-    else:
-        parts = [one_chunk(c) for c in chunks]
-    tot = sum(p[0] for p in parts)
-    tot2 = sum(p[1] for p in parts)
+        tot = tot + integ.sum(axis=0)
+        tot2 = tot2 + (np.abs(integ) ** 2).sum(axis=0)
     mean = tot / samples
     var = np.maximum(tot2 / samples - np.abs(mean) ** 2, 0.0)
     stderr = float(np.sqrt(var.sum() / samples))
@@ -249,12 +216,14 @@ def gram_matrix(pt, atoms):
     """Gram matrix of atoms in L^2(K, sigma) via the closed form
     <p^{g1,v1}, p^{g2,v2}> = <Phi(g1^{-1} g2) v1, v2>."""
     m = len(atoms)
-    out = np.zeros((m, m), dtype=complex)
-    for i, ai in enumerate(atoms):
-        for j, aj in enumerate(atoms):
-            gij = GroupElement(ai.g.inv().mat @ aj.g.mat, check=False)
-            out[i, j] = np.vdot(aj.v.coeffs, spherical_at(pt, gij) @ ai.v.coeffs)
-    return out
+    if m == 0:
+        return np.zeros((0, 0), dtype=complex)
+    gs = np.stack([a.g.mat for a in atoms])
+    vs = np.stack([a.v.coeffs for a in atoms])
+    pairs = lg._inv_mats(gs)[:, None] @ gs[None, :]
+    phi = _spherical_batch(pt, pairs.reshape((m * m,) + gs.shape[1:]))
+    phi = phi.reshape((m, m) + phi.shape[1:])
+    return np.einsum("jb,ijba,ia->ij", vs.conj(), phi, vs)
 
 
 # ---------------------------------------------------------------------------
@@ -326,64 +295,85 @@ def bump_section(spec, r_supp, v0=None):
     return CompactSection(spec, fn, r_supp, l2_norm=l2)
 
 
-def _tensor_grid(y_half, m, nodes):
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
-    xs = y_half * xs
-    ws = y_half * ws
-    grids = np.meshgrid(*([xs] * m), indexing="ij")
-    ys = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    wgrid = np.ones(ys.shape[0])
-    wmesh = np.meshgrid(*([ws] * m), indexing="ij")
-    for w in wmesh:
-        wgrid = wgrid * w.reshape(-1)
-    return ys, wgrid
+def _radon_batch(f, ts, kmats, grid=32):
+    """Horocycle integrals e^{rho t} int_N f(k a_t n) dn for every pair
+    of rotations kmats (K, n, n) and radii ts (T,), shape (K, T, dim).
 
-
-def radon(f, t, k, grid=32):
-    """Horocycle integral e^{rho t} int_N f(k a_t n) dn by tensor
-    Gauss-Legendre over the y-coordinates of N; n <= 4 only."""
+    One tensor Gauss-Legendre grid on [-1, 1]^(n-1) serves every t,
+    scaled to the half-width y_half(t) of the support's horocycle
+    section; pairs with |t| >= r_supp are zero.  The group matrices are
+    formed and evaluated in blocks of about _GROUP_BLOCK.  n <= 4 only.
+    """
     n = f.spec.n
     if n > 4:
         raise ValueError("horocycle quadrature supported for n <= 4")
     m = n - 1
     rho = (n - 1) / 2.0
-    t = float(t)
-    if abs(t) >= f.r_supp:
-        return FormVector(n, f.spec.p, np.zeros(f.spec.dim_full))
-    y_half = sqrt(2.0 * np.exp(-t) * (np.cosh(f.r_supp) - np.cosh(t)))
-    ys, ws = _tensor_grid(y_half, m, grid)
+    ts = np.asarray(ts, dtype=float)
+    kmats = np.asarray(kmats, dtype=float)
+    out = np.zeros((kmats.shape[0], ts.size, f.spec.dim_full), dtype=complex)
+    live = np.abs(ts) < f.r_supp
+    if not np.any(live):
+        return out
+    xs, ws = np.polynomial.legendre.leggauss(grid)
+    unit_ys = np.stack([g.reshape(-1) for g in np.meshgrid(*([xs] * m), indexing="ij")],
+                       axis=-1)
+    unit_ws = np.prod([w.reshape(-1) for w in np.meshgrid(*([ws] * m), indexing="ij")],
+                      axis=0)
+    tl = ts[live]
+    y_half = np.sqrt(2.0 * np.exp(-tl) * (np.cosh(f.r_supp) - np.cosh(tl)))
+    scale = y_half ** m * np.exp(rho * tl) * gamma_n_measure(n)
+    base = lg._embed_rotation(kmats)[:, None] @ lg._at_mat(tl, n)
+    kk, tt = (a.reshape(-1) for a in np.indices(base.shape[:2]))
+    step = max(1, _GROUP_BLOCK // unit_ws.size)
+    vals = np.empty((kk.size, f.spec.dim_full), dtype=complex)
+    for lo in range(0, kk.size, step):
+        k, t = kk[lo:lo + step], tt[lo:lo + step]
+        mats = base[k, t][:, None] @ lg._ny_mat(y_half[t, None, None] * unit_ys, n)
+        fv = f.eval_batch(mats.reshape((-1,) + mats.shape[2:]))
+        vals[lo:lo + step] = unit_ws @ fv.reshape(k.size, unit_ws.size, -1)
+    out[:, live] = vals.reshape(base.shape[:2] + (-1,)) * scale[:, None]
+    return out
+
+
+def radon(f, t, k, grid=32):
+    """Horocycle integral e^{rho t} int_N f(k a_t n) dn by tensor
+    Gauss-Legendre over the y-coordinates of N; n <= 4 only."""
     km = k.mat if isinstance(k, KElement) else np.asarray(k, dtype=float)
-    base = _embed_k_batch(km[None])[0] @ lg._at_mat(t, n)
-    mats = base[None, :, :] @ lg._ny_mat(ys, n)
-    vals = f.eval_batch(mats)
-    total = (ws[:, None] * vals).sum(axis=0)
-    total *= np.exp(rho * t) * gamma_n_measure(n)
-    return FormVector(n, f.spec.p, total)
+    total = _radon_batch(f, [float(t)], km[None], grid=grid)[0, 0]
+    return FormVector(f.spec.n, f.spec.p, total)
+
+
+def _sigma_part(pt, vals):
+    """sqrt(d_{tau,sigma}) P_sigma applied to the last axis of vals."""
+    proj = _sigma_projector(pt.spec, pt.sigma)
+    return sqrt(xr.dims(pt.spec, pt.sigma)[2]) * (vals @ proj.T)
 
 
 def radon_sigma(pt, f, t, k, grid=32):
     """Partial Radon transform sqrt(d_{tau,sigma}) P_sigma Radon f."""
     r = radon(f, t, k, grid=grid)
-    proj = _sigma_projector(pt.spec, pt.sigma)
-    return FormVector(f.spec.n, f.spec.p, sqrt(_dim_ratio(pt)) * (proj @ r.coeffs))
+    return FormVector(f.spec.n, f.spec.p, _sigma_part(pt, r.coeffs))
+
+
+def _fourier_batch(f, pt, kmats, t_nodes=48, grid=32):
+    """Helgason-Fourier coefficients at stacked rotations (K, n, n):
+    the partial Radon transform integrated against e^{-i lam t} over
+    t in [-R, R] by t_nodes-point Gauss-Legendre, shape (K, dim)."""
+    ts, ws = np.polynomial.legendre.leggauss(t_nodes)
+    ts = f.r_supp * ts
+    ws = f.r_supp * ws
+    rad = _radon_batch(f, ts, kmats, grid=grid)
+    weight = ws * np.exp(-1j * complex(pt.lam) * ts)
+    return _sigma_part(pt, np.einsum("t,kta->ka", weight, rad))
 
 
 def fourier_helgason(f, pt, k, t_nodes=48, grid=32):
     """Helgason-Fourier coefficient: the 1D Euclidean Fourier integral
     of the partial Radon transform over t in [-R, R]."""
-    n = f.spec.n
-    if n > 4:
-        raise ValueError("horocycle quadrature supported for n <= 4")
-    lam = complex(pt.lam)
     km = k.mat if isinstance(k, KElement) else np.asarray(k, dtype=float)
-    ts, ws = np.polynomial.legendre.leggauss(t_nodes)
-    ts = f.r_supp * ts
-    ws = f.r_supp * ws
-    total = np.zeros(f.spec.dim_full, dtype=complex)
-    for tj, wj in zip(ts, ws):
-        rv = radon_sigma(pt, f, tj, km, grid=grid)
-        total += wj * np.exp(-1j * lam * tj) * rv.coeffs
-    return FormVector(n, f.spec.p, total)
+    total = _fourier_batch(f, pt, km[None], t_nodes=t_nodes, grid=grid)[0]
+    return FormVector(f.spec.n, f.spec.p, total)
 
 
 def fourier_direct_mc(f, pt, k, samples, rng=None):
@@ -400,7 +390,7 @@ def fourier_direct_mc(f, pt, k, samples, rng=None):
     n, p = f.spec.n, f.spec.p
     lam, rho = complex(pt.lam), pt.rho
     km = k.mat if isinstance(k, KElement) else np.asarray(k, dtype=float)
-    kemb = _embed_k_batch(km[None])[0]
+    kemb = lg._embed_rotation(km)
     # radial density (2 sinh t)^(n-1) on [0, R] via inverse-cdf table
     tgrid = np.linspace(0.0, f.r_supp, 4001)
     dens = (2.0 * np.sinh(tgrid)) ** (n - 1)
@@ -417,9 +407,9 @@ def fourier_direct_mc(f, pt, k, samples, rng=None):
         ts = np.interp(u, cdf, tgrid)
         k1 = lg.haar_sample_K(n, size=b, rng=rng)
         k2 = lg.haar_sample_K(n, size=b, rng=rng)
-        gs = _embed_k_batch(k1) @ lg._at_mat(ts, n) @ _embed_k_batch(k2)
+        gs = lg._embed_rotation(k1) @ lg._at_mat(ts, n) @ lg._embed_rotation(k2)
         fvals = f.eval_batch(gs)
-        args = np.einsum("bij,jk->bik", _inv_mats(gs), kemb)
+        args = np.einsum("bij,jk->bik", lg._inv_mats(gs), kemb)
         h, _, kap = lg._iwasawa_full(args)
         tk = xr.tau_matrix_batch(kap, p)
         integ = np.exp((1j * lam - rho) * h)[:, None] \
@@ -427,50 +417,24 @@ def fourier_direct_mc(f, pt, k, samples, rng=None):
         tot += integ.sum(axis=0)
         tot2 += (np.abs(integ) ** 2).sum(axis=0)
         done += b
-    scale = mass * sqrt(_dim_ratio(pt))
+    scale = mass * sqrt(xr.dims(pt.spec, pt.sigma)[2])
     mean = tot / samples * scale
     var = np.maximum(tot2 / samples - np.abs(tot / samples) ** 2, 0.0) * scale ** 2
     stderr = float(np.sqrt(var.sum() / samples))
     return FormVector(n, p, mean), stderr
 
 
-def _inv_mats(gs):
-    n = gs.shape[-1] - 1
-    jj = np.ones(n + 1)
-    jj[-1] = -1.0
-    return jj[None, :, None] * np.swapaxes(gs, -1, -2) * jj[None, None, :]
-
-
-def spectral_projection(f, pt, g, k_samples=2000, t_nodes=40, grid=24,
-                        rng=None, fused=False):
+def spectral_projection(f, pt, g, k_samples=2000, t_nodes=40, grid=24, rng=None):
     """Spectral projection Q f(g) = nu_sigma(lambda) P(F f)(g).
 
-    The composed path routes the Helgason-Fourier coefficients through
-    poisson_mc as a sampler section; the fused path evaluates the same
-    K-integral in one sweep.  Both integrate tau(kappa) against the
-    coefficients (the Poisson kernel orientation).
+    The Helgason-Fourier coefficients enter poisson_mc as a sampler
+    section, which integrates tau(kappa) against them (the Poisson
+    kernel orientation).  Returns (FormVector, stderr).
     """
     nu = plancherel_density(pt)
-    if fused:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        lam, rho = complex(pt.lam), pt.rho
-        ks = lg.haar_sample_K(pt.n, size=k_samples, rng=rng)
-        fvals = np.stack([fourier_helgason(f, pt, km, t_nodes=t_nodes, grid=grid).coeffs
-                          for km in ks])
-        mats = g.inv().mat[None, :, :] @ _embed_k_batch(ks)
-        h, _, kap = lg._iwasawa_full(mats)
-        tk = xr.tau_matrix_batch(kap, pt.p)
-        integ = sqrt(_dim_ratio(pt)) * np.exp(-(1j * lam + rho) * h)[:, None] \
-            * np.einsum("bij,bj->bi", tk, fvals)
-        mean = integ.mean(axis=0)
-        var = np.maximum((np.abs(integ) ** 2).mean(axis=0) - np.abs(mean) ** 2, 0.0)
-        stderr = float(np.sqrt(var.sum() / k_samples))
-        return FormVector(pt.n, pt.p, nu * mean), nu * stderr
 
     def sampler(kmats):
-        return np.stack([fourier_helgason(f, pt, km, t_nodes=t_nodes, grid=grid).coeffs
-                         for km in kmats])
+        return _fourier_batch(f, pt, kmats, t_nodes=t_nodes, grid=grid)
 
     section = BoundarySection.from_sampler(pt, sampler, budget=k_samples)
     vec, err = poisson_mc(pt, section, g, k_samples, rng=rng)

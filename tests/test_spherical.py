@@ -64,9 +64,10 @@ def test_bi_covariance(rng):
 
     g = make_rotation(haar_sample_K(pt.n, size=1, rng=rng)[0]) @ make_at(0.9, pt.n)
     u1, u2 = haar_sample_K(pt.n, size=2, rng=rng)
-    lhs = spherical_at(pt, make_rotation(u1) @ g @ make_rotation(u2))
-    rhs = tau_matrix(u2, pt.p).T @ spherical_at(pt, g) @ tau_matrix(u1, pt.p).T
-    assert np.max(np.abs(lhs - rhs)) <= 1e-10
+    for radial in (spherical_at, asymptotic_head):
+        lhs = radial(pt, make_rotation(u1) @ g @ make_rotation(u2))
+        rhs = tau_matrix(u2, pt.p).T @ radial(pt, g) @ tau_matrix(u1, pt.p).T
+        assert np.max(np.abs(lhs - rhs)) <= 1e-10, radial.__name__
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from hyperform import (
     poisson_mc,
     radon,
     sigma_q,
+    spectral_projection,
     spherical_at,
     u_intertwine,
 )
@@ -197,10 +198,9 @@ def test_bump_l2_norm_against_monte_carlo():
     ts = rng.uniform(0.0, R, samples)
     ks1 = haar_sample_K(3, size=samples, rng=rng)
     ks2 = haar_sample_K(3, size=samples, rng=rng)
-    from hyperform.transforms import _embed_k_batch
     import hyperform.liegroup as lg
 
-    gs = _embed_k_batch(ks1) @ lg._at_mat(ts, 3) @ _embed_k_batch(ks2)
+    gs = lg._embed_rotation(ks1) @ lg._at_mat(ts, 3) @ lg._embed_rotation(ks2)
     vals = np.sum(np.abs(f.eval_batch(gs)) ** 2, axis=1)
     w = (2.0 * np.sinh(ts)) ** 2  # radial weight, n = 3
     est = R * np.mean(vals * w)
@@ -214,6 +214,21 @@ def test_radon_vanishes_off_support(rng):
     (k,) = haar_sample_K(3, size=1, rng=rng)
     out = radon(f, 1.3, k)
     assert np.max(np.abs(out.coeffs)) == 0.0
+
+
+def test_radon_batch_matches_single_calls(rng):
+    # one batched call over a (k, t) grid, two radii outside the support
+    from hyperform.transforms import _radon_batch
+
+    f = bump_section(BundleSpec(3, 1), 1.5)
+    ks = haar_sample_K(3, size=3, rng=rng)
+    ts = np.array([-1.6, -0.9, 0.0, 0.4, 1.2, 1.5])
+    got = _radon_batch(f, ts, ks)
+    for i, k in enumerate(ks):
+        for j, t in enumerate(ts):
+            want = radon(f, t, k).coeffs
+            assert np.max(np.abs(got[i, j] - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+    assert np.max(np.abs(got[:, [0, -1]])) == 0.0
 
 
 def test_radon_covariance_under_m(rng):
@@ -271,6 +286,22 @@ def test_fourier_radon_route_matches_group_integral(rng):
     want = fourier_helgason(f, pt, k).coeffs
     got, se = fourier_direct_mc(f, pt, k, samples=60000, rng=rng)
     assert np.linalg.norm(got.coeffs - want) <= 4.0 * se + 1e-8
+
+
+def test_spectral_projection_is_right_k_covariant(rng):
+    # Q f(g k0) = tau(k0)^T Q f(g) sample by sample at a shared seed:
+    # H(k0^-1 y) = H(y) and kappa(k0^-1 y) = k0^-1 kappa(y)
+    spec = BundleSpec(3, 1)
+    pt = SpectralPoint(spec, sigma_q(1), 1.0)
+    f = bump_section(spec, 1.5)
+    k1, k0 = haar_sample_K(3, size=2, rng=rng)
+    g = make_rotation(k1) @ make_at(0.6, 3)
+    kwargs = dict(k_samples=32, t_nodes=16, grid=12)
+    lhs, _ = spectral_projection(f, pt, g @ make_rotation(k0),
+                                 rng=np.random.default_rng(5), **kwargs)
+    rhs, _ = spectral_projection(f, pt, g, rng=np.random.default_rng(5), **kwargs)
+    want = tau_matrix(k0, 1).T @ rhs.coeffs
+    assert np.linalg.norm(lhs.coeffs - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_fourier_rejects_large_n():
