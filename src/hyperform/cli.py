@@ -6,11 +6,13 @@ single report at the end.  JSON reports follow the schema
 {meta: {version, config, seed}, rows: [{name, target, value, stderr,
 tol, pass}]}; CSV reports carry the same rows.  Identical (config,
 seed) pairs produce byte-identical output.  Exit status: 0 when every
-row passes, 1 when a numerical check fails or a quadrature cannot meet
-its tolerance, 2 for inadmissible configuration or unreadable input.
+row passes, 1 when a numerical check fails or a quadrature or special
+function cannot meet its tolerance, 2 for inadmissible configuration or
+unreadable input.
 """
 
 import csv
+import functools
 import io
 import json
 import sys
@@ -144,9 +146,19 @@ def _common_options(fn):
         click.option("--out", "out_path", type=click.Path(), default=None,
                      help="write the report to this file instead of stdout"),
     ]
+
+    @functools.wraps(fn)
+    def run(**kwargs):
+        # a value no method here can compute to its tolerance exits 1
+        # with the reason, not a traceback
+        try:
+            return fn(**kwargs)
+        except ArithmeticError as exc:
+            raise click.ClickException(str(exc))
+
     for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+        run = opt(run)
+    return run
 
 
 def _parse_sigma(label):
@@ -407,8 +419,6 @@ def limit_cmd(**kwargs):
         rep = st.strichartz_limit(pt, section, R_grid=cfg["R_grid"], rng=rng)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    except ArithmeticError as exc:
-        raise click.ClickException(str(exc))
     rows = [
         _row(f"ball_average[R={R:g}]", v, stderr=s)
         for R, v, s in zip(rep.R_grid, rep.values, rep.stderrs)

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _LAMBDA_FLOOR = 1e-6
+# zonal nodes per block of the K-integral's trace contraction
+_K_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -346,13 +348,20 @@ def eisenstein_integral_at(pt, t, n_panels=16, n_nodes=32):
     p_sigma = _sigma_projector(spec, pt.sigma)
     d_ts = xr.dims(spec, pt.sigma)[2]
     phase = np.exp(-(1j * lam + rho) * hs)
-    kernel = np.einsum("kab,bc,kdc->kad", tau_kappa, p_sigma, tau_rot)
+    etas = xr.branching(spec)
+    p_etas = [xr.proj_matrix(spec, eta) for eta in etas]
+    # tr(P_eta tau(kappa) P_sigma tau(rot)^T) = sum (tau(kappa) P_sigma) o (P_eta^T tau(rot)),
+    # taken over blocks of nodes
+    trs = np.empty((len(etas), len(thetas)), dtype=np.result_type(tau_kappa, p_sigma, tau_rot))
+    for lo in range(0, len(thetas), _K_BLOCK):
+        blk = slice(lo, lo + _K_BLOCK)
+        left = tau_kappa[blk] @ p_sigma
+        for tr, p_eta in zip(trs, p_etas):
+            tr[blk] = np.einsum("kab,kab->k", left, p_eta.T @ tau_rot[blk])
     out = {}
     jac = np.sin(thetas) ** (n - 2) * ws
-    for eta in xr.branching(spec):
-        p_eta = xr.proj_matrix(spec, eta)
+    for eta, tr in zip(etas, trs):
         d_eta = xr.dims(spec, eta)[1]
-        tr = np.einsum("ab,kba->k", p_eta, kernel)
         val = np.sum(jac * phase * tr) * d_ts / (_zonal_mass(n) * d_eta)
         out[eta] = complex(val)
     return out

@@ -41,3 +41,21 @@ def test_limit_exits_cleanly_when_the_sweep_cannot_converge():
     assert "did not converge" in res.output
     assert "Traceback" not in res.output
     assert not isinstance(res.exception, ArithmeticError)
+
+
+def test_limit_passes_at_large_lambda():
+    # at lambda = 25 the Pfaff series and the connection formula
+    # together cover every radius of the sweep
+    res = CliRunner().invoke(main, ["limit", "--n", "3", "--p", "1",
+                                    "--sigma", "q:1", "--lambda", "25"])
+    assert res.exit_code == 0, res.output
+    rows = {r["name"]: r for r in json.loads(res.output)["rows"]}
+    assert rows["extrapolated_limit"]["pass"]
+
+
+def test_spherical_exits_cleanly_where_phi_cannot_be_evaluated():
+    res = CliRunner().invoke(main, ["spherical", "--n", "3", "--p", "1", "--sigma", "q:1",
+                                    "--lambda", "60", "--t", "0.3"])
+    assert res.exit_code == 1
+    assert "cannot be evaluated" in res.output
+    assert not isinstance(res.exception, ArithmeticError)

@@ -11,16 +11,21 @@ import numpy as np
 import pytest
 
 from hyperform import (
+    BundleSpec,
     GroupElement,
     JacobiParams,
+    SpectralPoint,
     c_jacobi,
+    c_sigma,
     gamma_c,
     hyp2f1_negz,
     iwasawa,
     jacobi_phi,
     jacobi_psi,
     make_ny,
+    sigma_q,
 )
+from hyperform.specialfn import _series_w
 
 mpmath.mp.dps = 40
 
@@ -89,6 +94,64 @@ def test_hyp2f1_direct_series_inside_radius(rng):
         assert abs(got - acc) <= 1e-12 * abs(acc)
 
 
+def _series_w_loop(a, b, c, w):
+    """The term-by-term loop the series kernel replaced, kept as its
+    oracle: the sum and max_k |term_k| at each w."""
+    w = np.asarray(w, dtype=float)
+    term = np.ones(w.shape, dtype=complex)
+    total = term.copy()
+    peak = np.abs(term)
+    wmax = float(np.max(w)) if w.size else 0.0
+    geo = wmax / (1.0 - wmax) if wmax < 1.0 else np.inf
+    for k in range(4000):
+        term = term * ((a + k) * (b + k) / ((c + k) * (1.0 + k))) * w
+        total += term
+        peak = np.maximum(peak, np.abs(term))
+        bound = np.abs(term) * max(geo, 1.0)
+        if np.all(bound <= 1e-16 * (np.abs(total) + 1e-300)):
+            return total, peak
+    raise RuntimeError("2F1 series did not converge")
+
+
+def test_series_kernel_matches_term_loop(rng):
+    # Jacobi-type parameters (a, c - b, c) over both branches' ranges of
+    # w, plus generic complex ones; arrays and single points
+    for trial in range(60):
+        if trial % 2:
+            alpha, beta = rng.choice([0.5, 1.0, 1.5, 2.0, 3.0]), rng.choice([-0.5, 0.0, 3.0])
+            lam = rng.uniform(0.0, 12.0)
+            a = (1j * lam + alpha + beta + 1.0) / 2.0
+            b = (1j * lam + alpha - beta + 1.0) / 2.0
+            c = alpha + 1.0
+        else:
+            a = complex(rng.uniform(-1.5, 3.0), rng.uniform(-4.0, 4.0))
+            b = complex(rng.uniform(-1.5, 3.0), rng.uniform(-4.0, 4.0))
+            c = complex(rng.uniform(0.5, 4.0), rng.uniform(-1.0, 1.0))
+        size = 1 if trial % 3 == 0 else 64
+        w = rng.uniform(0.0, 0.9, size)
+        want, peak = _series_w_loop(a, b, c, w)
+        got, nterms, ratio = _series_w(a, b, c, w)
+        assert np.all(nterms >= 1)
+        # the reported ratio is max|term| / |sum|
+        assert np.allclose(ratio, peak / np.abs(got), rtol=1e-12, atol=0.0)
+        tame = ratio <= 10.0
+        assert np.all(np.abs(got - want)[tame] <= 1e-13 * np.abs(want)[tame])
+
+
+def test_series_kernel_extends_points_near_a_zero():
+    # phi^(1/2,-1/2)_lambda(t) = sin(lambda t) / (lambda sinh t) (n = 3)
+    # has zeros; a point next to one needs more terms than the largest w
+    # does, and the per-point test must extend its sum
+    lam = 4.0
+    ts = np.array([0.2, np.pi / lam + 1e-9, np.pi / lam + 1e-3])
+    got = jacobi_phi(JacobiParams(0.5, -0.5, lam), ts)
+    want = np.sin(lam * ts) / (lam * np.sinh(ts))
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), np.exp(-ts)))
+    _, nterms, _ = hyp2f1_negz((1j * lam + 1.0) / 2.0, (1.0 - 1j * lam) / 2.0, 1.5,
+                               -np.sinh(ts) ** 2, full_output=True)
+    assert nterms[1] > nterms[2]
+
+
 # ---------------------------------------------------------------------------
 # Jacobi functions
 
@@ -107,6 +170,49 @@ def test_phi_matches_mpmath(alpha, beta, lam):
         want = _phi_mpmath(alpha, beta, lam, t)
         got = complex(jacobi_phi(JacobiParams(alpha, beta, lam), t))
         assert abs(got - want) <= 1e-10 * max(abs(want), 1e-300)
+
+
+# (alpha, beta) of every Jacobi function the spherical components use, n <= 8
+_PHI_FAMILIES = sorted({(1.0, 0.0)}
+                       | {(n / 2 - 1, -0.5) for n in range(2, 9)}
+                       | {(n / 2, -0.5) for n in range(2, 9)}
+                       | {(n / 2 - 1, n / 2 + 1) for n in range(2, 9)})
+
+
+def test_phi_right_or_raises_on_mpmath_grid():
+    """Every value is within 1e-10 of mpmath relative to
+    max(|phi|, e^{-(alpha+beta+1) t}), or the call raises ArithmeticError;
+    it never raises at lambda <= 10."""
+    lams = (0.1, 0.5, 1.0, 4.0, 10.0, 25.0, 40.0, 100.0, 300.0)
+    ts = (0.0, 0.05, 0.3, 0.5, 0.7, 1.0, 1.5, 1.82, 2.0, 3.0, 5.0, 10.0)
+    raised = []
+    for alpha, beta in _PHI_FAMILIES:
+        for lam in lams:
+            for t in ts:
+                try:
+                    got = complex(jacobi_phi(JacobiParams(alpha, beta, lam), t))
+                except ArithmeticError:
+                    raised.append((alpha, beta, lam, t))
+                    continue
+                want = _phi_mpmath(alpha, beta, lam, t)
+                scale = max(abs(want), np.exp(-(alpha + beta + 1.0) * t))
+                assert abs(got - want) <= 1e-10 * scale, (alpha, beta, lam, t)
+    assert all(lam > 10.0 for _, _, lam, _ in raised)
+
+
+@pytest.mark.parametrize("lam,t", [(40.0, 1.5), (100.0, 0.9)])
+def test_phi_large_lambda_fault_points(lam, t):
+    # once wrong without raising: relative errors 1.2e3 and 5.8e17
+    got = complex(jacobi_phi(JacobiParams(1.0, 0.0, lam), t))
+    want = _phi_mpmath(1.0, 0.0, lam, t)
+    assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_phi_raises_where_neither_branch_is_accurate():
+    # at lambda = 100 the Pfaff series cancels beyond t ~ 0.15 and the
+    # Psi series below t ~ 0.7
+    with pytest.raises(ArithmeticError):
+        jacobi_phi(JacobiParams(1.0, 0.0, 100.0), np.array([0.1, 0.3]))
 
 
 def test_phi_connection_formula_spot():
@@ -190,6 +296,26 @@ def test_c_matches_mpmath():
             want = _c_mpmath(alpha, beta, lam)
             got = c_jacobi(alpha, beta, lam)
             assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_c_matches_mpmath_at_large_lambda():
+    # sin(pi i lambda) overflows from lambda ~ 226 and Gamma(i lambda)
+    # underflows from lambda ~ 470; the log form keeps c finite.  The
+    # phases of the log-Gammas grow like lambda log lambda, so the bound
+    # is looser than test_c_matches_mpmath's
+    for alpha, beta in ((1.0, 0.0), (1.5, -0.5), (4.0, -0.5), (3.0, 5.0)):
+        for lam in (230.0, 300.0, 1000.0):
+            want = _c_mpmath(alpha, beta, lam)
+            got = c_jacobi(alpha, beta, lam)
+            assert abs(got - want) <= 2e-12 * abs(want), (alpha, beta, lam)
+
+
+def test_c_sigma_finite_at_large_lambda():
+    for spec, sigma in ((BundleSpec(3, 1), sigma_q(1)), (BundleSpec(6, 2), sigma_q(2)),
+                        (BundleSpec(4, 2, "plus"), sigma_q(2))):
+        for lam in (300.0, 1000.0):
+            c = c_sigma(SpectralPoint(spec, sigma, lam))
+            assert np.isfinite(c) and c != 0.0
 
 
 def test_c_shift_identity():
