@@ -52,6 +52,8 @@ __all__ = [
     "proj_matrix",
     "dims",
     "branching",
+    "sigma_blocks",
+    "check_sigma",
 ]
 
 
@@ -375,6 +377,10 @@ def _proj_matrix_cached(n, p, chirality, kind, q):
         if kind != "q" or q != p:
             raise ValueError("chirality specs branch to sigma_{n/2} only")
         return chirality_matrix(n, chirality)
+    if kind == "q" and q == p and 2 * p == n - 1:
+        # the unsplit middle isotype sigma_p = sigma^+ (+) sigma^-
+        return (_proj_matrix_cached(n, p, chirality, "plus", None)
+                + _proj_matrix_cached(n, p, chirality, "minus", None))
     if kind == "q":
         d = np.where(e1_in if q == p - 1 else ~e1_in, 1.0, 0.0)
         return np.diag(d).astype(complex)
@@ -389,8 +395,9 @@ def _proj_matrix_cached(n, p, chirality, kind, q):
 
 def proj_matrix(spec, sigma):
     """The orthogonal projector of Lambda^p onto the sigma-isotypic
-    subspace, as a matrix on full coordinates."""
-    _check_sigma(spec, sigma, for_projection=True)
+    subspace, as a matrix on full coordinates; the unsplit sigma_p at
+    p = (n-1)/2 gets P_{sigma^+} + P_{sigma^-}."""
+    check_sigma(spec, sigma)
     return _proj_matrix_cached(spec.n, spec.p, spec.chirality, sigma.kind, sigma.q)
 
 
@@ -400,7 +407,10 @@ def project_M(spec, sigma, xi):
     return FormVector(xi.n, xi.degree, mat @ xi.coeffs, spec=xi.spec)
 
 
-def _check_sigma(spec, sigma, for_projection=False):
+def check_sigma(spec, sigma):
+    """Raise ValueError unless sigma labels an M-isotypic constituent of
+    tau: a member of the branching, or the unsplit sigma_p at
+    p = (n-1)/2 (the reducible isotype sigma^+ (+) sigma^-)."""
     if spec.chirality != "none":
         if sigma != sigma_q(spec.p):
             raise ValueError(f"sigma {sigma} not admissible for chirality spec")
@@ -422,9 +432,18 @@ def branching(spec):
     return [sigma_q(spec.p - 1), sigma_q(spec.p)]
 
 
+def sigma_blocks(spec, sigma):
+    """The branching labels whose projectors sum to P_sigma: the unsplit
+    sigma_p at p = (n-1)/2 is sigma^+ (+) sigma^-, and every other
+    label is its own block."""
+    if spec.case == "half_odd" and sigma == sigma_q(spec.p):
+        return [SIGMA_PLUS, SIGMA_MINUS]
+    return [sigma]
+
+
 def dims(spec, sigma):
     """(d_tau, d_sigma, d_tau/d_sigma); the ratio is exact."""
-    _check_sigma(spec, sigma)
+    check_sigma(spec, sigma)
     d_tau = comb(spec.n, spec.p)
     if spec.chirality != "none":
         d_tau //= 2

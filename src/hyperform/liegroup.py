@@ -17,13 +17,14 @@ taking e_1 to b/|b| (b the upper right column), built from a
 deterministic Householder reflection with a sign fix, so decompositions
 are reproducible across runs.
 
-This module owns the batch geometry of the package: the private array
-kernels take stacked matrices (..., n+1, n+1) (embedding of rotations,
-inversion J g^T J, boosts, horospherical elements, plane rotations, the
-Iwasawa and Cartan factors) and every other module builds on them.  The
-scalar public API (make_*, iwasawa, cartan, GroupElement.inv) wraps the
-same kernels, with the GroupElement and KElement wrappers carrying the
-validation.
+This module owns the batch geometry of the package.  Its array kernels
+are public and take stacked arrays, returning stacked (..., n+1, n+1)
+matrices or their factors: embed_rotation, inv_mats (J g^T J), at_mats
+(boosts), ny_mats (horospherical elements), plane_rotations,
+iwasawa_batch, cartan_batch and polar_blocks.  Every other module builds
+on them, and they do no validation.  The scalar API (make_*, iwasawa,
+cartan, polar_k, GroupElement.inv) wraps the same kernels, with the
+GroupElement and KElement wrappers carrying the validation.
 """
 
 import numpy as np
@@ -42,6 +43,14 @@ __all__ = [
     "e_defect",
     "haar_sample_K",
     "radial_weight",
+    "embed_rotation",
+    "inv_mats",
+    "at_mats",
+    "ny_mats",
+    "plane_rotations",
+    "iwasawa_batch",
+    "cartan_batch",
+    "polar_blocks",
 ]
 
 # Below t+ = TIE_EPS the Cartan k1 direction b/|b| is numerically
@@ -139,7 +148,7 @@ class GroupElement:
         return self.mat.shape[0] - 1
 
     def inv(self):
-        return GroupElement(_inv_mats(self.mat), check=False)
+        return GroupElement(inv_mats(self.mat), check=False)
 
     def __matmul__(self, other):
         if isinstance(other, GroupElement):
@@ -176,7 +185,7 @@ class CartanFactors:
 # constructors (array kernels + wrappers)
 
 
-def _embed_rotation(u):
+def embed_rotation(u):
     """(..., n, n) rotations -> (..., n+1, n+1) group elements."""
     u = np.asarray(u, dtype=float)
     n = u.shape[-1]
@@ -186,7 +195,7 @@ def _embed_rotation(u):
     return out
 
 
-def _inv_mats(mats):
+def inv_mats(mats):
     """(..., n+1, n+1) group matrices -> their inverses J g^T J, exact
     (a transpose and sign flips)."""
     jj = np.ones(mats.shape[-1])
@@ -194,7 +203,7 @@ def _inv_mats(mats):
     return jj[:, None] * np.swapaxes(mats, -1, -2) * jj[None, :]
 
 
-def _plane_rotation_batch(n, c, s):
+def plane_rotations(n, c, s):
     """(...,) cosines and sines -> (..., n, n) rotations in the (e1, e2)
     coordinate plane of R^n, [[c, -s], [s, c]] in the upper left."""
     c = np.asarray(c, dtype=float)
@@ -208,7 +217,7 @@ def _plane_rotation_batch(n, c, s):
     return out
 
 
-def _at_mat(t, n):
+def at_mats(t, n):
     """(...,) parameters -> (..., n+1, n+1) boosts a_t."""
     t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape + (n + 1, n + 1))
@@ -222,7 +231,7 @@ def _at_mat(t, n):
     return out
 
 
-def _ny_mat(y, n):
+def ny_mats(y, n):
     """(..., n-1) parameters -> (..., n+1, n+1) horospherical n_y."""
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != n - 1:
@@ -248,18 +257,18 @@ def make_rotation(u):
         u = u.mat
     else:
         u = KElement(u, mode="strict").mat
-    return GroupElement(_embed_rotation(u), check=False)
+    return GroupElement(embed_rotation(u), check=False)
 
 
 def make_at(t, n):
     """The boost a_t in SO0(n,1)."""
-    return GroupElement(_at_mat(float(t), n), check=False)
+    return GroupElement(at_mats(float(t), n), check=False)
 
 
 def make_ny(y):
     """The horospherical element n_y; the dimension is len(y) + 1."""
     y = np.asarray(y, dtype=float).reshape(-1)
-    return GroupElement(_ny_mat(y, y.size + 1), check=False)
+    return GroupElement(ny_mats(y, y.size + 1), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +285,11 @@ def _iwasawa_hy(mats):
     return h, y
 
 
-def _iwasawa_full(mats):
+def iwasawa_batch(mats):
     """(H, y, kappa block) for stacked matrices."""
     n = mats.shape[-1] - 1
     h, y = _iwasawa_hy(mats)
-    kap = mats @ _ny_mat(-y, n) @ _at_mat(-h, n)
+    kap = mats @ ny_mats(-y, n) @ at_mats(-h, n)
     block = kap[..., :n, :n]
     defect = np.max(np.abs(
         np.swapaxes(block, -1, -2) @ block - np.eye(n)))
@@ -292,11 +301,11 @@ def _iwasawa_full(mats):
 
 def iwasawa(g):
     """Decompose g = kappa a_H n_y; returns IwasawaFactors."""
-    h, y, block = _iwasawa_full(g.mat)
+    h, y, block = iwasawa_batch(g.mat)
     return IwasawaFactors(KElement(block, mode="repair"), float(h), y)
 
 
-def _polar_block(mats):
+def polar_blocks(mats):
     """K-part of the polar (geodesic-symmetry) decomposition, as the
     n x n rotation block A - b c^T / (1 + d)."""
     n = mats.shape[-1] - 1
@@ -310,7 +319,7 @@ def _polar_block(mats):
 def polar_k(g):
     """Rotation part pi0(g) of g = pi0 exp(X), the hyperbolic polar
     factorization; equals k1 k2 of the Cartan decomposition."""
-    block = _polar_block(g.mat if isinstance(g, GroupElement) else np.asarray(g))
+    block = polar_blocks(g.mat if isinstance(g, GroupElement) else np.asarray(g))
     defect = np.max(np.abs(block.T @ block - np.eye(block.shape[-1])))
     if defect > _CONSISTENCY_TOL:
         raise ArithmeticError(f"polar block defect {defect:.3e}")
@@ -345,7 +354,7 @@ def _householder_to_e1(b):
     return out
 
 
-def _cartan_batch(mats):
+def cartan_batch(mats):
     """(t, k1 block, k2 block) for stacked group matrices.
 
     k2 is recovered through the polar identity k1 k2 = pi0(g) rather
@@ -355,7 +364,7 @@ def _cartan_batch(mats):
     n = mats.shape[-1] - 1
     t = _cartan_radius(mats)
     tie = t < TIE_EPS
-    pol = _polar_block(mats)
+    pol = polar_blocks(mats)
     defect = np.max(np.abs(np.swapaxes(pol, -1, -2) @ pol - np.eye(n)))
     if defect > _CONSISTENCY_TOL:
         raise ArithmeticError(
@@ -376,7 +385,7 @@ def cartan(g):
     the decomposition deterministically; below TIE_EPS the radius is
     treated as zero.
     """
-    t, k1, k2 = _cartan_batch(g.mat[None, ...])
+    t, k1, k2 = cartan_batch(g.mat[None, ...])
     return CartanFactors(
         KElement(k1[0], mode="repair"), float(t[0]), KElement(k2[0], mode="repair")
     )
@@ -392,8 +401,8 @@ def e_defect(g, x):
     gx = g.mat @ x.mat
     tp_gx = float(_cartan_radius(gx))
     tp_x = float(_cartan_radius(x.mat))
-    _, k1x, _ = _cartan_batch(x.mat[None, ...])
-    h = float(_iwasawa_hy(g.mat @ _embed_rotation(k1x[0]))[0])
+    _, k1x, _ = cartan_batch(x.mat[None, ...])
+    h = float(_iwasawa_hy(g.mat @ embed_rotation(k1x[0]))[0])
     return tp_gx - tp_x - h
 
 

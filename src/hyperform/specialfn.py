@@ -358,8 +358,11 @@ def jacobi_phi(par, t):
         if np.any(tf < _PSI_T_MIN):
             _phi_unreachable(par, tf[tf < _PSI_T_MIN])
         _check_lambda_regular(lam, "connection formula")
+        # for real alpha, beta and lambda, c(-lambda) and Psi_(-lambda) are
+        # the conjugates of c(lambda) and Psi_lambda (same series ratio)
+        real = a.imag == 0.0 and b.imag == 0.0 and lam.imag == 0.0
         cp = c_jacobi(a, b, lam)
-        cm = c_jacobi(a, b, -lam)
+        cm = cp.conjugate() if real else c_jacobi(a, b, -lam)
         # the Psi terms peak near e^{|lambda| sech^2 t / 4}, and the two
         # products may cancel against |phi|, here bounded by the floor,
         # which (2 sinh t)^-rho exceeds by (1 - e^{-2t})^-rho
@@ -370,7 +373,10 @@ def jacobi_phi(par, t):
         if np.any(log_est > _LOG_BUDGET):
             _phi_unreachable(par, tf[log_est > _LOG_BUDGET])
         psi_p, _, ratio_p = jacobi_psi(par, tf, full_output=True)
-        psi_m, _, ratio_m = jacobi_psi(JacobiParams(a, b, -lam), tf, full_output=True)
+        if real:
+            psi_m, ratio_m = psi_p.conj(), ratio_p
+        else:
+            psi_m, _, ratio_m = jacobi_psi(JacobiParams(a, b, -lam), tf, full_output=True)
         out[~near] = cp * psi_p + cm * psi_m
         err[~near] = (np.abs(cp * psi_p) * (_SAFETY * ratio_p + abs(lam) * tf)
                       + np.abs(cm * psi_m) * (_SAFETY * ratio_m + abs(lam) * tf))

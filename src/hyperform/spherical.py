@@ -14,9 +14,12 @@ sigma, the Plancherel density nu_sigma, the Weyl-group action on
 
     Phi(a_t) ~ sum_{s = +-1} e^{(is lambda - rho) t} c_{s sigma}(s lambda) P_{s sigma}.
 
+The Poisson kernel sqrt(d_{tau,sigma}) e^{-(i lambda + rho) H(g)}
+tau(kappa(g)) of stacked group matrices is formed only here, by
+PoissonKernel, for every integral of the package against it.
 A quadrature evaluator of the defining Eisenstein K-integral is
 included as an independent cross-check route: it never touches the
-Jacobi-function machinery, only group decompositions and projectors.
+Jacobi-function machinery, only the kernel and projectors.
 """
 
 from dataclasses import dataclass
@@ -25,8 +28,8 @@ from math import gamma, pi, sqrt
 import numpy as np
 
 from . import extrep as xr
-from .liegroup import (GroupElement, _cartan_batch, _embed_rotation, _iwasawa_full,
-                       _plane_rotation_batch, make_at)
+from .liegroup import (GroupElement, cartan_batch, embed_rotation, iwasawa_batch,
+                       make_at, plane_rotations)
 from .specialfn import JacobiParams, c_jacobi, jacobi_phi
 
 __all__ = [
@@ -40,11 +43,19 @@ __all__ = [
     "asymptotic_head",
     "op_norm",
     "eisenstein_integral_at",
+    "PoissonKernel",
+    "component_grid",
+    "head_components",
+    "spherical_batch",
+    "head_batch",
 ]
 
 _LAMBDA_FLOOR = 1e-6
 # zonal nodes per block of the K-integral's trace contraction
 _K_BLOCK = 128
+# group matrices per Iwasawa step of the Poisson kernel; bounds the
+# memory of one step
+_KERNEL_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -60,7 +71,7 @@ class SpectralPoint:
     lam: complex
 
     def __post_init__(self):
-        _check_point_sigma(self.spec, self.sigma)
+        xr.check_sigma(self.spec, self.sigma)
         if abs(self.lam) < _LAMBDA_FLOOR:
             raise ValueError("lambda too close to 0")
 
@@ -84,16 +95,6 @@ class SpectralPoint:
         return lam.real
 
 
-def _check_point_sigma(spec, sigma):
-    """sigma must label an M-isotypic constituent: a branching member,
-    or the unsplit SigmaQ(p) at p = (n-1)/2 (the reducible isotype)."""
-    if sigma in xr.branching(spec):
-        return
-    if spec.case == "half_odd" and sigma == xr.sigma_q(spec.p):
-        return
-    raise ValueError(f"sigma {sigma} is not admissible for {spec}")
-
-
 @dataclass
 class SphericalValue:
     t: float
@@ -110,7 +111,7 @@ def _base_pair(n, lam, t):
     return a, b
 
 
-def _component_grid(pt, ts):
+def component_grid(pt, ts):
     """Components phi_eta on an array of radii, keyed by MLabel."""
     ts = np.asarray(ts, dtype=float)
     n, p, lam = pt.n, pt.p, complex(pt.lam)
@@ -153,7 +154,7 @@ def _component_grid(pt, ts):
 def scalar_components(pt, t):
     """The scalars phi_eta(t) of Phi(a_t) on each M-isotypic summand."""
     t = float(t)
-    grid = _component_grid(pt, np.array([t]))
+    grid = component_grid(pt, np.array([t]))
     return SphericalValue(t, {eta: complex(v[0]) for eta, v in grid.items()})
 
 
@@ -161,19 +162,7 @@ def scalar_components(pt, t):
 # operator values
 
 
-def _sigma_blocks(spec, sigma):
-    """Irreducible isotypic labels carried by P_sigma: the unsplit
-    sigma_p at p = (n-1)/2 is sigma^+ (+) sigma^-."""
-    if spec.case == "half_odd" and sigma == xr.sigma_q(spec.p):
-        return [xr.SIGMA_PLUS, xr.SIGMA_MINUS]
-    return [sigma]
-
-
-def _sigma_projector(spec, sigma):
-    return sum(xr.proj_matrix(spec, eta) for eta in _sigma_blocks(spec, sigma))
-
-
-def _head_components(pt, ts):
+def head_components(pt, ts):
     """Scalars of the two-term Weyl head on each isotypic summand."""
     ts = np.asarray(ts, dtype=float)
     lam, rho = complex(pt.lam), pt.rho
@@ -185,7 +174,7 @@ def _head_components(pt, ts):
             sig_s, lam_s = weyl_reflect(pt.sigma, lam)
         coeff = _c_sigma_scalar(pt.spec, sig_s, lam_s)
         weight = coeff * np.exp((1j * s * lam - rho) * ts)
-        for eta in _sigma_blocks(pt.spec, sig_s):
+        for eta in xr.sigma_blocks(pt.spec, sig_s):
             out[eta] = out[eta] + weight
     return out
 
@@ -194,7 +183,7 @@ def _radial_conjugate_batch(pt, mats, components):
     """tau-radial operators on stacked group matrices (..., n+1, n+1):
     the diagonal operator sum_eta components(t)[eta] P_eta at the Cartan
     radius t, conjugated by the Lambda^p images of the K factors."""
-    t, k1, k2 = _cartan_batch(mats)
+    t, k1, k2 = cartan_batch(mats)
     grid = components(t)
     dim = pt.spec.dim_full
     mid = np.zeros(mats.shape[:-2] + (dim, dim), dtype=complex)
@@ -207,12 +196,12 @@ def _radial_conjugate_batch(pt, mats, components):
     return np.swapaxes(t2, -1, -2) @ mid @ np.swapaxes(t1, -1, -2)
 
 
-def _spherical_batch(pt, mats):
-    return _radial_conjugate_batch(pt, mats, lambda t: _component_grid(pt, t))
+def spherical_batch(pt, mats):
+    return _radial_conjugate_batch(pt, mats, lambda t: component_grid(pt, t))
 
 
-def _head_batch(pt, mats):
-    return _radial_conjugate_batch(pt, mats, lambda t: _head_components(pt, t))
+def head_batch(pt, mats):
+    return _radial_conjugate_batch(pt, mats, lambda t: head_components(pt, t))
 
 
 def _group_mat(g):
@@ -224,12 +213,56 @@ def _group_mat(g):
 def spherical_at(pt, g):
     """Phi(g) as a matrix on the Lambda^p coordinates, via the Cartan
     decomposition and tau-radiality Phi(k1 a_t k2) = tau(k1) Phi(a_t) tau(k2)."""
-    return _spherical_batch(pt, _group_mat(g))[0]
+    return spherical_batch(pt, _group_mat(g))[0]
 
 
 def asymptotic_head(pt, g):
     """Two-term Weyl-sum head of Phi(g); exact leading asymptotics."""
-    return _head_batch(pt, _group_mat(g))[0]
+    return head_batch(pt, _group_mat(g))[0]
+
+
+# ---------------------------------------------------------------------------
+# the Poisson kernel
+
+
+class PoissonKernel:
+    """The Poisson kernel of stacked g = x^{-1} k, shape (..., n+1, n+1),
+
+        K_lambda(g) = sqrt(d_{tau,sigma}) e^{-(i lambda + rho) H(g)} tau(kappa(g)),
+
+    kept as its geometry (H(g) and Lambda^p(kappa(g)), formed once with
+    the Iwasawa step in blocks of _KERNEL_BLOCK matrices) and a weight
+    that depends on (sigma, lambda).  The weight only multiplies
+    vectors, so no complex (..., C(n,p), C(n,p)) array is formed.  The
+    boundary atom of transforms is p^{g,v}(k) = P_sigma K_{-lambda}(g^{-1} k)^T v.
+    """
+
+    __slots__ = ("h", "tau")
+
+    def __init__(self, mats, p):
+        flat = mats.reshape((-1,) + mats.shape[-2:])
+        parts = [iwasawa_batch(flat[lo:lo + _KERNEL_BLOCK])
+                 for lo in range(0, flat.shape[0], _KERNEL_BLOCK)]
+        lead = mats.shape[:-2]
+        self.h = np.concatenate([h for h, _, _ in parts]).reshape(lead)
+        kappa = np.concatenate([k for _, _, k in parts])
+        self.tau = xr.tau_matrix_batch(kappa.reshape(lead + kappa.shape[-2:]), p)
+
+    def weight(self, pt, lam=None):
+        """sqrt(d_{tau,sigma}) e^{-(i lam + rho) H(g)}; lam defaults to pt.lam."""
+        lam = complex(pt.lam if lam is None else lam)
+        return sqrt(xr.dims(pt.spec, pt.sigma)[2]) * np.exp(-(1j * lam + pt.rho) * self.h)
+
+    def apply(self, pt, vecs):
+        """K_lambda(g) vecs at pt; vecs broadcast against (..., C(n,p))."""
+        return self.weight(pt)[..., None] * np.einsum("...ab,...b->...a", self.tau, vecs)
+
+    def dual(self, pt, vecs, lam=None):
+        """P_sigma K_{-lambda}(g)^T vecs, the transposed kernel at -lambda;
+        lam defaults to pt.lam."""
+        lam = complex(pt.lam if lam is None else lam)
+        vals = self.weight(pt, -lam)[..., None] * np.einsum("...ba,...b->...a", self.tau, vecs)
+        return vals @ xr.proj_matrix(pt.spec, pt.sigma).T
 
 
 # ---------------------------------------------------------------------------
@@ -337,31 +370,28 @@ def eisenstein_integral_at(pt, t, n_panels=16, n_nodes=32):
     reduced to a 1D zonal quadrature over K = M A_K M.  Independent of
     the Jacobi-function route; used to pin down conventions in tests.
     """
-    spec, lam, rho = pt.spec, complex(pt.lam), pt.rho
-    n, p = pt.n, pt.p
+    spec, n, p = pt.spec, pt.n, pt.p
     thetas, ws = _zonal_nodes(t, n_panels, n_nodes)
-    rots = _plane_rotation_batch(n, np.cos(thetas), np.sin(thetas))
-    gs = make_at(-t, n).mat[None, :, :] @ _embed_rotation(rots)
-    hs, _, kappas = _iwasawa_full(gs)
-    tau_kappa = xr.tau_matrix_batch(kappas, p)
+    rots = plane_rotations(n, np.cos(thetas), np.sin(thetas))
+    ker = PoissonKernel(make_at(-t, n).mat[None, :, :] @ embed_rotation(rots), p)
     tau_rot = xr.tau_matrix_batch(rots, p)
-    p_sigma = _sigma_projector(spec, pt.sigma)
-    d_ts = xr.dims(spec, pt.sigma)[2]
-    phase = np.exp(-(1j * lam + rho) * hs)
+    p_sigma = xr.proj_matrix(spec, pt.sigma)
+    # the kernel's weight carries one factor sqrt(d_{tau,sigma})
+    weight = ker.weight(pt) * sqrt(xr.dims(spec, pt.sigma)[2])
     etas = xr.branching(spec)
     p_etas = [xr.proj_matrix(spec, eta) for eta in etas]
     # tr(P_eta tau(kappa) P_sigma tau(rot)^T) = sum (tau(kappa) P_sigma) o (P_eta^T tau(rot)),
     # taken over blocks of nodes
-    trs = np.empty((len(etas), len(thetas)), dtype=np.result_type(tau_kappa, p_sigma, tau_rot))
+    trs = np.empty((len(etas), len(thetas)), dtype=np.result_type(ker.tau, p_sigma, tau_rot))
     for lo in range(0, len(thetas), _K_BLOCK):
         blk = slice(lo, lo + _K_BLOCK)
-        left = tau_kappa[blk] @ p_sigma
+        left = ker.tau[blk] @ p_sigma
         for tr, p_eta in zip(trs, p_etas):
             tr[blk] = np.einsum("kab,kab->k", left, p_eta.T @ tau_rot[blk])
     out = {}
     jac = np.sin(thetas) ** (n - 2) * ws
     for eta, tr in zip(etas, trs):
         d_eta = xr.dims(spec, eta)[1]
-        val = np.sum(jac * phase * tr) * d_ts / (_zonal_mass(n) * d_eta)
+        val = np.sum(jac * weight * tr) / (_zonal_mass(n) * d_eta)
         out[eta] = complex(val)
     return out

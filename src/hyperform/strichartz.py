@@ -19,10 +19,10 @@ problems.  The module provides
   * Hilbert-Schmidt ball averages of Eisenstein integrals,
   * boundary-value reconstruction F_R from a Poisson image, with the
     rotation integral of the dual kernel in closed form: a spherical
-    component of the transpose-dual type at -t (the zonal quadrature
-    _j_pair_grid is kept only as its test oracle; a literal Monte Carlo
-    mode exists for cross-checks at small R, and its variance grows
-    like e^{(n-1)R}, see the docstring),
+    component of the transpose-dual type at -t (its zonal quadrature is
+    a test oracle in tests/oracles.py; a literal Monte Carlo mode
+    exists for cross-checks at small R, and its variance grows like
+    e^{(n-1)R}, see the docstring),
   * ball-averaged residuals of the asymptotic head, and
   * a windowed energy-capture diagnostic for the spectral projections.
 
@@ -34,7 +34,6 @@ order pair, and cumulative sums per R.  The two orders must agree to a
 relative 1e-10 at every R, or the sweep raises ArithmeticError.
 """
 
-import json
 from math import ceil, comb, pi, sqrt
 
 import numpy as np
@@ -42,11 +41,9 @@ import numpy as np
 from . import extrep as xr
 from . import liegroup as lg
 from .liegroup import radial_weight
-from .spherical import (SpectralPoint, _component_grid, _head_batch, _head_components,
-                        _sigma_blocks, _sigma_projector, _spherical_batch, _zonal_mass,
-                        _zonal_nodes, plancherel_density)
-from . import transforms as tfm
-from .transforms import BoundarySection, gram_matrix
+from .spherical import (PoissonKernel, SpectralPoint, component_grid, head_batch,
+                        head_components, plancherel_density, spherical_batch)
+from .transforms import BoundarySection, gram_matrix, radon_batch
 
 __all__ = [
     "BallAverageReport",
@@ -107,31 +104,6 @@ class BallAverageReport:
         self.bstar_sup = None if bstar_sup is None else float(bstar_sup)
         self.bound_constant = None if bound_constant is None else float(bound_constant)
         self.norm_f2 = None if norm_f2 is None else float(norm_f2)
-
-    def to_dict(self):
-        out = {
-            "n": self.n,
-            "R_grid": list(self.R_grid),
-            "values": list(self.values),
-            "stderrs": list(self.stderrs),
-            "extrapolated_limit": self.extrapolated_limit,
-            "method": self.method,
-            "stderr": self.stderr,
-        }
-        for key in ("target", "bstar_sup", "bound_constant", "norm_f2"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        return out
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    def to_csv(self):
-        lines = ["R,value,stderr,method"]
-        for r, v, s in zip(self.R_grid, self.values, self.stderrs):
-            lines.append(f"{r:.17g},{v:.17g},{s:.17g},{self.method}")
-        return "\n".join(lines) + "\n"
 
     def __repr__(self):
         return (f"BallAverageReport(limit={self.extrapolated_limit:.6g}, "
@@ -254,12 +226,12 @@ def _weighted_square_profile(pt, ts, kind="spherical", dims="schur"):
         coeff = {eta: d * d_sigma / d_tau for eta, d in d_eta.items()}
     s = np.exp(0.5 * pt.rho * ts)
     if kind == "spherical":
-        grid = _component_grid(pt, ts)
+        grid = component_grid(pt, ts)
     elif kind == "head":
-        grid = _head_components(pt, ts)
+        grid = head_components(pt, ts)
     elif kind == "residual":
-        sph_grid = _component_grid(pt, ts)
-        head = _head_components(pt, ts)
+        sph_grid = component_grid(pt, ts)
+        head = head_components(pt, ts)
         grid = {eta: sph_grid[eta] - head[eta] for eta in sph_grid}
     else:
         raise ValueError(kind)
@@ -329,22 +301,22 @@ def _ball_average_detail(pt, section, R, k_samples=4096, rng=None,
     if rng is None:
         rng = np.random.default_rng(0)
     ks = lg.haar_sample_K(n, size=k_samples, rng=rng)
-    kemb = lg._embed_rotation(ks)
+    kemb = lg.embed_rotation(ks)
     ts, ws = _osc_nodes(0.0, R, pt.lam_real if np.isreal(pt.lam) else 1.0,
                         order=12)
     per_k = np.zeros(k_samples)
-    batch = _head_batch if kernel == "head" else _spherical_batch
+    batch = head_batch if kernel == "head" else spherical_batch
     chunk = max(1, 65536 // max(k_samples, 1))
     for start in range(0, ts.size, chunk):
         sl = slice(start, start + chunk)
         tsl, wsl = ts[sl], ws[sl]
-        at = lg._at_mat(tsl, n)
+        at = lg.at_mats(tsl, n)
         vals = np.zeros((tsl.size, k_samples, pt.spec.dim_full), dtype=complex)
         for a, w in atoms:
             mats = np.einsum("ij,bjk,tkl->tbil", a.g.inv().mat, kemb, at)
             flat = mats.reshape(-1, n + 1, n + 1)
             if kernel == "residual":
-                phi = _spherical_batch(pt, flat) - _head_batch(pt, flat)
+                phi = spherical_batch(pt, flat) - head_batch(pt, flat)
             else:
                 phi = batch(pt, flat)
             vals += w * np.einsum("bij,j->bi", phi, a.v.coeffs).reshape(
@@ -464,72 +436,6 @@ def eisenstein_hs_limit(pt, R_grid=None):
 # inversion: boundary values from ball averages of the dual pairing
 
 
-def _zonal_iwasawa(t, thetas):
-    """Closed-form Iwasawa data of a_{-t} R(theta), for t >= 0.
-
-    The product lives in the rank-one subgroup on the boost plane and
-    the rotation plane, where e^{H} = cosh t - sinh t cos(theta) and
-    kappa is the plane rotation sending e1 to
-    ((cosh t cos(theta) - sinh t)/e^H, sin(theta)/e^H).  Both are
-    evaluated through e^H = e^{-t} + 2 sinh(t) sin^2(theta/2), which
-    stays positive in floating point; the literal difference of
-    hyperbolics (and the generic matrix factorization) loses e^{t}
-    ulps to cancellation near theta = 0.
-    """
-    sh = np.sinh(t)
-    emt = np.exp(-t)
-    c, s = np.cos(thetas), np.sin(thetas)
-    layer = 2.0 * sh * np.sin(0.5 * thetas) ** 2
-    eh = emt + layer
-    return np.log(eh), (c * emt - layer) / eh, s / eh
-
-
-def _j_pair_grid(pt, ts, mu, n_panels=12, n_nodes=24):
-    """Zonal quadrature of the rotation-reduced inversion kernel; the
-    test oracle of the closed form in _pair_kernel, called by no
-    production path.
-
-    For each output block eta' of P_sigma and each isotype eta, the
-    scalar
-
-      j_{eta',eta}(t; mu) = (1/d_eta') int_K e^{(i mu - rho) H(a_{-t}u)}
-             tr(P_eta' tau(kappa(a_{-t}u))^{-1} P_eta tau(u)) du
-
-    is returned as an array over ts.  The K-integral collapses to the
-    zonal angle with the sin^{n-2} density; nodes refine geometrically
-    toward the e^{-t}-scale boundary layer.
-    """
-    spec = pt.spec
-    n, p = pt.n, pt.p
-    mu = complex(mu)
-    rho = pt.rho
-    blocks = _sigma_blocks(spec, pt.sigma)
-    etas = list(xr.branching(spec))
-    proj = {eta: xr.proj_matrix(spec, eta) for eta in etas}
-    d_eta = {eta: xr.dims(spec, eta)[1] for eta in etas}
-    mass = _zonal_mass(n)
-    out = {(b, eta): np.zeros(len(ts), dtype=complex)
-           for b in blocks for eta in etas}
-    for idx, t in enumerate(np.asarray(ts, dtype=float)):
-        # the geometric refinement must keep each panel below a fixed
-        # scale ratio, so the panel count grows linearly with t
-        np_t = max(n_panels, int(np.ceil(abs(t) / 1.5)) + 2)
-        thetas, ws = _zonal_nodes(t, np_t, n_nodes)
-        rots = lg._plane_rotation_batch(n, np.cos(thetas), np.sin(thetas))
-        hs, cpsi, spsi = _zonal_iwasawa(t, thetas)
-        kappas = lg._plane_rotation_batch(n, cpsi, spsi)
-        tau_kappa = xr.tau_matrix_batch(kappas, p)
-        tau_rot = xr.tau_matrix_batch(rots, p)
-        jac = np.sin(thetas) ** (n - 2) * ws
-        phase = np.exp((1j * mu - rho) * hs) * jac
-        for b in blocks:
-            for eta in etas:
-                tr = np.einsum("ab,kcb,cd,kda->k",
-                               proj[b], tau_kappa, proj[eta], tau_rot)
-                out[(b, eta)][idx] = np.sum(phase * tr) / (mass * d_eta[b])
-    return out
-
-
 def _transpose_dual(spec, eta):
     """The bundle and label (spec', T eta) with P_{T eta} = P_eta^T.
 
@@ -551,8 +457,13 @@ def _transpose_dual(spec, eta):
 
 
 def _pair_kernel(pt, ts, mu):
-    """The rotation-reduced inversion kernel of _j_pair_grid in closed
-    form, keyed (eta', eta) the same way:
+    """The rotation-reduced inversion kernel: for each output block
+    eta' of P_sigma and each isotype eta, the scalar
+
+      j_{eta',eta}(t; mu) = (1/d_eta') int_K e^{(i mu - rho) H(a_{-t}u)}
+             tr(P_eta' tau(kappa(a_{-t}u))^{-1} P_eta tau(u)) du
+
+    over ts, keyed (eta', eta), in the closed form
 
       j_{eta',eta}(t; mu) = (d_eta/d_tau) phi^{(T eta', mu)}_{T eta}(-t),
 
@@ -564,9 +475,9 @@ def _pair_kernel(pt, ts, mu):
     d_tau, d_eta = _dims_table(spec)
     t_eta = {eta: _transpose_dual(spec, eta)[1] for eta in d_eta}
     out = {}
-    for b in _sigma_blocks(spec, pt.sigma):
+    for b in xr.sigma_blocks(spec, pt.sigma):
         dual_spec, dual_b = _transpose_dual(spec, b)
-        dual = _component_grid(SpectralPoint(dual_spec, dual_b, mu), -ts)
+        dual = component_grid(SpectralPoint(dual_spec, dual_b, mu), -ts)
         for eta, d in d_eta.items():
             out[(b, eta)] = (d / d_tau) * dual[t_eta[eta]]
     return out
@@ -580,9 +491,9 @@ def inversion_ratios(pt, R, mu=None, order=20):
 
     The pairing kernel comes from the transpose-dual identity of
     _pair_kernel, which test_pairing_kernel_is_transpose_dual_spherical_component
-    pins against the zonal quadrature _j_pair_grid (kept only as that
-    test oracle).  Its accuracy is that of _component_grid, which the
-    phi factor of the pairing uses as well.
+    pins against the zonal quadrature of tests/oracles.py.  Its accuracy
+    is that of component_grid, which the phi factor of the pairing uses
+    as well.
     """
     lam = pt.lam_real
     mu = lam if mu is None else float(mu)
@@ -592,10 +503,10 @@ def inversion_ratios(pt, R, mu=None, order=20):
     # pair w(t) phi j as (1-e^{-2t})^{n-1} (e^{rho t} phi)(e^{rho t} j)
     s = np.exp(0.5 * pt.rho * ts)
     grid = {eta: _rescale(phi, s)
-            for eta, phi in _component_grid(pt, ts).items()}
+            for eta, phi in component_grid(pt, ts).items()}
     weight = _stable_weight(ts, pt.n) * ws
     out = {}
-    for b in _sigma_blocks(pt.spec, pt.sigma):
+    for b in xr.sigma_blocks(pt.spec, pt.sigma):
         j_t = np.zeros(ts.size, dtype=complex)
         for eta, phi in grid.items():
             j_t += phi * _rescale(pair[(b, eta)], s)
@@ -644,24 +555,21 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
         rng = np.random.default_rng(0)
     n = pt.n
     nu = plancherel_density(pt)
-    rho = pt.rho
     k1 = lg.haar_sample_K(n, size=mc_k1, rng=rng)
-    k1e = lg._embed_rotation(k1)
+    k1e = lg.embed_rotation(k1)
     ts, ws = _osc_nodes(0.0, float(R), max(abs(lam), abs(mu_val)),
                         order=mc_t_order)
     # Poisson image on the sample sheet k1 a_t, one t-slab at a time
     fvals = np.zeros((ts.size, mc_k1, pt.spec.dim_full), dtype=complex)
-    at_all = lg._at_mat(ts, n)
+    at_all = lg.at_mats(ts, n)
     for i in range(ts.size):
         sheet = k1e @ at_all[i]
         for a, w in atoms:
             mats = a.g.inv().mat[None] @ sheet
-            fvals[i] += w * np.einsum("bij,j->bi", _spherical_batch(pt, mats),
+            fvals[i] += w * np.einsum("bij,j->bi", spherical_batch(pt, mats),
                                       a.v.coeffs)
-    proj = _sigma_projector(pt.spec, pt.sigma)
-    sd = sqrt(xr.dims(pt.spec, pt.sigma)[2])
     radial = ws * radial_weight(ts, n) * pi * nu / float(R)
-    at_neg = lg._at_mat(-ts, n)
+    at_neg = lg.at_mats(-ts, n)
 
     def sampler(kmats):
         kmats = np.asarray(kmats, dtype=float)
@@ -669,17 +577,13 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
             kmats = kmats[None]
         out = np.zeros((kmats.shape[0], pt.spec.dim_full), dtype=complex)
         for bi in range(kmats.shape[0]):
-            kb = lg._embed_rotation(kmats[bi])
+            kb = lg.embed_rotation(kmats[bi])
             k1_inv_k = np.swapaxes(k1e, -1, -2) @ kb
             acc = np.zeros(pt.spec.dim_full, dtype=complex)
             for i in range(ts.size):
-                # e(k^{-1} k1 a_t) needs H, kappa of a_{-t} k1^{-1} k
-                args = at_neg[i] @ k1_inv_k
-                hs, _, kap = lg._iwasawa_full(args)
-                tk = xr.tau_matrix_batch(kap, pt.p)
-                vec = np.einsum("bji,bj->bi", tk, fvals[i])
-                term = np.exp((1j * mu_val - rho) * hs)[:, None] * vec
-                acc += radial[i] * sd * (proj @ term.mean(axis=0))
+                # e(k^{-1} k1 a_t) is the dual kernel at a_{-t} k1^{-1} k
+                ker = PoissonKernel(at_neg[i] @ k1_inv_k, pt.p)
+                acc += radial[i] * ker.dual(pt, fvals[i], lam=mu_val).mean(axis=0)
             out[bi] = acc
         return out
 
@@ -763,30 +667,20 @@ def spectral_projection_energy(f, lam_grid, R, g_samples=160, k_samples=800,
     if rng is None:
         rng = np.random.default_rng(0)
     n = spec.n
-    rho = (n - 1) / 2.0
     R = float(R)
     # ball sample points g_i = k_i a_{t_i}, t uniform with weight w(t)
     t_i = rng.random(g_samples) * R
     k_i = lg.haar_sample_K(n, size=g_samples, rng=rng)
     w_i = radial_weight(t_i, n)
-    g_mats = lg._embed_rotation(k_i) @ lg._at_mat(t_i, n)
+    g_mats = lg.embed_rotation(k_i) @ lg.at_mats(t_i, n)
     # shared rotation samples and horocycle profiles
     us = lg.haar_sample_K(n, size=k_samples, rng=rng)
     tq, wq = _gl_rule(t_nodes)
     tq = tq * f.r_supp
     wq = wq * f.r_supp
-    prof = tfm._radon_batch(f, tq, us, grid=grid)
-    # Iwasawa data of g_i^{-1} u_j, shared across the window, formed in
-    # blocks of ball points
-    inv_g = lg._inv_mats(g_mats)
-    uemb = lg._embed_rotation(us)
-    hs = np.zeros((g_samples, k_samples))
-    tks = np.zeros((g_samples, k_samples, spec.dim_full, spec.dim_full))
-    step = max(1, tfm._GROUP_BLOCK // k_samples)
-    for lo in range(0, g_samples, step):
-        sl = slice(lo, lo + step)
-        hs[sl], _, kap = lg._iwasawa_full(inv_g[sl, None] @ uemb[None])
-        tks[sl] = xr.tau_matrix_batch(kap, spec.p)
+    prof = radon_batch(f, tq, us, grid=grid)
+    # the Poisson kernel's geometry at g_i^{-1} u_j, shared across the window
+    ker = PoissonKernel(lg.inv_mats(g_mats)[:, None] @ lg.embed_rotation(us)[None], spec.p)
     rows = []
     etas = xr.branching(spec)
     for lam in lam_grid:
@@ -797,11 +691,10 @@ def spectral_projection_energy(f, lam_grid, R, g_samples=160, k_samples=800,
             pt = SpectralPoint(spec, sigma, lam)
             nu = plancherel_density(pt)
             sd = sqrt(xr.dims(spec, sigma)[2])
-            proj = _sigma_projector(spec, sigma)
+            proj = xr.proj_matrix(spec, sigma)
             fv = sd * np.einsum("q,jqd->jd", fourier_weight, prof) @ proj.T
-            # Q f(g_i) = nu * mean_j sqrt(d) e^{-(i lam + rho) h} tau(kappa) fv_j
-            phase = sd * np.exp(-(1j * lam + rho) * hs)
-            terms = phase[..., None] * np.einsum("ijab,jb->ija", tks, fv)
+            # Q f(g_i) = nu * mean_j K_lambda(g_i^{-1} u_j) fv_j
+            terms = ker.apply(pt, fv)
             mean = terms.mean(axis=1)
             second = (np.abs(terms) ** 2).mean(axis=1)
             var = np.maximum(second - np.abs(mean) ** 2, 0.0).sum(axis=-1)

@@ -7,10 +7,11 @@ atom
     p^{g,v}(k) = sqrt(d_{tau,sigma}) e^{(i lam - rho) H(g^{-1}k)}
                  P_sigma tau(kappa(g^{-1}k))^{-1} v,
 
-whose Poisson image is a translated spherical function, so the Poisson
-transform of atomic data needs no integration at all.  General
-sections go through Monte Carlo over Haar-random rotations with
-deterministic seed-splitting.
+the transposed Poisson kernel at -lambda (spherical.PoissonKernel.dual;
+the kernel is formed nowhere else).  Its Poisson image is a translated
+spherical function, so the Poisson transform of atomic data needs no
+integration at all.  General sections go through Monte Carlo over
+Haar-random rotations with deterministic seed-splitting.
 
 Compactly supported bundle sections on G are integrated over horocycles
 by tensor Gauss-Legendre quadrature in the N-coordinates (dn is taken
@@ -30,8 +31,8 @@ from . import extrep as xr
 from . import liegroup as lg
 from .extrep import FormVector
 from .liegroup import GroupElement, KElement
-from .spherical import (SpectralPoint, _sigma_projector, _spherical_batch,
-                        plancherel_density, spherical_at, weyl_reflect)
+from .spherical import (PoissonKernel, SpectralPoint, plancherel_density, spherical_at,
+                        spherical_batch, weyl_reflect)
 
 __all__ = [
     "BoundaryAtom",
@@ -43,6 +44,7 @@ __all__ = [
     "u_intertwine",
     "gram_matrix",
     "radon",
+    "radon_batch",
     "radon_sigma",
     "fourier_helgason",
     "fourier_direct_mc",
@@ -59,8 +61,8 @@ def gamma_n_measure(n):
     return gamma(n - 1) / (pi ** ((n - 1) / 2) * gamma((n - 1) / 2))
 
 
-# Group matrices per block of the batched horocycle quadrature and of the
-# energy capture's Iwasawa data; bounds the memory of one block
+# Group matrices per block of the batched horocycle quadrature; bounds the
+# memory of one block
 _GROUP_BLOCK = 8192
 
 
@@ -124,15 +126,9 @@ class BoundarySection:
 
 
 def _atom_eval_batch(pt, atom, kmats):
-    mats = atom.g.inv().mat[None, :, :] @ lg._embed_rotation(kmats)
-    h, _, kap = lg._iwasawa_full(mats)
-    tk = xr.tau_matrix_batch(kap, pt.p)
-    # tau(kappa)^{-1} v = tau(kappa)^T v
-    vec = np.einsum("bji,j->bi", tk, atom.v.coeffs)
-    proj = _sigma_projector(pt.spec, pt.sigma)
-    vec = vec @ proj.T
-    lam, rho = complex(pt.lam), pt.rho
-    return sqrt(xr.dims(pt.spec, pt.sigma)[2]) * np.exp((1j * lam - rho) * h)[:, None] * vec
+    # tau(kappa)^{-1} = tau(kappa)^T: the atom is the dual kernel at g^{-1} k
+    ker = PoissonKernel(atom.g.inv().mat[None, :, :] @ lg.embed_rotation(kmats), pt.p)
+    return ker.dual(pt, atom.v.coeffs)
 
 
 def atom_eval(pt, atom, k):
@@ -153,7 +149,7 @@ def poisson_atom(pt, atom, x):
     return FormVector(pt.n, pt.p, out, spec=pt.spec)
 
 
-def _haar_chunks(samples, rng, chunk=4096):
+def _haar_chunks(samples, rng, chunk):
     if rng is None:
         rng = np.random.default_rng(0)
     k = (samples + chunk - 1) // chunk
@@ -172,24 +168,22 @@ def poisson_mc(pt, section, x, samples, rng=None):
     """Monte Carlo Poisson transform of a boundary section at x.
 
     Returns (FormVector, stderr) with the standard error aggregated
-    over real and imaginary parts of all components.
+    over real and imaginary parts of all components.  Rotations are drawn
+    in chunks of min(4096, 2^20 / C(n,p)^2), so that one chunk's
+    (chunk, C(n,p), C(n,p)) Lambda^p arrays hold at most 2^20 entries.
     """
     if samples <= 0:
         raise ValueError("need a positive sample count")
     if section.sampler is not None and section.budget < samples:
         raise ValueError("sampler budget below requested samples")
-    lam, rho = complex(pt.lam), pt.rho
     xinv = x.inv().mat
-    root_d = sqrt(xr.dims(pt.spec, pt.sigma)[2])
+    chunk = min(4096, 2 ** 20 // pt.spec.dim_full ** 2)
     tot = tot2 = 0
-    for sub_rng, b in _haar_chunks(samples, rng):
+    for sub_rng, b in _haar_chunks(samples, rng, chunk):
         ks = lg.haar_sample_K(pt.n, size=b, rng=sub_rng)
         fvals = section.eval_batch(ks)
-        mats = xinv[None, :, :] @ lg._embed_rotation(ks)
-        h, _, kap = lg._iwasawa_full(mats)
-        tk = xr.tau_matrix_batch(kap, pt.p)
-        integ = root_d * np.exp(-(1j * lam + rho) * h)[:, None] \
-            * np.einsum("bij,bj->bi", tk, fvals)
+        ker = PoissonKernel(xinv[None, :, :] @ lg.embed_rotation(ks), pt.p)
+        integ = ker.apply(pt, fvals)
         tot = tot + integ.sum(axis=0)
         tot2 = tot2 + (np.abs(integ) ** 2).sum(axis=0)
     mean = tot / samples
@@ -220,8 +214,8 @@ def gram_matrix(pt, atoms):
         return np.zeros((0, 0), dtype=complex)
     gs = np.stack([a.g.mat for a in atoms])
     vs = np.stack([a.v.coeffs for a in atoms])
-    pairs = lg._inv_mats(gs)[:, None] @ gs[None, :]
-    phi = _spherical_batch(pt, pairs.reshape((m * m,) + gs.shape[1:]))
+    pairs = lg.inv_mats(gs)[:, None] @ gs[None, :]
+    phi = spherical_batch(pt, pairs.reshape((m * m,) + gs.shape[1:]))
     phi = phi.reshape((m, m) + phi.shape[1:])
     return np.einsum("jb,ijba,ia->ij", vs.conj(), phi, vs)
 
@@ -281,7 +275,7 @@ def bump_section(spec, r_supp, v0=None):
         out = np.zeros(mats.shape[:-2] + (comb(n, p),), dtype=complex)
         live = c > 0.0
         if np.any(live):
-            blocks = lg._polar_block(mats[live])
+            blocks = lg.polar_blocks(mats[live])
             tk = xr.tau_matrix_batch(blocks, p)
             out[live] = c[live, None] * np.einsum("bji,j->bi", tk, v0)
         return out
@@ -295,7 +289,7 @@ def bump_section(spec, r_supp, v0=None):
     return CompactSection(spec, fn, r_supp, l2_norm=l2)
 
 
-def _radon_batch(f, ts, kmats, grid=32):
+def radon_batch(f, ts, kmats, grid=32):
     """Horocycle integrals e^{rho t} int_N f(k a_t n) dn for every pair
     of rotations kmats (K, n, n) and radii ts (T,), shape (K, T, dim).
 
@@ -323,13 +317,13 @@ def _radon_batch(f, ts, kmats, grid=32):
     tl = ts[live]
     y_half = np.sqrt(2.0 * np.exp(-tl) * (np.cosh(f.r_supp) - np.cosh(tl)))
     scale = y_half ** m * np.exp(rho * tl) * gamma_n_measure(n)
-    base = lg._embed_rotation(kmats)[:, None] @ lg._at_mat(tl, n)
+    base = lg.embed_rotation(kmats)[:, None] @ lg.at_mats(tl, n)
     kk, tt = (a.reshape(-1) for a in np.indices(base.shape[:2]))
     step = max(1, _GROUP_BLOCK // unit_ws.size)
     vals = np.empty((kk.size, f.spec.dim_full), dtype=complex)
     for lo in range(0, kk.size, step):
         k, t = kk[lo:lo + step], tt[lo:lo + step]
-        mats = base[k, t][:, None] @ lg._ny_mat(y_half[t, None, None] * unit_ys, n)
+        mats = base[k, t][:, None] @ lg.ny_mats(y_half[t, None, None] * unit_ys, n)
         fv = f.eval_batch(mats.reshape((-1,) + mats.shape[2:]))
         vals[lo:lo + step] = unit_ws @ fv.reshape(k.size, unit_ws.size, -1)
     out[:, live] = vals.reshape(base.shape[:2] + (-1,)) * scale[:, None]
@@ -340,13 +334,13 @@ def radon(f, t, k, grid=32):
     """Horocycle integral e^{rho t} int_N f(k a_t n) dn by tensor
     Gauss-Legendre over the y-coordinates of N; n <= 4 only."""
     km = k.mat if isinstance(k, KElement) else np.asarray(k, dtype=float)
-    total = _radon_batch(f, [float(t)], km[None], grid=grid)[0, 0]
+    total = radon_batch(f, [float(t)], km[None], grid=grid)[0, 0]
     return FormVector(f.spec.n, f.spec.p, total)
 
 
 def _sigma_part(pt, vals):
     """sqrt(d_{tau,sigma}) P_sigma applied to the last axis of vals."""
-    proj = _sigma_projector(pt.spec, pt.sigma)
+    proj = xr.proj_matrix(pt.spec, pt.sigma)
     return sqrt(xr.dims(pt.spec, pt.sigma)[2]) * (vals @ proj.T)
 
 
@@ -363,7 +357,7 @@ def _fourier_batch(f, pt, kmats, t_nodes=48, grid=32):
     ts, ws = np.polynomial.legendre.leggauss(t_nodes)
     ts = f.r_supp * ts
     ws = f.r_supp * ws
-    rad = _radon_batch(f, ts, kmats, grid=grid)
+    rad = radon_batch(f, ts, kmats, grid=grid)
     weight = ws * np.exp(-1j * complex(pt.lam) * ts)
     return _sigma_part(pt, np.einsum("t,kta->ka", weight, rad))
 
@@ -388,16 +382,14 @@ def fourier_direct_mc(f, pt, k, samples, rng=None):
     if rng is None:
         rng = np.random.default_rng(0)
     n, p = f.spec.n, f.spec.p
-    lam, rho = complex(pt.lam), pt.rho
     km = k.mat if isinstance(k, KElement) else np.asarray(k, dtype=float)
-    kemb = lg._embed_rotation(km)
+    kemb = lg.embed_rotation(km)
     # radial density (2 sinh t)^(n-1) on [0, R] via inverse-cdf table
     tgrid = np.linspace(0.0, f.r_supp, 4001)
     dens = (2.0 * np.sinh(tgrid)) ** (n - 1)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(tgrid))])
     mass = cdf[-1]
     cdf /= mass
-    proj = _sigma_projector(pt.spec, pt.sigma)
     tot = np.zeros(f.spec.dim_full, dtype=complex)
     tot2 = np.zeros(f.spec.dim_full)
     done = 0
@@ -407,19 +399,15 @@ def fourier_direct_mc(f, pt, k, samples, rng=None):
         ts = np.interp(u, cdf, tgrid)
         k1 = lg.haar_sample_K(n, size=b, rng=rng)
         k2 = lg.haar_sample_K(n, size=b, rng=rng)
-        gs = lg._embed_rotation(k1) @ lg._at_mat(ts, n) @ lg._embed_rotation(k2)
+        gs = lg.embed_rotation(k1) @ lg.at_mats(ts, n) @ lg.embed_rotation(k2)
         fvals = f.eval_batch(gs)
-        args = np.einsum("bij,jk->bik", lg._inv_mats(gs), kemb)
-        h, _, kap = lg._iwasawa_full(args)
-        tk = xr.tau_matrix_batch(kap, p)
-        integ = np.exp((1j * lam - rho) * h)[:, None] \
-            * np.einsum("ij,bkj,bk->bi", proj, tk, fvals)
+        ker = PoissonKernel(np.einsum("bij,jk->bik", lg.inv_mats(gs), kemb), p)
+        integ = ker.dual(pt, fvals)
         tot += integ.sum(axis=0)
         tot2 += (np.abs(integ) ** 2).sum(axis=0)
         done += b
-    scale = mass * sqrt(xr.dims(pt.spec, pt.sigma)[2])
-    mean = tot / samples * scale
-    var = np.maximum(tot2 / samples - np.abs(tot / samples) ** 2, 0.0) * scale ** 2
+    mean = tot / samples * mass
+    var = np.maximum(tot2 / samples - np.abs(tot / samples) ** 2, 0.0) * mass ** 2
     stderr = float(np.sqrt(var.sum() / samples))
     return FormVector(n, p, mean), stderr
 

@@ -1,0 +1,77 @@
+"""Independent quadrature oracles that the library itself never calls.
+
+j_pair_grid integrates the rotation-reduced inversion kernel over the
+zonal angle with closed-form Iwasawa data; the tests pin
+strichartz._pair_kernel and strichartz.inversion_ratios against it.
+"""
+
+import numpy as np
+
+import hyperform.extrep as xr
+import hyperform.liegroup as lg
+import hyperform.spherical as sph
+
+
+def zonal_iwasawa(t, thetas):
+    """Closed-form Iwasawa data of a_{-t} R(theta), for t >= 0.
+
+    The product lives in the rank-one subgroup on the boost plane and
+    the rotation plane, where e^{H} = cosh t - sinh t cos(theta) and
+    kappa is the plane rotation sending e1 to
+    ((cosh t cos(theta) - sinh t)/e^H, sin(theta)/e^H).  Both are
+    evaluated through e^H = e^{-t} + 2 sinh(t) sin^2(theta/2), which
+    stays positive in floating point; the literal difference of
+    hyperbolics (and the generic matrix factorization) loses e^{t}
+    ulps to cancellation near theta = 0.
+    """
+    sh = np.sinh(t)
+    emt = np.exp(-t)
+    c, s = np.cos(thetas), np.sin(thetas)
+    layer = 2.0 * sh * np.sin(0.5 * thetas) ** 2
+    eh = emt + layer
+    return np.log(eh), (c * emt - layer) / eh, s / eh
+
+
+def j_pair_grid(pt, ts, mu, n_panels=12, n_nodes=24):
+    """Zonal quadrature of the rotation-reduced inversion kernel; the
+    oracle of the closed form in strichartz._pair_kernel.
+
+    For each output block eta' of P_sigma and each isotype eta, the
+    scalar
+
+      j_{eta',eta}(t; mu) = (1/d_eta') int_K e^{(i mu - rho) H(a_{-t}u)}
+             tr(P_eta' tau(kappa(a_{-t}u))^{-1} P_eta tau(u)) du
+
+    is returned as an array over ts.  The K-integral collapses to the
+    zonal angle with the sin^{n-2} density; nodes refine geometrically
+    toward the e^{-t}-scale boundary layer.
+    """
+    spec = pt.spec
+    n, p = pt.n, pt.p
+    mu = complex(mu)
+    rho = pt.rho
+    blocks = xr.sigma_blocks(spec, pt.sigma)
+    etas = list(xr.branching(spec))
+    proj = {eta: xr.proj_matrix(spec, eta) for eta in etas}
+    d_eta = {eta: xr.dims(spec, eta)[1] for eta in etas}
+    mass = sph._zonal_mass(n)
+    out = {(b, eta): np.zeros(len(ts), dtype=complex)
+           for b in blocks for eta in etas}
+    for idx, t in enumerate(np.asarray(ts, dtype=float)):
+        # the geometric refinement must keep each panel below a fixed
+        # scale ratio, so the panel count grows linearly with t
+        np_t = max(n_panels, int(np.ceil(abs(t) / 1.5)) + 2)
+        thetas, ws = sph._zonal_nodes(t, np_t, n_nodes)
+        rots = lg.plane_rotations(n, np.cos(thetas), np.sin(thetas))
+        hs, cpsi, spsi = zonal_iwasawa(t, thetas)
+        kappas = lg.plane_rotations(n, cpsi, spsi)
+        tau_kappa = xr.tau_matrix_batch(kappas, p)
+        tau_rot = xr.tau_matrix_batch(rots, p)
+        jac = np.sin(thetas) ** (n - 2) * ws
+        phase = np.exp((1j * mu - rho) * hs) * jac
+        for b in blocks:
+            for eta in etas:
+                tr = np.einsum("ab,kcb,cd,kda->k",
+                               proj[b], tau_kappa, proj[eta], tau_rot)
+                out[(b, eta)][idx] = np.sum(phase * tr) / (mass * d_eta[b])
+    return out

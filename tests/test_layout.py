@@ -1,0 +1,79 @@
+"""Module layout of the package: no private name crosses a module
+boundary, and the Iwasawa batch has one consumer besides its scalar
+wrapper, the Poisson kernel."""
+
+import ast
+from pathlib import Path
+
+import hyperform
+
+SRC = Path(hyperform.__file__).parent
+MODULES = sorted(SRC.glob("*.py"))
+
+# (module, enclosing function or class) allowed to call iwasawa_batch
+IWASAWA_CALLERS = {("liegroup", "iwasawa"), ("spherical", "PoissonKernel")}
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _module_aliases(tree):
+    """Local names bound to hyperform modules: `from . import x as y`,
+    `import hyperform.x as y`."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            for a in node.names:
+                out[a.asname or a.name] = a.name
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("hyperform.") and a.asname:
+                    out[a.asname] = a.name.split(".", 1)[1]
+    return out
+
+
+def _violations(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    mod = path.stem
+    aliases = _module_aliases(tree)
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("hyperform")):
+            for a in node.names:
+                if _private(a.name):
+                    bad.append(f"{mod}:{node.lineno}: from {'.' * node.level}"
+                               f"{node.module or ''} import {a.name}")
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases and _private(node.attr)):
+            bad.append(f"{mod}:{node.lineno}: {node.value.id}.{node.attr}")
+    return bad
+
+
+def _iwasawa_calls(path):
+    """(enclosing top-level def or class, line) of each iwasawa_batch call."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if name == "iwasawa_batch":
+                    out.append((owner, node.lineno))
+    return out
+
+
+def test_no_private_names_cross_modules():
+    assert {"liegroup", "extrep", "spherical", "transforms", "strichartz"} <= {
+        p.stem for p in MODULES}
+    bad = [v for path in MODULES for v in _violations(path)]
+    assert not bad, "private names used across modules:\n" + "\n".join(bad)
+
+
+def test_iwasawa_batch_only_in_kernel_and_scalar_wrapper():
+    bad = [f"{p.stem}:{line} in {owner}" for p in MODULES
+           for owner, line in _iwasawa_calls(p) if (p.stem, owner) not in IWASAWA_CALLERS]
+    assert not bad, "iwasawa_batch called outside the Poisson kernel:\n" + "\n".join(bad)

@@ -27,7 +27,6 @@ from hyperform import (
     SIGMA_MINUS,
     SIGMA_PLUS,
 )
-from hyperform.spherical import _sigma_projector
 
 from conftest import case_points
 
@@ -99,7 +98,7 @@ def test_unsplit_label_pairs_the_two_halves():
     pt = SpectralPoint(spec, sigma_q(2), 1.0)
     comp = scalar_components(pt, 1.3).components
     assert abs(comp[SIGMA_PLUS] - comp[SIGMA_MINUS]) <= 1e-12
-    pr = _sigma_projector(spec, sigma_q(2))
+    pr = proj_matrix(spec, sigma_q(2))
     want = proj_matrix(spec, SIGMA_PLUS) + proj_matrix(spec, SIGMA_MINUS)
     assert np.max(np.abs(pr - want)) == 0.0
 

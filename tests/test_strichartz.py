@@ -13,6 +13,7 @@ import hyperform.transforms as tfm
 import hyperform.strichartz as st
 from hyperform.extrep import BundleSpec, FormVector, sigma_q, SIGMA_PLUS
 from hyperform.spherical import SpectralPoint
+from oracles import j_pair_grid
 
 
 def _unit(spec, seed=3):
@@ -52,11 +53,11 @@ def test_pairing_kernel_is_transpose_dual_spherical_component():
     ts = np.array([0.3, 1.0, 2.2, 8.0, 20.0])
     for spec, sigma, lam in cases:
         pt = SpectralPoint(spec, sigma, lam)
-        pair = st._j_pair_grid(pt, ts, lam, n_panels=16, n_nodes=32)
+        pair = j_pair_grid(pt, ts, lam, n_panels=16, n_nodes=32)
         d_tau = xr.dims(spec, xr.branching(spec)[0])[0]
-        for b in st._sigma_blocks(spec, sigma):
+        for b in xr.sigma_blocks(spec, sigma):
             ref_pt = SpectralPoint(spec, _transpose_dual(spec, b), lam)
-            ref = sph._component_grid(ref_pt, -ts)
+            ref = sph.component_grid(ref_pt, -ts)
             for eta in xr.branching(spec):
                 d_eta = xr.dims(spec, eta)[1]
                 want = (d_eta / d_tau) * ref[_transpose_dual(spec, eta)]
@@ -70,14 +71,14 @@ def test_pairing_kernel_is_transpose_dual_spherical_component():
 def _oracle_ratios(pt, R, mu):
     # inversion_ratios with the pairing kernel from the zonal quadrature
     ts, ws = st._osc_nodes(0.0, R, max(pt.lam_real, mu), order=20)
-    pair = st._j_pair_grid(pt, ts, mu)
+    pair = j_pair_grid(pt, ts, mu)
     s = np.exp(0.5 * pt.rho * ts)
     weight = st._stable_weight(ts, pt.n) * ws * pi * sph.plancherel_density(pt) / R
-    grid = sph._component_grid(pt, ts)
+    grid = sph.component_grid(pt, ts)
     return {b: complex(np.sum(weight * sum(
                 st._rescale(phi, s) * st._rescale(pair[(b, eta)], s)
                 for eta, phi in grid.items())))
-            for b in st._sigma_blocks(pt.spec, pt.sigma)}
+            for b in xr.sigma_blocks(pt.spec, pt.sigma)}
 
 
 def test_closed_form_pairing_kernel_matches_zonal_quadrature():
@@ -90,7 +91,7 @@ def test_closed_form_pairing_kernel_matches_zonal_quadrature():
     ]
     for spec, sigma, mu, ts in cases:
         pt = SpectralPoint(spec, sigma, 1.0)
-        want = st._j_pair_grid(pt, np.array(ts), mu)
+        want = j_pair_grid(pt, np.array(ts), mu)
         got = st._pair_kernel(pt, np.array(ts), mu)
         assert got.keys() == want.keys()
         for key in want:
@@ -141,7 +142,7 @@ def test_ball_average_rotated_atom_matches_radial_route():
     assert method == "schur_1d"
     # an atom at a rotated base point has the same average, but is
     # evaluated through the Monte Carlo route
-    k = lg._embed_rotation(lg.haar_sample_K(3, rng=np.random.default_rng(9)))
+    k = lg.embed_rotation(lg.haar_sample_K(3, rng=np.random.default_rng(9)))
     atom = tfm.BoundaryAtom(lg.GroupElement(k), _unit(spec))
     sec = tfm.BoundarySection.from_atoms(pt, [(atom, 1.0)])
     v_mc, se, m2 = st._ball_average_detail(pt, sec, R, k_samples=800,
@@ -153,7 +154,7 @@ def test_ball_average_rotated_atom_matches_radial_route():
 def test_ball_average_translated_atom_is_finite_positive():
     spec = BundleSpec(3, 1)
     pt = SpectralPoint(spec, sigma_q(1), 1.0)
-    g1 = lg.make_at(0.6, 3).mat @ lg._ny_mat(np.array([0.2, -0.4]), 3)
+    g1 = lg.make_at(0.6, 3).mat @ lg.ny_mats(np.array([0.2, -0.4]), 3)
     atom = tfm.BoundaryAtom(lg.GroupElement(g1), _unit(spec, seed=5))
     sec = tfm.BoundarySection.from_atoms(pt, [(atom, 0.8 + 0.3j)])
     v, se, method = st._ball_average_detail(pt, sec, 3.0, k_samples=400,
@@ -347,7 +348,7 @@ def test_energy_window_rejects_higher_rank():
 def test_section_norm_matches_boundary_monte_carlo():
     spec = BundleSpec(3, 1)
     pt = SpectralPoint(spec, sigma_q(1), 1.0)
-    k = lg._embed_rotation(lg.haar_sample_K(3, rng=np.random.default_rng(4)))
+    k = lg.embed_rotation(lg.haar_sample_K(3, rng=np.random.default_rng(4)))
     atoms = [(tfm.BoundaryAtom(lg.GroupElement(np.eye(4)), _unit(spec)), 1.0),
              (tfm.BoundaryAtom(lg.GroupElement(k), _unit(spec, seed=8)),
               0.5 - 0.25j)]

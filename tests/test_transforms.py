@@ -1,6 +1,8 @@
 """Boundary sections, Poisson and Radon transforms, and the Fourier
 coefficient: closed forms against their Monte Carlo twins."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from math import comb
@@ -108,6 +110,22 @@ def test_poisson_mc_matches_closed_form(n, p):
     assert hits >= 6
 
 
+def test_poisson_mc_memory_is_bounded_at_large_degree():
+    # C(8,3) = 56: a chunk of 4096 rotations would hold (4096, 56, 56)
+    # Lambda^3 arrays of about 100 MB each
+    rng = np.random.default_rng(8)
+    pt = SpectralPoint(BundleSpec(8, 3), sigma_q(3), 1.0)
+    sec = BoundarySection.from_atoms(pt, [(_random_atom(8, 3, rng), 1.0)])
+    x = make_at(0.5, 8)
+    tracemalloc.start()
+    try:
+        poisson_mc(pt, sec, x, samples=4096, rng=rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
 def test_poisson_atom_at_origin_is_spherical(rng):
     pt = SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.2)
     atom = _random_atom(3, 1, rng)
@@ -200,7 +218,7 @@ def test_bump_l2_norm_against_monte_carlo():
     ks2 = haar_sample_K(3, size=samples, rng=rng)
     import hyperform.liegroup as lg
 
-    gs = lg._embed_rotation(ks1) @ lg._at_mat(ts, 3) @ lg._embed_rotation(ks2)
+    gs = lg.embed_rotation(ks1) @ lg.at_mats(ts, 3) @ lg.embed_rotation(ks2)
     vals = np.sum(np.abs(f.eval_batch(gs)) ** 2, axis=1)
     w = (2.0 * np.sinh(ts)) ** 2  # radial weight, n = 3
     est = R * np.mean(vals * w)
@@ -218,12 +236,12 @@ def test_radon_vanishes_off_support(rng):
 
 def test_radon_batch_matches_single_calls(rng):
     # one batched call over a (k, t) grid, two radii outside the support
-    from hyperform.transforms import _radon_batch
+    from hyperform.transforms import radon_batch
 
     f = bump_section(BundleSpec(3, 1), 1.5)
     ks = haar_sample_K(3, size=3, rng=rng)
     ts = np.array([-1.6, -0.9, 0.0, 0.4, 1.2, 1.5])
-    got = _radon_batch(f, ts, ks)
+    got = radon_batch(f, ts, ks)
     for i, k in enumerate(ks):
         for j, t in enumerate(ts):
             want = radon(f, t, k).coeffs
