@@ -14,6 +14,10 @@ sigma, the Plancherel density nu_sigma, the Weyl-group action on
 
     Phi(a_t) ~ sum_{s = +-1} e^{(is lambda - rho) t} c_{s sigma}(s lambda) P_{s sigma}.
 
+One kernel, radial_batch, evaluates these tau-radial operators on
+stacked group matrices; it applies them to fiber vectors at O(C(n,p)^2)
+each, so callers of Phi(g) v form no (..., C(n,p), C(n,p)) stack.
+
 The Poisson kernel sqrt(d_{tau,sigma}) e^{-(i lambda + rho) H(g)}
 tau(kappa(g)) of stacked group matrices is formed only here, by
 PoissonKernel, for every integral of the package against it.
@@ -46,6 +50,8 @@ __all__ = [
     "PoissonKernel",
     "component_grid",
     "head_components",
+    "radial_components",
+    "radial_batch",
     "spherical_batch",
     "head_batch",
 ]
@@ -105,12 +111,6 @@ class SphericalValue:
 # scalar components
 
 
-def _base_pair(n, lam, t):
-    a = jacobi_phi(JacobiParams(n / 2 - 1, -0.5, lam), t)
-    b = jacobi_phi(JacobiParams(n / 2, -0.5, lam), t)
-    return a, b
-
-
 def component_grid(pt, ts):
     """Components phi_eta on an array of radii, keyed by MLabel."""
     ts = np.asarray(ts, dtype=float)
@@ -120,7 +120,8 @@ def component_grid(pt, ts):
         par = JacobiParams(n / 2 - 1, n / 2 + 1, 2 * lam)
         val = np.cosh(ts / 2.0) ** 2 * jacobi_phi(par, ts / 2.0)
         return {xr.sigma_q(p): val}
-    a, b = _base_pair(n, lam, ts)
+    a = jacobi_phi(JacobiParams(n / 2 - 1, -0.5, lam), ts)
+    b = jacobi_phi(JacobiParams(n / 2, -0.5, lam), ts)
     ch = np.cosh(ts)
     out = {}
     if pt.sigma == xr.sigma_q(p - 1):
@@ -179,29 +180,50 @@ def head_components(pt, ts):
     return out
 
 
-def _radial_conjugate_batch(pt, mats, components):
-    """tau-radial operators on stacked group matrices (..., n+1, n+1):
-    the diagonal operator sum_eta components(t)[eta] P_eta at the Cartan
-    radius t, conjugated by the Lambda^p images of the K factors."""
-    t, k1, k2 = cartan_batch(mats)
-    grid = components(t)
-    dim = pt.spec.dim_full
-    mid = np.zeros(mats.shape[:-2] + (dim, dim), dtype=complex)
-    for eta, vals in grid.items():
-        mid += vals[..., None, None] * xr.proj_matrix(pt.spec, eta)[None]
-    t1 = xr.tau_matrix_batch(k1, pt.p)
-    t2 = xr.tau_matrix_batch(k2, pt.p)
-    # g = k1 a_t k2 and Phi(k1 g k2) = tau(k2)^{-1} Phi(g) tau(k1)^{-1},
-    # so Phi(g) = tau(k2)^T mid tau(k1)^T
-    return np.swapaxes(t2, -1, -2) @ mid @ np.swapaxes(t1, -1, -2)
+def radial_components(pt, ts, kind="spherical"):
+    """Scalars of a tau-radial operator on each isotypic summand: Phi's
+    ("spherical"), its two-term head's ("head"), or the "residual"."""
+    if kind == "spherical":
+        return component_grid(pt, ts)
+    if kind == "head":
+        return head_components(pt, ts)
+    if kind == "residual":
+        head = head_components(pt, ts)
+        return {eta: vals - head[eta] for eta, vals in component_grid(pt, ts).items()}
+    raise ValueError(f"unknown radial kind {kind!r}")
 
 
-def spherical_batch(pt, mats):
-    return _radial_conjugate_batch(pt, mats, lambda t: component_grid(pt, t))
+def radial_batch(pt, mats, kind="spherical", vecs=None):
+    """The tau-radial operators Psi(g) of one kind (radial_components) on
+    stacked g (..., n+1, n+1) as (..., C, C), C = C(n,p), or Psi(g) vecs
+    as (..., C) for vecs broadcasting against (..., C).  g = k1 a_t k2 and
+    Phi(k1 g k2) = tau(k2)^{-1} Phi(g) tau(k1)^{-1} give Psi(g) =
+    tau(k2)^T (sum_eta psi_eta(t) P_eta) tau(k1)^T, applied to vectors
+    right to left; the matrix applies it to the basis vectors."""
+    lead, dim = mats.shape[:-2], pt.spec.dim_full
+    t, k1, k2 = cartan_batch(mats.reshape((-1,) + mats.shape[-2:]))
+    # vectors as rows, (tau(k1)^T v)^T = v^T tau(k1); the matrix takes v = I
+    w = xr.tau_matrix_batch(k1, pt.p)
+    if vecs is not None:
+        w = np.broadcast_to(vecs, lead + (dim,)).reshape(-1, 1, dim) @ w
+    u = np.zeros(w.shape, dtype=complex)
+    for eta, vals in radial_components(pt, t, kind).items():
+        proj_t = xr.proj_matrix(pt.spec, eta).T
+        u += vals[:, None, None] * (w.reshape(-1, dim) @ proj_t).reshape(w.shape)
+    out = u @ xr.tau_matrix_batch(k2, pt.p)
+    if vecs is None:
+        return np.swapaxes(out, -1, -2).reshape(lead + (dim, dim))
+    return out.reshape(lead + (dim,))
 
 
-def head_batch(pt, mats):
-    return _radial_conjugate_batch(pt, mats, lambda t: head_components(pt, t))
+def spherical_batch(pt, mats, vecs=None):
+    """Phi(g), or Phi(g) vecs, on stacked group matrices (see radial_batch)."""
+    return radial_batch(pt, mats, "spherical", vecs)
+
+
+def head_batch(pt, mats, vecs=None):
+    """The two-term Weyl head of Phi(g), or its action on vecs (see radial_batch)."""
+    return radial_batch(pt, mats, "head", vecs)
 
 
 def _group_mat(g):

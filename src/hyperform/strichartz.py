@@ -41,9 +41,9 @@ import numpy as np
 from . import extrep as xr
 from . import liegroup as lg
 from .liegroup import radial_weight
-from .spherical import (PoissonKernel, SpectralPoint, component_grid, head_batch,
-                        head_components, plancherel_density, spherical_batch)
-from .transforms import BoundarySection, gram_matrix, radon_batch
+from .spherical import (PoissonKernel, SpectralPoint, component_grid, plancherel_density,
+                        radial_batch, radial_components, spherical_batch)
+from .transforms import BoundarySection, gram_matrix, radon_batch, sigma_part
 
 __all__ = [
     "BallAverageReport",
@@ -114,11 +114,6 @@ class BallAverageReport:
 # quadrature helpers
 
 
-def _gl_rule(order):
-    xs, ws = np.polynomial.legendre.leggauss(order)
-    return xs, ws
-
-
 def _osc_nodes(a, b, lam, order=20):
     """Composite fixed Gauss-Legendre nodes resolving oscillation at
     frequency ~2 lam: at least 4 panels, none longer than a quarter
@@ -126,7 +121,7 @@ def _osc_nodes(a, b, lam, order=20):
     width = pi / max(2.0 * abs(float(lam)), 0.5) / 2
     panels = max(int(ceil((b - a) / width)), 4)
     edges = np.linspace(a, b, panels + 1)
-    xs, ws = _gl_rule(order)
+    xs, ws = np.polynomial.legendre.leggauss(order)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
@@ -212,11 +207,11 @@ def _weighted_square_profile(pt, ts, kind="spherical", dims="schur"):
     """Radial integrand w(t) sum_eta c_eta |psi_eta(t)|^2 in the stable
     form (1-e^{-2t})^{n-1} sum c_eta |e^{rho t} psi_eta|^2.
 
-    kind picks psi: the spherical components, the two-term head, or
-    their difference.  dims="schur" weights by d_eta/d_tau (rotation
-    average of a Poisson image at unit vector), dims="hs" by
-    (d_sigma/d_tau) d_eta (squared Hilbert-Schmidt norm of the
-    normalized Eisenstein integral)."""
+    kind picks psi as in spherical.radial_components: the spherical
+    components, the two-term head, or their difference.  dims="schur"
+    weights by d_eta/d_tau (rotation average of a Poisson image at unit
+    vector), dims="hs" by (d_sigma/d_tau) d_eta (squared Hilbert-Schmidt
+    norm of the normalized Eisenstein integral)."""
     ts = np.asarray(ts, dtype=float)
     d_tau, d_eta = _dims_table(pt.spec)
     if dims == "schur":
@@ -225,16 +220,7 @@ def _weighted_square_profile(pt, ts, kind="spherical", dims="schur"):
         d_sigma = xr.dims(pt.spec, pt.sigma)[1]
         coeff = {eta: d * d_sigma / d_tau for eta, d in d_eta.items()}
     s = np.exp(0.5 * pt.rho * ts)
-    if kind == "spherical":
-        grid = component_grid(pt, ts)
-    elif kind == "head":
-        grid = head_components(pt, ts)
-    elif kind == "residual":
-        sph_grid = component_grid(pt, ts)
-        head = head_components(pt, ts)
-        grid = {eta: sph_grid[eta] - head[eta] for eta in sph_grid}
-    else:
-        raise ValueError(kind)
+    grid = radial_components(pt, ts, kind)
     out = np.zeros(ts.shape)
     for eta, vals in grid.items():
         out += coeff[eta] * np.abs(_rescale(vals, s)) ** 2
@@ -305,22 +291,17 @@ def _ball_average_detail(pt, section, R, k_samples=4096, rng=None,
     ts, ws = _osc_nodes(0.0, R, pt.lam_real if np.isreal(pt.lam) else 1.0,
                         order=12)
     per_k = np.zeros(k_samples)
-    batch = head_batch if kernel == "head" else spherical_batch
-    chunk = max(1, 65536 // max(k_samples, 1))
+    left = [(a.g.inv().mat @ kemb, w, a.v.coeffs) for a, w in atoms]
+    # whole t-nodes of k_samples group matrices per slab, at least one, and
+    # at most 65536 matrices and 2^20 entries per Lambda^p stack
+    chunk = max(1, min(65536, 2 ** 20 // pt.spec.dim_full ** 2) // max(k_samples, 1))
     for start in range(0, ts.size, chunk):
         sl = slice(start, start + chunk)
         tsl, wsl = ts[sl], ws[sl]
         at = lg.at_mats(tsl, n)
         vals = np.zeros((tsl.size, k_samples, pt.spec.dim_full), dtype=complex)
-        for a, w in atoms:
-            mats = np.einsum("ij,bjk,tkl->tbil", a.g.inv().mat, kemb, at)
-            flat = mats.reshape(-1, n + 1, n + 1)
-            if kernel == "residual":
-                phi = spherical_batch(pt, flat) - head_batch(pt, flat)
-            else:
-                phi = batch(pt, flat)
-            vals += w * np.einsum("bij,j->bi", phi, a.v.coeffs).reshape(
-                tsl.size, k_samples, -1)
+        for gk, w, v in left:
+            vals += w * radial_batch(pt, gk[None] @ at[:, None], kernel, v)
         sq = np.sum(np.abs(vals) ** 2, axis=-1)
         per_k += (wsl * radial_weight(tsl, n)) @ sq
     per_k /= R
@@ -565,9 +546,7 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
     for i in range(ts.size):
         sheet = k1e @ at_all[i]
         for a, w in atoms:
-            mats = a.g.inv().mat[None] @ sheet
-            fvals[i] += w * np.einsum("bij,j->bi", spherical_batch(pt, mats),
-                                      a.v.coeffs)
+            fvals[i] += w * spherical_batch(pt, a.g.inv().mat @ sheet, a.v.coeffs)
     radial = ws * radial_weight(ts, n) * pi * nu / float(R)
     at_neg = lg.at_mats(-ts, n)
 
@@ -675,7 +654,7 @@ def spectral_projection_energy(f, lam_grid, R, g_samples=160, k_samples=800,
     g_mats = lg.embed_rotation(k_i) @ lg.at_mats(t_i, n)
     # shared rotation samples and horocycle profiles
     us = lg.haar_sample_K(n, size=k_samples, rng=rng)
-    tq, wq = _gl_rule(t_nodes)
+    tq, wq = np.polynomial.legendre.leggauss(t_nodes)
     tq = tq * f.r_supp
     wq = wq * f.r_supp
     prof = radon_batch(f, tq, us, grid=grid)
@@ -690,9 +669,7 @@ def spectral_projection_energy(f, lam_grid, R, g_samples=160, k_samples=800,
         for sigma in etas:
             pt = SpectralPoint(spec, sigma, lam)
             nu = plancherel_density(pt)
-            sd = sqrt(xr.dims(spec, sigma)[2])
-            proj = xr.proj_matrix(spec, sigma)
-            fv = sd * np.einsum("q,jqd->jd", fourier_weight, prof) @ proj.T
+            fv = sigma_part(pt, np.einsum("q,jqd->jd", fourier_weight, prof))
             # Q f(g_i) = nu * mean_j K_lambda(g_i^{-1} u_j) fv_j
             terms = ker.apply(pt, fv)
             mean = terms.mean(axis=1)

@@ -31,8 +31,8 @@ from . import extrep as xr
 from . import liegroup as lg
 from .extrep import FormVector
 from .liegroup import GroupElement, KElement
-from .spherical import (PoissonKernel, SpectralPoint, plancherel_density, spherical_at,
-                        spherical_batch, weyl_reflect)
+from .spherical import (PoissonKernel, SpectralPoint, plancherel_density, spherical_batch,
+                        weyl_reflect)
 
 __all__ = [
     "BoundaryAtom",
@@ -46,6 +46,7 @@ __all__ = [
     "radon",
     "radon_batch",
     "radon_sigma",
+    "sigma_part",
     "fourier_helgason",
     "fourier_direct_mc",
     "spectral_projection",
@@ -144,8 +145,7 @@ def atom_eval(pt, atom, k):
 
 def poisson_atom(pt, atom, x):
     """Closed-form Poisson image of an atom: Phi(g^{-1} x) v."""
-    gx = GroupElement(atom.g.inv().mat @ x.mat, check=False)
-    out = spherical_at(pt, gx) @ atom.v.coeffs
+    out = spherical_batch(pt, (atom.g.inv().mat @ x.mat)[None], atom.v.coeffs)[0]
     return FormVector(pt.n, pt.p, out, spec=pt.spec)
 
 
@@ -215,9 +215,9 @@ def gram_matrix(pt, atoms):
     gs = np.stack([a.g.mat for a in atoms])
     vs = np.stack([a.v.coeffs for a in atoms])
     pairs = lg.inv_mats(gs)[:, None] @ gs[None, :]
-    phi = spherical_batch(pt, pairs.reshape((m * m,) + gs.shape[1:]))
-    phi = phi.reshape((m, m) + phi.shape[1:])
-    return np.einsum("jb,ijba,ia->ij", vs.conj(), phi, vs)
+    # entry (i, j) is Phi(g_i^{-1} g_j) v_i, paired with v_j
+    phi_v = spherical_batch(pt, pairs, vs[:, None])
+    return np.sum(phi_v * vs.conj()[None], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +338,7 @@ def radon(f, t, k, grid=32):
     return FormVector(f.spec.n, f.spec.p, total)
 
 
-def _sigma_part(pt, vals):
+def sigma_part(pt, vals):
     """sqrt(d_{tau,sigma}) P_sigma applied to the last axis of vals."""
     proj = xr.proj_matrix(pt.spec, pt.sigma)
     return sqrt(xr.dims(pt.spec, pt.sigma)[2]) * (vals @ proj.T)
@@ -347,7 +347,7 @@ def _sigma_part(pt, vals):
 def radon_sigma(pt, f, t, k, grid=32):
     """Partial Radon transform sqrt(d_{tau,sigma}) P_sigma Radon f."""
     r = radon(f, t, k, grid=grid)
-    return FormVector(f.spec.n, f.spec.p, _sigma_part(pt, r.coeffs))
+    return FormVector(f.spec.n, f.spec.p, sigma_part(pt, r.coeffs))
 
 
 def _fourier_batch(f, pt, kmats, t_nodes=48, grid=32):
@@ -359,7 +359,7 @@ def _fourier_batch(f, pt, kmats, t_nodes=48, grid=32):
     ws = f.r_supp * ws
     rad = radon_batch(f, ts, kmats, grid=grid)
     weight = ws * np.exp(-1j * complex(pt.lam) * ts)
-    return _sigma_part(pt, np.einsum("t,kta->ka", weight, rad))
+    return sigma_part(pt, np.einsum("t,kta->ka", weight, rad))
 
 
 def fourier_helgason(f, pt, k, t_nodes=48, grid=32):

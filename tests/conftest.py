@@ -27,6 +27,21 @@ def case_points(lam=1.0):
     return out
 
 
+def kernel_points(lam=1.0):
+    """One spectral point per bundle shape of the tau-radial kernel:
+    half-odd n=3 (sigma plus, minus), chirality n=4, half-odd n=5
+    (sigma plus), generic n=6 (sigma q:1, q:2), and n=8, p=3 (C = 56)."""
+    return [
+        SpectralPoint(BundleSpec(3, 1), SIGMA_PLUS, lam),
+        SpectralPoint(BundleSpec(3, 1), SIGMA_MINUS, lam),
+        SpectralPoint(BundleSpec(4, 2, "plus"), sigma_q(2), lam),
+        SpectralPoint(BundleSpec(5, 2), SIGMA_PLUS, lam),
+        SpectralPoint(BundleSpec(6, 2), sigma_q(1), lam),
+        SpectralPoint(BundleSpec(6, 2), sigma_q(2), lam),
+        SpectralPoint(BundleSpec(8, 3), sigma_q(3), lam),
+    ]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260815)

@@ -28,7 +28,10 @@ from hyperform import (
     SIGMA_PLUS,
 )
 
-from conftest import case_points
+from hyperform.liegroup import at_mats, embed_rotation
+from hyperform.spherical import head_batch, radial_batch, spherical_batch
+
+from conftest import case_points, kernel_points
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +70,60 @@ def test_bi_covariance(rng):
         lhs = radial(pt, make_rotation(u1) @ g @ make_rotation(u2))
         rhs = tau_matrix(u2, pt.p).T @ radial(pt, g) @ tau_matrix(u1, pt.p).T
         assert np.max(np.abs(lhs - rhs)) <= 1e-10, radial.__name__
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel on vectors
+
+
+def _group_stack(n, rng, shape=(2, 3)):
+    # k1 a_t k2 over radii from 0 (the Cartan tie) to 6
+    size = int(np.prod(shape))
+    k1, k2 = (embed_rotation(haar_sample_K(n, size=size, rng=rng)) for _ in range(2))
+    ts = np.linspace(0.0, 6.0, size)
+    return (k1 @ at_mats(ts, n) @ k2).reshape(shape + (n + 1, n + 1))
+
+
+def _vectors(dim, rng, shape):
+    return rng.standard_normal(shape + (dim,)) + 1j * rng.standard_normal(shape + (dim,))
+
+
+def test_vector_form_equals_matrix_times_vector(rng):
+    for pt in kernel_points(lam=1.3):
+        mats = _group_stack(pt.n, rng)
+        dim = pt.spec.dim_full
+        for batch in (spherical_batch, head_batch):
+            phi = batch(pt, mats)
+            assert phi.shape == (2, 3, dim, dim)
+            scale = np.linalg.norm(phi, 2, axis=(-2, -1))
+            # one vector per element, and one vector shared by all
+            for vecs in (_vectors(dim, rng, (2, 3)), _vectors(dim, rng, ())):
+                got = batch(pt, mats, vecs)
+                want = np.einsum("...ij,...j->...i", phi, np.broadcast_to(vecs, got.shape))
+                err = np.linalg.norm(got - want, axis=-1)
+                bound = 1e-13 * scale * np.linalg.norm(vecs, axis=-1)
+                assert np.all(err <= bound), (pt.spec, str(pt.sigma), batch.__name__)
+
+
+def test_residual_form_equals_spherical_minus_head(rng):
+    for pt in kernel_points(lam=0.8):
+        mats = _group_stack(pt.n, rng)
+        want = spherical_batch(pt, mats) - head_batch(pt, mats)
+        got = radial_batch(pt, mats, "residual")
+        scale = np.linalg.norm(spherical_batch(pt, mats), 2, axis=(-2, -1))
+        err = np.linalg.norm(got - want, 2, axis=(-2, -1))
+        assert np.all(err <= 1e-13 * scale), (pt.spec, str(pt.sigma))
+        vecs = _vectors(pt.spec.dim_full, rng, (2, 3))
+        got_v = radial_batch(pt, mats, "residual", vecs)
+        want_v = np.einsum("...ij,...j->...i", want, vecs)
+        err_v = np.linalg.norm(got_v - want_v, axis=-1)
+        assert np.all(err_v <= 1e-13 * scale * np.linalg.norm(vecs, axis=-1))
+
+
+def test_radial_kind_is_checked():
+    pt = kernel_points()[0]
+    with pytest.raises(ValueError):
+        radial_batch(pt, np.eye(pt.n + 1)[None], "tail")
 
 
 # ---------------------------------------------------------------------------

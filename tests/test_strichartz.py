@@ -1,6 +1,8 @@
 """Tests for ball averages of Poisson images: the extrapolated radial
 limits, the dual-pairing inversion, and the windowed energy capture."""
 
+import tracemalloc
+
 import numpy as np
 import mpmath
 import pytest
@@ -13,6 +15,7 @@ import hyperform.transforms as tfm
 import hyperform.strichartz as st
 from hyperform.extrep import BundleSpec, FormVector, sigma_q, SIGMA_PLUS
 from hyperform.spherical import SpectralPoint
+from conftest import kernel_points
 from oracles import j_pair_grid
 
 
@@ -164,6 +167,61 @@ def test_ball_average_translated_atom_is_finite_positive():
     assert np.isfinite(se) and se > 0.0
 
 
+def _translated_section(pt, rng):
+    # one atom at k a_t n_y, with a complex weight
+    n = pt.n
+    k = lg.embed_rotation(lg.haar_sample_K(n, rng=rng))
+    g = k @ lg.make_at(0.7, n).mat @ lg.ny_mats(rng.uniform(-0.4, 0.4, n - 1), n)
+    atom = tfm.BoundaryAtom(lg.GroupElement(g), _unit(pt.spec, seed=5))
+    return tfm.BoundarySection.from_atoms(pt, [(atom, 0.8 + 0.3j)])
+
+
+@pytest.mark.parametrize("kernel", ["spherical", "residual"])
+def test_mc_k_ball_average_equals_scalar_loop(kernel):
+    # the same Haar draws and t-nodes, one spherical_at (and
+    # asymptotic_head) call per group element; the residual on two cases
+    R, k_samples = 1.5, 8
+    pts = kernel_points(lam=1.0)
+    for pt in (pts if kernel == "spherical" else pts[1::4]):
+        sec = _translated_section(pt, np.random.default_rng(21))
+        (atom, c), = sec.atoms
+        got, _, method = st._ball_average_detail(pt, sec, R, k_samples=k_samples,
+                                                 rng=np.random.default_rng(4),
+                                                 kernel=kernel)
+        assert method == "mc_k"
+        ks = lg.haar_sample_K(pt.n, size=k_samples, rng=np.random.default_rng(4))
+        ts, ws = st._osc_nodes(0.0, R, 1.0, order=12)
+        per_k = np.zeros(k_samples)
+        for j, k in enumerate(lg.embed_rotation(ks)):
+            for t, w in zip(ts, ws):
+                g = atom.g.inv().mat @ k @ lg.make_at(t, pt.n).mat
+                op = sph.spherical_at(pt, g)
+                if kernel == "residual":
+                    op = op - sph.asymptotic_head(pt, g)
+                val = c * op @ atom.v.coeffs
+                per_k[j] += w * lg.radial_weight(t, pt.n) * np.sum(np.abs(val) ** 2)
+        want = float(np.mean(per_k / R))
+        assert abs(got - want) <= 1e-12 * abs(want), (pt.spec, str(pt.sigma), got, want)
+
+
+def test_mc_k_ball_average_memory_is_bounded_at_large_degree():
+    # C(8,3) = 56: 48 t-nodes of 32 rotations in one slab would hold
+    # (1536, 56, 56) Lambda^3 and operator stacks of 40 to 80 MB each
+    pt = SpectralPoint(BundleSpec(8, 3), sigma_q(3), 1.0)
+    k = lg.embed_rotation(lg.haar_sample_K(8, rng=np.random.default_rng(5)))
+    sec = tfm.BoundarySection.from_atoms(
+        pt, [(tfm.BoundaryAtom(lg.GroupElement(k), _unit(pt.spec)), 1.0)])
+    tracemalloc.start()
+    try:
+        val = st.ball_average_atom(pt, sec, 1.0, k_samples=32,
+                                   rng=np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(val) and val > 0.0
+    assert peak < 64 * 2 ** 20
+
+
 def test_limit_hits_density_target_within_one_percent():
     cases = [
         (BundleSpec(6, 2), sigma_q(2), 1.0),
@@ -266,6 +324,22 @@ def _sweep_panel_edges(R_grid, lam):
     return edges
 
 
+def _mpmath_panel_quad(profile, a, b):
+    # mpmath's Gauss-Legendre nodes and weights of degree m (3 * 2^(m-1)
+    # nodes) on [a, b], the profile taken on all of them in one call; the
+    # node count doubles until two degrees agree to 1e-14
+    rule = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp)
+    prev = None
+    for degree in range(3, 10):
+        nodes = rule.get_nodes(mpmath.mpf(a), mpmath.mpf(b), degree, mpmath.mp.prec)
+        vals = profile(np.array([float(x) for x, _ in nodes]))
+        total = mpmath.fsum(w * float(v) for (_, w), v in zip(nodes, vals))
+        if prev is not None and abs(total - prev) <= 1e-14 * abs(total):
+            return total
+        prev = total
+    raise AssertionError(f"mpmath quadrature on [{a}, {b}] did not settle")
+
+
 def test_radial_sweep_matches_mpmath_quadrature():
     R_grid = (2.5, 5.0, 10.0)
     for spec, sigma in ((BundleSpec(6, 2), sigma_q(1)),
@@ -280,8 +354,7 @@ def test_radial_sweep_matches_mpmath_quadrature():
         total = mpmath.mpf(0)
         want = []
         for a, b in zip(edges, edges[1:]):
-            total += mpmath.quad(lambda t: profile(np.array([float(t)]))[0],
-                                 [a, b])
+            total += _mpmath_panel_quad(profile, a, b)
             if b in R_grid:
                 want.append(float(total))
         assert len(want) == len(R_grid)
