@@ -161,26 +161,12 @@ def _common_options(fn):
     return run
 
 
-def _parse_sigma(label):
-    if label is None:
-        raise click.UsageError("--sigma is required for this command")
-    s = str(label).strip()
-    if s in ("plus", "+"):
-        return xr.SIGMA_PLUS
-    if s in ("minus", "-"):
-        return xr.SIGMA_MINUS
-    if s.startswith("q:"):
-        try:
-            return xr.sigma_q(int(s[2:]))
-        except ValueError:
-            pass
-    raise click.UsageError(f'sigma label {label!r} not understood (use "q:K", "plus", "minus")')
-
-
 def _point(cfg):
+    if cfg["sigma"] is None:
+        raise click.UsageError("--sigma is required for this command")
     try:
         spec = xr.BundleSpec(cfg["n"], cfg["p"], cfg["chirality"])
-        return sph.SpectralPoint(spec, _parse_sigma(cfg["sigma"]), cfg["lambda"])
+        return sph.SpectralPoint(spec, xr.MLabel.parse(cfg["sigma"]), cfg["lambda"])
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -191,17 +177,8 @@ def _require_seed(cfg):
     return int(cfg["seed"])
 
 
-def _default_vector(spec):
-    """Deterministic unit fiber vector, chirality-projected when needed."""
-    v = np.zeros(spec.dim_full, dtype=complex)
-    v[0] = 1.0
-    if spec.chirality != "none":
-        v = xr.chirality_matrix(spec.n, spec.chirality) @ v
-    return xr.FormVector(spec.n, spec.p, v / np.linalg.norm(v), spec=spec)
-
-
 def _identity_section(pt):
-    atom = tfm.BoundaryAtom(lg.GroupElement(np.eye(pt.n + 1)), _default_vector(pt.spec))
+    atom = tfm.BoundaryAtom(lg.GroupElement(np.eye(pt.n + 1)), xr.default_vector(pt.spec))
     return tfm.BoundarySection.from_atoms(pt, [(atom, 1.0)])
 
 

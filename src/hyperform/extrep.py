@@ -36,6 +36,7 @@ __all__ = [
     "BundleSpec",
     "MLabel",
     "FormVector",
+    "default_vector",
     "sigma_q",
     "SIGMA_PLUS",
     "SIGMA_MINUS",
@@ -83,12 +84,17 @@ class MLabel:
 
     @classmethod
     def parse(cls, text):
+        """The label of "q:K", "plus" (or "+") and "minus" (or "-")."""
         text = text.strip()
+        text = {"+": "plus", "-": "minus"}.get(text, text)
         if text in ("plus", "minus"):
             return cls(text)
         if text.startswith("q:"):
-            return cls("q", int(text[2:]))
-        raise ValueError(f"cannot parse MLabel from {text!r}")
+            try:
+                return cls("q", int(text[2:]))
+            except ValueError:
+                pass
+        raise ValueError(f'cannot parse MLabel from {text!r} (use "q:K", "plus", "minus")')
 
 
 def sigma_q(q):
@@ -183,6 +189,16 @@ class FormVector:
 
     def __repr__(self):
         return f"FormVector(n={self.n}, p={self.degree})"
+
+
+def default_vector(spec):
+    """The unit fiber vector e_1 of the colex basis, projected to the
+    chirality of spec when there is one and renormalized."""
+    v = np.zeros(spec.dim_full, dtype=complex)
+    v[0] = 1.0
+    if spec.chirality != "none":
+        v = chirality_matrix(spec.n, spec.chirality) @ v
+    return FormVector.of(spec, v / np.linalg.norm(v))
 
 
 # ---------------------------------------------------------------------------

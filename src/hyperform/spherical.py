@@ -57,7 +57,10 @@ __all__ = [
 ]
 
 _LAMBDA_FLOOR = 1e-6
-# zonal nodes per block of the K-integral's trace contraction
+# zonal panels and Gauss-Legendre nodes per panel of the K-integral,
+# and zonal nodes per block of its trace contraction
+_ZONAL_PANELS = 16
+_ZONAL_NODES = 32
 _K_BLOCK = 128
 # group matrices per Iwasawa step of the Poisson kernel; bounds the
 # memory of one step
@@ -383,7 +386,7 @@ def _zonal_mass(n):
     return sqrt(pi) * gamma((n - 1) / 2) / gamma(n / 2)
 
 
-def eisenstein_integral_at(pt, t, n_panels=16, n_nodes=32):
+def eisenstein_integral_at(pt, t):
     """Components of Phi(a_t) from the defining K-integral
 
         d_{tau,sigma} int_K e^{-(i lam + rho) H(a_{-t} k)}
@@ -393,7 +396,7 @@ def eisenstein_integral_at(pt, t, n_panels=16, n_nodes=32):
     the Jacobi-function route; used to pin down conventions in tests.
     """
     spec, n, p = pt.spec, pt.n, pt.p
-    thetas, ws = _zonal_nodes(t, n_panels, n_nodes)
+    thetas, ws = _zonal_nodes(t, _ZONAL_PANELS, _ZONAL_NODES)
     rots = plane_rotations(n, np.cos(thetas), np.sin(thetas))
     ker = PoissonKernel(make_at(-t, n).mat[None, :, :] @ embed_rotation(rots), p)
     tau_rot = xr.tau_matrix_batch(rots, p)

@@ -32,6 +32,12 @@ breakpoint at each R of the grid and panels of at most a quarter period
 of e^{2 i lambda t}, the profile evaluated once over the nodes of an
 order pair, and cumulative sums per R.  The two orders must agree to a
 relative 1e-10 at every R, or the sweep raises ArithmeticError.
+
+Every ball average goes through one sweep, _ball_sweep, which picks the
+route (schur_1d or mc_k) for all radii and kinds at once.  On the mc_k
+route one set of Haar draws and one node layout (the same breakpoint
+rule, at one order) serve the whole sweep: each R and each kind of
+radial operator sees the same rotations.
 """
 
 from math import ceil, comb, pi, sqrt
@@ -129,11 +135,30 @@ def _osc_nodes(a, b, lam, order=20):
     return nodes, weights
 
 
+def _sweep_rule(ends, lam, order):
+    """The composite Gauss-Legendre rule of one order on [0, max ends]
+    with a breakpoint at every end (ascending): each segment
+    [ends[j-1], ends[j]] gets the panels of _osc_nodes.  Returns nodes,
+    weights and the segment index j of each node."""
+    ends = np.asarray(ends, dtype=float)
+    starts = np.concatenate(([0.0], ends[:-1]))
+    rules = [_osc_nodes(a, b, lam, order=order) for a, b in zip(starts, ends)]
+    nodes = np.concatenate([ts for ts, _ in rules])
+    weights = np.concatenate([ws for _, ws in rules])
+    segs = np.concatenate([np.full(ts.size, j) for j, (ts, _) in enumerate(rules)])
+    return nodes, weights, segs
+
+
 # Gauss-Legendre order pair of the radial sweep, its profile block size
 # (bounds the memory of one profile call) and its relative tolerance
 _SWEEP_ORDERS = (20, 30)
 _SWEEP_BLOCK = 2048
 _SWEEP_RTOL = 1e-10
+# Gauss-Legendre order of the Monte Carlo ball averages, the inversion
+# ratios and the literal inversion sampler
+_MC_ORDER = 12
+_INVERSION_ORDER = 20
+_MC_INVERSION_ORDER = 16
 
 
 def _radial_sweep(profile, R_grid, lam):
@@ -152,15 +177,11 @@ def _radial_sweep(profile, R_grid, lam):
     if R_grid.size == 0 or not np.all(R_grid > 0.0):
         raise ValueError("ball radii must be positive")
     ends = np.sort(R_grid)
-    starts = np.concatenate(([0.0], ends[:-1]))
-    nodes, weights, bins = [], [], []
-    for rank, order in enumerate(_SWEEP_ORDERS):
-        for seg, (a, b) in enumerate(zip(starts, ends)):
-            ts, ws = _osc_nodes(a, b, lam, order=order)
-            nodes.append(ts)
-            weights.append(ws)
-            bins.append(np.full(ts.size, rank * ends.size + seg))
-    nodes, weights, bins = map(np.concatenate, (nodes, weights, bins))
+    rules = [_sweep_rule(ends, lam, order) for order in _SWEEP_ORDERS]
+    nodes = np.concatenate([ts for ts, _, _ in rules])
+    weights = np.concatenate([ws for _, ws, _ in rules])
+    bins = np.concatenate([rank * ends.size + segs
+                           for rank, (_, _, segs) in enumerate(rules)])
     sums = np.zeros(len(_SWEEP_ORDERS) * ends.size)
     for lo in range(0, nodes.size, _SWEEP_BLOCK):
         sl = slice(lo, lo + _SWEEP_BLOCK)
@@ -272,42 +293,64 @@ def _schur_sweep(pt, R_grid, vnorm2=1.0, kind="spherical", dims="schur"):
     return vals / R_grid * vnorm2, errs / R_grid * vnorm2
 
 
-def _ball_average_detail(pt, section, R, k_samples=4096, rng=None,
-                         kernel="spherical"):
+def _ball_sweep(pt, section, R_grid, kinds=("spherical",), k_samples=4096, rng=None):
+    """Ball averages (1/R) int_{B(R)} ||Psi F(g)||^2 d(gK) of an atomic
+    section F for every R of R_grid and every kind of radial operator
+    Psi (spherical.radial_components), with their error estimates.
+
+    Sections whose atoms all sit at the identity reduce to the exact
+    radial integral of the Schur profile, one _radial_sweep per kind
+    (method schur_1d).  Otherwise the rotation factor is sampled (method
+    mc_k): k_samples Haar rotations are drawn once, first, and serve
+    every R and every kind, on the order-_MC_ORDER _sweep_rule with a
+    breakpoint at each R; per-draw sums are kept per segment and summed
+    cumulatively.  A value differs from the one-radius value on the same
+    draws only by the change of node layout: rounding for the smooth
+    spherical kind, the t-quadrature error for the residual and head,
+    which are not smooth on G at the identity.  Returns (values,
+    stderrs, method), the arrays of shape (len(kinds), len(R_grid)).
+    """
     atoms = _atom_list(section)
-    R = float(R)
-    if R <= 0.0:
-        raise ValueError("ball radius must be positive")
-    n = pt.n
+    R_grid = np.asarray(R_grid, dtype=float)
+    if R_grid.size == 0 or not np.all(R_grid > 0.0):
+        raise ValueError("ball radii must be positive")
     vnorm2 = _base_point_norm2(atoms)
     if vnorm2 is not None:
-        vals, errs = _schur_sweep(pt, [R], vnorm2, kind=kernel)
-        return float(vals[0]), float(errs[0]), "schur_1d"
+        rows = [_schur_sweep(pt, R_grid, vnorm2, kind=kind) for kind in kinds]
+        return (np.array([v for v, _ in rows]), np.array([e for _, e in rows]),
+                "schur_1d")
 
     if rng is None:
         rng = np.random.default_rng(0)
+    n = pt.n
     ks = lg.haar_sample_K(n, size=k_samples, rng=rng)
     kemb = lg.embed_rotation(ks)
-    ts, ws = _osc_nodes(0.0, R, pt.lam_real if np.isreal(pt.lam) else 1.0,
-                        order=12)
-    per_k = np.zeros(k_samples)
+    ends = np.sort(R_grid)
+    ts, ws, segs = _sweep_rule(ends, pt.lam_real if np.isreal(pt.lam) else 1.0, _MC_ORDER)
+    per_seg = np.zeros((len(kinds), ends.size, k_samples))
     left = [(a.g.inv().mat @ kemb, w, a.v.coeffs) for a, w in atoms]
     # whole t-nodes of k_samples group matrices per slab, at least one, and
     # at most 65536 matrices and 2^20 entries per Lambda^p stack
     chunk = max(1, min(65536, 2 ** 20 // pt.spec.dim_full ** 2) // max(k_samples, 1))
     for start in range(0, ts.size, chunk):
         sl = slice(start, start + chunk)
-        tsl, wsl = ts[sl], ws[sl]
+        tsl, wsl, ssl = ts[sl], ws[sl] * radial_weight(ts[sl], n), segs[sl]
         at = lg.at_mats(tsl, n)
-        vals = np.zeros((tsl.size, k_samples, pt.spec.dim_full), dtype=complex)
-        for gk, w, v in left:
-            vals += w * radial_batch(pt, gk[None] @ at[:, None], kernel, v)
-        sq = np.sum(np.abs(vals) ** 2, axis=-1)
-        per_k += (wsl * radial_weight(tsl, n)) @ sq
-    per_k /= R
-    value = float(per_k.mean())
-    stderr = float(per_k.std(ddof=1) / sqrt(k_samples)) if k_samples > 1 else 0.0
-    return value, stderr, "mc_k"
+        geom = [(gk[None] @ at[:, None], w, v) for gk, w, v in left]
+        for acc, kind in zip(per_seg, kinds):
+            vals = np.zeros((tsl.size, k_samples, pt.spec.dim_full), dtype=complex)
+            for g, w, v in geom:
+                vals += w * radial_batch(pt, g, kind, v)
+            sq = np.sum(np.abs(vals) ** 2, axis=-1)
+            for seg in np.unique(ssl):
+                mask = ssl == seg
+                acc[seg] += wsl[mask] @ sq[mask]
+    per_k = np.cumsum(per_seg, axis=1)[:, np.searchsorted(ends, R_grid)]
+    per_k /= R_grid[:, None]
+    values = per_k.mean(axis=-1)
+    stderrs = (per_k.std(ddof=1, axis=-1) / sqrt(k_samples) if k_samples > 1
+               else np.zeros_like(values))
+    return values, stderrs, "mc_k"
 
 
 def ball_average_atom(pt, section, R, k_samples=4096, rng=None):
@@ -315,11 +358,11 @@ def ball_average_atom(pt, section, R, k_samples=4096, rng=None):
 
     Sections whose atoms all sit at the identity reduce to the exact
     radial integral of the Schur profile; otherwise the rotation factor
-    is sampled (method mc_k).
+    is sampled (method mc_k).  The one-radius form of the sweep in
+    strichartz_limit.
     """
-    value, _, _ = _ball_average_detail(pt, section, R, k_samples=k_samples,
-                                       rng=rng)
-    return value
+    values, _, _ = _ball_sweep(pt, section, [R], k_samples=k_samples, rng=rng)
+    return float(values[0, 0])
 
 
 def cross_term(lam, n, R):
@@ -361,22 +404,8 @@ def strichartz_limit(pt, section, R_grid=None, k_samples=4096, rng=None):
         R_grid = _DEFAULT_R_GRID
     if len(R_grid) < 4:
         raise ValueError("R_grid too short: need at least 4 radii to fit")
-    vnorm2 = _base_point_norm2(_atom_list(section))
-    if vnorm2 is not None:
-        values, stderrs = _schur_sweep(pt, R_grid, vnorm2)
-        method = "schur_1d"
-    else:
-        # streams split up front: each radius samples independently
-        if rng is None:
-            rngs = [None] * len(R_grid)
-        else:
-            seeds = rng.integers(0, 2 ** 63 - 1, size=len(R_grid))
-            rngs = [np.random.default_rng(int(s)) for s in seeds]
-        rows = [_ball_average_detail(pt, section, r, k_samples=k_samples, rng=g)
-                for r, g in zip(R_grid, rngs)]
-        values = [r[0] for r in rows]
-        stderrs = [r[1] for r in rows]
-        method = "mc_k"
+    (values,), (stderrs,), method = _ball_sweep(pt, section, R_grid,
+                                                k_samples=k_samples, rng=rng)
     limit, fit_err = _fit_limit(R_grid, values)
     norm_f2 = section_norm2(section)
     nu = plancherel_density(pt)
@@ -464,7 +493,7 @@ def _pair_kernel(pt, ts, mu):
     return out
 
 
-def inversion_ratios(pt, R, mu=None, order=20):
+def inversion_ratios(pt, R, mu=None):
     """Per-block scalars r_{eta'}(R) of the reduced reconstruction.
 
     F_R = sum_{eta'} r_{eta'}(R) P_{eta'} F^(mu) for atomic data; the
@@ -478,7 +507,7 @@ def inversion_ratios(pt, R, mu=None, order=20):
     """
     lam = pt.lam_real
     mu = lam if mu is None else float(mu)
-    ts, ws = _osc_nodes(0.0, float(R), max(abs(lam), abs(mu)), order=order)
+    ts, ws, _ = _sweep_rule([float(R)], max(abs(lam), abs(mu)), _INVERSION_ORDER)
     pair = _pair_kernel(pt, ts, mu)
     nu = plancherel_density(pt)
     # pair w(t) phi j as (1-e^{-2t})^{n-1} (e^{rho t} phi)(e^{rho t} j)
@@ -496,8 +525,7 @@ def inversion_ratios(pt, R, mu=None, order=20):
 
 
 def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
-                          method="reduced", rng=None, mc_k1=20000,
-                          mc_t_order=16):
+                          method="reduced", rng=None, mc_k1=20000):
     """Boundary value F_R(k) = pi nu (1/R) int_{B(R)} e(k^{-1}g) f(g)
     of the Poisson image f of an atomic section, as a sampled section.
 
@@ -538,8 +566,7 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
     nu = plancherel_density(pt)
     k1 = lg.haar_sample_K(n, size=mc_k1, rng=rng)
     k1e = lg.embed_rotation(k1)
-    ts, ws = _osc_nodes(0.0, float(R), max(abs(lam), abs(mu_val)),
-                        order=mc_t_order)
+    ts, ws, _ = _sweep_rule([float(R)], max(abs(lam), abs(mu_val)), _MC_INVERSION_ORDER)
     # Poisson image on the sample sheet k1 a_t, one t-slab at a time
     fvals = np.zeros((ts.size, mc_k1, pt.spec.dim_full), dtype=complex)
     at_all = lg.at_mats(ts, n)
@@ -581,32 +608,22 @@ def head_ball_average(pt, R, vnorm2=1.0):
 
 
 def asymptotic_residual_sweep(pt, atom, R_grid=(10.0, 20.0, 40.0),
-                              k_samples=2000, rng=None, weight=1.0):
+                              k_samples=2000, rng=None):
     """Ball-averaged squared deviation between a Poisson image and its
     Weyl head, over growing radii.
 
     Returns rows (R, deviation, average, ratio, stderr); base-point
-    atoms reduce exactly, translated atoms sample the rotation factor.
-    The deviation must vanish as R grows (rate 1/R: the residual decays
-    one exponential order below the head).
+    atoms reduce exactly, translated atoms sample the rotation factor,
+    the deviation and the average on the same draws.  The deviation
+    must vanish as R grows (rate 1/R: the residual decays one
+    exponential order below the head).
     """
-    section = BoundarySection.from_atoms(pt, [(atom, weight)])
-    vnorm2 = _base_point_norm2(section.atoms)
-    if vnorm2 is not None:
-        devs, errs = _schur_sweep(pt, R_grid, vnorm2, kind="residual")
-        avgs, _ = _schur_sweep(pt, R_grid, vnorm2)
-        sweep = zip(devs, errs, avgs)
-    else:
-        sweep = []
-        for r in R_grid:
-            dev, err, _ = _ball_average_detail(pt, section, r,
-                                               k_samples=k_samples, rng=rng,
-                                               kernel="residual")
-            avg, _, _ = _ball_average_detail(pt, section, r,
+    section = BoundarySection.from_atoms(pt, [(atom, 1.0)])
+    (devs, avgs), (errs, _), _ = _ball_sweep(pt, section, R_grid,
+                                             kinds=("residual", "spherical"),
                                              k_samples=k_samples, rng=rng)
-            sweep.append((dev, err, avg))
     rows = []
-    for r, (dev, err, avg) in zip(R_grid, sweep):
+    for r, dev, err, avg in zip(R_grid, devs, errs, avgs):
         rows.append({"R": float(r), "deviation": float(dev),
                      "average": float(avg),
                      "ratio": float(dev / avg) if avg > 0 else float("inf"),

@@ -45,7 +45,6 @@ __all__ = [
     "gram_matrix",
     "radon",
     "radon_batch",
-    "radon_sigma",
     "sigma_part",
     "fourier_helgason",
     "fourier_direct_mc",
@@ -251,14 +250,7 @@ def bump_section(spec, r_supp, v0=None):
     """Smooth radial bump section f(g) = chi(A^+(g)) tau(pi0(g))^{-1} v0
     with the standard mollifier profile chi."""
     n, p = spec.n, spec.p
-    if v0 is None:
-        v = np.zeros(comb(n, p), dtype=complex)
-        v[0] = 1.0
-        if spec.chirality != "none":
-            v = xr.chirality_matrix(n, spec.chirality) @ v
-        v0 = v / np.linalg.norm(v)
-    else:
-        v0 = np.asarray(v0, dtype=complex)
+    v0 = xr.default_vector(spec).coeffs if v0 is None else np.asarray(v0, dtype=complex)
 
     def chi(t):
         t = np.asarray(t, dtype=float)
@@ -342,12 +334,6 @@ def sigma_part(pt, vals):
     """sqrt(d_{tau,sigma}) P_sigma applied to the last axis of vals."""
     proj = xr.proj_matrix(pt.spec, pt.sigma)
     return sqrt(xr.dims(pt.spec, pt.sigma)[2]) * (vals @ proj.T)
-
-
-def radon_sigma(pt, f, t, k, grid=32):
-    """Partial Radon transform sqrt(d_{tau,sigma}) P_sigma Radon f."""
-    r = radon(f, t, k, grid=grid)
-    return FormVector(f.spec.n, f.spec.p, sigma_part(pt, r.coeffs))
 
 
 def _fourier_batch(f, pt, kmats, t_nodes=48, grid=32):

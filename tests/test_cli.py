@@ -59,3 +59,12 @@ def test_spherical_exits_cleanly_where_phi_cannot_be_evaluated():
     assert res.exit_code == 1
     assert "cannot be evaluated" in res.output
     assert not isinstance(res.exception, ArithmeticError)
+
+
+def test_bad_or_missing_sigma_is_a_usage_error():
+    for sigma in (["--sigma", "bogus"], ["--sigma", "q:x"], []):
+        res = CliRunner().invoke(main, ["density", "--n", "3", "--p", "1", *sigma])
+        assert res.exit_code == 2, (sigma, res.output)
+        assert "Traceback" not in res.output
+        assert not isinstance(res.exception, ValueError)
+    assert "--sigma is required" in res.output

@@ -286,6 +286,13 @@ def test_mlabel_parse_roundtrip():
         MLabel.parse("bogus")
 
 
+def test_mlabel_parse_sign_aliases():
+    assert MLabel.parse(" + ") == SIGMA_PLUS
+    assert MLabel.parse("-") == SIGMA_MINUS
+    with pytest.raises(ValueError):
+        MLabel.parse("q:")
+
+
 def test_bundle_spec_validation():
     with pytest.raises(ValueError):
         BundleSpec(4, 2)  # middle degree needs a chirality choice

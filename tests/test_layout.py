@@ -1,6 +1,7 @@
 """Module layout of the package: no private name crosses a module
-boundary, and the Iwasawa batch has one consumer besides its scalar
-wrapper, the Poisson kernel."""
+boundary, the Iwasawa batch has one consumer besides its scalar
+wrapper, the Poisson kernel, and the panel rule of the radial
+quadratures has one caller, the breakpoint rule every sweep shares."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,8 @@ MODULES = sorted(SRC.glob("*.py"))
 
 # (module, enclosing function or class) allowed to call iwasawa_batch
 IWASAWA_CALLERS = {("liegroup", "iwasawa"), ("spherical", "PoissonKernel")}
+# the one caller of the panel rule _osc_nodes
+OSC_NODES_CALLERS = [("strichartz", "_sweep_rule")]
 
 
 def _private(name):
@@ -51,8 +54,8 @@ def _violations(path):
     return bad
 
 
-def _iwasawa_calls(path):
-    """(enclosing top-level def or class, line) of each iwasawa_batch call."""
+def _calls(path, name):
+    """(enclosing top-level def or class, line) of each call of `name`."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     out = []
     for top in tree.body:
@@ -60,8 +63,8 @@ def _iwasawa_calls(path):
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
                 fn = node.func
-                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
-                if name == "iwasawa_batch":
+                callee = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if callee == name:
                     out.append((owner, node.lineno))
     return out
 
@@ -75,5 +78,10 @@ def test_no_private_names_cross_modules():
 
 def test_iwasawa_batch_only_in_kernel_and_scalar_wrapper():
     bad = [f"{p.stem}:{line} in {owner}" for p in MODULES
-           for owner, line in _iwasawa_calls(p) if (p.stem, owner) not in IWASAWA_CALLERS]
+           for owner, line in _calls(p, "iwasawa_batch") if (p.stem, owner) not in IWASAWA_CALLERS]
     assert not bad, "iwasawa_batch called outside the Poisson kernel:\n" + "\n".join(bad)
+
+
+def test_osc_nodes_has_one_caller_the_sweep_rule():
+    callers = [(p.stem, owner) for p in MODULES for owner, _ in _calls(p, "_osc_nodes")]
+    assert callers == OSC_NODES_CALLERS, callers

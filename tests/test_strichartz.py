@@ -141,15 +141,17 @@ def test_ball_average_rotated_atom_matches_radial_route():
     spec = BundleSpec(3, 1)
     pt = SpectralPoint(spec, sigma_q(1), 1.0)
     R = 3.0
-    v_exact, _, method = st._ball_average_detail(pt, _e_atom_section(pt), R)
+    vals, _, method = st._ball_sweep(pt, _e_atom_section(pt), [R])
+    v_exact = vals[0, 0]
     assert method == "schur_1d"
     # an atom at a rotated base point has the same average, but is
     # evaluated through the Monte Carlo route
     k = lg.embed_rotation(lg.haar_sample_K(3, rng=np.random.default_rng(9)))
     atom = tfm.BoundaryAtom(lg.GroupElement(k), _unit(spec))
     sec = tfm.BoundarySection.from_atoms(pt, [(atom, 1.0)])
-    v_mc, se, m2 = st._ball_average_detail(pt, sec, R, k_samples=800,
-                                           rng=np.random.default_rng(11))
+    vals, errs, m2 = st._ball_sweep(pt, sec, [R], k_samples=800,
+                                    rng=np.random.default_rng(11))
+    v_mc, se = vals[0, 0], errs[0, 0]
     assert m2 == "mc_k"
     assert abs(v_mc - v_exact) < 4.0 * se
 
@@ -160,8 +162,9 @@ def test_ball_average_translated_atom_is_finite_positive():
     g1 = lg.make_at(0.6, 3).mat @ lg.ny_mats(np.array([0.2, -0.4]), 3)
     atom = tfm.BoundaryAtom(lg.GroupElement(g1), _unit(spec, seed=5))
     sec = tfm.BoundarySection.from_atoms(pt, [(atom, 0.8 + 0.3j)])
-    v, se, method = st._ball_average_detail(pt, sec, 3.0, k_samples=400,
-                                            rng=np.random.default_rng(2))
+    vals, errs, method = st._ball_sweep(pt, sec, [3.0], k_samples=400,
+                                        rng=np.random.default_rng(2))
+    v, se = vals[0, 0], errs[0, 0]
     assert method == "mc_k"
     assert np.isfinite(v) and v > 0.0
     assert np.isfinite(se) and se > 0.0
@@ -185,9 +188,9 @@ def test_mc_k_ball_average_equals_scalar_loop(kernel):
     for pt in (pts if kernel == "spherical" else pts[1::4]):
         sec = _translated_section(pt, np.random.default_rng(21))
         (atom, c), = sec.atoms
-        got, _, method = st._ball_average_detail(pt, sec, R, k_samples=k_samples,
-                                                 rng=np.random.default_rng(4),
-                                                 kernel=kernel)
+        vals, _, method = st._ball_sweep(pt, sec, [R], kinds=(kernel,), k_samples=k_samples,
+                                         rng=np.random.default_rng(4))
+        got = vals[0, 0]
         assert method == "mc_k"
         ks = lg.haar_sample_K(pt.n, size=k_samples, rng=np.random.default_rng(4))
         ts, ws = st._osc_nodes(0.0, R, 1.0, order=12)
@@ -202,6 +205,57 @@ def test_mc_k_ball_average_equals_scalar_loop(kernel):
                 per_k[j] += w * lg.radial_weight(t, pt.n) * np.sum(np.abs(val) ** 2)
         want = float(np.mean(per_k / R))
         assert abs(got - want) <= 1e-12 * abs(want), (pt.spec, str(pt.sigma), got, want)
+
+
+def _rotated_section(pt, seed=9):
+    k = lg.embed_rotation(lg.haar_sample_K(pt.n, rng=np.random.default_rng(seed)))
+    atom = tfm.BoundaryAtom(lg.GroupElement(k), _unit(pt.spec))
+    return tfm.BoundarySection.from_atoms(pt, [(atom, 1.0)])
+
+
+def test_mc_k_limit_sweep_shares_draws_with_single_radius_calls():
+    # one set of rotations serves the whole grid: each value is the
+    # one-radius average on the same seed, up to the node layout's rounding
+    grid, k_samples = (1.0, 1.5, 2.0, 2.5), 64
+    for pt in (SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0),
+               SpectralPoint(BundleSpec(6, 2), sigma_q(2), 1.0)):
+        sec = _rotated_section(pt)
+        rep = st.strichartz_limit(pt, sec, R_grid=grid, k_samples=k_samples,
+                                  rng=np.random.default_rng(13))
+        assert rep.method == "mc_k"
+        for R, got in zip(grid, rep.values):
+            want = st.ball_average_atom(pt, sec, R, k_samples=k_samples,
+                                        rng=np.random.default_rng(13))
+            assert abs(got - want) <= 1e-12 * abs(want), (pt.spec, R, got, want)
+
+
+def test_translated_residual_sweep_takes_deviation_and_average_from_one_draw():
+    # the average is the one-radius spherical sweep on the same seed and
+    # the deviation the residual sweep on the same draws and grid.  Against
+    # the one-radius residual sweep the deviation agrees only to the
+    # t-quadrature error: the head is not scalar at t = 0, so the residual
+    # changes fast along rays passing near the base point, and the two node
+    # layouts differ there by far more than rounding (9e-11 here)
+    pt = SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0)
+    (atom, _), = _translated_section(pt, np.random.default_rng(21)).atoms
+    sec = tfm.BoundarySection.from_atoms(pt, [(atom, 1.0)])
+    grid, k_samples = (1.0, 2.0, 3.0), 48
+    rows = st.asymptotic_residual_sweep(pt, atom, R_grid=grid,
+                                        k_samples=k_samples,
+                                        rng=np.random.default_rng(17))
+    (devs,), _, method = st._ball_sweep(pt, sec, grid, kinds=("residual",),
+                                        k_samples=k_samples,
+                                        rng=np.random.default_rng(17))
+    assert method == "mc_k"
+    for R, row, dev in zip(grid, rows, devs):
+        avg = st.ball_average_atom(pt, sec, R, k_samples=k_samples,
+                                   rng=np.random.default_rng(17))
+        assert abs(row["average"] - avg) <= 1e-12 * avg, (R, row["average"], avg)
+        assert abs(row["deviation"] - dev) <= 1e-12 * dev, (R, row["deviation"], dev)
+        (one,), _, _ = st._ball_sweep(pt, sec, [R], kinds=("residual",),
+                                      k_samples=k_samples,
+                                      rng=np.random.default_rng(17))
+        assert abs(row["deviation"] - one[0]) <= 1e-6 * one[0], (R, row["deviation"], one[0])
 
 
 def test_mc_k_ball_average_memory_is_bounded_at_large_degree():
