@@ -43,6 +43,7 @@ __all__ = [
     "tau_matrix",
     "tau_matrix_batch",
     "tau_apply",
+    "tau_apply_batch",
     "hodge_star",
     "hodge_matrix",
     "wedge_e1",
@@ -227,19 +228,23 @@ def _rank_table(n, p):
 # ---------------------------------------------------------------------------
 # tau matrices
 
+_TAU_BLOCK = 2 ** 15  # output entries per block of tau_matrix_batch
+
 
 @lru_cache(maxsize=None)
 def _laplace_tables(n, q):
-    """Index tables of the first-row Laplace expansion of the q x q
-    minors u[I, J] over the colex basis: the first row i_0 of each I,
-    the rank of I minus i_0 among the (q-1)-subsets, the k-th column j_k
-    of each J, and the rank of J minus j_k (whose k = 0 column is the
-    second table)."""
+    """Flat gather tables, row-major in (I, J), of the first-row Laplace
+    expansion of the q x q minors u[I, J], one pair per column k: where
+    u[i_0, j_k] sits in a flat u and where the (q-1)-minor of I - i_0,
+    J - j_k sits in a flat Lambda^(q-1)(u), i_0 the first row of I."""
     masks, elems = _basis(n, q)
     rank_dn = _rank_table(n, q - 1)
     drop = np.array([[rank_dn[int(m) ^ (1 << int(j))] for j in row]
                      for m, row in zip(masks, elems)]).reshape(elems.shape)
-    return elems[:, 0], drop[:, 0], elems, drop
+    first, rest = elems[:, 0], drop[:, 0]
+    return [((first[:, None] * n + elems[None, :, k]).ravel(),
+             (rest[:, None] * comb(n, q - 1) + drop[None, :, k]).ravel())
+            for k in range(q)]
 
 
 def tau_matrix(u, p):
@@ -257,27 +262,41 @@ def tau_matrix_batch(us, p):
         det u[I, J] = sum_k (-1)^k u[i_0, j_k] det u[I - i_0, J - j_k],
 
     whose (q-1)-minors are entries of Lambda^(q-1)(u); one gather per
-    column k over precomputed index tables, O(q C(n,q)^2) per matrix.
+    column k over precomputed index tables, O(q C(n,q)^2) per matrix, in
+    blocks of about _TAU_BLOCK output entries to keep temporaries in cache.
     """
     us = np.asarray(us, dtype=float)
     n = us.shape[-1]
     if p == 0:
         return np.ones(us.shape[:-2] + (1, 1))
-    out = us.copy()
-    for q in range(2, p + 1):
-        first, rest, cols, drop = _laplace_tables(n, q)
-        prev = out
-        for k in range(q):
-            # in place, so at most three (..., C(n,q), C(n,q)) arrays live
-            term = us[..., first[:, None], cols[None, :, k]]
-            term *= prev[..., rest[:, None], drop[None, :, k]]
-            if k == 0:
-                out = term
-            elif k % 2:
-                out -= term
-            else:
-                out += term
-    return out
+    flat = us.reshape(-1, n * n)
+    out = np.empty((flat.shape[0], comb(n, p) ** 2))
+    step = max(1, _TAU_BLOCK // out.shape[1])
+    for lo in range(0, flat.shape[0], step):
+        block = acc = flat[lo:lo + step]
+        for q in range(2, p + 1):
+            prev = acc
+            for k, (entry, minor) in enumerate(_laplace_tables(n, q)):
+                # in place, so at most three (block, C(n,q)^2) arrays live
+                term = np.take(block, entry, axis=1)
+                term *= np.take(prev, minor, axis=1)
+                if k == 0:
+                    acc = term
+                elif k % 2:
+                    acc -= term
+                else:
+                    acc += term
+        out[lo:lo + step] = acc
+    return out.reshape(us.shape[:-2] + (comb(n, p),) * 2)
+
+
+def tau_apply_batch(taus, cols):
+    """taus @ cols for real Lambda^p stacks (..., C, C) and complex
+    columns (..., C, k), broadcasting, as one real matmul on cols viewed
+    as real (..., C, 2k), each column's real and imaginary part side by
+    side: the stack is never cast to complex.  tau(u)^T is the swapaxes."""
+    cols = np.ascontiguousarray(cols, dtype=complex)
+    return (taus @ cols.view(float)).view(complex)
 
 
 def tau_apply(k, xi):

@@ -14,9 +14,9 @@ sigma, the Plancherel density nu_sigma, the Weyl-group action on
 
     Phi(a_t) ~ sum_{s = +-1} e^{(is lambda - rho) t} c_{s sigma}(s lambda) P_{s sigma}.
 
-One kernel, radial_batch, evaluates these tau-radial operators on
-stacked group matrices; it applies them to fiber vectors at O(C(n,p)^2)
-each, so callers of Phi(g) v form no (..., C(n,p), C(n,p)) stack.
+One kernel, CartanGeometry.apply, evaluates these tau-radial operators
+of every kind on one Cartan geometry of stacked group matrices, and
+applies them to fiber vectors by real products at O(C(n,p)^2) each.
 
 The Poisson kernel sqrt(d_{tau,sigma}) e^{-(i lambda + rho) H(g)}
 tau(kappa(g)) of stacked group matrices is formed only here, by
@@ -51,6 +51,8 @@ __all__ = [
     "component_grid",
     "head_components",
     "radial_components",
+    "radial_kinds",
+    "CartanGeometry",
     "radial_batch",
     "spherical_batch",
     "head_batch",
@@ -186,37 +188,57 @@ def head_components(pt, ts):
 def radial_components(pt, ts, kind="spherical"):
     """Scalars of a tau-radial operator on each isotypic summand: Phi's
     ("spherical"), its two-term head's ("head"), or the "residual"."""
-    if kind == "spherical":
-        return component_grid(pt, ts)
-    if kind == "head":
-        return head_components(pt, ts)
-    if kind == "residual":
-        head = head_components(pt, ts)
-        return {eta: vals - head[eta] for eta, vals in component_grid(pt, ts).items()}
-    raise ValueError(f"unknown radial kind {kind!r}")
+    return radial_kinds(pt, ts, (kind,))[0]
+
+
+def radial_kinds(pt, ts, kinds):
+    """radial_components of each kind of kinds over ts, in order, with
+    component_grid and head_components each evaluated at most once."""
+    for kind in set(kinds) - {"spherical", "head", "residual"}:
+        raise ValueError(f"unknown radial kind {kind!r}")
+    grid = component_grid(pt, ts) if {"spherical", "residual"} & set(kinds) else None
+    head = head_components(pt, ts) if {"head", "residual"} & set(kinds) else None
+    return [grid if kind == "spherical" else head if kind == "head" else
+            {eta: vals - head[eta] for eta, vals in grid.items()} for kind in kinds]
+
+
+class CartanGeometry:
+    """The Cartan geometry g = k1 a_t k2 of stacked g (..., n+1, n+1):
+    t, tau(k1) and tau(k2), formed once for every tau-radial operator
+    applied on it.  Phi(k1 g k2) = tau(k2)^{-1} Phi(g) tau(k1)^{-1} gives
+    Psi(g) = tau(k2)^T (sum_eta psi_eta(t) P_eta) tau(k1)^T."""
+
+    __slots__ = ("lead", "t", "tau1", "tau2")
+
+    def __init__(self, mats, p):
+        self.lead = mats.shape[:-2]
+        self.t, k1, k2 = cartan_batch(mats.reshape((-1,) + mats.shape[-2:]))
+        self.tau1, self.tau2 = xr.tau_matrix_batch(k1, p), xr.tau_matrix_batch(k2, p)
+
+    def apply(self, spec, comps, vecs=None):
+        """Psi(g) as (..., C, C), C = C(n,p), or Psi(g) vecs as (..., C) for
+        vecs broadcasting against (..., C), with comps the scalars psi_eta
+        over t (radial_components); applied right to left, the matrix to I."""
+        dim = spec.dim_full
+        x = np.swapaxes(self.tau1, -1, -2)
+        if vecs is not None:
+            cols = np.broadcast_to(vecs, self.lead + (dim,)).reshape(-1, dim, 1)
+            x = xr.tau_apply_batch(x, cols)
+        # sum_eta psi_eta P_eta x, formed on the rows x^T
+        rows = np.swapaxes(x, -1, -2)
+        u = np.zeros(rows.shape, dtype=complex)
+        for eta, vals in comps.items():
+            proj_t = xr.proj_matrix(spec, eta).T
+            u += vals[:, None, None] * (rows.reshape(-1, dim) @ proj_t).reshape(rows.shape)
+        out = xr.tau_apply_batch(np.swapaxes(self.tau2, -1, -2), np.swapaxes(u, -1, -2))
+        return out.reshape(self.lead + ((dim, dim) if vecs is None else (dim,)))
 
 
 def radial_batch(pt, mats, kind="spherical", vecs=None):
     """The tau-radial operators Psi(g) of one kind (radial_components) on
-    stacked g (..., n+1, n+1) as (..., C, C), C = C(n,p), or Psi(g) vecs
-    as (..., C) for vecs broadcasting against (..., C).  g = k1 a_t k2 and
-    Phi(k1 g k2) = tau(k2)^{-1} Phi(g) tau(k1)^{-1} give Psi(g) =
-    tau(k2)^T (sum_eta psi_eta(t) P_eta) tau(k1)^T, applied to vectors
-    right to left; the matrix applies it to the basis vectors."""
-    lead, dim = mats.shape[:-2], pt.spec.dim_full
-    t, k1, k2 = cartan_batch(mats.reshape((-1,) + mats.shape[-2:]))
-    # vectors as rows, (tau(k1)^T v)^T = v^T tau(k1); the matrix takes v = I
-    w = xr.tau_matrix_batch(k1, pt.p)
-    if vecs is not None:
-        w = np.broadcast_to(vecs, lead + (dim,)).reshape(-1, 1, dim) @ w
-    u = np.zeros(w.shape, dtype=complex)
-    for eta, vals in radial_components(pt, t, kind).items():
-        proj_t = xr.proj_matrix(pt.spec, eta).T
-        u += vals[:, None, None] * (w.reshape(-1, dim) @ proj_t).reshape(w.shape)
-    out = u @ xr.tau_matrix_batch(k2, pt.p)
-    if vecs is None:
-        return np.swapaxes(out, -1, -2).reshape(lead + (dim, dim))
-    return out.reshape(lead + (dim,))
+    stacked g, or Psi(g) vecs; see CartanGeometry.apply."""
+    geo = CartanGeometry(mats, pt.p)
+    return geo.apply(pt.spec, radial_components(pt, geo.t, kind), vecs)
 
 
 def spherical_batch(pt, mats, vecs=None):
@@ -258,8 +280,10 @@ class PoissonKernel:
     kept as its geometry (H(g) and Lambda^p(kappa(g)), formed once with
     the Iwasawa step in blocks of _KERNEL_BLOCK matrices) and a weight
     that depends on (sigma, lambda).  The weight only multiplies
-    vectors, so no complex (..., C(n,p), C(n,p)) array is formed.  The
-    boundary atom of transforms is p^{g,v}(k) = P_sigma K_{-lambda}(g^{-1} k)^T v.
+    vectors, which meet the real Lambda^p stack in real products
+    (extrep.tau_apply_batch), so no complex (..., C(n,p), C(n,p)) array
+    is formed.  The boundary atom of transforms is
+    p^{g,v}(k) = P_sigma K_{-lambda}(g^{-1} k)^T v.
     """
 
     __slots__ = ("h", "tau")
@@ -280,13 +304,15 @@ class PoissonKernel:
 
     def apply(self, pt, vecs):
         """K_lambda(g) vecs at pt; vecs broadcast against (..., C(n,p))."""
-        return self.weight(pt)[..., None] * np.einsum("...ab,...b->...a", self.tau, vecs)
+        vals = xr.tau_apply_batch(self.tau, np.asarray(vecs)[..., None])[..., 0]
+        return self.weight(pt)[..., None] * vals
 
     def dual(self, pt, vecs, lam=None):
         """P_sigma K_{-lambda}(g)^T vecs, the transposed kernel at -lambda;
         lam defaults to pt.lam."""
         lam = complex(pt.lam if lam is None else lam)
-        vals = self.weight(pt, -lam)[..., None] * np.einsum("...ba,...b->...a", self.tau, vecs)
+        vals = xr.tau_apply_batch(np.swapaxes(self.tau, -1, -2), np.asarray(vecs)[..., None])
+        vals = self.weight(pt, -lam)[..., None] * vals[..., 0]
         return vals @ xr.proj_matrix(pt.spec, pt.sigma).T
 
 

@@ -47,8 +47,8 @@ import numpy as np
 from . import extrep as xr
 from . import liegroup as lg
 from .liegroup import radial_weight
-from .spherical import (PoissonKernel, SpectralPoint, component_grid, plancherel_density,
-                        radial_batch, radial_components, spherical_batch)
+from .spherical import (CartanGeometry, PoissonKernel, SpectralPoint, component_grid,
+                        plancherel_density, radial_components, radial_kinds, spherical_batch)
 from .transforms import BoundarySection, gram_matrix, radon_batch, sigma_part
 
 __all__ = [
@@ -336,15 +336,16 @@ def _ball_sweep(pt, section, R_grid, kinds=("spherical",), k_samples=4096, rng=N
         sl = slice(start, start + chunk)
         tsl, wsl, ssl = ts[sl], ws[sl] * radial_weight(ts[sl], n), segs[sl]
         at = lg.at_mats(tsl, n)
-        geom = [(gk[None] @ at[:, None], w, v) for gk, w, v in left]
-        for acc, kind in zip(per_seg, kinds):
-            vals = np.zeros((tsl.size, k_samples, pt.spec.dim_full), dtype=complex)
-            for g, w, v in geom:
-                vals += w * radial_batch(pt, g, kind, v)
-            sq = np.sum(np.abs(vals) ** 2, axis=-1)
-            for seg in np.unique(ssl):
-                mask = ssl == seg
-                acc[seg] += wsl[mask] @ sq[mask]
+        # one Cartan geometry and one component grid per atom serve every kind
+        vals = np.zeros((len(kinds), tsl.size, k_samples, pt.spec.dim_full), dtype=complex)
+        for gk, w, v in left:
+            geo = CartanGeometry(gk[None] @ at[:, None], pt.p)
+            for kind_vals, comps in zip(vals, radial_kinds(pt, geo.t, kinds)):
+                kind_vals += w * geo.apply(pt.spec, comps, v)
+        sq = np.sum(np.abs(vals) ** 2, axis=-1)
+        for seg in np.unique(ssl):
+            mask = ssl == seg
+            per_seg[:, seg] += wsl[mask] @ sq[:, mask]
     per_k = np.cumsum(per_seg, axis=1)[:, np.searchsorted(ends, R_grid)]
     per_k /= R_grid[:, None]
     values = per_k.mean(axis=-1)
@@ -616,7 +617,10 @@ def asymptotic_residual_sweep(pt, atom, R_grid=(10.0, 20.0, 40.0),
     atoms reduce exactly, translated atoms sample the rotation factor,
     the deviation and the average on the same draws.  The deviation
     must vanish as R grows (rate 1/R: the residual decays one
-    exponential order below the head).
+    exponential order below the head).  On the mc_k route stderr is the
+    Monte Carlo error only: the residual is not smooth on G at the
+    identity, and its order-12 t-quadrature error, measured at up to
+    2e-5 relative, is left out.
     """
     section = BoundarySection.from_atoms(pt, [(atom, 1.0)])
     (devs, avgs), (errs, _), _ = _ball_sweep(pt, section, R_grid,
@@ -642,12 +646,15 @@ def spectral_projection_energy(f, lam_grid, R, g_samples=160, k_samples=800,
 
     Estimates int_window d lambda sum_sigma (1/R) int_{B(R)}
     ||Q_{sigma,lambda} f||^2 by Monte Carlo over sample points of the
-    ball and of the rotation group, with the horocycle transform
-    profile shared across the window.  Returns the captured energy; the
-    window makes the estimate one-sided, so the full-line equality is
-    never asserted.  With details=True also returns a dict with the
-    captured fraction (pi * energy / ||f||^2), per-lambda rows, and the
-    truncation data.
+    ball and of the rotation group.  The horocycle transform profile
+    and one Poisson-kernel geometry serve the window, and each lambda
+    makes one real product of that geometry against every sigma's
+    vectors; the second moment comes from the orthogonality of
+    Lambda^p(kappa), |K v|^2 = d e^{-2 rho H} |v|^2.  Returns the
+    captured energy; the window makes the estimate one-sided, so the
+    full-line equality is never asserted.  With details=True also
+    returns a dict with the captured fraction (pi * energy / ||f||^2),
+    per-lambda rows, and the truncation data.
     """
     spec = f.spec
     if spec.n != 3:
@@ -672,33 +679,35 @@ def spectral_projection_energy(f, lam_grid, R, g_samples=160, k_samples=800,
     # shared rotation samples and horocycle profiles
     us = lg.haar_sample_K(n, size=k_samples, rng=rng)
     tq, wq = np.polynomial.legendre.leggauss(t_nodes)
-    tq = tq * f.r_supp
-    wq = wq * f.r_supp
+    tq, wq = tq * f.r_supp, wq * f.r_supp
     prof = radon_batch(f, tq, us, grid=grid)
-    # the Poisson kernel's geometry at g_i^{-1} u_j, shared across the window
+    # the Poisson kernel's geometry at g_i^{-1} u_j, shared across the window:
+    # e^{-rho H} once, and Lambda^p(kappa) laid out (i, a, (j, b)), so that
+    # the kernel's product and the mean over j are one real product per lambda
     ker = PoissonKernel(lg.inv_mats(g_mats)[:, None] @ lg.embed_rotation(us)[None], spec.p)
+    wide = ker.tau.transpose(0, 2, 1, 3).reshape(g_samples, spec.dim_full, -1)
+    decay = np.exp(-0.5 * (n - 1) * ker.h)
     rows = []
     etas = xr.branching(spec)
+    d_ratio = np.array([xr.dims(spec, sigma)[2] for sigma in etas])
     for lam in lam_grid:
-        fourier_weight = wq * np.exp(-1j * lam * tq)
-        total = 0.0
-        per_sigma = {}
-        for sigma in etas:
-            pt = SpectralPoint(spec, sigma, lam)
-            nu = plancherel_density(pt)
-            fv = sigma_part(pt, np.einsum("q,jqd->jd", fourier_weight, prof))
-            # Q f(g_i) = nu * mean_j K_lambda(g_i^{-1} u_j) fv_j
-            terms = ker.apply(pt, fv)
-            mean = terms.mean(axis=1)
-            second = (np.abs(terms) ** 2).mean(axis=1)
-            var = np.maximum(second - np.abs(mean) ** 2, 0.0).sum(axis=-1)
-            # debias ||mean_j||^2 by the Monte Carlo variance of the mean
-            sq = np.sum(np.abs(mean) ** 2, axis=-1) - var / k_samples
-            contrib = float(np.mean(w_i * sq) * nu ** 2)
-            per_sigma[str(sigma)] = contrib
-            total += contrib
-        rows.append({"lam": float(lam), "energy": total,
-                     "per_sigma": per_sigma})
+        pts = [SpectralPoint(spec, sigma, lam) for sigma in etas]
+        profile = np.einsum("q,jqd->jd", wq * np.exp(-1j * lam * tq), prof)
+        fv = np.stack([sigma_part(pt, profile) for pt in pts], axis=-1)
+        # Q f(g_i) = nu * mean_j K_lambda(g_i^{-1} u_j) fv_j for every sigma,
+        # the kernel's weight sqrt(d) e^{-(i lam + rho) H} / J on the vectors
+        weighted = ((decay * np.exp(-1j * lam * ker.h))[..., None, None]
+                    * (np.sqrt(d_ratio) / k_samples * fv))
+        mean = xr.tau_apply_batch(wide, weighted.reshape(g_samples, -1, len(etas)))
+        mean_sq = np.sum(np.abs(mean) ** 2, axis=-2)
+        # Lambda^p(kappa) is orthogonal: sum_a |(K v)_a|^2 = d e^{-2 rho H} |v|^2
+        second = decay ** 2 @ np.sum(np.abs(fv) ** 2, axis=-2) * (d_ratio / k_samples)
+        var = np.maximum(second - mean_sq, 0.0)
+        # debias ||mean_j||^2 by the Monte Carlo variance of the mean
+        contribs = [float(np.mean(w_i * (sq - v / k_samples)) * plancherel_density(pt) ** 2)
+                    for pt, sq, v in zip(pts, mean_sq.T, var.T)]
+        rows.append({"lam": float(lam), "energy": sum(contribs),
+                     "per_sigma": {str(s): c for s, c in zip(etas, contribs)}})
     energies = np.array([r["energy"] for r in rows])
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     captured = float(trapezoid(energies, lam_grid))

@@ -268,8 +268,8 @@ def bump_section(spec, r_supp, v0=None):
         live = c > 0.0
         if np.any(live):
             blocks = lg.polar_blocks(mats[live])
-            tk = xr.tau_matrix_batch(blocks, p)
-            out[live] = c[live, None] * np.einsum("bji,j->bi", tk, v0)
+            tk_t = np.swapaxes(xr.tau_matrix_batch(blocks, p), -1, -2)
+            out[live] = c[live, None] * xr.tau_apply_batch(tk_t, v0[:, None])[..., 0]
         return out
 
     # ||f||^2 = ||v0||^2 int chi(t)^2 (2 sinh t)^(n-1) dt, radial profile
@@ -363,7 +363,8 @@ def fourier_direct_mc(f, pt, k, samples, rng=None):
             P_sigma tau(kappa(g^{-1}k))^{-1} f(g) dg
 
     by Monte Carlo in radial-times-rotations coordinates; the oracle
-    for the Radon path.  Returns (FormVector, stderr).
+    for the Radon path, drawn in blocks of min(8192, 2^20 / C(n,p)^2)
+    (at most 2^20 Lambda^p entries).  Returns (FormVector, stderr).
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -378,9 +379,9 @@ def fourier_direct_mc(f, pt, k, samples, rng=None):
     cdf /= mass
     tot = np.zeros(f.spec.dim_full, dtype=complex)
     tot2 = np.zeros(f.spec.dim_full)
-    done = 0
-    while done < samples:
-        b = min(8192, samples - done)
+    block = min(8192, 2 ** 20 // f.spec.dim_full ** 2)
+    for lo in range(0, samples, block):
+        b = min(block, samples - lo)
         u = rng.random(b)
         ts = np.interp(u, cdf, tgrid)
         k1 = lg.haar_sample_K(n, size=b, rng=rng)
@@ -391,7 +392,6 @@ def fourier_direct_mc(f, pt, k, samples, rng=None):
         integ = ker.dual(pt, fvals)
         tot += integ.sum(axis=0)
         tot2 += (np.abs(integ) ** 2).sum(axis=0)
-        done += b
     mean = tot / samples * mass
     var = np.maximum(tot2 / samples - np.abs(tot / samples) ** 2, 0.0) * mass ** 2
     stderr = float(np.sqrt(var.sum() / samples))

@@ -1,8 +1,12 @@
-"""Independent quadrature oracles that the library itself never calls.
+"""Independent oracles that the library itself never calls.
 
 j_pair_grid integrates the rotation-reduced inversion kernel over the
 zonal angle with closed-form Iwasawa data; the tests pin
 strichartz._pair_kernel and strichartz.inversion_ratios against it.
+energy_capture_loop is the energy capture of
+strichartz.spectral_projection_energy done one (lambda, sigma) at a
+time, with the kernel applied as a complex einsum and the second moment
+taken per component.
 """
 
 import numpy as np
@@ -10,6 +14,7 @@ import numpy as np
 import hyperform.extrep as xr
 import hyperform.liegroup as lg
 import hyperform.spherical as sph
+import hyperform.transforms as tfm
 
 
 def zonal_iwasawa(t, thetas):
@@ -75,3 +80,39 @@ def j_pair_grid(pt, ts, mu, n_panels=12, n_nodes=24):
                                proj[b], tau_kappa, proj[eta], tau_rot)
                 out[(b, eta)][idx] = np.sum(phase * tr) / (mass * d_eta[b])
     return out
+
+
+def energy_capture_loop(f, lam_grid, R, g_samples, k_samples, t_nodes, grid, rng):
+    """The rows {"lam", "energy", "per_sigma"} of the windowed energy
+    capture, on the draws of strichartz.spectral_projection_energy with
+    the same rng: for each lambda and sigma, K_lambda(g_i^{-1} u_j) fv_j
+    as an (I, J, C) array, its mean over j and its per-component second
+    moment."""
+    spec = f.spec
+    n = spec.n
+    t_i = rng.random(g_samples) * R
+    k_i = lg.haar_sample_K(n, size=g_samples, rng=rng)
+    w_i = lg.radial_weight(t_i, n)
+    g_mats = lg.embed_rotation(k_i) @ lg.at_mats(t_i, n)
+    us = lg.haar_sample_K(n, size=k_samples, rng=rng)
+    tq, wq = np.polynomial.legendre.leggauss(t_nodes)
+    tq, wq = tq * f.r_supp, wq * f.r_supp
+    prof = tfm.radon_batch(f, tq, us, grid=grid)
+    ker = sph.PoissonKernel(lg.inv_mats(g_mats)[:, None] @ lg.embed_rotation(us)[None], spec.p)
+    rows = []
+    for lam in sorted(float(l) for l in lam_grid):
+        profile = np.einsum("q,jqd->jd", wq * np.exp(-1j * lam * tq), prof)
+        total, per_sigma = 0.0, {}
+        for sigma in xr.branching(spec):
+            pt = sph.SpectralPoint(spec, sigma, lam)
+            nu = sph.plancherel_density(pt)
+            fv = tfm.sigma_part(pt, profile)
+            terms = ker.weight(pt)[..., None] * np.einsum("ijab,jb->ija", ker.tau, fv)
+            mean = terms.mean(axis=1)
+            second = (np.abs(terms) ** 2).mean(axis=1)
+            var = np.maximum(second - np.abs(mean) ** 2, 0.0).sum(axis=-1)
+            sq = np.sum(np.abs(mean) ** 2, axis=-1) - var / k_samples
+            per_sigma[str(sigma)] = float(np.mean(w_i * sq) * nu ** 2)
+            total += per_sigma[str(sigma)]
+        rows.append({"lam": lam, "energy": total, "per_sigma": per_sigma})
+    return rows

@@ -26,6 +26,7 @@ from hyperform import (
     tau_matrix,
     wedge_e1,
 )
+import hyperform.extrep as xr
 from hyperform.extrep import (
     MLabel,
     contract_e1_matrix,
@@ -76,6 +77,20 @@ def test_tau_batch_matches_minor_route(rng):
         batch = tau_matrix_batch(us, p)
         for u, b in zip(us, batch):
             assert np.max(np.abs(b - _minor_oracle(u, p))) <= 1e-12
+
+
+def test_tau_batch_is_bit_identical_across_block_boundaries(rng):
+    # the kernel works the flattened stack in blocks of _TAU_BLOCK output
+    # entries; a (2, B) stack with B past one block crosses two boundaries
+    for n, p in ((6, 2), (8, 3)):
+        step = xr._TAU_BLOCK // comb(n, p) ** 2
+        size = step + 3
+        us = haar_sample_K(n, size=2 * size, rng=rng).reshape(2, size, n, n)
+        batch = tau_matrix_batch(us, p)
+        assert batch.shape == (2, size, comb(n, p), comb(n, p))
+        for u_row, b_row in zip(us, batch):
+            for u, b in zip(u_row, b_row):
+                assert np.array_equal(b, tau_matrix(u, p)), (n, p)
 
 
 def test_tau_batch_fallback_high_degree(rng):

@@ -29,7 +29,7 @@ from hyperform import (
 )
 
 from hyperform.liegroup import at_mats, embed_rotation
-from hyperform.spherical import head_batch, radial_batch, spherical_batch
+from hyperform.spherical import PoissonKernel, head_batch, radial_batch, spherical_batch
 
 from conftest import case_points, kernel_points
 
@@ -124,6 +124,25 @@ def test_radial_kind_is_checked():
     pt = kernel_points()[0]
     with pytest.raises(ValueError):
         radial_batch(pt, np.eye(pt.n + 1)[None], "tail")
+
+
+def test_poisson_kernel_real_products_equal_complex_einsum(rng):
+    # C = 3, 15, 56; shared, per-element and (I, J)-broadcast vectors
+    for spec, sigma in ((BundleSpec(3, 1), sigma_q(1)), (BundleSpec(6, 2), sigma_q(2)),
+                        (BundleSpec(8, 3), sigma_q(3))):
+        pt = SpectralPoint(spec, sigma, 1.3)
+        ker = PoissonKernel(_group_stack(pt.n, rng, shape=(2, 5)), pt.p)
+        dim = spec.dim_full
+        p_sigma = proj_matrix(spec, sigma)
+        for vecs in (_vectors(dim, rng, ()), _vectors(dim, rng, (2, 5)),
+                     _vectors(dim, rng, (5,)), _vectors(dim, rng, (2, 1))):
+            want = ker.weight(pt)[..., None] * np.einsum("...ab,...b->...a", ker.tau, vecs)
+            want_dual = (ker.weight(pt, -pt.lam)[..., None]
+                         * np.einsum("...ba,...b->...a", ker.tau, vecs)) @ p_sigma.T
+            for got, ref in ((ker.apply(pt, vecs), want), (ker.dual(pt, vecs), want_dual)):
+                assert got.shape == (2, 5, dim)
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), \
+                    (dim, vecs.shape)
 
 
 # ---------------------------------------------------------------------------

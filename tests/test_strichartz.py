@@ -16,7 +16,7 @@ import hyperform.strichartz as st
 from hyperform.extrep import BundleSpec, FormVector, sigma_q, SIGMA_PLUS
 from hyperform.spherical import SpectralPoint
 from conftest import kernel_points
-from oracles import j_pair_grid
+from oracles import energy_capture_loop, j_pair_grid
 
 
 def _unit(spec, seed=3):
@@ -464,6 +464,36 @@ def test_energy_window_capture_is_one_sided():
     assert 0.5 < det["fraction"] < 1.05
     assert all(row["energy"] > 0.0 for row in det["rows"])
     assert det["window"] == (0.25, 4.0)
+
+
+def test_energy_capture_matches_per_sigma_loop():
+    f = tfm.bump_section(BundleSpec(3, 1), 1.0)
+    lam_grid = np.linspace(0.25, 4.0, 5)
+    config = dict(R=2.0, g_samples=48, k_samples=120, t_nodes=16, grid=12)
+    _, det = st.spectral_projection_energy(f, lam_grid, rng=np.random.default_rng(11),
+                                           details=True, **config)
+    want = energy_capture_loop(f, lam_grid, rng=np.random.default_rng(11), **config)
+    assert len(det["rows"]) == len(want)
+    for got, ref in zip(det["rows"], want):
+        assert got["lam"] == ref["lam"]
+        assert abs(got["energy"] - ref["energy"]) <= 1e-12 * abs(ref["energy"])
+        assert got["per_sigma"].keys() == ref["per_sigma"].keys()
+        for key, val in ref["per_sigma"].items():
+            assert abs(got["per_sigma"][key] - val) <= 1e-12 * abs(val), (ref["lam"], key)
+
+
+def test_spectral_projection_energy_memory_is_bounded():
+    # the benchmark's configuration: 256 x 200 kernel elements, 7 window points
+    f = tfm.bump_section(BundleSpec(3, 1), 1.0)
+    tracemalloc.start()
+    try:
+        st.spectral_projection_energy(f, np.linspace(0.25, 4.0, 7), R=2.0, g_samples=256,
+                                      k_samples=200, t_nodes=16, grid=12,
+                                      rng=np.random.default_rng(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20
 
 
 def test_energy_window_rejects_higher_rank():

@@ -126,6 +126,22 @@ def test_poisson_mc_memory_is_bounded_at_large_degree():
     assert peak < 64 * 2 ** 20
 
 
+def test_fourier_direct_mc_memory_is_bounded_at_large_degree():
+    # C(8,3) = 56: 4096 draws in one block would hold (4096, 56, 56)
+    # Lambda^3 arrays of about 100 MB each
+    spec = BundleSpec(8, 3)
+    pt = SpectralPoint(spec, sigma_q(3), 1.0)
+    f = bump_section(spec, 1.0)
+    (k,) = haar_sample_K(8, size=1, rng=np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        fourier_direct_mc(f, pt, k, 4096, rng=np.random.default_rng(4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
 def test_poisson_atom_at_origin_is_spherical(rng):
     pt = SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.2)
     atom = _random_atom(3, 1, rng)
