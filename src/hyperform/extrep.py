@@ -139,11 +139,6 @@ class BundleSpec:
         return "generic"
 
     @property
-    def dim_tau(self):
-        d = comb(self.n, self.p)
-        return d // 2 if self.chirality != "none" else d
-
-    @property
     def dim_full(self):
         """Dimension of the ambient Lambda^p coordinate space."""
         return comb(self.n, self.p)

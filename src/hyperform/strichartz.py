@@ -709,8 +709,7 @@ def spectral_projection_energy(f, lam_grid, R, g_samples=160, k_samples=800,
         rows.append({"lam": float(lam), "energy": sum(contribs),
                      "per_sigma": {str(s): c for s, c in zip(etas, contribs)}})
     energies = np.array([r["energy"] for r in rows])
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    captured = float(trapezoid(energies, lam_grid))
+    captured = float(np.trapezoid(energies, lam_grid))
     if not details:
         return captured
     fraction = pi * captured / norm ** 2

@@ -13,17 +13,20 @@ spherical function, so the Poisson transform of atomic data needs no
 integration at all.  General sections go through Monte Carlo over
 Haar-random rotations with deterministic seed-splitting.
 
-Compactly supported bundle sections on G are integrated over horocycles
-by tensor Gauss-Legendre quadrature in the N-coordinates (dn is taken
-as gamma_N dy with gamma_N the constant that normalizes the opposite
-horocyclic measure; the Fourier dual-path test pins this calibration),
-in one batched routine over every (rotation, radius) pair.
+The compactly supported section on G is the radial bump
+f(g) = chi(A^+(g)) tau(pi0(g))^{-1} v0.  It is integrated over
+horocycles by tensor Gauss-Legendre quadrature in the N-coordinates (dn
+is taken as gamma_N dy with gamma_N the constant that normalizes the
+opposite horocyclic measure; the Fourier dual-path test pins this
+calibration).  Because f(kh) = chi(A^+(h)) tau(pi0(h))^T tau(k)^T v0,
+the quadrature forms one real matrix per radius, and the rotations
+enter only through the vectors tau(k)^T v0.
 The Euclidean Fourier transform of the horocycle integral gives the
 Helgason-Fourier coefficient, and the spectral projection is its
 Poisson synthesis weighted by the Plancherel density.
 """
 
-from math import comb, gamma, pi, sqrt
+from math import gamma, pi, sqrt
 
 import numpy as np
 
@@ -38,7 +41,6 @@ __all__ = [
     "BoundaryAtom",
     "BoundarySection",
     "CompactSection",
-    "atom_eval",
     "poisson_atom",
     "poisson_mc",
     "u_intertwine",
@@ -131,13 +133,6 @@ def _atom_eval_batch(pt, atom, kmats):
     return ker.dual(pt, atom.v.coeffs)
 
 
-def atom_eval(pt, atom, k):
-    """The atom section evaluated at one rotation."""
-    km = k.mat if isinstance(k, KElement) else np.asarray(k, dtype=float)
-    out = _atom_eval_batch(pt, atom, km[None])[0]
-    return FormVector(pt.n, pt.p, out)
-
-
 # ---------------------------------------------------------------------------
 # Poisson transform
 
@@ -152,11 +147,7 @@ def _haar_chunks(samples, rng, chunk):
     if rng is None:
         rng = np.random.default_rng(0)
     k = (samples + chunk - 1) // chunk
-    try:
-        subs = rng.spawn(k)
-    except AttributeError:
-        subs = [np.random.default_rng(s)
-                for s in rng.bit_generator._seed_seq.spawn(k)]
+    subs = rng.spawn(k)
     sizes = [chunk] * (samples // chunk)
     if samples % chunk:
         sizes.append(samples % chunk)
@@ -224,102 +215,97 @@ def gram_matrix(pt, atoms):
 
 
 class CompactSection:
-    """Right-covariant compactly supported section of the form bundle:
-    f(gk) = tau(k)^{-1} f(g), vanishing for A^+(g) > r_supp."""
+    """The radial bump section of the form bundle,
 
-    def __init__(self, spec, fn_batch, r_supp, l2_norm=None):
+        f(g) = chi(A^+(g)) tau(pi0(g))^{-1} v0,
+
+    with the standard mollifier profile chi vanishing for A^+(g) >=
+    r_supp.  It is right-covariant, f(gk) = tau(k)^{-1} f(g), and since
+    pi0(kg) = k pi0(g), f(kg) = tau(pi0(g))^T tau(k)^T v0."""
+
+    def __init__(self, spec, r_supp, v0):
         self.spec = spec
-        self.fn_batch = fn_batch
         self.r_supp = float(r_supp)
-        self._l2 = l2_norm
+        self.v0 = np.asarray(v0, dtype=complex)
 
-    def eval_batch(self, mats):
-        return self.fn_batch(np.asarray(mats, dtype=float))
-
-    def eval(self, g):
-        m = g.mat if isinstance(g, GroupElement) else np.asarray(g, dtype=float)
-        return FormVector(self.spec.n, self.spec.p, self.eval_batch(m[None])[0])
-
-    def l2_norm(self):
-        if self._l2 is None:
-            raise ValueError("section does not carry a closed-form L2 norm")
-        return self._l2
-
-
-def bump_section(spec, r_supp, v0=None):
-    """Smooth radial bump section f(g) = chi(A^+(g)) tau(pi0(g))^{-1} v0
-    with the standard mollifier profile chi."""
-    n, p = spec.n, spec.p
-    v0 = xr.default_vector(spec).coeffs if v0 is None else np.asarray(v0, dtype=complex)
-
-    def chi(t):
-        t = np.asarray(t, dtype=float)
-        u = np.clip(t / r_supp, 0.0, 1.0)
+    def chi(self, t):
+        """Radial profile exp(1 - 1/(1 - (t/r_supp)^2)), zero off support."""
+        u = np.clip(np.asarray(t, dtype=float) / self.r_supp, 0.0, 1.0)
         out = np.zeros_like(u)
         inside = u < 1.0
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
         return out
 
-    def fn(mats):
-        d = mats[..., -1, -1]
-        t = np.arccosh(np.maximum(d, 1.0))
-        c = chi(t)
-        out = np.zeros(mats.shape[:-2] + (comb(n, p),), dtype=complex)
+    def frames(self, mats):
+        """The real stack chi(A^+(g)) tau(pi0(g))^T, shape (..., C, C)."""
+        mats = np.asarray(mats, dtype=float)
+        c = self.chi(np.arccosh(np.maximum(mats[..., -1, -1], 1.0)))
+        dim = self.spec.dim_full
+        out = np.zeros(mats.shape[:-2] + (dim, dim))
         live = c > 0.0
         if np.any(live):
-            blocks = lg.polar_blocks(mats[live])
-            tk_t = np.swapaxes(xr.tau_matrix_batch(blocks, p), -1, -2)
-            out[live] = c[live, None] * xr.tau_apply_batch(tk_t, v0[:, None])[..., 0]
+            taus = xr.tau_matrix_batch(lg.polar_blocks(mats[live]), self.spec.p)
+            out[live] = c[live, None, None] * np.swapaxes(taus, -1, -2)
         return out
 
-    # ||f||^2 = ||v0||^2 int chi(t)^2 (2 sinh t)^(n-1) dt, radial profile
-    ts, ws = np.polynomial.legendre.leggauss(200)
-    ts = 0.5 * r_supp * (ts + 1.0)
-    ws = 0.5 * r_supp * ws
-    l2 = sqrt(float(np.sum(ws * chi(ts) ** 2 * (2.0 * np.sinh(ts)) ** (spec.n - 1)))
-              * float(np.vdot(v0, v0).real))
-    return CompactSection(spec, fn, r_supp, l2_norm=l2)
+    def eval_batch(self, mats):
+        """Values f(g) on a stack of group matrices, shape (..., C)."""
+        return xr.tau_apply_batch(self.frames(mats), self.v0[:, None])[..., 0]
+
+    def l2_norm(self):
+        """||f||^2 = ||v0||^2 int chi(t)^2 (2 sinh t)^(n-1) dt, by 200-point
+        Gauss-Legendre on [0, r_supp]."""
+        ts, ws = np.polynomial.legendre.leggauss(200)
+        ts = 0.5 * self.r_supp * (ts + 1.0)
+        ws = 0.5 * self.r_supp * ws
+        radial = np.sum(ws * self.chi(ts) ** 2 * (2.0 * np.sinh(ts)) ** (self.spec.n - 1))
+        return sqrt(float(radial) * float(np.vdot(self.v0, self.v0).real))
+
+
+def bump_section(spec, r_supp, v0=None):
+    """The radial bump section of radius r_supp with fiber vector v0
+    (default extrep.default_vector)."""
+    v0 = xr.default_vector(spec).coeffs if v0 is None else v0
+    return CompactSection(spec, r_supp, v0)
 
 
 def radon_batch(f, ts, kmats, grid=32):
     """Horocycle integrals e^{rho t} int_N f(k a_t n) dn for every pair
     of rotations kmats (K, n, n) and radii ts (T,), shape (K, T, dim).
 
-    One tensor Gauss-Legendre grid on [-1, 1]^(n-1) serves every t,
-    scaled to the half-width y_half(t) of the support's horocycle
-    section; pairs with |t| >= r_supp are zero.  The group matrices are
-    formed and evaluated in blocks of about _GROUP_BLOCK.  n <= 4 only.
+    Since f(k h) = f.frames(h) tau(k)^T v0, each radius needs one real
+    C(n,p) x C(n,p) matrix e^{rho t} int_N f.frames(a_t n) dn, and every
+    rotation's tau(k)^T v0 meets those matrices in one product.  One
+    tensor Gauss-Legendre grid on [-1, 1]^(n-1) serves every t, scaled
+    to the half-width y_half(t) of the support's horocycle section;
+    radii with |t| >= r_supp give zero.  The group matrices a_t n_y are
+    formed in blocks of about _GROUP_BLOCK.  n <= 4 only.
     """
-    n = f.spec.n
+    n, p, dim = f.spec.n, f.spec.p, f.spec.dim_full
     if n > 4:
         raise ValueError("horocycle quadrature supported for n <= 4")
     m = n - 1
     rho = (n - 1) / 2.0
     ts = np.asarray(ts, dtype=float)
-    kmats = np.asarray(kmats, dtype=float)
-    out = np.zeros((kmats.shape[0], ts.size, f.spec.dim_full), dtype=complex)
-    live = np.abs(ts) < f.r_supp
-    if not np.any(live):
-        return out
     xs, ws = np.polynomial.legendre.leggauss(grid)
     unit_ys = np.stack([g.reshape(-1) for g in np.meshgrid(*([xs] * m), indexing="ij")],
                        axis=-1)
     unit_ws = np.prod([w.reshape(-1) for w in np.meshgrid(*([ws] * m), indexing="ij")],
                       axis=0)
-    tl = ts[live]
-    y_half = np.sqrt(2.0 * np.exp(-tl) * (np.cosh(f.r_supp) - np.cosh(tl)))
-    scale = y_half ** m * np.exp(rho * tl) * gamma_n_measure(n)
-    base = lg.embed_rotation(kmats)[:, None] @ lg.at_mats(tl, n)
-    kk, tt = (a.reshape(-1) for a in np.indices(base.shape[:2]))
+    live = np.flatnonzero(np.abs(ts) < f.r_supp)
     step = max(1, _GROUP_BLOCK // unit_ws.size)
-    vals = np.empty((kk.size, f.spec.dim_full), dtype=complex)
-    for lo in range(0, kk.size, step):
-        k, t = kk[lo:lo + step], tt[lo:lo + step]
-        mats = base[k, t][:, None] @ lg.ny_mats(y_half[t, None, None] * unit_ys, n)
-        fv = f.eval_batch(mats.reshape((-1,) + mats.shape[2:]))
-        vals[lo:lo + step] = unit_ws @ fv.reshape(k.size, unit_ws.size, -1)
-    out[:, live] = vals.reshape(base.shape[:2] + (-1,)) * scale[:, None]
-    return out
+    per_t = np.zeros((ts.size, dim, dim))
+    for lo in range(0, live.size, step):
+        block = live[lo:lo + step]
+        t = ts[block]
+        y_half = np.sqrt(2.0 * np.exp(-t) * (np.cosh(f.r_supp) - np.cosh(t)))
+        scale = y_half ** m * np.exp(rho * t) * gamma_n_measure(n)
+        mats = lg.at_mats(t, n)[:, None] @ lg.ny_mats(y_half[:, None, None] * unit_ys, n)
+        frames = f.frames(mats).reshape(t.size, unit_ws.size, -1)
+        per_t[block] = (unit_ws @ frames).reshape(-1, dim, dim) * scale[:, None, None]
+    taus_t = np.swapaxes(xr.tau_matrix_batch(np.asarray(kmats, dtype=float), p), -1, -2)
+    vecs = xr.tau_apply_batch(taus_t, f.v0[:, None])[..., 0]
+    return np.moveaxis(xr.tau_apply_batch(per_t, vecs.T), -1, 0)
 
 
 def radon(f, t, k, grid=32):

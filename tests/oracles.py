@@ -6,7 +6,9 @@ strichartz._pair_kernel and strichartz.inversion_ratios against it.
 energy_capture_loop is the energy capture of
 strichartz.spectral_projection_energy done one (lambda, sigma) at a
 time, with the kernel applied as a complex einsum and the second moment
-taken per component.
+taken per component.  radon_pairs is the horocycle quadrature of
+transforms.radon_batch done per (rotation, radius) pair on the group
+matrices k a_t n_y, with no use of the section's left equivariance.
 """
 
 import numpy as np
@@ -79,6 +81,32 @@ def j_pair_grid(pt, ts, mu, n_panels=12, n_nodes=24):
                 tr = np.einsum("ab,kcb,cd,kda->k",
                                proj[b], tau_kappa, proj[eta], tau_rot)
                 out[(b, eta)][idx] = np.sum(phase * tr) / (mass * d_eta[b])
+    return out
+
+
+def radon_pairs(f, ts, kmats, grid):
+    """e^{rho t} int_N f(k a_t n) dn for every rotation of kmats (K, n, n)
+    and radius of ts (T,), shape (K, T, dim): f.eval_batch on k a_t n_y
+    over the tensor Gauss-Legendre grid scaled to the half-width
+    y_half(t) of the support's horocycle section."""
+    n = f.spec.n
+    m = n - 1
+    ts = np.asarray(ts, dtype=float)
+    out = np.zeros((len(kmats), ts.size, f.spec.dim_full), dtype=complex)
+    xs, ws = np.polynomial.legendre.leggauss(grid)
+    unit_ys = np.stack([g.reshape(-1) for g in np.meshgrid(*([xs] * m), indexing="ij")],
+                       axis=-1)
+    unit_ws = np.prod([w.reshape(-1) for w in np.meshgrid(*([ws] * m), indexing="ij")],
+                      axis=0)
+    for j, t in enumerate(ts):
+        if abs(t) >= f.r_supp:
+            continue
+        y_half = np.sqrt(2.0 * np.exp(-t) * (np.cosh(f.r_supp) - np.cosh(t)))
+        scale = y_half ** m * np.exp(0.5 * m * t) * tfm.gamma_n_measure(n)
+        ny = lg.ny_mats(y_half * unit_ys, n)
+        for i, k in enumerate(kmats):
+            mats = lg.embed_rotation(k) @ lg.at_mats(t, n) @ ny
+            out[i, j] = scale * (unit_ws @ f.eval_batch(mats))
     return out
 
 

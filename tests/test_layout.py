@@ -1,15 +1,20 @@
 """Module layout of the package: no private name crosses a module
 boundary, the Iwasawa batch has one consumer besides its scalar
-wrapper, the Poisson kernel, and the panel rule of the radial
-quadratures has one caller, the breakpoint rule every sweep shares."""
+wrapper, the Poisson kernel, the panel rule of the radial quadratures
+has one caller, the breakpoint rule every sweep shares, and every
+package name the benchmark traces or calls exists."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import hyperform
 
 SRC = Path(hyperform.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # (module, enclosing function or class) allowed to call iwasawa_batch
 IWASAWA_CALLERS = {("liegroup", "iwasawa"), ("spherical", "PoissonKernel")}
@@ -85,3 +90,47 @@ def test_iwasawa_batch_only_in_kernel_and_scalar_wrapper():
 def test_osc_nodes_has_one_caller_the_sweep_rule():
     callers = [(p.stem, owner) for p in MODULES for owner, _ in _calls(p, "_osc_nodes")]
     assert callers == OSC_NODES_CALLERS, callers
+
+
+def _load_tracer(monkeypatch):
+    """perfbench/tracer.py as a module, loaded without writing bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _workload_attributes():
+    """(package module, attribute, line) of each `alias.attr` in
+    perfbench/workloads.py whose alias is an `import hyperform.x as alias`."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    aliases = {a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name.startswith("hyperform.") and a.asname}
+    return [(aliases[node.value.id], node.attr, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in aliases]
+
+
+def test_benchmark_bindings_resolve(monkeypatch):
+    for path in MODULES:
+        if path.stem != "__init__":
+            importlib.import_module(f"hyperform.{path.stem}")
+    tracer = _load_tracer(monkeypatch)
+    missing = []
+    for mod_name, fn_name, *_ in tracer.TARGETS:
+        try:
+            owner, attr = tracer._binding(mod_name, fn_name)
+        except (AttributeError, KeyError):
+            missing.append(f"{mod_name}.{fn_name}")
+            continue
+        if not callable(getattr(owner, attr, None)):
+            missing.append(f"{mod_name}.{fn_name}")
+    assert not missing, "traced benchmark targets missing:\n" + "\n".join(missing)
+
+    used = _workload_attributes()
+    assert {"hyperform.transforms", "hyperform.strichartz", "hyperform.cli"} <= {
+        mod for mod, _, _ in used}
+    bad = [f"workloads:{line}: {mod}.{attr}" for mod, attr, line in used
+           if not hasattr(importlib.import_module(mod), attr)]
+    assert not bad, "package names used by the benchmark workloads are missing:\n" + "\n".join(bad)

@@ -14,7 +14,6 @@ from hyperform import (
     FormVector,
     SpectralPoint,
     SIGMA_PLUS,
-    atom_eval,
     bump_section,
     fourier_direct_mc,
     fourier_helgason,
