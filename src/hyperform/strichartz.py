@@ -37,7 +37,10 @@ Every ball average goes through one sweep, _ball_sweep, which picks the
 route (schur_1d or mc_k) for all radii and kinds at once.  On the mc_k
 route one set of Haar draws and one node layout (the same breakpoint
 rule, at one order) serve the whole sweep: each R and each kind of
-radial operator sees the same rotations.
+radial operator sees the same rotations.  The mc_k sweep and the
+literal inversion sampler evaluate the image on their sheet of rotations
+times radii through one _Sheet, where atoms at a rotation need no Cartan
+step: Psi(k_a^T k a_t) = Psi(a_t) tau(k_a^T k)^T.
 """
 
 from math import ceil, comb, pi, sqrt
@@ -48,7 +51,7 @@ from . import extrep as xr
 from . import liegroup as lg
 from .liegroup import radial_weight
 from .spherical import (CartanGeometry, PoissonKernel, SpectralPoint, component_grid,
-                        plancherel_density, radial_components, radial_kinds, spherical_batch)
+                        plancherel_density, radial_components, radial_kinds)
 from .transforms import BoundarySection, gram_matrix, radon_batch, sigma_part
 
 __all__ = [
@@ -57,6 +60,7 @@ __all__ = [
     "cross_term",
     "strichartz_limit",
     "eisenstein_hs_limit",
+    "inversion_mix",
     "inversion_reconstruct",
     "inversion_ratios",
     "asymptotic_residual_sweep",
@@ -248,9 +252,21 @@ def _weighted_square_profile(pt, ts, kind="spherical", dims="schur"):
     return _stable_weight(ts, pt.n) * out
 
 
+def _rotation_block(g):
+    """The rotation k of g = diag(k, 1) when the last row and column of
+    g are e_n entrywise to 1e-12, else None.  Only the whole row and
+    column pin the base point: g[n, n] = 1 + eps alone still allows a
+    radius A+(g) of about sqrt(2 eps)."""
+    mat = g.mat
+    e_n = np.eye(mat.shape[-1])[-1]
+    if max(np.max(np.abs(mat[-1] - e_n)), np.max(np.abs(mat[:, -1] - e_n))) > 1e-12:
+        return None
+    return mat[:-1, :-1]
+
+
 def _is_identity_atom(atom):
-    n = atom.g.n
-    return float(np.max(np.abs(atom.g.mat - np.eye(n + 1)))) <= 1e-12
+    k = _rotation_block(atom.g)
+    return k is not None and float(np.max(np.abs(k - np.eye(k.shape[-1])))) <= 1e-12
 
 
 def _atom_list(section):
@@ -293,6 +309,59 @@ def _schur_sweep(pt, R_grid, vnorm2=1.0, kind="spherical", dims="schur"):
     return vals / R_grid * vnorm2, errs / R_grid * vnorm2
 
 
+class _Sheet:
+    """The Poisson image sum_a w_a Psi(g_a^{-1} k a_t) v_a of an atom list
+    on the sheet of K rotations k (embedded, kemb) times radii t.
+
+    An atom at a rotation k_a (_rotation_block) needs no Cartan step:
+    tau-radiality gives Psi(k_a^T k a_t) = Psi(a_t) tau(k_a^T k)^T with
+    Psi(a_t) = sum_eta psi_eta(t) P_eta, so all such atoms fold into one
+    (K, C) array u = sum_a w_a tau(k_a^T k)^T v_a, from one Lambda^p
+    stack per atom, and the sheet is u (sum_eta psi_eta(t) P_eta^T) at
+    each t: one component grid over the radii and no per-(t, k) matrices.
+    Other atoms keep the CartanGeometry of g_a^{-1} k a_t, formed in
+    slabs of whole t-nodes.
+    """
+
+    __slots__ = ("pt", "size", "u", "left")
+
+    def __init__(self, pt, atoms, kemb):
+        self.pt, self.size = pt, kemb.shape[0]
+        self.u, self.left = None, []
+        for a, w in atoms:
+            k_a = _rotation_block(a.g)
+            if k_a is None:
+                self.left.append((a.g.inv().mat @ kemb, w, a.v.coeffs))
+                continue
+            taus = xr.tau_matrix_batch(k_a.T @ kemb[:, :-1, :-1], pt.p)
+            term = w * xr.tau_apply_batch(np.swapaxes(taus, -1, -2), a.v.coeffs[:, None])[..., 0]
+            self.u = term if self.u is None else self.u + term
+
+    def values(self, ts, kinds, nodes=None):
+        """The sheet over radii ts for each kind of radial operator
+        (spherical.radial_kinds): shape (len(kinds), T, K, C).  The
+        Cartan geometry of the other atoms is formed over `nodes` t-nodes
+        at a time (all of ts when None)."""
+        pt, spec = self.pt, self.pt.spec
+        ts = np.asarray(ts, dtype=float)
+        out = np.zeros((len(kinds), ts.size, self.size, spec.dim_full), dtype=complex)
+        if self.u is not None:
+            for kind_vals, comps in zip(out, radial_kinds(pt, ts, kinds)):
+                proj_t = np.stack([xr.proj_matrix(spec, eta).T for eta in comps])
+                ops = np.tensordot(np.stack(list(comps.values()), axis=-1), proj_t, axes=1)
+                np.matmul(self.u, ops, out=kind_vals)
+        nodes = max(ts.size, 1) if nodes is None else nodes
+        for start in range(0, ts.size if self.left else 0, nodes):
+            sl = slice(start, start + nodes)
+            at = lg.at_mats(ts[sl], pt.n)
+            # one Cartan geometry and one component grid per atom serve every kind
+            for gk, w, v in self.left:
+                geo = CartanGeometry(gk[None] @ at[:, None], pt.p)
+                for kind_vals, comps in zip(out[:, sl], radial_kinds(pt, geo.t, kinds)):
+                    kind_vals += w * geo.apply(spec, comps, v)
+        return out
+
+
 def _ball_sweep(pt, section, R_grid, kinds=("spherical",), k_samples=4096, rng=None):
     """Ball averages (1/R) int_{B(R)} ||Psi F(g)||^2 d(gK) of an atomic
     section F for every R of R_grid and every kind of radial operator
@@ -304,11 +373,16 @@ def _ball_sweep(pt, section, R_grid, kinds=("spherical",), k_samples=4096, rng=N
     mc_k): k_samples Haar rotations are drawn once, first, and serve
     every R and every kind, on the order-_MC_ORDER _sweep_rule with a
     breakpoint at each R; per-draw sums are kept per segment and summed
-    cumulatively.  A value differs from the one-radius value on the same
-    draws only by the change of node layout: rounding for the smooth
-    spherical kind, the t-quadrature error for the residual and head,
-    which are not smooth on G at the identity.  Returns (values,
-    stderrs, method), the arrays of shape (len(kinds), len(R_grid)).
+    cumulatively.  The image on the sampled sheet k a_t comes from one
+    _Sheet, in slabs of whole t-nodes: atoms at a rotation k_a through
+    Psi(k_a^T k a_t) = Psi(a_t) tau(k_a^T k)^T (one Lambda^p stack per
+    atom, one component grid per slab), others through the Cartan
+    decomposition of g_a^{-1} k a_t.  A value differs from the
+    one-radius value on the same draws only by the change of node
+    layout: rounding for the smooth spherical kind, the t-quadrature
+    error for the residual and head, which are not smooth on G at the
+    identity.  Returns (values, stderrs, method), the arrays of shape
+    (len(kinds), len(R_grid)).
     """
     atoms = _atom_list(section)
     R_grid = np.asarray(R_grid, dtype=float)
@@ -323,26 +397,17 @@ def _ball_sweep(pt, section, R_grid, kinds=("spherical",), k_samples=4096, rng=N
     if rng is None:
         rng = np.random.default_rng(0)
     n = pt.n
-    ks = lg.haar_sample_K(n, size=k_samples, rng=rng)
-    kemb = lg.embed_rotation(ks)
+    sheet = _Sheet(pt, atoms, lg.embed_rotation(lg.haar_sample_K(n, size=k_samples, rng=rng)))
     ends = np.sort(R_grid)
     ts, ws, segs = _sweep_rule(ends, pt.lam_real if np.isreal(pt.lam) else 1.0, _MC_ORDER)
     per_seg = np.zeros((len(kinds), ends.size, k_samples))
-    left = [(a.g.inv().mat @ kemb, w, a.v.coeffs) for a, w in atoms]
     # whole t-nodes of k_samples group matrices per slab, at least one, and
     # at most 65536 matrices and 2^20 entries per Lambda^p stack
     chunk = max(1, min(65536, 2 ** 20 // pt.spec.dim_full ** 2) // max(k_samples, 1))
     for start in range(0, ts.size, chunk):
         sl = slice(start, start + chunk)
         tsl, wsl, ssl = ts[sl], ws[sl] * radial_weight(ts[sl], n), segs[sl]
-        at = lg.at_mats(tsl, n)
-        # one Cartan geometry and one component grid per atom serve every kind
-        vals = np.zeros((len(kinds), tsl.size, k_samples, pt.spec.dim_full), dtype=complex)
-        for gk, w, v in left:
-            geo = CartanGeometry(gk[None] @ at[:, None], pt.p)
-            for kind_vals, comps in zip(vals, radial_kinds(pt, geo.t, kinds)):
-                kind_vals += w * geo.apply(pt.spec, comps, v)
-        sq = np.sum(np.abs(vals) ** 2, axis=-1)
+        sq = np.sum(np.abs(sheet.values(tsl, kinds)) ** 2, axis=-1)
         for seg in np.unique(ssl):
             mask = ssl == seg
             per_seg[:, seg] += wsl[mask] @ sq[:, mask]
@@ -525,6 +590,18 @@ def inversion_ratios(pt, R, mu=None):
     return out
 
 
+def inversion_mix(pt, R, mu=None):
+    """The matrix sum_{eta'} r_{eta'}(R) P_{eta'} of the reduced
+    reconstruction, (C, C): F_R = mix F^(mu) for atomic data, with the
+    ratios of inversion_ratios.  n >= 3 only."""
+    if pt.n < 3:
+        raise ValueError("the zonal reduction needs n >= 3")
+    mix = np.zeros((pt.spec.dim_full,) * 2, dtype=complex)
+    for b, r in inversion_ratios(pt, R, mu=mu).items():
+        mix += r * xr.proj_matrix(pt.spec, b)
+    return mix
+
+
 def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
                           method="reduced", rng=None, mc_k1=20000):
     """Boundary value F_R(k) = pi nu (1/R) int_{B(R)} e(k^{-1}g) f(g)
@@ -533,21 +610,21 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
     reduced: the rotation factor of the ball integral is averaged in
     closed form (Schur), leaving a radial quadrature; exact up to an
     O((1+dist(g_i))/R) ball-shift bias for atoms away from the base
-    point.  mc: literal Monte Carlo over the rotation factor with mc_k1
+    point.  The section is inversion_mix(pt, R, mu) applied to the data
+    at mu.  mc: literal Monte Carlo over the rotation factor with mc_k1
     samples; its variance scales like e^{(n-1)R}/mc_k1, so it is only
-    meaningful for small R.  `samples` is the evaluation budget of the
+    meaningful for small R.  The Poisson image on the sheet k1 a_t comes
+    from _Sheet: atoms at a rotation k_a by Phi(k_a^T k1 a_t) =
+    Phi(a_t) tau(k_a^T k1)^T, one component grid over the t-nodes and
+    one Lambda^p stack over the k1, others by the Cartan decomposition,
+    one t-node at a time.  `samples` is the evaluation budget of the
     returned section; `mu` probes a mismatched kernel frequency.
     """
     atoms = _atom_list(section)
     lam = pt.lam_real
     mu_val = lam if mu is None else float(mu)
     if method == "reduced":
-        if pt.n < 3:
-            raise ValueError("the zonal reduction needs n >= 3")
-        ratios = inversion_ratios(pt, R, mu=mu_val)
-        mix = np.zeros((pt.spec.dim_full,) * 2, dtype=complex)
-        for b, r in ratios.items():
-            mix += r * xr.proj_matrix(pt.spec, b)
+        mix = inversion_mix(pt, R, mu=mu_val)
         if mu_val == lam:
             base = section
         else:
@@ -565,16 +642,12 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
         rng = np.random.default_rng(0)
     n = pt.n
     nu = plancherel_density(pt)
-    k1 = lg.haar_sample_K(n, size=mc_k1, rng=rng)
-    k1e = lg.embed_rotation(k1)
+    k1e = lg.embed_rotation(lg.haar_sample_K(n, size=mc_k1, rng=rng))
     ts, ws, _ = _sweep_rule([float(R)], max(abs(lam), abs(mu_val)), _MC_INVERSION_ORDER)
-    # Poisson image on the sample sheet k1 a_t, one t-slab at a time
-    fvals = np.zeros((ts.size, mc_k1, pt.spec.dim_full), dtype=complex)
-    at_all = lg.at_mats(ts, n)
-    for i in range(ts.size):
-        sheet = k1e @ at_all[i]
-        for a, w in atoms:
-            fvals[i] += w * spherical_batch(pt, a.g.inv().mat @ sheet, a.v.coeffs)
+    # Poisson image on the sample sheet k1 a_t; the Cartan step of an atom
+    # away from the base point takes one t-node of mc_k1 matrices at a time,
+    # so its temporaries stay below those of fvals
+    fvals = _Sheet(pt, atoms, k1e).values(ts, ("spherical",), nodes=1)[0]
     radial = ws * radial_weight(ts, n) * pi * nu / float(R)
     at_neg = lg.at_mats(-ts, n)
 

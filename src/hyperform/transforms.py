@@ -48,6 +48,7 @@ __all__ = [
     "radon",
     "radon_batch",
     "sigma_part",
+    "fourier_batch",
     "fourier_helgason",
     "fourier_direct_mc",
     "spectral_projection",
@@ -322,10 +323,12 @@ def sigma_part(pt, vals):
     return sqrt(xr.dims(pt.spec, pt.sigma)[2]) * (vals @ proj.T)
 
 
-def _fourier_batch(f, pt, kmats, t_nodes=48, grid=32):
+def fourier_batch(f, pt, kmats, t_nodes=48, grid=32):
     """Helgason-Fourier coefficients at stacked rotations (K, n, n):
     the partial Radon transform integrated against e^{-i lam t} over
-    t in [-R, R] by t_nodes-point Gauss-Legendre, shape (K, dim)."""
+    t in [-R, R] by t_nodes-point Gauss-Legendre, shape (K, dim).  One
+    radon_batch serves every rotation, so the horocycle matrices are
+    formed once per call, not once per rotation."""
     ts, ws = np.polynomial.legendre.leggauss(t_nodes)
     ts = f.r_supp * ts
     ws = f.r_supp * ws
@@ -336,9 +339,10 @@ def _fourier_batch(f, pt, kmats, t_nodes=48, grid=32):
 
 def fourier_helgason(f, pt, k, t_nodes=48, grid=32):
     """Helgason-Fourier coefficient: the 1D Euclidean Fourier integral
-    of the partial Radon transform over t in [-R, R]."""
+    of the partial Radon transform over t in [-R, R]; fourier_batch at
+    one rotation."""
     km = k.mat if isinstance(k, KElement) else np.asarray(k, dtype=float)
-    total = _fourier_batch(f, pt, km[None], t_nodes=t_nodes, grid=grid)[0]
+    total = fourier_batch(f, pt, km[None], t_nodes=t_nodes, grid=grid)[0]
     return FormVector(f.spec.n, f.spec.p, total)
 
 
@@ -394,7 +398,7 @@ def spectral_projection(f, pt, g, k_samples=2000, t_nodes=40, grid=24, rng=None)
     nu = plancherel_density(pt)
 
     def sampler(kmats):
-        return _fourier_batch(f, pt, kmats, t_nodes=t_nodes, grid=grid)
+        return fourier_batch(f, pt, kmats, t_nodes=t_nodes, grid=grid)
 
     section = BoundarySection.from_sampler(pt, sampler, budget=k_samples)
     vec, err = poisson_mc(pt, section, g, k_samples, rng=rng)

@@ -9,6 +9,10 @@ time, with the kernel applied as a complex einsum and the second moment
 taken per component.  radon_pairs is the horocycle quadrature of
 transforms.radon_batch done per (rotation, radius) pair on the group
 matrices k a_t n_y, with no use of the section's left equivariance.
+inversion_mc_loop is the literal Monte Carlo reconstruction of
+strichartz.inversion_reconstruct with the Poisson image formed one
+t-node at a time through the Cartan decomposition of every atom, with
+no tau-radial factoring for atoms at a rotation.
 """
 
 import numpy as np
@@ -16,6 +20,7 @@ import numpy as np
 import hyperform.extrep as xr
 import hyperform.liegroup as lg
 import hyperform.spherical as sph
+import hyperform.strichartz as st
 import hyperform.transforms as tfm
 
 
@@ -144,3 +149,32 @@ def energy_capture_loop(f, lam_grid, R, g_samples, k_samples, t_nodes, grid, rng
             total += per_sigma[str(sigma)]
         rows.append({"lam": lam, "energy": total, "per_sigma": per_sigma})
     return rows
+
+
+def inversion_mc_loop(pt, section, R, kmats, mc_k1, rng, mu=None):
+    """F_R at the rotations kmats (B, n, n) by the literal Monte Carlo
+    reconstruction on the draws of strichartz.inversion_reconstruct
+    (method="mc") with the same rng: the image sum_a w_a Phi(g_a^{-1} k1 a_t) v_a
+    by one spherical_batch per atom and t-node, then the dual kernel at
+    a_{-t} k1^{-1} k averaged over k1, shape (B, C)."""
+    n = pt.n
+    lam = pt.lam_real
+    mu = lam if mu is None else float(mu)
+    nu = sph.plancherel_density(pt)
+    k1e = lg.embed_rotation(lg.haar_sample_K(n, size=mc_k1, rng=rng))
+    ts, ws, _ = st._sweep_rule([float(R)], max(abs(lam), abs(mu)), st._MC_INVERSION_ORDER)
+    fvals = np.zeros((ts.size, mc_k1, pt.spec.dim_full), dtype=complex)
+    at_all = lg.at_mats(ts, n)
+    for i in range(ts.size):
+        sheet = k1e @ at_all[i]
+        for a, w in section.atoms:
+            fvals[i] += w * sph.spherical_batch(pt, a.g.inv().mat @ sheet, a.v.coeffs)
+    radial = ws * lg.radial_weight(ts, n) * np.pi * nu / float(R)
+    at_neg = lg.at_mats(-ts, n)
+    out = np.zeros((len(kmats), pt.spec.dim_full), dtype=complex)
+    for bi, k in enumerate(np.asarray(kmats, dtype=float)):
+        k1_inv_k = np.swapaxes(k1e, -1, -2) @ lg.embed_rotation(k)
+        for i in range(ts.size):
+            ker = sph.PoissonKernel(at_neg[i] @ k1_inv_k, pt.p)
+            out[bi] += radial[i] * ker.dual(pt, fvals[i], lam=mu).mean(axis=0)
+    return out

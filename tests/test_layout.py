@@ -1,8 +1,9 @@
 """Module layout of the package: no private name crosses a module
-boundary, the Iwasawa batch has one consumer besides its scalar
-wrapper, the Poisson kernel, the panel rule of the radial quadratures
-has one caller, the breakpoint rule every sweep shares, and every
-package name the benchmark traces or calls exists."""
+boundary, no module imports the test oracles, the Iwasawa batch has one
+consumer besides its scalar wrapper, the Poisson kernel, the panel rule
+of the radial quadratures has one caller, the breakpoint rule every
+sweep shares, and every package name the benchmark traces or calls
+exists."""
 
 import ast
 import importlib
@@ -79,6 +80,26 @@ def test_no_private_names_cross_modules():
         p.stem for p in MODULES}
     bad = [v for path in MODULES for v in _violations(path)]
     assert not bad, "private names used across modules:\n" + "\n".join(bad)
+
+
+def _imported_modules(path):
+    """(line, module name) of each import statement of a file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.append((node.lineno, node.module or ""))
+    return out
+
+
+def test_package_never_imports_tests_or_oracles():
+    # the oracles stay independent routes: the package may not call them
+    bad = [f"{p.stem}:{line}: import {name}" for p in MODULES
+           for line, name in _imported_modules(p)
+           if name.split(".")[0] in ("tests", "oracles")]
+    assert not bad, "package modules import the tests:\n" + "\n".join(bad)
 
 
 def test_iwasawa_batch_only_in_kernel_and_scalar_wrapper():

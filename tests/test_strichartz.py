@@ -16,7 +16,7 @@ import hyperform.strichartz as st
 from hyperform.extrep import BundleSpec, FormVector, sigma_q, SIGMA_PLUS
 from hyperform.spherical import SpectralPoint
 from conftest import kernel_points
-from oracles import energy_capture_loop, j_pair_grid
+from oracles import energy_capture_loop, inversion_mc_loop, j_pair_grid
 
 
 def _unit(spec, seed=3):
@@ -207,10 +207,10 @@ def test_mc_k_ball_average_equals_scalar_loop(kernel):
         assert abs(got - want) <= 1e-12 * abs(want), (pt.spec, str(pt.sigma), got, want)
 
 
-def _rotated_section(pt, seed=9):
+def _rotated_section(pt, seed=9, weight=1.0):
     k = lg.embed_rotation(lg.haar_sample_K(pt.n, rng=np.random.default_rng(seed)))
     atom = tfm.BoundaryAtom(lg.GroupElement(k), _unit(pt.spec))
-    return tfm.BoundarySection.from_atoms(pt, [(atom, 1.0)])
+    return tfm.BoundarySection.from_atoms(pt, [(atom, weight)])
 
 
 def test_mc_k_limit_sweep_shares_draws_with_single_radius_calls():
@@ -274,6 +274,66 @@ def test_mc_k_ball_average_memory_is_bounded_at_large_degree():
         tracemalloc.stop()
     assert np.isfinite(val) and val > 0.0
     assert peak < 64 * 2 ** 20
+
+
+def _rotation_atom_section(pt, seed):
+    # one atom at a Haar rotation, with a complex weight
+    return _rotated_section(pt, seed, weight=0.6 - 0.7j)
+
+
+def _mixed_section(pt, seed):
+    # the rotation atom plus an atom away from the base point
+    rotated = _rotation_atom_section(pt, seed).atoms
+    translated = _translated_section(pt, np.random.default_rng(seed + 1)).atoms
+    return tfm.BoundarySection.from_atoms(pt, rotated + translated)
+
+
+def _scalar_loop_averages(pt, sec, R, k_samples, seed):
+    """(1/R) int_{B(R)} of |sum_a w_a Psi(g_a^{-1} k a_t) v_a|^2 for the kinds
+    spherical, head and residual, on the draws and t-nodes of _ball_sweep:
+    one spherical_at and one asymptotic_head call per atom and element."""
+    ks = lg.haar_sample_K(pt.n, size=k_samples, rng=np.random.default_rng(seed))
+    ts, ws = st._osc_nodes(0.0, R, 1.0, order=12)
+    per_k = np.zeros((3, k_samples))
+    for j, k in enumerate(lg.embed_rotation(ks)):
+        for t, w in zip(ts, ws):
+            vals = np.zeros((3, pt.spec.dim_full), dtype=complex)
+            for atom, c in sec.atoms:
+                g = atom.g.inv().mat @ k @ lg.make_at(t, pt.n).mat
+                phi, head = sph.spherical_at(pt, g), sph.asymptotic_head(pt, g)
+                vals += [c * op @ atom.v.coeffs for op in (phi, head, phi - head)]
+            per_k[:, j] += w * lg.radial_weight(t, pt.n) * np.sum(np.abs(vals) ** 2, axis=-1)
+    return np.mean(per_k / R, axis=-1)
+
+
+@pytest.mark.parametrize("make_section", [_rotation_atom_section, _mixed_section])
+def test_sheet_ball_average_equals_scalar_loop(make_section):
+    # atoms at a rotation take the factored sheet Psi(a_t) tau(k_a^T k)^T,
+    # others the Cartan geometry; both against the per-element operators
+    R, k_samples = 1.5, 3
+    kinds = ("spherical", "head", "residual")
+    for pt in kernel_points(lam=1.0):
+        sec = make_section(pt, 31)
+        got, _, method = st._ball_sweep(pt, sec, [R], kinds=kinds, k_samples=k_samples,
+                                        rng=np.random.default_rng(6))
+        assert method == "mc_k"
+        want = _scalar_loop_averages(pt, sec, R, k_samples, 6)
+        for kind, g, w in zip(kinds, got[:, 0], want):
+            assert abs(g - w) <= 1e-12 * abs(w), (pt.spec, str(pt.sigma), kind, g, w)
+
+
+def test_rotation_block_needs_the_whole_last_row_and_column():
+    # g[n, n] = 1 + eps alone does not pin the base point: a boost by
+    # t ~ sqrt(2 eps) has it, so the whole row and column are tested
+    n = 3
+    k = lg.embed_rotation(lg.haar_sample_K(n, rng=np.random.default_rng(2)))
+    assert np.array_equal(st._rotation_block(lg.GroupElement(k)), k[:n, :n])
+    boost = lg.GroupElement(k @ lg.make_at(2e-7, n).mat)
+    assert abs(boost.mat[n, n] - 1.0) <= 1e-12
+    assert st._rotation_block(boost) is None
+    assert st._is_identity_atom(tfm.BoundaryAtom(lg.GroupElement(np.eye(n + 1)),
+                                                 _unit(BundleSpec(n, 1))))
+    assert not st._is_identity_atom(tfm.BoundaryAtom(lg.GroupElement(k), _unit(BundleSpec(n, 1))))
 
 
 def test_limit_hits_density_target_within_one_percent():
@@ -340,6 +400,48 @@ def test_reconstruct_reduced_path_matches_literal_monte_carlo():
     a = red.eval_batch(ks)
     b = mc.eval_batch(ks)
     assert np.max(np.abs(a - b)) < 0.12 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("make_section", [_rotation_atom_section, _mixed_section])
+def test_reconstruct_mc_equals_per_node_oracle(make_section):
+    # the factored sheet (and the Cartan slabs of a translated atom)
+    # against one spherical_batch per atom and t-node, on the same draws
+    for pt, mu in ((SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0), None),
+                   (SpectralPoint(BundleSpec(5, 2), SIGMA_PLUS, 1.0), 1.3)):
+        ks = lg.haar_sample_K(pt.n, size=3, rng=np.random.default_rng(8))
+        sec = make_section(pt, 41)
+        rec = st.inversion_reconstruct(pt, sec, 1.5, samples=8, method="mc", mu=mu,
+                                       mc_k1=300, rng=np.random.default_rng(12))
+        got = rec.eval_batch(ks)
+        want = inversion_mc_loop(pt, sec, 1.5, ks, 300, np.random.default_rng(12), mu=mu)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), pt.spec
+
+
+def test_reconstruct_mc_memory_is_bounded_for_a_translated_atom():
+    # 64 t-nodes of 4000 rotations: the image itself is 12.3 MB, and the
+    # Cartan geometry of the whole sheet at once would hold about 190 MB
+    pt = SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0)
+    sec = _translated_section(pt, np.random.default_rng(21))
+    tracemalloc.start()
+    try:
+        st.inversion_reconstruct(pt, sec, 2.0, samples=8, method="mc", mc_k1=4000,
+                                 rng=np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
+
+
+def test_inversion_mix_is_the_reduced_reconstruction():
+    # F_R = mix F at mu = lambda, and mix is sum_b r_b P_b
+    pt = SpectralPoint(BundleSpec(5, 2), SIGMA_PLUS, 1.0)
+    sec = _rotation_atom_section(pt, 3)
+    mix = st.inversion_mix(pt, 5.0)
+    want = sum(r * xr.proj_matrix(pt.spec, b) for b, r in st.inversion_ratios(pt, 5.0).items())
+    assert np.array_equal(mix, want)
+    ks = lg.haar_sample_K(5, size=6, rng=np.random.default_rng(4))
+    rec = st.inversion_reconstruct(pt, sec, 5.0, samples=6)
+    assert np.array_equal(rec.eval_batch(ks), np.einsum("ij,bj->bi", mix, sec.eval_batch(ks)))
 
 
 def test_reconstruction_error_follows_cosine_squared_law():

@@ -15,6 +15,7 @@ from hyperform import (
     SpectralPoint,
     SIGMA_PLUS,
     bump_section,
+    fourier_batch,
     fourier_direct_mc,
     fourier_helgason,
     gram_matrix,
@@ -307,6 +308,18 @@ def test_fourier_linearity(rng):
     lhs = fourier_helgason(f12, pt, k).coeffs
     rhs = fourier_helgason(f1, pt, k).coeffs + fourier_helgason(f2, pt, k).coeffs
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
+
+
+def test_fourier_batch_matches_single_rotations(rng):
+    # one radon_batch over every rotation, against one call per rotation
+    for spec, sigma in ((BundleSpec(3, 1), sigma_q(1)), (BundleSpec(4, 2, "minus"), sigma_q(2))):
+        pt = SpectralPoint(spec, sigma, 1.0)
+        f = bump_section(spec, 2.0)
+        ks = haar_sample_K(spec.n, size=5, rng=rng)
+        got = fourier_batch(f, pt, ks, t_nodes=16, grid=8)
+        want = np.array([fourier_helgason(f, pt, k, t_nodes=16, grid=8).coeffs for k in ks])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), spec
 
 
 def test_fourier_radon_route_matches_group_integral(rng):
