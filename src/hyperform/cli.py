@@ -1,14 +1,16 @@
-"""Command-line front end: every verification as a seeded experiment.
+"""Command-line front end: one verification per subcommand.
 
 Each subcommand assembles a RunConfig from an optional flat key=value
 config file plus flag overrides, runs one experiment, and writes a
-single report at the end.  JSON reports follow the schema
-{meta: {version, config, seed}, rows: [{name, target, value, stderr,
-tol, pass}]}; CSV reports carry the same rows.  Identical (config,
-seed) pairs produce byte-identical output.  Exit status: 0 when every
-row passes, 1 when a numerical check fails or a quadrature or special
-function cannot meet its tolerance, 2 for inadmissible configuration or
-unreadable input.
+single report at the end.  Every command but decompose --random answers
+in closed form or by deterministic quadrature; only that one draws
+rotations and needs --seed (--samples is accepted and read by none).
+JSON reports follow the schema {meta: {version, config, seed}, rows:
+[{name, target, value, stderr, tol, pass}]}; CSV reports carry the same
+rows.  Identical (config, seed) pairs produce byte-identical output.
+Exit status: 0 when every row passes, 1 when a numerical check fails or
+a quadrature or special function cannot meet its tolerance, 2 for
+inadmissible configuration or unreadable input.
 """
 
 import csv
@@ -16,7 +18,7 @@ import functools
 import io
 import json
 import sys
-from math import pi
+from math import pi, sqrt
 
 import click
 import numpy as np
@@ -139,8 +141,8 @@ def _common_options(fn):
         click.option("--t", type=float, default=None, help="radial coordinate"),
         click.option("--R-grid", "r_grid", "--r-grid", default=None,
                      help="comma-separated ball radii"),
-        click.option("--samples", type=int, default=None, help="Monte Carlo budget"),
-        click.option("--seed", type=int, default=None, help="RNG seed (mandatory for Monte Carlo)"),
+        click.option("--samples", type=int, default=None, help="accepted; no command reads it"),
+        click.option("--seed", type=int, default=None, help="RNG seed (decompose --random)"),
         click.option("--tol", type=float, default=None, help="tolerance override"),
         click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default=None),
         click.option("--out", "out_path", type=click.Path(), default=None,
@@ -365,17 +367,14 @@ def asympt(**kwargs):
     """Weighted remainder of the two-term Weyl head along the radius."""
     cfg = _build_config(kwargs, {"tol": 0.1})
     pt = _point(cfg)
-    n, rho = pt.n, pt.rho
     ts = np.linspace(1.0, 15.0, 57)
-    vals = []
-    for t in ts:
-        g = lg.make_at(float(t), n)
-        res = sph.op_norm(sph.spherical_at(pt, g) - sph.asymptotic_head(pt, g))
-        vals.append(np.exp((rho + 1.0) * t) * res)
+    # Phi(a_t) - head(a_t) = sum_eta psi_eta(t) P_eta with orthogonal P_eta,
+    # so its operator norm is max_eta |psi_eta(t)|
+    (res,) = sph.radial_kinds(pt, ts, ("residual",))
+    vals = np.exp((pt.rho + 1.0) * ts) * np.max(np.abs(list(res.values())), axis=0)
     rows = [_row(f"remainder[t={t:g}]", v) for t, v in zip(ts, vals)]
     # oscillation of period pi/lambda rides on the decay, so the trend
     # is judged on half-interval suprema over [5, 15]
-    vals = np.array(vals)
     early = vals[(ts >= 5.0) & (ts <= 10.0)].max()
     late = vals[(ts >= 10.0) & (ts <= 15.0)].max()
     worst = float(late / early)
@@ -391,9 +390,8 @@ def limit_cmd(**kwargs):
     cfg = _build_config(kwargs, {"tol": 0.01})
     pt = _point(cfg)
     section = _identity_section(pt)
-    rng = None if cfg["seed"] is None else np.random.default_rng(cfg["seed"])
     try:
-        rep = st.strichartz_limit(pt, section, R_grid=cfg["R_grid"], rng=rng)
+        rep = st.strichartz_limit(pt, section, R_grid=cfg["R_grid"])
     except ValueError as exc:
         raise click.UsageError(str(exc))
     rows = [
@@ -411,24 +409,16 @@ def limit_cmd(**kwargs):
 @_common_options
 def invert(**kwargs):
     """Boundary reconstruction error of the ball-average inversion."""
-    cfg = _build_config(kwargs, {"R_grid": (20.0, 40.0, 80.0),
-                                 "samples": 1000000, "tol": 0.05})
-    seed = _require_seed(cfg)
+    cfg = _build_config(kwargs, {"R_grid": (20.0, 40.0, 80.0), "tol": 0.05})
     pt = _point(cfg)
-    section = _identity_section(pt)
-    ks = lg.haar_sample_K(pt.n, size=int(cfg["samples"]), rng=np.random.default_rng(seed))
-    # at mu = lambda the reduced reconstruction F_R is mix_R F, so the
-    # section is evaluated once per chunk and every R applies its mix
-    mixes = [st.inversion_mix(pt, float(R)) for R in cfg["R_grid"]]
-    err_sq = [0.0] * len(mixes)
-    truth_sq = 0.0
-    chunk = 65536
-    for lo in range(0, ks.shape[0], chunk):
-        want = section.eval_batch(ks[lo:lo + chunk])
-        truth_sq += float(np.sum(np.abs(want) ** 2))
-        for i, mix in enumerate(mixes):
-            err_sq[i] += float(np.sum(np.abs(np.einsum("ij,bj->bi", mix, want) - want) ** 2))
-    errs = [np.sqrt(e / truth_sq) for e in err_sq]
+    # F_R - F = sum_b (r_b - 1) P_b F on the identity atom, and by Schur
+    # orthogonality the K-mean of |P_b F|^2 is proportional to d_b
+    d_b = {b: xr.dims(pt.spec, b)[1] for b in xr.sigma_blocks(pt.spec, pt.sigma)}
+    errs = []
+    for R in cfg["R_grid"]:
+        ratios = st.inversion_ratios(pt, float(R))
+        errs.append(sqrt(sum(abs(ratios[b] - 1.0) ** 2 * d for b, d in d_b.items())
+                         / sum(d_b.values())))
     rows = [
         _row(f"rel_error[R={R:g}]", e, ok=np.isfinite(e) and e <= cfg["tol"],
              tol=cfg["tol"])
@@ -440,33 +430,27 @@ def invert(**kwargs):
     bound = cfg["tol"] * min(cfg["R_grid"])
     rows.append(_row("error_envelope", envelope, tol=bound,
                      ok=np.isfinite(envelope) and envelope <= bound))
-    _emit(cfg, rows, extra_meta={"k_samples": int(cfg["samples"]),
-                                 "norm_sq": truth_sq / max(ks.shape[0], 1)})
+    _emit(cfg, rows)
 
 
 @main.command()
 @_common_options
 def fourier(**kwargs):
     """Boundedness of the Fourier restriction ratio on bump sections."""
-    cfg = _build_config(kwargs, {"R_grid": (2.0, 4.0, 8.0), "samples": 96})
-    seed = _require_seed(cfg)
+    cfg = _build_config(kwargs, {"R_grid": (2.0, 4.0, 8.0)})
     pt = _point(cfg)
-    if pt.n > 4:
-        raise click.UsageError("the horocycle quadrature supports n <= 4 only")
     nu = sph.plancherel_density(pt)
-    ks = lg.haar_sample_K(pt.n, size=int(cfg["samples"]), rng=np.random.default_rng(seed))
+    d_tau, d_sig, _ = xr.dims(pt.spec, pt.sigma)
     rows = []
     ratios = []
     for R in cfg["R_grid"]:
         f = tfm.bump_section(pt.spec, float(R))
-        nf2 = f.l2_norm() ** 2
-        sq = np.sum(np.abs(tfm.fourier_batch(f, pt, ks, t_nodes=32, grid=12)) ** 2, axis=-1)
-        mean = float(np.mean(sq))
-        stderr = float(np.std(sq) / np.sqrt(len(sq)))
-        ratio = nu * mean / (float(R) * nf2)
+        # F f(lambda, k) = b_sigma P_sigma tau(k)^T v0, whose squared norm
+        # has K-mean |b_sigma|^2 (d_sigma/d_tau) |v0|^2 by Schur orthogonality
+        mean = abs(f.spherical_transform(pt)) ** 2 * (d_sig / d_tau) * np.vdot(f.v0, f.v0).real
+        ratio = nu * mean / (float(R) * f.l2_norm() ** 2)
         ratios.append(ratio)
-        rows.append(_row(f"restriction_ratio[R={R:g}]", ratio,
-                         stderr=nu * stderr / (float(R) * nf2)))
+        rows.append(_row(f"restriction_ratio[R={R:g}]", ratio))
     # informational: no bound on the spread is known, so it gates nothing
     spread = max(ratios) / min(ratios) if min(ratios) > 0 else float("inf")
     _emit(cfg, rows, extra_meta={"ratio_spread": spread})

@@ -262,8 +262,6 @@ def tau_matrix_batch(us, p):
     """
     us = np.asarray(us, dtype=float)
     n = us.shape[-1]
-    if p == 0:
-        return np.ones(us.shape[:-2] + (1, 1))
     flat = us.reshape(-1, n * n)
     out = np.empty((flat.shape[0], comb(n, p) ** 2))
     step = max(1, _TAU_BLOCK // out.shape[1])

@@ -40,7 +40,6 @@ __all__ = [
     "iwasawa",
     "cartan",
     "polar_k",
-    "e_defect",
     "haar_sample_K",
     "radial_weight",
     "embed_rotation",
@@ -389,21 +388,6 @@ def cartan(g):
     return CartanFactors(
         KElement(k1[0], mode="repair"), float(t[0]), KElement(k2[0], mode="repair")
     )
-
-
-def e_defect(g, x):
-    """Horocyclic defect E(g, x) = A+(g x) - A+(x) - H(g k1(x)).
-
-    Nonnegative, zero at g = e, and bounded by exp(2(A+(g) - A+(x)))
-    whenever A+(x) >= A+(g); a quantitative form of the triangle
-    inequality for the Cartan radius along horocycles.
-    """
-    gx = g.mat @ x.mat
-    tp_gx = float(_cartan_radius(gx))
-    tp_x = float(_cartan_radius(x.mat))
-    _, k1x, _ = cartan_batch(x.mat[None, ...])
-    h = float(_iwasawa_hy(g.mat @ embed_rotation(k1x[0]))[0])
-    return tp_gx - tp_x - h
 
 
 def haar_sample_K(n, size=None, rng=None):

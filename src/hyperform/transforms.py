@@ -22,8 +22,9 @@ calibration).  Because f(kh) = chi(A^+(h)) tau(pi0(h))^T tau(k)^T v0,
 the quadrature forms one real matrix per radius, and the rotations
 enter only through the vectors tau(k)^T v0.
 The Euclidean Fourier transform of the horocycle integral gives the
-Helgason-Fourier coefficient, and the spectral projection is its
-Poisson synthesis weighted by the Plancherel density.
+Helgason-Fourier coefficient.  Since f is tau-radial, that coefficient
+is also b_sigma(lambda) P_sigma tau(k)^T v0 with b_sigma the 1D
+spherical transform of chi (CompactSection.spherical_transform).
 """
 
 from math import gamma, pi, sqrt
@@ -34,8 +35,7 @@ from . import extrep as xr
 from . import liegroup as lg
 from .extrep import FormVector
 from .liegroup import GroupElement, KElement
-from .spherical import (PoissonKernel, SpectralPoint, plancherel_density, spherical_batch,
-                        weyl_reflect)
+from .spherical import PoissonKernel, component_grid, spherical_batch
 
 __all__ = [
     "BoundaryAtom",
@@ -43,7 +43,6 @@ __all__ = [
     "CompactSection",
     "poisson_atom",
     "poisson_mc",
-    "u_intertwine",
     "gram_matrix",
     "radon",
     "radon_batch",
@@ -51,7 +50,6 @@ __all__ = [
     "fourier_batch",
     "fourier_helgason",
     "fourier_direct_mc",
-    "spectral_projection",
     "bump_section",
     "gamma_n_measure",
 ]
@@ -184,17 +182,7 @@ def poisson_mc(pt, section, x, samples, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# intertwiner and Gram forms
-
-
-def u_intertwine(pt, section):
-    """Relabel an atom section to the Weyl-reflected spectral point
-    (s sigma, -lambda); the atoms themselves are unchanged."""
-    if not section.is_atomic:
-        raise ValueError("intertwiner is only realized on atom sections")
-    ssig, slam = weyl_reflect(pt.sigma, pt.lam)
-    new_pt = SpectralPoint(pt.spec, ssig, slam)
-    return BoundarySection.from_atoms(new_pt, section.atoms)
+# Gram forms
 
 
 def gram_matrix(pt, atoms):
@@ -253,14 +241,36 @@ class CompactSection:
         """Values f(g) on a stack of group matrices, shape (..., C)."""
         return xr.tau_apply_batch(self.frames(mats), self.v0[:, None])[..., 0]
 
+    def _radial_integral(self, profile, order=200):
+        """int_0^r_supp profile(t) (2 sinh t)^(n-1) dt, order-point Gauss-Legendre."""
+        ts, ws = np.polynomial.legendre.leggauss(order)
+        ts = 0.5 * self.r_supp * (ts + 1.0)
+        ws = 0.5 * self.r_supp * ws
+        return np.sum(ws * profile(ts) * (2.0 * np.sinh(ts)) ** (self.spec.n - 1))
+
     def l2_norm(self):
         """||f||^2 = ||v0||^2 int chi(t)^2 (2 sinh t)^(n-1) dt, by 200-point
         Gauss-Legendre on [0, r_supp]."""
-        ts, ws = np.polynomial.legendre.leggauss(200)
-        ts = 0.5 * self.r_supp * (ts + 1.0)
-        ws = 0.5 * self.r_supp * ws
-        radial = np.sum(ws * self.chi(ts) ** 2 * (2.0 * np.sinh(ts)) ** (self.spec.n - 1))
+        radial = self._radial_integral(lambda ts: self.chi(ts) ** 2)
         return sqrt(float(radial) * float(np.vdot(self.v0, self.v0).real))
+
+    def spherical_transform(self, pt):
+        """b_sigma(lambda) with F f(lambda, k) = b_sigma(lambda) P_sigma tau(k)^T v0:
+        sqrt(d_{tau,sigma}) int chi(t) (1/d_tau) sum_eta d_eta phi_eta(t) (2 sinh t)^(n-1) dt
+        (the trace is real), by the rule of l2_norm; raises ArithmeticError
+        unless the 100- and 200-point values agree to a relative 1e-10."""
+        d_tau, _, d_ts = xr.dims(pt.spec, pt.sigma)
+        d_eta = {eta: xr.dims(pt.spec, eta)[1] for eta in xr.branching(pt.spec)}
+
+        def trace(ts):
+            comps = component_grid(pt, ts)
+            return self.chi(ts) * sum(d_eta[eta] * v.real for eta, v in comps.items()) / d_tau
+
+        coarse, fine = (float(self._radial_integral(trace, m)) for m in (100, 200))
+        if not abs(fine - coarse) <= 1e-10 * abs(fine):
+            raise ArithmeticError(f"spherical transform at lambda={pt.lam} over [0, "
+                                  f"{self.r_supp:g}]: 100/200 nodes give {coarse!r}, {fine!r}")
+        return sqrt(d_ts) * fine
 
 
 def bump_section(spec, r_supp, v0=None):
@@ -386,20 +396,3 @@ def fourier_direct_mc(f, pt, k, samples, rng=None):
     var = np.maximum(tot2 / samples - np.abs(tot / samples) ** 2, 0.0) * mass ** 2
     stderr = float(np.sqrt(var.sum() / samples))
     return FormVector(n, p, mean), stderr
-
-
-def spectral_projection(f, pt, g, k_samples=2000, t_nodes=40, grid=24, rng=None):
-    """Spectral projection Q f(g) = nu_sigma(lambda) P(F f)(g).
-
-    The Helgason-Fourier coefficients enter poisson_mc as a sampler
-    section, which integrates tau(kappa) against them (the Poisson
-    kernel orientation).  Returns (FormVector, stderr).
-    """
-    nu = plancherel_density(pt)
-
-    def sampler(kmats):
-        return fourier_batch(f, pt, kmats, t_nodes=t_nodes, grid=grid)
-
-    section = BoundarySection.from_sampler(pt, sampler, budget=k_samples)
-    vec, err = poisson_mc(pt, section, g, k_samples, rng=rng)
-    return FormVector(pt.n, pt.p, nu * vec.coeffs), nu * err

@@ -12,7 +12,10 @@ matrices k a_t n_y, with no use of the section's left equivariance.
 inversion_mc_loop is the literal Monte Carlo reconstruction of
 strichartz.inversion_reconstruct with the Poisson image formed one
 t-node at a time through the Cartan decomposition of every atom, with
-no tau-radial factoring for atoms at a rotation.
+no tau-radial factoring for atoms at a rotation.  e_defect,
+u_intertwine and spectral_projection are the horocyclic defect, the
+Weyl relabelling of atom sections and the Monte Carlo spectral
+projection, which only the tests use.
 """
 
 import numpy as np
@@ -178,3 +181,45 @@ def inversion_mc_loop(pt, section, R, kmats, mc_k1, rng, mu=None):
             ker = sph.PoissonKernel(at_neg[i] @ k1_inv_k, pt.p)
             out[bi] += radial[i] * ker.dual(pt, fvals[i], lam=mu).mean(axis=0)
     return out
+
+
+def e_defect(g, x):
+    """Horocyclic defect E(g, x) = A+(g x) - A+(x) - H(g k1(x)).
+
+    Nonnegative, zero at g = e, and bounded by exp(2(A+(g) - A+(x)))
+    whenever A+(x) >= A+(g); a quantitative form of the triangle
+    inequality for the Cartan radius along horocycles.
+    """
+    gx = g.mat @ x.mat
+    tp_gx = float(lg._cartan_radius(gx))
+    tp_x = float(lg._cartan_radius(x.mat))
+    _, k1x, _ = lg.cartan_batch(x.mat[None, ...])
+    h = float(lg._iwasawa_hy(g.mat @ lg.embed_rotation(k1x[0]))[0])
+    return tp_gx - tp_x - h
+
+
+def u_intertwine(pt, section):
+    """Relabel an atom section to the Weyl-reflected spectral point
+    (s sigma, -lambda); the atoms themselves are unchanged."""
+    if not section.is_atomic:
+        raise ValueError("intertwiner is only realized on atom sections")
+    ssig, slam = sph.weyl_reflect(pt.sigma, pt.lam)
+    new_pt = sph.SpectralPoint(pt.spec, ssig, slam)
+    return tfm.BoundarySection.from_atoms(new_pt, section.atoms)
+
+
+def spectral_projection(f, pt, g, k_samples=2000, t_nodes=40, grid=24, rng=None):
+    """Spectral projection Q f(g) = nu_sigma(lambda) P(F f)(g).
+
+    The Helgason-Fourier coefficients enter poisson_mc as a sampler
+    section, which integrates tau(kappa) against them (the Poisson
+    kernel orientation).  Returns (FormVector, stderr).
+    """
+    nu = sph.plancherel_density(pt)
+
+    def sampler(kmats):
+        return tfm.fourier_batch(f, pt, kmats, t_nodes=t_nodes, grid=grid)
+
+    section = tfm.BoundarySection.from_sampler(pt, sampler, budget=k_samples)
+    vec, err = tfm.poisson_mc(pt, section, g, k_samples, rng=rng)
+    return xr.FormVector(pt.n, pt.p, nu * vec.coeffs), nu * err

@@ -3,9 +3,18 @@
 import json
 from math import cos
 
+import numpy as np
+import pytest
 from click.testing import CliRunner
 
+from hyperform import (BundleSpec, SpectralPoint, asymptotic_head, bump_section,
+                       fourier_batch, haar_sample_K, make_at, op_norm, plancherel_density,
+                       spherical_at)
 from hyperform.cli import main
+from hyperform.extrep import MLabel, default_vector
+from hyperform.liegroup import GroupElement
+from hyperform.strichartz import inversion_mix
+from hyperform.transforms import BoundaryAtom, BoundarySection
 
 
 def _invert(*extra):
@@ -68,3 +77,65 @@ def test_bad_or_missing_sigma_is_a_usage_error():
         assert "Traceback" not in res.output
         assert not isinstance(res.exception, ValueError)
     assert "--sigma is required" in res.output
+
+
+def _rows(args):
+    res = CliRunner().invoke(main, args)
+    return res.exit_code, {r["name"]: r for r in json.loads(res.output)["rows"]}
+
+
+def test_fourier_matches_the_sampled_coefficient_mean(rng):
+    # the K-mean of |F f(lambda, k)|^2, sampled on the horocycle route,
+    # against the command's Schur-reduced closed form
+    _, rows = _rows(["fourier", "--n", "3", "--p", "1", "--sigma", "q:1", "--R-grid", "2"])
+    spec = BundleSpec(3, 1)
+    pt = SpectralPoint(spec, MLabel.parse("q:1"), 1.0)
+    f = bump_section(spec, 2.0)
+    sq = np.sum(np.abs(fourier_batch(f, pt, haar_sample_K(3, size=4000, rng=rng),
+                                     t_nodes=64, grid=48)) ** 2, axis=-1)
+    scale = plancherel_density(pt) / (2.0 * f.l2_norm() ** 2)
+    got = rows["restriction_ratio[R=2]"]
+    assert got["stderr"] is None
+    assert abs(got["value"] - scale * sq.mean()) <= 4.0 * scale * sq.std() / np.sqrt(sq.size)
+
+
+def test_fourier_is_exact_at_every_n():
+    for spec, sigma in ((BundleSpec(6, 2), "q:1"), (BundleSpec(8, 3), "q:3"),
+                        (BundleSpec(4, 2, "minus"), "q:2")):
+        code, rows = _rows(["fourier", *_point_args(spec, sigma)])
+        assert code == 0, (spec, sigma)
+        assert all(r["stderr"] is None for r in rows.values())
+    _, rows = _rows(["fourier", "--n", "3", "--p", "1", "--sigma", "q:1"])
+    for R, want in ((2, 0.23507313), (4, 0.01191304), (8, 0.00048249)):
+        assert abs(rows[f"restriction_ratio[R={R}]"]["value"] - want) <= 1e-8
+
+
+def _point_args(spec, sigma):
+    chir = [] if spec.chirality == "none" else ["--chirality", spec.chirality]
+    return ["--n", str(spec.n), "--p", str(spec.p), *chir, "--sigma", sigma]
+
+
+@pytest.mark.parametrize("spec, sigma", [(BundleSpec(5, 2), "q:2"),
+                                         (BundleSpec(4, 2, "plus"), "q:2")])
+def test_invert_rows_equal_the_sampled_reconstruction_error(spec, sigma, rng):
+    _, rows = _rows(["invert", *_point_args(spec, sigma)])
+    pt = SpectralPoint(spec, MLabel.parse(sigma), 1.0)
+    atom = BoundaryAtom(GroupElement(np.eye(spec.n + 1)), default_vector(spec))
+    want = BoundarySection.from_atoms(pt, [(atom, 1.0)]).eval_batch(
+        haar_sample_K(spec.n, size=4000, rng=rng))
+    for R in (20.0, 40.0, 80.0):
+        got = want @ inversion_mix(pt, R).T
+        err = np.sqrt(np.sum(np.abs(got - want) ** 2) / np.sum(np.abs(want) ** 2))
+        assert abs(rows[f"rel_error[R={R:g}]"]["value"] - err) <= 1e-10
+
+
+@pytest.mark.parametrize("spec, sigma", [(BundleSpec(6, 2), "q:2"), (BundleSpec(3, 1), "plus"),
+                                         (BundleSpec(4, 2, "plus"), "q:2")])
+def test_asympt_rows_equal_the_matrix_remainder(spec, sigma):
+    _, rows = _rows(["asympt", *_point_args(spec, sigma)])
+    pt = SpectralPoint(spec, MLabel.parse(sigma), 1.0)
+    for t in np.linspace(1.0, 15.0, 57):
+        g = make_at(float(t), spec.n)
+        want = np.exp((pt.rho + 1.0) * t) * op_norm(spherical_at(pt, g) - asymptotic_head(pt, g))
+        got = rows[f"remainder[t={t:g}]"]["value"]
+        assert abs(got - want) <= 1e-9 * want, t

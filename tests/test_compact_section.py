@@ -1,14 +1,15 @@
 """The radial bump section: its horocycle integrals against the
-per-pair quadrature oracle, and the left equivariance that the batched
-route rests on."""
+per-pair quadrature oracle, the left equivariance that the batched
+route rests on, and its closed-form spherical transform against the
+horocycle route of the Fourier coefficient."""
 
 import numpy as np
 import pytest
 
-from hyperform import BundleSpec, bump_section, haar_sample_K
-from hyperform.extrep import chirality_matrix, tau_matrix
+from hyperform import BundleSpec, SpectralPoint, bump_section, haar_sample_K
+from hyperform.extrep import MLabel, chirality_matrix, proj_matrix, tau_matrix, tau_matrix_batch
 from hyperform.liegroup import at_mats, embed_rotation
-from hyperform.transforms import radon_batch
+from hyperform.transforms import fourier_batch, radon_batch
 
 from oracles import radon_pairs
 
@@ -45,3 +46,33 @@ def test_radon_batch_matches_per_pair_quadrature(spec, rng):
         lhs = f.eval_batch(embed_rotation(k) @ gs)
         rhs = moved.eval_batch(gs)
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * max(np.max(np.abs(rhs)), 1e-300)
+
+
+# (spec, sigma, horocycle grid, relative tolerance): the horocycle rule
+# at 64 t-nodes is the limiting error, about 5e-8 at n = 3 and 2e-5 at n = 4
+TRANSFORM_CASES = (
+    [(BundleSpec(3, 1), sig, 48, 1e-7) for sig in ("q:0", "q:1", "plus", "minus")]
+    + [(BundleSpec(4, 1), sig, 20, 5e-5) for sig in ("q:0", "q:1")]
+    + [(BundleSpec(4, 2, chir), "q:2", 20, 5e-5) for chir in ("plus", "minus")])
+
+
+@pytest.mark.parametrize("spec, sigma, grid, tol", TRANSFORM_CASES,
+                         ids=[f"{s.n}-{s.p}-{s.chirality}-{sig}" for s, sig, _, _ in TRANSFORM_CASES])
+def test_spherical_transform_matches_fourier_batch(spec, sigma, grid, tol, rng):
+    # F f(lambda, k) = b_sigma(lambda) P_sigma tau(k)^T v0
+    f = bump_section(spec, 1.5, v0=_complex_v0(spec, rng))
+    ks = haar_sample_K(spec.n, size=3, rng=rng)
+    for lam in (0.7, 2.5):
+        pt = SpectralPoint(spec, MLabel.parse(sigma), lam)
+        want = fourier_batch(f, pt, ks, t_nodes=64, grid=grid)
+        vecs = np.einsum("kab,b->ka", np.swapaxes(tau_matrix_batch(ks, spec.p), -1, -2), f.v0)
+        got = f.spherical_transform(pt) * vecs @ proj_matrix(spec, pt.sigma).T
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), (sigma, lam)
+
+
+def test_spherical_transform_raises_where_its_rules_disagree():
+    # at lambda r = 240 the 100-point rule no longer resolves the oscillation
+    spec = BundleSpec(3, 1)
+    pt = SpectralPoint(spec, MLabel.parse("q:1"), 30.0)
+    with pytest.raises(ArithmeticError, match="100/200 nodes"):
+        bump_section(spec, 8.0).spherical_transform(pt)

@@ -2,8 +2,8 @@
 boundary, no module imports the test oracles, the Iwasawa batch has one
 consumer besides its scalar wrapper, the Poisson kernel, the panel rule
 of the radial quadratures has one caller, the breakpoint rule every
-sweep shares, and every package name the benchmark traces or calls
-exists."""
+sweep shares, the commands answer without sampling routes, and every
+package name the benchmark traces or calls exists."""
 
 import ast
 import importlib
@@ -21,6 +21,10 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 IWASAWA_CALLERS = {("liegroup", "iwasawa"), ("spherical", "PoissonKernel")}
 # the one caller of the panel rule _osc_nodes
 OSC_NODES_CALLERS = [("strichartz", "_sweep_rule")]
+# sampling and matrix routes that no command may call; decompose --random
+# alone draws rotations
+CLI_BARRED = ("fourier_batch", "radon_batch", "poisson_mc", "spherical_at",
+              "asymptotic_head", "eval_batch")
 
 
 def _private(name):
@@ -111,6 +115,15 @@ def test_iwasawa_batch_only_in_kernel_and_scalar_wrapper():
 def test_osc_nodes_has_one_caller_the_sweep_rule():
     callers = [(p.stem, owner) for p in MODULES for owner, _ in _calls(p, "_osc_nodes")]
     assert callers == OSC_NODES_CALLERS, callers
+
+
+def test_commands_call_no_sampling_or_matrix_route():
+    cli = SRC / "cli.py"
+    bad = [f"cli:{line} in {owner}: haar_sample_K" for owner, line in _calls(cli, "haar_sample_K")
+           if owner != "decompose"]
+    bad += [f"cli:{line} in {owner}: {name}" for name in CLI_BARRED
+            for owner, line in _calls(cli, name)]
+    assert not bad, "commands call sampling or matrix routes:\n" + "\n".join(bad)
 
 
 def _load_tracer(monkeypatch):

@@ -11,7 +11,6 @@ from hyperform import (
     GroupElement,
     KElement,
     cartan,
-    e_defect,
     haar_sample_K,
     iwasawa,
     make_at,
@@ -20,6 +19,8 @@ from hyperform import (
     polar_k,
     radial_weight,
 )
+
+from oracles import e_defect
 
 
 def _random_g(n, rng, tmax=3.0):

@@ -26,11 +26,11 @@ from hyperform import (
     poisson_mc,
     radon,
     sigma_q,
-    spectral_projection,
     spherical_at,
-    u_intertwine,
 )
 from hyperform.extrep import tau_matrix
+
+from oracles import spectral_projection, u_intertwine
 
 
 def _random_atom(n, p, rng, spec=None, tmax=1.5):
