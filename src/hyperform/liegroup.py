@@ -339,17 +339,17 @@ def _householder_to_e1(b):
     nrm = np.linalg.norm(b, axis=-1, keepdims=True)
     if np.any(nrm == 0.0):
         raise ValueError("zero direction vector in Householder step")
-    u = b / nrm
-    v = u.copy()
+    v = b / nrm
     v[..., 0] -= 1.0
     vv = np.sum(v * v, axis=-1)
-    out = np.broadcast_to(np.eye(n), b.shape[:-1] + (n, n)).copy()
     ok = vv > 1.0e-28  # b away from +e_1
-    if np.any(ok):
-        vok = v[ok]
-        r = np.eye(n) - 2.0 * vok[..., :, None] * vok[..., None, :] / vv[ok][..., None, None]
-        r[..., :, -1] = -r[..., :, -1]
-        out[ok] = r
+    # I - 2 v v^T / vv in place: subtracting from 0 keeps the sign of zeros
+    out = 2.0 * v[..., :, None] * v[..., None, :]
+    out /= np.where(ok, vv, 1.0)[..., None, None]
+    np.subtract(0.0, out, out=out)
+    out[..., range(n), range(n)] += 1.0
+    out[..., :, -1] *= -1.0
+    out[~ok] = np.eye(n)
     return out
 
 
@@ -364,13 +364,15 @@ def cartan_batch(mats):
     t = _cartan_radius(mats)
     tie = t < TIE_EPS
     pol = polar_blocks(mats)
-    defect = np.max(np.abs(np.swapaxes(pol, -1, -2) @ pol - np.eye(n)))
+    # the Gram matrices minus I, reduced in place; k1 reuses the buffer
+    k1 = np.swapaxes(pol, -1, -2) @ pol
+    k1[..., range(n), range(n)] -= 1.0
+    defect = np.max(np.abs(k1, out=k1))
     if defect > _CONSISTENCY_TOL:
         raise ArithmeticError(
             f"Cartan K factors lost orthogonality: defect {defect:.3e}")
-    k1 = np.empty(mats.shape[:-2] + (n, n))
     if np.any(~tie):
-        k1[~tie] = _householder_to_e1(mats[~tie][..., :n, n])
+        k1[~tie] = _householder_to_e1(mats[..., :n, n][~tie])
     if np.any(tie):
         k1[tie] = pol[tie]
     k2 = np.swapaxes(k1, -1, -2) @ pol

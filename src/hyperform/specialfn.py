@@ -5,18 +5,20 @@ The Jacobi functions phi_lambda^(alpha,beta) and Psi_lambda^(alpha,beta)
 follow the conventions of Koornwinder's survey (in: Special Functions:
 Group Theoretical Aspects and Applications, 1984).
 
-Every hypergeometric value comes from one series kernel, `_series_w`.
+Every hypergeometric value comes from one series kernel, `_Series.sum`.
 For z <= 0 the Pfaff transform
 
     2F1(a, b; c; z) = (1 - z)^(-a) 2F1(a, c - b; c; w),  w = z / (z - 1)
 
 maps z onto w in [0, 1), where the power series converges
 geometrically.  Its coefficients (a)_k (c-b)_k / ((c)_k k!) do not
-depend on w, so the kernel builds them once per call as a scalar
-cumulative product and sums the whole array of w by Horner's rule.
-Besides the sum it reports, per point, the number of terms and the
-cancellation ratio max_k |term_k| / |sum|; the sum's relative rounding
-error is a few times machine epsilon times that ratio.
+depend on w: they sit in a table of scalar cumulative products, which
+the kernel sums over the whole array of w by Horner's rule, reporting
+per point the number of terms and the cancellation ratio
+max_k |term_k| / |sum| (the sum's relative rounding error is a few
+times machine epsilon times that ratio).  hyp2f1_negz builds a table
+per call; a JacobiParams keeps its own, which grow only by doubling in
+fixed blocks, so no value depends on what was evaluated before.
 
 phi_lambda has two representations, and jacobi_phi chooses between
 them at each t by their estimated rounding error, relative to
@@ -47,6 +49,7 @@ finite at large lambda, where Gamma(i lambda) alone underflows.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -185,14 +188,6 @@ def hyp2f1_negz(a, b, c, z, *, full_output=False):
     return (out, nterms, ratio) if full_output else out
 
 
-def _grow(coef, a, b, c, n):
-    """coef extended by n more coefficients (a)_k (b)_k / ((c)_k k!)."""
-    k0 = len(coef) - 1
-    ks = np.arange(k0, k0 + n, dtype=float)
-    ratios = (a + ks) * (b + ks) / ((c + ks) * (ks + 1.0))
-    return np.concatenate((coef, coef[-1] * np.cumprod(ratios)))
-
-
 def _horner(coef, w):
     """sum_k coef[k] w^k over the array w by Horner's rule, two in-place
     operations per term.  A single point runs the same recurrence on a
@@ -205,86 +200,113 @@ def _horner(coef, w):
     return np.asarray(acc, dtype=complex).reshape(w.shape)
 
 
-def _log_peak(coef, w):
-    """log max_k |coef[k]| w^k at each w, from the upper hull of the
-    points (k, log|coef[k]|)."""
-    with np.errstate(divide="ignore"):
-        logc = np.log(np.abs(coef))
-    k = np.flatnonzero(np.isfinite(logc)).astype(float)
-    y = logc[k.astype(int)]
-    while k.size > 2:
-        # a point on or below the chord of its neighbours is no vertex
-        low = (y[1:-1] - y[:-2]) * (k[2:] - k[:-2]) <= (y[2:] - y[:-2]) * (k[1:-1] - k[:-2])
-        if not low.any():
-            break
-        keep = np.concatenate(([True], ~low, [True]))
-        k, y = k[keep], y[keep]
-    # the hull's slopes fall, so the peak at x = log w sits at the first
-    # vertex whose outgoing slope is <= -x
-    x = np.log(np.maximum(w, np.finfo(float).tiny))
-    j = np.searchsorted(-np.diff(y) / np.diff(k), x)
-    return y[j] + k[j] * x
+class _Series:
+    """Coefficient table coef[k] = (a)_k (b)_k / ((c)_k k!) of one series
+    triple, and the upper hull of log|coef| with the length it was built
+    for.  The table grows only by doubling in blocks of at least
+    _SERIES_BLOCK terms (1 -> 33 -> 66 -> 132 ...), each one cumulative
+    product, so every prefix is the same whatever was asked before."""
+
+    def __init__(self, a, b, c):
+        self.a, self.b, self.c = a, b, c
+        self.coef = np.ones(1, dtype=complex)
+        self.hull = (0, None)
+
+    def upto(self, n):
+        """The table, grown to at least n coefficients."""
+        while len(self.coef) < n:
+            k0 = len(self.coef) - 1
+            ks = np.arange(k0, k0 + max(k0 + 1, _SERIES_BLOCK), dtype=float)
+            ratios = (self.a + ks) * (self.b + ks) / ((self.c + ks) * (ks + 1.0))
+            self.coef = np.concatenate((self.coef, self.coef[-1] * np.cumprod(ratios)))
+        return self.coef
+
+    def log_peak(self, w):
+        """log max_k |coef[k]| w^k at each w over the table as it stands,
+        from the upper hull of the points (k, log|coef[k]|)."""
+        if self.hull[0] != len(self.coef):
+            with np.errstate(divide="ignore"):
+                logc = np.log(np.abs(self.coef))
+            k = np.flatnonzero(np.isfinite(logc)).astype(float)
+            y = logc[k.astype(int)]
+            while k.size > 2:
+                # a point on or below the chord of its neighbours is no vertex
+                low = (y[1:-1] - y[:-2]) * (k[2:] - k[:-2]) <= (y[2:] - y[:-2]) * (k[1:-1] - k[:-2])
+                if not low.any():
+                    break
+                keep = np.concatenate(([True], ~low, [True]))
+                k, y = k[keep], y[keep]
+            self.hull = (len(self.coef), (k, y, -np.diff(y) / np.diff(k)))
+        k, y, slopes = self.hull[1]
+        # the hull's slopes fall, so the peak at x = log w sits at the first
+        # vertex whose outgoing slope is <= -x
+        x = np.log(np.maximum(w, np.finfo(float).tiny))
+        j = np.searchsorted(slopes, x)
+        return y[j] + k[j] * x
+
+    def sum(self, w):
+        """Power series sum_k coef[k] w^k for w in [0, 1): arrays shaped
+        like w of the sum, the number of terms summed and the cancellation
+        ratio max|term| / |sum|.  A point stops at the first term with
+        |term| * guard <= 1e-16 |sum|, where guard = max(wmax / (1 - wmax), 1)
+        bounds the tail, a geometric series of ratio ~ w.  The table is
+        scanned block by block until the largest w passes; a point that
+        still fails is summed again with twice as many terms.
+        """
+        w = np.asarray(w, dtype=float)
+        wmax = float(np.max(w)) if w.size else 0.0
+        guard = max(wmax / (1.0 - wmax), 1.0) if wmax < 1.0 else np.inf
+        logw = np.log(wmax) if wmax > 0.0 else -np.inf
+
+        partial, nterms, k0 = 1.0 + 0.0j, 0, 1
+        while not nterms:
+            if k0 > _SERIES_MAX_TERMS:
+                _no_convergence(self, wmax)
+            k1 = k0 + max(k0, _SERIES_BLOCK)
+            terms = self.upto(k1)[k0:k1] * np.exp(np.arange(k0, k1) * logw)
+            sums = partial + np.cumsum(terms)
+            done = np.abs(terms) * guard <= _SERIES_RTOL * (np.abs(sums) + 1e-300)
+            if done.any():
+                nterms = k0 + int(np.argmax(done)) + 1
+            partial = sums[-1]
+            k0 = k1
+
+        total = np.empty(w.shape, dtype=complex)
+        used = np.empty(w.shape, dtype=int)
+        todo = np.arange(w.size)
+        while todo.size:
+            if nterms > _SERIES_MAX_TERMS:
+                _no_convergence(self, wmax)
+            coef = self.upto(nterms)
+            wt = w.flat[todo]
+            s = _horner(coef[:nterms], wt)
+            tail = np.abs(coef[nterms - 1]) * wt ** (nterms - 1) * guard
+            done = tail <= _SERIES_RTOL * (np.abs(s) + 1e-300)
+            total.flat[todo[done]] = s[done]
+            used.flat[todo[done]] = nterms
+            todo = todo[~done]
+            nterms *= 2
+
+        with np.errstate(divide="ignore", over="ignore"):
+            ratio = np.exp(self.log_peak(w) - np.log(np.abs(total)))
+        return total, used, ratio
 
 
 def _series_w(a, b, c, w):
-    """Power series sum_k ((a)_k (b)_k / (c)_k k!) w^k for w in [0, 1).
-
-    Returns (sum, nterms, ratio), arrays shaped like w: the sum, the
-    number of terms summed, and the cancellation ratio max|term| / |sum|.
-
-    A point stops at the first term with |term| * guard <= 1e-16 |sum|.
-    Once the terms fall below the target the tail is bounded by a
-    geometric series of ratio ~ w (the term ratio tends to w), hence
-    guard = max(wmax / (1 - wmax), 1).  The coefficients are extended
-    until the largest w passes; a point that still fails is summed
-    again with twice as many terms.
-    """
-    w = np.asarray(w, dtype=float)
-    wmax = float(np.max(w)) if w.size else 0.0
-    guard = max(wmax / (1.0 - wmax), 1.0) if wmax < 1.0 else np.inf
-    logw = np.log(wmax) if wmax > 0.0 else -np.inf
-
-    coef = np.ones(1, dtype=complex)
-    partial = 1.0 + 0.0j
-    nterms = 0
-    while not nterms:
-        k0 = len(coef)
-        if k0 > _SERIES_MAX_TERMS:
-            _no_convergence(a, b, c, wmax)
-        coef = _grow(coef, a, b, c, max(k0, _SERIES_BLOCK))
-        terms = coef[k0:] * np.exp(np.arange(k0, len(coef)) * logw)
-        sums = partial + np.cumsum(terms)
-        done = np.abs(terms) * guard <= _SERIES_RTOL * (np.abs(sums) + 1e-300)
-        if done.any():
-            nterms = k0 + int(np.argmax(done)) + 1
-        partial = sums[-1]
-
-    total = np.empty(w.shape, dtype=complex)
-    used = np.empty(w.shape, dtype=int)
-    todo = np.arange(w.size)
-    while todo.size:
-        if nterms > _SERIES_MAX_TERMS:
-            _no_convergence(a, b, c, wmax)
-        if len(coef) < nterms:
-            coef = _grow(coef, a, b, c, nterms - len(coef))
-        wt = w.flat[todo]
-        s = _horner(coef[:nterms], wt)
-        tail = np.abs(coef[nterms - 1]) * wt ** (nterms - 1) * guard
-        done = tail <= _SERIES_RTOL * (np.abs(s) + 1e-300)
-        total.flat[todo[done]] = s[done]
-        used.flat[todo[done]] = nterms
-        todo = todo[~done]
-        nterms *= 2
-
-    with np.errstate(divide="ignore", over="ignore"):
-        ratio = np.exp(_log_peak(coef, w) - np.log(np.abs(total)))
-    return total, used, ratio
+    """_Series.sum of (a, b, c) on a fresh table."""
+    return _Series(a, b, c).sum(w)
 
 
-def _no_convergence(a, b, c, wmax):
+def _pfaff(series, z):
+    """(2F1(a, b; c; z), nterms, ratio) for an array z <= 0, series (a, c-b, c)."""
+    s, nterms, ratio = series.sum(z / (z - 1.0))
+    return (1.0 - z) ** (-series.a) * s, nterms, ratio
+
+
+def _no_convergence(series, wmax):
     raise RuntimeError(
         "2F1 series did not converge: a=%s b=%s c=%s max|w|=%.6f after %d terms"
-        % (a, b, c, wmax, _SERIES_MAX_TERMS)
+        % (series.a, series.b, series.c, wmax, _SERIES_MAX_TERMS)
     )
 
 
@@ -295,6 +317,11 @@ class JacobiParams:
     alpha must stay away from the negative integers; lambda may be
     complex but must keep a safe distance from i*Z whenever the
     connection formula or the c-function is involved.
+
+    An instance keeps, built on first use, its Pfaff and Psi tables,
+    c(lambda), and the reflected triple (alpha, beta, -lambda) for the
+    connection formula at parameters that are not real.  Equality, hash
+    and repr read the three fields only.
     """
 
     alpha: complex
@@ -305,6 +332,22 @@ class JacobiParams:
         a = complex(self.alpha)
         if abs(a.imag) < 1e-13 and a.real < -0.5 and abs(a.real - round(a.real)) < 1e-13:
             raise ValueError(f"alpha = {a} is a negative integer")
+
+    @cached_property
+    def _series(self):
+        """The tables (a, c - b, c) of the 2F1 (a, b; c) of phi and of Psi."""
+        a, b, lam = complex(self.alpha), complex(self.beta), complex(self.lam)
+        phi = ((1j * lam + a + b + 1.0) / 2.0, (-1j * lam + a + b + 1.0) / 2.0, a + 1.0)
+        psi = ((a + b + 1.0 - 1j * lam) / 2.0, (-a + b + 1.0 - 1j * lam) / 2.0, 1.0 - 1j * lam)
+        return tuple(_Series(fa, fc - fb, fc) for fa, fb, fc in (phi, psi))
+
+    @cached_property
+    def _c(self):
+        return c_jacobi(self.alpha, self.beta, self.lam)
+
+    @cached_property
+    def _reflected(self):
+        return JacobiParams(self.alpha, self.beta, -complex(self.lam))
 
 
 def _check_lambda_regular(lam, what):
@@ -345,13 +388,7 @@ def jacobi_phi(par, t):
     lift = -rho * np.log(0.5 + 0.5 * np.exp(-2.0 * t))
     near = (t <= T_SWITCH) & (x - np.log1p(np.pi * x) + lift <= _LOG_BUDGET)
     if np.any(near):
-        out[near], _, ratio = hyp2f1_negz(
-            (1j * lam + a + b + 1.0) / 2.0,
-            (-1j * lam + a + b + 1.0) / 2.0,
-            a + 1.0,
-            -np.sinh(t[near]) ** 2,
-            full_output=True,
-        )
+        out[near], _, ratio = _pfaff(par._series[0], -np.sinh(t[near]) ** 2)
         err[near] = np.abs(out[near]) * (_SAFETY * ratio + abs(lam) * t[near])
     if np.any(~near):
         tf = t[~near]
@@ -361,8 +398,8 @@ def jacobi_phi(par, t):
         # for real alpha, beta and lambda, c(-lambda) and Psi_(-lambda) are
         # the conjugates of c(lambda) and Psi_lambda (same series ratio)
         real = a.imag == 0.0 and b.imag == 0.0 and lam.imag == 0.0
-        cp = c_jacobi(a, b, lam)
-        cm = cp.conjugate() if real else c_jacobi(a, b, -lam)
+        cp = par._c
+        cm = cp.conjugate() if real else par._reflected._c
         # the Psi terms peak near e^{|lambda| sech^2 t / 4}, and the two
         # products may cancel against |phi|, here bounded by the floor,
         # which (2 sinh t)^-rho exceeds by (1 - e^{-2t})^-rho
@@ -376,7 +413,7 @@ def jacobi_phi(par, t):
         if real:
             psi_m, ratio_m = psi_p.conj(), ratio_p
         else:
-            psi_m, _, ratio_m = jacobi_psi(JacobiParams(a, b, -lam), tf, full_output=True)
+            psi_m, _, ratio_m = jacobi_psi(par._reflected, tf, full_output=True)
         out[~near] = cp * psi_p + cm * psi_m
         err[~near] = (np.abs(cp * psi_p) * (_SAFETY * ratio_p + abs(lam) * tf)
                       + np.abs(cm * psi_m) * (_SAFETY * ratio_m + abs(lam) * tf))
@@ -413,13 +450,7 @@ def jacobi_psi(par, t, *, full_output=False):
     _check_lambda_regular(lam, "jacobi_psi")
 
     sh = np.sinh(t)
-    f, nterms, ratio = hyp2f1_negz(
-        (a + b + 1.0 - 1j * lam) / 2.0,
-        (-a + b + 1.0 - 1j * lam) / 2.0,
-        1.0 - 1j * lam,
-        -1.0 / sh**2,
-        full_output=True,
-    )
+    f, nterms, ratio = _pfaff(par._series[1], -1.0 / sh**2)
     out = (2.0 * sh) ** (1j * lam - a - b - 1.0) * f
     if scalar:
         out, nterms, ratio = out[0], nterms[0], ratio[0]

@@ -27,6 +27,7 @@ Jacobi-function machinery, only the kernel and projectors.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gamma, pi, sqrt
 
 import numpy as np
@@ -75,6 +76,9 @@ class SpectralPoint:
 
     lambda may be complex for c-function and asymptotics work; the
     density API insists on real lambda.  rho = (n-1)/2 throughout.
+    A point keeps its JacobiParams (with their tables) and its head
+    coefficients c_{s sigma}(s lambda), built on first use; equality,
+    hash and repr read the three fields only.
     """
 
     spec: xr.BundleSpec
@@ -105,6 +109,21 @@ class SpectralPoint:
             raise ValueError("this operation requires real lambda")
         return lam.real
 
+    @cached_property
+    def _jacobi(self):
+        """The JacobiParams whose phi component_grid combines."""
+        n, lam = self.n, complex(self.lam)
+        if self.spec.chirality != "none":
+            return (JacobiParams(n / 2 - 1, n / 2 + 1, 2 * lam),)
+        return JacobiParams(n / 2 - 1, -0.5, lam), JacobiParams(n / 2, -0.5, lam)
+
+    @cached_property
+    def _head_terms(self):
+        """(s sigma, c_{s sigma}(s lambda)) for s = +1, -1."""
+        lam = complex(self.lam)
+        terms = [(self.sigma, lam), weyl_reflect(self.sigma, lam)]
+        return tuple((sig, _c_sigma_scalar(self.spec, sig, lam_s)) for sig, lam_s in terms)
+
 
 @dataclass
 class SphericalValue:
@@ -122,11 +141,9 @@ def component_grid(pt, ts):
     n, p, lam = pt.n, pt.p, complex(pt.lam)
     spec = pt.spec
     if spec.chirality != "none":
-        par = JacobiParams(n / 2 - 1, n / 2 + 1, 2 * lam)
-        val = np.cosh(ts / 2.0) ** 2 * jacobi_phi(par, ts / 2.0)
+        val = np.cosh(ts / 2.0) ** 2 * jacobi_phi(pt._jacobi[0], ts / 2.0)
         return {xr.sigma_q(p): val}
-    a = jacobi_phi(JacobiParams(n / 2 - 1, -0.5, lam), ts)
-    b = jacobi_phi(JacobiParams(n / 2, -0.5, lam), ts)
+    a, b = (jacobi_phi(par, ts) for par in pt._jacobi)
     ch = np.cosh(ts)
     out = {}
     if pt.sigma == xr.sigma_q(p - 1):
@@ -173,12 +190,7 @@ def head_components(pt, ts):
     ts = np.asarray(ts, dtype=float)
     lam, rho = complex(pt.lam), pt.rho
     out = {eta: np.zeros(ts.shape, dtype=complex) for eta in xr.branching(pt.spec)}
-    for s in (+1, -1):
-        if s > 0:
-            sig_s, lam_s = pt.sigma, lam
-        else:
-            sig_s, lam_s = weyl_reflect(pt.sigma, lam)
-        coeff = _c_sigma_scalar(pt.spec, sig_s, lam_s)
+    for s, (sig_s, coeff) in zip((+1, -1), pt._head_terms):
         weight = coeff * np.exp((1j * s * lam - rho) * ts)
         for eta in xr.sigma_blocks(pt.spec, sig_s):
             out[eta] = out[eta] + weight

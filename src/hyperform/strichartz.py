@@ -381,7 +381,9 @@ def _ball_sweep(pt, section, R_grid, kinds=("spherical",), k_samples=4096, rng=N
     one-radius value on the same draws only by the change of node
     layout: rounding for the smooth spherical kind, the t-quadrature
     error for the residual and head, which are not smooth on G at the
-    identity.  Returns (values, stderrs, method), the arrays of shape
+    identity.  For the residual that error, measured at up to 2e-5
+    relative, is a bias which the stderrs (Monte Carlo error only) leave
+    out.  Returns (values, stderrs, method), the arrays of shape
     (len(kinds), len(R_grid)).
     """
     atoms = _atom_list(section)
@@ -464,7 +466,10 @@ def strichartz_limit(pt, section, R_grid=None, k_samples=4096, rng=None):
     The limit of the averages is (1/pi) nu_sigma(lambda)^{-1} ||F||^2;
     the report also carries the sweep supremum (the weak-norm estimate)
     and the empirical constant of the two-sided comparison with
-    nu_sigma(lambda)^{-1/2} ||F||.
+    nu_sigma(lambda)^{-1/2} ||F||.  On the mc_k route stderr is Monte
+    Carlo error only, complete for this spherical kind; the residual kind
+    (asymptotic_residual_sweep) carries a t-quadrature bias of up to 2e-5
+    relative, which its stderr leaves out.
     """
     if R_grid is None:
         R_grid = _DEFAULT_R_GRID

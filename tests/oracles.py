@@ -12,7 +12,9 @@ matrices k a_t n_y, with no use of the section's left equivariance.
 inversion_mc_loop is the literal Monte Carlo reconstruction of
 strichartz.inversion_reconstruct with the Poisson image formed one
 t-node at a time through the Cartan decomposition of every atom, with
-no tau-radial factoring for atoms at a rotation.  e_defect,
+no tau-radial factoring for atoms at a rotation.  cartan_batch_copy
+is liegroup.cartan_batch as it stood before its temporaries were cut,
+which the in-place version must reproduce bit for bit.  e_defect,
 u_intertwine and spectral_projection are the horocyclic defect, the
 Weyl relabelling of atom sections and the Monte Carlo spectral
 projection, which only the tests use.
@@ -181,6 +183,42 @@ def inversion_mc_loop(pt, section, R, kmats, mc_k1, rng, mu=None):
             ker = sph.PoissonKernel(at_neg[i] @ k1_inv_k, pt.p)
             out[bi] += radial[i] * ker.dual(pt, fvals[i], lam=mu).mean(axis=0)
     return out
+
+
+def _householder_to_e1_copy(b):
+    n = b.shape[-1]
+    nrm = np.linalg.norm(b, axis=-1, keepdims=True)
+    u = b / nrm
+    v = u.copy()
+    v[..., 0] -= 1.0
+    vv = np.sum(v * v, axis=-1)
+    out = np.broadcast_to(np.eye(n), b.shape[:-1] + (n, n)).copy()
+    ok = vv > 1.0e-28
+    if np.any(ok):
+        vok = v[ok]
+        r = np.eye(n) - 2.0 * vok[..., :, None] * vok[..., None, :] / vv[ok][..., None, None]
+        r[..., :, -1] = -r[..., :, -1]
+        out[ok] = r
+    return out
+
+
+def cartan_batch_copy(mats):
+    """liegroup.cartan_batch with the copies and temporaries it had
+    before they were cut: (t, k1, k2) of stacked group matrices."""
+    n = mats.shape[-1] - 1
+    t = lg._cartan_radius(mats)
+    tie = t < lg.TIE_EPS
+    pol = lg.polar_blocks(mats)
+    defect = np.max(np.abs(np.swapaxes(pol, -1, -2) @ pol - np.eye(n)))
+    if defect > lg._CONSISTENCY_TOL:
+        raise ArithmeticError(f"Cartan K factors lost orthogonality: defect {defect:.3e}")
+    k1 = np.empty(mats.shape[:-2] + (n, n))
+    if np.any(~tie):
+        k1[~tie] = _householder_to_e1_copy(mats[~tie][..., :n, n])
+    if np.any(tie):
+        k1[tie] = pol[tie]
+    k2 = np.swapaxes(k1, -1, -2) @ pol
+    return t, k1, k2
 
 
 def e_defect(g, x):

@@ -2,8 +2,9 @@
 boundary, no module imports the test oracles, the Iwasawa batch has one
 consumer besides its scalar wrapper, the Poisson kernel, the panel rule
 of the radial quadratures has one caller, the breakpoint rule every
-sweep shares, the commands answer without sampling routes, and every
-package name the benchmark traces or calls exists."""
+sweep shares, spherical evaluates Jacobi functions only on the
+parameters a SpectralPoint owns, the commands answer without sampling
+routes, and every package name the benchmark traces or calls exists."""
 
 import ast
 import importlib
@@ -115,6 +116,14 @@ def test_iwasawa_batch_only_in_kernel_and_scalar_wrapper():
 def test_osc_nodes_has_one_caller_the_sweep_rule():
     callers = [(p.stem, owner) for p in MODULES for owner, _ in _calls(p, "_osc_nodes")]
     assert callers == OSC_NODES_CALLERS, callers
+
+
+def test_spectral_points_own_their_jacobi_parameters():
+    # a SpectralPoint builds its JacobiParams once and component_grid reads
+    # them, so no spherical path evaluates Jacobi functions on fresh tables
+    sph = SRC / "spherical.py"
+    assert {owner for owner, _ in _calls(sph, "JacobiParams")} == {"SpectralPoint"}
+    assert {owner for owner, _ in _calls(sph, "jacobi_phi")} == {"component_grid"}
 
 
 def test_commands_call_no_sampling_or_matrix_route():

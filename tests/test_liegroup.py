@@ -2,6 +2,8 @@
 defect bound.  Everything here is exact linear algebra, so tolerances
 sit at roundoff scale."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,9 @@ from hyperform import (
     polar_k,
     radial_weight,
 )
+from hyperform.liegroup import cartan_batch, embed_rotation
 
-from oracles import e_defect
+from oracles import cartan_batch_copy, e_defect
 
 
 def _random_g(n, rng, tmax=3.0):
@@ -188,3 +191,39 @@ def test_defect_strictly_positive_off_degenerate_set(rng):
         x = _random_g(3, rng, tmax=2.0)
         vals.append(e_defect(g, x))
     assert min(vals) > 0.0
+
+
+def _slab(n, t_nodes, rotations, rng):
+    """g^{-1} k a_t over t_nodes radii and Haar rotations k, the group
+    matrices of one mc_k slab for an atom g away from the base point,
+    flattened to (t_nodes * rotations, n+1, n+1), with three ties and one
+    a_t, whose Householder direction is e_1 itself."""
+    g = _random_g(n, rng)
+    ks = embed_rotation(haar_sample_K(n, size=rotations, rng=rng))
+    ats = np.stack([make_at(t, n).mat for t in np.linspace(0.05, 4.0, t_nodes)])
+    mats = (g.inv().mat @ ks)[None] @ ats[:, None]
+    mats = mats.reshape((-1, n + 1, n + 1))
+    mats[:3] = ks[:3]
+    mats[3] = make_at(1.0, n).mat
+    return mats
+
+
+def test_cartan_batch_equals_earlier_version_with_less_memory():
+    # 16 t-nodes x 4000 rotations at n=3: the earlier version peaked
+    # 36 MB above its 8 MB input
+    mats = _slab(3, 16, 4000, np.random.default_rng(12))
+    tracemalloc.start()
+    try:
+        t, k1, k2 = cartan_batch(mats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
+    t0, k10, k20 = cartan_batch_copy(mats)
+    assert np.array_equal(t, t0) and np.array_equal(k1, k10) and np.array_equal(k2, k20)
+    # the sign of every zero too
+    assert np.array_equal(np.signbit(k1), np.signbit(k10))
+    for n in (2, 4, 5):
+        mats = _slab(n, 4, 50, np.random.default_rng(n))
+        for got, want in zip(cartan_batch(mats), cartan_batch_copy(mats)):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))

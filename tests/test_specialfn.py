@@ -215,6 +215,41 @@ def test_phi_raises_where_neither_branch_is_accurate():
         jacobi_phi(JacobiParams(1.0, 0.0, 100.0), np.array([0.1, 0.3]))
 
 
+@pytest.mark.parametrize("alpha,beta", [(1.0, -0.5), (2.0, -0.5), (1.0, 3.0)])
+@pytest.mark.parametrize("lam", [1.3, 4.0, 2.0 - 0.7j])
+def test_warm_tables_give_fresh_values(alpha, beta, lam):
+    # a JacobiParams keeps its series tables and c-values; after a sweep
+    # over [0, 6] has grown them, values, term counts and ratios at single
+    # radii are those of a fresh instance, bit for bit
+    warm = JacobiParams(alpha, beta, lam)
+    jacobi_phi(warm, np.linspace(0.0, 6.0, 61))
+    for t in (0.3, 2.5):
+        assert jacobi_phi(warm, t) == jacobi_phi(JacobiParams(alpha, beta, lam), t)
+    for got, want in zip(jacobi_psi(warm, 2.5, full_output=True),
+                         jacobi_psi(JacobiParams(alpha, beta, lam), 2.5, full_output=True)):
+        assert got == want
+
+
+def test_table_prefix_is_independent_of_history():
+    # a point next to a zero of phi extends its sum past the block the
+    # largest w needs; later growth still reproduces a fresh table
+    lam = 4.0
+    warm = JacobiParams(0.5, -0.5, lam)
+    jacobi_phi(warm, np.array([0.2, np.pi / lam + 1e-9, np.pi / lam + 1e-3]))
+    fresh = JacobiParams(0.5, -0.5, lam)
+    for t in (1.5, 1.8):
+        assert jacobi_phi(warm, t) == jacobi_phi(fresh, t)
+    assert np.array_equal(warm._series[0].coef, fresh._series[0].coef)
+
+
+def test_warm_tables_still_raise():
+    warm = JacobiParams(1.0, 0.0, 100.0)
+    jacobi_phi(warm, np.array([0.0, 0.05, 0.1, 1.0, 3.0]))
+    for par in (warm, JacobiParams(1.0, 0.0, 100.0)):
+        with pytest.raises(ArithmeticError):
+            jacobi_phi(par, 0.4)
+
+
 def test_phi_connection_formula_spot():
     # (alpha, beta) = (3/2, -1/2), lambda = 1, t = 2
     par = JacobiParams(1.5, -0.5, 1.0)

@@ -29,7 +29,8 @@ from hyperform import (
 )
 
 from hyperform.liegroup import at_mats, embed_rotation
-from hyperform.spherical import PoissonKernel, head_batch, radial_batch, spherical_batch
+from hyperform.spherical import (PoissonKernel, component_grid, head_batch, head_components,
+                                 radial_batch, spherical_batch)
 
 from conftest import case_points, kernel_points
 
@@ -283,3 +284,36 @@ def test_op_norm_against_svd(rng):
     rank1 = np.outer(v, v)
     assert abs(op_norm(rank1) - np.linalg.norm(rank1, 2)) <= 1e-8 * np.linalg.norm(rank1, 2)
     assert op_norm(np.zeros((4, 4))) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# per-point tables
+
+
+_TABLE_POINTS = [(BundleSpec(3, 1), sigma_q(0)), (BundleSpec(6, 2), sigma_q(1)),
+                 (BundleSpec(5, 2), SIGMA_PLUS), (BundleSpec(4, 2, "plus"), sigma_q(2))]
+
+
+@pytest.mark.parametrize("spec,sigma", _TABLE_POINTS)
+def test_warm_point_equals_fresh_point(spec, sigma):
+    # a SpectralPoint keeps its Jacobi tables and head coefficients; once
+    # a sweep has grown them, single radii give a fresh point's values
+    warm = SpectralPoint(spec, sigma, 1.7)
+    component_grid(warm, np.linspace(0.0, 8.0, 81))
+    head_components(warm, np.linspace(0.0, 8.0, 81))
+    for ts in (np.array([0.3]), np.array([2.5]), np.array([0.1, 1.2, 4.0])):
+        fresh = SpectralPoint(spec, sigma, 1.7)
+        for got, want in ((component_grid(warm, ts), component_grid(fresh, ts)),
+                          (head_components(warm, ts), head_components(fresh, ts))):
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[eta], want[eta]) for eta in got)
+
+
+def test_point_identity_ignores_its_tables():
+    pt = SpectralPoint(BundleSpec(6, 2), sigma_q(1), 1.7)
+    before = (repr(pt), hash(pt))
+    component_grid(pt, np.array([0.5, 3.0]))
+    head_components(pt, np.array([0.5]))
+    fresh = SpectralPoint(BundleSpec(6, 2), sigma_q(1), 1.7)
+    assert (repr(pt), hash(pt)) == before == (repr(fresh), hash(fresh))
+    assert pt == fresh and {pt: 1}[fresh] == 1
