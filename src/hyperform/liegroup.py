@@ -11,7 +11,11 @@ y in R^(n-1), is the usual horospherical group.  Conventions:
 
 Iwasawa G = KAN reads off the last row of g: with c_1 = g[n,0] and
 d = g[n,n], H(g) = log(c_1 + d) (the argument is always positive on
-G), and y = e^{-H} * (middle entries of the last row).  Cartan
+G), and y = e^{-H} * (middle entries of the last row).  kappa is read
+off the columns of g: xi = e_1 + e_{n+1} has n_y xi = xi and
+a_H xi = e^H xi, so kappa e_1 = e^{-H} (g xi) and kappa e_j =
+g e_j - y_j (g xi) for j = 2..n (upper n entries), with an error of
+about e^t ulps at Cartan radius t.  Cartan
 G = K A+ K uses t+ = arccosh(d); the left factor k1 is the rotation
 taking e_1 to b/|b| (b the upper right column), built from a
 deterministic Householder reflection with a sign fix, so decompositions
@@ -285,14 +289,36 @@ def _iwasawa_hy(mats):
 
 
 def iwasawa_batch(mats):
-    """(H, y, kappa block) for stacked matrices."""
+    """(H, y, kappa block) for stacked matrices.
+
+    kappa is read off the columns of g (indices from 0).  With
+    xi = e_0 + e_n, n_y xi = xi and a_H xi = e^H xi, so
+    g xi = e^H kappa xi and
+
+        kappa e_0 = e^{-H} (g xi)_{:n},
+        kappa e_j = g_{:n,j} - y_j (g xi)_{:n},   j = 1 .. n-1.
+
+    Its error grows like e^t ulps at Cartan radius t (the product
+    g n_{-y} a_{-H} cancelled entries of size e^{2t} and lost e^{2t}
+    ulps).  Raises ArithmeticError when kappa^T kappa is more than 1e-8
+    from I or not finite, which for random g happens from t of about
+    16 on.
+    """
     n = mats.shape[-1] - 1
     h, y = _iwasawa_hy(mats)
-    kap = mats @ ny_mats(-y, n) @ at_mats(-h, n)
-    block = kap[..., :n, :n]
-    defect = np.max(np.abs(
-        np.swapaxes(block, -1, -2) @ block - np.eye(n)))
-    if defect > _CONSISTENCY_TOL:
+    gxi = mats[..., :n, 0] + mats[..., :n, n]
+    y0 = np.zeros(gxi.shape)
+    y0[..., 1:] = y
+    # g_{:n,:n} - (g xi) y0^T, whose column 0 is then replaced
+    block = np.einsum("...i,...j->...ij", gxi, y0)
+    np.subtract(mats[..., :n, :n], block, out=block)
+    block[..., 0] = gxi / (mats[..., n, 0] + mats[..., n, n])[..., None]
+    # the Gram matrix minus I, reduced in place; square stacked products
+    # run several times faster on a C-ordered copy than on a swapaxes view
+    gram = np.ascontiguousarray(np.swapaxes(block, -1, -2)) @ block
+    gram -= np.eye(n)
+    defect = np.max(np.abs(gram, out=gram))
+    if not defect <= _CONSISTENCY_TOL:  # a NaN defect raises too
         raise ArithmeticError(
             f"Iwasawa K factor lost orthogonality: defect {defect:.3e}")
     return h, y, block
@@ -320,7 +346,7 @@ def polar_k(g):
     factorization; equals k1 k2 of the Cartan decomposition."""
     block = polar_blocks(g.mat if isinstance(g, GroupElement) else np.asarray(g))
     defect = np.max(np.abs(block.T @ block - np.eye(block.shape[-1])))
-    if defect > _CONSISTENCY_TOL:
+    if not defect <= _CONSISTENCY_TOL:
         raise ArithmeticError(f"polar block defect {defect:.3e}")
     return KElement(block, mode="repair")
 
@@ -365,17 +391,17 @@ def cartan_batch(mats):
     tie = t < TIE_EPS
     pol = polar_blocks(mats)
     # the Gram matrices minus I, reduced in place; k1 reuses the buffer
-    k1 = np.swapaxes(pol, -1, -2) @ pol
+    k1 = np.ascontiguousarray(np.swapaxes(pol, -1, -2)) @ pol
     k1[..., range(n), range(n)] -= 1.0
     defect = np.max(np.abs(k1, out=k1))
-    if defect > _CONSISTENCY_TOL:
+    if not defect <= _CONSISTENCY_TOL:
         raise ArithmeticError(
             f"Cartan K factors lost orthogonality: defect {defect:.3e}")
     if np.any(~tie):
         k1[~tie] = _householder_to_e1(mats[..., :n, n][~tie])
     if np.any(tie):
         k1[tie] = pol[tie]
-    k2 = np.swapaxes(k1, -1, -2) @ pol
+    k2 = np.ascontiguousarray(np.swapaxes(k1, -1, -2)) @ pol
     return t, k1, k2
 
 

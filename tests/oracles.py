@@ -14,12 +14,17 @@ strichartz.inversion_reconstruct with the Poisson image formed one
 t-node at a time through the Cartan decomposition of every atom, with
 no tau-radial factoring for atoms at a rotation.  cartan_batch_copy
 is liegroup.cartan_batch as it stood before its temporaries were cut,
-which the in-place version must reproduce bit for bit.  e_defect,
+which the in-place version must reproduce bit for bit, and
+iwasawa_batch_product is liegroup.iwasawa_batch as it stood before
+kappa was read off g's columns.  iwasawa_mp decomposes group elements
+that group_mp builds exactly (from rotation_mp rotations), at the
+caller's mpmath precision.  e_defect,
 u_intertwine and spectral_projection are the horocyclic defect, the
 Weyl relabelling of atom sections and the Monte Carlo spectral
 projection, which only the tests use.
 """
 
+import mpmath
 import numpy as np
 
 import hyperform.extrep as xr
@@ -261,3 +266,69 @@ def spectral_projection(f, pt, g, k_samples=2000, t_nodes=40, grid=24, rng=None)
     section = tfm.BoundarySection.from_sampler(pt, sampler, budget=k_samples)
     vec, err = tfm.poisson_mc(pt, section, g, k_samples, rng=rng)
     return xr.FormVector(pt.n, pt.p, nu * vec.coeffs), nu * err
+
+
+def iwasawa_batch_product(mats):
+    """liegroup.iwasawa_batch as it stood before kappa was read off g's
+    columns: (H, y, kappa block) through the product g n_{-y} a_{-H},
+    which cancels entries of size e^{2t} at Cartan radius t."""
+    n = mats.shape[-1] - 1
+    h, y = lg._iwasawa_hy(mats)
+    kap = mats @ lg.ny_mats(-y, n) @ lg.at_mats(-h, n)
+    block = kap[..., :n, :n]
+    defect = np.max(np.abs(
+        np.swapaxes(block, -1, -2) @ block - np.eye(n)))
+    if defect > lg._CONSISTENCY_TOL:
+        raise ArithmeticError(
+            f"Iwasawa K factor lost orthogonality: defect {defect:.3e}")
+    return h, y, block
+
+
+def rotation_mp(a):
+    """The Cayley rotation (I - S)^{-1} (I + S) of the skew part S of a
+    float (n, n) matrix, embedded in SO0(n,1) as an mpmath matrix;
+    orthogonal with det +1 to the working precision."""
+    n = a.shape[0]
+    s = mpmath.matrix(n + 1, n + 1)
+    for i in range(n):
+        for j in range(n):
+            s[i, j] = (mpmath.mpf(a[i, j]) - mpmath.mpf(a[j, i])) / 2
+    eye = mpmath.eye(n + 1)
+    return mpmath.inverse(eye - s) * (eye + s)
+
+
+def _boost_mp(t, n):
+    out = mpmath.eye(n + 1)
+    ch, sh = mpmath.cosh(t), mpmath.sinh(t)
+    out[0, 0] = out[n, n] = ch
+    out[0, n] = out[n, 0] = sh
+    return out
+
+
+def group_mp(a1, t, a2):
+    """k1 a_t k2 as an (n+1) x (n+1) mpmath matrix at the working
+    precision, k1 and k2 the Cayley rotations of the float (n, n)
+    matrices a1 and a2: a group element at Cartan radius |t|."""
+    n = a1.shape[0]
+    return rotation_mp(a1) * _boost_mp(mpmath.mpf(t), n) * rotation_mp(a2)
+
+
+def iwasawa_mp(g):
+    """Iwasawa data (H, y, kappa) of an mpmath group matrix g at the
+    working precision, from the definition g = kappa a_H n_y:
+    e^H = g[n, 0] + g[n, n], y = e^{-H} g[n, 1:n], and kappa the upper
+    left block of the product g n_{-y} a_{-H}.  Returned as floats."""
+    n = g.rows - 1
+    s = g[n, 0] + g[n, n]
+    h = mpmath.log(s)
+    y = [g[n, j] / s for j in range(1, n)]
+    q = sum(v * v for v in y) / 2
+    ny = mpmath.eye(n + 1)  # n_{-y}
+    ny[0, 0], ny[0, n], ny[n, 0], ny[n, n] = 1 - q, q, -q, 1 + q
+    for j in range(1, n):
+        ny[0, j] = ny[n, j] = -y[j - 1]
+        ny[j, 0] = y[j - 1]
+        ny[j, n] = -y[j - 1]
+    kap = g * ny * _boost_mp(-h, n)
+    return (float(h), np.array([float(v) for v in y]),
+            np.array([[float(kap[i, j]) for j in range(n)] for i in range(n)]))

@@ -84,6 +84,23 @@ def _rows(args):
     return res.exit_code, {r["name"]: r for r in json.loads(res.output)["rows"]}
 
 
+@pytest.mark.parametrize("t", ["10", "12"])
+def test_decompose_passes_far_from_the_origin(t):
+    # the product-form Iwasawa step lost orthogonality here (defect
+    # 3.5e-8 at t = 10)
+    code, rows = _rows(["decompose", "--at", t, "--n", "3"])
+    assert code == 0
+    assert all(r["pass"] for r in rows.values())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_decompose_exits_cleanly_where_the_boost_overflows():
+    res = CliRunner().invoke(main, ["decompose", "--at", "700", "--n", "3"])
+    assert res.exit_code == 1
+    assert "lost orthogonality" in res.output
+    assert not isinstance(res.exception, (ArithmeticError, ValueError))
+
+
 def test_fourier_matches_the_sampled_coefficient_mean(rng):
     # the K-mean of |F f(lambda, k)|^2, sampled on the horocycle route,
     # against the command's Schur-reduced closed form

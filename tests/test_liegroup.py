@@ -4,6 +4,7 @@ sit at roundoff scale."""
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,15 +22,22 @@ from hyperform import (
     polar_k,
     radial_weight,
 )
-from hyperform.liegroup import cartan_batch, embed_rotation
+from hyperform.liegroup import at_mats, cartan_batch, embed_rotation, iwasawa_batch
 
-from oracles import cartan_batch_copy, e_defect
+from oracles import cartan_batch_copy, e_defect, group_mp, iwasawa_batch_product, iwasawa_mp
 
 
 def _random_g(n, rng, tmax=3.0):
     k1, k2 = haar_sample_K(n, size=2, rng=rng)
     t = rng.uniform(0.05, tmax)
     return make_rotation(k1) @ make_at(t, n) @ make_rotation(k2)
+
+
+def _stack(n, t, size, rng):
+    """k1 a_t k2 over `size` pairs of Haar rotations; t broadcasts
+    against (size,)."""
+    k1, k2 = (embed_rotation(haar_sample_K(n, size=size, rng=rng)) for _ in range(2))
+    return k1 @ at_mats(t, n) @ k2
 
 
 def _minkowski_defect(mat):
@@ -94,6 +102,77 @@ def test_roundtrips_thousand_elements(n):
         back = make_rotation(ca.k1) @ make_at(ca.t, n) @ make_rotation(ca.k2)
         assert np.max(np.abs(back.mat - g.mat)) / scale <= 1e-10
         assert ca.t >= 0.0
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_iwasawa_matches_mpmath_oracle(n):
+    # g = k1 a_t k2 built at 40 digits and rounded to floats; H, y and
+    # kappa are within 4 eps e^t of the 40-digit decomposition (kappa
+    # was measured at 0.5 eps e^t at most; the product route it
+    # replaced reached 2500 eps e^t at t = 9 and raised at t = 12)
+    rng = np.random.default_rng(40 + n)
+    for t in (0.5, 3.0, 6.0, 9.0, 12.0):
+        tol = 4.0 * np.finfo(float).eps * np.exp(t)
+        for _ in range(4):
+            with mpmath.workdps(40):
+                gm = group_mp(rng.normal(size=(n, n)), t, rng.normal(size=(n, n)))
+                h, y, kappa = iwasawa_mp(gm)
+            got_h, got_y, got_kappa = iwasawa_batch(np.array(gm.tolist(), dtype=float))
+            assert abs(got_h - h) <= tol
+            assert np.all(np.abs(got_y - y) <= tol * np.maximum(1.0, np.abs(y)))
+            assert np.max(np.abs(got_kappa - kappa)) <= tol
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_iwasawa_matches_the_product_route_up_to_radius_three(n):
+    # H and y are computed as before; kappa agrees with g n_{-y} a_{-H}
+    # to 1e-13 relative to the entry scale of g, which is the product
+    # route's own e^{2t}-ulp error at t = 3
+    mats = _stack(n, np.linspace(0.1, 3.0, 30)[:, None], 100, np.random.default_rng(n))
+    mats = mats.reshape(-1, n + 1, n + 1)
+    h, y, kappa = iwasawa_batch(mats)
+    h0, y0, kappa0 = iwasawa_batch_product(mats)
+    assert np.array_equal(h, h0) and np.array_equal(y, y0)
+    scale = np.max(np.abs(mats), axis=(-1, -2))
+    assert np.all(np.max(np.abs(kappa - kappa0), axis=(-1, -2)) <= 1e-13 * scale)
+
+
+def test_iwasawa_raises_once_kappa_is_not_orthogonal():
+    g = (make_rotation(haar_sample_K(4, rng=np.random.default_rng(3))) @ make_at(1.0, 4)).mat
+    bent = g.copy()
+    bent[0, 1] += 1e-10  # kappa e_1 moves by 1e-10: within the 1e-8 slack
+    iwasawa_batch(bent)
+    bent[0, 1] += 1e-7
+    with pytest.raises(ArithmeticError, match="lost orthogonality"):
+        iwasawa_batch(bent)
+    # far out the rounding of g alone exceeds the slack
+    with pytest.raises(ArithmeticError, match="lost orthogonality"):
+        iwasawa_batch(_stack(4, 20.0, 2000, np.random.default_rng(5)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_decompositions_raise_where_entries_overflow():
+    # cosh 700 is finite but sinh^2 is not, and cosh 750 overflows: the
+    # defects are NaN there, and a NaN defect must raise
+    for t in (700.0, 750.0):
+        mats = make_at(t, 3).mat[None]
+        with pytest.raises(ArithmeticError, match="lost orthogonality"):
+            cartan_batch(mats)
+    with pytest.raises(ArithmeticError, match="lost orthogonality"):
+        iwasawa_batch(make_at(750.0, 3).mat[None])
+
+
+def test_iwasawa_batch_memory():
+    # 8192 matrices at n=6 (3.1 MB): the product route peaked 9.6 MB
+    # above its input, with two (n+1) x (n+1) factor stacks
+    mats = _stack(6, 2.0, 8192, np.random.default_rng(6))
+    tracemalloc.start()
+    try:
+        iwasawa_batch(mats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * 2 ** 20
 
 
 def test_h_and_aplus_of_boost_are_exact():

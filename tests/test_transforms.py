@@ -3,15 +3,17 @@ coefficient: closed forms against their Monte Carlo twins."""
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from math import comb
+from math import comb, sqrt
 
 from hyperform import (
     BoundaryAtom,
     BoundarySection,
     BundleSpec,
     FormVector,
+    GroupElement,
     SpectralPoint,
     SIGMA_PLUS,
     bump_section,
@@ -28,9 +30,9 @@ from hyperform import (
     sigma_q,
     spherical_at,
 )
-from hyperform.extrep import tau_matrix
+from hyperform.extrep import dims, proj_matrix, tau_matrix
 
-from oracles import spectral_projection, u_intertwine
+from oracles import group_mp, iwasawa_mp, rotation_mp, spectral_projection, u_intertwine
 
 
 def _random_atom(n, p, rng, spec=None, tmax=1.5):
@@ -108,6 +110,42 @@ def test_poisson_mc_matches_closed_form(n, p):
             hits += 1
     # a 3 sigma miss on one trial out of seven is statistically benign
     assert hits >= 6
+
+
+@pytest.mark.parametrize("n,p,sigma", [(3, 1, sigma_q(1)), (4, 1, sigma_q(1)),
+                                       (5, 2, SIGMA_PLUS)])
+def test_atom_routes_hold_far_from_the_origin(n, p, sigma):
+    # atoms at distance 9 and 12, where the product-form Iwasawa step
+    # raised: eval_batch within 8 eps e^t of the kernel on the 40-digit
+    # Iwasawa data of g^{-1} k (relative to |weight| |v|; 0.5 eps e^t
+    # measured), and poisson_mc finite and within 4 stderr of the
+    # closed form
+    rng = np.random.default_rng(90 + n)
+    spec = BundleSpec(n, p)
+    pt = SpectralPoint(spec, sigma, 1.0)
+    jj = np.diag([1.0] * n + [-1.0])
+    for t in (9.0, 12.0):
+        with mpmath.workdps(40):
+            gm = group_mp(rng.normal(size=(n, n)), t, rng.normal(size=(n, n)))
+            ks = [rotation_mp(rng.normal(size=(n, n))) for _ in range(6)]
+            data = [iwasawa_mp(mpmath.matrix(jj) * gm.T * mpmath.matrix(jj) * k) for k in ks]
+            kmats = np.array([k.tolist() for k in ks], dtype=float)[:, :n, :n]
+        # rounded from an exact element: at t = 12 its slogdet is off by
+        # about 1e-6, beyond what GroupElement's check accepts
+        g = GroupElement(np.array(gm.tolist(), dtype=float), check=False)
+        v = rng.normal(size=comb(n, p)) + 1j * rng.normal(size=comb(n, p))
+        atom = BoundaryAtom(g, FormVector(n, p, v))
+        sec = BoundarySection.from_atoms(pt, [(atom, 1.0)])
+        got = sec.eval_batch(kmats)
+        tol = 8.0 * np.finfo(float).eps * np.exp(t)
+        for (h, _, kappa), val in zip(data, got):
+            w = sqrt(dims(spec, sigma)[2]) * np.exp(-(-1j * pt.lam + pt.rho) * h)
+            want = (w * (tau_matrix(kappa, p).T @ v)) @ proj_matrix(spec, sigma).T
+            assert np.max(np.abs(val - want)) <= tol * abs(w) * np.linalg.norm(v)
+        x = make_at(0.5, n)
+        mc, se = poisson_mc(pt, sec, x, samples=4000, rng=np.random.default_rng(1))
+        assert np.all(np.isfinite(mc.coeffs)) and np.isfinite(se)
+        assert np.linalg.norm(mc.coeffs - poisson_atom(pt, atom, x).coeffs) <= 4.0 * se
 
 
 def test_poisson_mc_memory_is_bounded_at_large_degree():
