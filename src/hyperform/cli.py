@@ -247,7 +247,10 @@ def _emit(cfg, rows, extra_meta=None):
         with open(cfg["out"], "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        # not click.echo: its per-stream cache keeps every stdout it has seen
+        # alive, so an in-process caller's redirected buffers would pile up
+        sys.stdout.write(text)
+        sys.stdout.flush()
     if not all(r["pass"] for r in rows):
         sys.exit(1)
 

@@ -65,10 +65,12 @@ TIE_EPS = 1.0e-12
 _CONSISTENCY_TOL = 1.0e-8
 
 
-def _metric(n):
-    j = np.ones(n + 1)
-    j[n] = -1.0
-    return np.diag(j)
+def _shift_diagonal(a, x):
+    """a += x on the diagonals of a C-contiguous stack (..., n, n), in
+    place through a strided view; raises if a is not contiguous."""
+    n = a.shape[-1]
+    diag = a.reshape(-1, n * n, copy=False)[:, :: n + 1]
+    diag += x
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +91,9 @@ class KElement:
         u = np.asarray(mat, dtype=float)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError(f"KElement needs a square matrix, got shape {u.shape}")
-        defect = np.max(np.abs(u.T @ u - np.eye(u.shape[0])))
+        gram = u.T @ u
+        _shift_diagonal(gram, -1.0)
+        defect = np.abs(gram, out=gram).max()
         if mode == "repair":
             if defect > 1.0e-6:
                 raise ValueError(f"rotation defect {defect:.3e} too large to repair")
@@ -123,7 +127,8 @@ class GroupElement:
 
     Invariants: g^T J g = J within 1e-12 relative to the squared entry
     scale, lower-right entry >= 1, and determinant +1 (checked through
-    slogdet so large boosts do not overflow).
+    slogdet so large boosts do not overflow), with 4 (n + 1) eps max|g|^2 more
+    slack: rounding g moves log det g by up to 1.6 eps max|g|^2 (n <= 8, t <= 16).
     """
 
     __slots__ = ("mat",)
@@ -134,15 +139,17 @@ class GroupElement:
             raise ValueError(f"GroupElement needs (n+1)x(n+1), n >= 2; got {g.shape}")
         if check:
             n = g.shape[0] - 1
-            jj = _metric(n)
-            scale = max(1.0, float(np.max(np.abs(g))) ** 2)
-            defect = np.max(np.abs(g.T @ jj @ g - jj)) / scale
+            scale = max(1.0, float(np.abs(g).max()) ** 2)
+            form = inv_mats(g) @ g  # J g^T J g - I = J (g^T J g - J), same entries up to sign
+            _shift_diagonal(form, -1.0)
+            defect = np.abs(form, out=form).max() / scale
             if defect > 1.0e-12:
                 raise ValueError(f"matrix does not preserve the form: defect {defect:.3e}")
             if g[n, n] < 1.0 - 1.0e-12:
                 raise ValueError(f"time orientation reversed: d = {g[n, n]!r}")
             sign, logdet = np.linalg.slogdet(g)
-            if sign <= 0.0 or abs(logdet) > 1.0e-9 * (1.0 + abs(np.log(scale))):
+            slack = 1.0e-9 * (1.0 + abs(np.log(scale))) + 4.0 * (n + 1) * 2.0 ** -52 * scale
+            if sign <= 0.0 or abs(logdet) > slack:
                 raise ValueError("determinant is not +1")
         self.mat = g
 
@@ -203,7 +210,7 @@ def inv_mats(mats):
     (a transpose and sign flips)."""
     jj = np.ones(mats.shape[-1])
     jj[-1] = -1.0
-    return jj[:, None] * np.swapaxes(mats, -1, -2) * jj[None, :]
+    return jj[:, None] * mats.swapaxes(-1, -2) * jj[None, :]
 
 
 def plane_rotations(n, c, s):
@@ -281,7 +288,7 @@ def make_ny(y):
 def _iwasawa_hy(mats):
     """(H, y) for stacked matrices; raises unless c_1 + d > 0."""
     s = mats[..., -1, 0] + mats[..., -1, -1]
-    if np.any(s <= 0.0):
+    if (s <= 0.0).any():
         raise ValueError("Iwasawa argument c_1 + d is not positive")
     h = np.log(s)
     y = mats[..., -1, 1:-1] / s[..., None]
@@ -310,14 +317,14 @@ def iwasawa_batch(mats):
     y0 = np.zeros(gxi.shape)
     y0[..., 1:] = y
     # g_{:n,:n} - (g xi) y0^T, whose column 0 is then replaced
-    block = np.einsum("...i,...j->...ij", gxi, y0)
+    block = gxi[..., :, None] * y0[..., None, :]
     np.subtract(mats[..., :n, :n], block, out=block)
     block[..., 0] = gxi / (mats[..., n, 0] + mats[..., n, n])[..., None]
     # the Gram matrix minus I, reduced in place; square stacked products
     # run several times faster on a C-ordered copy than on a swapaxes view
-    gram = np.ascontiguousarray(np.swapaxes(block, -1, -2)) @ block
-    gram -= np.eye(n)
-    defect = np.max(np.abs(gram, out=gram))
+    gram = np.ascontiguousarray(block.swapaxes(-1, -2)) @ block
+    _shift_diagonal(gram, -1.0)
+    defect = np.abs(gram, out=gram).max()
     if not defect <= _CONSISTENCY_TOL:  # a NaN defect raises too
         raise ArithmeticError(
             f"Iwasawa K factor lost orthogonality: defect {defect:.3e}")
@@ -352,7 +359,7 @@ def polar_k(g):
 
 
 def _cartan_radius(mats):
-    d = np.clip(mats[..., -1, -1], 1.0, None)
+    d = np.maximum(mats[..., -1, -1], 1.0)
     return np.arccosh(d)
 
 
@@ -361,21 +368,22 @@ def _householder_to_e1(b):
     through (b/|b| - e_1) with the last column negated to restore
     det = +1.  Deterministic; b ~ +e_1 returns the identity."""
     b = np.asarray(b, dtype=float)
-    n = b.shape[-1]
-    nrm = np.linalg.norm(b, axis=-1, keepdims=True)
-    if np.any(nrm == 0.0):
+    nrm = np.sqrt((b * b).sum(axis=-1, keepdims=True))
+    if (nrm == 0.0).any():
         raise ValueError("zero direction vector in Householder step")
     v = b / nrm
     v[..., 0] -= 1.0
-    vv = np.sum(v * v, axis=-1)
+    vv = (v * v).sum(axis=-1)
     ok = vv > 1.0e-28  # b away from +e_1
+    every = ok.all()
     # I - 2 v v^T / vv in place: subtracting from 0 keeps the sign of zeros
     out = 2.0 * v[..., :, None] * v[..., None, :]
-    out /= np.where(ok, vv, 1.0)[..., None, None]
+    out /= (vv if every else np.where(ok, vv, 1.0))[..., None, None]
     np.subtract(0.0, out, out=out)
-    out[..., range(n), range(n)] += 1.0
+    _shift_diagonal(out, 1.0)
     out[..., :, -1] *= -1.0
-    out[~ok] = np.eye(n)
+    if not every:
+        out[~ok] = np.eye(b.shape[-1])
     return out
 
 
@@ -391,17 +399,19 @@ def cartan_batch(mats):
     tie = t < TIE_EPS
     pol = polar_blocks(mats)
     # the Gram matrices minus I, reduced in place; k1 reuses the buffer
-    k1 = np.ascontiguousarray(np.swapaxes(pol, -1, -2)) @ pol
-    k1[..., range(n), range(n)] -= 1.0
-    defect = np.max(np.abs(k1, out=k1))
+    k1 = np.ascontiguousarray(pol.swapaxes(-1, -2)) @ pol
+    _shift_diagonal(k1, -1.0)
+    defect = np.abs(k1, out=k1).max()
     if not defect <= _CONSISTENCY_TOL:
         raise ArithmeticError(
             f"Cartan K factors lost orthogonality: defect {defect:.3e}")
-    if np.any(~tie):
-        k1[~tie] = _householder_to_e1(mats[..., :n, n][~tie])
-    if np.any(tie):
+    if not tie.any():
+        k1 = _householder_to_e1(mats[..., :n, n])
+    else:
+        if not tie.all():
+            k1[~tie] = _householder_to_e1(mats[..., :n, n][~tie])
         k1[tie] = pol[tie]
-    k2 = np.ascontiguousarray(np.swapaxes(k1, -1, -2)) @ pol
+    k2 = np.ascontiguousarray(k1.swapaxes(-1, -2)) @ pol
     return t, k1, k2
 
 

@@ -50,6 +50,7 @@ finite at large lambda, where Gamma(i lambda) alone underflows.
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import exp, inf, log
 
 import numpy as np
 
@@ -75,6 +76,7 @@ _SERIES_RTOL = 1.0e-16
 _SERIES_MAX_TERMS = 4000
 # Coefficients are built in blocks of at least this many terms.
 _SERIES_BLOCK = 32
+_TINY = float(np.finfo(float).tiny)
 
 # jacobi_phi is right to this tolerance relative to
 # max(|phi|, e^{-(alpha+beta+1) t}), or raises.
@@ -133,7 +135,7 @@ def _log_gamma(z):
     tt = x + _LANCZOS_G + 0.5
     out = _LOG_SQRT_2PI + (x + 0.5) * np.log(tt) - tt + np.log(acc)
 
-    if np.any(reflect):
+    if reflect.any():
         # log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z), with
         # sin(pi z) = (s i / 2) e^{-s i pi z} (1 - e^{2 s i pi z}) and
         # s = sign(Im z), so that |e^{2 s i pi z}| <= 1
@@ -174,8 +176,8 @@ def hyp2f1_negz(a, b, c, z, *, full_output=False):
     c = complex(c)
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 0
-    z = np.atleast_1d(z).astype(float)
-    if np.any(z > 0.0):
+    z = np.atleast_1d(z)
+    if (z > 0.0).any():
         raise ValueError("hyp2f1_negz requires z <= 0")
     if abs(c.imag) < 1e-13 and abs(c.real - round(c.real)) < 1e-13 and round(c.real) <= 0:
         raise ValueError(f"2F1 undefined at non-positive integer c = {c}")
@@ -240,53 +242,69 @@ class _Series:
         k, y, slopes = self.hull[1]
         # the hull's slopes fall, so the peak at x = log w sits at the first
         # vertex whose outgoing slope is <= -x
-        x = np.log(np.maximum(w, np.finfo(float).tiny))
+        x = np.log(np.maximum(w, _TINY))
         j = np.searchsorted(slopes, x)
         return y[j] + k[j] * x
+
+    def count(self, wmax, guard):
+        """The term count at w = wmax: one past the first k >= 1 with
+        |coef[k] wmax^k| * guard <= 1e-16 |S_k|, S_k the partial sums in order.
+        A scalar scan of _SERIES_BLOCK terms, then one vectorised pass over what
+        a tail like wmax^k needs plus _SERIES_BLOCK (enough for coefficients
+        like k^3 at wmax <= 0.79), then doubling passes.  S_k carries over, so
+        the count depends on neither the pass lengths nor the table's."""
+        logw = float(np.log(wmax)) if wmax > 0.0 else -inf
+        partial = 1.0 + 0.0j
+        for k, c in enumerate(self.upto(_SERIES_BLOCK + 1)[1:_SERIES_BLOCK + 1].tolist(), 1):
+            term = c * exp(k * logw)
+            partial += term
+            if abs(term) * guard <= _SERIES_RTOL * (abs(partial) + 1e-300):
+                return k + 1
+        k0 = _SERIES_BLOCK + 1
+        miss = _SERIES_RTOL * (abs(partial) + 1e-300) / (abs(term) * guard)
+        k1 = k0 + int(min(log(miss) / logw, _SERIES_MAX_TERMS)) + _SERIES_BLOCK if miss > 0 else k0
+        while True:
+            if k0 > _SERIES_MAX_TERMS:
+                _no_convergence(self, wmax)
+            k1 = max(k1, k0 + _SERIES_BLOCK)
+            terms = self.upto(k1)[k0:k1] * np.exp(np.arange(k0, k1) * logw)
+            bound = np.abs(terms) * guard
+            terms[0] += partial
+            sums = np.cumsum(terms, out=terms)
+            done = bound <= _SERIES_RTOL * (np.abs(sums) + 1e-300)
+            first = int(done.argmax())
+            if done[first]:
+                return k0 + first + 1
+            partial, k0, k1 = sums[-1], k1, 2 * k1
+
+    def _horner_from(self, w, nterms, guard, wmax):
+        """(sums, term counts) at 1-d w; points failing the stop get 2 nterms."""
+        if nterms > _SERIES_MAX_TERMS:
+            _no_convergence(self, wmax)
+        coef = self.upto(nterms)
+        s = _horner(coef[:nterms], w)
+        used = np.full(w.shape, nterms)
+        tail = np.abs(coef[nterms - 1]) * w ** (nterms - 1) * guard
+        done = tail <= _SERIES_RTOL * (np.abs(s) + 1e-300)
+        if not done.all():
+            s[~done], used[~done] = self._horner_from(w[~done], 2 * nterms, guard, wmax)
+        return s, used
 
     def sum(self, w):
         """Power series sum_k coef[k] w^k for w in [0, 1): arrays shaped
         like w of the sum, the number of terms summed and the cancellation
         ratio max|term| / |sum|.  A point stops at the first term with
         |term| * guard <= 1e-16 |sum|, where guard = max(wmax / (1 - wmax), 1)
-        bounds the tail, a geometric series of ratio ~ w.  The table is
-        scanned block by block until the largest w passes; a point that
-        still fails is summed again with twice as many terms.
+        bounds the tail, a geometric series of ratio ~ w.  One scalar scan
+        at the largest w (count) gives the term count for every point,
+        summed by Horner's rule; a point that still fails (next to a zero
+        of the sum) is summed again with twice as many terms.
         """
         w = np.asarray(w, dtype=float)
-        wmax = float(np.max(w)) if w.size else 0.0
+        wmax = float(w.max()) if w.size else 0.0
         guard = max(wmax / (1.0 - wmax), 1.0) if wmax < 1.0 else np.inf
-        logw = np.log(wmax) if wmax > 0.0 else -np.inf
-
-        partial, nterms, k0 = 1.0 + 0.0j, 0, 1
-        while not nterms:
-            if k0 > _SERIES_MAX_TERMS:
-                _no_convergence(self, wmax)
-            k1 = k0 + max(k0, _SERIES_BLOCK)
-            terms = self.upto(k1)[k0:k1] * np.exp(np.arange(k0, k1) * logw)
-            sums = partial + np.cumsum(terms)
-            done = np.abs(terms) * guard <= _SERIES_RTOL * (np.abs(sums) + 1e-300)
-            if done.any():
-                nterms = k0 + int(np.argmax(done)) + 1
-            partial = sums[-1]
-            k0 = k1
-
-        total = np.empty(w.shape, dtype=complex)
-        used = np.empty(w.shape, dtype=int)
-        todo = np.arange(w.size)
-        while todo.size:
-            if nterms > _SERIES_MAX_TERMS:
-                _no_convergence(self, wmax)
-            coef = self.upto(nterms)
-            wt = w.flat[todo]
-            s = _horner(coef[:nterms], wt)
-            tail = np.abs(coef[nterms - 1]) * wt ** (nterms - 1) * guard
-            done = tail <= _SERIES_RTOL * (np.abs(s) + 1e-300)
-            total.flat[todo[done]] = s[done]
-            used.flat[todo[done]] = nterms
-            todo = todo[~done]
-            nterms *= 2
-
+        total, used = self._horner_from(w.reshape(-1), self.count(wmax, guard), guard, wmax)
+        total, used = total.reshape(w.shape), used.reshape(w.shape)
         with np.errstate(divide="ignore", over="ignore"):
             ratio = np.exp(self.log_peak(w) - np.log(np.abs(total)))
         return total, used, ratio
@@ -373,7 +391,7 @@ def jacobi_phi(par, t):
     lam = complex(par.lam)
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
-    t = np.abs(np.atleast_1d(t).astype(float))
+    t = np.abs(np.atleast_1d(t))
     rho = (a + b + 1.0).real
     # errors are measured against max(|phi|, floor)
     floor = np.exp(-rho * t)
@@ -383,16 +401,21 @@ def jacobi_phi(par, t):
     err = np.empty(t.shape)
     # the Pfaff terms peak near e^x / (1 + pi x) with x = |lambda| tanh t,
     # the largest term of sum_k (x/2)^{2k} / k!^2, and cosh(t)^-rho
-    # exceeds the floor by ((1 + e^{-2t}) / 2)^-rho
-    x = abs(lam) * np.tanh(t)
-    lift = -rho * np.log(0.5 + 0.5 * np.exp(-2.0 * t))
-    near = (t <= T_SWITCH) & (x - np.log1p(np.pi * x) + lift <= _LOG_BUDGET)
-    if np.any(near):
+    # exceeds the floor by ((1 + e^{-2t}) / 2)^-rho; all that is at most
+    # |lambda| + max(rho, 0) log 2, and below the budget passes every t
+    near = t <= T_SWITCH
+    if abs(lam) + max(rho, 0.0) * _LOG_2 > _LOG_BUDGET - 1.0:
+        x = abs(lam) * np.tanh(t)
+        near &= x - np.log1p(np.pi * x) - rho * np.log(0.5 + 0.5 * np.exp(-2.0 * t)) <= _LOG_BUDGET
+    picked = np.count_nonzero(near)  # a branch every t takes needs no masks
+    every = picked == t.size
+    near, far = (slice(None),) * 2 if every or not picked else (near, ~near)
+    if picked:
         out[near], _, ratio = _pfaff(par._series[0], -np.sinh(t[near]) ** 2)
         err[near] = np.abs(out[near]) * (_SAFETY * ratio + abs(lam) * t[near])
-    if np.any(~near):
-        tf = t[~near]
-        if np.any(tf < _PSI_T_MIN):
+    if not every:
+        tf = t[far]
+        if (tf < _PSI_T_MIN).any():
             _phi_unreachable(par, tf[tf < _PSI_T_MIN])
         _check_lambda_regular(lam, "connection formula")
         # for real alpha, beta and lambda, c(-lambda) and Psi_(-lambda) are
@@ -402,24 +425,27 @@ def jacobi_phi(par, t):
         cm = cp.conjugate() if real else par._reflected._c
         # the Psi terms peak near e^{|lambda| sech^2 t / 4}, and the two
         # products may cancel against |phi|, here bounded by the floor,
-        # which (2 sinh t)^-rho exceeds by (1 - e^{-2t})^-rho
-        log_sh = np.log(2.0 * np.sinh(tf))
-        lead = abs(cp) * np.exp(-lam.imag * log_sh) + abs(cm) * np.exp(lam.imag * log_sh)
-        lift = -rho * np.log(-np.expm1(-2.0 * tf))
-        log_est = abs(lam) / (4.0 * np.cosh(tf) ** 2) + np.log(lead) + lift
-        if np.any(log_est > _LOG_BUDGET):
-            _phi_unreachable(par, tf[log_est > _LOG_BUDGET])
+        # which (2 sinh t)^-rho exceeds by (1 - e^{-2t})^-rho; for real lambda
+        # and t >= 0.5 all that is at most `bound` (-log(1 - e^-1) < 0.46)
+        bound = abs(lam) / 4.0 + log(2.0 * abs(cp)) + 0.46 * max(rho, 0.0)
+        if not real or bound > _LOG_BUDGET - 1.0:
+            log_sh = np.log(2.0 * np.sinh(tf))
+            lead = abs(cp) * np.exp(-lam.imag * log_sh) + abs(cm) * np.exp(lam.imag * log_sh)
+            lift = -rho * np.log(-np.expm1(-2.0 * tf))
+            log_est = abs(lam) / (4.0 * np.cosh(tf) ** 2) + np.log(lead) + lift
+            if (log_est > _LOG_BUDGET).any():
+                _phi_unreachable(par, tf[log_est > _LOG_BUDGET])
         psi_p, _, ratio_p = jacobi_psi(par, tf, full_output=True)
         if real:
             psi_m, ratio_m = psi_p.conj(), ratio_p
         else:
             psi_m, _, ratio_m = jacobi_psi(par._reflected, tf, full_output=True)
-        out[~near] = cp * psi_p + cm * psi_m
-        err[~near] = (np.abs(cp * psi_p) * (_SAFETY * ratio_p + abs(lam) * tf)
-                      + np.abs(cm * psi_m) * (_SAFETY * ratio_m + abs(lam) * tf))
-    missed = ~(_EPS * err <= _PHI_RTOL * np.maximum(np.abs(out), floor))
-    if np.any(missed):
-        _phi_unreachable(par, t[missed])
+        out[far] = cp * psi_p + cm * psi_m
+        err[far] = (np.abs(cp * psi_p) * (_SAFETY * ratio_p + abs(lam) * tf)
+                    + np.abs(cm * psi_m) * (_SAFETY * ratio_m + abs(lam) * tf))
+    met = _EPS * err <= _PHI_RTOL * np.maximum(np.abs(out), floor)
+    if not met.all():
+        _phi_unreachable(par, t[~met])
     return out[0] if scalar else out
 
 
@@ -444,8 +470,8 @@ def jacobi_psi(par, t, *, full_output=False):
     lam = complex(par.lam)
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
-    t = np.atleast_1d(t).astype(float)
-    if np.any(t < _PSI_T_MIN):
+    t = np.atleast_1d(t)
+    if (t < _PSI_T_MIN).any():
         raise ValueError("jacobi_psi requires t >= 0.5")
     _check_lambda_regular(lam, "jacobi_psi")
 

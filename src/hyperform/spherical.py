@@ -225,24 +225,24 @@ class CartanGeometry:
     def __init__(self, mats, p):
         self.lead = mats.shape[:-2]
         self.t, k1, k2 = cartan_batch(mats.reshape((-1,) + mats.shape[-2:]))
-        self.tau1, self.tau2 = xr.tau_matrix_batch(k1, p), xr.tau_matrix_batch(k2, p)
+        self.tau1, self.tau2 = xr.tau_matrix_batch(np.stack((k1, k2)), p)
 
     def apply(self, spec, comps, vecs=None):
         """Psi(g) as (..., C, C), C = C(n,p), or Psi(g) vecs as (..., C) for
         vecs broadcasting against (..., C), with comps the scalars psi_eta
         over t (radial_components); applied right to left, the matrix to I."""
         dim = spec.dim_full
-        x = np.swapaxes(self.tau1, -1, -2)
+        x = self.tau1.swapaxes(-1, -2)
         if vecs is not None:
             cols = np.broadcast_to(vecs, self.lead + (dim,)).reshape(-1, dim, 1)
             x = xr.tau_apply_batch(x, cols)
         # sum_eta psi_eta P_eta x, formed on the rows x^T
-        rows = np.swapaxes(x, -1, -2)
+        rows = x.swapaxes(-1, -2)
         u = np.zeros(rows.shape, dtype=complex)
         for eta, vals in comps.items():
             proj_t = xr.proj_matrix(spec, eta).T
             u += vals[:, None, None] * (rows.reshape(-1, dim) @ proj_t).reshape(rows.shape)
-        out = xr.tau_apply_batch(np.swapaxes(self.tau2, -1, -2), np.swapaxes(u, -1, -2))
+        out = xr.tau_apply_batch(self.tau2.swapaxes(-1, -2), u.swapaxes(-1, -2))
         return out.reshape(self.lead + ((dim, dim) if vecs is None else (dim,)))
 
 

@@ -18,7 +18,10 @@ which the in-place version must reproduce bit for bit, and
 iwasawa_batch_product is liegroup.iwasawa_batch as it stood before
 kappa was read off g's columns.  iwasawa_mp decomposes group elements
 that group_mp builds exactly (from rotation_mp rotations), at the
-caller's mpmath precision.  e_defect,
+caller's mpmath precision.  series_nterms_blocks is the term-count scan
+of specialfn._Series.sum as it stood before the scalar scan: blocks of
+the table at the largest w, with each block's partial sums formed as
+the carried sum plus the block's cumulative sum.  e_defect,
 u_intertwine and spectral_projection are the horocyclic defect, the
 Weyl relabelling of atom sections and the Monte Carlo spectral
 projection, which only the tests use.
@@ -29,6 +32,7 @@ import numpy as np
 
 import hyperform.extrep as xr
 import hyperform.liegroup as lg
+import hyperform.specialfn as sf
 import hyperform.spherical as sph
 import hyperform.strichartz as st
 import hyperform.transforms as tfm
@@ -332,3 +336,25 @@ def iwasawa_mp(g):
     kap = g * ny * _boost_mp(-h, n)
     return (float(h), np.array([float(v) for v in y]),
             np.array([[float(kap[i, j]) for j in range(n)] for i in range(n)]))
+
+
+def series_nterms_blocks(series, w):
+    """The number of terms that the block scan of a specialfn._Series
+    table sums at the largest of the points w."""
+    w = np.asarray(w, dtype=float)
+    wmax = float(np.max(w)) if w.size else 0.0
+    guard = max(wmax / (1.0 - wmax), 1.0) if wmax < 1.0 else np.inf
+    logw = np.log(wmax) if wmax > 0.0 else -np.inf
+    partial, nterms, k0 = 1.0 + 0.0j, 0, 1
+    while not nterms:
+        if k0 > sf._SERIES_MAX_TERMS:
+            raise RuntimeError("2F1 series did not converge")
+        k1 = k0 + max(k0, sf._SERIES_BLOCK)
+        terms = series.upto(k1)[k0:k1] * np.exp(np.arange(k0, k1) * logw)
+        sums = partial + np.cumsum(terms)
+        done = np.abs(terms) * guard <= sf._SERIES_RTOL * (np.abs(sums) + 1e-300)
+        if done.any():
+            nterms = k0 + int(np.argmax(done)) + 1
+        partial = sums[-1]
+        k0 = k1
+    return nterms

@@ -1,8 +1,13 @@
 """Tests for the pass/fail gates of the command-line reports."""
 
+import contextlib
+import gc
+import io
 import json
+import weakref
 from math import cos
 
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -15,6 +20,8 @@ from hyperform.extrep import MLabel, default_vector
 from hyperform.liegroup import GroupElement
 from hyperform.strichartz import inversion_mix
 from hyperform.transforms import BoundaryAtom, BoundarySection
+
+from oracles import group_mp
 
 
 def _invert(*extra):
@@ -89,6 +96,37 @@ def test_decompose_passes_far_from_the_origin(t):
     # the product-form Iwasawa step lost orthogonality here (defect
     # 3.5e-8 at t = 10)
     code, rows = _rows(["decompose", "--at", t, "--n", "3"])
+    assert code == 0
+    assert all(r["pass"] for r in rows.values())
+
+
+def test_in_process_runs_leave_no_stdout_buffer_alive():
+    # click.echo caches a wrapper per stdout object that keeps the object
+    # alive, so every buffer an in-process caller redirected stdout to, with
+    # its report, stayed in memory; the report is written without it
+    refs = []
+    for _ in range(3):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main.main(args=["density", "--n", "3", "--p", "1", "--sigma", "q:1",
+                            "--lambda", "1.0"], prog_name="hyperform", standalone_mode=False)
+        assert json.loads(buf.getvalue())["rows"]
+        refs.append(weakref.ref(buf))
+        del buf
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_decompose_matrix_passes_far_from_the_origin(tmp_path):
+    # an exact k1 a_12 k2 rounded to floats; GroupElement's determinant
+    # check refused it before it allowed for the rounding of g
+    rng = np.random.default_rng(12)
+    with mpmath.workdps(40):
+        gm = group_mp(rng.normal(size=(4, 4)), 12.0, rng.normal(size=(4, 4)))
+        g = np.array(gm.tolist(), dtype=float)
+    path = tmp_path / "g.txt"
+    np.savetxt(path, g, fmt="%.17g")
+    code, rows = _rows(["decompose", "--matrix", str(path)])
     assert code == 0
     assert all(r["pass"] for r in rows.values())
 

@@ -22,7 +22,7 @@ from hyperform import (
     polar_k,
     radial_weight,
 )
-from hyperform.liegroup import at_mats, cartan_batch, embed_rotation, iwasawa_batch
+from hyperform.liegroup import TIE_EPS, at_mats, cartan_batch, embed_rotation, iwasawa_batch
 
 from oracles import cartan_batch_copy, e_defect, group_mp, iwasawa_batch_product, iwasawa_mp
 
@@ -63,6 +63,33 @@ def test_group_element_rejects_garbage():
         GroupElement(np.eye(3) * 2.0)
     with pytest.raises(ValueError):
         GroupElement(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("t", [10.0, 11.0, 12.0])
+def test_group_element_accepts_rounded_exact_elements_far_out(t):
+    # exact k1 a_t k2 rounded to floats: rounding moves log det by about
+    # eps max|g|^2, which the old 1e-9 (1 + log max|g|^2) slack refused
+    # from t = 10 on (9 of 10 at t = 11)
+    rng = np.random.default_rng(int(t))
+    for n in (3, 4, 6):
+        for _ in range(4):
+            with mpmath.workdps(40):
+                gm = group_mp(rng.normal(size=(n, n)), t, rng.normal(size=(n, n)))
+                g = np.array(gm.tolist(), dtype=float)
+            GroupElement(g)
+
+
+def test_group_element_rejects_a_determinant_off_by_a_millionth():
+    rng = np.random.default_rng(4)
+    with mpmath.workdps(40):
+        gm = group_mp(rng.normal(size=(4, 4)), 1.0, rng.normal(size=(4, 4)))
+    g = np.array(gm.tolist(), dtype=float)
+    GroupElement(g)
+    with pytest.raises(ValueError):
+        GroupElement(g * (1.0 + 1e-6) ** (1.0 / 5.0))
+    # a reflection preserves the form and the time orientation
+    with pytest.raises(ValueError, match="determinant"):
+        GroupElement(np.diag([-1.0, 1.0, 1.0, 1.0, 1.0]) @ g)
 
 
 def test_kelement_strict_mode_rejects_drift():
@@ -306,3 +333,41 @@ def test_cartan_batch_equals_earlier_version_with_less_memory():
         mats = _slab(n, 4, 50, np.random.default_rng(n))
         for got, want in zip(cartan_batch(mats), cartan_batch_copy(mats)):
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_cartan_is_the_one_element_batch():
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 5):
+        for t in (0.0, 0.4, 2.0):
+            k1, k2 = haar_sample_K(n, size=2, rng=rng)
+            g = make_rotation(k1) @ make_at(t, n) @ make_rotation(k2)
+            one = cartan(g)
+            bt, bk1, bk2 = cartan_batch(g.mat[None])
+            assert one.t == float(bt[0])
+            assert np.array_equal(one.k1.mat, bk1[0]) and np.array_equal(one.k2.mat, bk2[0])
+
+
+def test_cartan_batch_mixed_stack_is_each_element_alone():
+    # ties (t < TIE_EPS), b exactly or nearly along +e_1, and generic
+    # elements in one stack: each returns bit for bit what it returns
+    # alone, and the stack what the earlier version returns
+    rng = np.random.default_rng(31)
+    n = 4
+    ks = embed_rotation(haar_sample_K(n, size=12, rng=rng))
+    tiny = make_rotation(np.array([[np.cos(1e-16), -np.sin(1e-16), 0, 0],
+                                   [np.sin(1e-16), np.cos(1e-16), 0, 0],
+                                   [0, 0, 1, 0], [0, 0, 0, 1]])).mat
+    parts = [ks[0], ks[1] @ ks[2],                                   # ties
+             make_at(1e-13, n).mat @ ks[3],                          # tie, t > 0
+             make_at(0.7, n).mat @ ks[4], make_at(2.0, n).mat,       # b = +e_1 sinh t
+             tiny @ make_at(1.3, n).mat @ ks[5]]                     # b nearly +e_1
+    parts += [ks[6 + i] @ make_at(t, n).mat @ ks[9 + i % 3] for i, t in enumerate((0.2, 1.1, 2.9))]
+    mats = np.stack([parts[i] for i in rng.permutation(len(parts))])
+    t, k1, k2 = cartan_batch(mats)
+    assert np.sum(t < TIE_EPS) == 3
+    for i, g in enumerate(mats):
+        for got, alone in zip((t, k1, k2), cartan_batch(g[None])):
+            assert np.array_equal(got[i], alone[0])
+            assert np.array_equal(np.signbit(got[i]), np.signbit(alone[0]))
+    for got, want in zip((t, k1, k2), cartan_batch_copy(mats)):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))

@@ -6,6 +6,8 @@ against their own defining identities (connection formula, recursion,
 and a direct quadrature of the boundary-group integral).
 """
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from hyperform import (
     sigma_q,
 )
 from hyperform.specialfn import _series_w
+
+from oracles import series_nterms_blocks
 
 mpmath.mp.dps = 40
 
@@ -150,6 +154,78 @@ def test_series_kernel_extends_points_near_a_zero():
     _, nterms, _ = hyp2f1_negz((1j * lam + 1.0) / 2.0, (1.0 - 1j * lam) / 2.0, 1.5,
                                -np.sinh(ts) ** 2, full_output=True)
     assert nterms[1] > nterms[2]
+
+
+def _count(series, w):
+    return series.count(w, max(w / (1.0 - w), 1.0))
+
+
+def test_term_count_matches_the_block_scan():
+    # the scalar scan against the block scan it replaced, on both tables
+    # of Jacobi triples with lambda up to 12, at w = 0, near 0 and near
+    # 0.9; a count that differs must be a borderline stop, where both
+    # truncated sums agree to 1e-15.  The count must not depend on the
+    # order in which the tables were warmed
+    rng = np.random.default_rng(16)
+    checked = borderline = 0
+    for _ in range(60):
+        args = (rng.choice([0.5, 1.0, 1.5, 2.0, 3.0, 4.0]), rng.choice([-0.5, 0.0, 3.0, 5.0]),
+                rng.uniform(0.0, 12.0))
+        ws = [0.0, rng.uniform(0.0, 1e-3), rng.uniform(0.85, 0.9), rng.uniform(0.0, 0.9)]
+        counts = []
+        for order in (ws, ws[::-1], "warm"):
+            tables = JacobiParams(*args)._series
+            if order == "warm":
+                for series in tables:
+                    series.upto(3000)
+            counts.append([[_count(series, w) for w in ws] for series in tables])
+        assert counts[0] == counts[1] == counts[2]
+        for series, got_row in zip(JacobiParams(*args)._series, counts[0]):
+            for w, got in zip(ws, got_row):
+                want = series_nterms_blocks(series, w)
+                checked += 1
+                if got != want:
+                    borderline += 1
+                    coef = series.upto(max(got, want))
+                    a, b = (np.sum(coef[:m] * w ** np.arange(m)) for m in (got, want))
+                    assert abs(a - b) <= 1e-15 * abs(b), (args, w, got, want)
+    assert borderline <= checked // 100
+
+
+def test_term_count_is_capped_next_to_w_one():
+    # at w within 1e-12 of 1 the tail estimate asks for ~1e13 terms: the
+    # scan must raise at the series cap, with a table of a few thousand
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="did not converge"):
+            hyp2f1_negz(0.5 + 1j, 0.7, 1.5, -1e12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype.str, x.shape, x.tobytes()
+
+
+@pytest.mark.parametrize("alpha,beta,lam", [(2.0, -0.5, 1.0), (3.0, -0.5, 4.0),
+                                            (1.0, 3.0, 2.5), (0.5, -0.5, 1.0 + 0.3j)])
+def test_scalar_call_is_the_one_element_array_call(alpha, beta, lam):
+    # one code path: a scalar is the array call on one element, bit for bit
+    par = JacobiParams(alpha, beta, lam)
+    for t in (0.0, 0.3, 1.0, 1.7, 2.2, 5.0):
+        assert _bits(jacobi_phi(par, t)) == _bits(jacobi_phi(par, np.array([t]))[0])
+        if t >= 0.5:
+            one = jacobi_psi(par, t, full_output=True)
+            arr = jacobi_psi(par, np.array([t]), full_output=True)
+            assert [_bits(x) for x in one] == [_bits(x[0]) for x in arr]
+    a, b, c = (1j * lam + alpha + beta + 1) / 2, (1j * lam + alpha - beta + 1) / 2, alpha + 1
+    for z in (0.0, -0.3, -5.0, -40.0):
+        one = hyp2f1_negz(a, b, c, z, full_output=True)
+        arr = hyp2f1_negz(a, b, c, np.array([z]), full_output=True)
+        assert [_bits(x) for x in one] == [_bits(x[0]) for x in arr]
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,15 @@ def test_vector_form_equals_matrix_times_vector(rng):
                 assert np.all(err <= bound), (pt.spec, str(pt.sigma), batch.__name__)
 
 
+def test_scalar_calls_are_the_one_element_batch(rng):
+    # one code path: spherical_at and asymptotic_head are spherical_batch
+    # and head_batch on a one-element stack, bit for bit
+    for pt in kernel_points(lam=1.3):
+        for g in _group_stack(pt.n, rng).reshape(-1, pt.n + 1, pt.n + 1):
+            assert np.array_equal(spherical_at(pt, g), spherical_batch(pt, g[None])[0])
+            assert np.array_equal(asymptotic_head(pt, g), head_batch(pt, g[None])[0])
+
+
 def test_residual_form_equals_spherical_minus_head(rng):
     for pt in kernel_points(lam=0.8):
         mats = _group_stack(pt.n, rng)

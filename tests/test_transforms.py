@@ -131,8 +131,8 @@ def test_atom_routes_hold_far_from_the_origin(n, p, sigma):
             data = [iwasawa_mp(mpmath.matrix(jj) * gm.T * mpmath.matrix(jj) * k) for k in ks]
             kmats = np.array([k.tolist() for k in ks], dtype=float)[:, :n, :n]
         # rounded from an exact element: at t = 12 its slogdet is off by
-        # about 1e-6, beyond what GroupElement's check accepts
-        g = GroupElement(np.array(gm.tolist(), dtype=float), check=False)
+        # about 1e-6, within the eps max|g|^2 that GroupElement allows
+        g = GroupElement(np.array(gm.tolist(), dtype=float))
         v = rng.normal(size=comb(n, p)) + 1j * rng.normal(size=comb(n, p))
         atom = BoundaryAtom(g, FormVector(n, p, v))
         sec = BoundarySection.from_atoms(pt, [(atom, 1.0)])
