@@ -1,13 +1,15 @@
 """Command-line front end: one verification per subcommand.
 
-Each subcommand assembles a RunConfig from an optional flat key=value
-config file plus flag overrides, runs one experiment, and writes a
-single report at the end.  Every command but decompose --random answers
-in closed form or by deterministic quadrature; only that one draws
-rotations and needs --seed (--samples is accepted and read by none).
-JSON reports follow the schema {meta: {version, config, seed}, rows:
-[{name, target, value, stderr, tol, pass}]}; CSV reports carry the same
-rows.  Identical (config, seed) pairs produce byte-identical output.
+Every subcommand takes every option of _OPTIONS and ignores the ones it
+does not read.  Its configuration is the defaults, then the command's
+own defaults, then the --config file (one `key = value` per line, `#`
+comments), then the flags given; a file line goes through the flag's
+click type.  Only decompose --random draws rotations and needs --seed
+(--samples is accepted and read by none); the other commands answer in
+closed form or by deterministic quadrature.  Reports follow the schema
+{meta: {version, config, seed}, rows: [{name, target, value, stderr,
+tol, pass}]}, as JSON or with --format csv as CSV rows, on stdout or in
+the --out file; identical (config, seed) pairs give identical bytes.
 Exit status: 0 when every row passes, 1 when a numerical check fails or
 a quadrature or special function cannot meet its tolerance, 2 for
 inadmissible configuration or unreadable input.
@@ -30,60 +32,40 @@ from . import spherical as sph
 from . import strichartz as st
 from . import transforms as tfm
 
-_CONFIG_TYPES = {
-    "n": int,
-    "p": int,
-    "chirality": str,
-    "sigma": str,
-    "lambda": float,
-    "t": float,
-    "R_grid": "grid",
-    "samples": int,
-    "seed": int,
-    "tol": float,
-    "format": str,
-}
-
-_DEFAULTS = {
-    "n": 3,
-    "p": 1,
-    "chirality": "none",
-    "sigma": None,
-    "lambda": 1.0,
-    "t": 1.0,
-    "R_grid": None,
-    "samples": None,
-    "seed": None,
-    "tol": None,
-    "format": "json",
-}
-
-
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
 
-def _parse_grid(txt):
-    if isinstance(txt, (tuple, list)):
-        return tuple(float(x) for x in txt)
-    parts = [s for s in str(txt).split(",") if s.strip()]
-    try:
-        vals = tuple(float(s) for s in parts)
-    except ValueError:
-        raise click.UsageError(f"R_grid {txt!r} is not a comma-separated list of radii")
-    if not vals:
-        raise click.UsageError("R_grid is empty")
-    return vals
+class _RadiusGrid(click.ParamType):
+    """A comma-separated list of ball radii, as a tuple of floats."""
+
+    name = "grid"
+
+    def convert(self, value, param, ctx):
+        try:
+            vals = tuple(float(s) for s in str(value).split(",") if s.strip())
+        except ValueError:
+            self.fail(f"{value!r} is not a comma-separated list of radii", param, ctx)
+        if not vals:
+            self.fail("the radius grid is empty", param, ctx)
+        return vals
 
 
-def _coerce(key, raw):
-    kind = _CONFIG_TYPES[key]
-    if kind == "grid":
-        return _parse_grid(raw)
-    try:
-        return kind(raw)
-    except (TypeError, ValueError):
-        raise click.UsageError(f"config value {key}={raw!r} is not a valid {kind.__name__}")
+# config key -> (flags, click type, default, help)
+_OPTIONS = {
+    "n": (["--n"], click.INT, 3, "dimension of the hyperbolic space"),
+    "p": (["--p"], click.INT, 1, "form degree"),
+    "chirality": (["--chirality"], click.Choice(["none", "plus", "minus"]), "none",
+                  "half-dimension eigenbundle choice (n = 2p only)"),
+    "sigma": (["--sigma"], click.STRING, None, 'branching label: "q:K", "plus", or "minus"'),
+    "lambda": (["--lambda"], click.FLOAT, 1.0, "spectral parameter"),
+    "t": (["--t"], click.FLOAT, 1.0, "radial coordinate"),
+    "R_grid": (["--R-grid", "--r-grid"], _RadiusGrid(), None, "comma-separated ball radii"),
+    "samples": (["--samples"], click.INT, None, "accepted; no command reads it"),
+    "seed": (["--seed"], click.INT, None, "RNG seed (decompose --random)"),
+    "tol": (["--tol"], click.FLOAT, None, "tolerance override"),
+    "format": (["--format"], click.Choice(["json", "csv"]), "json", None),
+}
 
 
 def _load_config_file(path):
@@ -101,53 +83,34 @@ def _load_config_file(path):
             raise click.UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_TYPES:
+        if key not in _OPTIONS:
             raise click.UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        data[key] = _coerce(key, raw.strip())
+        try:
+            data[key] = _OPTIONS[key][1].convert(raw.strip(), None, None)
+        except click.BadParameter as exc:
+            raise click.UsageError(f"{path}:{lineno}: config value {key}: {exc.message}")
     return data
 
 
-def _build_config(kwargs, command_defaults=None):
-    """Defaults, then the config file, then explicit flags."""
-    cfg = dict(_DEFAULTS)
-    if command_defaults:
-        cfg.update(command_defaults)
-    path = kwargs.pop("config_path", None)
+def _build_config(kwargs, command_defaults):
+    """Defaults, then command defaults, then the config file, then the
+    flags given."""
+    cfg = {key: row[2] for key, row in _OPTIONS.items()}
+    cfg.update(command_defaults)
+    path = kwargs.pop("config")
     if path:
         cfg.update(_load_config_file(path))
-    out_path = kwargs.pop("out_path", None)
-    renames = {"lam": "lambda", "fmt": "format", "r_grid": "R_grid"}
-    for key, val in kwargs.items():
-        name = renames.get(key, key)
-        if name not in _CONFIG_TYPES:
-            continue
-        if val is not None:
-            cfg[name] = _coerce(name, val)
-    cfg["out"] = out_path
+    cfg.update((key, val) for key, val in kwargs.items() if val is not None)
     return cfg
 
 
 def _common_options(fn):
-    opts = [
-        click.option("--config", "config_path", type=click.Path(), default=None,
-                     help="flat key=value config file; flags override it"),
-        click.option("--n", type=int, default=None, help="dimension of the hyperbolic space"),
-        click.option("--p", type=int, default=None, help="form degree"),
-        click.option("--chirality", type=click.Choice(["none", "plus", "minus"]),
-                     default=None, help="half-dimension eigenbundle choice (n = 2p only)"),
-        click.option("--sigma", "sigma", default=None,
-                     help='branching label: "q:K", "plus", or "minus"'),
-        click.option("--lambda", "lam", type=float, default=None, help="spectral parameter"),
-        click.option("--t", type=float, default=None, help="radial coordinate"),
-        click.option("--R-grid", "r_grid", "--r-grid", default=None,
-                     help="comma-separated ball radii"),
-        click.option("--samples", type=int, default=None, help="accepted; no command reads it"),
-        click.option("--seed", type=int, default=None, help="RNG seed (decompose --random)"),
-        click.option("--tol", type=float, default=None, help="tolerance override"),
-        click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default=None),
-        click.option("--out", "out_path", type=click.Path(), default=None,
-                     help="write the report to this file instead of stdout"),
-    ]
+    opts = [click.option("--config", type=click.Path(), default=None,
+                         help="flat key=value config file; flags override it")]
+    opts += [click.option(*flags, key, type=kind, default=None, help=text)
+             for key, (flags, kind, _, text) in _OPTIONS.items()]
+    opts.append(click.option("--out", type=click.Path(), default=None,
+                             help="write the report to this file instead of stdout"))
 
     @functools.wraps(fn)
     def run(**kwargs):
@@ -173,17 +136,6 @@ def _point(cfg):
         raise click.UsageError(str(exc))
 
 
-def _require_seed(cfg):
-    if cfg.get("seed") is None:
-        raise click.UsageError("this command is Monte Carlo; --seed is mandatory")
-    return int(cfg["seed"])
-
-
-def _identity_section(pt):
-    atom = tfm.BoundaryAtom(lg.GroupElement(np.eye(pt.n + 1)), xr.default_vector(pt.spec))
-    return tfm.BoundarySection.from_atoms(pt, [(atom, 1.0)])
-
-
 # ---------------------------------------------------------------------------
 # report plumbing
 
@@ -206,43 +158,30 @@ def _row(name, value, target=None, tol=None, stderr=None, ok=None):
     }
 
 
-def _json_safe(obj):
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(x) for x in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _json_default(obj):
+    # NumPy arrays and scalars; NumPy floats are Python floats already
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(cfg, rows, extra_meta=None):
     """Write the report once, then exit 1 if any row failed."""
-    config = {k: _json_safe(v) for k, v in sorted(cfg.items())
-              if k not in ("out",) and v is not None}
-    meta = {"version": __version__, "config": config, "seed": cfg.get("seed")}
-    if extra_meta:
-        meta.update(_json_safe(extra_meta))
-    if (cfg.get("format") or "json") == "csv":
+    config = {k: v for k, v in cfg.items() if k != "out" and v is not None}
+    meta = {"version": __version__, "config": config, "seed": cfg.get("seed"),
+            **(extra_meta or {})}
+    if cfg["format"] == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["name", "target", "value", "stderr", "tol", "pass"])
         for r in rows:
-            writer.writerow([
-                r["name"],
-                "" if r["target"] is None else repr(r["target"]),
-                "" if r["value"] is None else repr(r["value"]),
-                "" if r["stderr"] is None else repr(r["stderr"]),
-                "" if r["tol"] is None else repr(r["tol"]),
-                "true" if r["pass"] else "false",
-            ])
+            nums = [r[k] for k in ("target", "value", "stderr", "tol")]
+            writer.writerow([r["name"], *("" if x is None else repr(x) for x in nums),
+                             "true" if r["pass"] else "false"])
         text = buf.getvalue()
     else:
-        text = json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
+        text = json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True,
+                          default=_json_default) + "\n"
     if cfg.get("out"):
         with open(cfg["out"], "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -287,7 +226,9 @@ def decompose(matrix_path, boost, random_g, **kwargs):
         elif boost is not None:
             g = lg.make_at(boost, cfg["n"])
         else:
-            rng = np.random.default_rng(_require_seed(cfg))
+            if cfg["seed"] is None:
+                raise click.UsageError("this command is Monte Carlo; --seed is mandatory")
+            rng = np.random.default_rng(cfg["seed"])
             k1, k2 = lg.haar_sample_K(cfg["n"], size=2, rng=rng)
             g = lg.make_rotation(k1) @ lg.make_at(rng.uniform(0.5, 2.5), cfg["n"]) @ lg.make_rotation(k2)
     except ValueError as exc:
@@ -392,7 +333,8 @@ def limit_cmd(**kwargs):
     """Ball-average sweep, extrapolated limit, and the two-sided bound."""
     cfg = _build_config(kwargs, {"tol": 0.01})
     pt = _point(cfg)
-    section = _identity_section(pt)
+    atom = tfm.BoundaryAtom(lg.GroupElement(np.eye(pt.n + 1)), xr.default_vector(pt.spec))
+    section = tfm.BoundarySection.from_atoms(pt, [(atom, 1.0)])
     try:
         rep = st.strichartz_limit(pt, section, R_grid=cfg["R_grid"])
     except ValueError as exc:

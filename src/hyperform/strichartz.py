@@ -75,30 +75,40 @@ _DEFAULT_R_GRID = (12.5, 25.0, 50.0, 100.0, 200.0)
 # report type
 
 
+def _fit_grid(n, R_grid):
+    """R_grid as a tuple of floats, refused unless a sweep can be fitted
+    on it: at least 4 radii, all positive, strictly increasing, and from
+    R >= 1 on for even n (the parity split of the norm definition)."""
+    R_grid = tuple(float(r) for r in R_grid)
+    if len(R_grid) < 4:
+        raise ValueError("R_grid too short: need at least 4 radii to fit")
+    if not all(r > 0.0 for r in R_grid):
+        raise ValueError("ball radii must be positive")
+    if any(b <= a for a, b in zip(R_grid, R_grid[1:])):
+        raise ValueError("R_grid must be strictly increasing")
+    if n % 2 == 0 and R_grid[0] < 1.0:
+        raise ValueError(f"R_grid starts below the n={n} cutoff")
+    return R_grid
+
+
 class BallAverageReport:
     """Sweep of ball averages (1/R) int_{B(R)} ||.||^2 with the fitted
     R -> infinity limit.
 
-    The lower radius cutoff follows the parity split of the norm
-    definition: grids must start at R >= 1 for even n and at R > 0
-    for odd n.  `target` carries the analytic limit when the caller
-    knows one, `bstar_sup` the sweep supremum (the norm estimate),
-    and `bound_constant` the empirical two-sided constant.
+    The grid obeys the rules of _fit_grid.  `target` carries the
+    analytic limit when the caller knows one, `bstar_sup` the sweep
+    supremum (the norm estimate), and `bound_constant` the empirical
+    two-sided constant.
     """
 
     def __init__(self, n, R_grid, values, stderrs, extrapolated_limit,
                  method, stderr, target=None, bstar_sup=None,
                  bound_constant=None, norm_f2=None):
-        R_grid = tuple(float(r) for r in R_grid)
+        R_grid = _fit_grid(n, R_grid)
         values = tuple(float(v) for v in values)
         stderrs = tuple(float(s) for s in stderrs)
         if len(R_grid) != len(values) or len(R_grid) != len(stderrs):
             raise ValueError("grid/value/stderr lengths disagree")
-        if any(b <= a for a, b in zip(R_grid, R_grid[1:])):
-            raise ValueError("R_grid must be strictly increasing")
-        lo = 1.0 if n % 2 == 0 else 0.0
-        if R_grid[0] < lo or (n % 2 == 1 and R_grid[0] <= 0.0):
-            raise ValueError(f"R_grid starts below the n={n} cutoff")
         if not all(np.isfinite(values)):
             raise ValueError("ball averages must be finite")
         if method not in ("schur_1d", "mc_k"):
@@ -124,7 +134,7 @@ class BallAverageReport:
 # quadrature helpers
 
 
-def _osc_nodes(a, b, lam, order=20):
+def _osc_nodes(a, b, lam, order):
     """Composite fixed Gauss-Legendre nodes resolving oscillation at
     frequency ~2 lam: at least 4 panels, none longer than a quarter
     period of e^{2 i lam t}."""
@@ -228,27 +238,20 @@ def _rescale(vals, s):
     return (vals * s) * s
 
 
-def _weighted_square_profile(pt, ts, kind="spherical", dims="schur"):
-    """Radial integrand w(t) sum_eta c_eta |psi_eta(t)|^2 in the stable
-    form (1-e^{-2t})^{n-1} sum c_eta |e^{rho t} psi_eta|^2.
+def _weighted_square_profile(pt, ts, kind="spherical"):
+    """Radial integrand w(t) sum_eta (d_eta/d_tau) |psi_eta(t)|^2 (the
+    rotation average of a Poisson image at a unit vector) in the stable
+    form (1-e^{-2t})^{n-1} sum (d_eta/d_tau) |e^{rho t} psi_eta|^2.
 
     kind picks psi as in spherical.radial_components: the spherical
-    components, the two-term head, or their difference.  dims="schur"
-    weights by d_eta/d_tau (rotation average of a Poisson image at unit
-    vector), dims="hs" by (d_sigma/d_tau) d_eta (squared Hilbert-Schmidt
-    norm of the normalized Eisenstein integral)."""
+    components, the two-term head, or their difference."""
     ts = np.asarray(ts, dtype=float)
     d_tau, d_eta = _dims_table(pt.spec)
-    if dims == "schur":
-        coeff = {eta: d / d_tau for eta, d in d_eta.items()}
-    else:
-        d_sigma = xr.dims(pt.spec, pt.sigma)[1]
-        coeff = {eta: d * d_sigma / d_tau for eta, d in d_eta.items()}
     s = np.exp(0.5 * pt.rho * ts)
     grid = radial_components(pt, ts, kind)
     out = np.zeros(ts.shape)
     for eta, vals in grid.items():
-        out += coeff[eta] * np.abs(_rescale(vals, s)) ** 2
+        out += d_eta[eta] / d_tau * np.abs(_rescale(vals, s)) ** 2
     return _stable_weight(ts, pt.n) * out
 
 
@@ -299,12 +302,12 @@ def _base_point_norm2(atoms):
     return float(np.real(np.vdot(v_eff, v_eff)))
 
 
-def _schur_sweep(pt, R_grid, vnorm2=1.0, kind="spherical", dims="schur"):
+def _schur_sweep(pt, R_grid, vnorm2=1.0, kind="spherical"):
     """Exact ball averages (1/R) int_0^R of the weighted square profile
     times vnorm2, with their quadrature error estimates, over R_grid."""
     R_grid = np.asarray(R_grid, dtype=float)
     vals, errs = _radial_sweep(
-        lambda ts: _weighted_square_profile(pt, ts, kind=kind, dims=dims),
+        lambda ts: _weighted_square_profile(pt, ts, kind=kind),
         R_grid, pt.lam_real)
     return vals / R_grid * vnorm2, errs / R_grid * vnorm2
 
@@ -471,10 +474,7 @@ def strichartz_limit(pt, section, R_grid=None, k_samples=4096, rng=None):
     (asymptotic_residual_sweep) carries a t-quadrature bias of up to 2e-5
     relative, which its stderr leaves out.
     """
-    if R_grid is None:
-        R_grid = _DEFAULT_R_GRID
-    if len(R_grid) < 4:
-        raise ValueError("R_grid too short: need at least 4 radii to fit")
+    R_grid = _fit_grid(pt.n, _DEFAULT_R_GRID if R_grid is None else R_grid)
     (values,), (stderrs,), method = _ball_sweep(pt, section, R_grid,
                                                 k_samples=k_samples, rng=rng)
     limit, fit_err = _fit_limit(R_grid, values)
@@ -499,12 +499,10 @@ def eisenstein_hs_limit(pt, R_grid=None):
     (d_sigma/d_tau) sum_eta d_eta |phi_eta(t)|^2; the fitted limit is
     (d_sigma/pi) nu_sigma(lambda)^{-1}.
     """
-    if R_grid is None:
-        R_grid = _DEFAULT_R_GRID
-    if len(R_grid) < 4:
-        raise ValueError("R_grid too short: need at least 4 radii to fit")
+    R_grid = _fit_grid(pt.n, _DEFAULT_R_GRID if R_grid is None else R_grid)
+    # (d_sigma/d_tau) d_eta = d_sigma (d_eta/d_tau): the Schur profile at |v|^2 = d_sigma
     d_sigma = xr.dims(pt.spec, pt.sigma)[1]
-    values, stderrs = _schur_sweep(pt, R_grid, dims="hs")
+    values, stderrs = _schur_sweep(pt, R_grid, vnorm2=d_sigma)
     limit, fit_err = _fit_limit(R_grid, values)
     nu = plancherel_density(pt)
     target = d_sigma / (pi * nu)

@@ -1,6 +1,7 @@
 """Tests for the pass/fail gates of the command-line reports."""
 
 import contextlib
+import csv
 import gc
 import io
 import json
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import hyperform.strichartz as st
 from hyperform import (BundleSpec, SpectralPoint, asymptotic_head, bump_section,
                        fourier_batch, haar_sample_K, make_at, op_norm, plancherel_density,
                        spherical_at)
@@ -194,3 +196,102 @@ def test_asympt_rows_equal_the_matrix_remainder(spec, sigma):
         want = np.exp((pt.rho + 1.0) * t) * op_norm(spherical_at(pt, g) - asymptotic_head(pt, g))
         got = rows[f"remainder[t={t:g}]"]["value"]
         assert abs(got - want) <= 1e-9 * want, t
+
+
+def _run(*args):
+    return CliRunner().invoke(main, [str(a) for a in args])
+
+
+def test_config_file_sits_between_the_defaults_and_the_flags(tmp_path):
+    path = tmp_path / "point.cfg"
+    path.write_text("# a spectral point at n = 6\n\nn = 6\np=2\n  sigma =  q:2   # trailing\n"
+                    "lambda = 0.5\ntol = 1e-9\n")
+    res = _run("density", "--config", path, "--lambda", "2")
+    assert res.exit_code == 0, res.output
+    # the flag beats the file, the file beats density's tol = 1e-10, and
+    # the defaults fill in the rest
+    assert json.loads(res.output)["meta"]["config"] == {
+        "n": 6, "p": 2, "sigma": "q:2", "lambda": 2.0, "tol": 1e-9,
+        "chirality": "none", "t": 1.0, "format": "json"}
+    flags = _run("density", "--n", 6, "--p", 2, "--sigma", "q:2", "--lambda", 2, "--tol", 1e-9)
+    assert res.output == flags.output
+
+
+@pytest.mark.parametrize("text", ["bogus = 1\n", "n = six\n", "lambda = 1,2\n", "n 6\n", None])
+def test_bad_config_file_is_a_usage_error(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    if text is not None:
+        path.write_text(text)
+    res = _run("density", "--sigma", "q:1", "--config", path)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    if text is None:
+        assert "cannot read config file" in res.output
+
+
+def test_config_file_value_is_checked_like_its_flag(tmp_path):
+    # a file value goes through the flag's click type, so a format the
+    # flag refuses no longer falls back to JSON
+    path = tmp_path / "run.cfg"
+    path.write_text("format = xml\n")
+    res = _run("density", "--sigma", "q:1", "--config", path)
+    assert res.exit_code == 2, res.output
+    assert "'xml' is not one of" in res.output
+
+
+def test_csv_report_carries_the_json_rows():
+    args = ["limit", "--n", 3, "--p", 1, "--sigma", "q:1", "--R-grid", "12.5,25,50,100"]
+    rows = json.loads(_run(*args).output)["rows"]
+    res = _run(*args, "--format", "csv")
+    assert res.exit_code == 0, res.output
+    table = list(csv.DictReader(io.StringIO(res.output)))
+    assert [r["name"] for r in table] == [r["name"] for r in rows]
+    assert any(r["stderr"] is not None for r in rows)
+    for got, want in zip(table, rows):
+        for key in ("target", "value", "stderr", "tol"):
+            assert got[key] == ("" if want[key] is None else repr(want[key])), (got, key)
+        assert got["pass"] == ("true" if want["pass"] else "false")
+
+
+def test_out_writes_the_report_to_the_file_only(tmp_path):
+    args = ["cfun", "--n", 3, "--p", 1, "--sigma", "q:1"]
+    path = tmp_path / "report.json"
+    res = _run(*args, "--out", path)
+    assert res.exit_code == 0
+    assert res.output == ""
+    assert path.read_text() == _run(*args).output
+
+
+def test_lower_case_r_grid_is_the_R_grid_flag():
+    args = ["fourier", "--n", 3, "--p", 1, "--sigma", "q:1"]
+    upper = _run(*args, "--R-grid", "2,4")
+    assert upper.exit_code == 0, upper.output
+    assert [r["name"] for r in json.loads(upper.output)["rows"]] == [
+        "restriction_ratio[R=2]", "restriction_ratio[R=4]"]
+    assert _run(*args, "--r-grid", "2,4").output == upper.output
+
+
+@pytest.mark.parametrize("grid", ["", ",", "1,x", "two"])
+def test_empty_or_non_numeric_grid_is_a_usage_error(grid):
+    res = _run("fourier", "--sigma", "q:1", "--R-grid", grid)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--sigma", "q:1", "--R-grid", "400,25,50,100"], "strictly increasing"),
+    (["--n", 4, "--p", 1, "--sigma", "q:1", "--R-grid", "0.5,25,50,300"], "n=4 cutoff"),
+])
+def test_limit_refuses_a_bad_grid_before_any_quadrature(args, message, monkeypatch):
+    # neither sweep can converge out to R = 400 or 300, so a grid checked
+    # after the sweep exited 1 with the quadrature's message
+    def no_sweep(*_args, **_kwargs):
+        raise AssertionError("the radial sweep ran on a refused grid")
+
+    monkeypatch.setattr(st, "_radial_sweep", no_sweep)
+    res = _run("limit", *args)
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert "Traceback" not in res.output

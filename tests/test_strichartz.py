@@ -359,6 +359,27 @@ def test_limit_rejects_short_grid():
         st.strichartz_limit(pt, _e_atom_section(pt), R_grid=(5.0, 10.0))
 
 
+@pytest.mark.parametrize("n, grid, message", [
+    (3, (5.0, 10.0), "too short"),
+    (3, (0.0, 10.0, 20.0, 40.0), "positive"),
+    (3, (400.0, 25.0, 50.0, 100.0), "strictly increasing"),
+    (4, (0.5, 25.0, 50.0, 300.0), "n=4 cutoff"),
+])
+def test_fitted_sweeps_refuse_a_bad_grid_before_any_quadrature(n, grid, message, monkeypatch):
+    def no_sweep(*_args, **_kwargs):
+        raise AssertionError("the radial sweep ran on a refused grid")
+
+    monkeypatch.setattr(st, "_radial_sweep", no_sweep)
+    pt = SpectralPoint(BundleSpec(n, 1), sigma_q(1), 1.0)
+    with pytest.raises(ValueError, match=message):
+        st.strichartz_limit(pt, _e_atom_section(pt), R_grid=grid)
+    with pytest.raises(ValueError, match=message):
+        st.eisenstein_hs_limit(pt, R_grid=grid)
+    ones = [1.0] * len(grid)
+    with pytest.raises(ValueError, match=message):
+        st.BallAverageReport(n, grid, ones, ones, 1.0, "schur_1d", 0.0)
+
+
 def test_hilbert_schmidt_limit_matches_density_target():
     pt = SpectralPoint(BundleSpec(6, 2), sigma_q(2), 1.0)
     rep = st.eisenstein_hs_limit(pt)
