@@ -17,12 +17,12 @@ problems.  The module provides
     form, whose O(1/R) decay justifies the L + A/R extrapolation,
   * extrapolated limits with the two-sided norm-equivalence constant,
   * Hilbert-Schmidt ball averages of Eisenstein integrals,
-  * boundary-value reconstruction F_R from a Poisson image, with the
-    rotation integral of the dual kernel in closed form: a spherical
-    component of the transpose-dual type at -t (its zonal quadrature is
-    a test oracle in tests/oracles.py; a literal Monte Carlo mode
-    exists for cross-checks at small R, and its variance grows like
-    e^{(n-1)R}, see the docstring),
+  * boundary-value reconstruction F_R from a Poisson image, whose
+    ratios are Schur ball averages paired with the conjugate spherical
+    components of each output block's own point (the kernel's zonal
+    quadrature is a test oracle in tests/oracles.py; a literal Monte
+    Carlo mode exists for cross-checks at small R, and its variance
+    grows like e^{(n-1)R}, see the docstring),
   * ball-averaged residuals of the asymptotic head, and
   * a windowed energy-capture diagnostic for the spectral projections.
 
@@ -168,10 +168,9 @@ def _sweep_rule(ends, lam, order):
 _SWEEP_ORDERS = (20, 30)
 _SWEEP_BLOCK = 2048
 _SWEEP_RTOL = 1e-10
-# Gauss-Legendre order of the Monte Carlo ball averages, the inversion
-# ratios and the literal inversion sampler
+# Gauss-Legendre order of the Monte Carlo ball averages and of the
+# literal inversion sampler
 _MC_ORDER = 12
-_INVERSION_ORDER = 20
 _MC_INVERSION_ORDER = 16
 
 
@@ -183,7 +182,8 @@ def _radial_sweep(profile, R_grid, lam):
     wide, with no cap on their number (it grows like lam R).  The
     vectorized profile is evaluated once over the nodes of both orders
     on the same panels, in blocks of at most _SWEEP_BLOCK nodes, and the
-    panel sums accumulate per R.  Returns (values, errors) over R_grid,
+    panel sums accumulate per R; a complex profile sums its real and
+    imaginary parts apart.  Returns (values, errors) over R_grid,
     the error being |fine - coarse|; raises ArithmeticError when a value
     is not finite or its error exceeds _SWEEP_RTOL of it.
     """
@@ -199,8 +199,10 @@ def _radial_sweep(profile, R_grid, lam):
     sums = np.zeros(len(_SWEEP_ORDERS) * ends.size)
     for lo in range(0, nodes.size, _SWEEP_BLOCK):
         sl = slice(lo, lo + _SWEEP_BLOCK)
-        sums += np.bincount(bins[sl], weights=weights[sl] * profile(nodes[sl]),
-                            minlength=sums.size)
+        vals = weights[sl] * profile(nodes[sl])
+        sums = sums + np.bincount(bins[sl], weights=vals.real, minlength=sums.size)
+        if np.iscomplexobj(vals):
+            sums = sums + 1j * np.bincount(bins[sl], weights=vals.imag, minlength=sums.size)
     if not np.all(np.isfinite(sums)):
         raise ArithmeticError(
             f"radial profile not finite on [0, {ends[-1]:g}]")
@@ -212,7 +214,7 @@ def _radial_sweep(profile, R_grid, lam):
         raise ArithmeticError(
             f"radial quadrature to R={ends[i]:g} did not converge: orders "
             f"{_SWEEP_ORDERS[0]}/{_SWEEP_ORDERS[-1]} give "
-            f"{float(coarse[i])!r} and {float(fine[i])!r}")
+            f"{coarse[i].item()!r} and {fine[i].item()!r}")
     idx = np.searchsorted(ends, R_grid)
     return fine[idx], err[idx]
 
@@ -238,20 +240,25 @@ def _rescale(vals, s):
     return (vals * s) * s
 
 
-def _weighted_square_profile(pt, ts, kind="spherical"):
+def _weighted_square_profile(pt, ts, kind="spherical", other=None):
     """Radial integrand w(t) sum_eta (d_eta/d_tau) |psi_eta(t)|^2 (the
     rotation average of a Poisson image at a unit vector) in the stable
     form (1-e^{-2t})^{n-1} sum (d_eta/d_tau) |e^{rho t} psi_eta|^2.
 
     kind picks psi as in spherical.radial_components: the spherical
-    components, the two-term head, or their difference."""
+    components, the two-term head, or their difference.  With `other`,
+    a point of the same bundle, each square becomes the pairing
+    psi_eta conj(phi^other_eta) with other's spherical components."""
     ts = np.asarray(ts, dtype=float)
     d_tau, d_eta = _dims_table(pt.spec)
     s = np.exp(0.5 * pt.rho * ts)
     grid = radial_components(pt, ts, kind)
+    pair = None if other is None else component_grid(other, ts)
     out = np.zeros(ts.shape)
     for eta, vals in grid.items():
-        out += d_eta[eta] / d_tau * np.abs(_rescale(vals, s)) ** 2
+        vals = _rescale(vals, s)
+        out = out + d_eta[eta] / d_tau * (
+            np.abs(vals) ** 2 if pair is None else vals * np.conj(_rescale(pair[eta], s)))
     return _stable_weight(ts, pt.n) * out
 
 
@@ -302,13 +309,16 @@ def _base_point_norm2(atoms):
     return float(np.real(np.vdot(v_eff, v_eff)))
 
 
-def _schur_sweep(pt, R_grid, vnorm2=1.0, kind="spherical"):
+def _schur_sweep(pt, R_grid, vnorm2=1.0, kind="spherical", other=None):
     """Exact ball averages (1/R) int_0^R of the weighted square profile
-    times vnorm2, with their quadrature error estimates, over R_grid."""
+    (paired with `other`, when given) times vnorm2, with their quadrature
+    error estimates, over R_grid.  The panels resolve the larger of the
+    two frequencies."""
     R_grid = np.asarray(R_grid, dtype=float)
+    lam = max(abs(q.lam_real) for q in (pt, other or pt))
     vals, errs = _radial_sweep(
-        lambda ts: _weighted_square_profile(pt, ts, kind=kind),
-        R_grid, pt.lam_real)
+        lambda ts: _weighted_square_profile(pt, ts, kind=kind, other=other),
+        R_grid, lam)
     return vals / R_grid * vnorm2, errs / R_grid * vnorm2
 
 
@@ -515,82 +525,30 @@ def eisenstein_hs_limit(pt, R_grid=None):
 # inversion: boundary values from ball averages of the dual pairing
 
 
-def _transpose_dual(spec, eta):
-    """The bundle and label (spec', T eta) with P_{T eta} = P_eta^T.
-
-    Read off the projectors, not a table: the half-odd sigma^{+-} swap
-    at n = 3 and 7 but not at n = 5, and a chirality bundle at n = 2
-    (mod 4) has the other chirality's projector as its transpose, whose
-    spherical components equal its own.
-    """
-    target = xr.proj_matrix(spec, eta).T
-    specs = [spec]
-    if spec.chirality != "none":
-        other = "minus" if spec.chirality == "plus" else "plus"
-        specs.append(xr.BundleSpec(spec.n, spec.p, other))
-    for cand_spec in specs:
-        for cand in xr.branching(cand_spec):
-            if np.allclose(target, xr.proj_matrix(cand_spec, cand), atol=1e-12):
-                return cand_spec, cand
-    raise ArithmeticError(f"no transpose dual for {eta} in {spec}")
-
-
-def _pair_kernel(pt, ts, mu):
-    """The rotation-reduced inversion kernel: for each output block
-    eta' of P_sigma and each isotype eta, the scalar
-
-      j_{eta',eta}(t; mu) = (1/d_eta') int_K e^{(i mu - rho) H(a_{-t}u)}
-             tr(P_eta' tau(kappa(a_{-t}u))^{-1} P_eta tau(u)) du
-
-    over ts, keyed (eta', eta), in the closed form
-
-      j_{eta',eta}(t; mu) = (d_eta/d_tau) phi^{(T eta', mu)}_{T eta}(-t),
-
-    with T the transpose dual (P_{T eta} = P_eta^T).  One component
-    grid per output block eta'.
-    """
-    spec = pt.spec
-    ts = np.asarray(ts, dtype=float)
-    d_tau, d_eta = _dims_table(spec)
-    t_eta = {eta: _transpose_dual(spec, eta)[1] for eta in d_eta}
-    out = {}
-    for b in xr.sigma_blocks(spec, pt.sigma):
-        dual_spec, dual_b = _transpose_dual(spec, b)
-        dual = component_grid(SpectralPoint(dual_spec, dual_b, mu), -ts)
-        for eta, d in d_eta.items():
-            out[(b, eta)] = (d / d_tau) * dual[t_eta[eta]]
-    return out
-
-
 def inversion_ratios(pt, R, mu=None):
     """Per-block scalars r_{eta'}(R) of the reduced reconstruction.
 
     F_R = sum_{eta'} r_{eta'}(R) P_{eta'} F^(mu) for atomic data; the
     matched kernel (mu = lambda) drives every r_{eta'}(R) -> 1.
 
-    The pairing kernel comes from the transpose-dual identity of
-    _pair_kernel, which test_pairing_kernel_is_transpose_dual_spherical_component
-    pins against the zonal quadrature of tests/oracles.py.  Its accuracy
-    is that of component_grid, which the phi factor of the pairing uses
-    as well.
+    The rotation integral of the pairing kernel is the conjugate of the
+    output block's own spherical components,
+    j_{eta',eta}(t; mu) = (d_eta/d_tau) conj phi^{(eta', mu)}_eta(t)
+    (pinned against the zonal quadrature of tests/oracles.py), so
+    r_{eta'}(R) is pi nu times the Schur ball average paired with the
+    point (eta', mu).  At mu = lambda every block pairs to the square
+    profile of sigma (the odd parts of sigma_p's two blocks cancel) and
+    one sweep serves all.  Raises ArithmeticError where the sweep's two
+    orders disagree.
     """
     lam = pt.lam_real
     mu = lam if mu is None else float(mu)
-    ts, ws, _ = _sweep_rule([float(R)], max(abs(lam), abs(mu)), _INVERSION_ORDER)
-    pair = _pair_kernel(pt, ts, mu)
     nu = plancherel_density(pt)
-    # pair w(t) phi j as (1-e^{-2t})^{n-1} (e^{rho t} phi)(e^{rho t} j)
-    s = np.exp(0.5 * pt.rho * ts)
-    grid = {eta: _rescale(phi, s)
-            for eta, phi in component_grid(pt, ts).items()}
-    weight = _stable_weight(ts, pt.n) * ws
-    out = {}
-    for b in xr.sigma_blocks(pt.spec, pt.sigma):
-        j_t = np.zeros(ts.size, dtype=complex)
-        for eta, phi in grid.items():
-            j_t += phi * _rescale(pair[(b, eta)], s)
-        out[b] = complex(pi * nu * np.sum(weight * j_t) / R)
-    return out
+    kernels = {b: None if mu == lam else SpectralPoint(pt.spec, b, mu)
+               for b in xr.sigma_blocks(pt.spec, pt.sigma)}
+    sweeps = {q: _schur_sweep(pt, [float(R)], other=q)[0][0]
+              for q in dict.fromkeys(kernels.values())}
+    return {b: complex(pi * nu * sweeps[q]) for b, q in kernels.items()}
 
 
 def inversion_mix(pt, R, mu=None):

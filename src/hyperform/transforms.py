@@ -246,7 +246,7 @@ class CompactSection:
         ts, ws = np.polynomial.legendre.leggauss(order)
         ts = 0.5 * self.r_supp * (ts + 1.0)
         ws = 0.5 * self.r_supp * ws
-        return np.sum(ws * profile(ts) * (2.0 * np.sinh(ts)) ** (self.spec.n - 1))
+        return np.sum(ws * profile(ts) * lg.radial_weight(ts, self.spec.n))
 
     def l2_norm(self):
         """||f||^2 = ||v0||^2 int chi(t)^2 (2 sinh t)^(n-1) dt, by 200-point
@@ -373,7 +373,7 @@ def fourier_direct_mc(f, pt, k, samples, rng=None):
     kemb = lg.embed_rotation(km)
     # radial density (2 sinh t)^(n-1) on [0, R] via inverse-cdf table
     tgrid = np.linspace(0.0, f.r_supp, 4001)
-    dens = (2.0 * np.sinh(tgrid)) ** (n - 1)
+    dens = lg.radial_weight(tgrid, n)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(tgrid))])
     mass = cdf[-1]
     cdf /= mass

@@ -1,8 +1,10 @@
 """Independent oracles that the library itself never calls.
 
 j_pair_grid integrates the rotation-reduced inversion kernel over the
-zonal angle with closed-form Iwasawa data; the tests pin
-strichartz._pair_kernel and strichartz.inversion_ratios against it.
+zonal angle with closed-form Iwasawa data; the tests pin against it
+the closed form (d_eta/d_tau) conj phi^{(eta', mu)}_eta(t), the
+conjugate spherical components of the output block's own point, and
+strichartz.inversion_ratios.
 energy_capture_loop is the energy capture of
 strichartz.spectral_projection_energy done one (lambda, sigma) at a
 time, with the kernel applied as a complex einsum and the second moment
@@ -60,7 +62,7 @@ def zonal_iwasawa(t, thetas):
 
 def j_pair_grid(pt, ts, mu, n_panels=12, n_nodes=24):
     """Zonal quadrature of the rotation-reduced inversion kernel; the
-    oracle of the closed form in strichartz._pair_kernel.
+    oracle of its closed form (d_eta/d_tau) conj phi^{(eta', mu)}_eta(t).
 
     For each output block eta' of P_sigma and each isotype eta, the
     scalar

@@ -50,6 +50,14 @@ def test_invert_gate_fails_on_tight_tolerance():
     assert not rows["error_envelope"]["pass"]
 
 
+def test_invert_exits_cleanly_when_the_sweep_cannot_converge(monkeypatch):
+    monkeypatch.setattr(st, "_SWEEP_RTOL", 0.0)
+    res = _invert()
+    assert res.exit_code == 1
+    assert "radial quadrature to R=20 did not converge" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_limit_exits_cleanly_when_the_sweep_cannot_converge():
     # at n = 7 the profile underflows past t ~ 177, so the R = 200 sweep
     # of the default grid cannot meet its tolerance

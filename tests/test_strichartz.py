@@ -85,8 +85,9 @@ def _oracle_ratios(pt, R, mu):
 
 
 def test_closed_form_pairing_kernel_matches_zonal_quadrature():
-    # (6,3,minus): no label of the bundle is the transpose dual; the
-    # other cases pair against a mismatched frequency mu != lambda
+    # j_{eta',eta}(t; mu) = (d_eta / d_tau) conj phi^{(eta', mu)}_eta(t):
+    # (6,3,minus) is a bundle whose projectors transpose into the other
+    # chirality's; the other cases pair against a mismatched mu != lambda
     cases = [
         (BundleSpec(6, 3, "minus"), sigma_q(3), 1.0, (0.5, 2.0)),
         (BundleSpec(3, 1), sigma_q(1), 1.7, (0.5, 2.0, 6.0)),
@@ -95,7 +96,12 @@ def test_closed_form_pairing_kernel_matches_zonal_quadrature():
     for spec, sigma, mu, ts in cases:
         pt = SpectralPoint(spec, sigma, 1.0)
         want = j_pair_grid(pt, np.array(ts), mu)
-        got = st._pair_kernel(pt, np.array(ts), mu)
+        d_tau = xr.dims(spec, xr.branching(spec)[0])[0]
+        got = {}
+        for b in xr.sigma_blocks(spec, sigma):
+            phi = sph.component_grid(SpectralPoint(spec, b, mu), np.array(ts))
+            for eta in xr.branching(spec):
+                got[(b, eta)] = xr.dims(spec, eta)[1] / d_tau * np.conj(phi[eta])
         assert got.keys() == want.keys()
         for key in want:
             assert np.max(np.abs(got[key] - want[key])) < 1e-13, (spec, key)
@@ -399,6 +405,48 @@ def test_inversion_ratios_match_closed_law():
             assert abs(r.imag) < 1e-13
             assert abs(r - law) < 1e-12
         assert abs(vals[0] - vals[1]) < 1e-12
+
+
+def _every_point(lam):
+    # each bundle at n = 2..8 with each of its labels, the unsplit
+    # sigma_p of the half-odd bundles included
+    for n in range(2, 9):
+        for p in range(1, n // 2 + 1):
+            for chi in (("plus", "minus") if 2 * p == n else ("none",)):
+                spec = BundleSpec(n, p, chi)
+                labels = list(xr.branching(spec))
+                if spec.case == "half_odd":
+                    labels.append(sigma_q(p))
+                for sigma in labels:
+                    yield SpectralPoint(spec, sigma, lam)
+
+
+def test_matched_inversion_ratios_are_schur_ball_averages():
+    # at mu = lambda the pairing with each block's own point is the square
+    # profile of sigma (for sigma_p the odd parts of sigma^+- cancel), so
+    # every r_b'(R) is pi nu times the ball average of a unit identity atom
+    ts = np.linspace(0.05, 6.0, 40)
+    for pt in _every_point(0.8):
+        square = st._weighted_square_profile(pt, ts)
+        for b in xr.sigma_blocks(pt.spec, pt.sigma):
+            paired = st._weighted_square_profile(pt, ts, other=SpectralPoint(pt.spec, b, 0.8))
+            assert np.max(np.abs(paired - square)) <= 1e-14 * np.max(square), (pt, b)
+        nu = sph.plancherel_density(pt)
+        sec = _e_atom_section(pt)
+        for R in (3.0, 20.0):
+            want = pi * nu * st.ball_average_atom(pt, sec, R)
+            ratios = st.inversion_ratios(pt, R)
+            assert ratios.keys() == set(xr.sigma_blocks(pt.spec, pt.sigma))
+            for r in ratios.values():
+                assert abs(r - want) <= 1e-13 * want, (pt, R)
+
+
+def test_inversion_ratios_raise_where_the_sweep_cannot_converge(monkeypatch):
+    monkeypatch.setattr(st, "_SWEEP_RTOL", 0.0)
+    pt = SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0)
+    for mu in (None, 1.7):
+        with pytest.raises(ArithmeticError, match="radial quadrature to R=20 did not converge"):
+            st.inversion_ratios(pt, 20.0, mu=mu)
 
 
 def test_inversion_ratio_for_mismatched_parameter_decays():

@@ -57,6 +57,10 @@ INVOCATIONS = [
     ("invert_n3", "invert --n 3 --p 1 --sigma q:1 --seed 1 --samples 2000"),
     ("invert_n6_q2", "invert --n 6 --p 2 --sigma q:2"),
     ("invert_n3_failing_gate", "invert --n 3 --p 1 --sigma q:1 --tol 0.01"),
+    ("invert_n5_sigma_p", "invert --n 5 --p 2 --sigma q:2"),
+    ("invert_n5_plus", "invert --n 5 --p 2 --sigma plus"),
+    ("invert_n4_plus", "invert --n 4 --p 2 --chirality plus --sigma q:2"),
+    ("invert_n6_minus", "invert --n 6 --p 3 --chirality minus --sigma q:3"),
     ("fourier_n3_q1", "fourier --n 3 --p 1 --sigma q:1"),
     ("fourier_n4_minus", "fourier --n 4 --p 2 --chirality minus --sigma q:2"),
     ("fourier_n6_q1", "fourier --n 6 --p 2 --sigma q:1 --R-grid 2,4"),
