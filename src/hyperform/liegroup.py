@@ -31,6 +31,8 @@ cartan, polar_k, GroupElement.inv) wraps the same kernels, with the
 GroupElement and KElement wrappers carrying the validation.
 """
 
+import operator
+
 import numpy as np
 
 __all__ = [
@@ -428,24 +430,127 @@ def cartan(g):
     )
 
 
+# haar_sample_K sweeps stacks of at least this many rotations per unit
+# of n (see its docstring for the measured crossover)
+_SWEEP_PER_N = 16
+
+
 def haar_sample_K(n, size=None, rng=None):
     """Haar-distributed rotations in SO(n).
 
-    Gaussian QR with the R-diagonal sign fix (Mezzadri's recipe); a
-    final column flip lands det = -1 samples back in SO(n).  Returns
-    an (n, n) array, or (size, n, n) when size is given.
+    Gaussian QR with the R-diagonal sign fix (Mezzadri's recipe): the
+    unique Q of z = QR whose R has a positive diagonal, for one draw
+    z = rng.standard_normal((size, n, n)), with the last column flipped
+    where det Q = -1 so that every sample lies in SO(n).  Returns an
+    (n, n) array, or (size, n, n) when size is given.
+
+    Stacks of m >= 16 n rotations take one Householder sweep over the
+    whole stack (_householder_rotations), with no LAPACK call per
+    matrix.  Below that the fixed cost of the sweep's NumPy calls
+    loses, and the stack takes one LAPACK QR per matrix and a stacked
+    det; a single draw always does.  Measured crossover (best of 21
+    timings, one BLAS thread, 2-vCPU Xeon): m = 24-32 at n = 2, 48-64
+    at n = 3, 64-96 at n = 4, about 96 at n = 6 and 96-128 at n = 8.
+    Both paths give the same Q to rounding (the tests pin them within
+    1e-12 of each other, and bit for bit below the switch).
     """
+    n = _nonnegative_int(n, "n")
+    if n < 1:
+        raise ValueError(f"haar_sample_K needs n >= 1, got {n}")
+    m = 1 if size is None else _nonnegative_int(size, "size")
     if rng is None:
         rng = np.random.default_rng()
-    m = 1 if size is None else int(size)
     z = rng.standard_normal((m, n, n))
-    q, r = np.linalg.qr(z)
-    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    d[d == 0.0] = 1.0
-    q = q * d[:, None, :]
-    det = np.linalg.det(q)
-    q[det < 0.0, :, -1] = -q[det < 0.0, :, -1]
+    if m >= _SWEEP_PER_N * n:
+        q = _householder_rotations(z)
+    else:
+        q, r = np.linalg.qr(z)
+        d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+        d[d == 0.0] = 1.0
+        q = q * d[:, None, :]
+        det = np.linalg.det(q)
+        q[det < 0.0, :, -1] = -q[det < 0.0, :, -1]
     return q[0] if size is None else q
+
+
+def _nonnegative_int(value, name):
+    """value as a non-negative int, else ValueError (no silent int())."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        raise ValueError(f"haar_sample_K {name} must be an integer, got {value!r}") from None
+    if out < 0:
+        raise ValueError(f"haar_sample_K {name} must be non-negative, got {out}")
+    return out
+
+
+def _householder_rotations(z):
+    """The rotations of haar_sample_K for a (m, n, n) Gaussian stack z.
+
+    LAPACK's dgeqrf/dorgqr, run on the whole stack at once: the stack
+    is copied to (row, col, sample) order so that each step is a few
+    NumPy calls on arrays of length m.  Reflection j maps column j's
+    part x from row j down to beta e_j, beta = -sign(x_0)|x|, and is
+    skipped (tau = 0, the identity) where x has no part below row j.
+    The reflectors are kept below the diagonal, with R's diagonal in
+    d, and Q = H_0 ... H_{n-2} is built back from the last column in
+    the same array.  det Q = (-1)^(reflections applied), so the sign
+    fix Q diag(sign d) lands in SO(n) after flipping its last column
+    where that count plus the number of negative d is odd.  The result
+    is written over z.
+    """
+    m, n, _ = z.shape
+    a = np.ascontiguousarray(z.transpose(1, 2, 0))
+    d = np.empty((n, m))
+    tau = np.zeros((n, m))
+    w = np.empty((n, m))
+    t = np.empty((n, m))
+    # parity of the reflections applied: all n - 1 until one is skipped
+    odd = np.full(m, (n - 1) % 2 == 1)
+    # 0/0 only where a whole column part is zero; the skip below resets it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(n - 1):
+            x = a[j:, j]
+            alpha = x[0].copy()
+            sig = np.einsum("im,im->m", x[1:], x[1:])
+            beta = d[j]
+            np.sqrt(alpha * alpha + sig, out=beta)
+            np.copysign(beta, -alpha, out=beta)
+            np.divide(beta - alpha, beta, out=tau[j])
+            x[1:] /= alpha - beta
+            skip = sig == 0.0
+            if skip.any():
+                beta[skip] = alpha[skip]
+                tau[j, skip] = 0.0
+                x[1:, skip] = 0.0
+                odd ^= skip
+            x[0] = 1.0
+            _reflect(x, a[j:, j + 1:], tau[j], w[: n - j - 1], t[: n - j - 1])
+    d[n - 1] = a[n - 1, n - 1]
+    a[:, n - 1] = 0.0
+    a[n - 1, n - 1] = 1.0
+    for j in range(n - 2, -1, -1):
+        x = a[j:, j]
+        _reflect(x, a[j:, j + 1:], tau[j], w[: n - j - 1], t[: n - j - 1])
+        x[1:] *= -tau[j]
+        np.subtract(1.0, tau[j], out=x[0])
+        a[:j, j] = 0.0
+    neg = d < 0.0
+    odd ^= np.logical_xor.reduce(neg, axis=0)
+    neg[n - 1] ^= odd
+    a *= 1.0 - 2.0 * neg
+    np.copyto(z.transpose(1, 2, 0), a)
+    return z
+
+
+def _reflect(v, blk, tau, w, t):
+    """blk -= tau v (v^T blk) in place, v[0] = 1, over (row, col, sample)."""
+    np.einsum("im,ikm->km", v, blk, out=w)
+    w *= tau
+    blk[0] -= w
+    for i in range(1, v.shape[0]):
+        np.multiply(w, v[i], out=t)
+        blk[i] -= t
 
 
 def radial_weight(t, n):

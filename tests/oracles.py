@@ -20,8 +20,11 @@ which the in-place version must reproduce bit for bit, and
 iwasawa_batch_product is liegroup.iwasawa_batch as it stood before
 kappa was read off g's columns.  iwasawa_mp decomposes group elements
 that group_mp builds exactly (from rotation_mp rotations), at the
-caller's mpmath precision.  series_nterms_blocks is the term-count scan
-of specialfn._Series.sum as it stood before the scalar scan: blocks of
+caller's mpmath precision.  haar_sample_K_qr is
+liegroup.haar_sample_K as it stood before stacks took the whole-stack
+Householder sweep: one LAPACK QR per matrix and a stacked det.
+series_nterms_blocks is the term-count scan of specialfn._Series.sum
+as it stood before the scalar scan: blocks of
 the table at the largest w, with each block's partial sums formed as
 the carried sum plus the block's cumulative sum.  e_defect,
 u_intertwine and spectral_projection are the horocyclic defect, the
@@ -230,6 +233,23 @@ def cartan_batch_copy(mats):
         k1[tie] = pol[tie]
     k2 = np.swapaxes(k1, -1, -2) @ pol
     return t, k1, k2
+
+
+def haar_sample_K_qr(n, size=None, rng=None):
+    """liegroup.haar_sample_K with one LAPACK QR per matrix: the Q of
+    the Gaussian draw whose R has a positive diagonal, its last column
+    flipped where np.linalg.det is -1."""
+    if rng is None:
+        rng = np.random.default_rng()
+    m = 1 if size is None else int(size)
+    z = rng.standard_normal((m, n, n))
+    q, r = np.linalg.qr(z)
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    d[d == 0.0] = 1.0
+    q = q * d[:, None, :]
+    det = np.linalg.det(q)
+    q[det < 0.0, :, -1] = -q[det < 0.0, :, -1]
+    return q[0] if size is None else q
 
 
 def e_defect(g, x):

@@ -22,9 +22,17 @@ from hyperform import (
     polar_k,
     radial_weight,
 )
+import hyperform.liegroup as lg
 from hyperform.liegroup import TIE_EPS, at_mats, cartan_batch, embed_rotation, iwasawa_batch
 
-from oracles import cartan_batch_copy, e_defect, group_mp, iwasawa_batch_product, iwasawa_mp
+from oracles import (
+    cartan_batch_copy,
+    e_defect,
+    group_mp,
+    haar_sample_K_qr,
+    iwasawa_batch_product,
+    iwasawa_mp,
+)
 
 
 def _random_g(n, rng, tmax=3.0):
@@ -263,6 +271,82 @@ def test_haar_first_moment_vanishes():
     ks = haar_sample_K(3, size=20000, rng=np.random.default_rng(5))
     # entries of a Haar rotation have mean zero, variance 1/n
     assert np.max(np.abs(ks.mean(axis=0))) < 5.0 / np.sqrt(20000 / 3.0)
+
+
+def _assert_in_SO(ks):
+    n = ks.shape[-1]
+    assert np.max(np.abs(np.swapaxes(ks, -1, -2) @ ks - np.eye(n))) <= 1e-13
+    assert np.max(np.abs(np.linalg.det(ks) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_haar_sweep_reproduces_the_lapack_recipe(n):
+    switch = lg._SWEEP_PER_N * n
+    for size in (None, 1, 2, switch - 1, switch, 4096):
+        got = haar_sample_K(n, size=size, rng=np.random.default_rng(1900 + n))
+        want = haar_sample_K_qr(n, size=size, rng=np.random.default_rng(1900 + n))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+        _assert_in_SO(got.reshape(-1, n, n))
+        if size is None or size < switch:
+            assert np.array_equal(got, want)
+
+
+class _StubRng:
+    """Hands haar_sample_K a fixed stack as its Gaussian draw."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, shape):
+        assert shape == self.z.shape
+        return self.z.copy()
+
+
+def _crafted_stacks(n, m, rng):
+    """Gaussian draws that LAPACK's QR treats specially: upper
+    triangular (every reflection skipped), zero parts below the
+    diagonal in one or two columns (those reflections skipped), the
+    same with the diagonal entry zero too (a skip with R_jj = 0, whose
+    sign counts as +1), and negative diagonals (R's sign fix flips
+    every column)."""
+    upper = np.triu(rng.standard_normal((m, n, n)))
+    holes = rng.standard_normal((m, n, n))
+    for s in range(m):
+        for j in {s % max(n - 1, 1), (s // 3) % max(n - 1, 1)}:
+            holes[s, j + 1:, j] = 0.0
+    singular = holes.copy()
+    for s in range(m):
+        j = s % max(n - 1, 1)
+        singular[s, j:, j] = 0.0
+    negative = rng.standard_normal((m, n, n))
+    idx = np.arange(n)
+    negative[:, idx, idx] = -np.abs(negative[:, idx, idx])
+    return {"upper": upper, "holes": holes, "singular": singular,
+            "negative_diagonal": negative, "negative_upper": np.triu(negative)}
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_haar_sweep_counts_only_the_reflections_it_applies(n):
+    m = lg._SWEEP_PER_N * n
+    for name, z in _crafted_stacks(n, m, np.random.default_rng(19 + n)).items():
+        got = haar_sample_K(n, size=m, rng=_StubRng(z))
+        want = haar_sample_K_qr(n, size=m, rng=_StubRng(z))
+        _assert_in_SO(got)
+        assert np.max(np.abs(got - want)) <= 1e-12, name
+
+
+@pytest.mark.parametrize("n, size", [(0, 3), (-2, None), (2.5, 3), ("3", 3), (3, 2.7),
+                                     (3, -1), (3, "4"), (3, 4.0)])
+def test_haar_rejects_bad_arguments(n, size):
+    with pytest.raises(ValueError):
+        haar_sample_K(n, size=size, rng=np.random.default_rng(0))
+
+
+def test_haar_empty_stack():
+    assert haar_sample_K(3, size=0, rng=np.random.default_rng(0)).shape == (0, 3, 3)
+    ks = haar_sample_K(4, size=np.int64(5), rng=np.random.default_rng(0))
+    assert ks.shape == (5, 4, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,19 @@ order.  So two outputs share a digest only if they are bit-identical.
 A job that raises prints its exception instead of a digest.
 
 `compare` runs `show` on both checkouts and lists the jobs whose
-digests differ; it exits 1 if any does.
+digests differ, each with the largest relative deviation over the
+numbers the digest walks: per array (or float, complex or NumPy
+scalar), max |change - parent| / max |parent|, or "structure differs"
+when shapes or non-numeric parts differ.  It exits 1 if any job
+differs.
 """
 
 import argparse
+import base64
 import dataclasses
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 
@@ -35,37 +41,40 @@ import numpy as np
 WORKLOADS = ("radial", "inversion", "group_mc", "point")
 
 
-def feed(h, obj):
-    """Add obj's bytes to the hash h, tagged by type."""
+def walk(obj):
+    """The parts of obj in digest order: bytes that tag its structure
+    and its non-numeric values, and the arrays that hold its numbers
+    (one per array or float, complex or NumPy scalar)."""
     if isinstance(obj, np.ndarray):
-        h.update(f"nd{obj.dtype.str}{obj.shape}".encode())
+        yield f"nd{obj.dtype.str}{obj.shape}".encode()
         if obj.dtype == object:
             for item in obj.ravel():
-                feed(h, item)
+                yield from walk(item)
         else:
-            h.update(np.ascontiguousarray(obj).tobytes())
+            yield obj
     elif isinstance(obj, (float, complex, np.generic)) and not isinstance(obj, (bool, np.bool_)):
         arr = np.asarray(obj)
-        h.update(f"sc{arr.dtype.str}".encode() + arr.tobytes())
+        yield f"sc{arr.dtype.str}".encode()
+        yield arr
     elif obj is None or isinstance(obj, (bool, np.bool_, int, str, bytes)):
-        h.update(f"{type(obj).__name__}:{obj!r};".encode())
+        yield f"{type(obj).__name__}:{obj!r};".encode()
     elif isinstance(obj, (list, tuple)):
-        h.update(f"{type(obj).__name__}[{len(obj)}".encode())
+        yield f"{type(obj).__name__}[{len(obj)}".encode()
         for item in obj:
-            feed(h, item)
-        h.update(b"]")
+            yield from walk(item)
+        yield b"]"
     elif isinstance(obj, dict):
-        h.update(f"dict[{len(obj)}".encode())
+        yield f"dict[{len(obj)}".encode()
         for key, val in obj.items():
-            feed(h, key)
-            feed(h, val)
-        h.update(b"]")
+            yield from walk(key)
+            yield from walk(val)
+        yield b"]"
     else:
-        h.update(f"obj:{type(obj).__name__}(".encode())
+        yield f"obj:{type(obj).__name__}(".encode()
         for name, val in fields(obj):
-            h.update(name.encode())
-            feed(h, val)
-        h.update(b")")
+            yield name.encode()
+            yield from walk(val)
+        yield b")"
 
 
 def fields(obj):
@@ -79,10 +88,33 @@ def fields(obj):
     raise TypeError(f"cannot digest a {type(obj).__name__}")
 
 
-def digest(obj):
+def digest(parts):
     h = hashlib.sha256()
-    feed(h, obj)
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else np.ascontiguousarray(part).tobytes())
     return h.hexdigest()
+
+
+def deviation(parent, change):
+    """Largest relative deviation between two outputs' parts: over the
+    numeric arrays, max |change - parent| / max |parent| per array (an
+    array that is 0 at the parent counts its absolute deviation).  None
+    when the structure or a non-numeric part differs."""
+    if len(parent) != len(change):
+        return None
+    worst = 0.0
+    for p, c in zip(parent, change):
+        if isinstance(p, bytes) or isinstance(c, bytes):
+            if p != c:
+                return None
+        elif p.dtype.kind not in "biufc":  # dtype and shape are in the tags
+            if not np.array_equal(p, c):
+                return None
+        elif p.size:
+            gap = np.max(np.abs(c.astype(complex) - p.astype(complex)))
+            scale = np.max(np.abs(p))
+            worst = max(worst, gap / scale if scale > 0 else gap)
+    return worst
 
 
 def child(seed, workloads):
@@ -96,12 +128,14 @@ def child(seed, workloads):
             except Exception as exc:  # a job that raises is reported, not hidden
                 print(f"{name} {job.name} raised {type(exc).__name__}: {exc}", flush=True)
                 continue
-            line = digest(out)
-            print(f"{name} {job.name} {line}", flush=True)
+            parts = list(walk(out))
+            blob = base64.b64encode(pickle.dumps(parts)).decode()
+            print(f"{name} {job.name} {digest(parts)} {blob}", flush=True)
 
 
 def show(checkout, seed, workloads):
-    """{(workload, job): digest} of one checkout."""
+    """{(workload, job): (digest, parts)} of one checkout; a job that
+    raised has its exception for digest and no parts."""
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -114,7 +148,12 @@ def show(checkout, seed, workloads):
     out = {}
     for line in proc.stdout.splitlines():
         workload, job, rest = line.split(" ", 2)
-        out[workload, job] = rest
+        if rest.startswith("raised "):
+            out[workload, job] = (rest, None)
+        else:
+            sha, blob = rest.split(" ")
+            # written by this file's own child process above
+            out[workload, job] = (sha, pickle.loads(base64.b64decode(blob)))
     return out
 
 
@@ -134,15 +173,19 @@ def main():
     if args.cmd == "child":
         child(args.seed, args.workload)
     elif args.cmd == "show":
-        for (workload, job), line in show(args.checkout, args.seed, args.workload).items():
+        for (workload, job), (line, _) in show(args.checkout, args.seed, args.workload).items():
             print(workload, job, line)
     else:
         parent = show(args.parent, args.seed, args.workload)
         change = show(args.change, args.seed, args.workload)
-        differ = [key for key in parent.keys() | change.keys() if parent.get(key) != change.get(key)]
-        for workload, job in sorted(differ):
-            print(f"DIFFERS {workload} {job}: parent {parent.get((workload, job))}, "
-                  f"change {change.get((workload, job))}")
+        missing = (None, None)
+        differ = [key for key in parent.keys() | change.keys()
+                  if parent.get(key, missing)[0] != change.get(key, missing)[0]]
+        for key in sorted(differ):
+            (line_p, parts_p), (line_c, parts_c) = parent.get(key, missing), change.get(key, missing)
+            dev = None if parts_p is None or parts_c is None else deviation(parts_p, parts_c)
+            dev = "structure differs" if dev is None else f"max relative deviation {dev:.3g}"
+            print(f"DIFFERS {key[0]} {key[1]}: parent {line_p}, change {line_c}; {dev}")
         print(f"seed {args.seed}: {len(parent) - len(differ)} of {len(parent)} job outputs "
               f"bit-identical ({', '.join(args.workload)})")
         sys.exit(1 if differ else 0)
