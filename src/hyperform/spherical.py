@@ -289,25 +289,24 @@ class PoissonKernel:
 
         K_lambda(g) = sqrt(d_{tau,sigma}) e^{-(i lambda + rho) H(g)} tau(kappa(g)),
 
-    kept as its geometry (H(g) and Lambda^p(kappa(g)), formed once with
-    the Iwasawa step in blocks of _KERNEL_BLOCK matrices) and a weight
-    that depends on (sigma, lambda).  The weight only multiplies
-    vectors, which meet the real Lambda^p stack in real products
-    (extrep.tau_apply_batch), so no complex (..., C(n,p), C(n,p)) array
-    is formed.  The boundary atom of transforms is
+    kept as its geometry, H(g) and kappa(g) (..., n, n), formed once with
+    the Iwasawa step in blocks of _KERNEL_BLOCK matrices, and a weight
+    that depends on (sigma, lambda).  Vectors meet tau(kappa) through
+    extrep.tau_vec_batch, which never forms the C(n,p) x C(n,p) minors;
+    callers that need the operators build extrep.tau_matrix_batch(kappa,
+    p) themselves.  The boundary atom of transforms is
     p^{g,v}(k) = P_sigma K_{-lambda}(g^{-1} k)^T v.
     """
 
-    __slots__ = ("h", "tau")
+    __slots__ = ("h", "kappa", "p")
 
     def __init__(self, mats, p):
-        flat = mats.reshape((-1,) + mats.shape[-2:])
-        parts = [iwasawa_batch(flat[lo:lo + _KERNEL_BLOCK])
-                 for lo in range(0, flat.shape[0], _KERNEL_BLOCK)]
-        lead = mats.shape[:-2]
-        self.h = np.concatenate([h for h, _, _ in parts]).reshape(lead)
-        kappa = np.concatenate([k for _, _, k in parts])
-        self.tau = xr.tau_matrix_batch(kappa.reshape(lead + kappa.shape[-2:]), p)
+        lead, n = mats.shape[:-2], mats.shape[-1] - 1
+        flat = mats.reshape(-1, n + 1, n + 1)
+        h, kappa = np.empty(len(flat)), np.empty((len(flat), n, n))
+        for blk in (slice(lo, lo + _KERNEL_BLOCK) for lo in range(0, len(flat), _KERNEL_BLOCK)):
+            h[blk], _, kappa[blk] = iwasawa_batch(flat[blk])
+        self.h, self.kappa, self.p = h.reshape(lead), kappa.reshape(lead + (n, n)), p
 
     def weight(self, pt, lam=None):
         """sqrt(d_{tau,sigma}) e^{-(i lam + rho) H(g)}; lam defaults to pt.lam."""
@@ -316,16 +315,14 @@ class PoissonKernel:
 
     def apply(self, pt, vecs):
         """K_lambda(g) vecs at pt; vecs broadcast against (..., C(n,p))."""
-        vals = xr.tau_apply_batch(self.tau, np.asarray(vecs)[..., None])[..., 0]
-        return self.weight(pt)[..., None] * vals
+        return self.weight(pt)[..., None] * xr.tau_vec_batch(self.kappa, self.p, vecs)
 
     def dual(self, pt, vecs, lam=None):
         """P_sigma K_{-lambda}(g)^T vecs, the transposed kernel at -lambda;
         lam defaults to pt.lam."""
         lam = complex(pt.lam if lam is None else lam)
-        vals = xr.tau_apply_batch(np.swapaxes(self.tau, -1, -2), np.asarray(vecs)[..., None])
-        vals = self.weight(pt, -lam)[..., None] * vals[..., 0]
-        return vals @ xr.proj_matrix(pt.spec, pt.sigma).T
+        vals = xr.tau_vec_batch(np.swapaxes(self.kappa, -1, -2), self.p, vecs)
+        return (self.weight(pt, -lam)[..., None] * vals) @ xr.proj_matrix(pt.spec, pt.sigma).T
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +434,7 @@ def eisenstein_integral_at(pt, t):
     thetas, ws = _zonal_nodes(t, _ZONAL_PANELS, _ZONAL_NODES)
     rots = plane_rotations(n, np.cos(thetas), np.sin(thetas))
     ker = PoissonKernel(make_at(-t, n).mat[None, :, :] @ embed_rotation(rots), p)
-    tau_rot = xr.tau_matrix_batch(rots, p)
+    tau_kappa, tau_rot = xr.tau_matrix_batch(ker.kappa, p), xr.tau_matrix_batch(rots, p)
     p_sigma = xr.proj_matrix(spec, pt.sigma)
     # the kernel's weight carries one factor sqrt(d_{tau,sigma})
     weight = ker.weight(pt) * sqrt(xr.dims(spec, pt.sigma)[2])
@@ -445,10 +442,10 @@ def eisenstein_integral_at(pt, t):
     p_etas = [xr.proj_matrix(spec, eta) for eta in etas]
     # tr(P_eta tau(kappa) P_sigma tau(rot)^T) = sum (tau(kappa) P_sigma) o (P_eta^T tau(rot)),
     # taken over blocks of nodes
-    trs = np.empty((len(etas), len(thetas)), dtype=np.result_type(ker.tau, p_sigma, tau_rot))
+    trs = np.empty((len(etas), len(thetas)), dtype=np.result_type(tau_kappa, p_sigma, tau_rot))
     for lo in range(0, len(thetas), _K_BLOCK):
         blk = slice(lo, lo + _K_BLOCK)
-        left = ker.tau[blk] @ p_sigma
+        left = tau_kappa[blk] @ p_sigma
         for tr, p_eta in zip(trs, p_etas):
             tr[blk] = np.einsum("kab,kab->k", left, p_eta.T @ tau_rot[blk])
     out = {}

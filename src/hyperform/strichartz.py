@@ -329,9 +329,9 @@ class _Sheet:
     An atom at a rotation k_a (_rotation_block) needs no Cartan step:
     tau-radiality gives Psi(k_a^T k a_t) = Psi(a_t) tau(k_a^T k)^T with
     Psi(a_t) = sum_eta psi_eta(t) P_eta, so all such atoms fold into one
-    (K, C) array u = sum_a w_a tau(k_a^T k)^T v_a, from one Lambda^p
-    stack per atom, and the sheet is u (sum_eta psi_eta(t) P_eta^T) at
-    each t: one component grid over the radii and no per-(t, k) matrices.
+    (K, C) array u = sum_a w_a tau(k_a^T k)^T v_a, one extrep.tau_vec_batch
+    per atom, and the sheet is u (sum_eta psi_eta(t) P_eta^T) at each t:
+    one component grid over the radii and no per-(t, k) matrices.
     Other atoms keep the CartanGeometry of g_a^{-1} k a_t, formed in
     slabs of whole t-nodes.
     """
@@ -346,8 +346,8 @@ class _Sheet:
             if k_a is None:
                 self.left.append((a.g.inv().mat @ kemb, w, a.v.coeffs))
                 continue
-            taus = xr.tau_matrix_batch(k_a.T @ kemb[:, :-1, :-1], pt.p)
-            term = w * xr.tau_apply_batch(np.swapaxes(taus, -1, -2), a.v.coeffs[:, None])[..., 0]
+            rots_t = np.swapaxes(k_a.T @ kemb[:, :-1, :-1], -1, -2)
+            term = w * xr.tau_vec_batch(rots_t, pt.p, a.v.coeffs)
             self.u = term if self.u is None else self.u + term
 
     def values(self, ts, kinds, nodes=None):
@@ -388,8 +388,8 @@ def _ball_sweep(pt, section, R_grid, kinds=("spherical",), k_samples=4096, rng=N
     breakpoint at each R; per-draw sums are kept per segment and summed
     cumulatively.  The image on the sampled sheet k a_t comes from one
     _Sheet, in slabs of whole t-nodes: atoms at a rotation k_a through
-    Psi(k_a^T k a_t) = Psi(a_t) tau(k_a^T k)^T (one Lambda^p stack per
-    atom, one component grid per slab), others through the Cartan
+    Psi(k_a^T k a_t) = Psi(a_t) tau(k_a^T k)^T (one extrep.tau_vec_batch
+    per atom, one component grid per slab), others through the Cartan
     decomposition of g_a^{-1} k a_t.  A value differs from the
     one-radius value on the same draws only by the change of node
     layout: rounding for the smooth spherical kind, the t-quadrature
@@ -577,7 +577,7 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
     meaningful for small R.  The Poisson image on the sheet k1 a_t comes
     from _Sheet: atoms at a rotation k_a by Phi(k_a^T k1 a_t) =
     Phi(a_t) tau(k_a^T k1)^T, one component grid over the t-nodes and
-    one Lambda^p stack over the k1, others by the Cartan decomposition,
+    one extrep.tau_vec_batch over the k1, others by the Cartan decomposition,
     one t-node at a time.  `samples` is the evaluation budget of the
     returned section; `mu` probes a mismatched kernel frequency.
     """
@@ -719,8 +719,10 @@ def spectral_projection_energy(f, lam_grid, R, g_samples=160, k_samples=800,
     # e^{-rho H} once, and Lambda^p(kappa) laid out (i, a, (j, b)), so that
     # the kernel's product and the mean over j are one real product per lambda
     ker = PoissonKernel(lg.inv_mats(g_mats)[:, None] @ lg.embed_rotation(us)[None], spec.p)
-    wide = ker.tau.transpose(0, 2, 1, 3).reshape(g_samples, spec.dim_full, -1)
-    decay = np.exp(-0.5 * (n - 1) * ker.h)
+    h, wide = ker.h, xr.tau_matrix_batch(ker.kappa, spec.p)
+    del ker  # kappa, and below the (i, j, a, b) stack, go as soon as used
+    wide = wide.transpose(0, 2, 1, 3).reshape(g_samples, spec.dim_full, -1)
+    decay = np.exp(-0.5 * (n - 1) * h)
     rows = []
     etas = xr.branching(spec)
     d_ratio = np.array([xr.dims(spec, sigma)[2] for sigma in etas])
@@ -730,7 +732,7 @@ def spectral_projection_energy(f, lam_grid, R, g_samples=160, k_samples=800,
         fv = np.stack([sigma_part(pt, profile) for pt in pts], axis=-1)
         # Q f(g_i) = nu * mean_j K_lambda(g_i^{-1} u_j) fv_j for every sigma,
         # the kernel's weight sqrt(d) e^{-(i lam + rho) H} / J on the vectors
-        weighted = ((decay * np.exp(-1j * lam * ker.h))[..., None, None]
+        weighted = ((decay * np.exp(-1j * lam * h))[..., None, None]
                     * (np.sqrt(d_ratio) / k_samples * fv))
         mean = xr.tau_apply_batch(wide, weighted.reshape(g_samples, -1, len(etas)))
         mean_sq = np.sum(np.abs(mean) ** 2, axis=-2)

@@ -158,8 +158,8 @@ def poisson_mc(pt, section, x, samples, rng=None):
 
     Returns (FormVector, stderr) with the standard error aggregated
     over real and imaginary parts of all components.  Rotations are drawn
-    in chunks of min(4096, 2^20 / C(n,p)^2), so that one chunk's
-    (chunk, C(n,p), C(n,p)) Lambda^p arrays hold at most 2^20 entries.
+    in chunks of min(4096, 2^20 / C(n,p)^2), each from its own generator
+    spawned off rng (_haar_chunks): the size fixes the draws, not memory.
     """
     if samples <= 0:
         raise ValueError("need a positive sample count")
@@ -314,8 +314,7 @@ def radon_batch(f, ts, kmats, grid=32):
         mats = lg.at_mats(t, n)[:, None] @ lg.ny_mats(y_half[:, None, None] * unit_ys, n)
         frames = f.frames(mats).reshape(t.size, unit_ws.size, -1)
         per_t[block] = (unit_ws @ frames).reshape(-1, dim, dim) * scale[:, None, None]
-    taus_t = np.swapaxes(xr.tau_matrix_batch(np.asarray(kmats, dtype=float), p), -1, -2)
-    vecs = xr.tau_apply_batch(taus_t, f.v0[:, None])[..., 0]
+    vecs = xr.tau_vec_batch(np.swapaxes(np.ascontiguousarray(kmats, dtype=float), -1, -2), p, f.v0)
     return np.moveaxis(xr.tau_apply_batch(per_t, vecs.T), -1, 0)
 
 

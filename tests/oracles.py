@@ -151,6 +151,7 @@ def energy_capture_loop(f, lam_grid, R, g_samples, k_samples, t_nodes, grid, rng
     tq, wq = tq * f.r_supp, wq * f.r_supp
     prof = tfm.radon_batch(f, tq, us, grid=grid)
     ker = sph.PoissonKernel(lg.inv_mats(g_mats)[:, None] @ lg.embed_rotation(us)[None], spec.p)
+    taus = xr.tau_matrix_batch(ker.kappa, spec.p)
     rows = []
     for lam in sorted(float(l) for l in lam_grid):
         profile = np.einsum("q,jqd->jd", wq * np.exp(-1j * lam * tq), prof)
@@ -159,7 +160,7 @@ def energy_capture_loop(f, lam_grid, R, g_samples, k_samples, t_nodes, grid, rng
             pt = sph.SpectralPoint(spec, sigma, lam)
             nu = sph.plancherel_density(pt)
             fv = tfm.sigma_part(pt, profile)
-            terms = ker.weight(pt)[..., None] * np.einsum("ijab,jb->ija", ker.tau, fv)
+            terms = ker.weight(pt)[..., None] * np.einsum("ijab,jb->ija", taus, fv)
             mean = terms.mean(axis=1)
             second = (np.abs(terms) ** 2).mean(axis=1)
             var = np.maximum(second - np.abs(mean) ** 2, 0.0).sum(axis=-1)

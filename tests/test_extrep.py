@@ -99,6 +99,85 @@ def test_tau_batch_fallback_high_degree(rng):
     assert np.max(np.abs(batch[0] - _minor_oracle(us[0], 4))) <= 1e-12
 
 
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _rel_gap(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
+def test_tau_vec_matches_minors_times_vectors_for_general_matrices(rng):
+    # the contraction is the Laplace expansion, an identity for any u, so
+    # Gaussian (non-orthogonal) stacks test it at every degree 0..n
+    for n in range(2, 9):
+        us = rng.standard_normal((6, n, n))
+        for p in range(n + 1):
+            dim = comb(n, p)
+            taus = tau_matrix_batch(us, p)
+            per, shared = _complex(rng, (6, dim)), _complex(rng, dim)
+            got = xr.tau_vec_batch(us, p, per)
+            assert got.shape == (6, dim)
+            assert _rel_gap(got, np.einsum("bij,bj->bi", taus, per)) <= 1e-13, (n, p)
+            assert _rel_gap(xr.tau_vec_batch(us, p, shared), taus @ shared) <= 1e-13, (n, p)
+            if p:
+                want = _minor_oracle(us[0], p) @ per[0]
+                assert _rel_gap(xr.tau_vec_batch(us[0], p, per[0]), want) <= 1e-12, (n, p)
+
+
+def test_tau_vec_on_transposed_and_shaped_stacks(rng):
+    for n, p in ((4, 2), (6, 3), (8, 3)):
+        dim = comb(n, p)
+        us = rng.standard_normal((2, 5, n, n))
+        taus = tau_matrix_batch(us, p)
+        for vecs in (_complex(rng, dim), _complex(rng, (2, 5, dim)), _complex(rng, (5, dim))):
+            got = xr.tau_vec_batch(np.swapaxes(us, -1, -2), p, vecs)
+            assert got.shape == (2, 5, dim)
+            want = np.einsum("...ba,...b->...a", taus, np.broadcast_to(vecs, (2, 5, dim)))
+            assert _rel_gap(got, want) <= 1e-13, (n, p, vecs.shape)
+
+
+def test_tau_vec_across_a_block_boundary(rng):
+    # blocks hold about _VEC_BLOCK entries of the widest level; each matrix
+    # of a stack one past a block boundary equals its one-matrix call
+    for n, p in ((6, 2), (8, 3)):
+        widest = max(level.shape[-1] for level in xr._contract_tables(n, p))
+        size = xr._VEC_BLOCK // widest + 3
+        us = haar_sample_K(n, size=size, rng=rng)
+        vecs = _complex(rng, (size, comb(n, p)))
+        got = xr.tau_vec_batch(us, p, vecs)
+        want = np.einsum("bij,bj->bi", tau_matrix_batch(us, p), vecs)
+        assert _rel_gap(got, want) <= 1e-13
+        for u, v, g in zip(us, vecs, got):
+            assert np.array_equal(xr.tau_vec_batch(u, p, v), g), (n, p)
+
+
+def test_tau_vec_degree_one_is_the_real_product(rng):
+    # p <= 1 is tau_apply_batch on u itself, bit for bit
+    us = haar_sample_K(3, size=50, rng=rng)
+    vecs = _complex(rng, (50, 3))
+    want = xr.tau_apply_batch(tau_matrix_batch(us, 1), vecs[..., None])[..., 0]
+    assert np.array_equal(xr.tau_vec_batch(us, 1, vecs), want)
+    assert np.array_equal(xr.tau_vec_batch(us, 0, vecs[:, :1]), vecs[:, :1])
+
+
+def test_degree_zero_and_domain_errors():
+    us = np.random.default_rng(5).standard_normal((2, 3, 4, 4))
+    lam0 = tau_matrix_batch(us, 0)
+    assert lam0.shape == (2, 3, 1, 1) and np.all(lam0 == 1.0)
+    assert tau_matrix(np.eye(3), 0).shape == (1, 1)
+    assert np.array_equal(xr.tau_vec_batch(us, 0, np.array([2.0 - 1j])),
+                          np.full((2, 3, 1), 2.0 - 1j))
+    for kernel in (lambda u, p: tau_matrix_batch(u, p),
+                   lambda u, p: xr.tau_vec_batch(u, p, np.ones(1))):
+        for p in (-1, 5):
+            with pytest.raises(ValueError, match="0 <= p <= n"):
+                kernel(us, p)
+        for bad in (np.ones((2, 3, 4)), np.ones(4)):
+            with pytest.raises(ValueError, match="square matrices"):
+                kernel(bad, 1)
+
+
 def test_tau_apply_preserves_norm(rng):
     for n, p in ((4, 1), (5, 2), (6, 3)):
         (u,) = haar_sample_K(n, size=1, rng=rng)

@@ -2,6 +2,8 @@
 defining compact-group integral, c-functions against the density, the
 Weyl-head asymptotics, and the norm helper."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from math import pi
@@ -28,6 +30,7 @@ from hyperform import (
     SIGMA_PLUS,
 )
 
+from hyperform.extrep import tau_matrix_batch
 from hyperform.liegroup import at_mats, embed_rotation
 from hyperform.spherical import (PoissonKernel, component_grid, head_batch, head_components,
                                  radial_batch, spherical_batch)
@@ -144,15 +147,33 @@ def test_poisson_kernel_real_products_equal_complex_einsum(rng):
         ker = PoissonKernel(_group_stack(pt.n, rng, shape=(2, 5)), pt.p)
         dim = spec.dim_full
         p_sigma = proj_matrix(spec, sigma)
+        taus = tau_matrix_batch(ker.kappa, pt.p)
         for vecs in (_vectors(dim, rng, ()), _vectors(dim, rng, (2, 5)),
                      _vectors(dim, rng, (5,)), _vectors(dim, rng, (2, 1))):
-            want = ker.weight(pt)[..., None] * np.einsum("...ab,...b->...a", ker.tau, vecs)
+            want = ker.weight(pt)[..., None] * np.einsum("...ab,...b->...a", taus, vecs)
             want_dual = (ker.weight(pt, -pt.lam)[..., None]
-                         * np.einsum("...ba,...b->...a", ker.tau, vecs)) @ p_sigma.T
+                         * np.einsum("...ba,...b->...a", taus, vecs)) @ p_sigma.T
             for got, ref in ((ker.apply(pt, vecs), want), (ker.dual(pt, vecs), want_dual)):
                 assert got.shape == (2, 5, dim)
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), \
                     (dim, vecs.shape)
+
+
+def test_poisson_kernel_vectors_form_no_minor_stack(rng):
+    # at (8, 3) one (334, 56, 56) float stack of Lambda^p(kappa) is 8.4 MB;
+    # building the kernel and both products must peak below it
+    pt = SpectralPoint(BundleSpec(8, 3), sigma_q(3), 1.3)
+    mats = _group_stack(8, rng, shape=(334,))
+    vecs = _vectors(pt.spec.dim_full, rng, (334,))
+    tracemalloc.start()
+    try:
+        ker = PoissonKernel(mats, pt.p)
+        ker.apply(pt, vecs)
+        ker.dual(pt, vecs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 334 * 56 * 56 * 8
 
 
 # ---------------------------------------------------------------------------
