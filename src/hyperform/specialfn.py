@@ -49,7 +49,7 @@ finite at large lambda, where Gamma(i lambda) alone underflows.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import exp, inf, log
 
 import numpy as np
@@ -61,6 +61,7 @@ __all__ = [
     "jacobi_phi",
     "jacobi_psi",
     "c_jacobi",
+    "gauss_legendre",
     "T_SWITCH",
 ]
 
@@ -502,3 +503,13 @@ def c_jacobi(alpha, beta, lam):
     il = 1j * lam
     lg = _log_gamma([a + 1.0, il, (il + a + b + 1.0) / 2.0, (il + a - b + 1.0) / 2.0])
     return complex(np.exp((-il + a + b + 1.0) * _LOG_2 + lg[0] + lg[1] - lg[2] - lg[3]))
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(order):
+    """The order-point Gauss-Legendre nodes and weights on [-1, 1], bit
+    for bit those of numpy.polynomial.legendre.leggauss(order), built on
+    the first call for each order and returned read-only thereafter."""
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws

@@ -35,7 +35,7 @@ import numpy as np
 from . import extrep as xr
 from .liegroup import (GroupElement, cartan_batch, embed_rotation, iwasawa_batch,
                        make_at, plane_rotations)
-from .specialfn import JacobiParams, c_jacobi, jacobi_phi
+from .specialfn import JacobiParams, c_jacobi, gauss_legendre, jacobi_phi
 
 __all__ = [
     "SpectralPoint",
@@ -408,7 +408,7 @@ def _zonal_nodes(t, n_panels, n_nodes):
     edges.extend([float(c) for c in cuts])
     edges.append(pi)
     edges = np.unique(np.array(edges))
-    xs, ws = np.polynomial.legendre.leggauss(n_nodes)
+    xs, ws = gauss_legendre(n_nodes)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)

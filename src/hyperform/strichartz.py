@@ -13,8 +13,8 @@ problems.  The module provides
 
   * ball averages of atomic Poisson images (exact 1D reduction at
     base point e, Monte Carlo over rotations otherwise),
-  * the oscillatory cross term of the two-term Weyl head in closed
-    form, whose O(1/R) decay justifies the L + A/R extrapolation,
+  * the ball average of the two-term Weyl head in closed form, with its
+    oscillatory cross term,
   * extrapolated limits with the two-sided norm-equivalence constant,
   * Hilbert-Schmidt ball averages of Eisenstein integrals,
   * boundary-value reconstruction F_R from a Poisson image, whose
@@ -26,12 +26,24 @@ problems.  The module provides
   * ball-averaged residuals of the asymptotic head, and
   * a windowed energy-capture diagnostic for the spectral projections.
 
-Every Schur-reduced radial integral goes through one engine,
-_radial_sweep: a composite Gauss-Legendre rule on [0, max R] with a
-breakpoint at each R of the grid and panels of at most a quarter period
-of e^{2 i lambda t}, the profile evaluated once over the nodes of an
-order pair, and cumulative sums per R.  The two orders must agree to a
-relative 1e-10 at every R, or the sweep raises ArithmeticError.
+Every swept radial integral goes through one engine, _radial_sweep: a
+composite Gauss-Legendre rule on [0, max R] with a breakpoint at each R
+of the grid and panels of at most a quarter period of e^{2 i lambda t},
+the profile (a stack of them, one per kind) evaluated once over the
+nodes of an order pair, and cumulative sums per R.  The two orders must
+agree to a relative 1e-10 at every R, or the sweep raises
+ArithmeticError.
+
+A Schur ball average is swept only up to 2 R0, R0 = 20 (40 on the
+chirality bundles, whose residual decays like e^{-t}, not e^{-2t}).
+Past 2 R0 it is avg(R) = H(R) + C/R: H is the closed-form average of
+the head, and C = S(2 R0) - 2 R0 H(2 R0) the converged residual
+constant of the swept integral S.  The error of such a value is the
+quadrature error at 2 R0 plus |C(2 R0) - C(R0)|, and it too must stay
+within a relative 1e-10 of R avg(R), or the sweep raises
+ArithmeticError; a head coefficient off by delta fails this check.
+Grids within 2 R0 are swept whole, as are the paired sweeps of the
+inversion at mu != lambda.
 
 Every ball average goes through one sweep, _ball_sweep, which picks the
 route (schur_1d or mc_k) for all radii and kinds at once.  On the mc_k
@@ -43,15 +55,16 @@ times radii through one _Sheet, where atoms at a rotation need no Cartan
 step: Psi(k_a^T k a_t) = Psi(a_t) tau(k_a^T k)^T.
 """
 
-from math import ceil, comb, pi, sqrt
+from math import ceil, comb, expm1, log, pi, sqrt
 
 import numpy as np
 
 from . import extrep as xr
 from . import liegroup as lg
 from .liegroup import radial_weight
-from .spherical import (CartanGeometry, PoissonKernel, SpectralPoint, component_grid,
-                        plancherel_density, radial_components, radial_kinds)
+from .specialfn import gauss_legendre
+from .spherical import (CartanGeometry, PoissonKernel, SpectralPoint, c_sigma, component_grid,
+                        plancherel_density, radial_kinds, weyl_reflect)
 from .transforms import BoundarySection, gram_matrix, radon_batch, sigma_part
 
 __all__ = [
@@ -141,7 +154,7 @@ def _osc_nodes(a, b, lam, order):
     width = pi / max(2.0 * abs(float(lam)), 0.5) / 2
     panels = max(int(ceil((b - a) / width)), 4)
     edges = np.linspace(a, b, panels + 1)
-    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs, ws = gauss_legendre(order)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
@@ -183,9 +196,11 @@ def _radial_sweep(profile, R_grid, lam):
     vectorized profile is evaluated once over the nodes of both orders
     on the same panels, in blocks of at most _SWEEP_BLOCK nodes, and the
     panel sums accumulate per R; a complex profile sums its real and
-    imaginary parts apart.  Returns (values, errors) over R_grid,
-    the error being |fine - coarse|; raises ArithmeticError when a value
-    is not finite or its error exceeds _SWEEP_RTOL of it.
+    imaginary parts apart.  The profile may return a stack (..., T) of
+    integrands over the T nodes, each row summed on its own bins.
+    Returns (values, errors) of shape (..., len(R_grid)), the error being
+    |fine - coarse|; raises ArithmeticError when a value is not finite
+    or its error exceeds _SWEEP_RTOL of it.
     """
     R_grid = np.asarray(R_grid, dtype=float)
     if R_grid.size == 0 or not np.all(R_grid > 0.0):
@@ -196,27 +211,34 @@ def _radial_sweep(profile, R_grid, lam):
     weights = np.concatenate([ws for _, ws, _ in rules])
     bins = np.concatenate([rank * ends.size + segs
                            for rank, (_, _, segs) in enumerate(rules)])
-    sums = np.zeros(len(_SWEEP_ORDERS) * ends.size)
+    width = len(_SWEEP_ORDERS) * ends.size
+    sums = 0.0
     for lo in range(0, nodes.size, _SWEEP_BLOCK):
         sl = slice(lo, lo + _SWEEP_BLOCK)
         vals = weights[sl] * profile(nodes[sl])
-        sums = sums + np.bincount(bins[sl], weights=vals.real, minlength=sums.size)
+        rows = vals.shape[:-1]
+        count = vals.size // vals.shape[-1]
+        # row r of the stack sums on bins r * width + bin
+        flat = (np.arange(count)[:, None] * width + bins[sl]).ravel()
+        sums = sums + np.bincount(flat, weights=vals.real.ravel(), minlength=count * width)
         if np.iscomplexobj(vals):
-            sums = sums + 1j * np.bincount(bins[sl], weights=vals.imag, minlength=sums.size)
+            sums = sums + 1j * np.bincount(flat, weights=vals.imag.ravel(),
+                                           minlength=count * width)
     if not np.all(np.isfinite(sums)):
         raise ArithmeticError(
             f"radial profile not finite on [0, {ends[-1]:g}]")
-    coarse, fine = np.cumsum(sums.reshape(-1, ends.size), axis=1)[[0, -1]]
+    sums = np.cumsum(sums.reshape(rows + (len(_SWEEP_ORDERS), ends.size)), axis=-1)
+    coarse, fine = sums[..., 0, :], sums[..., -1, :]
     err = np.abs(fine - coarse)
     bad = ~(err <= _SWEEP_RTOL * np.abs(fine))
     if np.any(bad):
-        i = int(np.argmax(bad))
+        *row, i = np.argwhere(bad)[0]
         raise ArithmeticError(
             f"radial quadrature to R={ends[i]:g} did not converge: orders "
             f"{_SWEEP_ORDERS[0]}/{_SWEEP_ORDERS[-1]} give "
-            f"{coarse[i].item()!r} and {fine[i].item()!r}")
+            f"{coarse[(*row, i)].item()!r} and {fine[(*row, i)].item()!r}")
     idx = np.searchsorted(ends, R_grid)
-    return fine[idx], err[idx]
+    return fine[..., idx], err[..., idx]
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +268,24 @@ def _weighted_square_profile(pt, ts, kind="spherical", other=None):
     form (1-e^{-2t})^{n-1} sum (d_eta/d_tau) |e^{rho t} psi_eta|^2.
 
     kind picks psi as in spherical.radial_components: the spherical
-    components, the two-term head, or their difference.  With `other`,
-    a point of the same bundle, each square becomes the pairing
+    components, the two-term head, or their difference.  A tuple of
+    kinds gives the stack (len(kind), T) from one component grid.  With
+    `other`, a point of the same bundle, each square becomes the pairing
     psi_eta conj(phi^other_eta) with other's spherical components."""
     ts = np.asarray(ts, dtype=float)
     d_tau, d_eta = _dims_table(pt.spec)
     s = np.exp(0.5 * pt.rho * ts)
-    grid = radial_components(pt, ts, kind)
+    weight = _stable_weight(ts, pt.n)
     pair = None if other is None else component_grid(other, ts)
-    out = np.zeros(ts.shape)
-    for eta, vals in grid.items():
-        vals = _rescale(vals, s)
-        out = out + d_eta[eta] / d_tau * (
-            np.abs(vals) ** 2 if pair is None else vals * np.conj(_rescale(pair[eta], s)))
-    return _stable_weight(ts, pt.n) * out
+    rows = []
+    for grid in radial_kinds(pt, ts, (kind,) if isinstance(kind, str) else kind):
+        out = np.zeros(ts.shape)
+        for eta, vals in grid.items():
+            vals = _rescale(vals, s)
+            out = out + d_eta[eta] / d_tau * (
+                np.abs(vals) ** 2 if pair is None else vals * np.conj(_rescale(pair[eta], s)))
+        rows.append(weight * out)
+    return rows[0] if isinstance(kind, str) else np.stack(rows)
 
 
 def _rotation_block(g):
@@ -309,17 +335,135 @@ def _base_point_norm2(atoms):
     return float(np.real(np.vdot(v_eff, v_eff)))
 
 
-def _schur_sweep(pt, R_grid, vnorm2=1.0, kind="spherical", other=None):
-    """Exact ball averages (1/R) int_0^R of the weighted square profile
-    (paired with `other`, when given) times vnorm2, with their quadrature
-    error estimates, over R_grid.  The panels resolve the larger of the
-    two frequencies."""
+# Past 2 R0 a Schur ball average is its closed-form head part plus a
+# converged constant over R: w (|Phi|^2 - |head|^2) and w |Phi - head|^2
+# decay like e^{-2t}, and like e^{-t} on the chirality bundles, whose
+# component is phi_{2 lambda}(t/2)
+_R0 = 20.0
+_R0_CHIRAL = 40.0
+
+
+def _head_integrals(lam, n, R):
+    """A(R), the average of (1 - e^{-2t})^{n-1} over [0, R], and X(R) - A(R),
+    X = cross_term, on an array of finite R > 0 (else ValueError).
+
+    The binomial expansion of (1 - e^{-2t})^{n-1} has terms whose sizes
+    add up to B(R) ~ 2^{n-1} and cancel down to R A(R) at small R.  Below
+    R = 2 the series in S = 1 - e^{-2R} (s = 1 - e^{-2t} in the integrals)
+    R A = (1/2) sum_j S^{n+j} / (n+j), and R (X - A) the same with
+    d_j = (1 + i lam)_j / j! - 1 in each term, cancel only through d_j =
+    d_{j-1} + r_{j-1} i lam / j, r_j = (1 + i lam)_j / j!, whose size rises
+    to g = sqrt(sinh(pi lam) / (pi lam)).  They are summed until
+    g S^j < 2^-56 (g < e^700), and a radius takes them when the sizes of
+    their terms and steps add up to less than B.
+
+    Either form errs by about 1e-16 times the sizes it sums: within 1e-14
+    of A(R) for lam <= 5, but 1e-9 of it at lam = 100, R = 0.1, n = 8, and
+    1e-3 at lam = 1000, R = 0.01, where both cancel."""
+    R = np.asarray(R, dtype=float)
+    if not np.all(np.isfinite(R) & (R > 0.0)):
+        raise ValueError(f"the head integrals require finite R > 0; got R = {R!r}")
+    radii = R.reshape(-1)
+    m = np.arange(n)
+    coef = np.array([comb(n - 1, k) * (-1.0) ** k for k in m])
+    a = 2j * lam - 2.0 * m
+    # int_0^R e^{at} dt at a = -2m (R itself at m = 0) and at a = 2 i lam - 2m
+    flat = np.where(m > 0, -np.expm1(-2.0 * np.multiply.outer(radii, m)) / np.maximum(2 * m, 1),
+                    radii[:, None]) * coef
+    wave = np.expm1(np.multiply.outer(radii, a)) / a * coef
+    size = np.sum(np.abs(flat) + np.abs(wave), axis=-1)
+    ramp = np.sum(flat, axis=-1) / radii
+    wave = np.sum(wave, axis=-1) / radii - ramp
+    x = pi * abs(lam)
+    log_g = 0.5 * (x + log(-expm1(-2.0 * x)) - log(2.0 * x)) if x > 0.0 else 0.0
+    for i in np.flatnonzero(radii < 2.0) if log_g < 700.0 else ():
+        S = -expm1(-2.0 * radii[i])
+        j = np.arange(1, int(ceil((56.0 * log(2.0) + log_g) / -log(S))) + 1)
+        steps = np.cumprod(np.concatenate(([1.0], (j[:-1] + 1j * lam) / j[:-1]))) * 1j * lam / j
+        k = n + np.concatenate(([0], j))
+        powers = 0.5 * S ** k / k
+        if np.sum(powers * (1.0 + np.concatenate(([0.0], np.cumsum(np.abs(steps)))))) < size[i]:
+            ramp[i] = np.sum(powers) / radii[i]
+            wave[i] = np.sum(powers * np.concatenate(([0.0], np.cumsum(steps)))) / radii[i]
+    return ramp.reshape(R.shape), wave.reshape(R.shape)
+
+
+def _head_average(pt, R):
+    """H(R) = (1/R) int_0^R w(t) sum_eta (d_eta/d_tau) |head_eta(t)|^2 dt
+    on an array of finite R > 0 (else ValueError), in closed form.  With
+    c_+- = c_{s sigma}(s lambda) and B_+- the blocks of s sigma,
+    H = L A(R) + Re(x X(R)): L = sum_eta (d_eta/d_tau) ([eta in B_+] |c_+|^2
+    + [eta in B_-] |c_-|^2) = 1 / (pi nu), x = 2 c_+ conj(c_-) times the
+    d_eta/d_tau of the blocks in both, A(R) the average of
+    (1 - e^{-2t})^{n-1} and X = cross_term.  The two terms nearly cancel
+    at small lambda R, so H is taken as h0 A + Re(x (X - A)), h0 = L + Re(x)
+    being the head's square at t = 0, a sum of squares (_head_integrals)."""
+    lam = pt.lam_real
+    d_tau, d_eta = _dims_table(pt.spec)
+    (sig_p, c_p), (sig_m, c_m) = [(sig, c_sigma(SpectralPoint(pt.spec, sig, l)))
+                                  for sig, l in ((pt.sigma, lam), weyl_reflect(pt.sigma, lam))]
+    plus, minus = set(xr.sigma_blocks(pt.spec, sig_p)), set(xr.sigma_blocks(pt.spec, sig_m))
+    at_zero = sum(d_eta[eta] / d_tau * abs((eta in plus) * c_p + (eta in minus) * c_m) ** 2
+                  for eta in d_eta)
+    cross = 2.0 * c_p * np.conj(c_m) * sum(d_eta[eta] / d_tau for eta in plus & minus)
+    ramp, wave = _head_integrals(lam, pt.n, R)
+    return at_zero * ramp + np.real(cross * wave)
+
+
+def _schur_sweep(pt, R_grid, vnorm2=1.0, kinds=("spherical",), other=None):
+    """Exact ball averages (1/R) int_0^R of the weighted square profile of
+    each kind (paired with `other`, when given) times vnorm2, with their
+    error estimates, shape (len(kinds), len(R_grid)).  The head kind is
+    _head_average.  The others share one _radial_sweep of their stacked
+    profile, whose panels resolve the larger of the two frequencies;
+    unpaired, it stops at 2 R0 when the grid goes past it (_extend_past)."""
     R_grid = np.asarray(R_grid, dtype=float)
     lam = max(abs(q.lam_real) for q in (pt, other or pt))
-    vals, errs = _radial_sweep(
-        lambda ts: _weighted_square_profile(pt, ts, kind=kind, other=other),
-        R_grid, lam)
-    return vals / R_grid * vnorm2, errs / R_grid * vnorm2
+    swept = tuple(kind for kind in kinds if kind != "head")
+    rows = {}
+    if swept:
+        r0 = _R0_CHIRAL if pt.spec.chirality != "none" else _R0
+        far = other is None and bool(np.any(R_grid > 2.0 * r0))
+        # a sorted set, not np.unique, whose first call imports numpy.ma
+        ends = (np.array(sorted({*R_grid[R_grid <= 2.0 * r0].tolist(), r0, 2.0 * r0}))
+                if far else R_grid)
+        sums, errs = _radial_sweep(
+            lambda ts: _weighted_square_profile(pt, ts, kind=swept, other=other), ends, lam)
+        if far:
+            sums, errs = _extend_past(pt, swept, r0, ends, sums, errs, R_grid)
+        rows.update(zip(swept, zip(sums, errs)))
+    if "head" in kinds:
+        rows["head"] = (_head_average(pt, R_grid) * R_grid, np.zeros(R_grid.size))
+    sums, errs = (np.array([rows[kind][i] for kind in kinds]) for i in (0, 1))
+    return sums / R_grid * vnorm2, errs / R_grid * vnorm2
+
+
+def _extend_past(pt, kinds, r0, ends, sums, errs, R_grid):
+    """The integrals R avg(R) of each kind on R_grid, with their errors,
+    from a sweep (sums, errs) over `ends` (the radii of R_grid up to 2 r0,
+    r0 and 2 r0).  Past 2 r0 it is R h(R) + C, h being _head_average for
+    the spherical kind and 0 for the residual, C = S(2 r0) - 2 r0 h(2 r0);
+    its error, the quadrature error at 2 r0 plus |C - (S(r0) - r0 h(r0))|,
+    raises ArithmeticError past _SWEEP_RTOL of it.  A head off by delta
+    leaves a residual that does not decay, and a gap of about delta r0."""
+    far = R_grid > 2.0 * r0
+    radii = np.concatenate(([r0, 2.0 * r0], R_grid[far]))
+    head = _head_average(pt, radii) * radii
+    part = np.array([head if kind == "spherical" else np.zeros_like(radii) for kind in kinds])
+    i1, i2 = np.searchsorted(ends, [r0, 2.0 * r0])
+    const = sums[:, i2] - part[:, 1]
+    gap = np.abs(const - (sums[:, i1] - part[:, 0]))
+    at = np.searchsorted(ends, np.where(far, 2.0 * r0, R_grid))
+    vals, out_errs = sums[:, at], errs[:, at]
+    vals[:, far] = part[:, 2:] + const[:, None]
+    out_errs[:, far] = (errs[:, i2] + gap)[:, None]
+    bad = far & ~(out_errs <= _SWEEP_RTOL * np.abs(vals))
+    if np.any(bad):
+        row, j = np.argwhere(bad)[0]
+        raise ArithmeticError(
+            f"ball average to R={R_grid[j]:g} did not converge: the residual constant "
+            f"from [0, {r0:g}] and from [0, {2.0 * r0:g}] differ by {gap[row]!r}")
+    return vals, out_errs
 
 
 class _Sheet:
@@ -381,7 +525,7 @@ def _ball_sweep(pt, section, R_grid, kinds=("spherical",), k_samples=4096, rng=N
     Psi (spherical.radial_components), with their error estimates.
 
     Sections whose atoms all sit at the identity reduce to the exact
-    radial integral of the Schur profile, one _radial_sweep per kind
+    radial integral of the Schur profile, one _schur_sweep for every kind
     (method schur_1d).  Otherwise the rotation factor is sampled (method
     mc_k): k_samples Haar rotations are drawn once, first, and serve
     every R and every kind, on the order-_MC_ORDER _sweep_rule with a
@@ -405,9 +549,7 @@ def _ball_sweep(pt, section, R_grid, kinds=("spherical",), k_samples=4096, rng=N
         raise ValueError("ball radii must be positive")
     vnorm2 = _base_point_norm2(atoms)
     if vnorm2 is not None:
-        rows = [_schur_sweep(pt, R_grid, vnorm2, kind=kind) for kind in kinds]
-        return (np.array([v for v, _ in rows]), np.array([e for _, e in rows]),
-                "schur_1d")
+        return (*_schur_sweep(pt, R_grid, vnorm2, kinds=kinds), "schur_1d")
 
     if rng is None:
         rng = np.random.default_rng(0)
@@ -448,16 +590,16 @@ def ball_average_atom(pt, section, R, k_samples=4096, rng=None):
 
 def cross_term(lam, n, R):
     """(1/R) int_0^R e^{2(i lam - rho) t} (2 sinh t)^{n-1} dt in closed
-    form via the binomial expansion of the sinh power; lam != 0."""
+    form, for lam != 0 and finite R > 0 (else ValueError): the binomial
+    expansion of the sinh power, or below R = 2, where its terms cancel,
+    power series in 1 - e^{-2R} (_head_integrals).  R may be an array of
+    radii, which gives an array; a scalar R gives a complex."""
     lam = float(lam)
     if lam == 0.0:
         raise ValueError("the cross term requires lambda != 0")
-    R = float(R)
-    total = 0.0 + 0.0j
-    for m in range(n):
-        a = 2.0j * lam - 2.0 * m
-        total += comb(n - 1, m) * (-1.0) ** m * (np.exp(a * R) - 1.0) / a
-    return complex(total / R)
+    ramp, wave = _head_integrals(lam, n, R)
+    total = ramp + wave
+    return complex(total) if total.ndim == 0 else total
 
 
 def _fit_limit(R_grid, values):
@@ -512,7 +654,7 @@ def eisenstein_hs_limit(pt, R_grid=None):
     R_grid = _fit_grid(pt.n, _DEFAULT_R_GRID if R_grid is None else R_grid)
     # (d_sigma/d_tau) d_eta = d_sigma (d_eta/d_tau): the Schur profile at |v|^2 = d_sigma
     d_sigma = xr.dims(pt.spec, pt.sigma)[1]
-    values, stderrs = _schur_sweep(pt, R_grid, vnorm2=d_sigma)
+    (values,), (stderrs,) = _schur_sweep(pt, R_grid, vnorm2=d_sigma)
     limit, fit_err = _fit_limit(R_grid, values)
     nu = plancherel_density(pt)
     target = d_sigma / (pi * nu)
@@ -546,7 +688,7 @@ def inversion_ratios(pt, R, mu=None):
     nu = plancherel_density(pt)
     kernels = {b: None if mu == lam else SpectralPoint(pt.spec, b, mu)
                for b in xr.sigma_blocks(pt.spec, pt.sigma)}
-    sweeps = {q: _schur_sweep(pt, [float(R)], other=q)[0][0]
+    sweeps = {q: _schur_sweep(pt, [float(R)], other=q)[0][0, 0]
               for q in dict.fromkeys(kernels.values())}
     return {b: complex(pi * nu * sweeps[q]) for b, q in kernels.items()}
 
@@ -636,10 +778,12 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
 
 
 def head_ball_average(pt, R, vnorm2=1.0):
-    """Exact ball average of the squared two-term Weyl head applied to
-    a vector of squared norm vnorm2; bounded by
-    2 |c_sigma|^2 (d_sigma/d_tau) vnorm2 in the limit."""
-    return float(_schur_sweep(pt, [R], vnorm2, kind="head")[0][0])
+    """Exact ball average H(R) of the squared two-term Weyl head applied
+    to a vector of squared norm vnorm2, in closed form with no sweep:
+    the limit 1/(pi nu) vnorm2 times the average of (1 - e^{-2t})^{n-1},
+    plus the cross term of the two head coefficients where their blocks
+    meet (see _head_average).  Finite R > 0 only; real lambda only."""
+    return float(_head_average(pt, [float(R)])[0] * vnorm2)
 
 
 def asymptotic_residual_sweep(pt, atom, R_grid=(10.0, 20.0, 40.0),
@@ -712,7 +856,7 @@ def spectral_projection_energy(f, lam_grid, R, g_samples=160, k_samples=800,
     g_mats = lg.embed_rotation(k_i) @ lg.at_mats(t_i, n)
     # shared rotation samples and horocycle profiles
     us = lg.haar_sample_K(n, size=k_samples, rng=rng)
-    tq, wq = np.polynomial.legendre.leggauss(t_nodes)
+    tq, wq = gauss_legendre(t_nodes)
     tq, wq = tq * f.r_supp, wq * f.r_supp
     prof = radon_batch(f, tq, us, grid=grid)
     # the Poisson kernel's geometry at g_i^{-1} u_j, shared across the window:

@@ -35,6 +35,7 @@ from . import extrep as xr
 from . import liegroup as lg
 from .extrep import FormVector
 from .liegroup import GroupElement, KElement
+from .specialfn import gauss_legendre
 from .spherical import PoissonKernel, component_grid, spherical_batch
 
 __all__ = [
@@ -243,7 +244,7 @@ class CompactSection:
 
     def _radial_integral(self, profile, order=200):
         """int_0^r_supp profile(t) (2 sinh t)^(n-1) dt, order-point Gauss-Legendre."""
-        ts, ws = np.polynomial.legendre.leggauss(order)
+        ts, ws = gauss_legendre(order)
         ts = 0.5 * self.r_supp * (ts + 1.0)
         ws = 0.5 * self.r_supp * ws
         return np.sum(ws * profile(ts) * lg.radial_weight(ts, self.spec.n))
@@ -298,7 +299,7 @@ def radon_batch(f, ts, kmats, grid=32):
     m = n - 1
     rho = (n - 1) / 2.0
     ts = np.asarray(ts, dtype=float)
-    xs, ws = np.polynomial.legendre.leggauss(grid)
+    xs, ws = gauss_legendre(grid)
     unit_ys = np.stack([g.reshape(-1) for g in np.meshgrid(*([xs] * m), indexing="ij")],
                        axis=-1)
     unit_ws = np.prod([w.reshape(-1) for w in np.meshgrid(*([ws] * m), indexing="ij")],
@@ -338,7 +339,7 @@ def fourier_batch(f, pt, kmats, t_nodes=48, grid=32):
     t in [-R, R] by t_nodes-point Gauss-Legendre, shape (K, dim).  One
     radon_batch serves every rotation, so the horocycle matrices are
     formed once per call, not once per rotation."""
-    ts, ws = np.polynomial.legendre.leggauss(t_nodes)
+    ts, ws = gauss_legendre(t_nodes)
     ts = f.r_supp * ts
     ws = f.r_supp * ws
     rad = radon_batch(f, ts, kmats, grid=grid)

@@ -58,15 +58,27 @@ def test_invert_exits_cleanly_when_the_sweep_cannot_converge(monkeypatch):
     assert "Traceback" not in res.output
 
 
-def test_limit_exits_cleanly_when_the_sweep_cannot_converge():
-    # at n = 7 the profile underflows past t ~ 177, so the R = 200 sweep
-    # of the default grid cannot meet its tolerance
+def test_limit_exits_cleanly_when_the_sweep_cannot_converge(monkeypatch):
+    monkeypatch.setattr(st, "_SWEEP_RTOL", 0.0)
     res = CliRunner().invoke(main, ["limit", "--n", "7", "--p", "2",
                                     "--sigma", "q:2"])
     assert res.exit_code == 1
     assert "did not converge" in res.output
     assert "Traceback" not in res.output
     assert not isinstance(res.exception, ArithmeticError)
+
+
+@pytest.mark.parametrize("n, p", [(7, 2), (8, 3)])
+def test_limit_passes_on_the_default_grid_at_large_n(n, p):
+    # the components underflow past t ~ 157 at n = 8, but the sweep stops
+    # at 2 R0 = 40 and the radii past it take the closed-form head plus
+    # the residual constant
+    res = CliRunner().invoke(main, ["limit", "--n", str(n), "--p", str(p), "--sigma", f"q:{p}"])
+    assert res.exit_code == 0, res.output
+    rows = {r["name"]: r for r in json.loads(res.output)["rows"]}
+    assert rows["extrapolated_limit"]["pass"]
+    assert all(np.isfinite(rows[f"ball_average[R={R:g}]"]["value"])
+               for R in (12.5, 25, 50, 100, 200))
 
 
 def test_limit_passes_at_large_lambda():

@@ -27,7 +27,7 @@ from hyperform import (
     make_ny,
     sigma_q,
 )
-from hyperform.specialfn import _series_w
+from hyperform.specialfn import _series_w, gauss_legendre
 
 from oracles import series_nterms_blocks
 
@@ -494,3 +494,16 @@ def test_c_against_boundary_group_quadrature():
     want32 = c_jacobi(1.5, -0.5, lam)
     got32 = 2.0 * n / (1j * lam + rho) * got
     assert abs(got32 - want32) <= 1e-8 * abs(want32)
+
+
+def test_gauss_legendre_is_leggauss_built_once_and_read_only():
+    for order in (1, 12, 20, 30, 200):
+        xs, ws = gauss_legendre(order)
+        want_x, want_w = np.polynomial.legendre.leggauss(order)
+        assert xs.dtype == want_x.dtype and ws.dtype == want_w.dtype
+        assert np.array_equal(xs, want_x) and np.array_equal(ws, want_w)
+        again = gauss_legendre(order)
+        assert again[0] is xs and again[1] is ws
+        for arr in (xs, ws):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0

@@ -128,6 +128,22 @@ def test_cross_term_matches_direct_quadrature():
                 assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("R", [0.0, -2.0, float("nan"), float("inf"), [5.0, 0.0]])
+def test_cross_term_refuses_radii_outside_its_domain(R):
+    with pytest.raises(ValueError, match="finite R > 0"):
+        st.cross_term(1.0, 3, R)
+
+
+def test_cross_term_on_an_array_of_radii_is_the_scalar_call():
+    radii = np.array([0.25, 1.5, 20.0, 200.0])
+    for n in (2, 5, 8):
+        got = st.cross_term(1.3, n, radii)
+        assert got.shape == radii.shape
+        want = np.array([st.cross_term(1.3, n, R) for R in radii])
+        assert all(isinstance(st.cross_term(1.3, n, R), complex) for R in radii)
+        assert np.array_equal(got, want), n
+
+
 def test_cross_term_decays_like_inverse_radius():
     # the magnitude oscillates in R with period pi / lam, so the decay
     # is judged on maxima over a phase cluster at each decade
@@ -621,6 +637,63 @@ def test_head_ball_average_approaches_comparison_asymptote():
     for h in (h25, h100):
         assert 0.9 * asym < h < 1.02 * asym
     assert abs(h100 - asym) < abs(h25 - asym)
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.3, 5.0])
+def test_closed_form_head_average_matches_the_head_sweep(lam, monkeypatch):
+    # H(R) against the quadrature of the head kind at every point; the
+    # closed form runs no sweep
+    radii = np.array([1.0, 5.0, 20.0, 80.0])
+    pts = list(_every_point(lam))
+    sweeps = [st._radial_sweep(lambda ts, pt=pt: st._weighted_square_profile(pt, ts, kind="head"),
+                               radii, lam)[0] / radii for pt in pts]
+
+    def no_sweep(*_args, **_kwargs):
+        raise AssertionError("the head average ran a radial sweep")
+
+    monkeypatch.setattr(st, "_radial_sweep", no_sweep)
+    for pt, want in zip(pts, sweeps):
+        got = np.array([st.head_ball_average(pt, R) for R in radii])
+        assert np.all(np.abs(got - want) <= 1e-12 * want), (pt, got, want)
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.3])
+def test_averages_past_twice_r0_match_a_direct_sweep(lam):
+    # the closed-form head plus the residual constant against the sweep
+    # of the whole radius, for the spherical and the residual kind; the
+    # components underflow past t ~ 157 at n = 8
+    kinds = ("spherical", "residual")
+    for pt in _every_point(lam):
+        if pt.n < 3:
+            continue
+        radii = np.array([50.0, 100.0, 150.0] if pt.n >= 7 else [50.0, 100.0, 200.0])
+        got, errs = st._schur_sweep(pt, radii, kinds=kinds)
+        want, _ = st._radial_sweep(lambda ts, pt=pt: st._weighted_square_profile(pt, ts, kind=kinds),
+                                   radii, lam)
+        want = want / radii
+        assert np.all(np.abs(got - want) <= 1e-10 * want), pt
+        # the error estimate: quadrature plus the R0 / 2 R0 gap
+        assert np.all(errs <= 1e-12 * got), (pt, errs / got)
+
+
+@pytest.mark.parametrize("spec, sigma", [
+    (BundleSpec(3, 1), sigma_q(1)),
+    (BundleSpec(6, 2), sigma_q(2)),
+    (BundleSpec(5, 2), SIGMA_PLUS),
+    (BundleSpec(4, 2, "plus"), sigma_q(2)),
+])
+def test_a_wrong_head_coefficient_fails_the_limit_sweep(spec, sigma, monkeypatch):
+    # a c_sigma off by delta leaves a residual of order delta |head|^2 that
+    # does not decay, so the residual constants of [0, R0] and [0, 2 R0]
+    # part by about delta R0
+    pt = SpectralPoint(spec, sigma, 1.0)
+    rep = st.strichartz_limit(pt, _e_atom_section(pt))
+    assert max(s / v for s, v in zip(rep.stderrs, rep.values)) < 1e-12
+    c_s = sph._c_sigma_scalar
+    monkeypatch.setattr(sph, "_c_sigma_scalar", lambda *args: c_s(*args) * (1.0 + 1e-6))
+    pt = SpectralPoint(spec, sigma, 1.0)
+    with pytest.raises(ArithmeticError, match="residual constant"):
+        st.strichartz_limit(pt, _e_atom_section(pt))
 
 
 def test_energy_window_capture_is_one_sided():
