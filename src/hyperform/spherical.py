@@ -118,11 +118,13 @@ class SpectralPoint:
         return JacobiParams(n / 2 - 1, -0.5, lam), JacobiParams(n / 2, -0.5, lam)
 
     @cached_property
-    def _head_terms(self):
-        """(s sigma, c_{s sigma}(s lambda)) for s = +1, -1."""
+    def head_terms(self):
+        """(s lambda, the blocks of s sigma, c_{s sigma}(s lambda)) for s = +1, -1:
+        the two terms of the Weyl head, read by head_components and strichartz."""
         lam = complex(self.lam)
         terms = [(self.sigma, lam), weyl_reflect(self.sigma, lam)]
-        return tuple((sig, _c_sigma_scalar(self.spec, sig, lam_s)) for sig, lam_s in terms)
+        return tuple((lam_s, xr.sigma_blocks(self.spec, sig),
+                      _c_sigma_scalar(self.spec, sig, lam_s)) for sig, lam_s in terms)
 
 
 @dataclass
@@ -188,11 +190,10 @@ def scalar_components(pt, t):
 def head_components(pt, ts):
     """Scalars of the two-term Weyl head on each isotypic summand."""
     ts = np.asarray(ts, dtype=float)
-    lam, rho = complex(pt.lam), pt.rho
     out = {eta: np.zeros(ts.shape, dtype=complex) for eta in xr.branching(pt.spec)}
-    for s, (sig_s, coeff) in zip((+1, -1), pt._head_terms):
-        weight = coeff * np.exp((1j * s * lam - rho) * ts)
-        for eta in xr.sigma_blocks(pt.spec, sig_s):
+    for lam_s, blocks, coeff in pt.head_terms:
+        weight = coeff * np.exp((1j * lam_s - pt.rho) * ts)
+        for eta in blocks:
             out[eta] = out[eta] + weight
     return out
 
@@ -407,7 +408,8 @@ def _zonal_nodes(t, n_panels, n_nodes):
     cuts = np.geomspace(scale * pi, pi, max(n_panels - 1, 1)) if scale < 1.0 else []
     edges.extend([float(c) for c in cuts])
     edges.append(pi)
-    edges = np.unique(np.array(edges))
+    # ascending already: drop repeats (np.unique would import numpy.ma)
+    edges = np.array(edges)[np.diff(edges, prepend=-1.0) > 0.0]
     xs, ws = gauss_legendre(n_nodes)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -13,9 +13,9 @@ problems.  The module provides
 
   * ball averages of atomic Poisson images (exact 1D reduction at
     base point e, Monte Carlo over rotations otherwise),
-  * the ball average of the two-term Weyl head in closed form, with its
-    oscillatory cross term,
-  * extrapolated limits with the two-sided norm-equivalence constant,
+  * the ball average of the two-term Weyl head in closed form, paired or
+    not, and the limit of every ball average, L_head = 1/(pi nu), with
+    the two-sided norm-equivalence constant,
   * Hilbert-Schmidt ball averages of Eisenstein integrals,
   * boundary-value reconstruction F_R from a Poisson image, whose
     ratios are Schur ball averages paired with the conjugate spherical
@@ -34,16 +34,15 @@ nodes of an order pair, and cumulative sums per R.  The two orders must
 agree to a relative 1e-10 at every R, or the sweep raises
 ArithmeticError.
 
-A Schur ball average is swept only up to 2 R0, R0 = 20 (40 on the
-chirality bundles, whose residual decays like e^{-t}, not e^{-2t}).
-Past 2 R0 it is avg(R) = H(R) + C/R: H is the closed-form average of
-the head, and C = S(2 R0) - 2 R0 H(2 R0) the converged residual
-constant of the swept integral S.  The error of such a value is the
-quadrature error at 2 R0 plus |C(2 R0) - C(R0)|, and it too must stay
-within a relative 1e-10 of R avg(R), or the sweep raises
+A Schur ball average, paired or not, is swept only up to 2 R0, R0 = 20
+(40 on the chirality bundles, whose residual decays like e^{-t}, not
+e^{-2t}).  Past 2 R0 it is avg(R) = H(R) + C/R: H is the closed-form
+average of the head, and C = S(2 R0) - 2 R0 H(2 R0) the converged
+residual constant of the swept integral S.  The error of such a value
+is the quadrature error at 2 R0 plus |C(2 R0) - C(R0)|, and it too must
+stay within a relative 1e-10 of R avg(R), or the sweep raises
 ArithmeticError; a head coefficient off by delta fails this check.
-Grids within 2 R0 are swept whole, as are the paired sweeps of the
-inversion at mu != lambda.
+Grids within 2 R0 are swept whole.
 
 Every ball average goes through one sweep, _ball_sweep, which picks the
 route (schur_1d or mc_k) for all radii and kinds at once.  On the mc_k
@@ -63,8 +62,8 @@ from . import extrep as xr
 from . import liegroup as lg
 from .liegroup import radial_weight
 from .specialfn import gauss_legendre
-from .spherical import (CartanGeometry, PoissonKernel, SpectralPoint, c_sigma, component_grid,
-                        plancherel_density, radial_kinds, weyl_reflect)
+from .spherical import (CartanGeometry, PoissonKernel, SpectralPoint, component_grid,
+                        head_components, plancherel_density, radial_kinds)
 from .transforms import BoundarySection, gram_matrix, radon_batch, sigma_part
 
 __all__ = [
@@ -89,9 +88,9 @@ _DEFAULT_R_GRID = (12.5, 25.0, 50.0, 100.0, 200.0)
 
 
 def _fit_grid(n, R_grid):
-    """R_grid as a tuple of floats, refused unless a sweep can be fitted
-    on it: at least 4 radii, all positive, strictly increasing, and from
-    R >= 1 on for even n (the parity split of the norm definition)."""
+    """R_grid as a tuple of floats, refused unless it has at least 4
+    radii, all positive, strictly increasing, and from R >= 1 on for even
+    n (the parity split of the norm definition)."""
     R_grid = tuple(float(r) for r in R_grid)
     if len(R_grid) < 4:
         raise ValueError("R_grid too short: need at least 4 radii to fit")
@@ -105,8 +104,8 @@ def _fit_grid(n, R_grid):
 
 
 class BallAverageReport:
-    """Sweep of ball averages (1/R) int_{B(R)} ||.||^2 with the fitted
-    R -> infinity limit.
+    """Sweep of ball averages (1/R) int_{B(R)} ||.||^2 with the closed-form
+    R -> infinity limit of the Weyl head and the sweep's error estimate.
 
     The grid obeys the rules of _fit_grid.  `target` carries the
     analytic limit when the caller knows one, `bstar_sup` the sweep
@@ -343,94 +342,113 @@ _R0 = 20.0
 _R0_CHIRAL = 40.0
 
 
-def _head_integrals(lam, n, R):
-    """A(R), the average of (1 - e^{-2t})^{n-1} over [0, R], and X(R) - A(R),
-    X = cross_term, on an array of finite R > 0 (else ValueError).
+def _head_integrals(omegas, n, R):
+    """A(R), the average of (1 - e^{-2t})^{n-1} over [0, R], and I(w, R) - A(R)
+    for each nonzero w of omegas, I(w, R) the average of
+    e^{i w t} (1 - e^{-2t})^{n-1}, on an array of finite R > 0 (else ValueError).
 
-    The binomial expansion of (1 - e^{-2t})^{n-1} has terms whose sizes
-    add up to B(R) ~ 2^{n-1} and cancel down to R A(R) at small R.  Below
-    R = 2 the series in S = 1 - e^{-2R} (s = 1 - e^{-2t} in the integrals)
-    R A = (1/2) sum_j S^{n+j} / (n+j), and R (X - A) the same with
-    d_j = (1 + i lam)_j / j! - 1 in each term, cancel only through d_j =
-    d_{j-1} + r_{j-1} i lam / j, r_j = (1 + i lam)_j / j!, whose size rises
-    to g = sqrt(sinh(pi lam) / (pi lam)).  They are summed until
-    g S^j < 2^-56 (g < e^700), and a radius takes them when the sizes of
-    their terms and steps add up to less than B.
-
-    Either form errs by about 1e-16 times the sizes it sums: within 1e-14
-    of A(R) for lam <= 5, but 1e-9 of it at lam = 100, R = 0.1, n = 8, and
-    1e-3 at lam = 1000, R = 0.01, where both cancel."""
+    The binomial expansion of (1 - e^{-2t})^{n-1} has terms of total size
+    about 2^{n-1} that cancel down to R A(R) at small R.  Below R = 2 the
+    series in S = 1 - e^{-2R}, R A = (1/2) sum_j S^{n+j} / (n+j) and R (I - A)
+    the same with d_j = (1 + i w/2)_j / j! - 1 in each term, cancel only
+    through d_j - d_{j-1} = r_{j-1} i w / (2 j), r_j = (1 + i w/2)_j / j!, of
+    size up to g = sqrt(sinh(pi w/2) / (pi w/2)); they run until
+    g S^j < 2^-56 (g < e^700).  At each radius the form of smaller summed
+    term size serves A and every I - A, which the head average cancels
+    against each other; ArithmeticError where eps times that size exceeds
+    1e-10 R A(R) (large w at small R)."""
     R = np.asarray(R, dtype=float)
     if not np.all(np.isfinite(R) & (R > 0.0)):
         raise ValueError(f"the head integrals require finite R > 0; got R = {R!r}")
     radii = R.reshape(-1)
+    half = 0.5 * np.asarray(omegas, dtype=float).reshape(-1, 1)
     m = np.arange(n)
     coef = np.array([comb(n - 1, k) * (-1.0) ** k for k in m])
-    a = 2j * lam - 2.0 * m
-    # int_0^R e^{at} dt at a = -2m (R itself at m = 0) and at a = 2 i lam - 2m
+    a = 2j * half - 2.0 * m
+    # int_0^R e^{at} dt at a = -2m (R itself at m = 0) and at a = i w - 2m
     flat = np.where(m > 0, -np.expm1(-2.0 * np.multiply.outer(radii, m)) / np.maximum(2 * m, 1),
                     radii[:, None]) * coef
     wave = np.expm1(np.multiply.outer(radii, a)) / a * coef
-    size = np.sum(np.abs(flat) + np.abs(wave), axis=-1)
+    size = np.sum(np.abs(flat), axis=-1) + np.sum(np.abs(wave), axis=(-2, -1))
     ramp = np.sum(flat, axis=-1) / radii
-    wave = np.sum(wave, axis=-1) / radii - ramp
-    x = pi * abs(lam)
+    wave = np.sum(wave, axis=-1) / radii[:, None] - ramp[:, None]
+    x = pi * np.max(np.abs(half), initial=0.0)
     log_g = 0.5 * (x + log(-expm1(-2.0 * x)) - log(2.0 * x)) if x > 0.0 else 0.0
     for i in np.flatnonzero(radii < 2.0) if log_g < 700.0 else ():
         S = -expm1(-2.0 * radii[i])
         j = np.arange(1, int(ceil((56.0 * log(2.0) + log_g) / -log(S))) + 1)
-        steps = np.cumprod(np.concatenate(([1.0], (j[:-1] + 1j * lam) / j[:-1]))) * 1j * lam / j
+        r = np.cumprod(np.concatenate((np.ones_like(half), 1.0 + 1j * half / j[:-1]), -1), -1)
+        steps = np.concatenate((np.zeros_like(half), r * 1j * half / j), axis=-1)  # d_0 = 0
         k = n + np.concatenate(([0], j))
         powers = 0.5 * S ** k / k
-        if np.sum(powers * (1.0 + np.concatenate(([0.0], np.cumsum(np.abs(steps)))))) < size[i]:
-            ramp[i] = np.sum(powers) / radii[i]
-            wave[i] = np.sum(powers * np.concatenate(([0.0], np.cumsum(steps)))) / radii[i]
-    return ramp.reshape(R.shape), wave.reshape(R.shape)
+        series = np.sum(powers * (1.0 + np.sum(np.cumsum(np.abs(steps), axis=-1), axis=0)))
+        if series < size[i]:
+            size[i], ramp[i] = series, np.sum(powers) / radii[i]
+            wave[i] = np.sum(powers * np.cumsum(steps, axis=-1), axis=-1) / radii[i]
+    bad = np.flatnonzero(~(np.finfo(float).eps * size <= 1e-10 * radii * ramp))
+    if bad.size:
+        raise ArithmeticError(f"the head integrals at R = {radii[bad[0]]:g} and frequency "
+                              f"{2.0 * x / pi:g} cancel past 1e-10 of their value")
+    return ramp.reshape(R.shape), wave.T.reshape(half.shape[:1] + R.shape)
 
 
-def _head_average(pt, R):
-    """H(R) = (1/R) int_0^R w(t) sum_eta (d_eta/d_tau) |head_eta(t)|^2 dt
-    on an array of finite R > 0 (else ValueError), in closed form.  With
-    c_+- = c_{s sigma}(s lambda) and B_+- the blocks of s sigma,
-    H = L A(R) + Re(x X(R)): L = sum_eta (d_eta/d_tau) ([eta in B_+] |c_+|^2
-    + [eta in B_-] |c_-|^2) = 1 / (pi nu), x = 2 c_+ conj(c_-) times the
-    d_eta/d_tau of the blocks in both, A(R) the average of
-    (1 - e^{-2t})^{n-1} and X = cross_term.  The two terms nearly cancel
-    at small lambda R, so H is taken as h0 A + Re(x (X - A)), h0 = L + Re(x)
-    being the head's square at t = 0, a sum of squares (_head_integrals)."""
-    lam = pt.lam_real
+def _head_weights(pt, other=None):
+    """{w: k_w} with w(t) sum_eta (d_eta/d_tau) head_eta conj(head'_eta) =
+    (1 - e^{-2t})^{n-1} sum_w k_w e^{i w t}, head' the head of `other` (pt's
+    own when None): head terms (s lambda, B_s, c_s) and (s' mu, B'_s', c'_s')
+    add c_s conj(c'_s') sum_{B_s & B'_s'} d_eta/d_tau at w = s lambda - s' mu.
+    Unpaired, k_0 = L_head = 1 / (pi nu), the limit of any ball average per |v|^2."""
+    other = other or pt
+    if not (np.isreal(pt.lam) and np.isreal(other.lam)):
+        raise ValueError("the head average requires real lambda")
     d_tau, d_eta = _dims_table(pt.spec)
-    (sig_p, c_p), (sig_m, c_m) = [(sig, c_sigma(SpectralPoint(pt.spec, sig, l)))
-                                  for sig, l in ((pt.sigma, lam), weyl_reflect(pt.sigma, lam))]
-    plus, minus = set(xr.sigma_blocks(pt.spec, sig_p)), set(xr.sigma_blocks(pt.spec, sig_m))
-    at_zero = sum(d_eta[eta] / d_tau * abs((eta in plus) * c_p + (eta in minus) * c_m) ** 2
-                  for eta in d_eta)
-    cross = 2.0 * c_p * np.conj(c_m) * sum(d_eta[eta] / d_tau for eta in plus & minus)
-    ramp, wave = _head_integrals(lam, pt.n, R)
-    return at_zero * ramp + np.real(cross * wave)
+    weights = {}
+    for lam_s, blocks, c_s in pt.head_terms:
+        for mu_s, blocks_o, c_o in other.head_terms:
+            dims = sum(d_eta[eta] / d_tau for eta in set(blocks) & set(blocks_o))
+            w = (lam_s - mu_s).real
+            weights[w] = weights.get(w, 0.0) + c_s * np.conj(c_o) * dims
+    return weights
+
+
+def _head_average(pt, R, other=None):
+    """H(R) = (1/R) int_0^R w(t) sum_eta (d_eta/d_tau) head_eta conj(head'_eta) dt
+    = sum_w k_w I(w, R) (_head_weights, _head_integrals) on an array of
+    finite R > 0: real unpaired, complex paired with `other`.  The waves
+    nearly cancel at small lambda R, so H is h0 A + sum_w k_w (I(w) - A),
+    h0 = sum_w k_w taken as the product of the heads at t = 0."""
+    weights = _head_weights(pt, other)
+    d_tau, d_eta = _dims_table(pt.spec)
+    h, h_o = (head_components(q, 0.0) for q in (pt, other or pt))
+    at_zero = sum(d_eta[eta] / d_tau * h[eta] * np.conj(h_o[eta]) for eta in d_eta)
+    omegas = [w for w in weights if w != 0.0]
+    ramp, waves = _head_integrals(omegas, pt.n, R)
+    total = at_zero * ramp + sum(weights[w] * wave for w, wave in zip(omegas, waves))
+    return np.real(total) if other is None else total
 
 
 def _schur_sweep(pt, R_grid, vnorm2=1.0, kinds=("spherical",), other=None):
     """Exact ball averages (1/R) int_0^R of the weighted square profile of
-    each kind (paired with `other`, when given) times vnorm2, with their
-    error estimates, shape (len(kinds), len(R_grid)).  The head kind is
-    _head_average.  The others share one _radial_sweep of their stacked
-    profile, whose panels resolve the larger of the two frequencies;
-    unpaired, it stops at 2 R0 when the grid goes past it (_extend_past)."""
+    each kind (paired with `other`, when given: the spherical kind only)
+    times vnorm2, with their error estimates, shape (len(kinds),
+    len(R_grid)).  The head kind is _head_average.  The others share one
+    _radial_sweep of their stacked profile, whose panels resolve the
+    larger of the two frequencies; it stops at 2 R0 when the grid goes
+    past it (_extend_past)."""
     R_grid = np.asarray(R_grid, dtype=float)
     lam = max(abs(q.lam_real) for q in (pt, other or pt))
     swept = tuple(kind for kind in kinds if kind != "head")
     rows = {}
     if swept:
         r0 = _R0_CHIRAL if pt.spec.chirality != "none" else _R0
-        far = other is None and bool(np.any(R_grid > 2.0 * r0))
+        far = bool(np.any(R_grid > 2.0 * r0))
         # a sorted set, not np.unique, whose first call imports numpy.ma
         ends = (np.array(sorted({*R_grid[R_grid <= 2.0 * r0].tolist(), r0, 2.0 * r0}))
                 if far else R_grid)
         sums, errs = _radial_sweep(
             lambda ts: _weighted_square_profile(pt, ts, kind=swept, other=other), ends, lam)
         if far:
-            sums, errs = _extend_past(pt, swept, r0, ends, sums, errs, R_grid)
+            sums, errs = _extend_past(pt, swept, r0, ends, sums, errs, R_grid, other)
         rows.update(zip(swept, zip(sums, errs)))
     if "head" in kinds:
         rows["head"] = (_head_average(pt, R_grid) * R_grid, np.zeros(R_grid.size))
@@ -438,17 +456,17 @@ def _schur_sweep(pt, R_grid, vnorm2=1.0, kinds=("spherical",), other=None):
     return sums / R_grid * vnorm2, errs / R_grid * vnorm2
 
 
-def _extend_past(pt, kinds, r0, ends, sums, errs, R_grid):
+def _extend_past(pt, kinds, r0, ends, sums, errs, R_grid, other=None):
     """The integrals R avg(R) of each kind on R_grid, with their errors,
     from a sweep (sums, errs) over `ends` (the radii of R_grid up to 2 r0,
-    r0 and 2 r0).  Past 2 r0 it is R h(R) + C, h being _head_average for
-    the spherical kind and 0 for the residual, C = S(2 r0) - 2 r0 h(2 r0);
-    its error, the quadrature error at 2 r0 plus |C - (S(r0) - r0 h(r0))|,
-    raises ArithmeticError past _SWEEP_RTOL of it.  A head off by delta
-    leaves a residual that does not decay, and a gap of about delta r0."""
+    r0 and 2 r0).  Past 2 r0 it is R h(R) + C, h being _head_average (paired
+    with `other` when given) for the spherical kind and 0 for the residual,
+    C = S(2 r0) - 2 r0 h(2 r0); its error, the quadrature error at 2 r0 plus
+    |C - (S(r0) - r0 h(r0))|, raises ArithmeticError past _SWEEP_RTOL of
+    |R avg(R)|: a head off by delta leaves a gap of about delta r0."""
     far = R_grid > 2.0 * r0
     radii = np.concatenate(([r0, 2.0 * r0], R_grid[far]))
-    head = _head_average(pt, radii) * radii
+    head = _head_average(pt, radii, other) * radii
     part = np.array([head if kind == "spherical" else np.zeros_like(radii) for kind in kinds])
     i1, i2 = np.searchsorted(ends, [r0, 2.0 * r0])
     const = sums[:, i2] - part[:, 1]
@@ -531,10 +549,7 @@ def _ball_sweep(pt, section, R_grid, kinds=("spherical",), k_samples=4096, rng=N
     every R and every kind, on the order-_MC_ORDER _sweep_rule with a
     breakpoint at each R; per-draw sums are kept per segment and summed
     cumulatively.  The image on the sampled sheet k a_t comes from one
-    _Sheet, in slabs of whole t-nodes: atoms at a rotation k_a through
-    Psi(k_a^T k a_t) = Psi(a_t) tau(k_a^T k)^T (one extrep.tau_vec_batch
-    per atom, one component grid per slab), others through the Cartan
-    decomposition of g_a^{-1} k a_t.  A value differs from the
+    _Sheet, in slabs of whole t-nodes.  A value differs from the
     one-radius value on the same draws only by the change of node
     layout: rounding for the smooth spherical kind, the t-quadrature
     error for the residual and head, which are not smooth on G at the
@@ -565,7 +580,8 @@ def _ball_sweep(pt, section, R_grid, kinds=("spherical",), k_samples=4096, rng=N
         sl = slice(start, start + chunk)
         tsl, wsl, ssl = ts[sl], ws[sl] * radial_weight(ts[sl], n), segs[sl]
         sq = np.sum(np.abs(sheet.values(tsl, kinds)) ** 2, axis=-1)
-        for seg in np.unique(ssl):
+        # the sorted segment indices; np.unique would import numpy.ma
+        for seg in sorted(set(ssl.tolist())):
             mask = ssl == seg
             per_seg[:, seg] += wsl[mask] @ sq[:, mask]
     per_k = np.cumsum(per_seg, axis=1)[:, np.searchsorted(ends, R_grid)]
@@ -589,56 +605,40 @@ def ball_average_atom(pt, section, R, k_samples=4096, rng=None):
 
 
 def cross_term(lam, n, R):
-    """(1/R) int_0^R e^{2(i lam - rho) t} (2 sinh t)^{n-1} dt in closed
-    form, for lam != 0 and finite R > 0 (else ValueError): the binomial
-    expansion of the sinh power, or below R = 2, where its terms cancel,
-    power series in 1 - e^{-2R} (_head_integrals).  R may be an array of
-    radii, which gives an array; a scalar R gives a complex."""
-    lam = float(lam)
-    if lam == 0.0:
+    """(1/R) int_0^R e^{2(i lam - rho) t} (2 sinh t)^{n-1} dt = I(2 lam, R) of
+    _head_integrals in closed form, for lam != 0 and finite R > 0 (else
+    ValueError); ArithmeticError where its form cancels past 1e-10 of A(R)
+    (large lam at small R).  An array of radii gives an array, a scalar R
+    a complex."""
+    if float(lam) == 0.0:
         raise ValueError("the cross term requires lambda != 0")
-    ramp, wave = _head_integrals(lam, n, R)
-    total = ramp + wave
-    return complex(total) if total.ndim == 0 else total
-
-
-def _fit_limit(R_grid, values):
-    """Least-squares L + A/R on the top half of the sweep."""
-    m = len(R_grid) // 2
-    rs = np.asarray(R_grid[m:], dtype=float)
-    vs = np.asarray(values[m:], dtype=float)
-    design = np.stack([np.ones_like(rs), 1.0 / rs], axis=1)
-    coef, *_ = np.linalg.lstsq(design, vs, rcond=None)
-    resid = vs - design @ coef
-    dof = max(rs.size - 2, 1)
-    return float(coef[0]), float(np.sqrt(np.sum(resid ** 2) / dof))
+    ramp, (wave,) = _head_integrals([2.0 * float(lam)], n, R)
+    return complex(ramp + wave) if ramp.ndim == 0 else ramp + wave
 
 
 def strichartz_limit(pt, section, R_grid=None, k_samples=4096, rng=None):
-    """Ball-average sweep of a Poisson image with the extrapolated
-    R -> infinity limit.
+    """Ball-average sweep of a Poisson image with its R -> infinity limit
+    L_head ||F||^2 (L_head the head's weight at frequency 0, _head_weights),
+    against the target (1/pi) nu_sigma(lambda)^{-1} ||F||^2.
 
-    The limit of the averages is (1/pi) nu_sigma(lambda)^{-1} ||F||^2;
-    the report also carries the sweep supremum (the weak-norm estimate)
-    and the empirical constant of the two-sided comparison with
-    nu_sigma(lambda)^{-1/2} ||F||.  On the mc_k route stderr is Monte
-    Carlo error only, complete for this spherical kind; the residual kind
-    (asymptotic_residual_sweep) carries a t-quadrature bias of up to 2e-5
-    relative, which its stderr leaves out.
+    stderr is the sweep's own error estimate.  The report also carries
+    the sweep supremum (the weak-norm estimate) and the empirical
+    constant of the two-sided comparison with nu_sigma(lambda)^{-1/2} ||F||.
+    On the mc_k route stderr is Monte Carlo error only, complete for this
+    spherical kind; the residual kind (asymptotic_residual_sweep) carries
+    a t-quadrature bias of up to 2e-5 relative, which its stderr leaves out.
     """
     R_grid = _fit_grid(pt.n, _DEFAULT_R_GRID if R_grid is None else R_grid)
     (values,), (stderrs,), method = _ball_sweep(pt, section, R_grid,
                                                 k_samples=k_samples, rng=rng)
-    limit, fit_err = _fit_limit(R_grid, values)
     norm_f2 = section_norm2(section)
     nu = plancherel_density(pt)
     target = norm_f2 / (pi * nu)
     bstar = max(values)
     ratio = sqrt(bstar * nu / norm_f2) if norm_f2 > 0 else float("inf")
     bound_c = max(ratio, 1.0 / ratio) if norm_f2 > 0 else float("inf")
-    stderr = max(fit_err, max(stderrs))
-    return BallAverageReport(pt.n, R_grid, values, stderrs, limit, method,
-                             stderr, target=target, bstar_sup=bstar,
+    return BallAverageReport(pt.n, R_grid, values, stderrs, _head_weights(pt)[0.0].real * norm_f2,
+                             method, max(stderrs), target=target, bstar_sup=bstar,
                              bound_constant=bound_c, norm_f2=norm_f2)
 
 
@@ -648,19 +648,17 @@ def eisenstein_hs_limit(pt, R_grid=None):
 
     Phi_{lambda,tau} = d_{tau,sigma}^{-1/2} Phi^tau_{sigma,lambda}, and
     radial invariance of the HS norm gives the exact profile
-    (d_sigma/d_tau) sum_eta d_eta |phi_eta(t)|^2; the fitted limit is
-    (d_sigma/pi) nu_sigma(lambda)^{-1}.
+    (d_sigma/d_tau) sum_eta d_eta |phi_eta(t)|^2.  Its limit is
+    L_head d_sigma (strichartz_limit), against the target
+    (d_sigma/pi) nu_sigma(lambda)^{-1}; stderr is the sweep's own.
     """
     R_grid = _fit_grid(pt.n, _DEFAULT_R_GRID if R_grid is None else R_grid)
     # (d_sigma/d_tau) d_eta = d_sigma (d_eta/d_tau): the Schur profile at |v|^2 = d_sigma
     d_sigma = xr.dims(pt.spec, pt.sigma)[1]
     (values,), (stderrs,) = _schur_sweep(pt, R_grid, vnorm2=d_sigma)
-    limit, fit_err = _fit_limit(R_grid, values)
-    nu = plancherel_density(pt)
-    target = d_sigma / (pi * nu)
-    return BallAverageReport(pt.n, R_grid, values, stderrs, limit,
-                             "schur_1d", max(fit_err, max(stderrs)),
-                             target=target, bstar_sup=max(values))
+    target = d_sigma / (pi * plancherel_density(pt))
+    return BallAverageReport(pt.n, R_grid, values, stderrs, _head_weights(pt)[0.0].real * d_sigma,
+                             "schur_1d", max(stderrs), target=target, bstar_sup=max(values))
 
 
 # ---------------------------------------------------------------------------
@@ -779,10 +777,10 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
 
 def head_ball_average(pt, R, vnorm2=1.0):
     """Exact ball average H(R) of the squared two-term Weyl head applied
-    to a vector of squared norm vnorm2, in closed form with no sweep:
-    the limit 1/(pi nu) vnorm2 times the average of (1 - e^{-2t})^{n-1},
-    plus the cross term of the two head coefficients where their blocks
-    meet (see _head_average).  Finite R > 0 only; real lambda only."""
+    to a vector of squared norm vnorm2, in closed form with no sweep
+    (_head_average): L_head vnorm2 times A(R), plus the waves e^{+-2 i lambda t}
+    where the two head terms' blocks meet.  Finite R > 0 and real lambda
+    only; ArithmeticError where the closed form cancels (large lambda, small R)."""
     return float(_head_average(pt, [float(R)])[0] * vnorm2)
 
 

@@ -81,6 +81,17 @@ def test_limit_passes_on_the_default_grid_at_large_n(n, p):
                for R in (12.5, 25, 50, 100, 200))
 
 
+@pytest.mark.parametrize("n, p, sigma, lam", [(7, 2, "q:2", "0.3"), (4, 1, "q:1", "0.1")])
+def test_limit_passes_at_small_lambda(n, p, sigma, lam):
+    # the limit is the head's weight at frequency 0, not a fit of L + A/R,
+    # which missed the 1 % gate at lambda <= 0.3
+    res = CliRunner().invoke(main, ["limit", "--n", str(n), "--p", str(p), "--sigma", sigma,
+                                    "--lambda", lam])
+    assert res.exit_code == 0, res.output
+    rows = {r["name"]: r for r in json.loads(res.output)["rows"]}
+    assert rows["extrapolated_limit"]["pass"]
+
+
 def test_limit_passes_at_large_lambda():
     # at lambda = 25 the Pfaff series and the connection formula
     # together cover every radius of the sweep

@@ -4,11 +4,14 @@ consumer besides its scalar wrapper, the Poisson kernel, the panel rule
 of the radial quadratures has one caller, the breakpoint rule every
 sweep shares, spherical evaluates Jacobi functions only on the
 parameters a SpectralPoint owns, the commands answer without sampling
-routes, and every package name the benchmark traces or calls exists."""
+routes, every package name the benchmark traces or calls exists, and
+evaluating does not import numpy.ma."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -177,3 +180,30 @@ def test_benchmark_bindings_resolve(monkeypatch):
     bad = [f"workloads:{line}: {mod}.{attr}" for mod, attr, line in used
            if not hasattr(importlib.import_module(mod), attr)]
     assert not bad, "package names used by the benchmark workloads are missing:\n" + "\n".join(bad)
+
+
+# one defining K-integral and one mc_k ball average, the two routes that
+# called np.unique, whose first call imports numpy.ma (about 14 ms and
+# 1.3 MB of a process)
+_NO_MA_SCRIPT = """
+import sys
+import numpy as np
+from hyperform import extrep as xr, liegroup as lg, spherical as sph, strichartz as st
+from hyperform import transforms as tfm
+pt = sph.SpectralPoint(xr.BundleSpec(3, 1), xr.sigma_q(1), 1.0)
+sph.eisenstein_integral_at(pt, 1.0)
+k = lg.embed_rotation(lg.haar_sample_K(3, rng=np.random.default_rng(1)))
+atom = tfm.BoundaryAtom(lg.GroupElement(k), xr.default_vector(pt.spec))
+section = tfm.BoundarySection.from_atoms(pt, [(atom, 1.0)])
+assert np.isfinite(st.ball_average_atom(pt, section, 2.0, k_samples=64))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_evaluations_do_not_import_numpy_ma():
+    path = os.pathsep.join([str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    res = subprocess.run([sys.executable, "-c", _NO_MA_SCRIPT], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -676,6 +676,59 @@ def test_averages_past_twice_r0_match_a_direct_sweep(lam):
         assert np.all(errs <= 1e-12 * got), (pt, errs / got)
 
 
+@pytest.mark.parametrize("mu", [0.7, 1.3])
+def test_paired_averages_past_twice_r0_match_a_direct_sweep(mu):
+    # the inversion's paired sweep at mu != lambda is extended past 2 R0 by
+    # the paired closed-form head, as the unpaired one is; the components
+    # underflow past t ~ 157 at n = 8
+    for pt in _every_point(1.0):
+        if pt.n < 3:
+            continue
+        radii = np.array([50.0, 100.0, 150.0] if pt.n >= 7 else [50.0, 100.0, 200.0])
+        for b in xr.sigma_blocks(pt.spec, pt.sigma):
+            other = SpectralPoint(pt.spec, b, mu)
+            (got,), (errs,) = st._schur_sweep(pt, radii, other=other)
+            want, _ = st._radial_sweep(
+                lambda ts, pt=pt, other=other: st._weighted_square_profile(pt, ts, other=other),
+                radii, max(1.0, mu))
+            want = want / radii
+            assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want)), (pt, b)
+            assert np.all(errs <= 1e-12 * np.abs(got)), (pt, b, errs / np.abs(got))
+
+
+def test_mismatched_inversion_ratios_reach_past_the_underflow():
+    # a sweep of [0, 200] meets the component underflow at n = 8; the paired
+    # head past 2 R0 does not
+    ratios = st.inversion_ratios(SpectralPoint(BundleSpec(8, 3), sigma_q(3), 1.0), 200.0, mu=1.3)
+    assert ratios and all(np.isfinite(r) for r in ratios.values())
+
+
+def test_head_integrals_raise_where_their_forms_cancel():
+    # at large lambda and small R the binomial terms and the series steps
+    # both cancel far below their sizes
+    for lam, R in ((100.0, 0.1), (1000.0, 0.01)):
+        with pytest.raises(ArithmeticError, match="cancel"):
+            st.cross_term(lam, 8, R)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.3, 1.0])
+def test_limit_is_the_head_weight_at_frequency_zero(lam, monkeypatch):
+    # the limit is L_head ||F||^2 from the c-functions and the target
+    # ||F||^2 / (pi nu) from the Plancherel density: they agree at every
+    # point, and a density off by 1e-6 shows as a gap
+    pts = [pt for pt in _every_point(lam) if pt.n >= 3]
+    for pt in pts:
+        rep = st.strichartz_limit(pt, _e_atom_section(pt))
+        assert abs(rep.extrapolated_limit / rep.target - 1.0) <= 1e-13, pt
+        hs = st.eisenstein_hs_limit(pt)
+        assert abs(hs.extrapolated_limit / hs.target - 1.0) <= 1e-13, pt
+    density = st.plancherel_density
+    monkeypatch.setattr(st, "plancherel_density", lambda pt: density(pt) * (1.0 + 1e-6))
+    for pt in pts:
+        rep = st.strichartz_limit(pt, _e_atom_section(pt))
+        assert abs(rep.extrapolated_limit / rep.target - 1.0) >= 5e-7, pt
+
+
 @pytest.mark.parametrize("spec, sigma", [
     (BundleSpec(3, 1), sigma_q(1)),
     (BundleSpec(6, 2), sigma_q(2)),
