@@ -20,6 +20,21 @@ times machine epsilon times that ratio).  hyp2f1_negz builds a table
 per call; a JacobiParams keeps its own, which grow only by doubling in
 fixed blocks, so no value depends on what was evaluated before.
 
+hyp2f1_negz, jacobi_phi and jacobi_psi choose a route by the size of
+their argument.  An argument of one element takes the one-point route:
+the branch rule, the term count, Horner's rule, the tail test, the
+cancellation ratio and the final check run on NumPy and Python scalars,
+with no masks and no arrays, so a single radius pays for its series
+and not for NumPy's fixed cost per array operation.  Any other argument
+takes the array route.  Each rule is one helper that both routes call
+(_pfaff_ok, _phi_pfaff, _phi_connection, _met, _Series.count, the tail
+test of _Series._horner_from); the functions of t that values depend on
+are NumPy's on both (np.square, not pow, for squares, as NumPy's arrays
+do), and the complex products that NumPy's array loop may round
+differently (_times) run on one-element arrays, so the two routes take
+the same branches and term counts and round alike.  NaN or infinite
+arguments raise ValueError on both routes before any series runs.
+
 phi_lambda has two representations, and jacobi_phi chooses between
 them at each t by their estimated rounding error, relative to
 max(|phi|, e^{-(alpha+beta+1) t}):
@@ -50,7 +65,7 @@ finite at large lambda, where Gamma(i lambda) alone underflows.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import exp, inf, log
+from math import exp, inf, isfinite, log
 
 import numpy as np
 
@@ -163,44 +178,71 @@ def gamma_c(z):
     return out[0] if z.ndim == 0 else out
 
 
+def _one_point(x, fn, name):
+    """(points, shape) of the argument x: a NumPy float when x holds one
+    element (the one-point route), else a float array.  A NaN or an
+    infinity raises ValueError, before any series runs."""
+    x = np.asarray(x, dtype=float)
+    pts = x.reshape(-1)[0] if x.size == 1 else x
+    if not (isfinite(pts) if x.size == 1 else np.isfinite(x).all()):
+        raise ValueError(f"{fn} requires a finite {name}" + (f"; got {pts}" if x.size == 1 else ""))
+    return pts, x.shape
+
+
+def _shaped(shape, *values):
+    """One-point results in the argument's shape: NumPy scalars for a 0-d
+    argument, arrays of one element otherwise."""
+    return tuple(np.full(shape, v) if shape else np.asarray(v)[()] for v in values)
+
+
 def hyp2f1_negz(a, b, c, z, *, full_output=False):
     """2F1(a, b; c; z) for real z <= 0 via the Pfaff transform.
 
-    Parameters may be complex scalars; z may be a scalar or an array.
-    The series in w = z/(z-1) is summed to relative accuracy 1e-16
-    with a hard cap on the number of terms.  With full_output, also
-    returns the kernel's per-point term counts and cancellation ratios
-    max|term| / |sum| (see `_series_w`).
+    Parameters may be complex scalars; z may be a scalar or an array of
+    finite values (NaN or infinity raises ValueError).  The series in
+    w = z/(z-1) is summed to relative accuracy 1e-16 with a hard cap of
+    4000 terms, past which it raises RuntimeError.  With full_output,
+    also returns the kernel's per-point term counts and cancellation
+    ratios max|term| / |sum| (see `_Series.sum`).
     """
     a = complex(a)
     b = complex(b)
     c = complex(c)
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    if (z > 0.0).any():
+    zs, shape = _one_point(z, "hyp2f1_negz", "z")
+    if _any(zs > 0.0):
         raise ValueError("hyp2f1_negz requires z <= 0")
     if abs(c.imag) < 1e-13 and abs(c.real - round(c.real)) < 1e-13 and round(c.real) <= 0:
         raise ValueError(f"2F1 undefined at non-positive integer c = {c}")
 
-    w = z / (z - 1.0)  # in [0, 1)
-    s, nterms, ratio = _series_w(a, c - b, c, w)
-    out = (1.0 - z) ** (-a) * s
-    if scalar:
-        out, nterms, ratio = out[0], nterms[0], ratio[0]
+    out, nterms, ratio = _pfaff(_Series(a, c - b, c), zs)
+    if zs.ndim == 0:
+        out, nterms, ratio = _shaped(shape, out, nterms, ratio)
     return (out, nterms, ratio) if full_output else out
 
 
-def _horner(coef, w):
-    """sum_k coef[k] w^k over the array w by Horner's rule, two in-place
-    operations per term.  A single point runs the same recurrence on a
-    Python complex, which skips NumPy's per-call overhead."""
-    x = complex(w[0]) if w.size == 1 else w.astype(complex)
-    acc = x * 0.0 + coef[-1]
-    for ck in coef[-2::-1].tolist():
+def _horner(coef_desc, x):
+    """sum_k coef[k] x^k by Horner's rule from the list coef_desc =
+    coef[::-1]: on a Python complex x at one point, else with two in-place
+    operations per term over the complex array x."""
+    acc = x * 0.0 + coef_desc[0]
+    for ck in coef_desc[1:]:
         acc *= x
         acc += ck
-    return np.asarray(acc, dtype=complex).reshape(w.shape)
+    return acc
+
+
+def _any(mask):
+    """mask.any(), without NumPy's reduction at one point."""
+    return mask.any() if mask.ndim else bool(mask)
+
+
+def _times(x, y):
+    """The complex product x * y as NumPy's array loop rounds it, at one
+    point too: that loop may fuse its multiply-adds, the scalar
+    arithmetic does not, so both routes multiply on arrays."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return x * y
+    return (x * np.array([y]))[0]
 
 
 class _Series:
@@ -243,25 +285,28 @@ class _Series:
         k, y, slopes = self.hull[1]
         # the hull's slopes fall, so the peak at x = log w sits at the first
         # vertex whose outgoing slope is <= -x
-        x = np.log(np.maximum(w, _TINY))
-        j = np.searchsorted(slopes, x)
+        x = np.log(max(w, _TINY) if w.ndim == 0 else np.maximum(w, _TINY))
+        j = slopes.searchsorted(x)
         return y[j] + k[j] * x
 
     def count(self, wmax, guard):
         """The term count at w = wmax: one past the first k >= 1 with
         |coef[k] wmax^k| * guard <= 1e-16 |S_k|, S_k the partial sums in order.
-        A scalar scan of _SERIES_BLOCK terms, then one vectorised pass over what
-        a tail like wmax^k needs plus _SERIES_BLOCK (enough for coefficients
-        like k^3 at wmax <= 0.79), then doubling passes.  S_k carries over, so
-        the count depends on neither the pass lengths nor the table's."""
+        Where the geometric tail wmax^k * guard reaches 1e-16 within
+        _SERIES_BLOCK terms, a scalar scan of that block comes first.  Then
+        one vectorised pass over what a tail like wmax^k needs plus
+        _SERIES_BLOCK (enough for coefficients like k^3 at wmax <= 0.79), then
+        doubling passes.  S_k carries over, so the count depends on neither
+        the pass lengths nor the table's."""
         logw = float(np.log(wmax)) if wmax > 0.0 else -inf
-        partial = 1.0 + 0.0j
-        for k, c in enumerate(self.upto(_SERIES_BLOCK + 1)[1:_SERIES_BLOCK + 1].tolist(), 1):
-            term = c * exp(k * logw)
-            partial += term
-            if abs(term) * guard <= _SERIES_RTOL * (abs(partial) + 1e-300):
-                return k + 1
-        k0 = _SERIES_BLOCK + 1
+        k0, partial, term = 1, 1.0 + 0.0j, 1.0
+        if wmax ** _SERIES_BLOCK * guard <= _SERIES_RTOL:
+            for k, c in enumerate(self.upto(_SERIES_BLOCK + 1)[1:_SERIES_BLOCK + 1].tolist(), 1):
+                term = c * exp(k * logw)
+                partial += term
+                if abs(term) * guard <= _SERIES_RTOL * (abs(partial) + 1e-300):
+                    return k + 1
+            k0 = _SERIES_BLOCK + 1
         miss = _SERIES_RTOL * (abs(partial) + 1e-300) / (abs(term) * guard)
         k1 = k0 + int(min(log(miss) / logw, _SERIES_MAX_TERMS)) + _SERIES_BLOCK if miss > 0 else k0
         while True:
@@ -279,47 +324,54 @@ class _Series:
             partial, k0, k1 = sums[-1], k1, 2 * k1
 
     def _horner_from(self, w, nterms, guard, wmax):
-        """(sums, term counts) at 1-d w; points failing the stop get 2 nterms."""
+        """(sums, term counts) at w, a NumPy float or a 1-d array; a point
+        failing the stop is summed again with 2 nterms."""
         if nterms > _SERIES_MAX_TERMS:
             _no_convergence(self, wmax)
         coef = self.upto(nterms)
-        s = _horner(coef[:nterms], w)
+        s = _horner(coef[nterms - 1::-1].tolist(), complex(w) if w.ndim == 0 else w.astype(complex))
+        # the tail test: the last term, with the guard, below 1e-16 |sum|
+        done = abs(coef[nterms - 1]) * w ** (nterms - 1) * guard <= _SERIES_RTOL * (abs(s) + 1e-300)
+        if w.ndim == 0:
+            return (s, nterms) if done else self._horner_from(w, 2 * nterms, guard, wmax)
         used = np.full(w.shape, nterms)
-        tail = np.abs(coef[nterms - 1]) * w ** (nterms - 1) * guard
-        done = tail <= _SERIES_RTOL * (np.abs(s) + 1e-300)
         if not done.all():
             s[~done], used[~done] = self._horner_from(w[~done], 2 * nterms, guard, wmax)
         return s, used
 
     def sum(self, w):
-        """Power series sum_k coef[k] w^k for w in [0, 1): arrays shaped
-        like w of the sum, the number of terms summed and the cancellation
-        ratio max|term| / |sum|.  A point stops at the first term with
+        """Power series sum_k coef[k] w^k for w in [0, 1), a float array or
+        a NumPy float (one point, summed on Python scalars): the sum, the
+        number of terms summed and the cancellation ratio max|term| / |sum|,
+        shaped like w.  A point stops at the first term with
         |term| * guard <= 1e-16 |sum|, where guard = max(wmax / (1 - wmax), 1)
-        bounds the tail, a geometric series of ratio ~ w.  One scalar scan
-        at the largest w (count) gives the term count for every point,
+        bounds the tail, a geometric series of ratio ~ w.  One scan at the
+        largest w (count) gives the term count for every point,
         summed by Horner's rule; a point that still fails (next to a zero
         of the sum) is summed again with twice as many terms.
         """
-        w = np.asarray(w, dtype=float)
-        wmax = float(w.max()) if w.size else 0.0
+        one = w.ndim == 0
+        wmax = float(w) if one else float(w.max()) if w.size else 0.0
         guard = max(wmax / (1.0 - wmax), 1.0) if wmax < 1.0 else np.inf
-        total, used = self._horner_from(w.reshape(-1), self.count(wmax, guard), guard, wmax)
+        total, used = self._horner_from(w if one else w.reshape(-1), self.count(wmax, guard),
+                                        guard, wmax)
+        if one:
+            # math's exp and log raise where NumPy's give inf
+            try:
+                return total, used, exp(self.log_peak(w) - log(abs(total)))
+            except (ValueError, OverflowError):
+                return total, used, inf
         total, used = total.reshape(w.shape), used.reshape(w.shape)
         with np.errstate(divide="ignore", over="ignore"):
             ratio = np.exp(self.log_peak(w) - np.log(np.abs(total)))
         return total, used, ratio
 
 
-def _series_w(a, b, c, w):
-    """_Series.sum of (a, b, c) on a fresh table."""
-    return _Series(a, b, c).sum(w)
-
-
 def _pfaff(series, z):
-    """(2F1(a, b; c; z), nterms, ratio) for an array z <= 0, series (a, c-b, c)."""
+    """(2F1(a, b; c; z), nterms, ratio) for z <= 0 (a NumPy float or an
+    array), series (a, c-b, c)."""
     s, nterms, ratio = series.sum(z / (z - 1.0))
-    return (1.0 - z) ** (-series.a) * s, nterms, ratio
+    return _times((1.0 - z) ** (-series.a), s), nterms, ratio
 
 
 def _no_convergence(series, wmax):
@@ -361,6 +413,10 @@ class JacobiParams:
         return tuple(_Series(fa, fc - fb, fc) for fa, fb, fc in (phi, psi))
 
     @cached_property
+    def _rho(self):
+        return (complex(self.alpha) + complex(self.beta) + 1.0).real
+
+    @cached_property
     def _c(self):
         return c_jacobi(self.alpha, self.beta, self.lam)
 
@@ -380,77 +436,113 @@ def _check_lambda_regular(lam, what):
 def jacobi_phi(par, t):
     """Jacobi function of the first kind phi_lambda^(alpha,beta)(t).
 
-    Even in t.  Right to 1e-10 relative to max(|phi|, e^{-(alpha+beta+1)t})
-    or raises ArithmeticError: the Pfaff series in -sinh^2(t) where
-    t <= T_SWITCH and its estimated rounding error meets that target,
-    otherwise the connection formula c(lambda) Psi_lambda +
-    c(-lambda) Psi_(-lambda) where t >= 0.5 and its estimate meets the
-    target, which requires lambda off the lattice i*Z.
-    """
-    a = complex(par.alpha)
-    b = complex(par.beta)
-    lam = complex(par.lam)
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.abs(np.atleast_1d(t))
-    rho = (a + b + 1.0).real
-    # errors are measured against max(|phi|, floor)
-    floor = np.exp(-rho * t)
+    Even in t, which must be finite (NaN or infinity raises ValueError).
+    Right to 1e-10 relative to max(|phi|, e^{-(alpha+beta+1)t}) or raises
+    ArithmeticError: the Pfaff series in -sinh^2(t) where t <= T_SWITCH
+    and its estimated rounding error meets that target, otherwise the
+    connection formula c(lambda) Psi_lambda + c(-lambda) Psi_(-lambda)
+    where t >= 0.5 and its estimate meets the target, which requires
+    lambda off the lattice i*Z.
 
-    out = np.empty(t.shape, dtype=complex)
+    A t of one element (a scalar or an array of size 1) takes the
+    one-point route: the same branch rule, series and checks on NumPy
+    and Python scalars, without masks or arrays.  Larger arrays are
+    split by the branch rule and each branch runs over its whole part.
+    """
+    ts, shape = _one_point(t, "jacobi_phi", "t")
+    ts = abs(ts)
+    if ts.ndim == 0:
+        out, err = (_phi_pfaff if _pfaff_ok(par, ts) else _phi_connection)(par, ts)
+        if not _met(par, ts, out, err):
+            _phi_unreachable(par, ts)
+        return _shaped(shape, out)[0]
+    out = np.empty(ts.shape, dtype=complex)
     # estimated rounding error over machine epsilon
-    err = np.empty(t.shape)
+    err = np.empty(ts.shape)
+    near = _pfaff_ok(par, ts)
+    picked = np.count_nonzero(near)  # a branch every t takes needs no masks
+    every = picked == ts.size
+    near, far = (slice(None),) * 2 if every or not picked else (near, ~near)
+    if picked:
+        out[near], err[near] = _phi_pfaff(par, ts[near])
+    if not every:
+        out[far], err[far] = _phi_connection(par, ts[far])
+    met = _met(par, ts, out, err)
+    if not met.all():
+        _phi_unreachable(par, ts[~met])
+    return out
+
+
+def _rounding(val, ratio, lam, t):
+    """Estimated rounding error, over machine epsilon, of a series value
+    with cancellation ratio `ratio`, plus |lambda| t for the phases of its
+    power prefactor."""
+    return abs(val) * (_SAFETY * ratio + abs(lam) * t)
+
+
+def _pfaff_ok(par, t):
+    """The branch rule: where jacobi_phi takes the Pfaff series."""
+    lam, rho = abs(complex(par.lam)), par._rho
     # the Pfaff terms peak near e^x / (1 + pi x) with x = |lambda| tanh t,
     # the largest term of sum_k (x/2)^{2k} / k!^2, and cosh(t)^-rho
     # exceeds the floor by ((1 + e^{-2t}) / 2)^-rho; all that is at most
     # |lambda| + max(rho, 0) log 2, and below the budget passes every t
     near = t <= T_SWITCH
-    if abs(lam) + max(rho, 0.0) * _LOG_2 > _LOG_BUDGET - 1.0:
-        x = abs(lam) * np.tanh(t)
+    if lam + max(rho, 0.0) * _LOG_2 > _LOG_BUDGET - 1.0:
+        x = lam * np.tanh(t)
         near &= x - np.log1p(np.pi * x) - rho * np.log(0.5 + 0.5 * np.exp(-2.0 * t)) <= _LOG_BUDGET
-    picked = np.count_nonzero(near)  # a branch every t takes needs no masks
-    every = picked == t.size
-    near, far = (slice(None),) * 2 if every or not picked else (near, ~near)
-    if picked:
-        out[near], _, ratio = _pfaff(par._series[0], -np.sinh(t[near]) ** 2)
-        err[near] = np.abs(out[near]) * (_SAFETY * ratio + abs(lam) * t[near])
-    if not every:
-        tf = t[far]
-        if (tf < _PSI_T_MIN).any():
-            _phi_unreachable(par, tf[tf < _PSI_T_MIN])
-        _check_lambda_regular(lam, "connection formula")
-        # for real alpha, beta and lambda, c(-lambda) and Psi_(-lambda) are
-        # the conjugates of c(lambda) and Psi_lambda (same series ratio)
-        real = a.imag == 0.0 and b.imag == 0.0 and lam.imag == 0.0
-        cp = par._c
-        cm = cp.conjugate() if real else par._reflected._c
-        # the Psi terms peak near e^{|lambda| sech^2 t / 4}, and the two
-        # products may cancel against |phi|, here bounded by the floor,
-        # which (2 sinh t)^-rho exceeds by (1 - e^{-2t})^-rho; for real lambda
-        # and t >= 0.5 all that is at most `bound` (-log(1 - e^-1) < 0.46)
-        bound = abs(lam) / 4.0 + log(2.0 * abs(cp)) + 0.46 * max(rho, 0.0)
-        if not real or bound > _LOG_BUDGET - 1.0:
-            log_sh = np.log(2.0 * np.sinh(tf))
-            lead = abs(cp) * np.exp(-lam.imag * log_sh) + abs(cm) * np.exp(lam.imag * log_sh)
-            lift = -rho * np.log(-np.expm1(-2.0 * tf))
-            log_est = abs(lam) / (4.0 * np.cosh(tf) ** 2) + np.log(lead) + lift
-            if (log_est > _LOG_BUDGET).any():
-                _phi_unreachable(par, tf[log_est > _LOG_BUDGET])
-        psi_p, _, ratio_p = jacobi_psi(par, tf, full_output=True)
-        if real:
-            psi_m, ratio_m = psi_p.conj(), ratio_p
-        else:
-            psi_m, _, ratio_m = jacobi_psi(par._reflected, tf, full_output=True)
-        out[far] = cp * psi_p + cm * psi_m
-        err[far] = (np.abs(cp * psi_p) * (_SAFETY * ratio_p + abs(lam) * tf)
-                    + np.abs(cm * psi_m) * (_SAFETY * ratio_m + abs(lam) * tf))
-    met = _EPS * err <= _PHI_RTOL * np.maximum(np.abs(out), floor)
-    if not met.all():
-        _phi_unreachable(par, t[~met])
-    return out[0] if scalar else out
+    return near
+
+
+def _phi_pfaff(par, t):
+    """(phi, estimated error) from the Pfaff series at t <= T_SWITCH."""
+    out, _, ratio = _pfaff(par._series[0], -np.square(np.sinh(t)))
+    return out, _rounding(out, ratio, par.lam, t)
+
+
+def _phi_connection(par, t):
+    """(phi, estimated error) from the connection formula; raises
+    ArithmeticError where t < 0.5 or the Psi budget is missed."""
+    a, b, lam = complex(par.alpha), complex(par.beta), complex(par.lam)
+    rho = par._rho
+    if _any(t < _PSI_T_MIN):
+        _phi_unreachable(par, t[t < _PSI_T_MIN])
+    _check_lambda_regular(lam, "connection formula")
+    # for real alpha, beta and lambda, c(-lambda) and Psi_(-lambda) are
+    # the conjugates of c(lambda) and Psi_lambda (same series ratio)
+    real = a.imag == 0.0 and b.imag == 0.0 and lam.imag == 0.0
+    cp = par._c
+    cm = cp.conjugate() if real else par._reflected._c
+    # the Psi terms peak near e^{|lambda| sech^2 t / 4}, and the two
+    # products may cancel against |phi|, here bounded by the floor,
+    # which (2 sinh t)^-rho exceeds by (1 - e^{-2t})^-rho; for real lambda
+    # and t >= 0.5 all that is at most `bound` (-log(1 - e^-1) < 0.46)
+    bound = abs(lam) / 4.0 + log(2.0 * abs(cp)) + 0.46 * max(rho, 0.0)
+    if not real or bound > _LOG_BUDGET - 1.0:
+        log_sh = np.log(2.0 * np.sinh(t))
+        lead = abs(cp) * np.exp(-lam.imag * log_sh) + abs(cm) * np.exp(lam.imag * log_sh)
+        lift = -rho * np.log(-np.expm1(-2.0 * t))
+        log_est = abs(lam) / (4.0 * np.square(np.cosh(t))) + np.log(lead) + lift
+        if _any(log_est > _LOG_BUDGET):
+            _phi_unreachable(par, t[log_est > _LOG_BUDGET])
+    psi_p, _, ratio_p = jacobi_psi(par, t, full_output=True)
+    if real:
+        psi_m, ratio_m = psi_p.conj(), ratio_p
+    else:
+        psi_m, _, ratio_m = jacobi_psi(par._reflected, t, full_output=True)
+    plus, minus = _times(cp, psi_p), _times(cm, psi_m)
+    return plus + minus, _rounding(plus, ratio_p, lam, t) + _rounding(minus, ratio_m, lam, t)
+
+
+def _met(par, t, out, err):
+    """The final check: true where the estimated error is within _PHI_RTOL
+    of max(|phi|, e^{-(alpha+beta+1) t}), false at NaN."""
+    bound = _EPS * err
+    return (bound <= _PHI_RTOL * abs(out)) | (bound <= _PHI_RTOL * np.exp(-par._rho * t))
 
 
 def _phi_unreachable(par, ts):
+    ts = np.atleast_1d(ts)
     raise ArithmeticError(
         f"jacobi_phi({par}) cannot be evaluated to {_PHI_RTOL:g} at t = {ts.min():.6g}"
         + (f" .. {ts.max():.6g}" if ts.size > 1 else "")
@@ -460,27 +552,26 @@ def _phi_unreachable(par, ts):
 def jacobi_psi(par, t, *, full_output=False):
     """Jacobi function of the second kind Psi_lambda^(alpha,beta)(t).
 
-    Defined here for t >= 0.5 only, where the series in -1/sinh^2(t)
-    converges geometrically (ratio <= sech^2(0.5) ~ 0.79).  Behaves as
-    e^((i lambda - alpha - beta - 1) t) (1 + O(e^(-2t))) for large t.
-    With full_output, also returns the series' term counts and
-    cancellation ratios, as hyp2f1_negz does.
+    Defined here for finite t >= 0.5 only (ValueError otherwise), where
+    the series in -1/sinh^2(t) converges geometrically (ratio <=
+    sech^2(0.5) ~ 0.79).  Behaves as e^((i lambda - alpha - beta - 1) t)
+    (1 + O(e^(-2t))) for large t.  With full_output, also returns the
+    series' term counts and cancellation ratios, as hyp2f1_negz does.
+    A t of one element takes the one-point route, as in jacobi_phi.
     """
     a = complex(par.alpha)
     b = complex(par.beta)
     lam = complex(par.lam)
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    if (t < _PSI_T_MIN).any():
+    ts, shape = _one_point(t, "jacobi_psi", "t")
+    if _any(ts < _PSI_T_MIN):
         raise ValueError("jacobi_psi requires t >= 0.5")
     _check_lambda_regular(lam, "jacobi_psi")
 
-    sh = np.sinh(t)
-    f, nterms, ratio = _pfaff(par._series[1], -1.0 / sh**2)
-    out = (2.0 * sh) ** (1j * lam - a - b - 1.0) * f
-    if scalar:
-        out, nterms, ratio = out[0], nterms[0], ratio[0]
+    sh = np.sinh(ts)
+    f, nterms, ratio = _pfaff(par._series[1], -1.0 / np.square(sh))
+    out = _times((2.0 * sh) ** (1j * lam - a - b - 1.0), f)
+    if ts.ndim == 0:
+        out, nterms, ratio = _shaped(shape, out, nterms, ratio)
     return (out, nterms, ratio) if full_output else out
 
 

@@ -27,7 +27,7 @@ is also b_sigma(lambda) P_sigma tau(k)^T v0 with b_sigma the 1D
 spherical transform of chi (CompactSection.spherical_transform).
 """
 
-from math import gamma, pi, sqrt
+from math import gamma, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -210,12 +210,15 @@ class CompactSection:
         f(g) = chi(A^+(g)) tau(pi0(g))^{-1} v0,
 
     with the standard mollifier profile chi vanishing for A^+(g) >=
-    r_supp.  It is right-covariant, f(gk) = tau(k)^{-1} f(g), and since
+    r_supp, which must be finite and positive (ValueError otherwise).
+    It is right-covariant, f(gk) = tau(k)^{-1} f(g), and since
     pi0(kg) = k pi0(g), f(kg) = tau(pi0(g))^T tau(k)^T v0."""
 
     def __init__(self, spec, r_supp, v0):
         self.spec = spec
         self.r_supp = float(r_supp)
+        if not (isfinite(self.r_supp) and self.r_supp > 0.0):
+            raise ValueError(f"support radius r_supp must be finite and positive; got {r_supp}")
         self.v0 = np.asarray(v0, dtype=complex)
 
     def chi(self, t):
@@ -276,7 +279,8 @@ class CompactSection:
 
 def bump_section(spec, r_supp, v0=None):
     """The radial bump section of radius r_supp with fiber vector v0
-    (default extrep.default_vector)."""
+    (default extrep.default_vector); r_supp must be finite and positive
+    (ValueError otherwise)."""
     v0 = xr.default_vector(spec).coeffs if v0 is None else v0
     return CompactSection(spec, r_supp, v0)
 

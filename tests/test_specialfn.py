@@ -7,6 +7,7 @@ and a direct quadrature of the boundary-group integral).
 """
 
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -17,8 +18,10 @@ from hyperform import (
     GroupElement,
     JacobiParams,
     SpectralPoint,
+    bump_section,
     c_jacobi,
     c_sigma,
+    eisenstein_integral_at,
     gamma_c,
     hyp2f1_negz,
     iwasawa,
@@ -27,7 +30,7 @@ from hyperform import (
     make_ny,
     sigma_q,
 )
-from hyperform.specialfn import _series_w, gauss_legendre
+from hyperform.specialfn import _Series, gauss_legendre
 
 from oracles import series_nterms_blocks
 
@@ -134,7 +137,7 @@ def test_series_kernel_matches_term_loop(rng):
         size = 1 if trial % 3 == 0 else 64
         w = rng.uniform(0.0, 0.9, size)
         want, peak = _series_w_loop(a, b, c, w)
-        got, nterms, ratio = _series_w(a, b, c, w)
+        got, nterms, ratio = _Series(a, b, c).sum(w)
         assert np.all(nterms >= 1)
         # the reported ratio is max|term| / |sum|
         assert np.allclose(ratio, peak / np.abs(got), rtol=1e-12, atol=0.0)
@@ -274,6 +277,91 @@ def test_phi_right_or_raises_on_mpmath_grid():
                 scale = max(abs(want), np.exp(-(alpha + beta + 1.0) * t))
                 assert abs(got - want) <= 1e-10 * scale, (alpha, beta, lam, t)
     assert all(lam > 10.0 for _, _, lam, _ in raised)
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's value, or the type and message of the ArithmeticError or
+    ValueError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_one_point_route_is_the_array_route():
+    """A single t takes the one-point route and [t, t] the array route, at
+    the same wmax and so with the same term count.  Over every family and
+    the lambda and t of the mpmath grid test, both raise or neither does,
+    phi agrees to 1e-13 of max(|phi|, e^{-(alpha+beta+1) t}), and Psi's
+    term counts are equal with values and ratios within 1e-13 and 1e-12."""
+    lams = (0.1, 0.5, 1.0, 4.0, 10.0, 25.0, 40.0, 100.0, 300.0)
+    ts = (0.0, 0.05, 0.3, 0.5, 0.7, 1.0, 1.5, 1.82, 2.0, 3.0, 5.0, 10.0)
+    raised = 0
+    for alpha, beta in _PHI_FAMILIES:
+        for lam in lams:
+            for t in ts:
+                case = (alpha, beta, lam, t)
+                # fresh instances, so neither route sees tables the other grew
+                one = _outcome(jacobi_phi, JacobiParams(alpha, beta, lam), t)
+                two = _outcome(jacobi_phi, JacobiParams(alpha, beta, lam), np.array([t, t]))
+                if isinstance(one, tuple) or isinstance(two, tuple):
+                    assert isinstance(one, tuple) and isinstance(two, tuple), case
+                    assert one[0] is two[0], case
+                    raised += 1
+                    continue
+                assert np.shape(one) == () and two[0] == two[1]
+                scale = max(abs(two[0]), np.exp(-(alpha + beta + 1.0) * t))
+                assert abs(one - two[0]) <= 1e-13 * scale, case
+                if t < 0.5:
+                    continue
+                val, nterms, ratio = jacobi_psi(JacobiParams(alpha, beta, lam), t, full_output=True)
+                vals, nterms2, ratios = jacobi_psi(JacobiParams(alpha, beta, lam), np.array([t, t]),
+                                                   full_output=True)
+                assert nterms == nterms2[0] == nterms2[1], case
+                assert abs(ratio - ratios[0]) <= 1e-12 * ratios[0], case
+                assert abs(val - vals[0]) <= 1e-13 * abs(vals[0]), case
+    # the grid reaches the refusal bands at lambda >= 25
+    assert raised > 0
+    # points that both branch estimates pass and the final check refuses
+    for alpha, beta, lam, t in ((0.0, -0.5, 15.0, 1.3), (0.0, 2.0, 12.0, 1.6),
+                                (1.0, 3.0, 12.0, 1.6)):
+        for arg in (t, np.array([t, t])):
+            with pytest.raises(ArithmeticError, match="cannot be evaluated"):
+                jacobi_phi(JacobiParams(alpha, beta, lam), arg)
+    # hyp2f1_negz takes the same route on one z
+    for z in (0.0, -0.3, -5.0, -40.0):
+        for a, b, c in ((0.5 + 1j, 1.5 - 0.5j, 2.0), (1.25, 0.75, 1.5 + 0.2j)):
+            val, nterms, ratio = hyp2f1_negz(a, b, c, z, full_output=True)
+            vals, nterms2, ratios = hyp2f1_negz(a, b, c, np.array([z, z]), full_output=True)
+            assert nterms == nterms2[0] and abs(ratio - ratios[0]) <= 1e-12 * ratios[0]
+            assert abs(val - vals[0]) <= 1e-13 * abs(vals[0])
+
+
+def test_bad_arguments_raise_before_any_work(monkeypatch):
+    """NaN or infinite t or z, a support radius that is not finite and
+    positive, and a t outside eisenstein_integral_at's domain raise
+    ValueError, on the one-point and the array routes, before any series
+    is summed and without a warning."""
+    def no_series(*args):
+        raise AssertionError("a series ran")
+
+    monkeypatch.setattr(_Series, "sum", no_series)
+    par = JacobiParams(2.0, -0.5, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            for arg in (bad, np.array([bad]), np.array([0.7, bad])):
+                for call in (lambda: jacobi_phi(par, arg), lambda: jacobi_psi(par, arg),
+                             lambda: hyp2f1_negz(0.5, 1.5, 2.0, -arg)):
+                    with pytest.raises(ValueError, match="finite"):
+                        call()
+        for r in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                bump_section(BundleSpec(3, 1), r)
+        pt = SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0)
+        for t in (9.01, -30.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=r"\|t\| <= 9"):
+                eisenstein_integral_at(pt, t)
 
 
 @pytest.mark.parametrize("lam,t", [(40.0, 1.5), (100.0, 0.9)])
