@@ -25,7 +25,9 @@ This module owns the batch geometry of the package.  Its array kernels
 are public and take stacked arrays, returning stacked (..., n+1, n+1)
 matrices or their factors: embed_rotation, inv_mats (J g^T J), at_mats
 (boosts), ny_mats (horospherical elements), plane_rotations,
-iwasawa_batch, cartan_batch and polar_blocks.  Every other module builds
+iwasawa_batch, cartan_batch and polar_blocks, and
+iwasawa_boosted_batch, the Iwasawa factors of a_{-t} r read off the
+rotations r alone, stored sample-major.  Every other module builds
 on them, and they do no validation.  The scalar API (make_*, iwasawa,
 cartan, polar_k, GroupElement.inv) wraps the same kernels, with the
 GroupElement and KElement wrappers carrying the validation.
@@ -54,6 +56,7 @@ __all__ = [
     "ny_mats",
     "plane_rotations",
     "iwasawa_batch",
+    "iwasawa_boosted_batch",
     "cartan_batch",
     "polar_blocks",
 ]
@@ -331,6 +334,51 @@ def iwasawa_batch(mats):
         raise ArithmeticError(
             f"Iwasawa K factor lost orthogonality: defect {defect:.3e}")
     return h, y, block
+
+
+def iwasawa_boosted_batch(t, rots, out=None):
+    """(H, y, kappa) of g = a_{-t} r for rotations r stored sample-major,
+    rots (n, n, m) with r_s = rots[:, :, s], and t a float or an (m,)
+    array; y is (n-1, m) and kappa sample-major (n, n, m), written into
+    `out` when given.
+
+    iwasawa_batch's formulas with a_{-t} folded in: g's first row is
+    (cosh t r_{0,:}, -sinh t), its last (-sinh t r_{0,:}, cosh t), and
+    its other rows (r_{i,:}, 0), so with S = cosh t - sinh t r_00
+
+        H = log S,   y_j = -sinh t r_0j / S,
+        kappa e_0 = (cosh t r_00 - sinh t, r_10, ..., r_{n-1,0}) / S,
+        kappa e_j = g_{:n,j} - y_j (g xi)_{:n},   j = 1 .. n-1,
+
+    each entry rounded as iwasawa_batch rounds it on the product.  The
+    same gate: ValueError unless S > 0, ArithmeticError when kappa^T kappa
+    is more than 1e-8 from I or not finite.
+    """
+    n, ch, sh = rots.shape[0], np.cosh(t), np.sinh(t)
+    row0 = rots[0]
+    s = ch - sh * row0[0]
+    if (s <= 0.0).any():
+        raise ValueError("Iwasawa argument c_1 + d is not positive")
+    h = np.log(s)
+    y = -sh * row0[1:] / s
+    kappa = np.empty(rots.shape) if out is None else out
+    gxi = kappa[:, 0]
+    np.multiply(ch, row0[0], out=gxi[0])
+    gxi[0] -= sh
+    gxi[1:] = rots[1:, 0]
+    np.multiply(ch, row0[1:], out=kappa[0, 1:])
+    kappa[1:, 1:] = rots[1:, 1:]
+    # column by column, so the only temporary is one column
+    for j in range(1, n):
+        kappa[:, j] -= gxi * y[j - 1]
+    gxi /= s
+    gram = np.einsum("ais,ajs->ijs", kappa, kappa)
+    gram.reshape(n * n, -1)[:: n + 1] -= 1.0
+    defect = np.abs(gram, out=gram).max()
+    if not defect <= _CONSISTENCY_TOL:  # a NaN defect raises too
+        raise ArithmeticError(
+            f"Iwasawa K factor lost orthogonality: defect {defect:.3e}")
+    return h, y, kappa
 
 
 def iwasawa(g):

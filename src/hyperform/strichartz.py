@@ -54,7 +54,8 @@ times radii through one _Sheet, where atoms at a rotation need no Cartan
 step: Psi(k_a^T k a_t) = Psi(a_t) tau(k_a^T k)^T.
 """
 
-from math import ceil, comb, expm1, log, pi, sqrt
+from math import ceil, comb, expm1, isfinite, log, pi, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -714,12 +715,19 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
     point.  The section is inversion_mix(pt, R, mu) applied to the data
     at mu.  mc: literal Monte Carlo over the rotation factor with mc_k1
     samples; its variance scales like e^{(n-1)R}/mc_k1, so it is only
-    meaningful for small R.  The Poisson image on the sheet k1 a_t comes
-    from _Sheet: atoms at a rotation k_a by Phi(k_a^T k1 a_t) =
-    Phi(a_t) tau(k_a^T k1)^T, one component grid over the t-nodes and
-    one extrep.tau_vec_batch over the k1, others by the Cartan decomposition,
-    one t-node at a time.  `samples` is the evaluation budget of the
-    returned section; `mu` probes a mismatched kernel frequency.
+    meaningful for small R; it refuses (ValueError) an R that is not
+    finite and positive and an mc_k1 that is not a positive integer.  The
+    Poisson image on the sheet k1 a_t comes from _Sheet: atoms at a
+    rotation k_a by Phi(k_a^T k1 a_t) = Phi(a_t) tau(k_a^T k1)^T, one
+    component grid over the t-nodes and one extrep.tau_vec_batch over the
+    k1, others by the Cartan decomposition in slabs of one t-node.  Each
+    evaluation rotation k forms every r = k1^T k at once, sample-major;
+    at each t-node liegroup.iwasawa_boosted_batch reads the Iwasawa step
+    of a_{-t} r off r into one reused buffer, tau_vec_batch pairs
+    tau(kappa)^T with the image, and one complex weight per sample sums
+    it; P_sigma, linear, is applied once after the node sum.  `samples`
+    is the evaluation budget of the returned section; `mu` probes a
+    mismatched kernel frequency.
     """
     atoms = _atom_list(section)
     lam = pt.lam_real
@@ -739,33 +747,42 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
 
     if method != "mc":
         raise ValueError(f"unknown reconstruction method {method!r}")
+    if not (isfinite(R) and R > 0.0):
+        raise ValueError("ball radii must be positive")
+    if isinstance(mc_k1, bool) or not isinstance(mc_k1, Integral) or mc_k1 < 1:
+        raise ValueError(f"mc_k1 must be a positive integer, got {mc_k1!r}")
     if rng is None:
         rng = np.random.default_rng(0)
-    n = pt.n
-    nu = plancherel_density(pt)
-    k1e = lg.embed_rotation(lg.haar_sample_K(n, size=mc_k1, rng=rng))
+    n, p = pt.n, pt.p
+    k1 = lg.haar_sample_K(n, size=mc_k1, rng=rng)
     ts, ws, _ = _sweep_rule([float(R)], max(abs(lam), abs(mu_val)), _MC_INVERSION_ORDER)
     # Poisson image on the sample sheet k1 a_t; the Cartan step of an atom
     # away from the base point takes one t-node of mc_k1 matrices at a time,
     # so its temporaries stay below those of fvals
-    fvals = _Sheet(pt, atoms, k1e).values(ts, ("spherical",), nodes=1)[0]
-    radial = ws * radial_weight(ts, n) * pi * nu / float(R)
-    at_neg = lg.at_mats(-ts, n)
+    fvals = _Sheet(pt, atoms, lg.embed_rotation(k1)).values(ts, ("spherical",), nodes=1)[0]
+    # the node weight, the kernel's sqrt(d_{tau,sigma}) and the 1/mc_k1 of the mean
+    coef = (ws * radial_weight(ts, n) * pi * plancherel_density(pt) / float(R)
+            * sqrt(xr.dims(pt.spec, pt.sigma)[2]) / mc_k1)
+    proj = xr.proj_matrix(pt.spec, pt.sigma)
+    k1_cols = np.ascontiguousarray(k1.transpose(1, 2, 0))  # [a, i, s] = k1_s[a, i]
+    kappa = np.empty((n, n, mc_k1))
 
     def sampler(kmats):
         kmats = np.asarray(kmats, dtype=float)
         if kmats.ndim == 2:
             kmats = kmats[None]
         out = np.zeros((kmats.shape[0], pt.spec.dim_full), dtype=complex)
-        for bi in range(kmats.shape[0]):
-            kb = lg.embed_rotation(kmats[bi])
-            k1_inv_k = np.swapaxes(k1e, -1, -2) @ kb
+        for bi, k in enumerate(kmats):
+            # r_s = k1_s^T k as (i, j, s), a view of the tensordot's [j, i, s]
+            rots = np.tensordot(k, k1_cols, axes=(0, 0)).transpose(1, 0, 2)
             acc = np.zeros(pt.spec.dim_full, dtype=complex)
-            for i in range(ts.size):
-                # e(k^{-1} k1 a_t) is the dual kernel at a_{-t} k1^{-1} k
-                ker = PoissonKernel(at_neg[i] @ k1_inv_k, pt.p)
-                acc += radial[i] * ker.dual(pt, fvals[i], lam=mu_val).mean(axis=0)
-            out[bi] = acc
+            for i, t in enumerate(ts):
+                # e(k^{-1} k1 a_t) is the dual kernel at a_{-t} k1^{-1} k:
+                # e^{(i mu - rho) H} tau(kappa)^T, and P_sigma after the node sum
+                h, _, _ = lg.iwasawa_boosted_batch(t, rots, out=kappa)
+                vals = xr.tau_vec_batch(kappa.transpose(2, 1, 0), p, fvals[i])
+                acc += (coef[i] * np.exp((1j * mu_val - pt.rho) * h)) @ vals
+            out[bi] = proj @ acc
         return out
 
     return BoundarySection.from_sampler(pt, sampler, budget=samples)

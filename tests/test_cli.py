@@ -50,6 +50,45 @@ def test_invert_gate_fails_on_tight_tolerance():
     assert not rows["error_envelope"]["pass"]
 
 
+@pytest.mark.parametrize("args", [["--n", "6", "--p", "2", "--sigma", "q:2"],
+                                  ["--n", "6", "--p", "2", "--sigma", "q:1"],
+                                  ["--n", "8", "--p", "3", "--sigma", "q:3"],
+                                  ["--n", "4", "--p", "2", "--chirality", "plus", "--sigma", "q:2"]])
+def test_invert_passes_at_its_defaults_past_n3(args):
+    # the default gate is the bundle's own envelope sup_R R err, which the
+    # errors on the grid stay within
+    res = CliRunner().invoke(main, ["invert", *args, "--lambda", "1"])
+    assert res.exit_code == 0, res.output
+    rows = {r["name"]: r for r in json.loads(res.output)["rows"]}
+    env = rows["error_envelope"]
+    assert env["value"] <= env["tol"] < 2.5
+
+
+@pytest.mark.parametrize("spec, sigma", [(BundleSpec(6, 2), "q:2"),
+                                         (BundleSpec(4, 2, "plus"), "q:2")])
+def test_invert_default_envelope_is_the_sup_of_the_error_over_a_period(spec, sigma):
+    # R err = |E_inf + Re(M e^{2 i R})| at lambda = 1, period pi in R
+    _, rows = _rows(["invert", *_point_args(spec, sigma), "--lambda", "1"])
+    bound = rows["error_envelope"]["tol"]
+    pt = SpectralPoint(spec, MLabel.parse(sigma), 1.0)
+    worst = max(R * abs(st.inversion_ratios(pt, R)[pt.sigma] - 1.0)
+                for R in np.linspace(20.0, 20.0 + np.pi, 96))
+    assert bound - 2e-3 <= worst <= bound
+
+
+@pytest.mark.parametrize("args", [["--n", "3", "--p", "1", "--sigma", "q:1"],
+                                  ["--n", "6", "--p", "2", "--sigma", "q:2"]])
+def test_invert_default_gate_fails_on_a_scaled_density(monkeypatch, args):
+    # nu off by 5 % inside the ratios leaves an error of about 0.05 that
+    # does not decay, so R err outgrows the envelope
+    density = st.plancherel_density
+    monkeypatch.setattr(st, "plancherel_density", lambda pt: 1.05 * density(pt))
+    res = CliRunner().invoke(main, ["invert", *args, "--lambda", "1"])
+    assert res.exit_code == 1
+    rows = {r["name"]: r for r in json.loads(res.output)["rows"]}
+    assert not rows["error_envelope"]["pass"]
+
+
 def test_invert_exits_cleanly_when_the_sweep_cannot_converge(monkeypatch):
     monkeypatch.setattr(st, "_SWEEP_RTOL", 0.0)
     res = _invert()

@@ -185,6 +185,55 @@ def test_iwasawa_raises_once_kappa_is_not_orthogonal():
         iwasawa_batch(_stack(4, 20.0, 2000, np.random.default_rng(5)))
 
 
+def _sample_major(rots):
+    return np.ascontiguousarray(rots.transpose(1, 2, 0))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_iwasawa_boosted_batch_is_iwasawa_batch_on_the_product(n):
+    # the closed form of a_{-t} r against iwasawa_batch on the explicit
+    # products, t in [0, 12]
+    rots = haar_sample_K(n, size=64, rng=np.random.default_rng(60 + n))
+    buf = np.empty((n, n, 64))
+    for t in np.linspace(0.0, 12.0, 25):
+        h0, y0, kappa0 = iwasawa_batch(at_mats(-t, n) @ embed_rotation(rots))
+        h, y, kappa = lg.iwasawa_boosted_batch(t, _sample_major(rots), out=buf)
+        assert kappa is buf
+        assert np.max(np.abs(h - h0)) <= 1e-12
+        assert np.max(np.abs(kappa.transpose(2, 0, 1) - kappa0)) <= 1e-12
+        assert np.all(np.abs(y.T - y0) <= 1e-12 * np.maximum(1.0, np.abs(y0)))
+    # an array of radii, one per sample
+    ts = np.linspace(0.0, 12.0, 64)
+    h0, _, kappa0 = iwasawa_batch(at_mats(-ts, n) @ embed_rotation(rots))
+    h, _, kappa = lg.iwasawa_boosted_batch(ts, _sample_major(rots))
+    assert np.max(np.abs(h - h0)) <= 1e-12
+    assert np.max(np.abs(kappa.transpose(2, 0, 1) - kappa0)) <= 1e-12
+
+
+def _outcome(fn):
+    try:
+        fn()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_iwasawa_boosted_batch_raises_where_iwasawa_batch_raises(n):
+    # rounding past the 1e-8 slack (t = 20, 30), S = cosh t - sinh t
+    # rounding to 0 at r = I, and overflow (NaN defects); none at t = 12
+    haar = haar_sample_K(n, size=200, rng=np.random.default_rng(2))
+    eye = np.eye(n)[None].repeat(3, axis=0)
+    raised = 0
+    for t, rots in ((12.0, haar), (20.0, haar), (30.0, haar), (40.0, eye), (750.0, haar)):
+        want = _outcome(lambda: iwasawa_batch(at_mats(-t, n) @ embed_rotation(rots)))
+        got = _outcome(lambda: lg.iwasawa_boosted_batch(t, _sample_major(rots)))
+        assert got == want, t
+        raised += want is not None
+    assert raised == 4
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_decompositions_raise_where_entries_overflow():
     # cosh 700 is finite but sinh^2 is not, and cosh 750 overflows: the

@@ -502,6 +502,38 @@ def test_reconstruct_mc_equals_per_node_oracle(make_section):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), pt.spec
 
 
+@pytest.mark.parametrize("spec, sigma, mu", [(BundleSpec(3, 1), sigma_q(1), None),
+                                          (BundleSpec(6, 2), sigma_q(2), None),
+                                          (BundleSpec(4, 2, "plus"), sigma_q(2), 1.3)])
+def test_reconstruct_mc_of_a_base_point_atom_equals_per_node_oracle(spec, sigma, mu):
+    # the benchmark's section: one atom at the identity, R = 2
+    pt = SpectralPoint(spec, sigma, 1.0)
+    sec = _e_atom_section(pt, seed=17)
+    ks = lg.haar_sample_K(pt.n, size=2, rng=np.random.default_rng(18))
+    rec = st.inversion_reconstruct(pt, sec, 2.0, samples=8, method="mc", mu=mu,
+                                   mc_k1=500, rng=np.random.default_rng(19))
+    got = rec.eval_batch(ks)
+    want = inversion_mc_loop(pt, sec, 2.0, ks, 500, np.random.default_rng(19), mu=mu)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("R, mc_k1, match", [
+    (-1.0, 100, "ball radii must be positive"),
+    (0.0, 100, "ball radii must be positive"),
+    (float("nan"), 100, "ball radii must be positive"),
+    (float("inf"), 100, "ball radii must be positive"),
+    (2.0, 0, "mc_k1 must be a positive integer"),
+    (2.0, -3, "mc_k1 must be a positive integer"),
+    (2.0, 10.0, "mc_k1 must be a positive integer"),
+    (2.0, True, "mc_k1 must be a positive integer"),
+])
+def test_reconstruct_mc_refuses_a_bad_radius_or_sample_count(R, mc_k1, match):
+    pt = SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0)
+    with pytest.raises(ValueError, match=match):
+        st.inversion_reconstruct(pt, _e_atom_section(pt), R, samples=8, method="mc",
+                                 mc_k1=mc_k1)
+
+
 def test_reconstruct_mc_memory_is_bounded_for_a_translated_atom():
     # 64 t-nodes of 4000 rotations: the image itself is 12.3 MB, and the
     # Cartan geometry of the whole sheet at once would hold about 190 MB
