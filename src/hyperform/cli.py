@@ -295,8 +295,12 @@ def spherical(**kwargs):
     cfg = _build_config(kwargs, {"tol": 1e-6})
     pt = _point(cfg)
     t = float(cfg["t"])
+    # the K-integral refuses a t outside its domain before any series runs
+    try:
+        oracle = sph.eisenstein_integral_at(pt, t)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     comp = sph.scalar_components(pt, t).components
-    oracle = sph.eisenstein_integral_at(pt, t)
     rows = []
     for eta in sorted(comp, key=str):
         want = oracle[eta]

@@ -96,6 +96,19 @@ class KElement:
         u = np.asarray(mat, dtype=float)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError(f"KElement needs a square matrix, got shape {u.shape}")
+        self._orthonormal(u, mode)
+        if np.linalg.det(self.mat) < 0.0:
+            raise ValueError("matrix has determinant -1, not in SO(n)")
+
+    @classmethod
+    def _of_rotation(cls, u):
+        """KElement(u, mode="repair") with no det check, for u with det +1 by
+        construction: a factor of iwasawa, cartan or polar_k, or of KElements."""
+        out = object.__new__(cls)
+        out._orthonormal(u, "repair")
+        return out
+
+    def _orthonormal(self, u, mode):
         gram = u.T @ u
         _shift_diagonal(gram, -1.0)
         defect = np.abs(gram, out=gram).max()
@@ -107,8 +120,6 @@ class KElement:
                 u = w @ vt
         elif defect > 1.0e-12:
             raise ValueError(f"matrix is not orthogonal: defect {defect:.3e}")
-        if np.linalg.det(u) < 0.0:
-            raise ValueError("matrix has determinant -1, not in SO(n)")
         self.mat = u
 
     @property
@@ -116,11 +127,11 @@ class KElement:
         return self.mat.shape[0]
 
     def inv(self):
-        return KElement(self.mat.T, mode="repair")
+        return KElement._of_rotation(self.mat.T)
 
     def __matmul__(self, other):
         if isinstance(other, KElement):
-            return KElement(self.mat @ other.mat, mode="repair")
+            return KElement._of_rotation(self.mat @ other.mat)
         return NotImplemented
 
     def __repr__(self):
@@ -384,7 +395,7 @@ def iwasawa_boosted_batch(t, rots, out=None):
 def iwasawa(g):
     """Decompose g = kappa a_H n_y; returns IwasawaFactors."""
     h, y, block = iwasawa_batch(g.mat)
-    return IwasawaFactors(KElement(block, mode="repair"), float(h), y)
+    return IwasawaFactors(KElement._of_rotation(block), float(h), y)
 
 
 def polar_blocks(mats):
@@ -401,11 +412,13 @@ def polar_blocks(mats):
 def polar_k(g):
     """Rotation part pi0(g) of g = pi0 exp(X), the hyperbolic polar
     factorization; equals k1 k2 of the Cartan decomposition."""
-    block = polar_blocks(g.mat if isinstance(g, GroupElement) else np.asarray(g))
+    is_group = isinstance(g, GroupElement)
+    block = polar_blocks(g.mat if is_group else np.asarray(g))
     defect = np.max(np.abs(block.T @ block - np.eye(block.shape[-1])))
     if not defect <= _CONSISTENCY_TOL:
         raise ArithmeticError(f"polar block defect {defect:.3e}")
-    return KElement(block, mode="repair")
+    # the K-part of an SO0(n,1) element has det +1; a bare array is checked
+    return KElement._of_rotation(block) if is_group else KElement(block, mode="repair")
 
 
 def _cartan_radius(mats):
@@ -473,9 +486,7 @@ def cartan(g):
     treated as zero.
     """
     t, k1, k2 = cartan_batch(g.mat[None, ...])
-    return CartanFactors(
-        KElement(k1[0], mode="repair"), float(t[0]), KElement(k2[0], mode="repair")
-    )
+    return CartanFactors(KElement._of_rotation(k1[0]), float(t[0]), KElement._of_rotation(k2[0]))
 
 
 # haar_sample_K sweeps stacks of at least this many rotations per unit

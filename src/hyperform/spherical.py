@@ -20,21 +20,20 @@ applies them to fiber vectors by real products at O(C(n,p)^2) each.
 
 The Poisson kernel sqrt(d_{tau,sigma}) e^{-(i lambda + rho) H(g)}
 tau(kappa(g)) of stacked group matrices is formed only here, by
-PoissonKernel, for every integral of the package against it.
-A quadrature evaluator of the defining Eisenstein K-integral is
-included as an independent cross-check route: it never touches the
-Jacobi-function machinery, only the kernel and projectors.
+PoissonKernel, for the Monte Carlo integrals against it.  The defining
+Eisenstein K-integral is an independent cross-check route that never
+touches the Jacobi-function machinery, nor the kernel: on a_{-t} R(theta)
+H, kappa and Lambda^p(kappa) are in closed form.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gamma, pi, sqrt
 
 import numpy as np
 
 from . import extrep as xr
-from .liegroup import (GroupElement, cartan_batch, embed_rotation, iwasawa_batch,
-                       make_at, plane_rotations)
+from .liegroup import GroupElement, cartan_batch, iwasawa_batch, plane_rotations
 from .specialfn import JacobiParams, c_jacobi, gauss_legendre, jacobi_phi
 
 __all__ = [
@@ -60,11 +59,9 @@ __all__ = [
 ]
 
 _LAMBDA_FLOOR = 1e-6
-# zonal panels and Gauss-Legendre nodes per panel of the K-integral,
-# and zonal nodes per block of its trace contraction
+# zonal panels and Gauss-Legendre nodes per panel of the K-integral
 _ZONAL_PANELS = 16
 _ZONAL_NODES = 32
-_K_BLOCK = 128
 # eisenstein_integral_at's domain in |t|
 _ZONAL_T_MAX = 9.0
 # group matrices per Iwasawa step of the Poisson kernel; bounds the
@@ -406,25 +403,55 @@ def _zonal_nodes(t, n_panels, n_nodes):
     """Composite Gauss-Legendre nodes on [0, pi], geometrically refined
     toward the end where the integrand has an e^{-|t|}-scale layer:
     theta = 0 for t >= 0, theta = pi for t < 0."""
-    edges = [0.0]
     scale = min(1.0, np.exp(-abs(t)))
     cuts = np.geomspace(scale * pi, pi, max(n_panels - 1, 1)) if scale < 1.0 else []
-    edges.extend([float(c) for c in cuts])
-    edges.append(pi)
+    edges = np.concatenate(([0.0], cuts, [pi]))
     # ascending already: drop repeats (np.unique would import numpy.ma)
-    edges = np.array(edges)[np.diff(edges, prepend=-1.0) > 0.0]
+    edges = edges[np.diff(edges, prepend=-1.0) > 0.0]
     xs, ws = gauss_legendre(n_nodes)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        nodes.append(mid + half * xs)
-        weights.append(half * ws)
-    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * xs).ravel()
+    weights = (half[:, None] * ws).ravel()
     return (nodes, weights) if t >= 0.0 else (pi - nodes[::-1], weights[::-1])
 
 
 def _zonal_mass(n):
     return sqrt(pi) * gamma((n - 1) / 2) / gamma(n / 2)
+
+
+@lru_cache(maxsize=None)
+def _plane_tau_basis(n, p):
+    """(A, B, S), exact (entries 0, +-1), with tau(R_phi) = A + cos(phi) B +
+    sin(phi) S for the rotations R_phi of the (e1, e2) plane: e_I is fixed
+    when I holds both or neither of 1, 2, and turned by phi otherwise."""
+    rots = plane_rotations(n, np.array([1.0, -1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+    r0, r_pi, r_half = xr.tau_matrix_batch(rots, p)
+    out = np.stack((r0 + r_pi, r0 - r_pi, 2.0 * r_half - r0 - r_pi)) / 2.0
+    out.flags.writeable = False
+    return out
+
+
+def _zonal_iwasawa(t, thetas):
+    """(e^H, rot, kap) of a_{-t} R(theta) = R(theta') a_H n_y, with rot and
+    kap the stacks (1, cos, sin) of theta and theta'.  Free of cancellation,
+    e^H = e^{-t} + 2 sinh t sin^2(theta/2) and e^H (cos, sin)(theta') =
+    (e^{-t} cos(theta) - 2 sinh t sin^2(theta/2), sin(theta)) for t >= 0;
+    t < 0 takes |t|, cos^2(theta/2) and + instead.  The Iwasawa batches'
+    gates: ValueError unless e^H > 0, ArithmeticError past 1e-8 of
+    |cos^2(theta') + sin^2(theta') - 1|."""
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    emt = np.exp(-abs(t))
+    half = np.sin(0.5 * thetas) if t >= 0.0 else np.cos(0.5 * thetas)
+    layer = 2.0 * np.sinh(abs(t)) * half * half
+    eh = emt + layer
+    if not (eh > 0.0).all():
+        raise ValueError("Iwasawa argument c_1 + d is not positive")
+    ones = np.ones_like(cos)
+    kap = np.stack((ones, (cos * emt - (layer if t >= 0.0 else -layer)) / eh, sin / eh))
+    defect = np.abs(kap[1] * kap[1] + kap[2] * kap[2] - 1.0).max()
+    if not defect <= 1e-8:  # a NaN defect raises too
+        raise ArithmeticError(f"Iwasawa K factor lost orthogonality: defect {defect:.3e}")
+    return eh, np.stack((ones, cos, sin)), kap
 
 
 def eisenstein_integral_at(pt, t):
@@ -435,42 +462,30 @@ def eisenstein_integral_at(pt, t):
 
     reduced to a 1D zonal quadrature over K = M A_K M.  Independent of
     the Jacobi-function route; used to pin down conventions in tests and
-    by the `spherical` command.
+    by the `spherical` command.  With kappa = R(theta') (_zonal_iwasawa)
+    and _plane_tau_basis, each trace tr(P_eta tau(kappa) P_sigma tau(R(theta))^T)
+    is bilinear in (1, cos, sin) of theta' and theta: nine node sums.
 
     Domain |t| <= 9 (ValueError beyond it, or at a t that is not finite).
     There it meets `scalar_components` to 1e-7 absolute: at n = 3..8,
     every sigma, lambda in {0.3, 1, 2.3, 5, 10, 25} and t = -9..9 the
-    largest gap measured was 1.4e-12 (lambda = 25, |t| = 9).  From
-    |t| ~ 9.05 on, the Iwasawa factors of a_{-t} k lose orthogonality
-    (ArithmeticError), and from |t| ~ 20 on the Iwasawa argument is no
-    longer positive.
+    largest gap measured was 1.4e-12 (lambda = 25, |t| = 9).
     """
     t = float(t)
     if not abs(t) <= _ZONAL_T_MAX:
         raise ValueError(f"eisenstein_integral_at is evaluated for |t| <= {_ZONAL_T_MAX:g} "
                          f"only; got t = {t}")
-    spec, n, p = pt.spec, pt.n, pt.p
+    spec, n = pt.spec, pt.n
     thetas, ws = _zonal_nodes(t, _ZONAL_PANELS, _ZONAL_NODES)
-    rots = plane_rotations(n, np.cos(thetas), np.sin(thetas))
-    ker = PoissonKernel(make_at(-t, n).mat[None, :, :] @ embed_rotation(rots), p)
-    tau_kappa, tau_rot = xr.tau_matrix_batch(ker.kappa, p), xr.tau_matrix_batch(rots, p)
-    p_sigma = xr.proj_matrix(spec, pt.sigma)
-    # the kernel's weight carries one factor sqrt(d_{tau,sigma})
-    weight = ker.weight(pt) * sqrt(xr.dims(spec, pt.sigma)[2])
-    etas = xr.branching(spec)
-    p_etas = [xr.proj_matrix(spec, eta) for eta in etas]
-    # tr(P_eta tau(kappa) P_sigma tau(rot)^T) = sum (tau(kappa) P_sigma) o (P_eta^T tau(rot)),
-    # taken over blocks of nodes
-    trs = np.empty((len(etas), len(thetas)), dtype=np.result_type(tau_kappa, p_sigma, tau_rot))
-    for lo in range(0, len(thetas), _K_BLOCK):
-        blk = slice(lo, lo + _K_BLOCK)
-        left = tau_kappa[blk] @ p_sigma
-        for tr, p_eta in zip(trs, p_etas):
-            tr[blk] = np.einsum("kab,kab->k", left, p_eta.T @ tau_rot[blk])
+    eh, rot, kap = _zonal_iwasawa(t, thetas)
+    weight = xr.dims(spec, pt.sigma)[2] * np.exp(-(1j * pt.lam + pt.rho) * np.log(eh))
+    # sums[i, j] = sum over nodes of weight kap_i rot_j
+    sums = (kap * (weight * rot[2] ** (n - 2) * ws)) @ rot.T
+    basis = _plane_tau_basis(n, pt.p)
+    left = basis @ xr.proj_matrix(spec, pt.sigma)
     out = {}
-    jac = np.sin(thetas) ** (n - 2) * ws
-    for eta, tr in zip(etas, trs):
-        d_eta = xr.dims(spec, eta)[1]
-        val = np.sum(jac * weight * tr) / (_zonal_mass(n) * d_eta)
-        out[eta] = complex(val)
+    for eta in xr.branching(spec):
+        # traces[i, j] = tr(P_eta basis_i P_sigma basis_j^T)
+        traces = np.einsum("iab,jab->ij", left, xr.proj_matrix(spec, eta).T @ basis)
+        out[eta] = complex(np.sum(traces * sums) / (_zonal_mass(n) * xr.dims(spec, eta)[1]))
     return out

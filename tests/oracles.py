@@ -1,5 +1,8 @@
 """Independent oracles that the library itself never calls.
 
+eisenstein_literal is spherical.eisenstein_integral_at as it stood
+before its closed form: the Poisson kernel of the zonal group matrices,
+two stacks of minors and a trace per node.
 j_pair_grid integrates the rotation-reduced inversion kernel over the
 zonal angle with closed-form Iwasawa data; the tests pin against it
 the closed form (d_eta/d_tau) conj phi^{(eta', mu)}_eta(t), the
@@ -32,6 +35,8 @@ Weyl relabelling of atom sections and the Monte Carlo spectral
 projection, which only the tests use.
 """
 
+from math import sqrt
+
 import mpmath
 import numpy as np
 
@@ -61,6 +66,42 @@ def zonal_iwasawa(t, thetas):
     layer = 2.0 * sh * np.sin(0.5 * thetas) ** 2
     eh = emt + layer
     return np.log(eh), (c * emt - layer) / eh, s / eh
+
+
+def eisenstein_literal(pt, t, lams=None):
+    """spherical.eisenstein_integral_at as it stood before its closed
+    form, at each lambda of lams (default (pt.lam,)), as a list of
+    {eta: component} dicts: the Poisson kernel of the group matrices
+    a_{-t} R(theta) on the same zonal nodes, the minors of kappa and of
+    R(theta) as two stacks, and each eta's trace
+    tr(P_eta tau(kappa) P_sigma tau(R(theta))^T) node by node.  Its H
+    and kappa come from the matrix product, so near the e^{-|t|} layer
+    they carry e^{|t|}-ulp cancellation that the closed form avoids.
+    """
+    spec, n, p = pt.spec, pt.n, pt.p
+    thetas, ws = sph._zonal_nodes(t, sph._ZONAL_PANELS, sph._ZONAL_NODES)
+    rots = lg.plane_rotations(n, np.cos(thetas), np.sin(thetas))
+    ker = sph.PoissonKernel(lg.make_at(-t, n).mat[None, :, :] @ lg.embed_rotation(rots), p)
+    tau_kappa, tau_rot = xr.tau_matrix_batch(ker.kappa, p), xr.tau_matrix_batch(rots, p)
+    p_sigma = xr.proj_matrix(spec, pt.sigma)
+    etas = xr.branching(spec)
+    # tr(P_eta tau(kappa) P_sigma tau(rot)^T) = sum (tau(kappa) P_sigma) o (P_eta^T tau(rot)),
+    # taken over blocks of nodes
+    trs = np.empty((len(etas), len(thetas)), dtype=complex)
+    for lo in range(0, len(thetas), 128):
+        blk = slice(lo, lo + 128)
+        left = tau_kappa[blk] @ p_sigma
+        for tr, eta in zip(trs, etas):
+            tr[blk] = np.einsum("kab,kab->k", left, xr.proj_matrix(spec, eta).T @ tau_rot[blk])
+    jac = np.sin(thetas) ** (n - 2) * ws
+    out = []
+    for lam in (pt.lam,) if lams is None else lams:
+        # the kernel's weight carries one factor sqrt(d_{tau,sigma})
+        weight = ker.weight(pt, lam) * sqrt(xr.dims(spec, pt.sigma)[2])
+        out.append({eta: complex(np.sum(jac * weight * tr) / (sph._zonal_mass(n)
+                                                               * xr.dims(spec, eta)[1]))
+                    for eta, tr in zip(etas, trs)})
+    return out
 
 
 def j_pair_grid(pt, ts, mu, n_panels=12, n_nodes=24):

@@ -1,6 +1,7 @@
 """Module layout of the package: no private name crosses a module
 boundary, no module imports the test oracles, the Iwasawa batch has one
-consumer besides its scalar wrapper, the Poisson kernel, the panel rule
+consumer besides its scalar wrapper, the Poisson kernel, the defining
+K-integral forms no Poisson kernel, the panel rule
 of the radial quadratures has one caller, the breakpoint rule every
 sweep shares, spherical evaluates Jacobi functions only on the
 parameters a SpectralPoint owns, the commands answer without sampling
@@ -114,6 +115,14 @@ def test_iwasawa_batch_only_in_kernel_and_scalar_wrapper():
     bad = [f"{p.stem}:{line} in {owner}" for p in MODULES
            for owner, line in _calls(p, "iwasawa_batch") if (p.stem, owner) not in IWASAWA_CALLERS]
     assert not bad, "iwasawa_batch called outside the Poisson kernel:\n" + "\n".join(bad)
+
+
+def test_defining_integral_forms_no_poisson_kernel():
+    # its Iwasawa data and Lambda^p(kappa) are in closed form
+    sph = SRC / "spherical.py"
+    callers = {owner for name in ("PoissonKernel", "iwasawa_batch", "tau_matrix_batch")
+               for owner, _ in _calls(sph, name)}
+    assert "eisenstein_integral_at" not in callers, callers
 
 
 def test_osc_nodes_has_one_caller_the_sweep_rule():

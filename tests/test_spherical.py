@@ -4,6 +4,7 @@ Weyl-head asymptotics, and the norm helper."""
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from math import pi
@@ -30,12 +31,14 @@ from hyperform import (
     SIGMA_PLUS,
 )
 
+import hyperform.spherical as sph
 from hyperform.extrep import tau_matrix_batch
-from hyperform.liegroup import at_mats, embed_rotation
+from hyperform.liegroup import at_mats, embed_rotation, plane_rotations
 from hyperform.spherical import (PoissonKernel, component_grid, head_batch, head_components,
                                  radial_batch, spherical_batch)
 
 from conftest import case_points, kernel_points
+from oracles import eisenstein_literal
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +202,66 @@ def test_group_integral_holds_on_its_whole_domain(t):
         oracle = eisenstein_integral_at(pt, t)
         for eta in comp:
             assert abs(comp[eta] - oracle[eta]) <= 1e-7, (pt.spec, str(eta), t)
+
+
+# n = 2..8 with every sigma label: sigma^{+-} and the unsplit middle
+# isotype at p = (n-1)/2, and both chiralities at n = 2p
+_LITERAL_BUNDLES = [BundleSpec(2, 1, "plus"), BundleSpec(2, 1, "minus"), BundleSpec(3, 1),
+                    BundleSpec(4, 1), BundleSpec(4, 2, "plus"), BundleSpec(4, 2, "minus"),
+                    BundleSpec(5, 2), BundleSpec(6, 2), BundleSpec(6, 3, "plus"),
+                    BundleSpec(6, 3, "minus"), BundleSpec(7, 3), BundleSpec(8, 3)]
+_LITERAL_LAMS = (0.3, 1.0, 5.0, 25.0)
+_LITERAL_TS = (-9.0, -3.1, -0.4, 0.0, 0.5, 1.9, 4.0, 9.0)
+
+
+@pytest.mark.parametrize("spec", _LITERAL_BUNDLES, ids=str)
+def test_group_integral_meets_the_literal_route(spec):
+    # the literal route reads H off c_1 + d of the product a_{-t} R(theta),
+    # which is e^{|t|} ulps off near the e^{-|t|} layer; at n = 2 no
+    # sin^{n-2} factor damps the layer, and there its value is 6.5e-11 from
+    # the sum on exactly rounded node data at lambda = 25, |t| = 9, while
+    # the closed form is 3e-17 from it (its node data are pinned below)
+    tol = 1e-10 if spec.n == 2 else 1e-11
+    sigmas = branching(spec) + ([sigma_q(spec.p)] if spec.case == "half_odd" else [])
+    for sigma in sigmas:
+        for t in _LITERAL_TS:
+            wants = eisenstein_literal(SpectralPoint(spec, sigma, 1.0), t, _LITERAL_LAMS)
+            for lam, want in zip(_LITERAL_LAMS, wants):
+                got = eisenstein_integral_at(SpectralPoint(spec, sigma, lam), t)
+                assert got.keys() == want.keys()
+                for eta in want:
+                    assert abs(got[eta] - want[eta]) <= tol, (str(sigma), lam, t, str(eta))
+
+
+def test_zonal_iwasawa_data_are_exactly_rounded():
+    # e^H = cosh t - sinh t cos(theta) and kappa e1 = (cos(theta) cosh t -
+    # sinh t, sin(theta)) / e^H at 40 digits, on the integral's own nodes
+    with mpmath.workdps(40):
+        for t in (-9.0, -3.1, -0.4, 0.0, 0.5, 4.0, 9.0):
+            thetas, _ = sph._zonal_nodes(t, sph._ZONAL_PANELS, sph._ZONAL_NODES)
+            eh, rot, kap = sph._zonal_iwasawa(t, thetas)
+            assert np.array_equal(rot, [np.ones_like(thetas), np.cos(thetas), np.sin(thetas)])
+            ch, sh = mpmath.cosh(t), mpmath.sinh(t)
+            for k, theta in enumerate(thetas):
+                c, s = mpmath.cos(theta), mpmath.sin(theta)
+                want = ch - sh * c
+                assert abs(eh[k] - want) <= 1e-15 * want, (t, theta)
+                assert abs(kap[1, k] - (c * ch - sh) / want) <= 1e-15, (t, theta)
+                assert abs(kap[2, k] - s / want) <= 1e-15, (t, theta)
+            assert np.all(kap[0] == 1.0)
+
+
+def test_plane_rotation_minors_are_affine_in_cos_and_sin(rng):
+    # tau(R_phi) = A + cos(phi) B + sin(phi) S, with A, B and S exact
+    for n in range(2, 9):
+        for p in range(0, min(n, 4) + 1):
+            basis = sph._plane_tau_basis(n, p)
+            assert np.all(np.isin(basis, (-1.0, 0.0, 1.0))), (n, p)
+            phis = rng.uniform(-pi, pi, 16)
+            want = tau_matrix_batch(plane_rotations(n, np.cos(phis), np.sin(phis)), p)
+            got = np.einsum("ik,iab->kab", [np.ones_like(phis), np.cos(phis), np.sin(phis)],
+                            basis)
+            assert np.max(np.abs(got - want)) <= 1e-15, (n, p)
 
 
 def test_components_flip_with_lambda_sign():

@@ -47,6 +47,9 @@ INVOCATIONS = [
     ("spherical_n3_q1", "spherical --n 3 --p 1 --sigma q:1 --t 0.5"),
     ("spherical_n6_q1", "spherical --n 6 --p 2 --sigma q:1 --t 2"),
     ("spherical_n4_minus", "spherical --n 4 --p 2 --chirality minus --sigma q:2 --t 1.5"),
+    ("spherical_n8_q3", "spherical --n 8 --p 3 --sigma q:3 --t 1.2"),
+    ("spherical_domain_edge", "spherical --n 3 --p 1 --sigma q:1 --t -9"),
+    ("usage_spherical_t_domain", "spherical --n 3 --p 1 --sigma q:1 --t 12"),
     ("asympt_n3_plus", "asympt --n 3 --p 1 --sigma plus"),
     ("asympt_n6_q2", "asympt --n 6 --p 2 --sigma q:2"),
     ("limit_n3_q1", f"limit --n 3 --p 1 --sigma q:1 --R-grid {GRID}"),
