@@ -232,7 +232,7 @@ def inv_mats(mats):
 def plane_rotations(n, c, s):
     """(...,) cosines and sines -> (..., n, n) rotations in the (e1, e2)
     coordinate plane of R^n, [[c, -s], [s, c]] in the upper left."""
-    c = np.asarray(c, dtype=float)
+    c, s = np.asarray(c, dtype=float), np.asarray(s, dtype=float)
     out = np.zeros(c.shape + (n, n))
     idx = np.arange(2, n)
     out[..., idx, idx] = 1.0

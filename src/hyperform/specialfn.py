@@ -35,9 +35,13 @@ differently (_times) run on one-element arrays, so the two routes take
 the same branches and term counts and round alike.  NaN or infinite
 arguments raise ValueError on both routes before any series runs.
 
-phi_lambda has two representations, and jacobi_phi chooses between
-them at each t by their estimated rounding error, relative to
-max(|phi|, e^{-(alpha+beta+1) t}):
+At (alpha, beta) = (m - 1/2, -1/2), m = 1..4, and real lambda, phi is
+prod_{k<m} [-(2k+1) / (lambda^2 + k^2)] Re(D^m e^{i lambda t}), D =
+(1/sinh t) d/dt (Koornwinder 1984), taken wherever its estimated
+rounding error, 8 eps sum |term| plus the phase's, meets the target
+below (every t >= 0.35 at lambda <= 40).  Elsewhere jacobi_phi chooses
+between two representations at each t by their estimated rounding
+error, relative to max(|phi|, e^{-(alpha+beta+1) t}):
 
   - the Pfaff series in w = tanh^2(t), used for t <= T_SWITCH
     (tanh^2 t <= 0.9).  Its terms peak near e^{|lambda| tanh t};
@@ -50,9 +54,10 @@ max(|phi|, e^{-(alpha+beta+1) t}):
 The Pfaff series is kept wherever its estimate meets the 1e-10 target,
 so at small lambda the two branches meet at T_SWITCH.  Elsewhere the
 connection formula is taken where its estimate meets the target.  At a
-t where neither does (at lambda = 100, about t in [0.15, 0.72]),
-jacobi_phi raises ArithmeticError.  After evaluation the estimates are
-checked against the ratios the kernel reports, and a miss raises too.
+t where none does (at lambda = 100 and (alpha, beta) = (1, 0), about
+t in [0.15, 0.72]), jacobi_phi raises ArithmeticError.  After
+evaluation the estimates are checked against the ratios the kernel
+reports, and a miss raises too.
 
 Gamma is the Lanczos approximation with the 15-coefficient table of
 Godfrey (g = 607/128), whose spec sheet quotes relative errors near
@@ -65,7 +70,9 @@ finite at large lambda, where Gamma(i lambda) alone underflows.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import exp, inf, isfinite, log
+from operator import mul
 
 import numpy as np
 
@@ -424,6 +431,24 @@ class JacobiParams:
     def _reflected(self):
         return JacobiParams(self.alpha, self.beta, -complex(self.lam))
 
+    @cached_property
+    def _odd(self):
+        """The terms (b, c, wave, k) of phi = sum k coth^b t csch^c t times
+        cos(lambda t) (wave 0) or sin(lambda t) / lambda (wave 1), at
+        (alpha, beta) = (m - 1/2, -1/2), m = 1..4, and real lambda; else None."""
+        a, b, lam = complex(self.alpha), complex(self.beta), complex(self.lam)
+        m = a.real + 0.5
+        if b != -0.5 or a.imag or lam.imag or m not in range(1, 5):
+            return None
+        lam = lam.real
+        # the k = 0 factor -1/lambda^2 takes Re((i lambda)^a e^{i lambda t}), a >= 1,
+        # to (-1)^(a/2) lambda^(a-2) cos or -(-1)^((a-1)/2) lambda^(a-1) sin / lambda
+        pre = -1.0
+        for k in range(1, int(m)):
+            pre *= -(2 * k + 1) / (lam * lam + k * k)
+        return tuple((b, c, a % 2, pre * k * (-1) ** (a // 2 + a % 2) * lam ** (a - 2 + a % 2))
+                     for (a, b, c), k in _odd_terms(int(m)).items())
+
 
 def _check_lambda_regular(lam, what):
     """Reject lambda within _LAMBDA_GUARD of i*Z (poles of c / Psi)."""
@@ -438,11 +463,10 @@ def jacobi_phi(par, t):
 
     Even in t, which must be finite (NaN or infinity raises ValueError).
     Right to 1e-10 relative to max(|phi|, e^{-(alpha+beta+1)t}) or raises
-    ArithmeticError: the Pfaff series in -sinh^2(t) where t <= T_SWITCH
-    and its estimated rounding error meets that target, otherwise the
-    connection formula c(lambda) Psi_lambda + c(-lambda) Psi_(-lambda)
-    where t >= 0.5 and its estimate meets the target, which requires
-    lambda off the lattice i*Z.
+    ArithmeticError: by the closed form, the Pfaff series or the connection
+    formula (which needs lambda off i*Z), chosen at each t by the rule of
+    the module docstring.  At (alpha, beta) = (m - 1/2, -1/2), m = 1..4,
+    it never raises for real lambda and t in [0, 40].
 
     A t of one element (a scalar or an array of size 1) takes the
     one-point route: the same branch rule, series and checks on NumPy
@@ -451,15 +475,27 @@ def jacobi_phi(par, t):
     """
     ts, shape = _one_point(t, "jacobi_phi", "t")
     ts = abs(ts)
-    if ts.ndim == 0:
-        out, err = (_phi_pfaff if _pfaff_ok(par, ts) else _phi_connection)(par, ts)
-        if not _met(par, ts, out, err):
-            _phi_unreachable(par, ts)
-        return _shaped(shape, out)[0]
-    out = np.empty(ts.shape, dtype=complex)
-    # estimated rounding error over machine epsilon
-    err = np.empty(ts.shape)
+    if par._odd:
+        out, err = _phi_odd(par, ts)
+        redo = ~_met(par, ts, out, err)
+    if not par._odd or not _any(~redo):
+        out, err = _phi_series(par, ts)
+    elif _any(redo):
+        out[redo], err[redo] = _phi_series(par, ts[redo])
+    met = _met(par, ts, out, err)
+    if _any(~met):
+        _phi_unreachable(par, ts[~met])
+    return _shaped(shape, out)[0] if ts.ndim == 0 else out
+
+
+def _phi_series(par, ts):
+    """(phi, estimated error over machine epsilon) by the Pfaff series or
+    the connection formula, chosen at each t by _pfaff_ok."""
     near = _pfaff_ok(par, ts)
+    if ts.ndim == 0:
+        return (_phi_pfaff if near else _phi_connection)(par, ts)
+    out = np.empty(ts.shape, dtype=complex)
+    err = np.empty(ts.shape)
     picked = np.count_nonzero(near)  # a branch every t takes needs no masks
     every = picked == ts.size
     near, far = (slice(None),) * 2 if every or not picked else (near, ~near)
@@ -467,10 +503,45 @@ def jacobi_phi(par, t):
         out[near], err[near] = _phi_pfaff(par, ts[near])
     if not every:
         out[far], err[far] = _phi_connection(par, ts[far])
-    met = _met(par, ts, out, err)
-    if not met.all():
-        _phi_unreachable(par, ts[~met])
-    return out
+    return out, err
+
+
+@lru_cache(maxsize=None)
+def _odd_terms(m):
+    """{(a, b, c): k} with D^m e^{i lambda t} = e^{i lambda t} sum k (i lambda)^a
+    coth^b t csch^c t, D = (1/sinh t) d/dt; every a >= 1 at m >= 1, as D 1 = 0."""
+    if m == 0:
+        return {(0, 0, 0): 1}
+    terms = {}
+    for (a, b, c), k in _odd_terms(m - 1).items():
+        # D(f e^{i lambda t}) = csch t (f' + i lambda f) e^{i lambda t}
+        for key, coef in (((a, b - 1, c + 3), -b * k), ((a, b + 1, c + 1), -c * k),
+                          ((a + 1, b, c + 1), k)):
+            terms[key] = terms.get(key, 0) + coef
+    return {key: k for key, k in terms.items() if k}
+
+
+def _phi_odd(par, t):
+    """(phi, estimated error over machine epsilon) from the closed form
+    (JacobiParams._odd), not finite at t = 0; elementwise operations in a
+    fixed order, so that one point and an array round alike."""
+    lam, m = complex(par.lam).real, round(complex(par.alpha).real + 0.5)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        em = -np.expm1(-2.0 * t)
+        coth, csch = (2.0 - em) / em, 2.0 * np.exp(-t) / em
+        # sin(lambda t) / lambda is t to rounding once lambda^2 is below tiny
+        waves = (np.cos(lam * t), np.sin(lam * t) / lam if lam * lam > _TINY else t)
+        # powers to coth^(m-1) and csch^(2m-1), the largest in the terms
+        coths = list(accumulate([1.0] + [coth] * (m - 1), mul))
+        cschs = list(accumulate([1.0] + [csch] * (2 * m - 1), mul))
+        sums, sizes = [0.0, 0.0], [0.0, 0.0]
+        for b, c, wave, k in par._odd:
+            mono = coths[b] * cschs[c]
+            sums[wave] = sums[wave] + k * mono
+            sizes[wave] = sizes[wave] + abs(k) * mono
+        out = sums[0] * waves[0] + sums[1] * waves[1]
+        size = sizes[0] * abs(waves[0]) + sizes[1] * abs(waves[1])
+    return np.asarray(out, dtype=complex)[()], _rounding(size, 1.0, lam, t)
 
 
 def _rounding(val, ratio, lam, t):

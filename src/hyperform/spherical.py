@@ -460,7 +460,8 @@ def eisenstein_integral_at(pt, t):
         d_{tau,sigma} int_K e^{-(i lam + rho) H(a_{-t} k)}
                             tau(kappa(a_{-t} k)) P_sigma tau(k)^{-1} dk
 
-    reduced to a 1D zonal quadrature over K = M A_K M.  Independent of
+    reduced to a 1D zonal quadrature over K = M A_K M, theta in [0, pi]
+    (in [-pi, pi] at n = 2, where M is trivial).  Independent of
     the Jacobi-function route; used to pin down conventions in tests and
     by the `spherical` command.  With kappa = R(theta') (_zonal_iwasawa)
     and _plane_tau_basis, each trace tr(P_eta tau(kappa) P_sigma tau(R(theta))^T)
@@ -477,6 +478,9 @@ def eisenstein_integral_at(pt, t):
                          f"only; got t = {t}")
     spec, n = pt.spec, pt.n
     thetas, ws = _zonal_nodes(t, _ZONAL_PANELS, _ZONAL_NODES)
+    if n == 2:
+        # M is trivial, so K = SO(2) is the whole circle: the mirrored nodes
+        thetas, ws = np.concatenate((thetas, -thetas)), np.concatenate((ws, ws)) / 2.0
     eh, rot, kap = _zonal_iwasawa(t, thetas)
     weight = xr.dims(spec, pt.sigma)[2] * np.exp(-(1j * pt.lam + pt.rho) * np.log(eh))
     # sums[i, j] = sum over nodes of weight kap_i rot_j

@@ -667,7 +667,9 @@ def eisenstein_hs_limit(pt, R_grid=None):
 
 
 def inversion_ratios(pt, R, mu=None):
-    """Per-block scalars r_{eta'}(R) of the reduced reconstruction.
+    """Per-block scalars r_{eta'}(R) of the reduced reconstruction, as
+    complex values at a radius R, or as complex arrays over an array of
+    radii R, from one sweep per kernel.
 
     F_R = sum_{eta'} r_{eta'}(R) P_{eta'} F^(mu) for atomic data; the
     matched kernel (mu = lambda) drives every r_{eta'}(R) -> 1.
@@ -685,11 +687,13 @@ def inversion_ratios(pt, R, mu=None):
     lam = pt.lam_real
     mu = lam if mu is None else float(mu)
     nu = plancherel_density(pt)
+    radii = np.asarray(R, dtype=float)
     kernels = {b: None if mu == lam else SpectralPoint(pt.spec, b, mu)
                for b in xr.sigma_blocks(pt.spec, pt.sigma)}
-    sweeps = {q: _schur_sweep(pt, [float(R)], other=q)[0][0, 0]
+    sweeps = {q: pi * nu * _schur_sweep(pt, radii.reshape(-1), other=q)[0][0]
               for q in dict.fromkeys(kernels.values())}
-    return {b: complex(pi * nu * sweeps[q]) for b, q in kernels.items()}
+    out = {b: sweeps[q].astype(complex).reshape(radii.shape) for b, q in kernels.items()}
+    return {b: complex(r) for b, r in out.items()} if radii.ndim == 0 else out
 
 
 def inversion_mix(pt, R, mu=None):

@@ -77,9 +77,13 @@ def eisenstein_literal(pt, t, lams=None):
     tr(P_eta tau(kappa) P_sigma tau(R(theta))^T) node by node.  Its H
     and kappa come from the matrix product, so near the e^{-|t|} layer
     they carry e^{|t|}-ulp cancellation that the closed form avoids.
+    At n = 2, where M is trivial and K = SO(2), the nodes are mirrored to
+    cover the whole circle, theta in [-pi, pi].
     """
     spec, n, p = pt.spec, pt.n, pt.p
     thetas, ws = sph._zonal_nodes(t, sph._ZONAL_PANELS, sph._ZONAL_NODES)
+    if n == 2:
+        thetas, ws = np.concatenate((thetas, -thetas)), np.concatenate((ws, ws)) / 2.0
     rots = lg.plane_rotations(n, np.cos(thetas), np.sin(thetas))
     ker = sph.PoissonKernel(lg.make_at(-t, n).mat[None, :, :] @ lg.embed_rotation(rots), p)
     tau_kappa, tau_rot = xr.tau_matrix_batch(ker.kappa, p), xr.tau_matrix_batch(rots, p)
@@ -422,3 +426,38 @@ def series_nterms_blocks(series, w):
         partial = sums[-1]
         k0 = k1
     return nterms
+
+
+def phi_half_odd(m, lam, t):
+    """phi^{(m-1/2, -1/2)}_lambda(t) at real lambda and t > 0 from the
+    shift formula, by Taylor arithmetic in h at t rather than by a term
+    table: with D = (1/sinh) d/dt and s = sin(lambda t) / lambda (t at
+    lambda = 0), -D cos(lambda t) / lambda^2 = s / sinh, so
+
+        phi = prod_{0<k<m} [-(2k+1) / (lambda^2 + k^2)] D^{m-1} (s / sinh)(t).
+
+    Each D differentiates a jet (Taylor coefficients in h of a function
+    at t + h) and multiplies by the jet of 1/sinh, at the cost of one
+    order, so jets of order m - 1 suffice."""
+    order = m
+
+    def times(a, b):
+        return np.convolve(a, b)[:order]
+
+    fact = np.cumprod([1.0] + list(range(1, order)))
+    # derivatives of sinh at t alternate sinh, cosh; of s they are
+    # s, cos, -lambda sin, -lambda^2 cos, ...
+    sinh = np.array([(np.sinh(t), np.cosh(t))[k % 2] for k in range(order)]) / fact
+    csch = np.zeros(order)
+    csch[0] = 1.0 / sinh[0]
+    for k in range(1, order):
+        csch[k] = -np.dot(sinh[1:k + 1], csch[k - 1::-1]) / sinh[0]
+    s0 = np.sin(lam * t) / lam if lam else t
+    ds = [s0] + [lam ** (k - 1) * np.cos(lam * t + (k - 1) * np.pi / 2) for k in range(1, order)]
+    jet = times(np.array(ds) / fact, csch)
+    pre = 1.0
+    for k in range(1, m):
+        deriv = np.arange(1, order) * jet[1:]
+        jet = times(np.append(deriv, 0.0), csch)
+        pre *= -(2 * k + 1) / (lam * lam + k * k)
+    return pre * jet[0]

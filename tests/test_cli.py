@@ -143,11 +143,65 @@ def test_limit_passes_at_large_lambda():
 
 
 def test_spherical_exits_cleanly_where_phi_cannot_be_evaluated():
-    res = CliRunner().invoke(main, ["spherical", "--n", "3", "--p", "1", "--sigma", "q:1",
+    # (n = 3 at the same lambda and t now takes the closed form; see below)
+    res = CliRunner().invoke(main, ["spherical", "--n", "4", "--p", "1", "--sigma", "q:1",
                                     "--lambda", "60", "--t", "0.3"])
     assert res.exit_code == 1
     assert "cannot be evaluated" in res.output
     assert not isinstance(res.exception, ArithmeticError)
+
+
+def test_spherical_matches_mpmath_where_odd_n_once_refused():
+    # exited 1 in jacobi_phi; at (3, 1), sigma = q:1 the components are
+    # b on q:0 and (3 a - cosh(t) b) / 2 on sigma^{+-}, with
+    # a = phi^(1/2,-1/2)_lambda and b = phi^(3/2,-1/2)_lambda
+    t, lam = 0.3, 60.0
+    code, rows = _rows(["spherical", "--n", "3", "--p", "1", "--sigma", "q:1",
+                        "--lambda", str(lam), "--t", str(t)])
+    assert code == 0
+    a, b = (complex(mpmath.hyp2f1((alpha + 0.5 - 1j * lam) / 2, (alpha + 0.5 + 1j * lam) / 2,
+                                  alpha + 1.0, -mpmath.sinh(t) ** 2)).real for alpha in (0.5, 1.5))
+    want = {"q:0": b, "plus": (3.0 * a - np.cosh(t) * b) / 2.0}
+    want["minus"] = want["plus"]
+    for eta, value in want.items():
+        assert abs(rows[f"phi[{eta}].re"]["value"] - value) <= 1e-10 * abs(value), eta
+        assert rows[f"phi[{eta}].im"]["value"] == 0.0
+
+
+def test_spherical_n2_meets_the_full_circle_k_integral():
+    # the K-integral integrated half of K = SO(2) and exited 1 on .im
+    code, rows = _rows(["spherical", "--n", "2", "--p", "1", "--chirality", "plus",
+                        "--sigma", "q:1", "--lambda", "1", "--t", "0.5"])
+    assert code == 0, rows
+    assert abs(rows["phi[q:1].im"]["target"]) <= 1e-12
+
+
+_ODD_SLICE = [["--n", "3", "--p", "1", "--sigma", "q:1"],
+              ["--n", "5", "--p", "2", "--sigma", "plus"],
+              ["--n", "7", "--p", "3", "--sigma", "minus"]]
+
+
+@pytest.mark.parametrize("cmd", ["limit", "invert"])
+@pytest.mark.parametrize("lam", ["25", "40"])
+@pytest.mark.parametrize("point", _ODD_SLICE)
+def test_odd_n_commands_pass_at_large_lambda(cmd, lam, point):
+    # at lambda = 40 jacobi_phi refused t in about [0.37, 0.5]; the odd-n
+    # components now take the closed form there
+    res = CliRunner().invoke(main, [cmd, *point, "--lambda", lam])
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("n, p, lam", [(3, 1, "25"), (5, 2, "0.1"), (7, 3, "5.5")])
+@pytest.mark.parametrize("sigma", ["plus", "minus"])
+def test_invert_default_bound_is_rounded_up(n, p, lam, sigma):
+    # sigma^{+-} has no wave, so its error sits on the envelope; rounded to
+    # the nearest six digits the bound fell below it (7.98722045e-5
+    # against 7.9872e-5 at (3, 1), lambda = 25) and invert exited 1
+    code, rows = _rows(["invert", "--n", str(n), "--p", str(p), "--sigma", sigma,
+                        "--lambda", lam])
+    assert code == 0, rows
+    env = rows["error_envelope"]
+    assert env["value"] <= env["tol"] <= env["value"] * (1.0 + 1e-5)
 
 
 @pytest.mark.parametrize("t", ["12", "nan", "-9.5"])

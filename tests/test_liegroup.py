@@ -402,6 +402,14 @@ def test_haar_empty_stack():
 # radial weight and the defect bound
 
 
+def test_plane_rotations_take_sequences_for_cos_and_sin():
+    # a tuple s raised TypeError while a tuple c worked
+    got = lg.plane_rotations(3, (1.0, 0.0), (0.0, 1.0))
+    want = lg.plane_rotations(3, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[1], [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
 def test_radial_weight_value():
     for n, t in ((3, 0.7), (5, 2.0)):
         assert abs(radial_weight(t, n) - (2.0 * np.sinh(t)) ** (n - 1)) <= 1e-12

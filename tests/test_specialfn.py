@@ -32,7 +32,7 @@ from hyperform import (
 )
 from hyperform.specialfn import _Series, gauss_legendre
 
-from oracles import series_nterms_blocks
+from oracles import phi_half_odd, series_nterms_blocks
 
 mpmath.mp.dps = 40
 
@@ -279,6 +279,28 @@ def test_phi_right_or_raises_on_mpmath_grid():
     assert all(lam > 10.0 for _, _, lam, _ in raised)
 
 
+def test_half_odd_phi_matches_mpmath_and_never_raises():
+    """At (alpha, beta) = (m - 1/2, -1/2), m = 1..4 (every odd-n
+    component), jacobi_phi is within 1e-10 of mpmath relative to
+    max(|phi|, e^{-m t}) on a grid of lambda in [0, 40] and t in [0, 40],
+    and never raises for lambda and t there; the shift-formula oracle
+    agrees to 1e-10 on a dense grid of t >= 0.5."""
+    ts = np.concatenate((np.linspace(0.0, 0.5, 11),
+                         [0.7, 1.0, 1.5, 2.2, 3.0, 5.0, 8.0, 13.0, 20.0, 30.0, 40.0]))
+    dense = np.linspace(0.0, 40.0, 4001)
+    for m in range(1, 5):
+        for lam in (0.0, 1e-3, 0.5, 5.5, 15.0, 25.0, 40.0):
+            got = jacobi_phi(JacobiParams(m - 0.5, -0.5, lam), ts)
+            for t, g in zip(ts, got):
+                want = _phi_mpmath(m - 0.5, -0.5, lam, t)
+                assert abs(g - want) <= 1e-10 * max(abs(want), np.exp(-m * t)), (m, lam, t)
+        for lam in np.linspace(0.0, 40.0, 41):
+            got = jacobi_phi(JacobiParams(m - 0.5, -0.5, lam), dense)
+            for t, g in zip(dense[50::37], got[50::37]):
+                want = phi_half_odd(m, lam, t)
+                assert abs(g - want) <= 1e-10 * max(abs(want), np.exp(-m * t)), (m, lam, t)
+
+
 def _outcome(fn, *args, **kwargs):
     """fn's value, or the type and message of the ArithmeticError or
     ValueError it raises."""
@@ -396,11 +418,14 @@ def test_warm_tables_give_fresh_values(alpha, beta, lam):
 
 def test_table_prefix_is_independent_of_history():
     # a point next to a zero of phi extends its sum past the block the
-    # largest w needs; later growth still reproduces a fresh table
-    lam = 4.0
-    warm = JacobiParams(0.5, -0.5, lam)
-    jacobi_phi(warm, np.array([0.2, np.pi / lam + 1e-9, np.pi / lam + 1e-3]))
-    fresh = JacobiParams(0.5, -0.5, lam)
+    # largest w needs; later growth still reproduces a fresh table.
+    # (1, -1/2) sums its Pfaff series there, as (1/2, -1/2) did before its
+    # closed form; zero is a zero of phi^(1,-1/2)_4, found by bisection
+    lam, zero = 4.0, 0.9509443607658485
+    warm = JacobiParams(1.0, -0.5, lam)
+    near = jacobi_phi(warm, np.array([0.2, zero + 1e-9, zero + 1e-3]))
+    assert abs(near[1]) <= 1e-8
+    fresh = JacobiParams(1.0, -0.5, lam)
     for t in (1.5, 1.8):
         assert jacobi_phi(warm, t) == jacobi_phi(fresh, t)
     assert np.array_equal(warm._series[0].coef, fresh._series[0].coef)

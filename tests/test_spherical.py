@@ -204,6 +204,21 @@ def test_group_integral_holds_on_its_whole_domain(t):
             assert abs(comp[eta] - oracle[eta]) <= 1e-7, (pt.spec, str(eta), t)
 
 
+@pytest.mark.parametrize("chirality", ["plus", "minus"])
+def test_group_integral_covers_the_whole_circle_at_n2(chirality):
+    # M is trivial at n = 2, so K = SO(2) is not M A_K M: over theta in
+    # [0, pi] alone the integral had an imaginary part (0.866495 +-
+    # 0.289799i at lambda = 1, t = 0.5) against real components
+    for lam in (0.3, 1.0, 5.0, 25.0):
+        pt = SpectralPoint(BundleSpec(2, 1, chirality), sigma_q(1), lam)
+        for t in (-2.0, 0.0, 0.5, 1.5, 4.0, 9.0):
+            comp = scalar_components(pt, t).components
+            oracle = eisenstein_integral_at(pt, t)
+            for eta in comp:
+                assert abs(oracle[eta].imag) <= 1e-12, (lam, t)
+                assert abs(comp[eta] - oracle[eta]) <= 1e-12, (lam, t)
+
+
 # n = 2..8 with every sigma label: sigma^{+-} and the unsplit middle
 # isotype at p = (n-1)/2, and both chiralities at n = 2p
 _LITERAL_BUNDLES = [BundleSpec(2, 1, "plus"), BundleSpec(2, 1, "minus"), BundleSpec(3, 1),

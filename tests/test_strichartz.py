@@ -457,6 +457,24 @@ def test_matched_inversion_ratios_are_schur_ball_averages():
                 assert abs(r - want) <= 1e-13 * want, (pt, R)
 
 
+def test_inversion_ratios_on_a_grid_are_the_single_radius_values():
+    # one call over an array of radii (one sweep per kernel) gives each
+    # radius's ratios as complex arrays; a scalar radius gives complex values
+    radii = np.array([3.0, 20.0, 80.0])
+    for pt in (SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0),
+               SpectralPoint(BundleSpec(5, 2), SIGMA_PLUS, 2.3),
+               SpectralPoint(BundleSpec(4, 2, "plus"), sigma_q(2), 1.0)):
+        for mu in (None, 1.7):
+            grid = st.inversion_ratios(pt, radii, mu=mu)
+            for i, R in enumerate(radii):
+                one = st.inversion_ratios(pt, R, mu=mu)
+                assert one.keys() == grid.keys()
+                for b, r in one.items():
+                    assert type(r) is complex
+                    assert grid[b].dtype == complex and grid[b].shape == radii.shape
+                    assert abs(grid[b][i] - r) <= 1e-13 * max(abs(r), 1.0), (pt, mu, R)
+
+
 def test_inversion_ratios_raise_where_the_sweep_cannot_converge(monkeypatch):
     monkeypatch.setattr(st, "_SWEEP_RTOL", 0.0)
     pt = SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0)

@@ -20,11 +20,12 @@ order.  So two outputs share a digest only if they are bit-identical.
 A job that raises prints its exception instead of a digest.
 
 `compare` runs `show` on both checkouts and lists the jobs whose
-digests differ, each with the largest relative deviation over the
-numbers the digest walks: per array (or float, complex or NumPy
-scalar), max |change - parent| / max |parent|, or "structure differs"
-when shapes or non-numeric parts differ.  It exits 1 if any job
-differs.
+digests differ, each with its deviation over the numbers the digest
+walks: the largest |change - parent| over the whole output, absolute and
+relative to the output's largest |parent| value, or "structure differs"
+when shapes or non-numeric parts differ.  So a rounding-level change of
+a row that is 0 at the parent reads at the scale of the job, not as a
+large relative change.  It exits 1 if any job differs.
 """
 
 import argparse
@@ -96,13 +97,12 @@ def digest(parts):
 
 
 def deviation(parent, change):
-    """Largest relative deviation between two outputs' parts: over the
-    numeric arrays, max |change - parent| / max |parent| per array (an
-    array that is 0 at the parent counts its absolute deviation).  None
-    when the structure or a non-numeric part differs."""
+    """(largest |change - parent|, largest |parent|) over two outputs'
+    numeric parts, or None when the structure or a non-numeric part
+    differs."""
     if len(parent) != len(change):
         return None
-    worst = 0.0
+    gap = scale = 0.0
     for p, c in zip(parent, change):
         if isinstance(p, bytes) or isinstance(c, bytes):
             if p != c:
@@ -111,10 +111,9 @@ def deviation(parent, change):
             if not np.array_equal(p, c):
                 return None
         elif p.size:
-            gap = np.max(np.abs(c.astype(complex) - p.astype(complex)))
-            scale = np.max(np.abs(p))
-            worst = max(worst, gap / scale if scale > 0 else gap)
-    return worst
+            gap = max(gap, float(np.max(np.abs(c.astype(complex) - p.astype(complex)))))
+            scale = max(scale, float(np.max(np.abs(p))))
+    return gap, scale
 
 
 def child(seed, workloads):
@@ -184,8 +183,12 @@ def main():
         for key in sorted(differ):
             (line_p, parts_p), (line_c, parts_c) = parent.get(key, missing), change.get(key, missing)
             dev = None if parts_p is None or parts_c is None else deviation(parts_p, parts_c)
-            dev = "structure differs" if dev is None else f"max relative deviation {dev:.3g}"
-            print(f"DIFFERS {key[0]} {key[1]}: parent {line_p}, change {line_c}; {dev}")
+            if dev is not None:
+                gap, scale = dev
+                dev = (f"max deviation {gap:.3g}, {gap / scale if scale > 0.0 else gap:.3g} "
+                       f"of the output's scale {scale:.3g}")
+            print(f"DIFFERS {key[0]} {key[1]}: parent {line_p}, change {line_c}; "
+                  f"{dev or 'structure differs'}")
         print(f"seed {args.seed}: {len(parent) - len(differ)} of {len(parent)} job outputs "
               f"bit-identical ({', '.join(args.workload)})")
         sys.exit(1 if differ else 0)
