@@ -11,157 +11,16 @@ verifiers (strichartz).  The cli module exposes each verification as a
 seeded command emitting JSON or CSV.
 """
 
-from .extrep import (
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    BundleSpec,
-    FormVector,
-    MLabel,
-    branching,
-    chirality_matrix,
-    contract_e1,
-    dims,
-    hodge_star,
-    proj_matrix,
-    project_M,
-    sigma_q,
-    tau_apply,
-    tau_matrix,
-    wedge_e1,
-)
-from .liegroup import (
-    CartanFactors,
-    GroupElement,
-    IwasawaFactors,
-    KElement,
-    cartan,
-    haar_sample_K,
-    iwasawa,
-    make_at,
-    make_ny,
-    make_rotation,
-    polar_k,
-    radial_weight,
-)
-from .specialfn import (
-    JacobiParams,
-    c_jacobi,
-    gamma_c,
-    hyp2f1_negz,
-    jacobi_phi,
-    jacobi_psi,
-)
-from .spherical import (
-    SpectralPoint,
-    SphericalValue,
-    asymptotic_head,
-    c_sigma,
-    eisenstein_integral_at,
-    op_norm,
-    plancherel_density,
-    scalar_components,
-    spherical_at,
-    weyl_reflect,
-)
-from .strichartz import (
-    BallAverageReport,
-    asymptotic_residual_sweep,
-    ball_average_atom,
-    cross_term,
-    eisenstein_hs_limit,
-    head_ball_average,
-    inversion_mix,
-    inversion_ratios,
-    inversion_reconstruct,
-    section_norm2,
-    spectral_projection_energy,
-    strichartz_limit,
-)
-from .transforms import (
-    BoundaryAtom,
-    BoundarySection,
-    CompactSection,
-    bump_section,
-    fourier_batch,
-    fourier_direct_mc,
-    fourier_helgason,
-    gamma_n_measure,
-    gram_matrix,
-    poisson_atom,
-    poisson_mc,
-    radon,
-)
+from . import extrep, liegroup, specialfn, spherical, strichartz, transforms
+from .extrep import *
+from .liegroup import *
+from .specialfn import *
+from .spherical import *
+from .strichartz import *
+from .transforms import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BallAverageReport",
-    "BoundaryAtom",
-    "BoundarySection",
-    "BundleSpec",
-    "CartanFactors",
-    "CompactSection",
-    "FormVector",
-    "GroupElement",
-    "IwasawaFactors",
-    "JacobiParams",
-    "KElement",
-    "MLabel",
-    "SIGMA_MINUS",
-    "SIGMA_PLUS",
-    "SpectralPoint",
-    "SphericalValue",
-    "asymptotic_head",
-    "asymptotic_residual_sweep",
-    "ball_average_atom",
-    "branching",
-    "bump_section",
-    "c_jacobi",
-    "c_sigma",
-    "cartan",
-    "chirality_matrix",
-    "contract_e1",
-    "cross_term",
-    "dims",
-    "eisenstein_hs_limit",
-    "eisenstein_integral_at",
-    "fourier_batch",
-    "fourier_direct_mc",
-    "fourier_helgason",
-    "gamma_c",
-    "gamma_n_measure",
-    "gram_matrix",
-    "haar_sample_K",
-    "head_ball_average",
-    "hodge_star",
-    "hyp2f1_negz",
-    "inversion_mix",
-    "inversion_ratios",
-    "inversion_reconstruct",
-    "iwasawa",
-    "jacobi_phi",
-    "jacobi_psi",
-    "make_at",
-    "make_ny",
-    "make_rotation",
-    "op_norm",
-    "plancherel_density",
-    "poisson_atom",
-    "poisson_mc",
-    "polar_k",
-    "proj_matrix",
-    "project_M",
-    "radial_weight",
-    "radon",
-    "scalar_components",
-    "section_norm2",
-    "sigma_q",
-    "spectral_projection_energy",
-    "spherical_at",
-    "strichartz_limit",
-    "tau_apply",
-    "tau_matrix",
-    "wedge_e1",
-    "weyl_reflect",
-    "__version__",
-]
+# each module's __all__ is its public surface, and the package's is theirs
+__all__ = ["__version__", *extrep.__all__, *liegroup.__all__, *specialfn.__all__,
+           *spherical.__all__, *strichartz.__all__, *transforms.__all__]

@@ -30,7 +30,6 @@ from math import comb
 
 import numpy as np
 
-from .liegroup import KElement
 
 __all__ = [
     "BundleSpec",
@@ -42,17 +41,12 @@ __all__ = [
     "SIGMA_MINUS",
     "tau_matrix",
     "tau_matrix_batch",
-    "tau_apply",
     "tau_apply_batch",
     "tau_vec_batch",
-    "hodge_star",
     "hodge_matrix",
-    "wedge_e1",
-    "contract_e1",
     "wedge_e1_matrix",
-    "contract_e1_matrix",
-    "project_M",
     "proj_matrix",
+    "chirality_matrix",
     "dims",
     "branching",
     "sigma_blocks",
@@ -355,16 +349,8 @@ def tau_vec_batch(us, p, x):
     return out.view(complex).reshape(lead + (dim,))
 
 
-def tau_apply(k, xi):
-    """Apply Lambda^p(k) to a form vector."""
-    u = k.mat if isinstance(k, KElement) else np.asarray(k, dtype=float)
-    if u.shape[-1] != xi.n:
-        raise ValueError(f"dimension mismatch: k is SO({u.shape[-1]}), form has n={xi.n}")
-    return FormVector(xi.n, xi.degree, tau_vec_batch(u, xi.degree, xi.coeffs), spec=xi.spec)
-
-
 # ---------------------------------------------------------------------------
-# Hodge star, wedge and contraction by e_1
+# Hodge star and wedge by e_1
 
 
 @lru_cache(maxsize=None)
@@ -395,36 +381,6 @@ def wedge_e1_matrix(n, p):
         if not int(m) & 1:
             out[rank_up[int(m) | 1], j] = 1.0
     return out
-
-
-@lru_cache(maxsize=None)
-def contract_e1_matrix(n, p):
-    """iota_{e_1} : Lambda^p -> Lambda^(p-1), adjoint of wedge_e1."""
-    masks, _ = _basis(n, p)
-    rank_dn = _rank_table(n, p - 1)
-    out = np.zeros((comb(n, p - 1), comb(n, p)))
-    for j, m in enumerate(masks):
-        if int(m) & 1:
-            out[rank_dn[int(m) & ~1], j] = 1.0
-    return out
-
-
-def hodge_star(xi):
-    """Hodge star of a form vector; the degree flips to n - p."""
-    mat = hodge_matrix(xi.n, xi.degree)
-    return FormVector(xi.n, xi.n - xi.degree, mat @ xi.coeffs)
-
-
-def wedge_e1(xi):
-    if xi.degree >= xi.n:
-        raise ValueError("cannot raise degree above n")
-    return FormVector(xi.n, xi.degree + 1, wedge_e1_matrix(xi.n, xi.degree) @ xi.coeffs)
-
-
-def contract_e1(xi):
-    if xi.degree < 1:
-        raise ValueError("cannot lower degree below 0")
-    return FormVector(xi.n, xi.degree - 1, contract_e1_matrix(xi.n, xi.degree) @ xi.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -489,12 +445,6 @@ def proj_matrix(spec, sigma):
     p = (n-1)/2 gets P_{sigma^+} + P_{sigma^-}."""
     check_sigma(spec, sigma)
     return _proj_matrix_cached(spec.n, spec.p, spec.chirality, sigma.kind, sigma.q)
-
-
-def project_M(spec, sigma, xi):
-    """Orthogonal projection of xi onto the sigma-isotypic subspace."""
-    mat = proj_matrix(spec, sigma)
-    return FormVector(xi.n, xi.degree, mat @ xi.coeffs, spec=xi.spec)
 
 
 def check_sigma(spec, sigma):

@@ -27,13 +27,14 @@ cancellation ratio and the final check run on NumPy and Python scalars,
 with no masks and no arrays, so a single radius pays for its series
 and not for NumPy's fixed cost per array operation.  Any other argument
 takes the array route.  Each rule is one helper that both routes call
-(_pfaff_ok, _phi_pfaff, _phi_connection, _met, _Series.count, the tail
-test of _Series._horner_from); the functions of t that values depend on
-are NumPy's on both (np.square, not pow, for squares, as NumPy's arrays
-do), and the complex products that NumPy's array loop may round
-differently (_times) run on one-element arrays, so the two routes take
-the same branches and term counts and round alike.  NaN or infinite
-arguments raise ValueError on both routes before any series runs.
+(_pfaff_ok, _phi_pfaff, _phi_connection, _psi_series, _met,
+_Series.count, the tail test of _Series._horner_from); the functions of
+t that values depend on are NumPy's on both (np.square, not pow, for
+squares, as NumPy's arrays do), and the complex products that NumPy's
+array loop may round differently (_times) run on one-element arrays, so
+the two routes take the same branches and term counts and round alike.
+NaN or infinite arguments raise ValueError on both routes before any
+series runs.
 
 At (alpha, beta) = (m - 1/2, -1/2), m = 1..4, and real lambda, phi is
 prod_{k<m} [-(2k+1) / (lambda^2 + k^2)] Re(D^m e^{i lambda t}), D =
@@ -596,11 +597,11 @@ def _phi_connection(par, t):
         log_est = abs(lam) / (4.0 * np.square(np.cosh(t))) + np.log(lead) + lift
         if _any(log_est > _LOG_BUDGET):
             _phi_unreachable(par, t[log_est > _LOG_BUDGET])
-    psi_p, _, ratio_p = jacobi_psi(par, t, full_output=True)
+    psi_p, _, ratio_p = _psi_series(par, t)
     if real:
         psi_m, ratio_m = psi_p.conj(), ratio_p
     else:
-        psi_m, _, ratio_m = jacobi_psi(par._reflected, t, full_output=True)
+        psi_m, _, ratio_m = _psi_series(par._reflected, t)
     plus, minus = _times(cp, psi_p), _times(cm, psi_m)
     return plus + minus, _rounding(plus, ratio_p, lam, t) + _rounding(minus, ratio_m, lam, t)
 
@@ -630,20 +631,23 @@ def jacobi_psi(par, t, *, full_output=False):
     series' term counts and cancellation ratios, as hyp2f1_negz does.
     A t of one element takes the one-point route, as in jacobi_phi.
     """
-    a = complex(par.alpha)
-    b = complex(par.beta)
-    lam = complex(par.lam)
     ts, shape = _one_point(t, "jacobi_psi", "t")
     if _any(ts < _PSI_T_MIN):
         raise ValueError("jacobi_psi requires t >= 0.5")
-    _check_lambda_regular(lam, "jacobi_psi")
-
-    sh = np.sinh(ts)
-    f, nterms, ratio = _pfaff(par._series[1], -1.0 / np.square(sh))
-    out = _times((2.0 * sh) ** (1j * lam - a - b - 1.0), f)
+    _check_lambda_regular(par.lam, "jacobi_psi")
+    out, nterms, ratio = _psi_series(par, ts)
     if ts.ndim == 0:
         out, nterms, ratio = _shaped(shape, out, nterms, ratio)
     return (out, nterms, ratio) if full_output else out
+
+
+def _psi_series(par, t):
+    """(Psi, term counts, cancellation ratios) of jacobi_psi at checked t:
+    a NumPy float or a float array, all >= 0.5."""
+    sh = np.sinh(t)
+    f, nterms, ratio = _pfaff(par._series[1], -1.0 / np.square(sh))
+    exponent = 1j * complex(par.lam) - complex(par.alpha) - complex(par.beta) - 1.0
+    return _times((2.0 * sh) ** exponent, f), nterms, ratio
 
 
 def c_jacobi(alpha, beta, lam):

@@ -9,8 +9,9 @@ beta = -1/2, except in the middle-degree chirality case where a single
 component appears with doubled spectral parameter and half argument.
 
 The module also provides the Harish-Chandra c-function attached to
-sigma, the Plancherel density nu_sigma, the Weyl-group action on
-(sigma, lambda), and the two-term asymptotic head
+sigma (on every bundle a multiple of c^{(n/2, -1/2)}), the Plancherel
+density nu_sigma, the Weyl-group action on (sigma, lambda), and the
+two-term asymptotic head
 
     Phi(a_t) ~ sum_{s = +-1} e^{(is lambda - rho) t} c_{s sigma}(s lambda) P_{s sigma}.
 
@@ -59,11 +60,14 @@ __all__ = [
 ]
 
 _LAMBDA_FLOOR = 1e-6
-# zonal panels and Gauss-Legendre nodes per panel of the K-integral
+# zonal panels and Gauss-Legendre nodes per panel of the K-integral, the
+# nodes doubled past |lambda| = _ZONAL_LAM_FINE
 _ZONAL_PANELS = 16
 _ZONAL_NODES = 32
-# eisenstein_integral_at's domain in |t|
+_ZONAL_LAM_FINE = 25.0
+# eisenstein_integral_at's domain in |t| and |lambda|
 _ZONAL_T_MAX = 9.0
+_ZONAL_LAM_MAX = 100.0
 # group matrices per Iwasawa step of the Poisson kernel; bounds the
 # memory of one step
 _KERNEL_BLOCK = 8192
@@ -332,9 +336,11 @@ class PoissonKernel:
 def _c_sigma_scalar(spec, sigma, lam):
     n, p = spec.n, spec.p
     rho = (n - 1) / 2.0
-    if spec.chirality != "none":
-        return 0.25 * c_jacobi(n / 2 - 1, n / 2 + 1, 2 * lam)
     cb = c_jacobi(n / 2, -0.5, lam)
+    if spec.chirality != "none":
+        # 0.25 c_{n/2-1, n/2+1}(2 lambda), the c-function of the component
+        # phi^{(n/2-1, n/2+1)}_{2 lambda}(t/2), in the beta = -1/2 family
+        return (2j * lam - 1.0) / (4 * n) * cb
     if sigma.kind == "q" and sigma.q == p:
         return (1j * lam + rho - p) / (2 * (n - p)) * cb
     if sigma.kind == "q" and sigma.q == p - 1:
@@ -467,17 +473,24 @@ def eisenstein_integral_at(pt, t):
     and _plane_tau_basis, each trace tr(P_eta tau(kappa) P_sigma tau(R(theta))^T)
     is bilinear in (1, cos, sin) of theta' and theta: nine node sums.
 
-    Domain |t| <= 9 (ValueError beyond it, or at a t that is not finite).
-    There it meets `scalar_components` to 1e-7 absolute: at n = 3..8,
-    every sigma, lambda in {0.3, 1, 2.3, 5, 10, 25} and t = -9..9 the
-    largest gap measured was 1.4e-12 (lambda = 25, |t| = 9).
+    Domain |t| <= 9 and |lambda| <= 100 (ValueError beyond it, or at a t
+    that is not finite).  There it meets `scalar_components` to 1e-7
+    absolute: at n = 3..8, every sigma, lambda in {0.3, 1, 2.3, 5, 10, 25}
+    and t = -9..9 the largest gap measured was 1.4e-12 (lambda = 25,
+    |t| = 9); at n = 2..8 and lambda from 25.5 to 100 on 64 nodes per panel
+    it was 3.7e-13, and 1.4e-11 at lambda = 108, past the domain.
     """
     t = float(t)
     if not abs(t) <= _ZONAL_T_MAX:
         raise ValueError(f"eisenstein_integral_at is evaluated for |t| <= {_ZONAL_T_MAX:g} "
                          f"only; got t = {t}")
+    lam = abs(complex(pt.lam))
+    if not lam <= _ZONAL_LAM_MAX:
+        raise ValueError(f"eisenstein_integral_at is evaluated for |lambda| <= "
+                         f"{_ZONAL_LAM_MAX:g} only; got lambda = {pt.lam}")
     spec, n = pt.spec, pt.n
-    thetas, ws = _zonal_nodes(t, _ZONAL_PANELS, _ZONAL_NODES)
+    nodes = _ZONAL_NODES if lam <= _ZONAL_LAM_FINE else 2 * _ZONAL_NODES
+    thetas, ws = _zonal_nodes(t, _ZONAL_PANELS, nodes)
     if n == 2:
         # M is trivial, so K = SO(2) is the whole circle: the mirrored nodes
         thetas, ws = np.concatenate((thetas, -thetas)), np.concatenate((ws, ws)) / 2.0

@@ -70,7 +70,6 @@ from .transforms import BoundarySection, gram_matrix, radon_batch, sigma_part
 __all__ = [
     "BallAverageReport",
     "ball_average_atom",
-    "cross_term",
     "strichartz_limit",
     "eisenstein_hs_limit",
     "inversion_mix",
@@ -79,6 +78,7 @@ __all__ = [
     "asymptotic_residual_sweep",
     "head_ball_average",
     "spectral_projection_energy",
+    "section_norm2",
 ]
 
 _DEFAULT_R_GRID = (12.5, 25.0, 50.0, 100.0, 200.0)
@@ -605,18 +605,6 @@ def ball_average_atom(pt, section, R, k_samples=4096, rng=None):
     return float(values[0, 0])
 
 
-def cross_term(lam, n, R):
-    """(1/R) int_0^R e^{2(i lam - rho) t} (2 sinh t)^{n-1} dt = I(2 lam, R) of
-    _head_integrals in closed form, for lam != 0 and finite R > 0 (else
-    ValueError); ArithmeticError where its form cancels past 1e-10 of A(R)
-    (large lam at small R).  An array of radii gives an array, a scalar R
-    a complex."""
-    if float(lam) == 0.0:
-        raise ValueError("the cross term requires lambda != 0")
-    ramp, (wave,) = _head_integrals([2.0 * float(lam)], n, R)
-    return complex(ramp + wave) if ramp.ndim == 0 else ramp + wave
-
-
 def strichartz_limit(pt, section, R_grid=None, k_samples=4096, rng=None):
     """Ball-average sweep of a Poisson image with its R -> infinity limit
     L_head ||F||^2 (L_head the head's weight at frequency 0, _head_weights),
@@ -699,9 +687,7 @@ def inversion_ratios(pt, R, mu=None):
 def inversion_mix(pt, R, mu=None):
     """The matrix sum_{eta'} r_{eta'}(R) P_{eta'} of the reduced
     reconstruction, (C, C): F_R = mix F^(mu) for atomic data, with the
-    ratios of inversion_ratios.  n >= 3 only."""
-    if pt.n < 3:
-        raise ValueError("the zonal reduction needs n >= 3")
+    ratios of inversion_ratios."""
     mix = np.zeros((pt.spec.dim_full,) * 2, dtype=complex)
     for b, r in inversion_ratios(pt, R, mu=mu).items():
         mix += r * xr.proj_matrix(pt.spec, b)

@@ -32,10 +32,13 @@ the table at the largest w, with each block's partial sums formed as
 the carried sum plus the block's cumulative sum.  e_defect,
 u_intertwine and spectral_projection are the horocyclic defect, the
 Weyl relabelling of atom sections and the Monte Carlo spectral
-projection, which only the tests use.
+projection, which only the tests use.  contract_e1_matrix is the
+contraction by e_1, built on index tuples rather than bit masks, for the
+wedge and projector identities of extrep.
 """
 
-from math import sqrt
+from itertools import combinations
+from math import comb, sqrt
 
 import mpmath
 import numpy as np
@@ -46,6 +49,20 @@ import hyperform.specialfn as sf
 import hyperform.spherical as sph
 import hyperform.strichartz as st
 import hyperform.transforms as tfm
+
+
+def contract_e1_matrix(n, p):
+    """iota_{e_1} : Lambda^p -> Lambda^(p-1) on the colex bases: e_1 ^ e_J goes
+    to e_J (sign +1, as e_1 comes first), a subset without 1 to 0."""
+    def basis(q):
+        return sorted(combinations(range(n), q), key=lambda s: sum(1 << i for i in s))
+
+    rows = {s: i for i, s in enumerate(basis(p - 1))}
+    out = np.zeros((comb(n, p - 1), comb(n, p)))
+    for j, s in enumerate(basis(p)):
+        if s[0] == 0:
+            out[rows[s[1:]], j] = 1.0
+    return out
 
 
 def zonal_iwasawa(t, thetas):

@@ -226,6 +226,18 @@ def test_spherical_answers_at_the_domain_edge():
     assert res.exit_code == 0, res.output
 
 
+def test_spherical_meets_the_components_at_large_lambda():
+    # on 32 nodes per panel the K-integral was 1.2e-6 off at lambda = 60, and
+    # the command exited 1
+    point = ["spherical", "--n", "4", "--p", "1", "--sigma", "q:1", "--t", "1.0"]
+    code, rows = _rows([*point, "--lambda", "60"])
+    assert code == 0, rows
+    for row in rows.values():
+        assert abs(row["value"] - row["target"]) <= 1e-12, row
+    res = CliRunner().invoke(main, [*point, "--lambda", "100.5"])
+    assert res.exit_code == 2 and "|lambda| <= 100" in res.output, res.output
+
+
 def test_bad_or_missing_sigma_is_a_usage_error():
     for sigma in (["--sigma", "bogus"], ["--sigma", "q:x"], []):
         res = CliRunner().invoke(main, ["density", "--n", "3", "--p", "1", *sigma])

@@ -5,8 +5,10 @@ K-integral forms no Poisson kernel, the panel rule
 of the radial quadratures has one caller, the breakpoint rule every
 sweep shares, spherical evaluates Jacobi functions only on the
 parameters a SpectralPoint owns, the commands answer without sampling
-routes, every package name the benchmark traces or calls exists, and
-evaluating does not import numpy.ma."""
+routes, every package name the benchmark traces or calls exists,
+evaluating does not import numpy.ma, and the package's public names are
+the modules' __all__ lists, each name with a consumer outside the
+tests."""
 
 import ast
 import importlib
@@ -21,6 +23,7 @@ import hyperform
 SRC = Path(hyperform.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 # (module, enclosing function or class) allowed to call iwasawa_batch
 IWASAWA_CALLERS = {("liegroup", "iwasawa"), ("spherical", "PoissonKernel")}
@@ -216,3 +219,65 @@ def test_evaluations_do_not_import_numpy_ma():
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def _public_modules():
+    """The package modules that declare an __all__, in name order."""
+    mods = [importlib.import_module(f"hyperform.{p.stem}") for p in MODULES
+            if p.stem != "__init__"]
+    return [m for m in mods if hasattr(m, "__all__")]
+
+
+def _code_names(path):
+    """{top-level definition name, or None for other statements: the names
+    it uses as code (names, attributes, imported names)}; strings and
+    docstrings do not count."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = {}
+    for top in tree.body:
+        used = out.setdefault(getattr(top, "name", None), set())
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    return out
+
+
+def test_package_surface_is_the_module_surfaces():
+    # no hand-kept list in the package root: star imports and the modules'
+    # own __all__, each name declared once
+    mods = _public_modules()
+    assert {m.__name__ for m in mods} >= {f"hyperform.{m}" for m in (
+        "extrep", "liegroup", "specialfn", "spherical", "strichartz", "transforms")}
+    want = ["__version__"] + [name for m in mods for name in m.__all__]
+    assert hyperform.__all__ == want
+    assert len(set(want)) == len(want), "a public name is declared twice"
+    missing = [f"{m.__name__}.{name}" for m in mods for name in m.__all__
+               if not hasattr(m, name) or getattr(hyperform, name) is not getattr(m, name)]
+    assert not missing, missing
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    listed = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              and node.module for a in node.names if a.name != "*"]
+    assert not listed, f"names imported one by one into the package root: {listed}"
+
+
+def test_every_public_name_has_a_consumer_outside_the_tests(monkeypatch):
+    # a consumer is a tool, a benchmark job or traced target, or package
+    # code other than the root's re-export, the name's own definition and
+    # the definitions of public names that have no consumer themselves
+    files = sorted(TOOLS.glob("*.py")) + [PERFBENCH / "workloads.py"]
+    outside = set().union(*(used for p in files for used in _code_names(p).values()))
+    outside |= {part for _, fn, *_ in _load_tracer(monkeypatch).TARGETS for part in fn.split(".")}
+    inside = {p.stem: _code_names(p) for p in MODULES if p.stem != "__init__"}
+    public = [(m.__name__.rpartition(".")[2], name) for m in _public_modules() for name in m.__all__]
+    unused, last = set(), None
+    while unused != last:
+        last = unused
+        unused = {(own, name) for own, name in public if name not in outside and not any(
+            name in used for stem, defs in inside.items() for top, used in defs.items()
+            if (stem, top) not in last and (stem, top) != (own, name))}
+    assert not unused, "public names only the tests use:\n" + "\n".join(
+        sorted(f"{own}.{name}" for own, name in unused))

@@ -507,11 +507,15 @@ def test_psi_domain_guard():
 # c-coefficient
 
 
-def _c_mpmath(alpha, beta, lam):
+def _c_mp(alpha, beta, lam):
     il = 1j * mpmath.mpmathify(lam)
     num = mpmath.power(2, -il + alpha + beta + 1) * mpmath.gamma(alpha + 1) * mpmath.gamma(il)
     den = mpmath.gamma((il + alpha + beta + 1) / 2) * mpmath.gamma((il + alpha - beta + 1) / 2)
-    return complex(num / den)
+    return num / den
+
+
+def _c_mpmath(alpha, beta, lam):
+    return complex(_c_mp(alpha, beta, lam))
 
 
 def test_c_matches_mpmath():
@@ -550,6 +554,19 @@ def test_c_shift_identity():
             lhs = c_jacobi(n / 2.0 - 1.0, -0.5, lam)
             rhs = (1j * lam + rho) / (2.0 * n) * c_jacobi(n / 2.0, -0.5, lam)
             assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
+def test_chirality_c_function_is_in_the_beta_half_family():
+    # 0.25 c_{n/2-1,n/2+1}(2 lam) = ((2 i lam - 1) / (4n)) c_{n/2,-1/2}(lam), which
+    # c_sigma takes on the chirality bundles
+    with mpmath.workdps(30):
+        for n in (2, 4, 6, 8):
+            for lam in (0.002, 0.3, 1.0, 2.7, 11.0, 40.0):
+                want = 0.25 * _c_mp(n / 2 - 1, n / 2 + 1, 2 * lam)
+                got = (2j * mpmath.mpf(lam) - 1) / (4 * n) * _c_mp(n / 2, -0.5, lam)
+                assert abs(got - want) <= 1e-25 * abs(want), (n, lam)
+                pt = SpectralPoint(BundleSpec(n, n // 2, "plus"), sigma_q(n // 2), lam)
+                assert abs(c_sigma(pt) - complex(want)) <= 1e-13 * abs(want), (n, lam)
 
 
 def test_c_modulus_even_for_real_lambda():

@@ -204,6 +204,21 @@ def test_group_integral_holds_on_its_whole_domain(t):
             assert abs(comp[eta] - oracle[eta]) <= 1e-7, (pt.spec, str(eta), t)
 
 
+@pytest.mark.parametrize("lam", [60.0, 100.0])
+def test_group_integral_holds_up_to_its_lambda_bound(lam, monkeypatch):
+    # past |lambda| = 25 the panels take 64 nodes, against the same rule on
+    # twice as many (32 were 1.2e-6 off at 60); the components are no
+    # reference here, as jacobi_phi raises at 2 lambda on the chirality bundles
+    pts, ts = case_points(lam=lam), (-9.0, -1.7, 1.0, 9.0)
+    got = [eisenstein_integral_at(pt, t) for pt in pts for t in ts]
+    monkeypatch.setattr(sph, "_ZONAL_NODES", 2 * sph._ZONAL_NODES)
+    want = [eisenstein_integral_at(pt, t) for pt in pts for t in ts]
+    for a, b in zip(got, want):
+        assert max(abs(a[eta] - b[eta]) for eta in b) <= 1e-12, (lam, a, b)
+    with pytest.raises(ValueError, match="lambda"):
+        eisenstein_integral_at(SpectralPoint(BundleSpec(3, 1), sigma_q(1), 100.5), 1.0)
+
+
 @pytest.mark.parametrize("chirality", ["plus", "minus"])
 def test_group_integral_covers_the_whole_circle_at_n2(chirality):
     # M is trivial at n = 2, so K = SO(2) is not M A_K M: over theta in

@@ -42,12 +42,15 @@ INVOCATIONS = [
     ("density_n3_q1", "density --n 3 --p 1 --sigma q:1"),
     ("density_n6_q2", "density --n 6 --p 2 --sigma q:2 --lambda 0.5"),
     ("density_n4_plus", "density --n 4 --p 2 --chirality plus --sigma q:2 --lambda 2"),
+    ("density_n6_plus", "density --n 6 --p 3 --chirality plus --sigma q:3"),
     ("cfun_n3_plus", "cfun --n 3 --p 1 --sigma plus"),
     ("cfun_n6_q1", "cfun --n 6 --p 2 --sigma q:1 --lambda 2"),
+    ("cfun_n6_plus", "cfun --n 6 --p 3 --chirality plus --sigma q:3"),
     ("spherical_n3_q1", "spherical --n 3 --p 1 --sigma q:1 --t 0.5"),
     ("spherical_n6_q1", "spherical --n 6 --p 2 --sigma q:1 --t 2"),
     ("spherical_n4_minus", "spherical --n 4 --p 2 --chirality minus --sigma q:2 --t 1.5"),
     ("spherical_n8_q3", "spherical --n 8 --p 3 --sigma q:3 --t 1.2"),
+    ("spherical_n4_lambda60", "spherical --n 4 --p 1 --sigma q:1 --lambda 60 --t 1.0"),
     ("spherical_domain_edge", "spherical --n 3 --p 1 --sigma q:1 --t -9"),
     ("usage_spherical_t_domain", "spherical --n 3 --p 1 --sigma q:1 --t 12"),
     ("asympt_n3_plus", "asympt --n 3 --p 1 --sigma plus"),
