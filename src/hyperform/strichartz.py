@@ -24,7 +24,8 @@ problems.  The module provides
     Carlo mode exists for cross-checks at small R, and its variance
     grows like e^{(n-1)R}, see the docstring),
   * ball-averaged residuals of the asymptotic head, and
-  * a windowed energy-capture diagnostic for the spectral projections.
+  * the windowed energy capture of the spectral projections of a bump,
+    in closed form at every (n, p) (the continuous spectrum only).
 
 Every swept radial integral goes through one engine, _radial_sweep: a
 composite Gauss-Legendre rule on [0, max R] with a breakpoint at each R
@@ -63,9 +64,9 @@ from . import extrep as xr
 from . import liegroup as lg
 from .liegroup import radial_weight
 from .specialfn import gauss_legendre
-from .spherical import (CartanGeometry, PoissonKernel, SpectralPoint, component_grid,
+from .spherical import (CartanGeometry, SpectralPoint, component_grid,
                         head_components, plancherel_density, radial_kinds)
-from .transforms import BoundarySection, gram_matrix, radon_batch, sigma_part
+from .transforms import BoundarySection, gram_matrix
 
 __all__ = [
     "BallAverageReport",
@@ -824,84 +825,43 @@ def asymptotic_residual_sweep(pt, atom, R_grid=(10.0, 20.0, 40.0),
 
 def spectral_projection_energy(f, lam_grid, R, g_samples=160, k_samples=800,
                                t_nodes=32, grid=24, rng=None, details=False):
-    """Windowed energy capture of the spectral projections of a
-    compactly supported section at n = 3.
-
-    Estimates int_window d lambda sum_sigma (1/R) int_{B(R)}
-    ||Q_{sigma,lambda} f||^2 by Monte Carlo over sample points of the
-    ball and of the rotation group.  The horocycle transform profile
-    and one Poisson-kernel geometry serve the window, and each lambda
-    makes one real product of that geometry against every sigma's
-    vectors; the second moment comes from the orthogonality of
-    Lambda^p(kappa), |K v|^2 = d e^{-2 rho H} |v|^2.  Returns the
-    captured energy; the window makes the estimate one-sided, so the
-    full-line equality is never asserted.  With details=True also
-    returns a dict with the captured fraction (pi * energy / ||f||^2),
-    per-lambda rows, and the truncation data.
+    """Windowed energy capture of the spectral projections of the bump f,
+    in closed form at every (n, p).  Since F f(lambda, k) = b_sigma(lambda)
+    P_sigma tau(k)^T v0 (CompactSection.spherical_transform),
+    Q_{sigma,lambda} f = (nu b_sigma / sqrt(d_{tau,sigma})) Phi_{sigma,lambda}(.) v0,
+    and (1/R) int_{B(R)} ||Q_{sigma,lambda} f||^2 is nu^2 |b_sigma|^2 / d_{tau,sigma}
+    times the Schur ball average of Phi v0.  The capture, the trapezoid
+    over lam_grid of the sum over sigma, holds the continuous spectrum
+    only (at p = n/2 the discrete, harmonic, part is not in it); over the
+    whole line, pi times its R -> infinity limit is ||f||^2.  With
+    details=True also returns a dict: the fraction pi * capture / ||f||^2,
+    rows {"lam", "energy", "per_sigma"}, norm_f2, window and R.
+    g_samples, k_samples, t_nodes, grid and rng are not read: they sized
+    the Monte Carlo estimator that this closed form replaced.
     """
-    spec = f.spec
-    if spec.n != 3:
-        raise ValueError("energy capture is implemented for n = 3 only")
     lam_grid = np.asarray(sorted(float(l) for l in lam_grid), dtype=float)
     if lam_grid.size < 2:
         raise ValueError("need at least two window points")
-    norm = f.l2_norm()
-    if norm == 0.0:
-        return (0.0, {"fraction": 0.0, "rows": [], "norm_f2": 0.0,
-                      "window": (float(lam_grid[0]), float(lam_grid[-1]))}) \
-            if details else 0.0
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n = spec.n
-    R = float(R)
-    # ball sample points g_i = k_i a_{t_i}, t uniform with weight w(t)
-    t_i = rng.random(g_samples) * R
-    k_i = lg.haar_sample_K(n, size=g_samples, rng=rng)
-    w_i = radial_weight(t_i, n)
-    g_mats = lg.embed_rotation(k_i) @ lg.at_mats(t_i, n)
-    # shared rotation samples and horocycle profiles
-    us = lg.haar_sample_K(n, size=k_samples, rng=rng)
-    tq, wq = gauss_legendre(t_nodes)
-    tq, wq = tq * f.r_supp, wq * f.r_supp
-    prof = radon_batch(f, tq, us, grid=grid)
-    # the Poisson kernel's geometry at g_i^{-1} u_j, shared across the window:
-    # e^{-rho H} once, and Lambda^p(kappa) laid out (i, a, (j, b)), so that
-    # the kernel's product and the mean over j are one real product per lambda
-    ker = PoissonKernel(lg.inv_mats(g_mats)[:, None] @ lg.embed_rotation(us)[None], spec.p)
-    h, wide = ker.h, xr.tau_matrix_batch(ker.kappa, spec.p)
-    del ker  # kappa, and below the (i, j, a, b) stack, go as soon as used
-    wide = wide.transpose(0, 2, 1, 3).reshape(g_samples, spec.dim_full, -1)
-    decay = np.exp(-0.5 * (n - 1) * h)
+    spec, R = f.spec, float(R)
+    vnorm2 = float(np.vdot(f.v0, f.v0).real)
     rows = []
-    etas = xr.branching(spec)
-    d_ratio = np.array([xr.dims(spec, sigma)[2] for sigma in etas])
     for lam in lam_grid:
-        pts = [SpectralPoint(spec, sigma, lam) for sigma in etas]
-        profile = np.einsum("q,jqd->jd", wq * np.exp(-1j * lam * tq), prof)
-        fv = np.stack([sigma_part(pt, profile) for pt in pts], axis=-1)
-        # Q f(g_i) = nu * mean_j K_lambda(g_i^{-1} u_j) fv_j for every sigma,
-        # the kernel's weight sqrt(d) e^{-(i lam + rho) H} / J on the vectors
-        weighted = ((decay * np.exp(-1j * lam * h))[..., None, None]
-                    * (np.sqrt(d_ratio) / k_samples * fv))
-        mean = xr.tau_apply_batch(wide, weighted.reshape(g_samples, -1, len(etas)))
-        mean_sq = np.sum(np.abs(mean) ** 2, axis=-2)
-        # Lambda^p(kappa) is orthogonal: sum_a |(K v)_a|^2 = d e^{-2 rho H} |v|^2
-        second = decay ** 2 @ np.sum(np.abs(fv) ** 2, axis=-2) * (d_ratio / k_samples)
-        var = np.maximum(second - mean_sq, 0.0)
-        # debias ||mean_j||^2 by the Monte Carlo variance of the mean
-        contribs = [float(np.mean(w_i * (sq - v / k_samples)) * plancherel_density(pt) ** 2)
-                    for pt, sq, v in zip(pts, mean_sq.T, var.T)]
-        rows.append({"lam": float(lam), "energy": sum(contribs),
-                     "per_sigma": {str(s): c for s, c in zip(etas, contribs)}})
-    energies = np.array([r["energy"] for r in rows])
-    captured = float(np.trapezoid(energies, lam_grid))
+        per_sigma = {}
+        for sigma in xr.branching(spec):
+            pt = SpectralPoint(spec, sigma, lam)
+            coef = plancherel_density(pt) ** 2 * f.spherical_transform(pt) ** 2
+            avg = _schur_sweep(pt, [R], vnorm2)[0][0, 0]
+            per_sigma[str(sigma)] = float(coef / xr.dims(spec, sigma)[2] * avg)
+        rows.append({"lam": float(lam), "energy": sum(per_sigma.values()),
+                     "per_sigma": per_sigma})
+    captured = float(np.trapezoid([row["energy"] for row in rows], lam_grid))
     if not details:
         return captured
-    fraction = pi * captured / norm ** 2
+    norm_f2 = f.l2_norm() ** 2
     return captured, {
-        "fraction": fraction,
+        "fraction": pi * captured / norm_f2 if norm_f2 > 0.0 else 0.0,
         "rows": rows,
-        "norm_f2": norm ** 2,
+        "norm_f2": norm_f2,
         "window": (float(lam_grid[0]), float(lam_grid[-1])),
         "R": R,
     }

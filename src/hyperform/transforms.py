@@ -246,11 +246,11 @@ class CompactSection:
         return xr.tau_apply_batch(self.frames(mats), self.v0[:, None])[..., 0]
 
     def _radial_integral(self, profile, order=200):
-        """int_0^r_supp profile(t) (2 sinh t)^(n-1) dt, order-point Gauss-Legendre."""
+        """int_0^r_supp profile(t) (2 sinh t)^(n-1) dt on the last axis, by Gauss-Legendre."""
         ts, ws = gauss_legendre(order)
         ts = 0.5 * self.r_supp * (ts + 1.0)
         ws = 0.5 * self.r_supp * ws
-        return np.sum(ws * profile(ts) * lg.radial_weight(ts, self.spec.n))
+        return np.sum(ws * profile(ts) * lg.radial_weight(ts, self.spec.n), axis=-1)
 
     def l2_norm(self):
         """||f||^2 = ||v0||^2 int chi(t)^2 (2 sinh t)^(n-1) dt, by 200-point
@@ -261,19 +261,23 @@ class CompactSection:
     def spherical_transform(self, pt):
         """b_sigma(lambda) with F f(lambda, k) = b_sigma(lambda) P_sigma tau(k)^T v0:
         sqrt(d_{tau,sigma}) int chi(t) (1/d_tau) sum_eta d_eta phi_eta(t) (2 sinh t)^(n-1) dt
-        (the trace is real), by the rule of l2_norm; raises ArithmeticError
-        unless the 100- and 200-point values agree to a relative 1e-10."""
+        (the trace is real), by the rule of l2_norm; ArithmeticError unless the 100- and
+        200-point values agree to 1e-10 of S = the same integral with |phi_eta| (200 nodes)."""
         d_tau, _, d_ts = xr.dims(pt.spec, pt.sigma)
         d_eta = {eta: xr.dims(pt.spec, eta)[1] for eta in xr.branching(pt.spec)}
 
-        def trace(ts):
+        def trace_and_scale(ts):
             comps = component_grid(pt, ts)
-            return self.chi(ts) * sum(d_eta[eta] * v.real for eta, v in comps.items()) / d_tau
+            return self.chi(ts) * np.stack([
+                sum(d_eta[eta] * v.real for eta, v in comps.items()),
+                sum(d_eta[eta] * np.abs(v) for eta, v in comps.items())]) / d_tau
 
-        coarse, fine = (float(self._radial_integral(trace, m)) for m in (100, 200))
-        if not abs(fine - coarse) <= 1e-10 * abs(fine):
+        coarse = float(self._radial_integral(trace_and_scale, 100)[0])
+        fine, scale = (float(x) for x in self._radial_integral(trace_and_scale, 200))
+        if not abs(fine - coarse) <= 1e-10 * scale:
             raise ArithmeticError(f"spherical transform at lambda={pt.lam} over [0, "
-                                  f"{self.r_supp:g}]: 100/200 nodes give {coarse!r}, {fine!r}")
+                                  f"{self.r_supp:g}]: 100/200 nodes give {coarse!r}, {fine!r} "
+                                  f"at scale {scale:.6g}")
         return sqrt(d_ts) * fine
 
 

@@ -8,10 +8,11 @@ zonal angle with closed-form Iwasawa data; the tests pin against it
 the closed form (d_eta/d_tau) conj phi^{(eta', mu)}_eta(t), the
 conjugate spherical components of the output block's own point, and
 strichartz.inversion_ratios.
-energy_capture_loop is the energy capture of
-strichartz.spectral_projection_energy done one (lambda, sigma) at a
-time, with the kernel applied as a complex einsum and the second moment
-taken per component.  radon_pairs is the horocycle quadrature of
+energy_capture_loop is the Monte Carlo oracle of the closed-form
+energy capture strichartz.spectral_projection_energy: points of the ball
+and Haar rotations, the Poisson kernel applied to the horocycle
+transform's Fourier profile one (lambda, sigma) at a time as a complex
+einsum, and the mean square debiased by the per-component variance.  radon_pairs is the horocycle quadrature of
 transforms.radon_batch done per (rotation, radius) pair on the group
 matrices k a_t n_y, with no use of the section's left equivariance.
 inversion_mc_loop is the literal Monte Carlo reconstruction of
@@ -198,10 +199,12 @@ def radon_pairs(f, ts, kmats, grid):
 
 def energy_capture_loop(f, lam_grid, R, g_samples, k_samples, t_nodes, grid, rng):
     """The rows {"lam", "energy", "per_sigma"} of the windowed energy
-    capture, on the draws of strichartz.spectral_projection_energy with
-    the same rng: for each lambda and sigma, K_lambda(g_i^{-1} u_j) fv_j
-    as an (I, J, C) array, its mean over j and its per-component second
-    moment."""
+    capture by Monte Carlo: g_samples ball points g_i = k_i a_{t_i} (t
+    uniform on [0, R]), k_samples Haar rotations u_j, and for each lambda
+    and sigma K_lambda(g_i^{-1} u_j) fv_j as an (I, J, C) array, its mean
+    over j and its per-component second moment.  Unbiased for
+    strichartz.spectral_projection_energy up to the horocycle quadrature
+    (t_nodes, grid); n <= 4."""
     spec = f.spec
     n = spec.n
     t_i = rng.random(g_samples) * R

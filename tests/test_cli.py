@@ -326,6 +326,18 @@ def test_fourier_is_exact_at_every_n():
         assert abs(rows[f"restriction_ratio[R={R}]"]["value"] - want) <= 1e-8
 
 
+def test_fourier_gates_its_transform_on_the_absolute_scale():
+    # at lambda = 25 the bump's transform is a small part of its absolute
+    # scale, which a relative gate refused; at lambda = 40, r = 8 the
+    # 100- and 200-node rules still part by 5e-10 of it
+    args = ["fourier", "--n", "3", "--p", "1", "--sigma", "q:1", "--lambda"]
+    res = CliRunner().invoke(main, [*args, "25"])
+    assert res.exit_code == 0, res.output
+    assert len(json.loads(res.output)["rows"]) == 3
+    res = CliRunner().invoke(main, [*args, "40"])
+    assert res.exit_code == 1 and "100/200 nodes" in res.output
+
+
 def _point_args(spec, sigma):
     chir = [] if spec.chirality == "none" else ["--chirality", spec.chirality]
     return ["--n", str(spec.n), "--p", str(spec.p), *chir, "--sigma", sigma]

@@ -3,12 +3,17 @@ per-pair quadrature oracle, the left equivariance that the batched
 route rests on, and its closed-form spherical transform against the
 horocycle route of the Fourier coefficient."""
 
+from math import sqrt
+
 import numpy as np
 import pytest
 
 from hyperform import BundleSpec, SpectralPoint, bump_section, haar_sample_K
-from hyperform.extrep import MLabel, chirality_matrix, proj_matrix, tau_matrix, tau_matrix_batch
-from hyperform.liegroup import at_mats, embed_rotation
+from hyperform.extrep import (MLabel, chirality_matrix, dims, proj_matrix, tau_matrix,
+                              tau_matrix_batch)
+from hyperform.liegroup import at_mats, embed_rotation, radial_weight
+from hyperform.specialfn import gauss_legendre
+from hyperform.spherical import component_grid
 from hyperform.transforms import fourier_batch, radon_batch
 
 from oracles import radon_pairs
@@ -71,8 +76,27 @@ def test_spherical_transform_matches_fourier_batch(spec, sigma, grid, tol, rng):
 
 
 def test_spherical_transform_raises_where_its_rules_disagree():
-    # at lambda r = 240 the 100-point rule no longer resolves the oscillation
+    # at lambda r = 320 the 100-point rule no longer resolves the oscillation:
+    # the two rules part by 5.1e-10 of the absolute scale S
     spec = BundleSpec(3, 1)
-    pt = SpectralPoint(spec, MLabel.parse("q:1"), 30.0)
+    pt = SpectralPoint(spec, MLabel.parse("q:1"), 40.0)
     with pytest.raises(ArithmeticError, match="100/200 nodes"):
         bump_section(spec, 8.0).spherical_transform(pt)
+
+
+def test_spherical_transform_gates_on_the_absolute_scale():
+    # at lambda = 25, r = 8 the value is a small part of the absolute scale
+    # S = int chi sum_eta (d_eta/d_tau) |phi_eta| (2 sinh t)^(n-1) dt, which a
+    # relative gate refused; it meets an 800-node rule to 1e-11 of S
+    spec = BundleSpec(3, 1)
+    pt = SpectralPoint(spec, MLabel.parse("q:1"), 25.0)
+    f = bump_section(spec, 8.0)
+    ts, ws = gauss_legendre(800)
+    ts, ws = 4.0 * (ts + 1.0), 4.0 * ws
+    d_tau, _, d_ts = dims(spec, pt.sigma)
+    comps = component_grid(pt, ts)
+    weight = ws * f.chi(ts) * radial_weight(ts, 3) / d_tau
+    trace = sum(dims(spec, eta)[1] * v.real for eta, v in comps.items()) @ weight
+    scale = sum(dims(spec, eta)[1] * np.abs(v) for eta, v in comps.items()) @ weight
+    got = f.spherical_transform(pt)
+    assert abs(got - sqrt(d_ts) * trace) <= 1e-11 * sqrt(d_ts) * scale

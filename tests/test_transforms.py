@@ -24,6 +24,7 @@ from hyperform import (
     haar_sample_K,
     make_at,
     make_rotation,
+    plancherel_density,
     poisson_atom,
     poisson_mc,
     radon,
@@ -31,6 +32,7 @@ from hyperform import (
     spherical_at,
 )
 from hyperform.extrep import dims, proj_matrix, tau_matrix
+from hyperform.strichartz import _schur_sweep, spectral_projection_energy
 
 from oracles import group_mp, iwasawa_mp, rotation_mp, spectral_projection, u_intertwine
 
@@ -386,6 +388,34 @@ def test_spectral_projection_is_right_k_covariant(rng):
     rhs, _ = spectral_projection(f, pt, g, rng=np.random.default_rng(5), **kwargs)
     want = tau_matrix(k0, 1).T @ rhs.coeffs
     assert np.linalg.norm(lhs.coeffs - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# (bundle, q of sigma = q:q) for the closed form of the spectral projection
+PROJECTION_CASES = [(BundleSpec(3, 1), 0), (BundleSpec(3, 1), 1), (BundleSpec(4, 1), 1),
+                    (BundleSpec(4, 2, "plus"), 2)]
+
+
+@pytest.mark.parametrize("spec, q", PROJECTION_CASES,
+                         ids=[f"{s.n}-{s.p}-{s.chirality}-q{q}" for s, q in PROJECTION_CASES])
+def test_spectral_projection_of_the_bump_is_a_spherical_function(spec, q, rng):
+    # F f(lambda, k) = b_sigma P_sigma tau(k)^T v0 gives
+    # Q f = (nu b_sigma / sqrt(d_{tau,sigma})) Phi(.) v0, and the energy capture's
+    # row is that factor squared times the Schur ball average of Phi v0
+    f = bump_section(spec, 1.0)
+    k1, k2 = haar_sample_K(spec.n, size=2, rng=rng)
+    g = make_rotation(k1) @ make_at(0.7, spec.n) @ make_rotation(k2)
+    _, det = spectral_projection_energy(f, [0.5, 2.0], R=2.0, details=True)
+    for lam, row in zip((0.5, 2.0), det["rows"]):
+        pt = SpectralPoint(spec, sigma_q(q), lam)
+        scale = plancherel_density(pt) * f.spherical_transform(pt) / sqrt(dims(spec, pt.sigma)[2])
+        want = scale * (spherical_at(pt, g) @ f.v0)
+        got, se = spectral_projection(f, pt, g, k_samples=40000, t_nodes=16, grid=12,
+                                      rng=np.random.default_rng(5))
+        assert np.linalg.norm(got.coeffs - want) <= 4.0 * se, lam
+        if str(pt.sigma) not in row["per_sigma"]:
+            continue  # q:1 at n = 3, which the capture takes as plus and minus
+        energy = scale ** 2 * _schur_sweep(pt, [2.0], np.vdot(f.v0, f.v0).real)[0][0, 0]
+        assert abs(row["per_sigma"][str(pt.sigma)] - energy) <= 1e-12 * energy
 
 
 def test_fourier_rejects_large_n():
