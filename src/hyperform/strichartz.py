@@ -28,11 +28,12 @@ problems.  The module provides
     in closed form at every (n, p) (the continuous spectrum only).
 
 Every swept radial integral goes through one engine, _radial_sweep: a
-composite Gauss-Legendre rule on [0, max R] with a breakpoint at each R
-of the grid and panels of at most a quarter period of e^{2 i lambda t},
-the profile (a stack of them, one per kind) evaluated once over the
-nodes of an order pair, and cumulative sums per R.  The two orders must
-agree to a relative 1e-10 at every R, or the sweep raises
+composite G15/K31 Gauss-Kronrod rule on [0, max R] with a breakpoint at
+each R of the grid and panels of at most half a period of
+e^{2 i lambda t} and pi/2, the profile (a stack of them, one per kind)
+evaluated once over the 31 nodes of each panel, and cumulative sums per
+R.  The K31 sum is the value; the G15 sum on every other node must agree
+with it to a relative 1e-10 at every R, or the sweep raises
 ArithmeticError.
 
 A Schur ball average, paired or not, is swept only up to 2 R0, R0 = 20
@@ -148,38 +149,71 @@ class BallAverageReport:
 # quadrature helpers
 
 
-def _osc_nodes(a, b, lam, order):
-    """Composite fixed Gauss-Legendre nodes resolving oscillation at
-    frequency ~2 lam: at least 4 panels, none longer than a quarter
-    period of e^{2 i lam t}."""
-    width = pi / max(2.0 * abs(float(lam)), 0.5) / 2
+def _osc_nodes(a, b, lam, rule):
+    """Composite nodes and weights on [a, b] of the rule (xs, ws) on
+    [-1, 1] (ws one weight row, or a stack of rows on the same nodes)
+    resolving oscillation at frequency ~2 lam: at least 4 panels, none
+    wider than half a period of e^{2 i lam t}, nor than pi/2, the
+    distance of the radial profiles' nearest complex singularities
+    (sinh^2 t = -1 at Im t = +-pi/2)."""
+    width = pi / (2.0 * max(abs(float(lam)), 1.0))
     panels = max(int(ceil((b - a) / width)), 4)
     edges = np.linspace(a, b, panels + 1)
-    xs, ws = gauss_legendre(order)
+    xs, ws = rule
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
-    weights = (half[:, None] * ws[None, :]).ravel()
+    weights = (half[:, None] * ws[..., None, :]).reshape(ws.shape[:-1] + (-1,))
     return nodes, weights
 
 
-def _sweep_rule(ends, lam, order):
-    """The composite Gauss-Legendre rule of one order on [0, max ends]
-    with a breakpoint at every end (ascending): each segment
-    [ends[j-1], ends[j]] gets the panels of _osc_nodes.  Returns nodes,
-    weights and the segment index j of each node."""
+def _sweep_rule(ends, lam, rule):
+    """The composite rule (xs, ws) on [0, max ends] with a breakpoint at
+    every end (ascending): each segment [ends[j-1], ends[j]] gets the
+    panels of _osc_nodes.  Returns nodes, weights (one row per row of ws)
+    and the segment index j of each node."""
     ends = np.asarray(ends, dtype=float)
     starts = np.concatenate(([0.0], ends[:-1]))
-    rules = [_osc_nodes(a, b, lam, order=order) for a, b in zip(starts, ends)]
+    rules = [_osc_nodes(a, b, lam, rule) for a, b in zip(starts, ends)]
     nodes = np.concatenate([ts for ts, _ in rules])
-    weights = np.concatenate([ws for _, ws in rules])
+    weights = np.concatenate([ws for _, ws in rules], axis=-1)
     segs = np.concatenate([np.full(ts.size, j) for j, (ts, _) in enumerate(rules)])
     return nodes, weights, segs
 
 
-# Gauss-Legendre order pair of the radial sweep, its profile block size
-# (bounds the memory of one profile call) and its relative tolerance
-_SWEEP_ORDERS = (20, 30)
+# The Gauss-Kronrod pair G15/K31 of the radial sweep on [-1, 1] (QUADPACK's
+# qk31): the 16 non-negative K31 nodes ascending and their weights, and the
+# G15 weights of the Gauss nodes among them, every other node from 0 on.
+# Computed in mpmath from the Stieltjes polynomial of P_15 and rounded to
+# double; tests/test_strichartz.py recomputes them.
+_K31_NODES = np.array([
+    0.0, 0.1011420669187175, 0.20119409399743451, 0.29918000715316884,
+    0.3941513470775634, 0.4850818636402397, 0.5709721726085388, 0.650996741297417,
+    0.7244177313601701, 0.790418501442466, 0.8482065834104272, 0.8972645323440819,
+    0.937273392400706, 0.9677390756791391, 0.9879925180204854, 0.9980022986933971])
+_K31_WEIGHTS = np.array([
+    0.10133000701479154, 0.10076984552387559, 0.09917359872179196, 0.09664272698362368,
+    0.09312659817082532, 0.08856444305621176, 0.08308050282313302, 0.07684968075772038,
+    0.06985412131872826, 0.06200956780067064, 0.05348152469092809, 0.04458975132476488,
+    0.03534636079137585, 0.02546084732671532, 0.015007947329316122, 0.005377479872923349])
+_G15_WEIGHTS = np.array([
+    0.2025782419255613, 0.19843148532711158, 0.1861610000155622, 0.16626920581699392,
+    0.13957067792615432, 0.10715922046717194, 0.07036604748810812, 0.03075324199611727])
+
+
+def _g15_k31():
+    """The 31 nodes ascending and the weight stack (K31, G15) on them; a
+    Kronrod-only node has G15 weight 0."""
+    gauss = np.zeros(_K31_NODES.size)
+    gauss[::2] = _G15_WEIGHTS
+    ws = np.array([_K31_WEIGHTS, gauss])
+    return (np.concatenate((-_K31_NODES[:0:-1], _K31_NODES)),
+            np.concatenate((ws[:, :0:-1], ws), axis=-1))
+
+
+_G15_K31 = _g15_k31()
+# the profile block size of the radial sweep (bounds the memory of one
+# profile call) and its relative tolerance
 _SWEEP_BLOCK = 2048
 _SWEEP_RTOL = 1e-10
 # Gauss-Legendre order of the Monte Carlo ball averages and of the
@@ -191,52 +225,52 @@ _MC_INVERSION_ORDER = 16
 def _radial_sweep(profile, R_grid, lam):
     """int_0^R profile(t) dt for every R of R_grid, in one pass.
 
-    One composite Gauss-Legendre rule covers [0, max R]: every R is a
-    breakpoint and panels are at most a quarter period of e^{2 i lam t}
-    wide, with no cap on their number (it grows like lam R).  The
-    vectorized profile is evaluated once over the nodes of both orders
-    on the same panels, in blocks of at most _SWEEP_BLOCK nodes, and the
-    panel sums accumulate per R; a complex profile sums its real and
-    imaginary parts apart.  The profile may return a stack (..., T) of
-    integrands over the T nodes, each row summed on its own bins.
-    Returns (values, errors) of shape (..., len(R_grid)), the error being
-    |fine - coarse|; raises ArithmeticError when a value is not finite
-    or its error exceeds _SWEEP_RTOL of it.
+    One composite G15/K31 Gauss-Kronrod rule covers [0, max R]: every R
+    is a breakpoint and panels are at most half a period of
+    e^{2 i lam t} and pi/2 wide, with no cap on their number (it grows
+    like lam R).  The vectorized profile is evaluated once over the 31
+    nodes of each panel, in blocks of at most _SWEEP_BLOCK nodes, and
+    both the K31 and the G15 panel sums (the Gauss nodes are every other
+    Kronrod node, so they cost no extra evaluation) accumulate per R; a
+    complex profile sums its real and imaginary parts apart.  The profile
+    may return a stack (..., T) of integrands over the T nodes, each row
+    summed on its own bins.  Returns (values, errors) of shape
+    (..., len(R_grid)), the value being the K31 sum and the error
+    |K31 - G15|; raises ArithmeticError when the profile is not finite
+    or an error exceeds _SWEEP_RTOL of its value, and ValueError unless
+    every radius is positive and finite.
     """
     R_grid = np.asarray(R_grid, dtype=float)
-    if R_grid.size == 0 or not np.all(R_grid > 0.0):
-        raise ValueError("ball radii must be positive")
+    if R_grid.size == 0 or not np.all((R_grid > 0.0) & np.isfinite(R_grid)):
+        raise ValueError("ball radii must be positive and finite")
     ends = np.sort(R_grid)
-    rules = [_sweep_rule(ends, lam, order) for order in _SWEEP_ORDERS]
-    nodes = np.concatenate([ts for ts, _, _ in rules])
-    weights = np.concatenate([ws for _, ws, _ in rules])
-    bins = np.concatenate([rank * ends.size + segs
-                           for rank, (_, _, segs) in enumerate(rules)])
-    width = len(_SWEEP_ORDERS) * ends.size
+    nodes, weights, segs = _sweep_rule(ends, lam, _G15_K31)
     sums = 0.0
     for lo in range(0, nodes.size, _SWEEP_BLOCK):
         sl = slice(lo, lo + _SWEEP_BLOCK)
-        vals = weights[sl] * profile(nodes[sl])
+        vals = profile(nodes[sl])
+        # checked before weighting: the G15 weight 0 of a Kronrod-only
+        # node would turn an infinite value into a NaN
+        if not np.all(np.isfinite(vals)):
+            raise ArithmeticError(
+                f"radial profile not finite on [0, {ends[-1]:g}]")
+        vals = vals[..., None, :] * weights[:, sl]
         rows = vals.shape[:-1]
         count = vals.size // vals.shape[-1]
-        # row r of the stack sums on bins r * width + bin
-        flat = (np.arange(count)[:, None] * width + bins[sl]).ravel()
-        sums = sums + np.bincount(flat, weights=vals.real.ravel(), minlength=count * width)
+        # row r of the (..., K31/G15) stack sums on bins r * ends.size + seg
+        flat = (np.arange(count)[:, None] * ends.size + segs[sl]).ravel()
+        sums = sums + np.bincount(flat, weights=vals.real.ravel(), minlength=count * ends.size)
         if np.iscomplexobj(vals):
             sums = sums + 1j * np.bincount(flat, weights=vals.imag.ravel(),
-                                           minlength=count * width)
-    if not np.all(np.isfinite(sums)):
-        raise ArithmeticError(
-            f"radial profile not finite on [0, {ends[-1]:g}]")
-    sums = np.cumsum(sums.reshape(rows + (len(_SWEEP_ORDERS), ends.size)), axis=-1)
-    coarse, fine = sums[..., 0, :], sums[..., -1, :]
+                                           minlength=count * ends.size)
+    sums = np.cumsum(sums.reshape(rows + (ends.size,)), axis=-1)
+    fine, coarse = sums[..., 0, :], sums[..., 1, :]
     err = np.abs(fine - coarse)
     bad = ~(err <= _SWEEP_RTOL * np.abs(fine))
     if np.any(bad):
         *row, i = np.argwhere(bad)[0]
         raise ArithmeticError(
-            f"radial quadrature to R={ends[i]:g} did not converge: orders "
-            f"{_SWEEP_ORDERS[0]}/{_SWEEP_ORDERS[-1]} give "
+            f"radial quadrature to R={ends[i]:g} did not converge: G15/K31 give "
             f"{coarse[(*row, i)].item()!r} and {fine[(*row, i)].item()!r}")
     idx = np.searchsorted(ends, R_grid)
     return fine[..., idx], err[..., idx]
@@ -548,16 +582,16 @@ def _ball_sweep(pt, section, R_grid, kinds=("spherical",), k_samples=4096, rng=N
     radial integral of the Schur profile, one _schur_sweep for every kind
     (method schur_1d).  Otherwise the rotation factor is sampled (method
     mc_k): k_samples Haar rotations are drawn once, first, and serve
-    every R and every kind, on the order-_MC_ORDER _sweep_rule with a
-    breakpoint at each R; per-draw sums are kept per segment and summed
-    cumulatively.  The image on the sampled sheet k a_t comes from one
-    _Sheet, in slabs of whole t-nodes.  A value differs from the
-    one-radius value on the same draws only by the change of node
-    layout: rounding for the smooth spherical kind, the t-quadrature
-    error for the residual and head, which are not smooth on G at the
-    identity.  For the residual that error, measured at up to 2e-5
-    relative, is a bias which the stderrs (Monte Carlo error only) leave
-    out.  Returns (values, stderrs, method), the arrays of shape
+    every R and every kind, on the _sweep_rule of Gauss-Legendre order
+    _MC_ORDER with a breakpoint at each R; per-draw sums are kept per
+    segment and summed cumulatively.  The image on the sampled sheet
+    k a_t comes from one _Sheet, in slabs of whole t-nodes.  A value
+    differs from the one-radius value on the same draws only by the
+    change of node layout: rounding for the smooth spherical kind, the
+    t-quadrature error for the residual and head, which are not smooth on
+    G at the identity.  For the residual that error, measured at up to
+    2e-5 relative, is a bias which the stderrs (Monte Carlo error only)
+    leave out.  Returns (values, stderrs, method), the arrays of shape
     (len(kinds), len(R_grid)).
     """
     atoms = _atom_list(section)
@@ -573,7 +607,8 @@ def _ball_sweep(pt, section, R_grid, kinds=("spherical",), k_samples=4096, rng=N
     n = pt.n
     sheet = _Sheet(pt, atoms, lg.embed_rotation(lg.haar_sample_K(n, size=k_samples, rng=rng)))
     ends = np.sort(R_grid)
-    ts, ws, segs = _sweep_rule(ends, pt.lam_real if np.isreal(pt.lam) else 1.0, _MC_ORDER)
+    ts, ws, segs = _sweep_rule(ends, pt.lam_real if np.isreal(pt.lam) else 1.0,
+                               gauss_legendre(_MC_ORDER))
     per_seg = np.zeros((len(kinds), ends.size, k_samples))
     # whole t-nodes of k_samples group matrices per slab, at least one, and
     # at most 65536 matrices and 2^20 entries per Lambda^p stack
@@ -746,7 +781,8 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
         rng = np.random.default_rng(0)
     n, p = pt.n, pt.p
     k1 = lg.haar_sample_K(n, size=mc_k1, rng=rng)
-    ts, ws, _ = _sweep_rule([float(R)], max(abs(lam), abs(mu_val)), _MC_INVERSION_ORDER)
+    ts, ws, _ = _sweep_rule([float(R)], max(abs(lam), abs(mu_val)),
+                           gauss_legendre(_MC_INVERSION_ORDER))
     # Poisson image on the sample sheet k1 a_t; the Cartan step of an atom
     # away from the base point takes one t-node of mc_k1 matrices at a time,
     # so its temporaries stay below those of fvals

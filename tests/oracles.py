@@ -247,7 +247,8 @@ def inversion_mc_loop(pt, section, R, kmats, mc_k1, rng, mu=None):
     mu = lam if mu is None else float(mu)
     nu = sph.plancherel_density(pt)
     k1e = lg.embed_rotation(lg.haar_sample_K(n, size=mc_k1, rng=rng))
-    ts, ws, _ = st._sweep_rule([float(R)], max(abs(lam), abs(mu)), st._MC_INVERSION_ORDER)
+    ts, ws, _ = st._sweep_rule([float(R)], max(abs(lam), abs(mu)),
+                                sf.gauss_legendre(st._MC_INVERSION_ORDER))
     fvals = np.zeros((ts.size, mc_k1, pt.spec.dim_full), dtype=complex)
     at_all = lg.at_mats(ts, n)
     for i in range(ts.size):

@@ -74,7 +74,7 @@ def test_pairing_kernel_is_transpose_dual_spherical_component():
 
 def _oracle_ratios(pt, R, mu):
     # inversion_ratios with the pairing kernel from the zonal quadrature
-    ts, ws = st._osc_nodes(0.0, R, max(pt.lam_real, mu), order=20)
+    ts, ws = st._osc_nodes(0.0, R, max(pt.lam_real, mu), gauss_legendre(20))
     pair = j_pair_grid(pt, ts, mu)
     s = np.exp(0.5 * pt.rho * ts)
     weight = st._stable_weight(ts, pt.n) * ws * pi * sph.plancherel_density(pt) / R
@@ -223,7 +223,7 @@ def test_mc_k_ball_average_equals_scalar_loop(kernel):
         got = vals[0, 0]
         assert method == "mc_k"
         ks = lg.haar_sample_K(pt.n, size=k_samples, rng=np.random.default_rng(4))
-        ts, ws = st._osc_nodes(0.0, R, 1.0, order=12)
+        ts, ws = st._osc_nodes(0.0, R, 1.0, gauss_legendre(12))
         per_k = np.zeros(k_samples)
         for j, k in enumerate(lg.embed_rotation(ks)):
             for t, w in zip(ts, ws):
@@ -323,7 +323,7 @@ def _scalar_loop_averages(pt, sec, R, k_samples, seed):
     spherical, head and residual, on the draws and t-nodes of _ball_sweep:
     one spherical_at and one asymptotic_head call per atom and element."""
     ks = lg.haar_sample_K(pt.n, size=k_samples, rng=np.random.default_rng(seed))
-    ts, ws = st._osc_nodes(0.0, R, 1.0, order=12)
+    ts, ws = st._osc_nodes(0.0, R, 1.0, gauss_legendre(12))
     per_k = np.zeros((3, k_samples))
     for j, k in enumerate(lg.embed_rotation(ks)):
         for t, w in zip(ts, ws):
@@ -615,8 +615,9 @@ def test_residual_sweep_deviation_halves_per_doubling():
 
 
 def _sweep_panel_edges(R_grid, lam):
-    # the sweep's panel edges: each [R_{j-1}, R_j] split into at least
-    # four equal panels no wider than a quarter period of e^{2 i lam t}
+    # an mpmath oracle's panel edges: each [R_{j-1}, R_j] split into at
+    # least four equal panels no wider than a quarter period of
+    # e^{2 i lam t} (the exact integral does not depend on the split)
     width = pi / max(2.0 * lam, 0.5) / 2.0
     edges = [0.0]
     for a, b in zip((0.0,) + tuple(R_grid[:-1]), R_grid):
@@ -625,11 +626,15 @@ def _sweep_panel_edges(R_grid, lam):
     return edges
 
 
+# one rule object, whose cache keeps the nodes of each degree on [-1, 1]
+_MPMATH_GAUSS_LEGENDRE = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp)
+
+
 def _mpmath_panel_quad(profile, a, b):
     # mpmath's Gauss-Legendre nodes and weights of degree m (3 * 2^(m-1)
     # nodes) on [a, b], the profile taken on all of them in one call; the
     # node count doubles until two degrees agree to 1e-14
-    rule = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp)
+    rule = _MPMATH_GAUSS_LEGENDRE
     prev = None
     for degree in range(3, 10):
         nodes = rule.get_nodes(mpmath.mpf(a), mpmath.mpf(b), degree, mpmath.mp.prec)
@@ -685,6 +690,132 @@ def test_radial_sweep_raises_on_unresolved_or_nonfinite_profile():
         st._radial_sweep(lambda ts: np.where(ts > 7.0, np.inf, 1.0),
                          (5.0, 10.0), 1.0)
 
+
+def test_radial_sweep_refuses_a_non_finite_radius():
+    for radii in ([np.inf], [1.0, np.inf], [np.nan]):
+        with pytest.raises(ValueError, match="ball radii must be positive and finite"):
+            st._radial_sweep(lambda ts: np.exp(-ts), radii, 1.0)
+
+
+def test_radial_sweep_takes_31_nodes_per_half_period_panel():
+    # [0, 10] and [10, 40] in panels of pi/2 at lam = 1: 7 + 20 panels of
+    # 31 nodes
+    seen = []
+
+    def spy(ts):
+        seen.append(ts.size)
+        return np.exp(-0.1 * ts) * (1.0 + np.cos(2.0 * ts) ** 2)
+
+    vals, errs = st._radial_sweep(spy, (10.0, 40.0), 1.0)
+    assert sum(seen) <= 27 * 31
+    assert np.all(errs <= 1e-10 * vals)
+
+
+def _kronrod_table_mpmath():
+    """The G15/K31 pair on [-1, 1] at 40 digits: the 16 non-negative K31
+    nodes ascending and their weights, from the roots of the Stieltjes
+    polynomial E_16 of P_15 (orthogonal to every x^j, j < 16, under the
+    weight P_15) and the moment solve; the 8 non-negative G15 nodes
+    ascending and their Gauss weights."""
+    from fractions import Fraction
+
+    def legendre(n, x):   # P_{n-1}(x), P_n(x)
+        prev, cur = 0, 1
+        for k in range(n):
+            prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+        return prev, cur
+
+    def moment(coeffs, m):
+        return sum(c * Fraction(2, i + m + 1) for i, c in enumerate(coeffs) if (i + m) % 2 == 0)
+
+    # P_15 in exact rational coefficients, ascending powers, by the
+    # three-term recurrence
+    prev, p15 = [Fraction(1)] + [Fraction(0)] * 15, [Fraction(0), Fraction(1)] + [Fraction(0)] * 14
+    for k in range(1, 15):
+        prev, p15 = p15, [((2 * k + 1) * (p15[i - 1] if i else 0) - k * prev[i]) / (k + 1)
+                          for i in range(16)]
+    # E_16 is even, x^16 + sum_{i<8} e_i x^{2i}; the even x^j are orthogonal
+    # to it by parity, the odd ones give 8 equations, solved exactly
+    rows = [[moment(p15, 2 * i + j) for i in range(8)] + [-moment(p15, 16 + j)]
+            for j in range(1, 16, 2)]
+    for c in range(8):
+        piv = next(r for r in range(c, 8) if rows[r][c] != 0)
+        rows[c], rows[piv] = rows[piv], rows[c]
+        for r in range(8):
+            if r != c:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    e16 = [rows[i][8] / rows[i][i] for i in range(8)] + [Fraction(1)]
+    with mpmath.workdps(40):
+        def roots(coeffs):   # non-negative roots x of a polynomial in x^2
+            ys = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
+                                   for c in reversed(coeffs)], maxsteps=200, extraprec=200)
+            return sorted(mpmath.sqrt(y) for y in ys)
+
+        gauss = [mpmath.mpf(0)] + roots(p15[1::2])
+        nodes = sorted(gauss + roots(e16))
+        # sum_i w_i P_2k(x_i) over all 31 nodes = 2 [k = 0], k < 16
+        mat = mpmath.matrix([[(1 if i == 0 else 2) * legendre(2 * k, x)[1]
+                              for i, x in enumerate(nodes)] for k in range(16)])
+        weights = mpmath.lu_solve(mat, mpmath.matrix([2] + [0] * 15))
+        g_weights = []
+        for x in gauss:
+            pm1, pn = legendre(15, x)
+            dp = 15 * (x * pn - pm1) / (x * x - 1)
+            g_weights.append(2 / ((1 - x * x) * dp * dp))
+        return ([float(x) for x in nodes], [float(w) for w in weights],
+                [float(x) for x in gauss], [float(w) for w in g_weights])
+
+
+def test_kronrod_table_matches_mpmath_and_is_exact_to_its_degrees():
+    nodes, weights, g_nodes, g_weights = _kronrod_table_mpmath()
+    for lit, want in ((st._K31_NODES, nodes), (st._K31_WEIGHTS, weights),
+                      (st._G15_WEIGHTS, g_weights)):
+        want = np.array(want)
+        assert lit.shape == want.shape
+        assert np.all(np.abs(lit - want) <= 2 * np.spacing(np.abs(want))), (lit - want)
+    xs, (wk, wg) = st._G15_K31
+    assert xs.shape == (31,) and np.all(np.diff(xs) > 0.0)
+    # G15 is K31 on its odd-indexed nodes, and costs no node of its own
+    g_full = np.concatenate((-np.array(g_nodes[:0:-1]), g_nodes))
+    assert np.all(np.abs(xs[1::2] - g_full) <= 2 * np.spacing(np.abs(g_full)))
+    assert np.all(wg[::2] == 0.0)
+    assert np.all(wk > 0.0) and np.all(wg[1::2] > 0.0)
+    # exact on x^k up to degree 46 (K31) and 29 (G15)
+    def miss(w, k):
+        return abs(float(np.sum(w * xs ** k)) - (2.0 / (k + 1) if k % 2 == 0 else 0.0))
+
+    assert all(miss(wk, k) < 1e-15 for k in range(47))
+    assert all(miss(wg, k) < 1e-15 for k in range(30))
+
+
+def _mpmath_sweep(profile, R_grid, lam):
+    # int_0^R of the profile for every R of R_grid, panel by panel
+    edges = _sweep_panel_edges(R_grid, lam)
+    total = mpmath.mpf(0)
+    want = []
+    for a, b in zip(edges, edges[1:]):
+        total += _mpmath_panel_quad(profile, a, b)
+        if b in R_grid:
+            want.append(float(total))
+    assert len(want) == len(R_grid)
+    return want
+
+
+# past t = 0.25 at lam = 25 and 40 the (6,2) profile carries a rounding
+# noise near 1e-14, which keeps the oracle's degrees from agreeing to 1e-14
+@pytest.mark.parametrize("lam, R_grid", [(0.01, (2.5, 5.0, 10.0)), (0.1, (2.5, 5.0, 10.0)),
+                                         (25.0, (0.125, 0.25)), (40.0, (0.125, 0.25))])
+def test_radial_sweep_matches_mpmath_at_small_and_large_lambda(lam, R_grid):
+    for spec, sigma in ((BundleSpec(3, 1), sigma_q(1)), (BundleSpec(6, 2), sigma_q(2))):
+        pt = SpectralPoint(spec, sigma, lam)
+
+        def profile(ts):
+            return st._weighted_square_profile(pt, ts)
+
+        got, _ = st._radial_sweep(profile, R_grid, lam)
+        for g, w in zip(got, _mpmath_sweep(profile, R_grid, lam)):
+            assert abs(g - w) < 1e-12 * abs(w), (spec, lam, g, w)
 
 def test_head_ball_average_approaches_comparison_asymptote():
     spec = BundleSpec(6, 2)
