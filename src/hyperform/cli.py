@@ -37,7 +37,7 @@ from . import transforms as tfm
 
 
 class _RadiusGrid(click.ParamType):
-    """A comma-separated list of ball radii, as a tuple of floats."""
+    """A comma-separated list of positive finite radii, as a tuple of floats."""
 
     name = "grid"
 
@@ -48,6 +48,8 @@ class _RadiusGrid(click.ParamType):
             self.fail(f"{value!r} is not a comma-separated list of radii", param, ctx)
         if not vals:
             self.fail("the radius grid is empty", param, ctx)
+        if not all(0.0 < R < float("inf") for R in vals):
+            self.fail(f"ball radii must be positive and finite; got {value!r}", param, ctx)
         return vals
 
 

@@ -44,6 +44,8 @@ __all__ = [
     "tau_apply_batch",
     "tau_vec_batch",
     "hodge_matrix",
+    "wedge_table",
+    "wedge_batch",
     "wedge_e1_matrix",
     "proj_matrix",
     "chirality_matrix",
@@ -93,6 +95,7 @@ class MLabel:
         raise ValueError(f'cannot parse MLabel from {text!r} (use "q:K", "plus", "minus")')
 
 
+@lru_cache(maxsize=None)
 def sigma_q(q):
     return MLabel("q", q)
 
@@ -371,16 +374,34 @@ def hodge_matrix(n, p):
 
 
 @lru_cache(maxsize=None)
+def wedge_table(n, p, star=False):
+    """(shape, flat, comp, sign) of b ^ (.) : Lambda^p -> Lambda^(p+1), or of
+    star(b ^ .) with star: the matrix holds sign * b[comp] at its flat
+    positions and 0 elsewhere; e_j ^ e_J = (-1)^#{i in J : i < j} e_(J+j)."""
+    masks, rank_up = _basis(n, p)[0], _rank_table(n, p + 1)
+    rows, cols, comp, sign = np.array([
+        (rank_up[m | 1 << j], col, j, -1 if (m & ((1 << j) - 1)).bit_count() % 2 else 1)
+        for col, m in enumerate(map(int, masks)) for j in range(n) if not m >> j & 1],
+        dtype=np.int64).reshape(-1, 4).T
+    if star:
+        hodge = hodge_matrix(n, p + 1)  # one +-1 per column
+        rows, sign = np.abs(hodge).argmax(axis=0)[rows], sign * hodge.sum(axis=0)[rows]
+    shape = (comb(n, n - p - 1 if star else p + 1), comb(n, p))
+    return shape, rows * shape[1] + cols, comp, sign
+
+
+def wedge_batch(bs, p, star=False):
+    """The matrices of b ^ (.) on Lambda^p, or of star(b ^ .) with star,
+    for stacked real vectors b, an (..., n) array: one scatter of wedge_table."""
+    shape, flat, comp, sign = wedge_table(bs.shape[-1], p, star)
+    out = np.zeros(bs.shape[:-1] + (shape[0] * shape[1],))
+    out[..., flat] = sign * bs[..., comp]
+    return out.reshape(bs.shape[:-1] + shape)
+
+
 def wedge_e1_matrix(n, p):
-    """e_1 ^ (.) : Lambda^p -> Lambda^(p+1).  Sign is +1 throughout
-    because e_1 is the smallest basis element."""
-    masks, _ = _basis(n, p)
-    rank_up = _rank_table(n, p + 1)
-    out = np.zeros((comb(n, p + 1), comb(n, p)))
-    for j, m in enumerate(masks):
-        if not int(m) & 1:
-            out[rank_up[int(m) | 1], j] = 1.0
-    return out
+    """e_1 ^ (.) : Lambda^p -> Lambda^(p+1), wedge_batch at b = e_1 (all signs +1)."""
+    return wedge_batch(np.eye(n)[0], p)
 
 
 # ---------------------------------------------------------------------------

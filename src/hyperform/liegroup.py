@@ -25,7 +25,7 @@ This module owns the batch geometry of the package.  Its array kernels
 are public and take stacked arrays, returning stacked (..., n+1, n+1)
 matrices or their factors: embed_rotation, inv_mats (J g^T J), at_mats
 (boosts), ny_mats (horospherical elements), plane_rotations,
-iwasawa_batch, cartan_batch and polar_blocks, and
+iwasawa_batch, cartan_batch, cartan_axis, cartan_radius, polar_blocks and
 iwasawa_boosted_batch, the Iwasawa factors of a_{-t} r read off the
 rotations r alone, stored sample-major.  Every other module builds
 on them, and they do no validation.  The scalar API (make_*, iwasawa,
@@ -58,6 +58,8 @@ __all__ = [
     "iwasawa_batch",
     "iwasawa_boosted_batch",
     "cartan_batch",
+    "cartan_axis",
+    "cartan_radius",
     "polar_blocks",
 ]
 
@@ -68,6 +70,17 @@ TIE_EPS = 1.0e-12
 # Orthogonality slack accepted from K blocks produced by chained matrix
 # products before we declare an internal consistency error.
 _CONSISTENCY_TOL = 1.0e-8
+
+
+def _gate_k(block, what):
+    """ArithmeticError unless K blocks (..., n, n) are within 1e-8 of orthogonal."""
+    # the Gram matrices minus I, reduced in place; square stacked products
+    # run several times faster on a C-ordered copy than on a swapaxes view
+    gram = np.ascontiguousarray(block.swapaxes(-1, -2)) @ block
+    _shift_diagonal(gram, -1.0)
+    defect = np.abs(gram, out=gram).max()
+    if not defect <= _CONSISTENCY_TOL:  # a NaN defect raises too
+        raise ArithmeticError(f"{what} lost orthogonality: defect {defect:.3e}")
 
 
 def _shift_diagonal(a, x):
@@ -336,14 +349,7 @@ def iwasawa_batch(mats):
     block = gxi[..., :, None] * y0[..., None, :]
     np.subtract(mats[..., :n, :n], block, out=block)
     block[..., 0] = gxi / (mats[..., n, 0] + mats[..., n, n])[..., None]
-    # the Gram matrix minus I, reduced in place; square stacked products
-    # run several times faster on a C-ordered copy than on a swapaxes view
-    gram = np.ascontiguousarray(block.swapaxes(-1, -2)) @ block
-    _shift_diagonal(gram, -1.0)
-    defect = np.abs(gram, out=gram).max()
-    if not defect <= _CONSISTENCY_TOL:  # a NaN defect raises too
-        raise ArithmeticError(
-            f"Iwasawa K factor lost orthogonality: defect {defect:.3e}")
+    _gate_k(block, "Iwasawa K factor")
     return h, y, block
 
 
@@ -414,16 +420,27 @@ def polar_k(g):
     factorization; equals k1 k2 of the Cartan decomposition."""
     is_group = isinstance(g, GroupElement)
     block = polar_blocks(g.mat if is_group else np.asarray(g))
-    defect = np.max(np.abs(block.T @ block - np.eye(block.shape[-1])))
-    if not defect <= _CONSISTENCY_TOL:
-        raise ArithmeticError(f"polar block defect {defect:.3e}")
+    _gate_k(block, "polar block")
     # the K-part of an SO0(n,1) element has det +1; a bare array is checked
     return KElement._of_rotation(block) if is_group else KElement(block, mode="repair")
 
 
-def _cartan_radius(mats):
-    d = np.maximum(mats[..., -1, -1], 1.0)
-    return np.arccosh(d)
+def cartan_radius(mats):
+    """t = arccosh(max(g_nn, 1)) of stacked g = k1 a_t k2 (g_nn may round below 1)."""
+    return np.arccosh(np.maximum(mats[..., -1, -1], 1.0))
+
+
+def cartan_axis(mats):
+    """(t, b = k1 e_1, pi0 = k1 k2) of stacked g = k1 a_t k2, with cartan_batch's
+    gate and ties: g's upper right column is sinh(t) k1 e_1; k1 = pi0 below TIE_EPS."""
+    pol = polar_blocks(mats)
+    _gate_k(pol, "Cartan K factors")
+    t = cartan_radius(mats)
+    tie, col = t < TIE_EPS, mats[..., :-1, -1]
+    b = col / np.where(tie, 1.0, np.sqrt((col * col).sum(axis=-1)))[..., None]
+    if tie.any():
+        b[tie] = pol[tie][..., 0]
+    return t, b, pol
 
 
 def _householder_to_e1(b):
@@ -458,19 +475,14 @@ def cartan_batch(mats):
     size e^{2t} and costs ~e^{2t} ulps, the former only ~e^{t}.
     """
     n = mats.shape[-1] - 1
-    t = _cartan_radius(mats)
-    tie = t < TIE_EPS
     pol = polar_blocks(mats)
-    # the Gram matrices minus I, reduced in place; k1 reuses the buffer
-    k1 = np.ascontiguousarray(pol.swapaxes(-1, -2)) @ pol
-    _shift_diagonal(k1, -1.0)
-    defect = np.abs(k1, out=k1).max()
-    if not defect <= _CONSISTENCY_TOL:
-        raise ArithmeticError(
-            f"Cartan K factors lost orthogonality: defect {defect:.3e}")
+    _gate_k(pol, "Cartan K factors")
+    t = cartan_radius(mats)
+    tie = t < TIE_EPS
     if not tie.any():
         k1 = _householder_to_e1(mats[..., :n, n])
     else:
+        k1 = np.empty(pol.shape)
         if not tie.all():
             k1[~tie] = _householder_to_e1(mats[..., :n, n][~tie])
         k1[tie] = pol[tie]

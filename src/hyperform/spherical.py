@@ -16,8 +16,8 @@ two-term asymptotic head
     Phi(a_t) ~ sum_{s = +-1} e^{(is lambda - rho) t} c_{s sigma}(s lambda) P_{s sigma}.
 
 One kernel, CartanGeometry.apply, evaluates these tau-radial operators
-of every kind on one Cartan geometry of stacked group matrices, and
-applies them to fiber vectors by real products at O(C(n,p)^2) each.
+of every kind on stacked g = k1 a_t k2 from t, k1 e_1 and k1 k2 alone (no
+Cartan K factors), and applies them to fiber vectors by real products.
 
 The Poisson kernel sqrt(d_{tau,sigma}) e^{-(i lambda + rho) H(g)}
 tau(kappa(g)) of stacked group matrices is formed only here, by
@@ -34,7 +34,7 @@ from math import gamma, pi, sqrt
 import numpy as np
 
 from . import extrep as xr
-from .liegroup import GroupElement, cartan_batch, iwasawa_batch, plane_rotations
+from .liegroup import GroupElement, cartan_axis, iwasawa_batch, plane_rotations
 from .specialfn import JacobiParams, c_jacobi, gauss_legendre, jacobi_phi
 
 __all__ = [
@@ -219,34 +219,48 @@ def radial_kinds(pt, ts, kinds):
 
 
 class CartanGeometry:
-    """The Cartan geometry g = k1 a_t k2 of stacked g (..., n+1, n+1):
-    t, tau(k1) and tau(k2), formed once for every tau-radial operator
-    applied on it.  Phi(k1 g k2) = tau(k2)^{-1} Phi(g) tau(k1)^{-1} gives
-    Psi(g) = tau(k2)^T (sum_eta psi_eta(t) P_eta) tau(k1)^T."""
+    """t, b = k1 e_1, tau(pi0), eps(b) on Lambda^(p-1) and, at p = (n-1)/2,
+    star eps(b) of stacked g = k1 a_t k2 (..., n+1, n+1), pi0 = k1 k2
+    (liegroup.cartan_axis: the K factors' gate; b = pi0 e_1 below TIE_EPS).
+    As tau(k2) = tau(k1)^T tau(pi0), Psi(g) = tau(pi0)^T Q(b): Q(b) = tau(k1)
+    (sum_eta psi_eta(t) P_eta) tau(k1)^T needs b alone, as the sum commutes
+    with tau(M), P_{q:p-1} = eps(e_1) iota(e_1), P_+- = (1 - P_{q:p-1} +-
+    i^{p(p+2)} star eps(e_1))/2 and tau(k) eps(e_1) tau(k)^T = eps(k e_1), star
+    commuting.  Q(b) = A + B eps(b) eps(b)^T + C star eps(b), A = psi_p or
+    (psi_+ + psi_-)/2, B = psi_{p-1} - A, C = i^{p(p+2)} (psi_+ - psi_-)/2;
+    on chirality bundles Q = psi P_chi."""
 
-    __slots__ = ("lead", "t", "tau1", "tau2")
+    __slots__ = ("lead", "t", "bhat", "tau0", "eps", "star")
 
     def __init__(self, mats, p):
-        self.lead = mats.shape[:-2]
-        self.t, k1, k2 = cartan_batch(mats.reshape((-1,) + mats.shape[-2:]))
-        self.tau1, self.tau2 = xr.tau_matrix_batch(np.stack((k1, k2)), p)
+        self.lead, n = mats.shape[:-2], mats.shape[-1] - 1
+        self.t, self.bhat, pol = cartan_axis(mats.reshape((-1,) + mats.shape[-2:]))
+        self.tau0 = xr.tau_matrix_batch(pol, p)
+        self.eps = None if 2 * p == n else xr.wedge_batch(self.bhat, p - 1)
+        self.star = xr.wedge_batch(self.bhat, p, star=True) if 2 * p + 1 == n else None
 
     def apply(self, spec, comps, vecs=None):
         """Psi(g) as (..., C, C), C = C(n,p), or Psi(g) vecs as (..., C) for
         vecs broadcasting against (..., C), with comps the scalars psi_eta
-        over t (radial_components); applied right to left, the matrix to I."""
-        dim = spec.dim_full
-        x = self.tau1.swapaxes(-1, -2)
-        if vecs is not None:
-            cols = np.broadcast_to(vecs, self.lead + (dim,)).reshape(-1, dim, 1)
-            x = xr.tau_apply_batch(x, cols)
-        # sum_eta psi_eta P_eta x, formed on the rows x^T
-        rows = x.swapaxes(-1, -2)
-        u = np.zeros(rows.shape, dtype=complex)
-        for eta, vals in comps.items():
-            proj_t = xr.proj_matrix(spec, eta).T
-            u += vals[:, None, None] * (rows.reshape(-1, dim) @ proj_t).reshape(rows.shape)
-        out = xr.tau_apply_batch(self.tau2.swapaxes(-1, -2), u.swapaxes(-1, -2))
+        over t (radial_components); vectors meet only real stacks."""
+        dim, p = spec.dim_full, spec.p
+        x = (np.eye(dim) if vecs is None else
+             np.broadcast_to(vecs, self.lead + (dim,)).reshape(-1, dim, 1))
+        if spec.chirality != "none":
+            (eta, vals), = comps.items()
+            u = vals[:, None, None] * (xr.proj_matrix(spec, eta) @ x)
+        else:
+            upper = [comps[eta] for eta in xr.branching(spec)[1:]]
+            a = sum(upper) / len(upper)
+            # real matmuls on the identity, tau_apply_batch on complex vectors
+            mul = np.matmul if vecs is None else xr.tau_apply_batch
+            u = a[:, None, None] * x
+            ex = mul(self.eps.swapaxes(-1, -2), x)
+            u += (comps[xr.sigma_q(p - 1)] - a)[:, None, None] * mul(self.eps, ex)
+            if self.star is not None:
+                c = (0.5 * 1j ** (p * (p + 2))) * (upper[0] - upper[1])
+                u += c[:, None, None] * mul(self.star, x)
+        out = xr.tau_apply_batch(self.tau0.swapaxes(-1, -2), u)
         return out.reshape(self.lead + ((dim, dim) if vecs is None else (dim,)))
 
 
@@ -274,8 +288,8 @@ def _group_mat(g):
 
 
 def spherical_at(pt, g):
-    """Phi(g) as a matrix on the Lambda^p coordinates, via the Cartan
-    decomposition and tau-radiality Phi(k1 a_t k2) = tau(k1) Phi(a_t) tau(k2)."""
+    """Phi(g) as a matrix on the Lambda^p coordinates, by tau-radiality
+    Phi(k1 a_t k2) = tau(k2)^T Phi(a_t) tau(k1)^T (CartanGeometry)."""
     return spherical_batch(pt, _group_mat(g))[0]
 
 

@@ -232,7 +232,7 @@ class CompactSection:
     def frames(self, mats):
         """The real stack chi(A^+(g)) tau(pi0(g))^T, shape (..., C, C)."""
         mats = np.asarray(mats, dtype=float)
-        c = self.chi(np.arccosh(np.maximum(mats[..., -1, -1], 1.0)))
+        c = self.chi(lg.cartan_radius(mats))
         dim = self.spec.dim_full
         out = np.zeros(mats.shape[:-2] + (dim, dim))
         live = c > 0.0

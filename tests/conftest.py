@@ -1,5 +1,9 @@
 """Shared fixtures: the representative bundle/label combinations used
-throughout the suite, plus a seeded RNG factory."""
+throughout the suite, a seeded RNG factory, and the loader of the
+repository's tools."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,3 +49,12 @@ def kernel_points(lam=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260815)
+
+
+def load_tool(name):
+    """The module tools/<name>.py, imported from its file."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"tools_{name}", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod

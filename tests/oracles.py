@@ -17,8 +17,10 @@ transforms.radon_batch done per (rotation, radius) pair on the group
 matrices k a_t n_y, with no use of the section's left equivariance.
 inversion_mc_loop is the literal Monte Carlo reconstruction of
 strichartz.inversion_reconstruct with the Poisson image formed one
-t-node at a time through the Cartan decomposition of every atom, with
-no tau-radial factoring for atoms at a rotation.  cartan_batch_copy
+t-node at a time through spherical_batch on every atom, with
+no tau-radial factoring for atoms at a rotation.  CartanGeometryK is
+spherical.CartanGeometry as it stood with the Cartan K factors, tau(k1)
+and tau(k2), and one projector product per M-type.  cartan_batch_copy
 is liegroup.cartan_batch as it stood before its temporaries were cut,
 which the in-place version must reproduce bit for bit, and
 iwasawa_batch_product is liegroup.iwasawa_batch as it stood before
@@ -287,7 +289,7 @@ def cartan_batch_copy(mats):
     """liegroup.cartan_batch with the copies and temporaries it had
     before they were cut: (t, k1, k2) of stacked group matrices."""
     n = mats.shape[-1] - 1
-    t = lg._cartan_radius(mats)
+    t = lg.cartan_radius(mats)
     tie = t < lg.TIE_EPS
     pol = lg.polar_blocks(mats)
     defect = np.max(np.abs(np.swapaxes(pol, -1, -2) @ pol - np.eye(n)))
@@ -300,6 +302,32 @@ def cartan_batch_copy(mats):
         k1[tie] = pol[tie]
     k2 = np.swapaxes(k1, -1, -2) @ pol
     return t, k1, k2
+
+
+class CartanGeometryK:
+    """spherical.CartanGeometry as it stood before it dropped the Cartan K
+    factors: t, tau(k1) and tau(k2) of g = k1 a_t k2 from
+    liegroup.cartan_batch, and Psi(g) = tau(k2)^T (sum_eta psi_eta(t) P_eta)
+    tau(k1)^T with one projector product per eta."""
+
+    def __init__(self, mats, p):
+        self.lead = mats.shape[:-2]
+        self.t, k1, k2 = lg.cartan_batch(mats.reshape((-1,) + mats.shape[-2:]))
+        self.tau1, self.tau2 = xr.tau_matrix_batch(np.stack((k1, k2)), p)
+
+    def apply(self, spec, comps, vecs=None):
+        dim = spec.dim_full
+        x = self.tau1.swapaxes(-1, -2)
+        if vecs is not None:
+            cols = np.broadcast_to(vecs, self.lead + (dim,)).reshape(-1, dim, 1)
+            x = xr.tau_apply_batch(x, cols)
+        rows = x.swapaxes(-1, -2)
+        u = np.zeros(rows.shape, dtype=complex)
+        for eta, vals in comps.items():
+            proj_t = xr.proj_matrix(spec, eta).T
+            u += vals[:, None, None] * (rows.reshape(-1, dim) @ proj_t).reshape(rows.shape)
+        out = xr.tau_apply_batch(self.tau2.swapaxes(-1, -2), u.swapaxes(-1, -2))
+        return out.reshape(self.lead + ((dim, dim) if vecs is None else (dim,)))
 
 
 def haar_sample_K_qr(n, size=None, rng=None):
@@ -327,8 +355,8 @@ def e_defect(g, x):
     inequality for the Cartan radius along horocycles.
     """
     gx = g.mat @ x.mat
-    tp_gx = float(lg._cartan_radius(gx))
-    tp_x = float(lg._cartan_radius(x.mat))
+    tp_gx = float(lg.cartan_radius(gx))
+    tp_x = float(lg.cartan_radius(x.mat))
     _, k1x, _ = lg.cartan_batch(x.mat[None, ...])
     h = float(lg._iwasawa_hy(g.mat @ lg.embed_rotation(k1x[0]))[0])
     return tp_gx - tp_x - h

@@ -24,6 +24,7 @@ from hyperform.specialfn import _Series
 from hyperform.strichartz import inversion_mix
 from hyperform.transforms import BoundaryAtom, BoundarySection
 
+from conftest import load_tool
 from oracles import group_mp
 
 
@@ -451,6 +452,20 @@ def test_empty_or_non_numeric_grid_is_a_usage_error(grid):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("cmd", ["invert", "fourier", "limit"])
+@pytest.mark.parametrize("radius", ["0", "-1", "inf", "nan"])
+def test_non_positive_or_non_finite_radius_is_a_usage_error(cmd, radius, tmp_path):
+    # the flag and a config-file line alike; invert and fourier ended in
+    # an uncaught ValueError from the quadrature when the parser let them by
+    path = tmp_path / "run.cfg"
+    path.write_text(f"R_grid = {radius},20\n")
+    for where in ([f"--R-grid={radius},20"], ["--config", path]):
+        res = _run(cmd, "--n", 3, "--p", 1, "--sigma", "q:1", *where)
+        assert res.exit_code == 2, (where, res.output)
+        assert isinstance(res.exception, SystemExit)
+        assert "positive and finite" in res.output
+
+
 @pytest.mark.parametrize("args, message", [
     (["--sigma", "q:1", "--R-grid", "400,25,50,100"], "strictly increasing"),
     (["--n", 4, "--p", 1, "--sigma", "q:1", "--R-grid", "0.5,25,50,300"], "n=4 cutoff"),
@@ -466,3 +481,17 @@ def test_limit_refuses_a_bad_grid_before_any_quadrature(args, message, monkeypat
     assert res.exit_code == 2, res.output
     assert message in res.output
     assert "Traceback" not in res.output
+
+
+def test_thin_slice_of_the_coverage_matrix_fails_only_with_a_reported_error():
+    # spherical --t 1.5 and invert at the 38 points of the coverage matrix
+    # and lambda in {1, 25}: every run exits 0, or 1 with an `Error:` line;
+    # none exits 2 or raises
+    cov = load_tool("coverage")
+    runner = CliRunner()
+    runs = [cov.run_one(runner, main, cmd, point, lam) for cmd in ("spherical", "invert")
+            for point in cov.points() for lam in (1.0, 25.0)]
+    assert len(runs) == 152
+    bad = [r for r in runs if r["exit"] != 0 and (r["exit"] != 1 or r["cause"] == "no report"
+                                                  or r["cause"].startswith(("rows: ", "raised ")))]
+    assert not bad, bad

@@ -236,6 +236,27 @@ def test_wedge_twice_vanishes(rng):
     assert np.max(np.abs(contract_e1_matrix(6, 1) @ contract_e1_matrix(6, 2) @ xi)) == 0.0
 
 
+def test_wedge_of_a_direction_is_the_rotated_wedge_of_e1(rng):
+    # for Haar k and b = k e_1, eps(b) iota(b) = tau(k) P_{q:p-1} tau(k)^T
+    # and star eps(b) = tau(k) (star eps(e_1)) tau(k)^T, with P_{q:p-1} the
+    # oracle's e_1 ^ iota_{e_1}; star eps(b) is the Hodge star of eps(b)
+    for n in range(2, 9):
+        ks = haar_sample_K(n, size=8, rng=rng)
+        b = ks[..., 0]
+        for p in range(1, n // 2 + 1):
+            taus = tau_matrix_batch(ks, p)
+            lower = wedge_e1_matrix(n, p - 1) @ contract_e1_matrix(n, p)
+            eps = xr.wedge_batch(b, p - 1)
+            assert eps.shape == (8, comb(n, p), comb(n, p - 1))
+            want = taus @ lower @ taus.swapaxes(-1, -2)
+            assert np.max(np.abs(eps @ eps.swapaxes(-1, -2) - want)) <= 1e-13, (n, p)
+            star = xr.wedge_batch(b, p, star=True)
+            assert np.array_equal(star, hodge_matrix(n, p + 1) @ xr.wedge_batch(b, p))
+            if 2 * p + 1 == n:
+                want = taus @ (hodge_matrix(n, p + 1) @ wedge_e1_matrix(n, p)) @ taus.swapaxes(-1, -2)
+                assert np.max(np.abs(star - want)) <= 1e-13, (n, p)
+
+
 # ---------------------------------------------------------------------------
 # chirality split
 

@@ -242,6 +242,8 @@ def test_decompositions_raise_where_entries_overflow():
         mats = make_at(t, 3).mat[None]
         with pytest.raises(ArithmeticError, match="lost orthogonality"):
             cartan_batch(mats)
+        with pytest.raises(ArithmeticError, match="lost orthogonality"):
+            lg.cartan_axis(mats)
     with pytest.raises(ArithmeticError, match="lost orthogonality"):
         iwasawa_batch(make_at(750.0, 3).mat[None])
 
@@ -512,3 +514,10 @@ def test_cartan_batch_mixed_stack_is_each_element_alone():
             assert np.array_equal(np.signbit(got[i]), np.signbit(alone[0]))
     for got, want in zip((t, k1, k2), cartan_batch_copy(mats)):
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    # the axis data: the same t, b = k1 e_1 (k1 = pi0 at the ties) and pi0 = k1 k2
+    t_ax, b, pol = lg.cartan_axis(mats)
+    assert np.array_equal(t_ax, t)
+    tie = t < TIE_EPS
+    assert np.array_equal(b[tie], k1[tie][..., 0]) and np.array_equal(pol[tie], k1[tie])
+    assert np.max(np.abs(b - k1[..., 0])) <= 1e-15
+    assert np.max(np.abs(pol - k1 @ k2)) <= 1e-14

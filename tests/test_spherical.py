@@ -31,14 +31,15 @@ from hyperform import (
     SIGMA_PLUS,
 )
 
+import hyperform.extrep as xr
 import hyperform.spherical as sph
-from hyperform.extrep import tau_matrix_batch
+from hyperform.extrep import MLabel, tau_matrix_batch
 from hyperform.liegroup import at_mats, embed_rotation, plane_rotations
 from hyperform.spherical import (PoissonKernel, component_grid, head_batch, head_components,
                                  radial_batch, spherical_batch)
 
-from conftest import case_points, kernel_points
-from oracles import eisenstein_literal
+from conftest import case_points, kernel_points, load_tool
+from oracles import CartanGeometryK, eisenstein_literal
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +135,54 @@ def test_residual_form_equals_spherical_minus_head(rng):
         want_v = np.einsum("...ij,...j->...i", want, vecs)
         err_v = np.linalg.norm(got_v - want_v, axis=-1)
         assert np.all(err_v <= 1e-13 * scale * np.linalg.norm(vecs, axis=-1))
+
+
+def test_radial_operators_meet_the_k_factor_route(rng):
+    # tau(pi0)^T Q(b) against tau(k2)^T (sum_eta psi_eta P_eta) tau(k1)^T at
+    # every point of the coverage matrix, from the tie (t = 0, 1e-13) to
+    # t = 9, to 1e-13 of the operator's largest entry
+    ts = np.array([0.0, 1e-13, 0.3, 1.1, 2.7, 9.0])
+    for n, p, chir, sigma in load_tool("coverage").points():
+        spec = BundleSpec(n, p, chir)
+        pt = SpectralPoint(spec, MLabel.parse(sigma), 1.3)
+        ks = embed_rotation(haar_sample_K(n, size=2 * ts.size, rng=rng))
+        mats = ks[: ts.size] @ at_mats(ts, n) @ ks[ts.size:]
+        new, old = sph.CartanGeometry(mats, p), CartanGeometryK(mats, p)
+        vecs = _vectors(spec.dim_full, rng, ts.shape)
+        for kind in ("spherical", "head", "residual"):
+            comps = sph.radial_components(pt, new.t, kind)
+            want = old.apply(spec, comps)
+            scale = np.abs(want).max(axis=(-2, -1))
+            err = np.abs(new.apply(spec, comps) - want).max(axis=(-2, -1))
+            assert np.all(err <= 1e-13 * scale), (spec, sigma, kind, err / scale)
+            err = np.abs(new.apply(spec, comps, vecs) - old.apply(spec, comps, vecs)).max(axis=-1)
+            bound = 1e-13 * scale * np.linalg.norm(vecs, axis=-1)
+            assert np.all(err <= bound), (spec, sigma, kind, "vectors")
+
+
+def test_geometry_forms_one_tau_stack_and_no_projector_products(rng, monkeypatch):
+    # one Lambda^p stack, of pi0, and no projector product per M-type:
+    # only the chirality projector, once per operator
+    stacks, projectors = [], []
+    tau_batch, proj = xr.tau_matrix_batch, xr.proj_matrix
+    monkeypatch.setattr(xr, "tau_matrix_batch", lambda us, p: stacks.append(us.shape) or tau_batch(us, p))
+    monkeypatch.setattr(xr, "proj_matrix", lambda *a: projectors.append(a) or proj(*a))
+    for pt in kernel_points(lam=0.9):
+        stacks.clear()
+        projectors.clear()
+        mats = _group_stack(pt.n, rng)
+        sph.spherical_batch(pt, mats)
+        sph.head_batch(pt, mats, _vectors(pt.spec.dim_full, rng, (2, 3)))
+        assert stacks == [(6, pt.n, pt.n)] * 2, stacks
+        assert len(projectors) == (2 if pt.spec.chirality != "none" else 0), pt.spec
+
+
+def test_geometry_keeps_the_k_factor_gate():
+    # a group matrix whose polar block is not a rotation
+    bad = make_at(0.5, 3).mat
+    bad[0, 1] += 1e-6
+    with pytest.raises(ArithmeticError, match="lost orthogonality"):
+        sph.CartanGeometry(bad[None], 1)
 
 
 def test_radial_kind_is_checked():

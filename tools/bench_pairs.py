@@ -8,9 +8,15 @@
 
 `run` starts `perfbench/run.py` from the root of each checkout, one
 after the other.  Pair i runs the parent first when i is even and the
-change first when i is odd, both on the i-th seed.  Each run appends one
-line to the log: the run's position, side, workload, seed, run length,
-start time and the last stdout line of run.py (its result object).
+change first when i is odd, both on the i-th seed.  Each side writes
+and reads its bytecode in its own cache (PYTHONPYCACHEPREFIX, under a
+temporary directory, with PYTHONDONTWRITEBYTECODE dropped), filled
+before the first pair by one process per side that imports the package
+and the benchmark's modules: a module whose bytecode is missing or stale
+would otherwise be compiled again inside every timed set-up of that
+side.  Each run appends one line to the log: the run's position, side,
+workload, seed, run length, start time and the last stdout line of
+run.py (its result object).
 
 `record` writes the BENCH file: per workload and end-to-end metric the
 median, quartiles (inclusive method), range and count of each side, and
@@ -25,10 +31,13 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 METRICS = ("setup_s", "pass_s", "slowest_job_s", "peak_rss_mb")
 SIDES = ("parent", "change")
+# what a benchmark process imports from the checkout and site-packages
+WARM_IMPORTS = "hyperform, hyperform.cli, mpmath, speed, tracer, workloads"
 
 
 def seed_list(text):
@@ -39,15 +48,39 @@ def seed_list(text):
     return out
 
 
-def run_one(root, workload, seed, seconds, trace):
+def side_env(cache):
+    """The environment of one side's processes: bytecode in its own cache."""
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env["PYTHONPYCACHEPREFIX"] = cache
+    return env
+
+
+def warm(root, env):
+    """Compile into the side's cache what a benchmark process imports."""
+    paths = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    code = f"import sys; sys.path[:0] = {paths!r}; import {WARM_IMPORTS}"
+    subprocess.run([sys.executable, "-c", code], cwd=root, env=env, check=True)
+
+
+def run_one(root, env, workload, seed, seconds, trace):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def cmd_run(args):
-    roots = {"parent": args.parent, "change": args.change}
+    # real paths: the cache is keyed by the path that the benchmark imports from
+    roots = {"parent": os.path.realpath(args.parent), "change": os.path.realpath(args.change)}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as caches:
+        envs = {side: side_env(os.path.join(caches, side)) for side in SIDES}
+        for side in SIDES:
+            warm(roots[side], envs[side])
+        run_pairs(args, roots, envs)
+
+
+def run_pairs(args, roots, envs):
     order = 0
     if os.path.exists(args.log):
         with open(args.log, encoding="utf-8") as fh:
@@ -55,7 +88,7 @@ def cmd_run(args):
     for pair, seed in enumerate(seed_list(args.seeds)):
         for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
             started = round(time.time(), 1)
-            result = run_one(roots[side], args.workload, seed, args.seconds, args.trace)
+            result = run_one(roots[side], envs[side], args.workload, seed, args.seconds, args.trace)
             line = {"order": order, "pair": pair, "side": side, "workload": args.workload,
                     "seed": seed, "seconds": args.seconds, "started_unix": started,
                     "result": result}

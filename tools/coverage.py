@@ -19,7 +19,9 @@ or, when rows failed their gates, `rows: ` and the failed row names
 without their [...] part; `usage` for exit 2; `raised <type>` for an
 uncaught exception.
 
-`show` prints the exit counts by command and by (command, cause).
+`points`, `cause` and `run_one` (one run in the calling process) are
+importable, with no child process; `matrix` runs them over the whole
+matrix.  `show` prints the exit counts by command and by (command, cause).
 `compare` runs the matrix on both checkouts and prints every run whose
 exit code or cause differs, the number of new exits 1 and 2, and per
 command the largest change of the report's values: max |change - parent|
@@ -78,29 +80,34 @@ def cause(code, stdout, stderr, exc):
     return "rows: " + ",".join(sorted({r["name"].split("[")[0] for r in rows if not r["pass"]}))
 
 
+def run_one(runner, main, cmd, point, lam):
+    """One run of the matrix in this process, through a click CliRunner and
+    the cli's `main`: the command, point, lambda, exit code, cause and the
+    report's row values (None where a row has no number)."""
+    n, p, chir, sigma = point
+    args = [cmd, "--n", str(n), "--p", str(p), "--chirality", chir,
+            "--sigma", sigma, "--lambda", repr(lam), *COMMANDS[cmd]]
+    res = runner.invoke(main, args)
+    try:
+        values = [r["value"] for r in json.loads(res.stdout)["rows"]]
+    except (ValueError, KeyError):
+        values = []
+    return {"cmd": cmd, "point": list(point), "lambda": lam, "exit": res.exit_code,
+            "values": values, "cause": cause(res.exit_code, res.stdout, res.stderr, res.exception)}
+
+
 def run_matrix():
     """Run every command of the matrix in this process; one JSON line per
-    run: command, point, lambda, exit code, cause and the report's row
-    values (None where a row has no number)."""
+    run (run_one)."""
     from click.testing import CliRunner
 
     from hyperform.cli import main
 
     runner = CliRunner()
-    for cmd, extra in COMMANDS.items():
-        for n, p, chir, sigma in points():
+    for cmd in COMMANDS:
+        for point in points():
             for lam in LAMBDAS:
-                args = [cmd, "--n", str(n), "--p", str(p), "--chirality", chir,
-                        "--sigma", sigma, "--lambda", repr(lam), *extra]
-                res = runner.invoke(main, args)
-                try:
-                    values = [r["value"] for r in json.loads(res.stdout)["rows"]]
-                except (ValueError, KeyError):
-                    values = []
-                print(json.dumps({"cmd": cmd, "point": [n, p, chir, sigma], "lambda": lam,
-                                  "exit": res.exit_code, "values": values,
-                                  "cause": cause(res.exit_code, res.stdout, res.stderr,
-                                                 res.exception)}), flush=True)
+                print(json.dumps(run_one(runner, main, cmd, point, lam)), flush=True)
 
 
 def show(checkout):
