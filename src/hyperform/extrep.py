@@ -502,6 +502,7 @@ def sigma_blocks(spec, sigma):
     return [sigma]
 
 
+@lru_cache(maxsize=None)
 def dims(spec, sigma):
     """(d_tau, d_sigma, d_tau/d_sigma); the ratio is exact."""
     check_sigma(spec, sigma)

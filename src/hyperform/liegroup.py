@@ -61,6 +61,8 @@ __all__ = [
     "cartan_axis",
     "cartan_radius",
     "polar_blocks",
+    "gate_k",
+    "rotation_block",
 ]
 
 # Below t+ = TIE_EPS the Cartan k1 direction b/|b| is numerically
@@ -72,7 +74,7 @@ TIE_EPS = 1.0e-12
 _CONSISTENCY_TOL = 1.0e-8
 
 
-def _gate_k(block, what):
+def gate_k(block, what):
     """ArithmeticError unless K blocks (..., n, n) are within 1e-8 of orthogonal."""
     # the Gram matrices minus I, reduced in place; square stacked products
     # run several times faster on a C-ordered copy than on a swapaxes view
@@ -349,7 +351,7 @@ def iwasawa_batch(mats):
     block = gxi[..., :, None] * y0[..., None, :]
     np.subtract(mats[..., :n, :n], block, out=block)
     block[..., 0] = gxi / (mats[..., n, 0] + mats[..., n, n])[..., None]
-    _gate_k(block, "Iwasawa K factor")
+    gate_k(block, "Iwasawa K factor")
     return h, y, block
 
 
@@ -420,9 +422,20 @@ def polar_k(g):
     factorization; equals k1 k2 of the Cartan decomposition."""
     is_group = isinstance(g, GroupElement)
     block = polar_blocks(g.mat if is_group else np.asarray(g))
-    _gate_k(block, "polar block")
+    gate_k(block, "polar block")
     # the K-part of an SO0(n,1) element has det +1; a bare array is checked
     return KElement._of_rotation(block) if is_group else KElement(block, mode="repair")
+
+
+def rotation_block(g):
+    """The rotation k of g = diag(k, 1) when the last row and column of g are
+    e_n entrywise to 1e-12, else None: g[n, n] = 1 + eps alone still allows a
+    radius A+(g) of about sqrt(2 eps)."""
+    mat = g.mat
+    e_n = np.eye(mat.shape[-1])[-1]
+    if max(np.max(np.abs(mat[-1] - e_n)), np.max(np.abs(mat[:, -1] - e_n))) > 1e-12:
+        return None
+    return mat[:-1, :-1]
 
 
 def cartan_radius(mats):
@@ -434,7 +447,7 @@ def cartan_axis(mats):
     """(t, b = k1 e_1, pi0 = k1 k2) of stacked g = k1 a_t k2, with cartan_batch's
     gate and ties: g's upper right column is sinh(t) k1 e_1; k1 = pi0 below TIE_EPS."""
     pol = polar_blocks(mats)
-    _gate_k(pol, "Cartan K factors")
+    gate_k(pol, "Cartan K factors")
     t = cartan_radius(mats)
     tie, col = t < TIE_EPS, mats[..., :-1, -1]
     b = col / np.where(tie, 1.0, np.sqrt((col * col).sum(axis=-1)))[..., None]
@@ -476,7 +489,7 @@ def cartan_batch(mats):
     """
     n = mats.shape[-1] - 1
     pol = polar_blocks(mats)
-    _gate_k(pol, "Cartan K factors")
+    gate_k(pol, "Cartan K factors")
     t = cartan_radius(mats)
     tie = t < TIE_EPS
     if not tie.any():

@@ -140,43 +140,44 @@ class SphericalValue:
 # scalar components
 
 
-def component_grid(pt, ts):
-    """Components phi_eta on an array of radii, keyed by MLabel."""
+def component_grid(pt, ts, sigmas=None):
+    """Components phi_eta on an array of radii, keyed by MLabel.  With
+    sigmas, a list of them, one for each sigma of sigmas at pt's (n,
+    lambda): every sigma combines the same Jacobi functions, evaluated once."""
     ts = np.asarray(ts, dtype=float)
     n, p, lam = pt.n, pt.p, complex(pt.lam)
-    spec = pt.spec
+    spec, labels = pt.spec, [pt.sigma] if sigmas is None else sigmas
     if spec.chirality != "none":
         val = np.cosh(ts / 2.0) ** 2 * jacobi_phi(pt._jacobi[0], ts / 2.0)
-        return {xr.sigma_q(p): val}
+        grids = [{xr.sigma_q(p): val} for _ in labels]
+        return grids if sigmas is not None else grids[0]
     a, b = (jacobi_phi(par, ts) for par in pt._jacobi)
     ch = np.cosh(ts)
-    out = {}
-    if pt.sigma == xr.sigma_q(p - 1):
-        out[xr.sigma_q(p - 1)] = (n / p) * a - ((n - p) / p) * ch * b
-        upper = b
-        if spec.case == "half_odd":
+    grids = []
+    for sigma in labels:
+        out = {}
+        if sigma == xr.sigma_q(p - 1):
+            out[xr.sigma_q(p - 1)] = (n / p) * a - ((n - p) / p) * ch * b
+            upper = b
+        elif sigma == xr.sigma_q(p):
+            out[xr.sigma_q(p - 1)] = b
+            # the unsplit middle isotype at p = (n-1)/2 averages the two
+            # chirality points, whose odd sinh terms cancel
+            upper = (n / (n - p)) * a - (p / (n - p)) * ch * b
+        else:
+            eps = 1.0 if sigma == xr.SIGMA_PLUS else -1.0
+            out[xr.sigma_q(p - 1)] = b
+            even = (2 * n / (n + 1)) * a - ((n - 1) / (n + 1)) * ch * b
+            odd = (2j * lam / (n + 1)) * np.sinh(ts) * b
+            out[xr.SIGMA_PLUS] = even + eps * odd
+            out[xr.SIGMA_MINUS] = even - eps * odd
+        if sigma.kind == "q" and spec.case == "half_odd":
             out[xr.SIGMA_PLUS] = upper
             out[xr.SIGMA_MINUS] = upper.copy()
-        else:
+        elif sigma.kind == "q":
             out[xr.sigma_q(p)] = upper
-    elif pt.sigma == xr.sigma_q(p):
-        out[xr.sigma_q(p - 1)] = b
-        upper = (n / (n - p)) * a - (p / (n - p)) * ch * b
-        if spec.case == "half_odd":
-            # the unsplit middle isotype averages the two chirality
-            # points, whose odd sinh terms cancel
-            out[xr.SIGMA_PLUS] = upper
-            out[xr.SIGMA_MINUS] = upper.copy()
-        else:
-            out[xr.sigma_q(p)] = upper
-    else:
-        eps = 1.0 if pt.sigma == xr.SIGMA_PLUS else -1.0
-        out[xr.sigma_q(p - 1)] = b
-        even = (2 * n / (n + 1)) * a - ((n - 1) / (n + 1)) * ch * b
-        odd = (2j * lam / (n + 1)) * np.sinh(ts) * b
-        out[xr.SIGMA_PLUS] = even + eps * odd
-        out[xr.SIGMA_MINUS] = even - eps * odd
-    return out
+        grids.append(out)
+    return grids if sigmas is not None else grids[0]
 
 
 def scalar_components(pt, t):

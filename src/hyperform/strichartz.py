@@ -34,7 +34,8 @@ e^{2 i lambda t} and pi/2, the profile (a stack of them, one per kind)
 evaluated once over the 31 nodes of each panel, and cumulative sums per
 R.  The K31 sum is the value; the G15 sum on every other node must agree
 with it to a relative 1e-10 at every R, or the sweep raises
-ArithmeticError.
+ArithmeticError.  The bump's sweeps (bump_transform) grade their panels
+toward r_supp, where chi is not analytic, and hold the trace to 1e-10 S.
 
 A Schur ball average, paired or not, is swept only up to 2 R0, R0 = 20
 (40 on the chirality bundles, whose residual decays like e^{-t}, not
@@ -56,7 +57,7 @@ times radii through one _Sheet, where atoms at a rotation need no Cartan
 step: Psi(k_a^T k a_t) = Psi(a_t) tau(k_a^T k)^T.
 """
 
-from math import ceil, comb, expm1, isfinite, log, pi, sqrt
+from math import ceil, comb, expm1, isfinite, log, log2, pi, sqrt
 from numbers import Integral
 
 import numpy as np
@@ -79,6 +80,7 @@ __all__ = [
     "inversion_ratios",
     "asymptotic_residual_sweep",
     "head_ball_average",
+    "bump_transform",
     "spectral_projection_energy",
     "section_norm2",
 ]
@@ -149,16 +151,21 @@ class BallAverageReport:
 # quadrature helpers
 
 
-def _osc_nodes(a, b, lam, rule):
+def _osc_nodes(a, b, lam, rule, graded=False):
     """Composite nodes and weights on [a, b] of the rule (xs, ws) on
     [-1, 1] (ws one weight row, or a stack of rows on the same nodes)
     resolving oscillation at frequency ~2 lam: at least 4 panels, none
     wider than half a period of e^{2 i lam t}, nor than pi/2, the
     distance of the radial profiles' nearest complex singularities
-    (sinh^2 t = -1 at Im t = +-pi/2)."""
+    (sinh^2 t = -1 at Im t = +-pi/2), the last halved toward b down to b/128
+    if graded (for the bump's chi, not analytic at b and below e^{-60} there)."""
     width = pi / (2.0 * max(abs(float(lam)), 1.0))
     panels = max(int(ceil((b - a) / width)), 4)
     edges = np.linspace(a, b, panels + 1)
+    if graded:
+        gap = edges[-1] - edges[-2]
+        halves = 0.5 ** np.arange(1, max(int(ceil(log2(128.0 * gap / b))), 0) + 1)
+        edges = np.concatenate((edges[:-1], b - gap * halves, [b]))
     xs, ws = rule
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -167,14 +174,14 @@ def _osc_nodes(a, b, lam, rule):
     return nodes, weights
 
 
-def _sweep_rule(ends, lam, rule):
+def _sweep_rule(ends, lam, rule, graded=None):
     """The composite rule (xs, ws) on [0, max ends] with a breakpoint at
     every end (ascending): each segment [ends[j-1], ends[j]] gets the
-    panels of _osc_nodes.  Returns nodes, weights (one row per row of ws)
-    and the segment index j of each node."""
+    panels of _osc_nodes (graded if it ends at `graded`).  Returns nodes,
+    weights (one row per row of ws) and the segment index j of each node."""
     ends = np.asarray(ends, dtype=float)
     starts = np.concatenate(([0.0], ends[:-1]))
-    rules = [_osc_nodes(a, b, lam, rule) for a, b in zip(starts, ends)]
+    rules = [_osc_nodes(a, b, lam, rule, graded=b == graded) for a, b in zip(starts, ends)]
     nodes = np.concatenate([ts for ts, _ in rules])
     weights = np.concatenate([ws for _, ws in rules], axis=-1)
     segs = np.concatenate([np.full(ts.size, j) for j, (ts, _) in enumerate(rules)])
@@ -222,7 +229,7 @@ _MC_ORDER = 12
 _MC_INVERSION_ORDER = 16
 
 
-def _radial_sweep(profile, R_grid, lam):
+def _radial_sweep(profile, R_grid, lam, graded=None, gate=None):
     """int_0^R profile(t) dt for every R of R_grid, in one pass.
 
     One composite G15/K31 Gauss-Kronrod rule covers [0, max R]: every R
@@ -234,17 +241,18 @@ def _radial_sweep(profile, R_grid, lam):
     Kronrod node, so they cost no extra evaluation) accumulate per R; a
     complex profile sums its real and imaginary parts apart.  The profile
     may return a stack (..., T) of integrands over the T nodes, each row
-    summed on its own bins.  Returns (values, errors) of shape
-    (..., len(R_grid)), the value being the K31 sum and the error
-    |K31 - G15|; raises ArithmeticError when the profile is not finite
-    or an error exceeds _SWEEP_RTOL of its value, and ValueError unless
-    every radius is positive and finite.
+    summed on its own bins; panels grade toward `graded` (_sweep_rule).
+    Returns (values, errors) of shape (..., len(R_grid)), the value being
+    the K31 sum and the error |K31 - G15|; raises ArithmeticError when the
+    profile is not finite or an error exceeds _SWEEP_RTOL of its value (of
+    row gate[k]'s value for row k of a (K, T) stack, or nowhere if None),
+    and ValueError unless every radius is positive and finite.
     """
     R_grid = np.asarray(R_grid, dtype=float)
     if R_grid.size == 0 or not np.all((R_grid > 0.0) & np.isfinite(R_grid)):
         raise ValueError("ball radii must be positive and finite")
     ends = np.sort(R_grid)
-    nodes, weights, segs = _sweep_rule(ends, lam, _G15_K31)
+    nodes, weights, segs = _sweep_rule(ends, lam, _G15_K31, graded)
     sums = 0.0
     for lo in range(0, nodes.size, _SWEEP_BLOCK):
         sl = slice(lo, lo + _SWEEP_BLOCK)
@@ -266,7 +274,9 @@ def _radial_sweep(profile, R_grid, lam):
     sums = np.cumsum(sums.reshape(rows + (ends.size,)), axis=-1)
     fine, coarse = sums[..., 0, :], sums[..., 1, :]
     err = np.abs(fine - coarse)
-    bad = ~(err <= _SWEEP_RTOL * np.abs(fine))
+    # a row held nowhere (gate None) compares an error of 0 with any row
+    gated = err if gate is None else np.where([[g is None] for g in gate], 0.0, err)
+    bad = ~(gated <= _SWEEP_RTOL * np.abs(fine if gate is None else fine[[g or 0 for g in gate]]))
     if np.any(bad):
         *row, i = np.argwhere(bad)[0]
         raise ArithmeticError(
@@ -323,20 +333,8 @@ def _weighted_square_profile(pt, ts, kind="spherical", other=None):
     return rows[0] if isinstance(kind, str) else np.stack(rows)
 
 
-def _rotation_block(g):
-    """The rotation k of g = diag(k, 1) when the last row and column of
-    g are e_n entrywise to 1e-12, else None.  Only the whole row and
-    column pin the base point: g[n, n] = 1 + eps alone still allows a
-    radius A+(g) of about sqrt(2 eps)."""
-    mat = g.mat
-    e_n = np.eye(mat.shape[-1])[-1]
-    if max(np.max(np.abs(mat[-1] - e_n)), np.max(np.abs(mat[:, -1] - e_n))) > 1e-12:
-        return None
-    return mat[:-1, :-1]
-
-
 def _is_identity_atom(atom):
-    k = _rotation_block(atom.g)
+    k = lg.rotation_block(atom.g)
     return k is not None and float(np.max(np.abs(k - np.eye(k.shape[-1])))) <= 1e-12
 
 
@@ -524,11 +522,11 @@ class _Sheet:
     """The Poisson image sum_a w_a Psi(g_a^{-1} k a_t) v_a of an atom list
     on the sheet of K rotations k (embedded, kemb) times radii t.
 
-    An atom at a rotation k_a (_rotation_block) needs no Cartan step:
-    tau-radiality gives Psi(k_a^T k a_t) = Psi(a_t) tau(k_a^T k)^T with
+    An atom at a rotation k_a (liegroup.rotation_block) needs no Cartan
+    step: tau-radiality gives Psi(k_a^T k a_t) = Psi(a_t) tau(k_a^T k)^T with
     Psi(a_t) = sum_eta psi_eta(t) P_eta, so all such atoms fold into one
-    (K, C) array u = sum_a w_a tau(k_a^T k)^T v_a, one extrep.tau_vec_batch
-    per atom, and the sheet is u (sum_eta psi_eta(t) P_eta^T) at each t:
+    (K, C) array u = sum_a w_a tau(k_a^T k)^T v_a (the section's
+    rotation_fold), and the sheet is u (sum_eta psi_eta(t) P_eta^T) at each t:
     one component grid over the radii and no per-(t, k) matrices.
     Other atoms keep the CartanGeometry of g_a^{-1} k a_t, formed in
     slabs of whole t-nodes.
@@ -536,17 +534,11 @@ class _Sheet:
 
     __slots__ = ("pt", "size", "u", "left")
 
-    def __init__(self, pt, atoms, kemb):
+    def __init__(self, pt, section, kemb):
         self.pt, self.size = pt, kemb.shape[0]
-        self.u, self.left = None, []
-        for a, w in atoms:
-            k_a = _rotation_block(a.g)
-            if k_a is None:
-                self.left.append((a.g.inv().mat @ kemb, w, a.v.coeffs))
-                continue
-            rots_t = np.swapaxes(k_a.T @ kemb[:, :-1, :-1], -1, -2)
-            term = w * xr.tau_vec_batch(rots_t, pt.p, a.v.coeffs)
-            self.u = term if self.u is None else self.u + term
+        u, rest = section.rotation_fold(kemb[:, :-1, :-1])
+        self.u = u if len(rest) < len(section.atoms) else None
+        self.left = [(a.g.inv().mat @ kemb, w, a.v.coeffs) for a, w in rest]
 
     def values(self, ts, kinds, nodes=None):
         """The sheet over radii ts for each kind of radial operator
@@ -605,7 +597,7 @@ def _ball_sweep(pt, section, R_grid, kinds=("spherical",), k_samples=4096, rng=N
     if rng is None:
         rng = np.random.default_rng(0)
     n = pt.n
-    sheet = _Sheet(pt, atoms, lg.embed_rotation(lg.haar_sample_K(n, size=k_samples, rng=rng)))
+    sheet = _Sheet(pt, section, lg.embed_rotation(lg.haar_sample_K(n, size=k_samples, rng=rng)))
     ends = np.sort(R_grid)
     ts, ws, segs = _sweep_rule(ends, pt.lam_real if np.isreal(pt.lam) else 1.0,
                                gauss_legendre(_MC_ORDER))
@@ -786,7 +778,7 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
     # Poisson image on the sample sheet k1 a_t; the Cartan step of an atom
     # away from the base point takes one t-node of mc_k1 matrices at a time,
     # so its temporaries stay below those of fvals
-    fvals = _Sheet(pt, atoms, lg.embed_rotation(k1)).values(ts, ("spherical",), nodes=1)[0]
+    fvals = _Sheet(pt, section, lg.embed_rotation(k1)).values(ts, ("spherical",), nodes=1)[0]
     # the node weight, the kernel's sqrt(d_{tau,sigma}) and the 1/mc_k1 of the mean
     coef = (ws * radial_weight(ts, n) * pi * plancherel_density(pt) / float(R)
             * sqrt(xr.dims(pt.spec, pt.sigma)[2]) / mc_k1)
@@ -859,6 +851,48 @@ def asymptotic_residual_sweep(pt, atom, R_grid=(10.0, 20.0, 40.0),
 # spectral projection energy capture
 
 
+def bump_transform(f, lam_grid, R=None, sigmas=None):
+    """(b, ||f||^2, A) of the bump f at each real lambda of lam_grid (not
+    empty) and sigma of sigmas (the branching when None), b and A shaped
+    (lambdas, sigmas): b_sigma = sqrt(d_{tau,sigma}) int chi (1/d_tau) sum_eta
+    d_eta phi_eta (2 sinh t)^{n-1} dt, A_sigma the Schur ball average at R
+    (r_supp when None) of a unit vector.  One _radial_sweep per lambda,
+    broken at r_supp and R (past 2 R0 as _schur_sweep) and graded toward
+    r_supp, integrates chi^2 and per sigma the trace, its absolute scale S
+    (|phi_eta| for phi_eta) and the Schur profile from one Jacobi pair;
+    ArithmeticError where the trace misses 1e-10 S or another row 1e-10."""
+    spec, r, lams = f.spec, f.r_supp, np.asarray(lam_grid, dtype=float).reshape(-1)
+    R, sigmas = r if R is None else float(R), xr.branching(spec) if sigmas is None else sigmas
+    if lams.size == 0:
+        raise ValueError("bump_transform needs at least one lambda")
+    r0 = _R0_CHIRAL if spec.chirality != "none" else _R0
+    ends = sorted({r, R} if R <= 2.0 * r0 else {r, r0, 2.0 * r0})
+    gate = [0] + [g and 3 * j + g for j in range(len(sigmas)) for g in (2, None, 3)]
+    d_tau, d_eta = _dims_table(spec)
+
+    def rows(ts, pts):
+        chi_w = f.chi(ts) * radial_weight(np.minimum(ts, r), spec.n)
+        w, s = _stable_weight(ts, spec.n), np.exp(0.25 * (spec.n - 1) * ts)
+        out = [f.chi(ts) * chi_w]
+        for comps in component_grid(pts[0], ts, sigmas) if pts else ():
+            terms = [(d_eta[eta] / d_tau, v) for eta, v in comps.items()]
+            out += [chi_w * sum(d * v.real for d, v in terms),
+                    chi_w * sum(d * np.abs(v) for d, v in terms),
+                    w * sum(d * np.abs(_rescale(v, s)) ** 2 for d, v in terms)]
+        return np.stack(out)
+
+    b, avgs = np.zeros((2, lams.size, len(sigmas)))
+    for i, lam in enumerate(lams.tolist()):
+        pts = [SpectralPoint(spec, sigma, lam) for sigma in sigmas]
+        vals, errs = _radial_sweep(lambda ts: rows(ts, pts), ends, lam, graded=r, gate=gate)
+        at_r = ends.index(r)
+        b[i] = [sqrt(xr.dims(spec, sig)[2]) * v for sig, v in zip(sigmas, vals[1::3, at_r])]
+        avgs[i] = vals[3::3, ends.index(R)] / R if R in ends else [_extend_past(
+            pt, ("spherical",), r0, np.array(ends), vals[3 + 3 * j:4 + 3 * j],
+            errs[3 + 3 * j:4 + 3 * j], np.array([R]))[0][0, 0] / R for j, pt in enumerate(pts)]
+    return b, float(vals[0, at_r] * np.vdot(f.v0, f.v0).real), avgs
+
+
 def spectral_projection_energy(f, lam_grid, R, g_samples=160, k_samples=800,
                                t_nodes=32, grid=24, rng=None, details=False):
     """Windowed energy capture of the spectral projections of the bump f,
@@ -869,31 +903,27 @@ def spectral_projection_energy(f, lam_grid, R, g_samples=160, k_samples=800,
     times the Schur ball average of Phi v0.  The capture, the trapezoid
     over lam_grid of the sum over sigma, holds the continuous spectrum
     only (at p = n/2 the discrete, harmonic, part is not in it); over the
-    whole line, pi times its R -> infinity limit is ||f||^2.  With
-    details=True also returns a dict: the fraction pi * capture / ||f||^2,
-    rows {"lam", "energy", "per_sigma"}, norm_f2, window and R.
-    g_samples, k_samples, t_nodes, grid and rng are not read: they sized
-    the Monte Carlo estimator that this closed form replaced.
+    whole line, pi times its R -> infinity limit is ||f||^2 (all from one
+    bump_transform).  With details=True also returns a dict: the fraction
+    pi * capture / ||f||^2, rows {"lam", "energy", "per_sigma"}, norm_f2,
+    window and R.  g_samples, k_samples, t_nodes, grid and rng are not
+    read: they sized the Monte Carlo estimator that this closed form replaced.
     """
     lam_grid = np.asarray(sorted(float(l) for l in lam_grid), dtype=float)
     if lam_grid.size < 2:
         raise ValueError("need at least two window points")
-    spec, R = f.spec, float(R)
-    vnorm2 = float(np.vdot(f.v0, f.v0).real)
+    spec, R, vnorm2 = f.spec, float(R), float(np.vdot(f.v0, f.v0).real)
+    b, norm_f2, avgs = bump_transform(f, lam_grid, R)
     rows = []
-    for lam in lam_grid:
-        per_sigma = {}
-        for sigma in xr.branching(spec):
-            pt = SpectralPoint(spec, sigma, lam)
-            coef = plancherel_density(pt) ** 2 * f.spherical_transform(pt) ** 2
-            avg = _schur_sweep(pt, [R], vnorm2)[0][0, 0]
-            per_sigma[str(sigma)] = float(coef / xr.dims(spec, sigma)[2] * avg)
+    for lam, b_lam, avg_lam in zip(lam_grid, b, avgs):
+        per_sigma = {str(sigma): float(plancherel_density(SpectralPoint(spec, sigma, lam)) ** 2
+                                       * b_s ** 2 / xr.dims(spec, sigma)[2] * avg * vnorm2)
+                     for sigma, b_s, avg in zip(xr.branching(spec), b_lam, avg_lam)}
         rows.append({"lam": float(lam), "energy": sum(per_sigma.values()),
                      "per_sigma": per_sigma})
     captured = float(np.trapezoid([row["energy"] for row in rows], lam_grid))
     if not details:
         return captured
-    norm_f2 = f.l2_norm() ** 2
     return captured, {
         "fraction": pi * captured / norm_f2 if norm_f2 > 0.0 else 0.0,
         "rows": rows,

@@ -36,7 +36,7 @@ from . import liegroup as lg
 from .extrep import FormVector
 from .liegroup import GroupElement, KElement
 from .specialfn import gauss_legendre
-from .spherical import PoissonKernel, component_grid, spherical_batch
+from .spherical import PoissonKernel, spherical_batch
 
 __all__ = [
     "BoundaryAtom",
@@ -117,20 +117,34 @@ class BoundarySection:
         if kmats.ndim == 2:
             kmats = kmats[None]
         if self.is_atomic:
-            out = np.zeros((kmats.shape[0], self.pt.spec.dim_full), dtype=complex)
-            for atom, w in self.atoms:
-                out += w * _atom_eval_batch(self.pt, atom, kmats)
+            pt, (u, rest) = self.pt, self.rotation_fold(kmats)
+            out = sigma_part(pt, u)
+            for atom, w in rest:
+                # tau(kappa)^{-1} = tau(kappa)^T: the atom is the dual kernel at g^{-1} k
+                kernel = PoissonKernel(atom.g.inv().mat[None] @ lg.embed_rotation(kmats), pt.p)
+                out += w * kernel.dual(pt, atom.v.coeffs)
             return out
         self._drawn += kmats.shape[0]
         if self.budget and self._drawn > self.budget:
             raise RuntimeError("sampler budget exhausted")
         return np.asarray(self.sampler(kmats), dtype=complex)
 
-
-def _atom_eval_batch(pt, atom, kmats):
-    # tau(kappa)^{-1} = tau(kappa)^T: the atom is the dual kernel at g^{-1} k
-    ker = PoissonKernel(atom.g.inv().mat[None, :, :] @ lg.embed_rotation(kmats), pt.p)
-    return ker.dual(pt, atom.v.coeffs)
+    def rotation_fold(self, kmats):
+        """(u = sum_a w_a tau(k_a^T k)^T v_a (B, C), the other (atom, w) pairs)
+        on rotations kmats (B, n, n), over atoms at a rotation k_a (liegroup.
+        rotation_block): g_a^{-1} k = diag(k_a^T k, 1) has H = 0, so the atom is
+        sqrt(d_{tau,sigma}) P_sigma tau(k_a^T k)^T v_a, and k_a^T k keeps the
+        Iwasawa step's gate (ArithmeticError past 1e-8 of orthogonal)."""
+        u, rest = np.zeros((len(kmats), self.pt.spec.dim_full), dtype=complex), []
+        for atom, w in self.atoms:
+            k_a = lg.rotation_block(atom.g)
+            if k_a is None:
+                rest.append((atom, w))
+                continue
+            rots = k_a.T @ kmats
+            lg.gate_k(rots, "rotation atom")
+            u += w * xr.tau_vec_batch(np.swapaxes(rots, -1, -2), self.pt.p, atom.v.coeffs)
+        return u, rest
 
 
 # ---------------------------------------------------------------------------
@@ -245,40 +259,16 @@ class CompactSection:
         """Values f(g) on a stack of group matrices, shape (..., C)."""
         return xr.tau_apply_batch(self.frames(mats), self.v0[:, None])[..., 0]
 
-    def _radial_integral(self, profile, order=200):
-        """int_0^r_supp profile(t) (2 sinh t)^(n-1) dt on the last axis, by Gauss-Legendre."""
-        ts, ws = gauss_legendre(order)
-        ts = 0.5 * self.r_supp * (ts + 1.0)
-        ws = 0.5 * self.r_supp * ws
-        return np.sum(ws * profile(ts) * lg.radial_weight(ts, self.spec.n), axis=-1)
-
     def l2_norm(self):
-        """||f||^2 = ||v0||^2 int chi(t)^2 (2 sinh t)^(n-1) dt, by 200-point
-        Gauss-Legendre on [0, r_supp]."""
-        radial = self._radial_integral(lambda ts: self.chi(ts) ** 2)
-        return sqrt(float(radial) * float(np.vdot(self.v0, self.v0).real))
+        """||f||, by strichartz.bump_transform (lambda 0 sets its panels only)."""
+        from .strichartz import bump_transform
+        return sqrt(bump_transform(self, [0.0], sigmas=())[1])
 
     def spherical_transform(self, pt):
-        """b_sigma(lambda) with F f(lambda, k) = b_sigma(lambda) P_sigma tau(k)^T v0:
-        sqrt(d_{tau,sigma}) int chi(t) (1/d_tau) sum_eta d_eta phi_eta(t) (2 sinh t)^(n-1) dt
-        (the trace is real), by the rule of l2_norm; ArithmeticError unless the 100- and
-        200-point values agree to 1e-10 of S = the same integral with |phi_eta| (200 nodes)."""
-        d_tau, _, d_ts = xr.dims(pt.spec, pt.sigma)
-        d_eta = {eta: xr.dims(pt.spec, eta)[1] for eta in xr.branching(pt.spec)}
-
-        def trace_and_scale(ts):
-            comps = component_grid(pt, ts)
-            return self.chi(ts) * np.stack([
-                sum(d_eta[eta] * v.real for eta, v in comps.items()),
-                sum(d_eta[eta] * np.abs(v) for eta, v in comps.items())]) / d_tau
-
-        coarse = float(self._radial_integral(trace_and_scale, 100)[0])
-        fine, scale = (float(x) for x in self._radial_integral(trace_and_scale, 200))
-        if not abs(fine - coarse) <= 1e-10 * scale:
-            raise ArithmeticError(f"spherical transform at lambda={pt.lam} over [0, "
-                                  f"{self.r_supp:g}]: 100/200 nodes give {coarse!r}, {fine!r} "
-                                  f"at scale {scale:.6g}")
-        return sqrt(d_ts) * fine
+        """b_sigma(lambda) with F f(lambda, k) = b_sigma(lambda) P_sigma tau(k)^T v0
+        at real lambda, by strichartz.bump_transform (1e-10 of its scale S)."""
+        from .strichartz import bump_transform
+        return float(bump_transform(self, [pt.lam_real], sigmas=[pt.sigma])[0][0, 0])
 
 
 def bump_section(spec, r_supp, v0=None):

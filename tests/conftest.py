@@ -3,9 +3,16 @@ throughout the suite, a seeded RNG factory, and the loader of the
 repository's tools."""
 
 import importlib.util
+import os
 from pathlib import Path
 
-import numpy as np
+# one BLAS thread unless the caller chose otherwise, set before NumPy loads
+# its BLAS: a suite that shares its cores with another process ran one
+# n = 8 test in 120 s instead of 2 s with the default thread count
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from hyperform import BundleSpec, SpectralPoint, sigma_q, SIGMA_PLUS, SIGMA_MINUS

@@ -18,7 +18,7 @@ from hyperform import (BundleSpec, SpectralPoint, asymptotic_head, bump_section,
                        fourier_batch, haar_sample_K, make_at, op_norm, plancherel_density,
                        spherical_at)
 from hyperform.cli import main
-from hyperform.extrep import MLabel, default_vector
+from hyperform.extrep import MLabel, default_vector, dims
 from hyperform.liegroup import GroupElement
 from hyperform.specialfn import _Series
 from hyperform.strichartz import inversion_mix
@@ -329,14 +329,37 @@ def test_fourier_is_exact_at_every_n():
 
 def test_fourier_gates_its_transform_on_the_absolute_scale():
     # at lambda = 25 the bump's transform is a small part of its absolute
-    # scale, which a relative gate refused; at lambda = 40, r = 8 the
-    # 100- and 200-node rules still part by 5e-10 of it
+    # scale, which a relative gate refused; at lambda = 40, r = 8 the graded
+    # sweep answers where the earlier 100- and 200-node rules parted
     args = ["fourier", "--n", "3", "--p", "1", "--sigma", "q:1", "--lambda"]
-    res = CliRunner().invoke(main, [*args, "25"])
-    assert res.exit_code == 0, res.output
-    assert len(json.loads(res.output)["rows"]) == 3
-    res = CliRunner().invoke(main, [*args, "40"])
-    assert res.exit_code == 1 and "100/200 nodes" in res.output
+    for lam in ("25", "40"):
+        res = CliRunner().invoke(main, [*args, lam])
+        assert res.exit_code == 0, res.output
+        assert len(json.loads(res.output)["rows"]) == 3
+
+
+def test_fourier_gate_fails_on_a_mis_normalised_transform(monkeypatch):
+    # restriction_ratio[R] <= nu A(R) by Cauchy-Schwarz, and (2,1,-) at
+    # lambda = 1, R = 2 comes within 3 % of it; a b_sigma off by
+    # sqrt(d_{tau,sigma}) (nu off by d_{tau,sigma} in the ratio) breaks it
+    cases = [["--n", "2", "--p", "1", "--chirality", "minus", "--sigma", "q:1"],
+             ["--n", "3", "--p", "1", "--sigma", "q:1"]]
+    worst = 0.0
+    for args in cases:
+        code, rows = _rows(["fourier", *args])
+        assert code == 0 and all(r["pass"] for r in rows.values())
+        worst = max(worst, *(r["value"] / r["tol"] for r in rows.values()))
+    assert worst > 0.95
+    transform = st.bump_transform
+
+    def scaled(f, lam_grid, R=None, sigmas=None):
+        b, norm2, avgs = transform(f, lam_grid, R, sigmas)
+        d_ts = [dims(f.spec, s)[2] for s in sigmas]
+        return b * np.sqrt(d_ts), norm2, avgs
+
+    monkeypatch.setattr(st, "bump_transform", scaled)
+    code, rows = _rows(["fourier", *cases[1]])
+    assert code == 1 and not rows["restriction_ratio[R=2]"]["pass"]
 
 
 def _point_args(spec, sigma):

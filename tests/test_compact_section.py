@@ -1,19 +1,22 @@
 """The radial bump section: its horocycle integrals against the
 per-pair quadrature oracle, the left equivariance that the batched
 route rests on, and its closed-form spherical transform against the
-horocycle route of the Fourier coefficient."""
+horocycle route of the Fourier coefficient and a Gauss-Legendre oracle,
+with the absolute-scale gate of its sweep."""
 
-from math import sqrt
+from math import pi, sqrt
 
 import numpy as np
 import pytest
 
 from hyperform import BundleSpec, SpectralPoint, bump_section, haar_sample_K
-from hyperform.extrep import (MLabel, chirality_matrix, dims, proj_matrix, tau_matrix,
-                              tau_matrix_batch)
+from hyperform import strichartz as st
+from hyperform.extrep import (MLabel, branching, chirality_matrix, dims, proj_matrix,
+                              tau_matrix, tau_matrix_batch)
 from hyperform.liegroup import at_mats, embed_rotation, radial_weight
 from hyperform.specialfn import gauss_legendre
 from hyperform.spherical import component_grid
+from hyperform.strichartz import bump_transform
 from hyperform.transforms import fourier_batch, radon_batch
 
 from oracles import radon_pairs
@@ -75,13 +78,85 @@ def test_spherical_transform_matches_fourier_batch(spec, sigma, grid, tol, rng):
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), (sigma, lam)
 
 
-def test_spherical_transform_raises_where_its_rules_disagree():
-    # at lambda r = 320 the 100-point rule no longer resolves the oscillation:
-    # the two rules part by 5.1e-10 of the absolute scale S
-    spec = BundleSpec(3, 1)
-    pt = SpectralPoint(spec, MLabel.parse("q:1"), 40.0)
-    with pytest.raises(ArithmeticError, match="100/200 nodes"):
-        bump_section(spec, 8.0).spherical_transform(pt)
+def _transform_by_gauss_legendre(f, pt, nodes):
+    """(b_sigma, its absolute scale S) by one nodes-point Gauss-Legendre rule
+    on [0, r_supp]: the independent oracle of the sweep's value."""
+    ts, ws = gauss_legendre(nodes)
+    ts, ws = 0.5 * f.r_supp * (ts + 1.0), 0.5 * f.r_supp * ws
+    d_tau, _, d_ts = dims(f.spec, pt.sigma)
+    comps = component_grid(pt, ts)
+    weight = ws * f.chi(ts) * radial_weight(ts, f.spec.n) / d_tau
+    trace = sum(dims(f.spec, eta)[1] * v.real for eta, v in comps.items()) @ weight
+    scale = sum(dims(f.spec, eta)[1] * np.abs(v) for eta, v in comps.items()) @ weight
+    return sqrt(d_ts) * trace, sqrt(d_ts) * scale
+
+
+def test_spherical_transform_meets_a_1600_node_rule():
+    # the graded sweep against one 1,600-node Gauss-Legendre rule, to 1e-10
+    # of the absolute scale S, wherever jacobi_phi returns; at lambda = 40,
+    # r = 8 the 100/200-node rules of the earlier route refused to answer
+    checked = 0
+    for spec in (BundleSpec(3, 1), BundleSpec(5, 2), BundleSpec(6, 2), BundleSpec(4, 2, "plus")):
+        for r in (1.0, 1.5, 8.0):
+            f = bump_section(spec, r)
+            for lam in (0.05, 1.0, 4.0, 25.0, 40.0):
+                for sigma in branching(spec):
+                    pt = SpectralPoint(spec, sigma, lam)
+                    try:
+                        want, scale = _transform_by_gauss_legendre(f, pt, 1600)
+                    except ArithmeticError:
+                        continue
+                    got = f.spherical_transform(pt)
+                    assert abs(got - want) <= 1e-10 * scale, (spec, r, lam, str(sigma))
+                    checked += 1
+    assert checked >= 100, checked
+
+
+def test_bump_transform_is_its_wrappers_on_a_lambda_array(rng):
+    # one sweep per lambda serves every sigma: each entry is the one-point
+    # spherical_transform bit for bit, and ||f||^2 is l2_norm's
+    for spec in (BundleSpec(5, 2), BundleSpec(6, 2), BundleSpec(4, 2, "minus")):
+        f = bump_section(spec, 1.5, v0=_complex_v0(spec, rng))
+        lams = np.array([0.05, 0.7, 2.5, 11.0])
+        b, norm2, avgs = bump_transform(f, lams)
+        assert b.shape == avgs.shape == (lams.size, len(branching(spec)))
+        assert np.array_equal(avgs, bump_transform(f, lams, R=1.5)[2])
+        for i, lam in enumerate(lams):
+            for j, sigma in enumerate(branching(spec)):
+                assert b[i, j] == f.spherical_transform(SpectralPoint(spec, sigma, lam))
+        assert abs(norm2 - f.l2_norm() ** 2) <= 1e-13 * norm2
+
+
+def test_absolute_scale_gate_raises_on_a_profile_it_cannot_resolve(monkeypatch):
+    # a row gated by a scale row may be far below its own relative gate
+    # (sin(2 pi t) integrates to 0 on [0, 4]), but not past 1e-10 of the scale
+    def rows(freq):
+        return lambda ts: np.stack([np.sin(freq * ts), np.ones_like(ts)])
+
+    vals, errs = st._radial_sweep(rows(2.0 * pi), [4.0], 1.0, gate=[1, None])
+    assert abs(vals[0, 0]) <= 1e-14 and errs[0, 0] <= 1e-10 * vals[1, 0]
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        st._radial_sweep(rows(2.0 * pi), [4.0], 1.0)
+    # 60 t on panels of pi/2: 15 periods a panel, which G15 cannot follow
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        st._radial_sweep(rows(60.0), [4.0], 1.0, gate=[1, None])
+    # the bump's sweep holds its trace (row 1) to its scale: an oscillation of
+    # 1e-6 S that the panels cannot follow is refused
+    spec, sweep = BundleSpec(3, 1), st._radial_sweep
+    pt = SpectralPoint(spec, MLabel.parse("q:1"), 1.0)
+    f = bump_section(spec, 1.5)
+    assert np.isfinite(f.spherical_transform(pt))
+
+    def unresolved(profile, *args, **kwargs):
+        def perturbed(ts):
+            out = profile(ts)
+            out[1] += 1e-6 * np.max(out[2]) * np.cos(300.0 * ts)
+            return out
+        return sweep(perturbed, *args, **kwargs)
+
+    monkeypatch.setattr(st, "_radial_sweep", unresolved)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        f.spherical_transform(pt)
 
 
 def test_spherical_transform_gates_on_the_absolute_scale():

@@ -357,10 +357,10 @@ def test_rotation_block_needs_the_whole_last_row_and_column():
     # t ~ sqrt(2 eps) has it, so the whole row and column are tested
     n = 3
     k = lg.embed_rotation(lg.haar_sample_K(n, rng=np.random.default_rng(2)))
-    assert np.array_equal(st._rotation_block(lg.GroupElement(k)), k[:n, :n])
+    assert np.array_equal(lg.rotation_block(lg.GroupElement(k)), k[:n, :n])
     boost = lg.GroupElement(k @ lg.make_at(2e-7, n).mat)
     assert abs(boost.mat[n, n] - 1.0) <= 1e-12
-    assert st._rotation_block(boost) is None
+    assert lg.rotation_block(boost) is None
     assert st._is_identity_atom(tfm.BoundaryAtom(lg.GroupElement(np.eye(n + 1)),
                                                  _unit(BundleSpec(n, 1))))
     assert not st._is_identity_atom(tfm.BoundaryAtom(lg.GroupElement(k), _unit(BundleSpec(n, 1))))
@@ -1003,6 +1003,30 @@ def test_energy_capture_runs_at_higher_rank(spec):
             for g, k, t, m, seed in ((160, 800, 32, 24, 0), (7, 9, 5, 3, 11))]
     assert np.isfinite(caps[0]) and caps[0] > 0.0
     assert caps[0] == caps[1]
+
+
+def test_energy_rows_are_ball_averages_of_the_transform(rng):
+    # each row is nu^2 b_sigma^2 / d_{tau,sigma} times the ball average of a
+    # base-point atom with the bump's vector, by the one-point routes; R = 0.5
+    # sits inside the support and R = 50 past 2 R0 (the extended sweep)
+    for spec in (BundleSpec(3, 1), BundleSpec(5, 2), BundleSpec(6, 2), BundleSpec(4, 2, "plus")):
+        v0 = rng.normal(size=spec.dim_full) + 1j * rng.normal(size=spec.dim_full)
+        if spec.chirality != "none":
+            v0 = xr.chirality_matrix(spec.n, spec.chirality) @ v0
+        f = tfm.bump_section(spec, 1.0, v0=v0)
+        atom = tfm.BoundaryAtom(lg.GroupElement(np.eye(spec.n + 1)), FormVector.of(spec, v0))
+        for R in (0.5, 2.0, 50.0):
+            _, det = st.spectral_projection_energy(f, [0.5, 2.0], R=R, g_samples=7, k_samples=9,
+                                                   rng=np.random.default_rng(3), details=True)
+            for lam, row in zip((0.5, 2.0), det["rows"]):
+                for sigma in xr.branching(spec):
+                    pt = SpectralPoint(spec, sigma, lam)
+                    avg = st.ball_average_atom(pt, tfm.BoundarySection.from_atoms(
+                        pt, [(atom, 1.0)]), R)
+                    want = (sph.plancherel_density(pt) ** 2 * f.spherical_transform(pt) ** 2
+                            / xr.dims(spec, sigma)[2] * avg)
+                    got = row["per_sigma"][str(sigma)]
+                    assert abs(got - want) <= 1e-12 * want, (spec, R, lam, str(sigma))
 
 
 def test_energy_plancherel_identity_is_two_sided():

@@ -71,7 +71,7 @@ INVOCATIONS = [
     ("fourier_n4_minus", "fourier --n 4 --p 2 --chirality minus --sigma q:2"),
     ("fourier_n6_q1", "fourier --n 6 --p 2 --sigma q:1 --R-grid 2,4"),
     ("fourier_n3_lambda25", "fourier --n 3 --p 1 --sigma q:1 --lambda 25"),
-    ("fourier_n3_lambda40_rules_disagree", "fourier --n 3 --p 1 --sigma q:1 --lambda 40"),
+    ("fourier_n3_lambda40", "fourier --n 3 --p 1 --sigma q:1 --lambda 40"),
     ("csv_density", "density --n 6 --p 2 --sigma q:2 --format csv"),
     ("csv_limit", f"limit --n 3 --p 1 --sigma q:1 --R-grid {GRID} --format csv"),
     ("config_density", "density --config point.cfg --lambda 2"),
