@@ -16,10 +16,10 @@ induced Hodge star; at p = n/2 (n even) tau_p itself splits into the
 or +-i (n/2 odd).
 
 The sigma projectors are realized as orthogonal idempotents inside
-Lambda^p C^n rather than as maps onto separate coordinate spaces; for
-the split cases they are built from the star-times-wedge operator and
-passed through an eigenvalue cleanup that enforces exact idempotence
-and self-adjointness in floating point.
+Lambda^p C^n rather than as maps onto separate coordinate spaces, built
+exactly from the integer Hodge and wedge tables: their entries are 0,
++-1/2, +-i/2 or 1, so P @ P == P and P == P^H hold bit for bit.  The
+cached tables are read-only.
 """
 
 from dataclasses import dataclass
@@ -46,7 +46,6 @@ __all__ = [
     "hodge_matrix",
     "wedge_table",
     "wedge_batch",
-    "wedge_e1_matrix",
     "proj_matrix",
     "chirality_matrix",
     "dims",
@@ -356,6 +355,12 @@ def tau_vec_batch(us, p, x):
 # Hodge star and wedge by e_1
 
 
+def _read_only(a):
+    """a, no longer writeable: a cached table is shared by every caller."""
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=None)
 def hodge_matrix(n, p):
     """Matrix of the Hodge star Lambda^p -> Lambda^(n-p), orientation
@@ -370,7 +375,7 @@ def hodge_matrix(n, p):
         # parity of the concatenation (I, I^c) as a permutation of (0..n-1)
         inv = sum(1 for a in members for b in comp if a > b)
         out[rank_c[cm], j] = -1.0 if inv % 2 else 1.0
-    return out
+    return _read_only(out)
 
 
 @lru_cache(maxsize=None)
@@ -387,7 +392,7 @@ def wedge_table(n, p, star=False):
         hodge = hodge_matrix(n, p + 1)  # one +-1 per column
         rows, sign = np.abs(hodge).argmax(axis=0)[rows], sign * hodge.sum(axis=0)[rows]
     shape = (comb(n, n - p - 1 if star else p + 1), comb(n, p))
-    return shape, rows * shape[1] + cols, comp, sign
+    return shape, *map(_read_only, (rows * shape[1] + cols, comp, sign))
 
 
 def wedge_batch(bs, p, star=False):
@@ -399,89 +404,54 @@ def wedge_batch(bs, p, star=False):
     return out.reshape(bs.shape[:-1] + shape)
 
 
-def wedge_e1_matrix(n, p):
-    """e_1 ^ (.) : Lambda^p -> Lambda^(p+1), wedge_batch at b = e_1 (all signs +1)."""
-    return wedge_batch(np.eye(n)[0], p)
-
-
 # ---------------------------------------------------------------------------
 # M projectors and chirality
 
 
 @lru_cache(maxsize=None)
 def chirality_matrix(n, which):
-    """Projector onto the +-/- eigenspace of star on middle forms,
-    eigenvalue mu = +-1 for n/2 even and +-i for n/2 odd."""
+    """Projector (I + star/mu)/2 onto the +-/- eigenspace of star on middle
+    forms, eigenvalue mu = +-1 for n/2 even and +-i for n/2 odd; exact."""
     if n % 2:
         raise ValueError("chirality needs n even")
     half = n // 2
-    s = hodge_matrix(n, half).astype(complex)
     mu = (1.0 if half % 2 == 0 else 1.0j) * (1.0 if which == "plus" else -1.0)
-    return _clean_projector(0.5 * (np.eye(s.shape[0]) + s / mu))
-
-
-def _clean_projector(mat):
-    """Symmetrize and round the spectrum of an almost-projector to
-    exactly {0,1}; raises if any eigenvalue is ambiguous."""
-    mat = 0.5 * (mat + mat.conj().T)
-    w, v = np.linalg.eigh(mat)
-    if np.any(np.abs(w - np.round(w)) > 1e-8) or np.any((np.round(w) != 0) & (np.round(w) != 1)):
-        raise ArithmeticError(f"not a projector: spectrum {w}")
-    keep = np.round(w) == 1
-    p = (v[:, keep] @ v[:, keep].conj().T)
-    return 0.5 * (p + p.conj().T)
+    return _read_only(0.5 * (np.eye(comb(n, half)) + hodge_matrix(n, half) / mu))
 
 
 @lru_cache(maxsize=None)
 def _proj_matrix_cached(n, p, chirality, kind, q):
-    full = comb(n, p)
-    masks, _ = _basis(n, p)
-    e1_in = (masks & 1).astype(bool)
     if chirality != "none":
         # tau^{+-}_{n/2} restricts irreducibly to sigma_{n/2}; the
         # isotypic projector acts as the identity on the eigenspace,
         # i.e. as the chirality projector on full coordinates.
-        if kind != "q" or q != p:
-            raise ValueError("chirality specs branch to sigma_{n/2} only")
         return chirality_matrix(n, chirality)
-    if kind == "q" and q == p and 2 * p == n - 1:
-        # the unsplit middle isotype sigma_p = sigma^+ (+) sigma^-
-        return (_proj_matrix_cached(n, p, chirality, "plus", None)
-                + _proj_matrix_cached(n, p, chirality, "minus", None))
+    e1_in = (_basis(n, p)[0] & 1).astype(bool)
     if kind == "q":
-        d = np.where(e1_in if q == p - 1 else ~e1_in, 1.0, 0.0)
-        return np.diag(d).astype(complex)
-    # sigma^{+-} at p = (n-1)/2: split the e_1-free part by the induced
-    # (n-1)-dimensional Hodge star, which equals star_n o wedge_e1 there.
-    t = hodge_matrix(n, p + 1) @ wedge_e1_matrix(n, p)
-    free = np.diag(np.where(~e1_in, 1.0, 0.0)).astype(complex)
-    phase = 1j ** (p * (p + 2))
-    sign = 1.0 if kind == "plus" else -1.0
-    return _clean_projector(0.5 * free + 0.5 * sign * phase * t.astype(complex))
+        # sigma_(p-1) on e_1 ^ Lambda^(p-1), sigma_p (split or not) on the e_1-free part
+        return _read_only(np.diag(e1_in if q == p - 1 else ~e1_in).astype(complex))
+    # sigma^{+-} at p = (n-1)/2: the e_1-free part split by the induced
+    # (n-1)-dimensional Hodge star, which is star eps(e_1) there
+    phase = 1j ** (p * (p + 2)) * (1 if kind == "plus" else -1)
+    free = np.diag(~e1_in).astype(complex)
+    return _read_only(0.5 * (free + phase * wedge_batch(np.eye(n)[0], p, star=True)))
 
 
 def proj_matrix(spec, sigma):
     """The orthogonal projector of Lambda^p onto the sigma-isotypic
-    subspace, as a matrix on full coordinates; the unsplit sigma_p at
-    p = (n-1)/2 gets P_{sigma^+} + P_{sigma^-}."""
+    subspace, as an exact, read-only matrix on full coordinates; the
+    unsplit sigma_p at p = (n-1)/2 is the e_1-free part, P_{sigma^+} + P_{sigma^-}."""
     check_sigma(spec, sigma)
     return _proj_matrix_cached(spec.n, spec.p, spec.chirality, sigma.kind, sigma.q)
 
 
 def check_sigma(spec, sigma):
     """Raise ValueError unless sigma labels an M-isotypic constituent of
-    tau: a member of the branching, or the unsplit sigma_p at
-    p = (n-1)/2 (the reducible isotype sigma^+ (+) sigma^-)."""
-    if spec.chirality != "none":
-        if sigma != sigma_q(spec.p):
-            raise ValueError(f"sigma {sigma} not admissible for chirality spec")
-        return
-    if sigma.kind == "q":
-        if sigma.q not in (spec.p - 1, spec.p):
-            raise ValueError(f"sigma {sigma} not admissible for p={spec.p}")
-        return
-    if spec.case != "half_odd":
-        raise ValueError("sigma^{+-} labels require p = (n-1)/2")
+    tau: a member of the branching, or a label that sigma_blocks splits
+    into members (the unsplit sigma_p at p = (n-1)/2)."""
+    if sigma not in branching(spec) and sigma_blocks(spec, sigma) == [sigma]:
+        raise ValueError(f"sigma {sigma} not admissible for {spec}: neither in the branching "
+                         f"({', '.join(map(str, branching(spec)))}) nor a sum of its labels")
 
 
 def branching(spec):

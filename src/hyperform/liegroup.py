@@ -25,7 +25,7 @@ This module owns the batch geometry of the package.  Its array kernels
 are public and take stacked arrays, returning stacked (..., n+1, n+1)
 matrices or their factors: embed_rotation, inv_mats (J g^T J), at_mats
 (boosts), ny_mats (horospherical elements), plane_rotations,
-iwasawa_batch, cartan_batch, cartan_axis, cartan_radius, polar_blocks and
+iwasawa_batch, cartan_axis, cartan_radius, polar_blocks and
 iwasawa_boosted_batch, the Iwasawa factors of a_{-t} r read off the
 rotations r alone, stored sample-major.  Every other module builds
 on them, and they do no validation.  The scalar API (make_*, iwasawa,
@@ -57,7 +57,6 @@ __all__ = [
     "plane_rotations",
     "iwasawa_batch",
     "iwasawa_boosted_batch",
-    "cartan_batch",
     "cartan_axis",
     "cartan_radius",
     "polar_blocks",
@@ -444,8 +443,9 @@ def cartan_radius(mats):
 
 
 def cartan_axis(mats):
-    """(t, b = k1 e_1, pi0 = k1 k2) of stacked g = k1 a_t k2, with cartan_batch's
-    gate and ties: g's upper right column is sinh(t) k1 e_1; k1 = pi0 below TIE_EPS."""
+    """(t, b = k1 e_1, pi0 = k1 k2) of stacked g = k1 a_t k2: g's upper right
+    column is sinh(t) k1 e_1; k1 = pi0 below TIE_EPS.  ArithmeticError when
+    pi0 is more than 1e-8 from orthogonal or not finite."""
     pol = polar_blocks(mats)
     gate_k(pol, "Cartan K factors")
     t = cartan_radius(mats)
@@ -457,14 +457,10 @@ def cartan_axis(mats):
 
 
 def _householder_to_e1(b):
-    """Stacked rotations S with S e_1 = b/|b|, built from the reflection
-    through (b/|b| - e_1) with the last column negated to restore
-    det = +1.  Deterministic; b ~ +e_1 returns the identity."""
-    b = np.asarray(b, dtype=float)
-    nrm = np.sqrt((b * b).sum(axis=-1, keepdims=True))
-    if (nrm == 0.0).any():
-        raise ValueError("zero direction vector in Householder step")
-    v = b / nrm
+    """Stacked rotations S with S e_1 = b for unit vectors b, built from
+    the reflection through (b - e_1) with the last column negated to
+    restore det = +1.  Deterministic; b ~ +e_1 returns the identity."""
+    v = np.array(b, dtype=float)
     v[..., 0] -= 1.0
     vv = (v * v).sum(axis=-1)
     ok = vv > 1.0e-28  # b away from +e_1
@@ -480,37 +476,14 @@ def _householder_to_e1(b):
     return out
 
 
-def cartan_batch(mats):
-    """(t, k1 block, k2 block) for stacked group matrices.
-
-    k2 is recovered through the polar identity k1 k2 = pi0(g) rather
-    than the product a_{-t} k1^{-1} g: the latter cancels entries of
-    size e^{2t} and costs ~e^{2t} ulps, the former only ~e^{t}.
-    """
-    n = mats.shape[-1] - 1
-    pol = polar_blocks(mats)
-    gate_k(pol, "Cartan K factors")
-    t = cartan_radius(mats)
-    tie = t < TIE_EPS
-    if not tie.any():
-        k1 = _householder_to_e1(mats[..., :n, n])
-    else:
-        k1 = np.empty(pol.shape)
-        if not tie.all():
-            k1[~tie] = _householder_to_e1(mats[..., :n, n][~tie])
-        k1[tie] = pol[tie]
-    k2 = np.ascontiguousarray(k1.swapaxes(-1, -2)) @ pol
-    return t, k1, k2
-
-
 def cartan(g):
-    """Decompose g = k1 a_t k2 with t >= 0; returns CartanFactors.
-
-    The k1 column convention (k1 e_1 = b/|b|) fixes the M-ambiguity of
-    the decomposition deterministically; below TIE_EPS the radius is
-    treated as zero.
-    """
-    t, k1, k2 = cartan_batch(g.mat[None, ...])
+    """Decompose g = k1 a_t k2 with t >= 0; returns CartanFactors.  t, b and
+    pi0 come from cartan_axis: k1 = pi0 below TIE_EPS, else the Householder
+    rotation with k1 e_1 = b, which fixes the M-ambiguity deterministically,
+    and k2 = k1^T pi0 (~e^t ulps, where a_{-t} k1^{-1} g costs ~e^{2t})."""
+    t, b, pol = cartan_axis(g.mat[None])
+    k1 = pol if t[0] < TIE_EPS else _householder_to_e1(b)
+    k2 = np.ascontiguousarray(k1.swapaxes(-1, -2)) @ pol
     return CartanFactors(KElement._of_rotation(k1[0]), float(t[0]), KElement._of_rotation(k2[0]))
 
 

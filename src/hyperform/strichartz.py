@@ -113,14 +113,12 @@ class BallAverageReport:
     R -> infinity limit of the Weyl head and the sweep's error estimate.
 
     The grid obeys the rules of _fit_grid.  `target` carries the
-    analytic limit when the caller knows one, `bstar_sup` the sweep
-    supremum (the norm estimate), and `bound_constant` the empirical
-    two-sided constant.
+    analytic limit when the caller knows one, and `bound_constant` the
+    empirical two-sided constant.
     """
 
     def __init__(self, n, R_grid, values, stderrs, extrapolated_limit,
-                 method, stderr, target=None, bstar_sup=None,
-                 bound_constant=None, norm_f2=None):
+                 method, stderr, target=None, bound_constant=None):
         R_grid = _fit_grid(n, R_grid)
         values = tuple(float(v) for v in values)
         stderrs = tuple(float(s) for s in stderrs)
@@ -138,9 +136,7 @@ class BallAverageReport:
         self.method = method
         self.stderr = float(stderr)
         self.target = None if target is None else float(target)
-        self.bstar_sup = None if bstar_sup is None else float(bstar_sup)
         self.bound_constant = None if bound_constant is None else float(bound_constant)
-        self.norm_f2 = None if norm_f2 is None else float(norm_f2)
 
     def __repr__(self):
         return (f"BallAverageReport(limit={self.extrapolated_limit:.6g}, "
@@ -588,8 +584,8 @@ def _ball_sweep(pt, section, R_grid, kinds=("spherical",), k_samples=4096, rng=N
     """
     atoms = _atom_list(section)
     R_grid = np.asarray(R_grid, dtype=float)
-    if R_grid.size == 0 or not np.all(R_grid > 0.0):
-        raise ValueError("ball radii must be positive")
+    if R_grid.size == 0 or not np.all((R_grid > 0.0) & np.isfinite(R_grid)):
+        raise ValueError("ball radii must be positive and finite")
     vnorm2 = _base_point_norm2(atoms)
     if vnorm2 is not None:
         return (*_schur_sweep(pt, R_grid, vnorm2, kinds=kinds), "schur_1d")
@@ -639,8 +635,8 @@ def strichartz_limit(pt, section, R_grid=None, k_samples=4096, rng=None):
     against the target (1/pi) nu_sigma(lambda)^{-1} ||F||^2.
 
     stderr is the sweep's own error estimate.  The report also carries
-    the sweep supremum (the weak-norm estimate) and the empirical
-    constant of the two-sided comparison with nu_sigma(lambda)^{-1/2} ||F||.
+    the empirical constant of the two-sided comparison of the sweep
+    supremum (the weak-norm estimate) with nu_sigma(lambda)^{-1/2} ||F||.
     On the mc_k route stderr is Monte Carlo error only, complete for this
     spherical kind; the residual kind (asymptotic_residual_sweep) carries
     a t-quadrature bias of up to 2e-5 relative, which its stderr leaves out.
@@ -651,12 +647,10 @@ def strichartz_limit(pt, section, R_grid=None, k_samples=4096, rng=None):
     norm_f2 = section_norm2(section)
     nu = plancherel_density(pt)
     target = norm_f2 / (pi * nu)
-    bstar = max(values)
-    ratio = sqrt(bstar * nu / norm_f2) if norm_f2 > 0 else float("inf")
+    ratio = sqrt(max(values) * nu / norm_f2) if norm_f2 > 0 else float("inf")
     bound_c = max(ratio, 1.0 / ratio) if norm_f2 > 0 else float("inf")
     return BallAverageReport(pt.n, R_grid, values, stderrs, _head_weights(pt)[0.0].real * norm_f2,
-                             method, max(stderrs), target=target, bstar_sup=bstar,
-                             bound_constant=bound_c, norm_f2=norm_f2)
+                             method, max(stderrs), target=target, bound_constant=bound_c)
 
 
 def eisenstein_hs_limit(pt, R_grid=None):
@@ -675,7 +669,7 @@ def eisenstein_hs_limit(pt, R_grid=None):
     (values,), (stderrs,) = _schur_sweep(pt, R_grid, vnorm2=d_sigma)
     target = d_sigma / (pi * plancherel_density(pt))
     return BallAverageReport(pt.n, R_grid, values, stderrs, _head_weights(pt)[0.0].real * d_sigma,
-                             "schur_1d", max(stderrs), target=target, bstar_sup=max(values))
+                             "schur_1d", max(stderrs), target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -860,11 +854,17 @@ def bump_transform(f, lam_grid, R=None, sigmas=None):
     broken at r_supp and R (past 2 R0 as _schur_sweep) and graded toward
     r_supp, integrates chi^2 and per sigma the trace, its absolute scale S
     (|phi_eta| for phi_eta) and the Schur profile from one Jacobi pair;
-    ArithmeticError where the trace misses 1e-10 S or another row 1e-10."""
+    ArithmeticError where the trace misses 1e-10 S or another row 1e-10.
+    The domain is the bumps whose (2 sinh r_supp)^{n-1} is a finite float,
+    about r_supp (n-1) < 709.78: ValueError otherwise, before any sweep."""
     spec, r, lams = f.spec, f.r_supp, np.asarray(lam_grid, dtype=float).reshape(-1)
     R, sigmas = r if R is None else float(R), xr.branching(spec) if sigmas is None else sigmas
     if lams.size == 0:
         raise ValueError("bump_transform needs at least one lambda")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(radial_weight(r, spec.n)):
+            raise ValueError(f"bump radius {r:g} is outside the domain of bump_transform at "
+                             f"n={spec.n}: (2 sinh r_supp)^(n-1) must be a finite float")
     r0 = _R0_CHIRAL if spec.chirality != "none" else _R0
     ends = sorted({r, R} if R <= 2.0 * r0 else {r, r0, 2.0 * r0})
     gate = [0] + [g and 3 * j + g for j in range(len(sigmas)) for g in (2, None, 3)]

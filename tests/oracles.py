@@ -21,8 +21,9 @@ t-node at a time through spherical_batch on every atom, with
 no tau-radial factoring for atoms at a rotation.  CartanGeometryK is
 spherical.CartanGeometry as it stood with the Cartan K factors, tau(k1)
 and tau(k2), and one projector product per M-type.  cartan_batch_copy
-is liegroup.cartan_batch as it stood before its temporaries were cut,
-which the in-place version must reproduce bit for bit, and
+is the stacked Cartan decomposition that liegroup.cartan was a
+one-element call of, as it stood before its temporaries were cut, which
+liegroup.cartan must reproduce bit for bit, and
 iwasawa_batch_product is liegroup.iwasawa_batch as it stood before
 kappa was read off g's columns.  iwasawa_mp decomposes group elements
 that group_mp builds exactly (from rotation_mp rotations), at the
@@ -286,8 +287,8 @@ def _householder_to_e1_copy(b):
 
 
 def cartan_batch_copy(mats):
-    """liegroup.cartan_batch with the copies and temporaries it had
-    before they were cut: (t, k1, k2) of stacked group matrices."""
+    """The stacked Cartan decomposition with the copies and temporaries it
+    had before they were cut: (t, k1, k2) of stacked group matrices."""
     n = mats.shape[-1] - 1
     t = lg.cartan_radius(mats)
     tie = t < lg.TIE_EPS
@@ -307,12 +308,12 @@ def cartan_batch_copy(mats):
 class CartanGeometryK:
     """spherical.CartanGeometry as it stood before it dropped the Cartan K
     factors: t, tau(k1) and tau(k2) of g = k1 a_t k2 from
-    liegroup.cartan_batch, and Psi(g) = tau(k2)^T (sum_eta psi_eta(t) P_eta)
+    cartan_batch_copy, and Psi(g) = tau(k2)^T (sum_eta psi_eta(t) P_eta)
     tau(k1)^T with one projector product per eta."""
 
     def __init__(self, mats, p):
         self.lead = mats.shape[:-2]
-        self.t, k1, k2 = lg.cartan_batch(mats.reshape((-1,) + mats.shape[-2:]))
+        self.t, k1, k2 = cartan_batch_copy(mats.reshape((-1,) + mats.shape[-2:]))
         self.tau1, self.tau2 = xr.tau_matrix_batch(np.stack((k1, k2)), p)
 
     def apply(self, spec, comps, vecs=None):
@@ -357,7 +358,7 @@ def e_defect(g, x):
     gx = g.mat @ x.mat
     tp_gx = float(lg.cartan_radius(gx))
     tp_x = float(lg.cartan_radius(x.mat))
-    _, k1x, _ = lg.cartan_batch(x.mat[None, ...])
+    _, k1x, _ = cartan_batch_copy(x.mat[None, ...])
     h = float(lg._iwasawa_hy(g.mat @ lg.embed_rotation(k1x[0]))[0])
     return tp_gx - tp_x - h
 

@@ -143,6 +143,30 @@ def test_limit_passes_at_large_lambda():
     assert rows["extrapolated_limit"]["pass"]
 
 
+def test_limit_bound_constant_is_informational(monkeypatch):
+    # no derivation bounds the two-sided constant (over the coverage matrix
+    # it lay in [1.29, 1.78]), so its row has no target or tol and passes
+    # when the constant is finite, at any size
+    args = ["limit", "--n", "3", "--p", "1", "--sigma", "q:1"]
+    code, rows = _rows(args)
+    row = rows["bstar_bound_constant"]
+    assert code == 0 and row["pass"] and 1.0 <= row["value"] < 2.5
+    assert row["target"] is None and row["tol"] is None
+    limit = st.strichartz_limit
+
+    def with_constant(value):
+        def run(*a, **kw):
+            rep = limit(*a, **kw)
+            rep.bound_constant = value
+            return rep
+        return run
+
+    for value, want in ((50.0, 0), (float("inf"), 1), (float("nan"), 1)):
+        monkeypatch.setattr(st, "strichartz_limit", with_constant(value))
+        code, rows = _rows(args)
+        assert code == want and rows["bstar_bound_constant"]["pass"] == (want == 0), value
+
+
 def test_spherical_exits_cleanly_where_phi_cannot_be_evaluated():
     # (n = 3 at the same lambda and t now takes the closed form; see below)
     res = CliRunner().invoke(main, ["spherical", "--n", "4", "--p", "1", "--sigma", "q:1",
@@ -360,6 +384,15 @@ def test_fourier_gate_fails_on_a_mis_normalised_transform(monkeypatch):
     monkeypatch.setattr(st, "bump_transform", scaled)
     code, rows = _rows(["fourier", *cases[1]])
     assert code == 1 and not rows["restriction_ratio[R=2]"]["pass"]
+
+
+def test_fourier_refuses_a_bump_whose_radial_weight_overflows():
+    # (2 sinh 120)^7 is not a finite float: exit 2 with the domain, where
+    # the profile overflowed with a RuntimeWarning and the command exited 1
+    res = _run("fourier", "--n", 8, "--p", 3, "--sigma", "q:3", "--R-grid", "2,4,120")
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "outside the domain of bump_transform at n=8" in res.output
 
 
 def _point_args(spec, sigma):

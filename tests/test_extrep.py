@@ -27,7 +27,7 @@ from hyperform.extrep import (
     hodge_matrix,
     tau_matrix_batch,
     tau_vec_batch,
-    wedge_e1_matrix,
+    wedge_batch,
 )
 from oracles import contract_e1_matrix
 
@@ -215,7 +215,7 @@ def test_wedge_contract_adjoint(rng):
     n, p = 6, 2
     a = rng.normal(size=comb(n, p))
     b = rng.normal(size=comb(n, p + 1))
-    lhs = np.dot(wedge_e1_matrix(n, p) @ a, b)
+    lhs = np.dot(wedge_batch(np.eye(n)[0], p) @ a, b)
     rhs = np.dot(a, contract_e1_matrix(n, p + 1) @ b)
     assert abs(lhs - rhs) <= 1e-12
 
@@ -225,14 +225,14 @@ def test_wedge_contract_anticommutator_is_identity(rng):
     # iota(e1 ^ xi) + e1 ^ (iota xi) = xi on every degree
     for n, p in ((5, 2), (6, 3)):
         xi = rng.normal(size=comb(n, p))
-        out = (contract_e1_matrix(n, p + 1) @ wedge_e1_matrix(n, p) @ xi
-               + wedge_e1_matrix(n, p - 1) @ contract_e1_matrix(n, p) @ xi)
+        out = (contract_e1_matrix(n, p + 1) @ wedge_batch(np.eye(n)[0], p) @ xi
+               + wedge_batch(np.eye(n)[0], p - 1) @ contract_e1_matrix(n, p) @ xi)
         assert np.max(np.abs(out - xi)) <= 1e-12
 
 
 def test_wedge_twice_vanishes(rng):
     xi = rng.normal(size=15)
-    assert np.max(np.abs(wedge_e1_matrix(6, 3) @ wedge_e1_matrix(6, 2) @ xi)) == 0.0
+    assert np.max(np.abs(wedge_batch(np.eye(6)[0], 3) @ wedge_batch(np.eye(6)[0], 2) @ xi)) == 0.0
     assert np.max(np.abs(contract_e1_matrix(6, 1) @ contract_e1_matrix(6, 2) @ xi)) == 0.0
 
 
@@ -245,7 +245,7 @@ def test_wedge_of_a_direction_is_the_rotated_wedge_of_e1(rng):
         b = ks[..., 0]
         for p in range(1, n // 2 + 1):
             taus = tau_matrix_batch(ks, p)
-            lower = wedge_e1_matrix(n, p - 1) @ contract_e1_matrix(n, p)
+            lower = wedge_batch(np.eye(n)[0], p - 1) @ contract_e1_matrix(n, p)
             eps = xr.wedge_batch(b, p - 1)
             assert eps.shape == (8, comb(n, p), comb(n, p - 1))
             want = taus @ lower @ taus.swapaxes(-1, -2)
@@ -253,7 +253,8 @@ def test_wedge_of_a_direction_is_the_rotated_wedge_of_e1(rng):
             star = xr.wedge_batch(b, p, star=True)
             assert np.array_equal(star, hodge_matrix(n, p + 1) @ xr.wedge_batch(b, p))
             if 2 * p + 1 == n:
-                want = taus @ (hodge_matrix(n, p + 1) @ wedge_e1_matrix(n, p)) @ taus.swapaxes(-1, -2)
+                want = (taus @ (hodge_matrix(n, p + 1) @ wedge_batch(np.eye(n)[0], p))
+                        @ taus.swapaxes(-1, -2))
                 assert np.max(np.abs(star - want)) <= 1e-13, (n, p)
 
 
@@ -314,6 +315,56 @@ def test_projector_algebra():
         assert np.max(np.abs(total - want)) <= 1e-12
 
 
+def _every_spec():
+    """Every bundle at n = 2..8, both chiralities at p = n/2."""
+    return [BundleSpec(n, p, chir) for n in range(2, 9) for p in range(1, n // 2 + 1)
+            for chir in (("plus", "minus") if 2 * p == n else ("none",))]
+
+
+def test_projectors_are_exact():
+    # entries 0, +-1/2, +-i/2 or 1: idempotent and self-adjoint with no
+    # rounding, and sigma^+ and sigma^- sum to the unsplit sigma_p
+    for spec in _every_spec():
+        labels = branching(spec)
+        if spec.case == "half_odd":
+            labels = labels + [sigma_q(spec.p)]
+        projs = [proj_matrix(spec, s) for s in labels]
+        if spec.chirality != "none":
+            projs.append(chirality_matrix(spec.n, spec.chirality))
+        for pm in projs:
+            assert np.array_equal(pm @ pm, pm), spec
+            assert np.array_equal(pm, pm.conj().T), spec
+        if spec.case == "half_odd":
+            assert np.array_equal(proj_matrix(spec, SIGMA_PLUS) + proj_matrix(spec, SIGMA_MINUS),
+                                  proj_matrix(spec, sigma_q(spec.p)))
+
+
+def test_admissible_labels_are_the_branching_and_its_sums():
+    for spec in _every_spec():
+        split = [sigma_q(spec.p)] if spec.case == "half_odd" else []
+        for sigma in [sigma_q(q) for q in range(-1, spec.n)] + [SIGMA_PLUS, SIGMA_MINUS]:
+            if sigma in branching(spec) + split:
+                xr.check_sigma(spec, sigma)
+            else:
+                with pytest.raises(ValueError, match="not admissible"):
+                    xr.check_sigma(spec, sigma)
+
+
+def test_cached_tables_are_read_only():
+    spec = BundleSpec(5, 2)
+    tables = [hodge_matrix(5, 2), chirality_matrix(6, "plus"), proj_matrix(spec, SIGMA_PLUS),
+              *xr.wedge_table(5, 2, star=True)[1:], *xr.wedge_table(5, 1)[1:]]
+    before = [t.copy() for t in tables]
+    for t in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            t *= 0
+    again = [hodge_matrix(5, 2), chirality_matrix(6, "plus"), proj_matrix(spec, SIGMA_PLUS),
+             *xr.wedge_table(5, 2, star=True)[1:], *xr.wedge_table(5, 1)[1:]]
+    for got, want in zip(again, before):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_projector_traces_match_dims():
     for spec in _all_specs():
         for s in branching(spec):
@@ -327,7 +378,7 @@ def test_lower_projector_is_wedge_contract():
     # containing e_1, so its projector factors through wedge o contract
     for n, p in ((6, 2), (3, 1), (5, 2)):
         spec = BundleSpec(n, p)
-        want = wedge_e1_matrix(n, p - 1) @ contract_e1_matrix(n, p)
+        want = wedge_batch(np.eye(n)[0], p - 1) @ contract_e1_matrix(n, p)
         got = proj_matrix(spec, sigma_q(p - 1))
         assert np.max(np.abs(got - want)) <= 1e-12
 

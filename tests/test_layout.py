@@ -1,7 +1,7 @@
 """Module layout of the package: no private name crosses a module
 boundary, no module imports the test oracles, the Iwasawa batch has one
-consumer besides its scalar wrapper, the Poisson kernel, the Cartan batch
-none besides its scalar wrapper, the defining
+consumer besides its scalar wrapper, the Poisson kernel, the Householder
+step of the Cartan K factors is called only from the scalar cartan, the defining
 K-integral forms no Poisson kernel, the panel rule
 of the radial quadratures has one caller, the breakpoint rule every
 sweep shares, spherical evaluates Jacobi functions only on the
@@ -28,8 +28,9 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 # (module, enclosing function or class) allowed to call iwasawa_batch
 IWASAWA_CALLERS = {("liegroup", "iwasawa"), ("spherical", "PoissonKernel")}
-# the one caller of the Cartan K factors: the scalar decomposition
-CARTAN_CALLERS = [("liegroup", "cartan")]
+# the one caller of the Householder step of the Cartan K factors: the
+# scalar decomposition
+HOUSEHOLDER_CALLERS = [("liegroup", "cartan")]
 # the one caller of the panel rule _osc_nodes
 OSC_NODES_CALLERS = [("strichartz", "_sweep_rule")]
 # sampling and matrix routes that no command may call; decompose --random
@@ -123,10 +124,10 @@ def test_iwasawa_batch_only_in_kernel_and_scalar_wrapper():
     assert not bad, "iwasawa_batch called outside the Poisson kernel:\n" + "\n".join(bad)
 
 
-def test_cartan_batch_only_behind_the_scalar_cartan():
+def test_householder_step_only_behind_the_scalar_cartan():
     # tau-radial operators read t, k1 e_1 and pi0 (cartan_axis), not k1, k2
-    callers = [(p.stem, owner) for p in MODULES for owner, _ in _calls(p, "cartan_batch")]
-    assert callers == CARTAN_CALLERS, callers
+    callers = [(p.stem, owner) for p in MODULES for owner, _ in _calls(p, "_householder_to_e1")]
+    assert callers == HOUSEHOLDER_CALLERS, callers
 
 
 def test_defining_integral_forms_no_poisson_kernel():

@@ -23,7 +23,7 @@ from hyperform import (
     radial_weight,
 )
 import hyperform.liegroup as lg
-from hyperform.liegroup import TIE_EPS, at_mats, cartan_batch, embed_rotation, iwasawa_batch
+from hyperform.liegroup import TIE_EPS, at_mats, embed_rotation, iwasawa_batch
 
 from oracles import (
     cartan_batch_copy,
@@ -239,11 +239,10 @@ def test_decompositions_raise_where_entries_overflow():
     # cosh 700 is finite but sinh^2 is not, and cosh 750 overflows: the
     # defects are NaN there, and a NaN defect must raise
     for t in (700.0, 750.0):
-        mats = make_at(t, 3).mat[None]
         with pytest.raises(ArithmeticError, match="lost orthogonality"):
-            cartan_batch(mats)
+            cartan(make_at(t, 3))
         with pytest.raises(ArithmeticError, match="lost orthogonality"):
-            lg.cartan_axis(mats)
+            lg.cartan_axis(make_at(t, 3).mat[None])
     with pytest.raises(ArithmeticError, match="lost orthogonality"):
         iwasawa_batch(make_at(750.0, 3).mat[None])
 
@@ -442,81 +441,54 @@ def test_defect_strictly_positive_off_degenerate_set(rng):
     assert min(vals) > 0.0
 
 
-def _slab(n, t_nodes, rotations, rng):
-    """g^{-1} k a_t over t_nodes radii and Haar rotations k, the group
-    matrices of one mc_k slab for an atom g away from the base point,
-    flattened to (t_nodes * rotations, n+1, n+1), with three ties and one
-    a_t, whose Householder direction is e_1 itself."""
-    g = _random_g(n, rng)
-    ks = embed_rotation(haar_sample_K(n, size=rotations, rng=rng))
-    ats = np.stack([make_at(t, n).mat for t in np.linspace(0.05, 4.0, t_nodes)])
-    mats = (g.inv().mat @ ks)[None] @ ats[:, None]
-    mats = mats.reshape((-1, n + 1, n + 1))
-    mats[:3] = ks[:3]
-    mats[3] = make_at(1.0, n).mat
-    return mats
-
-
-def test_cartan_batch_equals_earlier_version_with_less_memory():
-    # 16 t-nodes x 4000 rotations at n=3: the earlier version peaked
-    # 36 MB above its 8 MB input
-    mats = _slab(3, 16, 4000, np.random.default_rng(12))
-    tracemalloc.start()
-    try:
-        t, k1, k2 = cartan_batch(mats)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * 2 ** 20
-    t0, k10, k20 = cartan_batch_copy(mats)
-    assert np.array_equal(t, t0) and np.array_equal(k1, k10) and np.array_equal(k2, k20)
-    # the sign of every zero too
-    assert np.array_equal(np.signbit(k1), np.signbit(k10))
-    for n in (2, 4, 5):
-        mats = _slab(n, 4, 50, np.random.default_rng(n))
-        for got, want in zip(cartan_batch(mats), cartan_batch_copy(mats)):
-            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-
-
-def test_cartan_is_the_one_element_batch():
-    rng = np.random.default_rng(21)
-    for n in (2, 3, 5):
-        for t in (0.0, 0.4, 2.0):
-            k1, k2 = haar_sample_K(n, size=2, rng=rng)
-            g = make_rotation(k1) @ make_at(t, n) @ make_rotation(k2)
-            one = cartan(g)
-            bt, bk1, bk2 = cartan_batch(g.mat[None])
-            assert one.t == float(bt[0])
-            assert np.array_equal(one.k1.mat, bk1[0]) and np.array_equal(one.k2.mat, bk2[0])
-
-
-def test_cartan_batch_mixed_stack_is_each_element_alone():
-    # ties (t < TIE_EPS), b exactly or nearly along +e_1, and generic
-    # elements in one stack: each returns bit for bit what it returns
-    # alone, and the stack what the earlier version returns
-    rng = np.random.default_rng(31)
-    n = 4
+def _mixed_stack(n, rng):
+    """Ties (t < TIE_EPS, one with t > 0), b exactly or nearly along +e_1
+    and generic elements, in a random order."""
     ks = embed_rotation(haar_sample_K(n, size=12, rng=rng))
-    tiny = make_rotation(np.array([[np.cos(1e-16), -np.sin(1e-16), 0, 0],
-                                   [np.sin(1e-16), np.cos(1e-16), 0, 0],
-                                   [0, 0, 1, 0], [0, 0, 0, 1]])).mat
+    tiny = make_rotation(lg.plane_rotations(n, np.cos(1e-16), np.sin(1e-16))).mat
     parts = [ks[0], ks[1] @ ks[2],                                   # ties
              make_at(1e-13, n).mat @ ks[3],                          # tie, t > 0
              make_at(0.7, n).mat @ ks[4], make_at(2.0, n).mat,       # b = +e_1 sinh t
              tiny @ make_at(1.3, n).mat @ ks[5]]                     # b nearly +e_1
     parts += [ks[6 + i] @ make_at(t, n).mat @ ks[9 + i % 3] for i, t in enumerate((0.2, 1.1, 2.9))]
-    mats = np.stack([parts[i] for i in rng.permutation(len(parts))])
-    t, k1, k2 = cartan_batch(mats)
+    return np.stack([parts[i] for i in rng.permutation(len(parts))])
+
+
+def test_cartan_is_the_one_element_batch():
+    # each element of the mixed stacks alone, and k1 a_t k2 at t = 0, 0.4
+    # and 2: the factors of the earlier stacked decomposition bit for bit,
+    # the sign of every zero too
+    rng = np.random.default_rng(21)
+    mats = [g for n in (2, 3, 4, 5) for g in _mixed_stack(n, np.random.default_rng(31 + n))]
+    for n in (2, 3, 5):
+        for t in (0.0, 0.4, 2.0):
+            k1, k2 = haar_sample_K(n, size=2, rng=rng)
+            mats.append((make_rotation(k1) @ make_at(t, n) @ make_rotation(k2)).mat)
+    ties = 0
+    for g in mats:
+        one = cartan(GroupElement(g))
+        bt, bk1, bk2 = cartan_batch_copy(g[None])
+        ties += one.t < TIE_EPS
+        assert one.t == float(bt[0])
+        for got, want in ((one.k1.mat, bk1[0]), (one.k2.mat, bk2[0])):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert ties == 4 * 3 + 3
+
+
+def test_cartan_axis_mixed_stack_is_each_element_alone():
+    # ties (t < TIE_EPS), b exactly or nearly along +e_1, and generic
+    # elements in one stack: each returns bit for bit what it returns
+    # alone, and the axis data of the earlier stacked decomposition: the
+    # same t, b = k1 e_1 (k1 = pi0 at the ties) and pi0 = k1 k2
+    mats = _mixed_stack(4, np.random.default_rng(31))
+    t, b, pol = lg.cartan_axis(mats)
     assert np.sum(t < TIE_EPS) == 3
     for i, g in enumerate(mats):
-        for got, alone in zip((t, k1, k2), cartan_batch(g[None])):
+        for got, alone in zip((t, b, pol), lg.cartan_axis(g[None])):
             assert np.array_equal(got[i], alone[0])
             assert np.array_equal(np.signbit(got[i]), np.signbit(alone[0]))
-    for got, want in zip((t, k1, k2), cartan_batch_copy(mats)):
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-    # the axis data: the same t, b = k1 e_1 (k1 = pi0 at the ties) and pi0 = k1 k2
-    t_ax, b, pol = lg.cartan_axis(mats)
-    assert np.array_equal(t_ax, t)
+    t_ref, k1, k2 = cartan_batch_copy(mats)
+    assert np.array_equal(t, t_ref)
     tie = t < TIE_EPS
     assert np.array_equal(b[tie], k1[tie][..., 0]) and np.array_equal(pol[tie], k1[tie])
     assert np.max(np.abs(b - k1[..., 0])) <= 1e-15

@@ -243,6 +243,27 @@ def _rotated_section(pt, seed=9, weight=1.0):
     return tfm.BoundarySection.from_atoms(pt, [(atom, weight)])
 
 
+def test_mc_k_ball_average_refuses_a_non_finite_radius():
+    # the sampled route sized its t-rule from the radius, and inf raised
+    # OverflowError there; it now refuses as the Schur route does
+    pt = SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0)
+    for R in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="ball radii must be positive and finite"):
+            st.ball_average_atom(pt, _rotated_section(pt), R, k_samples=8)
+
+
+def test_bump_transform_refuses_a_bump_whose_radial_weight_overflows(monkeypatch):
+    # (2 sinh 120)^7 is not a finite float: refused before any sweep, and
+    # with no overflow warning (the suite turns warnings into errors)
+    def no_sweep(*_args, **_kwargs):
+        raise AssertionError("the radial sweep ran on a refused bump")
+
+    monkeypatch.setattr(st, "_radial_sweep", no_sweep)
+    for spec, r in ((BundleSpec(8, 3), 120.0), (BundleSpec(3, 1), 400.0)):
+        with pytest.raises(ValueError, match=r"outside the domain .* \(2 sinh r_supp\)"):
+            st.bump_transform(tfm.bump_section(spec, r), [1.0])
+
+
 def test_mc_k_limit_sweep_shares_draws_with_single_radius_calls():
     # one set of rotations serves the whole grid: each value is the
     # one-radius average on the same seed, up to the node layout's rounding
