@@ -15,7 +15,9 @@ G), and y = e^{-H} * (middle entries of the last row).  kappa is read
 off the columns of g: xi = e_1 + e_{n+1} has n_y xi = xi and
 a_H xi = e^H xi, so kappa e_1 = e^{-H} (g xi) and kappa e_j =
 g e_j - y_j (g xi) for j = 2..n (upper n entries), with an error of
-about e^t ulps at Cartan radius t.  Cartan
+about e^t ulps at Cartan radius t.  One kernel, iwasawa_translates,
+applies this to every x = g^{-1} r that the Poisson kernels need,
+reading x off the blocks of g and the rotations r.  Cartan
 G = K A+ K uses t+ = arccosh(d); the left factor k1 is the rotation
 taking e_1 to b/|b| (b the upper right column), built from a
 deterministic Householder reflection with a sign fix, so decompositions
@@ -25,9 +27,9 @@ This module owns the batch geometry of the package.  Its array kernels
 are public and take stacked arrays, returning stacked (..., n+1, n+1)
 matrices or their factors: embed_rotation, inv_mats (J g^T J), at_mats
 (boosts), ny_mats (horospherical elements), plane_rotations,
-iwasawa_batch, cartan_axis, cartan_radius, polar_blocks and
-iwasawa_boosted_batch, the Iwasawa factors of a_{-t} r read off the
-rotations r alone, stored sample-major.  Every other module builds
+cartan_axis, cartan_radius, polar_blocks and iwasawa_translates, the
+one Iwasawa kernel: the factors of g^{-1} r read off the blocks of g
+and the rotations r, stored sample-major.  Every other module builds
 on them, and they do no validation.  The scalar API (make_*, iwasawa,
 cartan, polar_k, GroupElement.inv) wraps the same kernels, with the
 GroupElement and KElement wrappers carrying the validation.
@@ -55,8 +57,7 @@ __all__ = [
     "at_mats",
     "ny_mats",
     "plane_rotations",
-    "iwasawa_batch",
-    "iwasawa_boosted_batch",
+    "iwasawa_translates",
     "cartan_axis",
     "cartan_radius",
     "polar_blocks",
@@ -315,84 +316,52 @@ def make_ny(y):
 # decompositions
 
 
-def _iwasawa_hy(mats):
-    """(H, y) for stacked matrices; raises unless c_1 + d > 0."""
-    s = mats[..., -1, 0] + mats[..., -1, -1]
+def iwasawa_translates(g, rots=None):
+    """(H, y, kappa) of x = g^{-1} r, read off g's blocks without forming x.
+
+    g is one group matrix (n+1, n+1) or one per sample, sample-major
+    (n+1, n+1, m); rots is one rotation (n, n), one per sample, (n, n, m)
+    with r_s = rots[:, :, s], or None for r = I; not both per sample.  H is
+    (m,), y (n-1, m) and kappa sample-major (n, n, m), with m = 1 when
+    neither input has a sample axis.  With g = [[A, b], [c^T, d]], x has
+    the rows (A^T r, -c) and (-b^T r, d), and with xi = e_0 + e_n (n_y xi =
+    xi, a_H xi = e^H xi, so x xi = e^H kappa xi)
+
+        S = d - b^T r e_0 = e^H,   y_j = -b^T r e_j / S,
+        kappa e_0 = (A^T r e_0 - c) / S,
+        kappa e_j = A^T r e_j - y_j (A^T r e_0 - c),   j = 1 .. n-1.
+
+    A^T r and b^T r are one matrix product; an entry with one nonzero term
+    is that term rounded once, so at g = a_t this is the closed form of
+    a_{-t} r.  With rots None they are A^T and b, and x = g^{-1} is read
+    back exactly, signs of zeros included.  The error grows like e^t ulps
+    at Cartan radius t.  ValueError unless S > 0, ArithmeticError when
+    kappa^T kappa is more than 1e-8 from I or not finite, which for random
+    g happens from t of about 16 on.
+    """
+    n = g.shape[0] - 1
+    g = g.reshape(g.shape[:2] + (-1,))
+    if rots is None:
+        acc = g[:n].transpose(1, 0, 2).copy()
+    else:
+        r = rots.reshape(n, n, -1)
+        if g.shape[-1] > 1 and r.shape[-1] > 1:
+            raise ValueError("iwasawa_translates takes one g or one rotation per sample, not both")
+        # [A | b]^T r, its rows A^T r and b^T r, samples last
+        acc = np.tensordot(g[:n], r, axes=(0, 0)).transpose(0, 2, 1, 3).reshape(n + 1, n, -1)
+    kappa, c, d = acc[:n], g[n, :n], g[n, n]
+    s = d - acc[n, 0]
     if (s <= 0.0).any():
         raise ValueError("Iwasawa argument c_1 + d is not positive")
     h = np.log(s)
-    y = mats[..., -1, 1:-1] / s[..., None]
-    return h, y
-
-
-def iwasawa_batch(mats):
-    """(H, y, kappa block) for stacked matrices.
-
-    kappa is read off the columns of g (indices from 0).  With
-    xi = e_0 + e_n, n_y xi = xi and a_H xi = e^H xi, so
-    g xi = e^H kappa xi and
-
-        kappa e_0 = e^{-H} (g xi)_{:n},
-        kappa e_j = g_{:n,j} - y_j (g xi)_{:n},   j = 1 .. n-1.
-
-    Its error grows like e^t ulps at Cartan radius t (the product
-    g n_{-y} a_{-H} cancelled entries of size e^{2t} and lost e^{2t}
-    ulps).  Raises ArithmeticError when kappa^T kappa is more than 1e-8
-    from I or not finite, which for random g happens from t of about
-    16 on.
-    """
-    n = mats.shape[-1] - 1
-    h, y = _iwasawa_hy(mats)
-    gxi = mats[..., :n, 0] + mats[..., :n, n]
-    y0 = np.zeros(gxi.shape)
-    y0[..., 1:] = y
-    # g_{:n,:n} - (g xi) y0^T, whose column 0 is then replaced
-    block = gxi[..., :, None] * y0[..., None, :]
-    np.subtract(mats[..., :n, :n], block, out=block)
-    block[..., 0] = gxi / (mats[..., n, 0] + mats[..., n, n])[..., None]
-    gate_k(block, "Iwasawa K factor")
-    return h, y, block
-
-
-def iwasawa_boosted_batch(t, rots, out=None):
-    """(H, y, kappa) of g = a_{-t} r for rotations r stored sample-major,
-    rots (n, n, m) with r_s = rots[:, :, s], and t a float or an (m,)
-    array; y is (n-1, m) and kappa sample-major (n, n, m), written into
-    `out` when given.
-
-    iwasawa_batch's formulas with a_{-t} folded in: g's first row is
-    (cosh t r_{0,:}, -sinh t), its last (-sinh t r_{0,:}, cosh t), and
-    its other rows (r_{i,:}, 0), so with S = cosh t - sinh t r_00
-
-        H = log S,   y_j = -sinh t r_0j / S,
-        kappa e_0 = (cosh t r_00 - sinh t, r_10, ..., r_{n-1,0}) / S,
-        kappa e_j = g_{:n,j} - y_j (g xi)_{:n},   j = 1 .. n-1,
-
-    each entry rounded as iwasawa_batch rounds it on the product.  The
-    same gate: ValueError unless S > 0, ArithmeticError when kappa^T kappa
-    is more than 1e-8 from I or not finite.
-    """
-    n, ch, sh = rots.shape[0], np.cosh(t), np.sinh(t)
-    row0 = rots[0]
-    s = ch - sh * row0[0]
-    if (s <= 0.0).any():
-        raise ValueError("Iwasawa argument c_1 + d is not positive")
-    h = np.log(s)
-    y = -sh * row0[1:] / s
-    kappa = np.empty(rots.shape) if out is None else out
+    y = -acc[n, 1:] / s
     gxi = kappa[:, 0]
-    np.multiply(ch, row0[0], out=gxi[0])
-    gxi[0] -= sh
-    gxi[1:] = rots[1:, 0]
-    np.multiply(ch, row0[1:], out=kappa[0, 1:])
-    kappa[1:, 1:] = rots[1:, 1:]
-    # column by column, so the only temporary is one column
-    for j in range(1, n):
-        kappa[:, j] -= gxi * y[j - 1]
+    gxi -= c
+    kappa[:, 1:] -= gxi[:, None] * y
     gxi /= s
     gram = np.einsum("ais,ajs->ijs", kappa, kappa)
     gram.reshape(n * n, -1)[:: n + 1] -= 1.0
-    defect = np.abs(gram, out=gram).max()
+    defect = np.abs(gram, out=gram).max(initial=0.0)  # 0 on no samples
     if not defect <= _CONSISTENCY_TOL:  # a NaN defect raises too
         raise ArithmeticError(
             f"Iwasawa K factor lost orthogonality: defect {defect:.3e}")
@@ -400,9 +369,10 @@ def iwasawa_boosted_batch(t, rots, out=None):
 
 
 def iwasawa(g):
-    """Decompose g = kappa a_H n_y; returns IwasawaFactors."""
-    h, y, block = iwasawa_batch(g.mat)
-    return IwasawaFactors(KElement._of_rotation(block), float(h), y)
+    """Decompose g = kappa a_H n_y; returns IwasawaFactors, from
+    iwasawa_translates at g^{-1} and r = I."""
+    h, y, kappa = iwasawa_translates(inv_mats(g.mat))
+    return IwasawaFactors(KElement._of_rotation(kappa[:, :, 0]), float(h[0]), y[:, 0])
 
 
 def polar_blocks(mats):
@@ -444,15 +414,19 @@ def cartan_radius(mats):
 
 def cartan_axis(mats):
     """(t, b = k1 e_1, pi0 = k1 k2) of stacked g = k1 a_t k2: g's upper right
-    column is sinh(t) k1 e_1; k1 = pi0 below TIE_EPS.  ArithmeticError when
-    pi0 is more than 1e-8 from orthogonal or not finite."""
+    column is sinh(t) k1 e_1; k1 = pi0 below TIE_EPS, and where that column
+    is 0, which is then a tie at t = 0 (g_nn may exceed 1 by rounding).
+    ArithmeticError when pi0 is more than 1e-8 from orthogonal or not finite."""
     pol = polar_blocks(mats)
     gate_k(pol, "Cartan K factors")
-    t = cartan_radius(mats)
-    tie, col = t < TIE_EPS, mats[..., :-1, -1]
-    b = col / np.where(tie, 1.0, np.sqrt((col * col).sum(axis=-1)))[..., None]
+    t, col = cartan_radius(mats), mats[..., :-1, -1]
+    norm = np.sqrt((col * col).sum(axis=-1))
+    flat = norm == 0.0
+    tie = (t < TIE_EPS) | flat
+    b = col / np.where(tie, 1.0, norm)[..., None]
     if tie.any():
         b[tie] = pol[tie][..., 0]
+        t[flat] = 0.0
     return t, b, pol
 
 

@@ -17,14 +17,15 @@ two-term asymptotic head
 
 One kernel, CartanGeometry.apply, evaluates these tau-radial operators
 of every kind on stacked g = k1 a_t k2 from t, k1 e_1 and k1 k2 alone (no
-Cartan K factors), and applies them to fiber vectors by real products.
+Cartan K factors), and applies them to fiber vectors by real products;
+radial_batch is its one entry point.
 
-The Poisson kernel sqrt(d_{tau,sigma}) e^{-(i lambda + rho) H(g)}
-tau(kappa(g)) of stacked group matrices is formed only here, by
-PoissonKernel, for the Monte Carlo integrals against it.  The defining
-Eisenstein K-integral is an independent cross-check route that never
-touches the Jacobi-function machinery, nor the kernel: on a_{-t} R(theta)
-H, kappa and Lambda^p(kappa) are in closed form.
+The Poisson kernel sqrt(d_{tau,sigma}) e^{-(i lambda + rho) H(x^{-1} k)}
+tau(kappa(x^{-1} k)) is not formed here: transforms applies it to vectors
+from liegroup.iwasawa_translates.  The defining Eisenstein K-integral is
+an independent cross-check route that never touches the Jacobi-function
+machinery, nor the kernel: on a_{-t} R(theta) H, kappa and
+Lambda^p(kappa) are in closed form.
 """
 
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from math import gamma, pi, sqrt
 import numpy as np
 
 from . import extrep as xr
-from .liegroup import GroupElement, cartan_axis, iwasawa_batch, plane_rotations
+from .liegroup import GroupElement, cartan_axis, plane_rotations
 from .specialfn import JacobiParams, c_jacobi, gauss_legendre, jacobi_phi
 
 __all__ = [
@@ -48,15 +49,11 @@ __all__ = [
     "asymptotic_head",
     "op_norm",
     "eisenstein_integral_at",
-    "PoissonKernel",
     "component_grid",
     "head_components",
-    "radial_components",
     "radial_kinds",
     "CartanGeometry",
     "radial_batch",
-    "spherical_batch",
-    "head_batch",
 ]
 
 _LAMBDA_FLOOR = 1e-6
@@ -68,9 +65,6 @@ _ZONAL_LAM_FINE = 25.0
 # eisenstein_integral_at's domain in |t| and |lambda|
 _ZONAL_T_MAX = 9.0
 _ZONAL_LAM_MAX = 100.0
-# group matrices per Iwasawa step of the Poisson kernel; bounds the
-# memory of one step
-_KERNEL_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -202,15 +196,11 @@ def head_components(pt, ts):
     return out
 
 
-def radial_components(pt, ts, kind="spherical"):
-    """Scalars of a tau-radial operator on each isotypic summand: Phi's
-    ("spherical"), its two-term head's ("head"), or the "residual"."""
-    return radial_kinds(pt, ts, (kind,))[0]
-
-
 def radial_kinds(pt, ts, kinds):
-    """radial_components of each kind of kinds over ts, in order, with
-    component_grid and head_components each evaluated at most once."""
+    """Scalars of a tau-radial operator on each isotypic summand over ts,
+    one dict for each kind of kinds, in order: Phi's ("spherical"), its
+    two-term head's ("head"), or the "residual", with component_grid and
+    head_components each evaluated at most once."""
     for kind in set(kinds) - {"spherical", "head", "residual"}:
         raise ValueError(f"unknown radial kind {kind!r}")
     grid = component_grid(pt, ts) if {"spherical", "residual"} & set(kinds) else None
@@ -243,7 +233,7 @@ class CartanGeometry:
     def apply(self, spec, comps, vecs=None):
         """Psi(g) as (..., C, C), C = C(n,p), or Psi(g) vecs as (..., C) for
         vecs broadcasting against (..., C), with comps the scalars psi_eta
-        over t (radial_components); vectors meet only real stacks."""
+        over t (radial_kinds); vectors meet only real stacks."""
         dim, p = spec.dim_full, spec.p
         x = (np.eye(dim) if vecs is None else
              np.broadcast_to(vecs, self.lead + (dim,)).reshape(-1, dim, 1))
@@ -266,20 +256,10 @@ class CartanGeometry:
 
 
 def radial_batch(pt, mats, kind="spherical", vecs=None):
-    """The tau-radial operators Psi(g) of one kind (radial_components) on
-    stacked g, or Psi(g) vecs; see CartanGeometry.apply."""
+    """The tau-radial operators Psi(g) of one kind (radial_kinds) on stacked
+    g, or Psi(g) vecs; see CartanGeometry.apply."""
     geo = CartanGeometry(mats, pt.p)
-    return geo.apply(pt.spec, radial_components(pt, geo.t, kind), vecs)
-
-
-def spherical_batch(pt, mats, vecs=None):
-    """Phi(g), or Phi(g) vecs, on stacked group matrices (see radial_batch)."""
-    return radial_batch(pt, mats, "spherical", vecs)
-
-
-def head_batch(pt, mats, vecs=None):
-    """The two-term Weyl head of Phi(g), or its action on vecs (see radial_batch)."""
-    return radial_batch(pt, mats, "head", vecs)
+    return geo.apply(pt.spec, radial_kinds(pt, geo.t, (kind,))[0], vecs)
 
 
 def _group_mat(g):
@@ -291,57 +271,12 @@ def _group_mat(g):
 def spherical_at(pt, g):
     """Phi(g) as a matrix on the Lambda^p coordinates, by tau-radiality
     Phi(k1 a_t k2) = tau(k2)^T Phi(a_t) tau(k1)^T (CartanGeometry)."""
-    return spherical_batch(pt, _group_mat(g))[0]
+    return radial_batch(pt, _group_mat(g))[0]
 
 
 def asymptotic_head(pt, g):
     """Two-term Weyl-sum head of Phi(g); exact leading asymptotics."""
-    return head_batch(pt, _group_mat(g))[0]
-
-
-# ---------------------------------------------------------------------------
-# the Poisson kernel
-
-
-class PoissonKernel:
-    """The Poisson kernel of stacked g = x^{-1} k, shape (..., n+1, n+1),
-
-        K_lambda(g) = sqrt(d_{tau,sigma}) e^{-(i lambda + rho) H(g)} tau(kappa(g)),
-
-    kept as its geometry, H(g) and kappa(g) (..., n, n), formed once with
-    the Iwasawa step in blocks of _KERNEL_BLOCK matrices, and a weight
-    that depends on (sigma, lambda).  Vectors meet tau(kappa) through
-    extrep.tau_vec_batch, which never forms the C(n,p) x C(n,p) minors;
-    callers that need the operators build extrep.tau_matrix_batch(kappa,
-    p) themselves.  The boundary atom of transforms is
-    p^{g,v}(k) = P_sigma K_{-lambda}(g^{-1} k)^T v.
-    """
-
-    __slots__ = ("h", "kappa", "p")
-
-    def __init__(self, mats, p):
-        lead, n = mats.shape[:-2], mats.shape[-1] - 1
-        flat = mats.reshape(-1, n + 1, n + 1)
-        h, kappa = np.empty(len(flat)), np.empty((len(flat), n, n))
-        for blk in (slice(lo, lo + _KERNEL_BLOCK) for lo in range(0, len(flat), _KERNEL_BLOCK)):
-            h[blk], _, kappa[blk] = iwasawa_batch(flat[blk])
-        self.h, self.kappa, self.p = h.reshape(lead), kappa.reshape(lead + (n, n)), p
-
-    def weight(self, pt, lam=None):
-        """sqrt(d_{tau,sigma}) e^{-(i lam + rho) H(g)}; lam defaults to pt.lam."""
-        lam = complex(pt.lam if lam is None else lam)
-        return sqrt(xr.dims(pt.spec, pt.sigma)[2]) * np.exp(-(1j * lam + pt.rho) * self.h)
-
-    def apply(self, pt, vecs):
-        """K_lambda(g) vecs at pt; vecs broadcast against (..., C(n,p))."""
-        return self.weight(pt)[..., None] * xr.tau_vec_batch(self.kappa, self.p, vecs)
-
-    def dual(self, pt, vecs, lam=None):
-        """P_sigma K_{-lambda}(g)^T vecs, the transposed kernel at -lambda;
-        lam defaults to pt.lam."""
-        lam = complex(pt.lam if lam is None else lam)
-        vals = xr.tau_vec_batch(np.swapaxes(self.kappa, -1, -2), self.p, vecs)
-        return (self.weight(pt, -lam)[..., None] * vals) @ xr.proj_matrix(pt.spec, pt.sigma).T
+    return radial_batch(pt, _group_mat(g), "head")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -308,7 +308,7 @@ def _weighted_square_profile(pt, ts, kind="spherical", other=None):
     rotation average of a Poisson image at a unit vector) in the stable
     form (1-e^{-2t})^{n-1} sum (d_eta/d_tau) |e^{rho t} psi_eta|^2.
 
-    kind picks psi as in spherical.radial_components: the spherical
+    kind picks psi as in spherical.radial_kinds: the spherical
     components, the two-term head, or their difference.  A tuple of
     kinds gives the stack (len(kind), T) from one component grid.  With
     `other`, a point of the same bundle, each square becomes the pairing
@@ -564,7 +564,7 @@ class _Sheet:
 def _ball_sweep(pt, section, R_grid, kinds=("spherical",), k_samples=4096, rng=None):
     """Ball averages (1/R) int_{B(R)} ||Psi F(g)||^2 d(gK) of an atomic
     section F for every R of R_grid and every kind of radial operator
-    Psi (spherical.radial_components), with their error estimates.
+    Psi (spherical.radial_kinds), with their error estimates.
 
     Sections whose atoms all sit at the identity reduce to the exact
     radial integral of the Schur profile, one _schur_sweep for every kind
@@ -734,8 +734,8 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
     component grid over the t-nodes and one extrep.tau_vec_batch over the
     k1, others by the Cartan decomposition in slabs of one t-node.  Each
     evaluation rotation k forms every r = k1^T k at once, sample-major;
-    at each t-node liegroup.iwasawa_boosted_batch reads the Iwasawa step
-    of a_{-t} r off r into one reused buffer, tau_vec_batch pairs
+    at each t-node liegroup.iwasawa_translates reads the Iwasawa step of
+    a_{-t} r off a_t and r by one matrix product, tau_vec_batch pairs
     tau(kappa)^T with the image, and one complex weight per sample sums
     it; P_sigma, linear, is applied once after the node sum.  `samples`
     is the evaluation budget of the returned section; `mu` probes a
@@ -778,7 +778,7 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
             * sqrt(xr.dims(pt.spec, pt.sigma)[2]) / mc_k1)
     proj = xr.proj_matrix(pt.spec, pt.sigma)
     k1_cols = np.ascontiguousarray(k1.transpose(1, 2, 0))  # [a, i, s] = k1_s[a, i]
-    kappa = np.empty((n, n, mc_k1))
+    boosts = [lg.at_mats(t, n) for t in ts]
 
     def sampler(kmats):
         kmats = np.asarray(kmats, dtype=float)
@@ -786,13 +786,13 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
             kmats = kmats[None]
         out = np.zeros((kmats.shape[0], pt.spec.dim_full), dtype=complex)
         for bi, k in enumerate(kmats):
-            # r_s = k1_s^T k as (i, j, s), a view of the tensordot's [j, i, s]
-            rots = np.tensordot(k, k1_cols, axes=(0, 0)).transpose(1, 0, 2)
+            # r_s = k1_s^T k as (i, j, s), from the tensordot's [j, i, s] once per k
+            rots = np.ascontiguousarray(np.tensordot(k, k1_cols, axes=(0, 0)).transpose(1, 0, 2))
             acc = np.zeros(pt.spec.dim_full, dtype=complex)
-            for i, t in enumerate(ts):
+            for i, boost in enumerate(boosts):
                 # e(k^{-1} k1 a_t) is the dual kernel at a_{-t} k1^{-1} k:
                 # e^{(i mu - rho) H} tau(kappa)^T, and P_sigma after the node sum
-                h, _, _ = lg.iwasawa_boosted_batch(t, rots, out=kappa)
+                h, _, kappa = lg.iwasawa_translates(boost, rots)
                 vals = xr.tau_vec_batch(kappa.transpose(2, 1, 0), p, fvals[i])
                 acc += (coef[i] * np.exp((1j * mu_val - pt.rho) * h)) @ vals
             out[bi] = proj @ acc
@@ -897,7 +897,7 @@ def spectral_projection_energy(f, lam_grid, R, g_samples=160, k_samples=800,
                                t_nodes=32, grid=24, rng=None, details=False):
     """Windowed energy capture of the spectral projections of the bump f,
     in closed form at every (n, p).  Since F f(lambda, k) = b_sigma(lambda)
-    P_sigma tau(k)^T v0 (CompactSection.spherical_transform),
+    P_sigma tau(k)^T v0 (bump_transform),
     Q_{sigma,lambda} f = (nu b_sigma / sqrt(d_{tau,sigma})) Phi_{sigma,lambda}(.) v0,
     and (1/R) int_{B(R)} ||Q_{sigma,lambda} f||^2 is nu^2 |b_sigma|^2 / d_{tau,sigma}
     times the Schur ball average of Phi v0.  The capture, the trapezoid

@@ -7,11 +7,12 @@ atom
     p^{g,v}(k) = sqrt(d_{tau,sigma}) e^{(i lam - rho) H(g^{-1}k)}
                  P_sigma tau(kappa(g^{-1}k))^{-1} v,
 
-the transposed Poisson kernel at -lambda (spherical.PoissonKernel.dual;
-the kernel is formed nowhere else).  Its Poisson image is a translated
-spherical function, so the Poisson transform of atomic data needs no
-integration at all.  General sections go through Monte Carlo over
-Haar-random rotations with deterministic seed-splitting.
+the transposed Poisson kernel at -lambda.  Every Poisson kernel here
+takes H and kappa of g^{-1} k from liegroup.iwasawa_translates and meets
+vectors through extrep.tau_vec_batch.  The atom's Poisson image is a
+translated spherical function, so the Poisson transform of atomic data
+needs no integration at all.  General sections go through Monte Carlo
+over Haar-random rotations with deterministic seed-splitting.
 
 The compactly supported section on G is the radial bump
 f(g) = chi(A^+(g)) tau(pi0(g))^{-1} v0.  It is integrated over
@@ -24,7 +25,7 @@ enter only through the vectors tau(k)^T v0.
 The Euclidean Fourier transform of the horocycle integral gives the
 Helgason-Fourier coefficient.  Since f is tau-radial, that coefficient
 is also b_sigma(lambda) P_sigma tau(k)^T v0 with b_sigma the 1D
-spherical transform of chi (CompactSection.spherical_transform).
+spherical transform of chi (strichartz.bump_transform).
 """
 
 from math import gamma, isfinite, pi, sqrt
@@ -36,7 +37,7 @@ from . import liegroup as lg
 from .extrep import FormVector
 from .liegroup import GroupElement, KElement
 from .specialfn import gauss_legendre
-from .spherical import PoissonKernel, spherical_batch
+from .spherical import radial_batch
 
 __all__ = [
     "BoundaryAtom",
@@ -112,18 +113,20 @@ class BoundarySection:
         return self.atoms is not None
 
     def eval_batch(self, kmats):
-        """Values on a stack of rotations, shape (B, C(n,p))."""
+        """Values on a stack of rotations, shape (B, C(n,p)); every atom
+        through one Iwasawa kernel (at a rotation k_a: H = 0, kappa = k_a^T k)."""
         kmats = np.asarray(kmats, dtype=float)
         if kmats.ndim == 2:
             kmats = kmats[None]
         if self.is_atomic:
-            pt, (u, rest) = self.pt, self.rotation_fold(kmats)
-            out = sigma_part(pt, u)
-            for atom, w in rest:
+            pt, rots = self.pt, kmats.transpose(1, 2, 0)
+            out = np.zeros((len(kmats), pt.spec.dim_full), dtype=complex)
+            for atom, w in self.atoms:
                 # tau(kappa)^{-1} = tau(kappa)^T: the atom is the dual kernel at g^{-1} k
-                kernel = PoissonKernel(atom.g.inv().mat[None] @ lg.embed_rotation(kmats), pt.p)
-                out += w * kernel.dual(pt, atom.v.coeffs)
-            return out
+                h, _, kappa = lg.iwasawa_translates(atom.g.mat, rots)
+                vals = xr.tau_vec_batch(kappa.transpose(2, 1, 0), pt.p, atom.v.coeffs)
+                out += (w * np.exp((1j * pt.lam - pt.rho) * h))[:, None] * vals
+            return sigma_part(pt, out)
         self._drawn += kmats.shape[0]
         if self.budget and self._drawn > self.budget:
             raise RuntimeError("sampler budget exhausted")
@@ -153,7 +156,7 @@ class BoundarySection:
 
 def poisson_atom(pt, atom, x):
     """Closed-form Poisson image of an atom: Phi(g^{-1} x) v."""
-    out = spherical_batch(pt, (atom.g.inv().mat @ x.mat)[None], atom.v.coeffs)[0]
+    out = radial_batch(pt, (atom.g.inv().mat @ x.mat)[None], vecs=atom.v.coeffs)[0]
     return FormVector(pt.n, pt.p, out, spec=pt.spec)
 
 
@@ -180,14 +183,15 @@ def poisson_mc(pt, section, x, samples, rng=None):
         raise ValueError("need a positive sample count")
     if section.sampler is not None and section.budget < samples:
         raise ValueError("sampler budget below requested samples")
-    xinv = x.inv().mat
     chunk = min(4096, 2 ** 20 // pt.spec.dim_full ** 2)
     tot = tot2 = 0
     for sub_rng, b in _haar_chunks(samples, rng, chunk):
         ks = lg.haar_sample_K(pt.n, size=b, rng=sub_rng)
         fvals = section.eval_batch(ks)
-        ker = PoissonKernel(xinv[None, :, :] @ lg.embed_rotation(ks), pt.p)
-        integ = ker.apply(pt, fvals)
+        # the kernel sqrt(d_{tau,sigma}) e^{-(i lam + rho) H} tau(kappa) at x^{-1} k
+        h, _, kappa = lg.iwasawa_translates(x.mat, ks.transpose(1, 2, 0))
+        weight = sqrt(xr.dims(pt.spec, pt.sigma)[2]) * np.exp(-(1j * complex(pt.lam) + pt.rho) * h)
+        integ = weight[:, None] * xr.tau_vec_batch(kappa.transpose(2, 0, 1), pt.p, fvals)
         tot = tot + integ.sum(axis=0)
         tot2 = tot2 + (np.abs(integ) ** 2).sum(axis=0)
     mean = tot / samples
@@ -210,7 +214,7 @@ def gram_matrix(pt, atoms):
     vs = np.stack([a.v.coeffs for a in atoms])
     pairs = lg.inv_mats(gs)[:, None] @ gs[None, :]
     # entry (i, j) is Phi(g_i^{-1} g_j) v_i, paired with v_j
-    phi_v = spherical_batch(pt, pairs, vs[:, None])
+    phi_v = radial_batch(pt, pairs, vecs=vs[:, None])
     return np.sum(phi_v * vs.conj()[None], axis=-1)
 
 
@@ -258,17 +262,6 @@ class CompactSection:
     def eval_batch(self, mats):
         """Values f(g) on a stack of group matrices, shape (..., C)."""
         return xr.tau_apply_batch(self.frames(mats), self.v0[:, None])[..., 0]
-
-    def l2_norm(self):
-        """||f||, by strichartz.bump_transform (lambda 0 sets its panels only)."""
-        from .strichartz import bump_transform
-        return sqrt(bump_transform(self, [0.0], sigmas=())[1])
-
-    def spherical_transform(self, pt):
-        """b_sigma(lambda) with F f(lambda, k) = b_sigma(lambda) P_sigma tau(k)^T v0
-        at real lambda, by strichartz.bump_transform (1e-10 of its scale S)."""
-        from .strichartz import bump_transform
-        return float(bump_transform(self, [pt.lam_real], sigmas=[pt.sigma])[0][0, 0])
 
 
 def bump_section(spec, r_supp, v0=None):
@@ -368,7 +361,6 @@ def fourier_direct_mc(f, pt, k, samples, rng=None):
         rng = np.random.default_rng(0)
     n, p = f.spec.n, f.spec.p
     km = k.mat if isinstance(k, KElement) else np.asarray(k, dtype=float)
-    kemb = lg.embed_rotation(km)
     # radial density (2 sinh t)^(n-1) on [0, R] via inverse-cdf table
     tgrid = np.linspace(0.0, f.r_supp, 4001)
     dens = lg.radial_weight(tgrid, n)
@@ -386,8 +378,10 @@ def fourier_direct_mc(f, pt, k, samples, rng=None):
         k2 = lg.haar_sample_K(n, size=b, rng=rng)
         gs = lg.embed_rotation(k1) @ lg.at_mats(ts, n) @ lg.embed_rotation(k2)
         fvals = f.eval_batch(gs)
-        ker = PoissonKernel(np.einsum("bij,jk->bik", lg.inv_mats(gs), kemb), p)
-        integ = ker.dual(pt, fvals)
+        # the dual kernel at g^{-1} k, as the atoms' (BoundarySection.eval_batch)
+        h, _, kappa = lg.iwasawa_translates(gs.transpose(1, 2, 0), km)
+        vals = xr.tau_vec_batch(kappa.transpose(2, 1, 0), p, fvals)
+        integ = sigma_part(pt, np.exp((1j * pt.lam - pt.rho) * h)[:, None] * vals)
         tot += integ.sum(axis=0)
         tot2 += (np.abs(integ) ** 2).sum(axis=0)
     mean = tot / samples * mass

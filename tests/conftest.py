@@ -1,6 +1,7 @@
 """Shared fixtures: the representative bundle/label combinations used
-throughout the suite, a seeded RNG factory, and the loader of the
-repository's tools."""
+throughout the suite, a seeded RNG factory, the bump's spherical
+transform and squared norm by one strichartz.bump_transform, and the
+loader of the repository's tools."""
 
 import importlib.util
 import os
@@ -16,6 +17,7 @@ import numpy as np  # noqa: E402
 import pytest
 
 from hyperform import BundleSpec, SpectralPoint, sigma_q, SIGMA_PLUS, SIGMA_MINUS
+from hyperform.strichartz import bump_transform
 
 
 def case_points(lam=1.0):
@@ -51,6 +53,17 @@ def kernel_points(lam=1.0):
         SpectralPoint(BundleSpec(6, 2), sigma_q(2), lam),
         SpectralPoint(BundleSpec(8, 3), sigma_q(3), lam),
     ]
+
+
+def bump_coefficient(f, pt):
+    """b_sigma(lambda) of the bump f at pt's real lambda, with F f(lambda, k) =
+    b_sigma(lambda) P_sigma tau(k)^T v0 (1e-10 of its absolute scale S)."""
+    return float(bump_transform(f, [pt.lam_real], sigmas=[pt.sigma])[0][0, 0])
+
+
+def bump_norm2(f):
+    """||f||^2 of the bump f (lambda 0 sets the sweep's panels only)."""
+    return bump_transform(f, [0.0], sigmas=())[1]
 
 
 @pytest.fixture

@@ -17,15 +17,22 @@ transforms.radon_batch done per (rotation, radius) pair on the group
 matrices k a_t n_y, with no use of the section's left equivariance.
 inversion_mc_loop is the literal Monte Carlo reconstruction of
 strichartz.inversion_reconstruct with the Poisson image formed one
-t-node at a time through spherical_batch on every atom, with
+t-node at a time through spherical.radial_batch on every atom, with
 no tau-radial factoring for atoms at a rotation.  CartanGeometryK is
 spherical.CartanGeometry as it stood with the Cartan K factors, tau(k1)
 and tau(k2), and one projector product per M-type.  cartan_batch_copy
 is the stacked Cartan decomposition that liegroup.cartan was a
 one-element call of, as it stood before its temporaries were cut, which
 liegroup.cartan must reproduce bit for bit, and
-iwasawa_batch_product is liegroup.iwasawa_batch as it stood before
-kappa was read off g's columns.  iwasawa_mp decomposes group elements
+iwasawa_batch_product is iwasawa_batch as it stood before kappa was
+read off g's columns.  iwasawa_batch (with iwasawa_hy),
+iwasawa_boosted_batch and PoissonKernel are the Iwasawa kernels and
+the Poisson kernel of stacked group matrices as they stood before
+liegroup.iwasawa_translates replaced them, unchanged: the literal
+references of that kernel, of the boundary atoms and of the Monte Carlo
+transforms, on explicit products g^{-1} embed(k).  poisson_mc_literal
+and fourier_direct_mc_literal are transforms.poisson_mc and
+transforms.fourier_direct_mc as they stood then, on the same draws.  iwasawa_mp decomposes group elements
 that group_mp builds exactly (from rotation_mp rotations), at the
 caller's mpmath precision.  haar_sample_K_qr is
 liegroup.haar_sample_K as it stood before stacks took the whole-stack
@@ -106,7 +113,7 @@ def eisenstein_literal(pt, t, lams=None):
     if n == 2:
         thetas, ws = np.concatenate((thetas, -thetas)), np.concatenate((ws, ws)) / 2.0
     rots = lg.plane_rotations(n, np.cos(thetas), np.sin(thetas))
-    ker = sph.PoissonKernel(lg.make_at(-t, n).mat[None, :, :] @ lg.embed_rotation(rots), p)
+    ker = PoissonKernel(lg.make_at(-t, n).mat[None, :, :] @ lg.embed_rotation(rots), p)
     tau_kappa, tau_rot = xr.tau_matrix_batch(ker.kappa, p), xr.tau_matrix_batch(rots, p)
     p_sigma = xr.proj_matrix(spec, pt.sigma)
     etas = xr.branching(spec)
@@ -218,7 +225,7 @@ def energy_capture_loop(f, lam_grid, R, g_samples, k_samples, t_nodes, grid, rng
     tq, wq = np.polynomial.legendre.leggauss(t_nodes)
     tq, wq = tq * f.r_supp, wq * f.r_supp
     prof = tfm.radon_batch(f, tq, us, grid=grid)
-    ker = sph.PoissonKernel(lg.inv_mats(g_mats)[:, None] @ lg.embed_rotation(us)[None], spec.p)
+    ker = PoissonKernel(lg.inv_mats(g_mats)[:, None] @ lg.embed_rotation(us)[None], spec.p)
     taus = xr.tau_matrix_batch(ker.kappa, spec.p)
     rows = []
     for lam in sorted(float(l) for l in lam_grid):
@@ -243,7 +250,7 @@ def inversion_mc_loop(pt, section, R, kmats, mc_k1, rng, mu=None):
     """F_R at the rotations kmats (B, n, n) by the literal Monte Carlo
     reconstruction on the draws of strichartz.inversion_reconstruct
     (method="mc") with the same rng: the image sum_a w_a Phi(g_a^{-1} k1 a_t) v_a
-    by one spherical_batch per atom and t-node, then the dual kernel at
+    by one spherical.radial_batch per atom and t-node, then the dual kernel at
     a_{-t} k1^{-1} k averaged over k1, shape (B, C)."""
     n = pt.n
     lam = pt.lam_real
@@ -257,14 +264,14 @@ def inversion_mc_loop(pt, section, R, kmats, mc_k1, rng, mu=None):
     for i in range(ts.size):
         sheet = k1e @ at_all[i]
         for a, w in section.atoms:
-            fvals[i] += w * sph.spherical_batch(pt, a.g.inv().mat @ sheet, a.v.coeffs)
+            fvals[i] += w * sph.radial_batch(pt, a.g.inv().mat @ sheet, vecs=a.v.coeffs)
     radial = ws * lg.radial_weight(ts, n) * np.pi * nu / float(R)
     at_neg = lg.at_mats(-ts, n)
     out = np.zeros((len(kmats), pt.spec.dim_full), dtype=complex)
     for bi, k in enumerate(np.asarray(kmats, dtype=float)):
         k1_inv_k = np.swapaxes(k1e, -1, -2) @ lg.embed_rotation(k)
         for i in range(ts.size):
-            ker = sph.PoissonKernel(at_neg[i] @ k1_inv_k, pt.p)
+            ker = PoissonKernel(at_neg[i] @ k1_inv_k, pt.p)
             out[bi] += radial[i] * ker.dual(pt, fvals[i], lam=mu).mean(axis=0)
     return out
 
@@ -359,7 +366,7 @@ def e_defect(g, x):
     tp_gx = float(lg.cartan_radius(gx))
     tp_x = float(lg.cartan_radius(x.mat))
     _, k1x, _ = cartan_batch_copy(x.mat[None, ...])
-    h = float(lg._iwasawa_hy(g.mat @ lg.embed_rotation(k1x[0]))[0])
+    h = float(iwasawa_hy(g.mat @ lg.embed_rotation(k1x[0]))[0])
     return tp_gx - tp_x - h
 
 
@@ -395,7 +402,7 @@ def iwasawa_batch_product(mats):
     columns: (H, y, kappa block) through the product g n_{-y} a_{-H},
     which cancels entries of size e^{2t} at Cartan radius t."""
     n = mats.shape[-1] - 1
-    h, y = lg._iwasawa_hy(mats)
+    h, y = iwasawa_hy(mats)
     kap = mats @ lg.ny_mats(-y, n) @ lg.at_mats(-h, n)
     block = kap[..., :n, :n]
     defect = np.max(np.abs(
@@ -404,6 +411,194 @@ def iwasawa_batch_product(mats):
         raise ArithmeticError(
             f"Iwasawa K factor lost orthogonality: defect {defect:.3e}")
     return h, y, block
+
+
+def iwasawa_hy(mats):
+    """(H, y) for stacked matrices; raises unless c_1 + d > 0."""
+    s = mats[..., -1, 0] + mats[..., -1, -1]
+    if (s <= 0.0).any():
+        raise ValueError("Iwasawa argument c_1 + d is not positive")
+    h = np.log(s)
+    y = mats[..., -1, 1:-1] / s[..., None]
+    return h, y
+
+
+def iwasawa_batch(mats):
+    """(H, y, kappa block) for stacked matrices.
+
+    kappa is read off the columns of g (indices from 0).  With
+    xi = e_0 + e_n, n_y xi = xi and a_H xi = e^H xi, so
+    g xi = e^H kappa xi and
+
+        kappa e_0 = e^{-H} (g xi)_{:n},
+        kappa e_j = g_{:n,j} - y_j (g xi)_{:n},   j = 1 .. n-1.
+
+    Its error grows like e^t ulps at Cartan radius t (the product
+    g n_{-y} a_{-H} cancelled entries of size e^{2t} and lost e^{2t}
+    ulps).  Raises ArithmeticError when kappa^T kappa is more than 1e-8
+    from I or not finite, which for random g happens from t of about
+    16 on.
+    """
+    n = mats.shape[-1] - 1
+    h, y = iwasawa_hy(mats)
+    gxi = mats[..., :n, 0] + mats[..., :n, n]
+    y0 = np.zeros(gxi.shape)
+    y0[..., 1:] = y
+    # g_{:n,:n} - (g xi) y0^T, whose column 0 is then replaced
+    block = gxi[..., :, None] * y0[..., None, :]
+    np.subtract(mats[..., :n, :n], block, out=block)
+    block[..., 0] = gxi / (mats[..., n, 0] + mats[..., n, n])[..., None]
+    lg.gate_k(block, "Iwasawa K factor")
+    return h, y, block
+
+
+def iwasawa_boosted_batch(t, rots, out=None):
+    """(H, y, kappa) of g = a_{-t} r for rotations r stored sample-major,
+    rots (n, n, m) with r_s = rots[:, :, s], and t a float or an (m,)
+    array; y is (n-1, m) and kappa sample-major (n, n, m), written into
+    `out` when given.
+
+    iwasawa_batch's formulas with a_{-t} folded in: g's first row is
+    (cosh t r_{0,:}, -sinh t), its last (-sinh t r_{0,:}, cosh t), and
+    its other rows (r_{i,:}, 0), so with S = cosh t - sinh t r_00
+
+        H = log S,   y_j = -sinh t r_0j / S,
+        kappa e_0 = (cosh t r_00 - sinh t, r_10, ..., r_{n-1,0}) / S,
+        kappa e_j = g_{:n,j} - y_j (g xi)_{:n},   j = 1 .. n-1,
+
+    each entry rounded as iwasawa_batch rounds it on the product.  The
+    same gate: ValueError unless S > 0, ArithmeticError when kappa^T kappa
+    is more than 1e-8 from I or not finite.
+    """
+    n, ch, sh = rots.shape[0], np.cosh(t), np.sinh(t)
+    row0 = rots[0]
+    s = ch - sh * row0[0]
+    if (s <= 0.0).any():
+        raise ValueError("Iwasawa argument c_1 + d is not positive")
+    h = np.log(s)
+    y = -sh * row0[1:] / s
+    kappa = np.empty(rots.shape) if out is None else out
+    gxi = kappa[:, 0]
+    np.multiply(ch, row0[0], out=gxi[0])
+    gxi[0] -= sh
+    gxi[1:] = rots[1:, 0]
+    np.multiply(ch, row0[1:], out=kappa[0, 1:])
+    kappa[1:, 1:] = rots[1:, 1:]
+    # column by column, so the only temporary is one column
+    for j in range(1, n):
+        kappa[:, j] -= gxi * y[j - 1]
+    gxi /= s
+    gram = np.einsum("ais,ajs->ijs", kappa, kappa)
+    gram.reshape(n * n, -1)[:: n + 1] -= 1.0
+    defect = np.abs(gram, out=gram).max()
+    if not defect <= lg._CONSISTENCY_TOL:  # a NaN defect raises too
+        raise ArithmeticError(
+            f"Iwasawa K factor lost orthogonality: defect {defect:.3e}")
+    return h, y, kappa
+
+
+# group matrices per Iwasawa step of the Poisson kernel; bounds the
+# memory of one step
+KERNEL_BLOCK = 8192
+
+
+class PoissonKernel:
+    """The Poisson kernel of stacked g = x^{-1} k, shape (..., n+1, n+1),
+
+        K_lambda(g) = sqrt(d_{tau,sigma}) e^{-(i lambda + rho) H(g)} tau(kappa(g)),
+
+    kept as its geometry, H(g) and kappa(g) (..., n, n), formed once with
+    the Iwasawa step in blocks of KERNEL_BLOCK matrices, and a weight
+    that depends on (sigma, lambda).  Vectors meet tau(kappa) through
+    extrep.tau_vec_batch, which never forms the C(n,p) x C(n,p) minors;
+    callers that need the operators build extrep.tau_matrix_batch(kappa,
+    p) themselves.  The boundary atom of transforms is
+    p^{g,v}(k) = P_sigma K_{-lambda}(g^{-1} k)^T v.
+    """
+
+    __slots__ = ("h", "kappa", "p")
+
+    def __init__(self, mats, p):
+        lead, n = mats.shape[:-2], mats.shape[-1] - 1
+        flat = mats.reshape(-1, n + 1, n + 1)
+        h, kappa = np.empty(len(flat)), np.empty((len(flat), n, n))
+        for blk in (slice(lo, lo + KERNEL_BLOCK) for lo in range(0, len(flat), KERNEL_BLOCK)):
+            h[blk], _, kappa[blk] = iwasawa_batch(flat[blk])
+        self.h, self.kappa, self.p = h.reshape(lead), kappa.reshape(lead + (n, n)), p
+
+    def weight(self, pt, lam=None):
+        """sqrt(d_{tau,sigma}) e^{-(i lam + rho) H(g)}; lam defaults to pt.lam."""
+        lam = complex(pt.lam if lam is None else lam)
+        return sqrt(xr.dims(pt.spec, pt.sigma)[2]) * np.exp(-(1j * lam + pt.rho) * self.h)
+
+    def apply(self, pt, vecs):
+        """K_lambda(g) vecs at pt; vecs broadcast against (..., C(n,p))."""
+        return self.weight(pt)[..., None] * xr.tau_vec_batch(self.kappa, self.p, vecs)
+
+    def dual(self, pt, vecs, lam=None):
+        """P_sigma K_{-lambda}(g)^T vecs, the transposed kernel at -lambda;
+        lam defaults to pt.lam."""
+        lam = complex(pt.lam if lam is None else lam)
+        vals = xr.tau_vec_batch(np.swapaxes(self.kappa, -1, -2), self.p, vecs)
+        return (self.weight(pt, -lam)[..., None] * vals) @ xr.proj_matrix(pt.spec, pt.sigma).T
+
+
+def atom_values_literal(section, kmats):
+    """BoundarySection.eval_batch of an atom section on rotations kmats
+    (B, n, n) with every atom through PoissonKernel(g^{-1} embed(k)).dual."""
+    pt, ks = section.pt, lg.embed_rotation(kmats)
+    out = np.zeros((len(kmats), pt.spec.dim_full), dtype=complex)
+    for atom, w in section.atoms:
+        out += w * PoissonKernel(atom.g.inv().mat[None] @ ks, pt.p).dual(pt, atom.v.coeffs)
+    return out
+
+
+def poisson_mc_literal(pt, section, x, samples, rng=None):
+    """transforms.poisson_mc on the kernel of the explicit products x^{-1} k."""
+    xinv = x.inv().mat
+    chunk = min(4096, 2 ** 20 // pt.spec.dim_full ** 2)
+    tot = tot2 = 0
+    for sub_rng, b in tfm._haar_chunks(samples, rng, chunk):
+        ks = lg.haar_sample_K(pt.n, size=b, rng=sub_rng)
+        fvals = atom_values_literal(section, ks)
+        ker = PoissonKernel(xinv[None, :, :] @ lg.embed_rotation(ks), pt.p)
+        integ = ker.apply(pt, fvals)
+        tot = tot + integ.sum(axis=0)
+        tot2 = tot2 + (np.abs(integ) ** 2).sum(axis=0)
+    mean = tot / samples
+    var = np.maximum(tot2 / samples - np.abs(mean) ** 2, 0.0)
+    return mean, float(np.sqrt(var.sum() / samples))
+
+
+def fourier_direct_mc_literal(f, pt, k, samples, rng=None):
+    """transforms.fourier_direct_mc on the kernel of the explicit products g^{-1} k."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    n, p = f.spec.n, f.spec.p
+    kemb = lg.embed_rotation(np.asarray(k, dtype=float))
+    tgrid = np.linspace(0.0, f.r_supp, 4001)
+    dens = lg.radial_weight(tgrid, n)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(tgrid))])
+    mass = cdf[-1]
+    cdf /= mass
+    tot = np.zeros(f.spec.dim_full, dtype=complex)
+    tot2 = np.zeros(f.spec.dim_full)
+    block = min(8192, 2 ** 20 // f.spec.dim_full ** 2)
+    for lo in range(0, samples, block):
+        b = min(block, samples - lo)
+        u = rng.random(b)
+        ts = np.interp(u, cdf, tgrid)
+        k1 = lg.haar_sample_K(n, size=b, rng=rng)
+        k2 = lg.haar_sample_K(n, size=b, rng=rng)
+        gs = lg.embed_rotation(k1) @ lg.at_mats(ts, n) @ lg.embed_rotation(k2)
+        fvals = f.eval_batch(gs)
+        ker = PoissonKernel(np.einsum("bij,jk->bik", lg.inv_mats(gs), kemb), p)
+        integ = ker.dual(pt, fvals)
+        tot += integ.sum(axis=0)
+        tot2 += (np.abs(integ) ** 2).sum(axis=0)
+    mean = tot / samples * mass
+    var = np.maximum(tot2 / samples - np.abs(tot / samples) ** 2, 0.0) * mass ** 2
+    return mean, float(np.sqrt(var.sum() / samples))
 
 
 def rotation_mp(a):

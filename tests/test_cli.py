@@ -24,7 +24,7 @@ from hyperform.specialfn import _Series
 from hyperform.strichartz import inversion_mix
 from hyperform.transforms import BoundaryAtom, BoundarySection
 
-from conftest import load_tool
+from conftest import bump_norm2, load_tool
 from oracles import group_mp
 
 
@@ -317,6 +317,17 @@ def test_decompose_matrix_passes_far_from_the_origin(tmp_path):
     assert all(r["pass"] for r in rows.values())
 
 
+def test_decompose_matrix_passes_on_a_zero_column_past_the_tie(tmp_path):
+    # g_nn = 1 + 4e-13 with a zero upper right column: arccosh(g_nn) is past
+    # TIE_EPS, and the Cartan direction 0 / 0 gave NaN factors and a warning
+    path = tmp_path / "g.txt"
+    np.savetxt(path, np.diag([1.0, 1.0, 1.0, 1.0 + 4e-13]), fmt="%.17g")
+    code, rows = _rows(["decompose", "--matrix", str(path)])
+    assert code == 0
+    assert all(r["pass"] for r in rows.values())
+    assert rows["cartan_roundtrip"]["value"] <= 1e-12
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_decompose_exits_cleanly_where_the_boost_overflows():
     res = CliRunner().invoke(main, ["decompose", "--at", "700", "--n", "3"])
@@ -334,7 +345,7 @@ def test_fourier_matches_the_sampled_coefficient_mean(rng):
     f = bump_section(spec, 2.0)
     sq = np.sum(np.abs(fourier_batch(f, pt, haar_sample_K(3, size=4000, rng=rng),
                                      t_nodes=64, grid=48)) ** 2, axis=-1)
-    scale = plancherel_density(pt) / (2.0 * f.l2_norm() ** 2)
+    scale = plancherel_density(pt) / (2.0 * bump_norm2(f))
     got = rows["restriction_ratio[R=2]"]
     assert got["stderr"] is None
     assert abs(got["value"] - scale * sq.mean()) <= 4.0 * scale * sq.std() / np.sqrt(sq.size)

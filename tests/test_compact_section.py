@@ -19,6 +19,7 @@ from hyperform.spherical import component_grid
 from hyperform.strichartz import bump_transform
 from hyperform.transforms import fourier_batch, radon_batch
 
+from conftest import bump_coefficient, bump_norm2
 from oracles import radon_pairs
 
 SPECS = [BundleSpec(3, 1), BundleSpec(4, 1), BundleSpec(4, 2, "plus"),
@@ -74,7 +75,7 @@ def test_spherical_transform_matches_fourier_batch(spec, sigma, grid, tol, rng):
         pt = SpectralPoint(spec, MLabel.parse(sigma), lam)
         want = fourier_batch(f, pt, ks, t_nodes=64, grid=grid)
         vecs = np.einsum("kab,b->ka", np.swapaxes(tau_matrix_batch(ks, spec.p), -1, -2), f.v0)
-        got = f.spherical_transform(pt) * vecs @ proj_matrix(spec, pt.sigma).T
+        got = bump_coefficient(f, pt) * vecs @ proj_matrix(spec, pt.sigma).T
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), (sigma, lam)
 
 
@@ -106,15 +107,15 @@ def test_spherical_transform_meets_a_1600_node_rule():
                         want, scale = _transform_by_gauss_legendre(f, pt, 1600)
                     except ArithmeticError:
                         continue
-                    got = f.spherical_transform(pt)
+                    got = bump_coefficient(f, pt)
                     assert abs(got - want) <= 1e-10 * scale, (spec, r, lam, str(sigma))
                     checked += 1
     assert checked >= 100, checked
 
 
-def test_bump_transform_is_its_wrappers_on_a_lambda_array(rng):
-    # one sweep per lambda serves every sigma: each entry is the one-point
-    # spherical_transform bit for bit, and ||f||^2 is l2_norm's
+def test_bump_transform_on_a_lambda_array_is_its_one_point_calls(rng):
+    # one sweep per lambda serves every sigma: each entry is the one-point,
+    # one-sigma call's bit for bit, and ||f||^2 is the sigma-free call's
     for spec in (BundleSpec(5, 2), BundleSpec(6, 2), BundleSpec(4, 2, "minus")):
         f = bump_section(spec, 1.5, v0=_complex_v0(spec, rng))
         lams = np.array([0.05, 0.7, 2.5, 11.0])
@@ -123,8 +124,8 @@ def test_bump_transform_is_its_wrappers_on_a_lambda_array(rng):
         assert np.array_equal(avgs, bump_transform(f, lams, R=1.5)[2])
         for i, lam in enumerate(lams):
             for j, sigma in enumerate(branching(spec)):
-                assert b[i, j] == f.spherical_transform(SpectralPoint(spec, sigma, lam))
-        assert abs(norm2 - f.l2_norm() ** 2) <= 1e-13 * norm2
+                assert b[i, j] == bump_coefficient(f, SpectralPoint(spec, sigma, lam))
+        assert abs(norm2 - bump_norm2(f)) <= 1e-13 * norm2
 
 
 def test_absolute_scale_gate_raises_on_a_profile_it_cannot_resolve(monkeypatch):
@@ -145,7 +146,7 @@ def test_absolute_scale_gate_raises_on_a_profile_it_cannot_resolve(monkeypatch):
     spec, sweep = BundleSpec(3, 1), st._radial_sweep
     pt = SpectralPoint(spec, MLabel.parse("q:1"), 1.0)
     f = bump_section(spec, 1.5)
-    assert np.isfinite(f.spherical_transform(pt))
+    assert np.isfinite(bump_coefficient(f, pt))
 
     def unresolved(profile, *args, **kwargs):
         def perturbed(ts):
@@ -156,7 +157,7 @@ def test_absolute_scale_gate_raises_on_a_profile_it_cannot_resolve(monkeypatch):
 
     monkeypatch.setattr(st, "_radial_sweep", unresolved)
     with pytest.raises(ArithmeticError, match="did not converge"):
-        f.spherical_transform(pt)
+        bump_coefficient(f, pt)
 
 
 def test_spherical_transform_gates_on_the_absolute_scale():
@@ -173,5 +174,5 @@ def test_spherical_transform_gates_on_the_absolute_scale():
     weight = ws * f.chi(ts) * radial_weight(ts, 3) / d_tau
     trace = sum(dims(spec, eta)[1] * v.real for eta, v in comps.items()) @ weight
     scale = sum(dims(spec, eta)[1] * np.abs(v) for eta, v in comps.items()) @ weight
-    got = f.spherical_transform(pt)
+    got = bump_coefficient(f, pt)
     assert abs(got - sqrt(d_ts) * trace) <= 1e-11 * sqrt(d_ts) * scale

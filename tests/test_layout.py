@@ -1,8 +1,10 @@
 """Module layout of the package: no private name crosses a module
-boundary, no module imports the test oracles, the Iwasawa batch has one
-consumer besides its scalar wrapper, the Poisson kernel, the Householder
-step of the Cartan K factors is called only from the scalar cartan, the defining
-K-integral forms no Poisson kernel, the panel rule
+boundary, no module imports the test oracles, the one Iwasawa kernel,
+iwasawa_translates, is called only by the scalar iwasawa and the four
+Poisson kernels (the atoms, poisson_mc, fourier_direct_mc and the literal
+inversion sampler), the Householder step of the Cartan K factors is
+called only from the scalar cartan, the defining K-integral forms no
+Poisson kernel, the panel rule
 of the radial quadratures has one caller, the breakpoint rule every
 sweep shares, spherical evaluates Jacobi functions only on the
 parameters a SpectralPoint owns, the commands answer without sampling
@@ -26,8 +28,10 @@ MODULES = sorted(SRC.glob("*.py"))
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
-# (module, enclosing function or class) allowed to call iwasawa_batch
-IWASAWA_CALLERS = {("liegroup", "iwasawa"), ("spherical", "PoissonKernel")}
+# (module, enclosing function or class) of each call of the Iwasawa kernel
+IWASAWA_CALLERS = [("liegroup", "iwasawa"), ("strichartz", "inversion_reconstruct"),
+                   ("transforms", "BoundarySection"), ("transforms", "fourier_direct_mc"),
+                   ("transforms", "poisson_mc")]
 # the one caller of the Householder step of the Cartan K factors: the
 # scalar decomposition
 HOUSEHOLDER_CALLERS = [("liegroup", "cartan")]
@@ -118,10 +122,11 @@ def test_package_never_imports_tests_or_oracles():
     assert not bad, "package modules import the tests:\n" + "\n".join(bad)
 
 
-def test_iwasawa_batch_only_in_kernel_and_scalar_wrapper():
-    bad = [f"{p.stem}:{line} in {owner}" for p in MODULES
-           for owner, line in _calls(p, "iwasawa_batch") if (p.stem, owner) not in IWASAWA_CALLERS]
-    assert not bad, "iwasawa_batch called outside the Poisson kernel:\n" + "\n".join(bad)
+def test_iwasawa_translates_is_the_one_iwasawa_step():
+    # one call per Poisson kernel and one in the scalar wrapper
+    callers = sorted((p.stem, owner) for p in MODULES
+                     for owner, _ in _calls(p, "iwasawa_translates"))
+    assert callers == IWASAWA_CALLERS, callers
 
 
 def test_householder_step_only_behind_the_scalar_cartan():
@@ -133,7 +138,7 @@ def test_householder_step_only_behind_the_scalar_cartan():
 def test_defining_integral_forms_no_poisson_kernel():
     # its Iwasawa data and Lambda^p(kappa) are in closed form
     sph = SRC / "spherical.py"
-    callers = {owner for name in ("PoissonKernel", "iwasawa_batch", "tau_matrix_batch")
+    callers = {owner for name in ("iwasawa_translates", "tau_matrix_batch")
                for owner, _ in _calls(sph, name)}
     assert "eisenstein_integral_at" not in callers, callers
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperform import (
+    BundleSpec,
     GroupElement,
     KElement,
     cartan,
@@ -21,16 +22,20 @@ from hyperform import (
     make_rotation,
     polar_k,
     radial_weight,
+    sigma_q,
 )
 import hyperform.liegroup as lg
-from hyperform.liegroup import TIE_EPS, at_mats, embed_rotation, iwasawa_batch
+from hyperform.liegroup import TIE_EPS, at_mats, embed_rotation, inv_mats, iwasawa_translates
+from hyperform.spherical import SpectralPoint, radial_batch, spherical_at
 
 from oracles import (
     cartan_batch_copy,
     e_defect,
     group_mp,
     haar_sample_K_qr,
+    iwasawa_batch,
     iwasawa_batch_product,
+    iwasawa_boosted_batch,
     iwasawa_mp,
 )
 
@@ -46,6 +51,23 @@ def _stack(n, t, size, rng):
     against (size,)."""
     k1, k2 = (embed_rotation(haar_sample_K(n, size=size, rng=rng)) for _ in range(2))
     return k1 @ at_mats(t, n) @ k2
+
+
+def _iwasawa_of(mats):
+    """(H, y, kappa) of group matrices (..., n+1, n+1), stacked like them:
+    iwasawa_translates at g^{-1} and r = I, as the scalar iwasawa takes it."""
+    lead, n = mats.shape[:-2], mats.shape[-1] - 1
+    ginv = inv_mats(mats.reshape(-1, n + 1, n + 1)).transpose(1, 2, 0)
+    h, y, kappa = iwasawa_translates(ginv)
+    return h.reshape(lead), y.T.reshape(lead + (n - 1,)), kappa.transpose(2, 0, 1).reshape(
+        lead + (n, n))
+
+
+def _bitwise_equal(a, b):
+    """Equal values, shapes and signs of zeros."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 def _minkowski_defect(mat):
@@ -152,7 +174,7 @@ def test_iwasawa_matches_mpmath_oracle(n):
             with mpmath.workdps(40):
                 gm = group_mp(rng.normal(size=(n, n)), t, rng.normal(size=(n, n)))
                 h, y, kappa = iwasawa_mp(gm)
-            got_h, got_y, got_kappa = iwasawa_batch(np.array(gm.tolist(), dtype=float))
+            got_h, got_y, got_kappa = _iwasawa_of(np.array(gm.tolist(), dtype=float))
             assert abs(got_h - h) <= tol
             assert np.all(np.abs(got_y - y) <= tol * np.maximum(1.0, np.abs(y)))
             assert np.max(np.abs(got_kappa - kappa)) <= tol
@@ -165,7 +187,7 @@ def test_iwasawa_matches_the_product_route_up_to_radius_three(n):
     # route's own e^{2t}-ulp error at t = 3
     mats = _stack(n, np.linspace(0.1, 3.0, 30)[:, None], 100, np.random.default_rng(n))
     mats = mats.reshape(-1, n + 1, n + 1)
-    h, y, kappa = iwasawa_batch(mats)
+    h, y, kappa = _iwasawa_of(mats)
     h0, y0, kappa0 = iwasawa_batch_product(mats)
     assert np.array_equal(h, h0) and np.array_equal(y, y0)
     scale = np.max(np.abs(mats), axis=(-1, -2))
@@ -176,13 +198,13 @@ def test_iwasawa_raises_once_kappa_is_not_orthogonal():
     g = (make_rotation(haar_sample_K(4, rng=np.random.default_rng(3))) @ make_at(1.0, 4)).mat
     bent = g.copy()
     bent[0, 1] += 1e-10  # kappa e_1 moves by 1e-10: within the 1e-8 slack
-    iwasawa_batch(bent)
+    _iwasawa_of(bent)
     bent[0, 1] += 1e-7
     with pytest.raises(ArithmeticError, match="lost orthogonality"):
-        iwasawa_batch(bent)
+        _iwasawa_of(bent)
     # far out the rounding of g alone exceeds the slack
     with pytest.raises(ArithmeticError, match="lost orthogonality"):
-        iwasawa_batch(_stack(4, 20.0, 2000, np.random.default_rng(5)))
+        _iwasawa_of(_stack(4, 20.0, 2000, np.random.default_rng(5)))
 
 
 def _sample_major(rots):
@@ -191,21 +213,27 @@ def _sample_major(rots):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_iwasawa_boosted_batch_is_iwasawa_batch_on_the_product(n):
-    # the closed form of a_{-t} r against iwasawa_batch on the explicit
-    # products, t in [0, 12]
+    # iwasawa_translates at g = a_t, t in [0, 12], is the closed form of
+    # a_{-t} r (the retired iwasawa_boosted_batch) bit for bit, zeros' signs
+    # included, except y's zeros at t = 0, where g = I; and it meets
+    # iwasawa_batch on the explicit products to 1e-12
     rots = haar_sample_K(n, size=64, rng=np.random.default_rng(60 + n))
-    buf = np.empty((n, n, 64))
     for t in np.linspace(0.0, 12.0, 25):
+        h1, y1, kappa1 = iwasawa_boosted_batch(t, _sample_major(rots))
         h0, y0, kappa0 = iwasawa_batch(at_mats(-t, n) @ embed_rotation(rots))
-        h, y, kappa = lg.iwasawa_boosted_batch(t, _sample_major(rots), out=buf)
-        assert kappa is buf
+        h, y, kappa = iwasawa_translates(at_mats(t, n), _sample_major(rots))
+        assert _bitwise_equal(h, h1) and _bitwise_equal(kappa, kappa1)
+        assert _bitwise_equal(y, y1) if t > 0.0 else np.array_equal(y, y1)
         assert np.max(np.abs(h - h0)) <= 1e-12
         assert np.max(np.abs(kappa.transpose(2, 0, 1) - kappa0)) <= 1e-12
         assert np.all(np.abs(y.T - y0) <= 1e-12 * np.maximum(1.0, np.abs(y0)))
-    # an array of radii, one per sample
-    ts = np.linspace(0.0, 12.0, 64)
+    # an array of radii, one boost per sample, against one rotation
+    ts, rots = np.linspace(0.0, 12.0, 64), rots[:1].repeat(64, axis=0)
+    h1, y1, kappa1 = iwasawa_boosted_batch(ts, _sample_major(rots))
     h0, _, kappa0 = iwasawa_batch(at_mats(-ts, n) @ embed_rotation(rots))
-    h, _, kappa = lg.iwasawa_boosted_batch(ts, _sample_major(rots))
+    h, y, kappa = iwasawa_translates(at_mats(ts, n).transpose(1, 2, 0), rots[0])
+    assert _bitwise_equal(h, h1) and _bitwise_equal(kappa, kappa1)
+    assert _bitwise_equal(y[:, 1:], y1[:, 1:]) and np.array_equal(y, y1)
     assert np.max(np.abs(h - h0)) <= 1e-12
     assert np.max(np.abs(kappa.transpose(2, 0, 1) - kappa0)) <= 1e-12
 
@@ -228,7 +256,7 @@ def test_iwasawa_boosted_batch_raises_where_iwasawa_batch_raises(n):
     raised = 0
     for t, rots in ((12.0, haar), (20.0, haar), (30.0, haar), (40.0, eye), (750.0, haar)):
         want = _outcome(lambda: iwasawa_batch(at_mats(-t, n) @ embed_rotation(rots)))
-        got = _outcome(lambda: lg.iwasawa_boosted_batch(t, _sample_major(rots)))
+        got = _outcome(lambda: iwasawa_translates(at_mats(t, n), _sample_major(rots)))
         assert got == want, t
         raised += want is not None
     assert raised == 4
@@ -244,20 +272,64 @@ def test_decompositions_raise_where_entries_overflow():
         with pytest.raises(ArithmeticError, match="lost orthogonality"):
             lg.cartan_axis(make_at(t, 3).mat[None])
     with pytest.raises(ArithmeticError, match="lost orthogonality"):
-        iwasawa_batch(make_at(750.0, 3).mat[None])
+        iwasawa(make_at(750.0, 3))
 
 
-def test_iwasawa_batch_memory():
-    # 8192 matrices at n=6 (3.1 MB): the product route peaked 9.6 MB
-    # above its input, with two (n+1) x (n+1) factor stacks
-    mats = _stack(6, 2.0, 8192, np.random.default_rng(6))
+def test_iwasawa_translates_memory():
+    # 8192 matrices at n=6 (3.1 MB), one per sample, against one rotation:
+    # the product route peaked 9.6 MB above its input, with two (n+1) x (n+1)
+    # factor stacks; kappa and a term of A^T r are 2.4 MB each
+    ginv = inv_mats(_stack(6, 2.0, 8192, np.random.default_rng(6))).transpose(1, 2, 0)
     tracemalloc.start()
     try:
-        iwasawa_batch(mats)
+        iwasawa_translates(ginv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8.5 * 2 ** 20
+
+
+def _point_elements(seed, n=6):
+    """The elements of the benchmark's point workload: k1 a_t k2 at 200
+    radii from 0 to 3 with Haar k1, k2 drawn in turn, then their inverses."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for t in np.linspace(0.0, 3.0, 200):
+        k1 = make_rotation(haar_sample_K(n, rng=rng))
+        out.append(k1 @ make_at(t, n) @ make_rotation(haar_sample_K(n, rng=rng)))
+    return out + [g.inv() for g in out]
+
+
+def test_scalar_iwasawa_is_the_literal_kernel_bit_for_bit():
+    # iwasawa reads g back from g^{-1} and r = I: H, y and kappa are
+    # iwasawa_batch's on g itself, signs of zeros included, on the point
+    # workload's elements (t = 0 among them, where y is +-0) and on the
+    # decompose command's boosts, the identity and a_t at t < 0
+    elements = _point_elements(7) + _point_elements(1)
+    elements += [make_at(t, n) for t, n in ((1.5, 3), (10.0, 6), (-1.5, 3), (0.0, 4))]
+    elements.append(GroupElement(np.eye(5)))
+    for g in elements:
+        h0, y0, kappa0 = iwasawa_batch(g.mat)
+        iw = iwasawa(g)
+        assert _bitwise_equal(iw.h, h0) and _bitwise_equal(iw.y, y0)
+        assert _bitwise_equal(iw.kappa.mat, kappa0)
+
+
+def test_zero_column_is_a_cartan_tie():
+    # g_nn = 1 + 4e-13 passes validation with a zero upper right column; its
+    # radius arccosh(g_nn) = 8.9e-7 is past TIE_EPS, but b = 0 / 0 has no
+    # direction: a tie at t = 0, with finite factors that rebuild g
+    g = GroupElement(np.diag([1.0, 1.0, 1.0, 1.0 + 4e-13]))
+    t, b, pol = lg.cartan_axis(g.mat[None])
+    assert t[0] == 0.0 and np.array_equal(b[0], pol[0][:, 0])
+    ca = cartan(g)
+    assert ca.t == 0.0 and np.array_equal(ca.k1.mat, np.eye(3))
+    back = make_rotation(ca.k1) @ make_at(ca.t, 3) @ make_rotation(ca.k2)
+    assert np.max(np.abs(back.mat - g.mat)) <= 1e-12
+    pt = SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0)
+    assert np.all(np.isfinite(spherical_at(pt, g)))
+    for kind in ("spherical", "head", "residual"):
+        assert np.all(np.isfinite(radial_batch(pt, g.mat[None], kind)))
 
 
 def test_h_and_aplus_of_boost_are_exact():

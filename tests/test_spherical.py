@@ -7,7 +7,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from math import pi
+from math import pi, sqrt
 
 from hyperform import (
     BundleSpec,
@@ -33,10 +33,12 @@ from hyperform import (
 
 import hyperform.extrep as xr
 import hyperform.spherical as sph
+from hyperform.extrep import default_vector
+from hyperform.liegroup import GroupElement, iwasawa_translates
+from hyperform.transforms import BoundaryAtom, BoundarySection, poisson_mc
 from hyperform.extrep import MLabel, tau_matrix_batch
 from hyperform.liegroup import at_mats, embed_rotation, plane_rotations
-from hyperform.spherical import (PoissonKernel, component_grid, head_batch, head_components,
-                                 radial_batch, spherical_batch)
+from hyperform.spherical import component_grid, head_components, radial_batch
 
 from conftest import case_points, kernel_points, load_tool
 from oracles import CartanGeometryK, eisenstein_literal
@@ -100,34 +102,34 @@ def test_vector_form_equals_matrix_times_vector(rng):
     for pt in kernel_points(lam=1.3):
         mats = _group_stack(pt.n, rng)
         dim = pt.spec.dim_full
-        for batch in (spherical_batch, head_batch):
-            phi = batch(pt, mats)
+        for kind in ("spherical", "head"):
+            phi = radial_batch(pt, mats, kind)
             assert phi.shape == (2, 3, dim, dim)
             scale = np.linalg.norm(phi, 2, axis=(-2, -1))
             # one vector per element, and one vector shared by all
             for vecs in (_vectors(dim, rng, (2, 3)), _vectors(dim, rng, ())):
-                got = batch(pt, mats, vecs)
+                got = radial_batch(pt, mats, kind, vecs)
                 want = np.einsum("...ij,...j->...i", phi, np.broadcast_to(vecs, got.shape))
                 err = np.linalg.norm(got - want, axis=-1)
                 bound = 1e-13 * scale * np.linalg.norm(vecs, axis=-1)
-                assert np.all(err <= bound), (pt.spec, str(pt.sigma), batch.__name__)
+                assert np.all(err <= bound), (pt.spec, str(pt.sigma), kind)
 
 
 def test_scalar_calls_are_the_one_element_batch(rng):
-    # one code path: spherical_at and asymptotic_head are spherical_batch
-    # and head_batch on a one-element stack, bit for bit
+    # one code path: spherical_at and asymptotic_head are radial_batch of
+    # their kind on a one-element stack, bit for bit
     for pt in kernel_points(lam=1.3):
         for g in _group_stack(pt.n, rng).reshape(-1, pt.n + 1, pt.n + 1):
-            assert np.array_equal(spherical_at(pt, g), spherical_batch(pt, g[None])[0])
-            assert np.array_equal(asymptotic_head(pt, g), head_batch(pt, g[None])[0])
+            assert np.array_equal(spherical_at(pt, g), radial_batch(pt, g[None])[0])
+            assert np.array_equal(asymptotic_head(pt, g), radial_batch(pt, g[None], "head")[0])
 
 
 def test_residual_form_equals_spherical_minus_head(rng):
     for pt in kernel_points(lam=0.8):
         mats = _group_stack(pt.n, rng)
-        want = spherical_batch(pt, mats) - head_batch(pt, mats)
+        want = radial_batch(pt, mats) - radial_batch(pt, mats, "head")
         got = radial_batch(pt, mats, "residual")
-        scale = np.linalg.norm(spherical_batch(pt, mats), 2, axis=(-2, -1))
+        scale = np.linalg.norm(radial_batch(pt, mats), 2, axis=(-2, -1))
         err = np.linalg.norm(got - want, 2, axis=(-2, -1))
         assert np.all(err <= 1e-13 * scale), (pt.spec, str(pt.sigma))
         vecs = _vectors(pt.spec.dim_full, rng, (2, 3))
@@ -150,7 +152,7 @@ def test_radial_operators_meet_the_k_factor_route(rng):
         new, old = sph.CartanGeometry(mats, p), CartanGeometryK(mats, p)
         vecs = _vectors(spec.dim_full, rng, ts.shape)
         for kind in ("spherical", "head", "residual"):
-            comps = sph.radial_components(pt, new.t, kind)
+            comps = sph.radial_kinds(pt, new.t, (kind,))[0]
             want = old.apply(spec, comps)
             scale = np.abs(want).max(axis=(-2, -1))
             err = np.abs(new.apply(spec, comps) - want).max(axis=(-2, -1))
@@ -171,8 +173,8 @@ def test_geometry_forms_one_tau_stack_and_no_projector_products(rng, monkeypatch
         stacks.clear()
         projectors.clear()
         mats = _group_stack(pt.n, rng)
-        sph.spherical_batch(pt, mats)
-        sph.head_batch(pt, mats, _vectors(pt.spec.dim_full, rng, (2, 3)))
+        sph.radial_batch(pt, mats)
+        sph.radial_batch(pt, mats, "head", _vectors(pt.spec.dim_full, rng, (2, 3)))
         assert stacks == [(6, pt.n, pt.n)] * 2, stacks
         assert len(projectors) == (2 if pt.spec.chirality != "none" else 0), pt.spec
 
@@ -191,37 +193,45 @@ def test_radial_kind_is_checked():
         radial_batch(pt, np.eye(pt.n + 1)[None], "tail")
 
 
+def _translated_atoms(pt, rng, size):
+    # one-atom sections at k1 a_t k2, t from 0 to 6, and Haar rotations to meet them
+    sections = [BoundarySection.from_atoms(pt, [(BoundaryAtom(g, default_vector(pt.spec)), 1.0)])
+                for g in _group_stack(pt.n, rng, shape=(size,))]
+    return sections, haar_sample_K(pt.n, size=5, rng=rng)
+
+
 def test_poisson_kernel_real_products_equal_complex_einsum(rng):
-    # C = 3, 15, 56; shared, per-element and (I, J)-broadcast vectors
+    # the dual kernel of the atoms, C = 3, 15, 56, on real products against
+    # sqrt(d_{tau,sigma}) e^{(i lam - rho) H} P_sigma tau(kappa)^T v as a complex
+    # einsum over the Lambda^p stack of the kernel's kappa
     for spec, sigma in ((BundleSpec(3, 1), sigma_q(1)), (BundleSpec(6, 2), sigma_q(2)),
                         (BundleSpec(8, 3), sigma_q(3))):
         pt = SpectralPoint(spec, sigma, 1.3)
-        ker = PoissonKernel(_group_stack(pt.n, rng, shape=(2, 5)), pt.p)
-        dim = spec.dim_full
-        p_sigma = proj_matrix(spec, sigma)
-        taus = tau_matrix_batch(ker.kappa, pt.p)
-        for vecs in (_vectors(dim, rng, ()), _vectors(dim, rng, (2, 5)),
-                     _vectors(dim, rng, (5,)), _vectors(dim, rng, (2, 1))):
-            want = ker.weight(pt)[..., None] * np.einsum("...ab,...b->...a", taus, vecs)
-            want_dual = (ker.weight(pt, -pt.lam)[..., None]
-                         * np.einsum("...ba,...b->...a", taus, vecs)) @ p_sigma.T
-            for got, ref in ((ker.apply(pt, vecs), want), (ker.dual(pt, vecs), want_dual)):
-                assert got.shape == (2, 5, dim)
-                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), \
-                    (dim, vecs.shape)
+        sections, ks = _translated_atoms(pt, rng, 4)
+        for sec in sections:
+            (atom, _), = sec.atoms
+            h, _, kappa = iwasawa_translates(atom.g.mat, ks.transpose(1, 2, 0))
+            taus = tau_matrix_batch(kappa.transpose(2, 0, 1), pt.p)
+            weight = sqrt(dims(spec, sigma)[2]) * np.exp((1j * pt.lam - pt.rho) * h)
+            want = (weight[:, None] * np.einsum("kba,b->ka", taus, atom.v.coeffs)
+                    @ proj_matrix(spec, sigma).T)
+            got = sec.eval_batch(ks)
+            assert got.shape == (5, spec.dim_full)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), spec
 
 
 def test_poisson_kernel_vectors_form_no_minor_stack(rng):
     # at (8, 3) one (334, 56, 56) float stack of Lambda^p(kappa) is 8.4 MB;
-    # building the kernel and both products must peak below it
+    # a translated atom on 334 rotations and poisson_mc over one chunk of
+    # 334 draws (the kernel applied to those values) must peak below it
     pt = SpectralPoint(BundleSpec(8, 3), sigma_q(3), 1.3)
-    mats = _group_stack(8, rng, shape=(334,))
-    vecs = _vectors(pt.spec.dim_full, rng, (334,))
+    (sec,), _ = _translated_atoms(pt, rng, 1)
+    ks = haar_sample_K(8, size=334, rng=rng)
+    x = GroupElement(_group_stack(8, rng, shape=(2,))[1])
     tracemalloc.start()
     try:
-        ker = PoissonKernel(mats, pt.p)
-        ker.apply(pt, vecs)
-        ker.dual(pt, vecs)
+        sec.eval_batch(ks)
+        poisson_mc(pt, sec, x, 334, rng=np.random.default_rng(1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

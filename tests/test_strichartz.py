@@ -16,7 +16,7 @@ import hyperform.strichartz as st
 from hyperform.extrep import BundleSpec, FormVector, sigma_q, SIGMA_PLUS
 from hyperform.specialfn import gauss_legendre
 from hyperform.spherical import SpectralPoint
-from conftest import kernel_points
+from conftest import bump_coefficient, bump_norm2, kernel_points
 from oracles import energy_capture_loop, inversion_mc_loop, j_pair_grid
 
 
@@ -539,7 +539,7 @@ def test_reconstruct_reduced_path_matches_literal_monte_carlo():
 @pytest.mark.parametrize("make_section", [_rotation_atom_section, _mixed_section])
 def test_reconstruct_mc_equals_per_node_oracle(make_section):
     # the factored sheet (and the Cartan slabs of a translated atom)
-    # against one spherical_batch per atom and t-node, on the same draws
+    # against one radial_batch per atom and t-node, on the same draws
     for pt, mu in ((SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0), None),
                    (SpectralPoint(BundleSpec(5, 2), SIGMA_PLUS, 1.0), 1.3)):
         ks = lg.haar_sample_K(pt.n, size=3, rng=np.random.default_rng(8))
@@ -968,7 +968,7 @@ def test_energy_window_capture_is_one_sided():
         f, lam_grid, R=4.0, g_samples=64, k_samples=300, t_nodes=24,
         grid=16, rng=np.random.default_rng(0), details=True)
     assert cap > 0.0
-    assert np.isclose(det["norm_f2"], f.l2_norm() ** 2, rtol=1e-10)
+    assert np.isclose(det["norm_f2"], bump_norm2(f), rtol=1e-10)
     # window truncation keeps the captured fraction below one
     assert 0.5 < det["fraction"] < 1.05
     assert all(row["energy"] > 0.0 for row in det["rows"])
@@ -1044,7 +1044,7 @@ def test_energy_rows_are_ball_averages_of_the_transform(rng):
                     pt = SpectralPoint(spec, sigma, lam)
                     avg = st.ball_average_atom(pt, tfm.BoundarySection.from_atoms(
                         pt, [(atom, 1.0)]), R)
-                    want = (sph.plancherel_density(pt) ** 2 * f.spherical_transform(pt) ** 2
+                    want = (sph.plancherel_density(pt) ** 2 * bump_coefficient(f, pt) ** 2
                             / xr.dims(spec, sigma)[2] * avg)
                     got = row["per_sigma"][str(sigma)]
                     assert abs(got - want) <= 1e-12 * want, (spec, R, lam, str(sigma))
@@ -1064,10 +1064,10 @@ def test_energy_plancherel_identity_is_two_sided():
         f = tfm.bump_section(spec, r)
         total = 0.0
         for sigma in xr.branching(spec):
-            vals = [sph.plancherel_density(pt) * f.spherical_transform(pt) ** 2
+            vals = [sph.plancherel_density(pt) * bump_coefficient(f, pt) ** 2
                     for pt in (SpectralPoint(spec, sigma, lam) for lam in lams)]
             total += weights @ np.array(vals) / xr.dims(spec, sigma)[2]
-        deficit = 1.0 - total * np.vdot(f.v0, f.v0).real / f.l2_norm() ** 2
+        deficit = 1.0 - total * np.vdot(f.v0, f.v0).real / bump_norm2(f)
         assert 0.0 <= deficit <= 1e-5, (spec, deficit)
 
 

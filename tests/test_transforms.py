@@ -31,10 +31,12 @@ from hyperform import (
     sigma_q,
     spherical_at,
 )
-from hyperform.extrep import dims, proj_matrix, tau_matrix
+from hyperform.extrep import MLabel, chirality_matrix, dims, proj_matrix, tau_matrix
 from hyperform.strichartz import _schur_sweep, spectral_projection_energy
 
-from oracles import group_mp, iwasawa_mp, rotation_mp, spectral_projection, u_intertwine
+from conftest import bump_coefficient, bump_norm2
+from oracles import (atom_values_literal, fourier_direct_mc_literal, group_mp, iwasawa_mp,
+                     poisson_mc_literal, rotation_mp, spectral_projection, u_intertwine)
 
 
 def _random_atom(n, p, rng, spec=None, tmax=1.5):
@@ -148,6 +150,66 @@ def test_atom_routes_hold_far_from_the_origin(n, p, sigma):
         mc, se = poisson_mc(pt, sec, x, samples=4000, rng=np.random.default_rng(1))
         assert np.all(np.isfinite(mc.coeffs)) and np.isfinite(se)
         assert np.linalg.norm(mc.coeffs - poisson_atom(pt, atom, x).coeffs) <= 4.0 * se
+
+
+# (bundle, sigma) of the literal-kernel checks: C(n,p) = 3, 10, 10, 6, 15 and 56
+LITERAL_POINTS = [(BundleSpec(3, 1), "q:1"), (BundleSpec(5, 2), "plus"), (BundleSpec(5, 2), "minus"),
+                  (BundleSpec(4, 2, "plus"), "q:2"), (BundleSpec(6, 2), "q:2"),
+                  (BundleSpec(8, 3), "q:3")]
+
+
+def _literal_atoms(spec, rng):
+    """Atoms at the identity, at a rotation and at k a_s k' for s in {1e-9,
+    1e-6, 0.5, 8}, each with a random fiber vector of the bundle."""
+    n = spec.n
+    def rot():
+        return make_rotation(haar_sample_K(n, rng=rng))
+    gs = [GroupElement(np.eye(n + 1)), rot()]
+    gs += [rot() @ make_at(s, n) @ rot() for s in (1e-9, 1e-6, 0.5, 8.0)]
+    proj = np.eye(spec.dim_full) if spec.chirality == "none" else chirality_matrix(n, spec.chirality)
+    vs = [proj @ (rng.normal(size=spec.dim_full) + 1j * rng.normal(size=spec.dim_full)) for _ in gs]
+    return [BoundaryAtom(g, FormVector(n, spec.p, v, spec=spec)) for g, v in zip(gs, vs)]
+
+
+@pytest.mark.parametrize("spec, sigma", LITERAL_POINTS,
+                         ids=[f"{s.n}-{s.p}-{s.chirality}-{sig}" for s, sig in LITERAL_POINTS])
+def test_boundary_atoms_meet_the_literal_kernel(spec, sigma):
+    # every atom alone, and all of them in one section, against
+    # PoissonKernel(g^{-1} embed(k)).dual on the explicit products, to 1e-12
+    # of the values' scale (measured: 2.4e-16 at most, s = 8 included)
+    rng = np.random.default_rng(spec.n + spec.dim_full)
+    pt = SpectralPoint(spec, MLabel.parse(sigma), 1.3)
+    atoms = _literal_atoms(spec, rng)
+    ks = haar_sample_K(spec.n, size=40, rng=rng)
+    sections = [BoundarySection.from_atoms(pt, [(a, 0.7 - 0.2j)]) for a in atoms]
+    sections.append(BoundarySection.from_atoms(pt, [(a, 1.0 + 0.5j * i) for i, a in enumerate(atoms)]))
+    assert sections[-1].eval_batch(ks[:0]).shape == (0, spec.dim_full)
+    for i, sec in enumerate(sections):
+        got, want = sec.eval_batch(ks), atom_values_literal(sec, ks)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), i
+
+
+def test_monte_carlo_transforms_meet_the_literal_kernel_loop():
+    # poisson_mc and fourier_direct_mc against their loops on the kernel of
+    # the explicit products x^{-1} k and g^{-1} k, on the same draws, to 1e-12
+    for spec, sigma in LITERAL_POINTS[::2] + LITERAL_POINTS[-1:]:
+        rng = np.random.default_rng(spec.dim_full)
+        pt = SpectralPoint(spec, MLabel.parse(sigma), 1.3)
+        sec = BoundarySection.from_atoms(pt, [(a, 1.0) for a in _literal_atoms(spec, rng)[1:4]])
+        k1, k2 = haar_sample_K(spec.n, size=2, rng=rng)
+        x = make_rotation(k1) @ make_at(0.7, spec.n) @ make_rotation(k2)
+        got, se = poisson_mc(pt, sec, x, 700, rng=np.random.default_rng(3))
+        want, se0 = poisson_mc_literal(pt, sec, x, 700, rng=np.random.default_rng(3))
+        assert np.max(np.abs(got.coeffs - want)) <= 1e-12 * np.max(np.abs(want)), spec
+        assert abs(se - se0) <= 1e-12 * se0
+    for spec, sigma in LITERAL_POINTS[:1] + LITERAL_POINTS[3:4]:
+        pt = SpectralPoint(spec, MLabel.parse(sigma), 1.3)
+        f = bump_section(spec, 1.2)
+        (k,) = haar_sample_K(spec.n, size=1, rng=np.random.default_rng(2))
+        got, se = fourier_direct_mc(f, pt, k, 3000, rng=np.random.default_rng(4))
+        want, se0 = fourier_direct_mc_literal(f, pt, k, 3000, rng=np.random.default_rng(4))
+        assert np.max(np.abs(got.coeffs - want)) <= 1e-12 * np.max(np.abs(want)), spec
+        assert abs(se - se0) <= 1e-12 * se0
 
 
 def test_poisson_mc_memory_is_bounded_at_large_degree():
@@ -279,7 +341,7 @@ def test_bump_l2_norm_against_monte_carlo():
     w = (2.0 * np.sinh(ts)) ** 2  # radial weight, n = 3
     est = R * np.mean(vals * w)
     se = R * np.std(vals * w) / np.sqrt(samples)
-    assert abs(est - f.l2_norm() ** 2) <= 3.0 * se
+    assert abs(est - bump_norm2(f)) <= 3.0 * se
 
 
 def test_radon_vanishes_off_support(rng):
@@ -407,7 +469,7 @@ def test_spectral_projection_of_the_bump_is_a_spherical_function(spec, q, rng):
     _, det = spectral_projection_energy(f, [0.5, 2.0], R=2.0, details=True)
     for lam, row in zip((0.5, 2.0), det["rows"]):
         pt = SpectralPoint(spec, sigma_q(q), lam)
-        scale = plancherel_density(pt) * f.spherical_transform(pt) / sqrt(dims(spec, pt.sigma)[2])
+        scale = plancherel_density(pt) * bump_coefficient(f, pt) / sqrt(dims(spec, pt.sigma)[2])
         want = scale * (spherical_at(pt, g) @ f.v0)
         got, se = spectral_projection(f, pt, g, k_samples=40000, t_nodes=16, grid=12,
                                       rng=np.random.default_rng(5))

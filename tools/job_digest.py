@@ -25,7 +25,9 @@ walks: the largest |change - parent| over the whole output, absolute and
 relative to the output's largest |parent| value, or "structure differs"
 when shapes or non-numeric parts differ.  So a rounding-level change of
 a row that is 0 at the parent reads at the scale of the job, not as a
-large relative change.  It exits 1 if any job differs.
+large relative change.  Equal values whose bytes differ are counted
+apart: zeros of the other sign, and NaNs with another payload or sign.
+It exits 1 if any job differs.
 """
 
 import argparse
@@ -97,12 +99,14 @@ def digest(parts):
 
 
 def deviation(parent, change):
-    """(largest |change - parent|, largest |parent|) over two outputs'
+    """(largest |change - parent|, largest |parent|, the number of entries
+    whose values are equal but whose bytes differ) over two outputs'
     numeric parts, or None when the structure or a non-numeric part
-    differs."""
+    differs.  Real and imaginary parts count as entries."""
     if len(parent) != len(change):
         return None
     gap = scale = 0.0
+    same_value = 0
     for p, c in zip(parent, change):
         if isinstance(p, bytes) or isinstance(c, bytes):
             if p != c:
@@ -113,7 +117,13 @@ def deviation(parent, change):
         elif p.size:
             gap = max(gap, float(np.max(np.abs(c.astype(complex) - p.astype(complex)))))
             scale = max(scale, float(np.max(np.abs(p))))
-    return gap, scale
+            parts = [(p, c)] if p.dtype.kind != "c" else [(p.real, c.real), (p.imag, c.imag)]
+            for a, b in parts:
+                a, b = np.atleast_1d(a), np.atleast_1d(b)
+                equal = (a == b) | (np.isnan(a) & np.isnan(b))
+                bytes_differ = a.view(f"V{a.itemsize}") != b.view(f"V{b.itemsize}")
+                same_value += int(np.count_nonzero(equal & bytes_differ))
+    return gap, scale, same_value
 
 
 def child(seed, workloads):
@@ -184,9 +194,12 @@ def main():
             (line_p, parts_p), (line_c, parts_c) = parent.get(key, missing), change.get(key, missing)
             dev = None if parts_p is None or parts_c is None else deviation(parts_p, parts_c)
             if dev is not None:
-                gap, scale = dev
+                gap, scale, same_value = dev
                 dev = (f"max deviation {gap:.3g}, {gap / scale if scale > 0.0 else gap:.3g} "
                        f"of the output's scale {scale:.3g}")
+                if same_value:
+                    dev += (f"; {same_value} equal values with other bytes (signs of zeros "
+                            f"or NaN payloads)")
             print(f"DIFFERS {key[0]} {key[1]}: parent {line_p}, change {line_c}; "
                   f"{dev or 'structure differs'}")
         print(f"seed {args.seed}: {len(parent) - len(differ)} of {len(parent)} job outputs "
