@@ -230,6 +230,8 @@ def decompose(matrix_path, boost, random_g, **kwargs):
         else:
             if cfg["seed"] is None:
                 raise click.UsageError("this command is Monte Carlo; --seed is mandatory")
+            if cfg["seed"] < 0:
+                raise click.UsageError(f"--seed must be a non-negative integer, got {cfg['seed']}")
             rng = np.random.default_rng(cfg["seed"])
             k1, k2 = lg.haar_sample_K(cfg["n"], size=2, rng=rng)
             g = lg.make_rotation(k1) @ lg.make_at(rng.uniform(0.5, 2.5), cfg["n"]) @ lg.make_rotation(k2)

@@ -659,7 +659,9 @@ def c_jacobi(alpha, beta, lam):
     The four Gammas are taken in log form in one call and combined
     before exponentiating.  Meromorphic in lambda with a pole at
     lambda = 0 coming from Gamma(i lambda); evaluation within 1e-6 of
-    that pole raises ValueError.
+    that pole, or at any other pole of the numerator (alpha + 1 or
+    i lambda a negative integer), raises ValueError.  A pole of the
+    denominator gives 0.
     """
     a = complex(alpha)
     b = complex(beta)
@@ -668,6 +670,9 @@ def c_jacobi(alpha, beta, lam):
         raise ValueError(f"c-function pole at lambda = 0; got lambda = {lam}")
     il = 1j * lam
     lg = _log_gamma([a + 1.0, il, (il + a + b + 1.0) / 2.0, (il + a - b + 1.0) / 2.0])
+    if np.isinf(lg[0]) or np.isinf(lg[1]):
+        raise ValueError(f"c-function pole: Gamma(alpha + 1) or Gamma(i lambda) is infinite "
+                         f"at alpha = {alpha!r}, lambda = {lam}")
     return complex(np.exp((-il + a + b + 1.0) * _LOG_2 + lg[0] + lg[1] - lg[2] - lg[3]))
 
 

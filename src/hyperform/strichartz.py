@@ -13,16 +13,16 @@ problems.  The module provides
 
   * ball averages of atomic Poisson images (exact 1D reduction at
     base point e, Monte Carlo over rotations otherwise),
-  * the ball average of the two-term Weyl head in closed form, paired or
-    not, and the limit of every ball average, L_head = 1/(pi nu), with
+  * the ball average of the two-term Weyl head in closed form, and the
+    limit of every ball average, L_head = 1/(pi nu), with
     the two-sided norm-equivalence constant,
   * Hilbert-Schmidt ball averages of Eisenstein integrals,
-  * boundary-value reconstruction F_R from a Poisson image, whose
-    ratios are Schur ball averages paired with the conjugate spherical
-    components of each output block's own point (the kernel's zonal
-    quadrature is a test oracle in tests/oracles.py; a literal Monte
-    Carlo mode exists for cross-checks at small R, and its variance
-    grows like e^{(n-1)R}, see the docstring),
+  * boundary-value reconstruction F_R = r(R) F from a Poisson image at
+    the same lambda, r(R) being pi nu times the Schur ball average of a
+    unit vector (the pairing kernel's zonal quadrature is a test oracle
+    in tests/oracles.py; a literal Monte Carlo mode exists for
+    cross-checks at small R, and its variance grows like e^{(n-1)R},
+    see the docstring),
   * ball-averaged residuals of the asymptotic head, and
   * the windowed energy capture of the spectral projections of a bump,
     in closed form at every (n, p) (the continuous spectrum only).
@@ -37,7 +37,7 @@ with it to a relative 1e-10 at every R, or the sweep raises
 ArithmeticError.  The bump's sweeps (bump_transform) grade their panels
 toward r_supp, where chi is not analytic, and hold the trace to 1e-10 S.
 
-A Schur ball average, paired or not, is swept only up to 2 R0, R0 = 20
+A Schur ball average is swept only up to 2 R0, R0 = 20
 (40 on the chirality bundles, whose residual decays like e^{-t}, not
 e^{-2t}).  Past 2 R0 it is avg(R) = H(R) + C/R: H is the closed-form
 average of the head, and C = S(2 R0) - 2 R0 H(2 R0) the converged
@@ -75,7 +75,6 @@ __all__ = [
     "ball_average_atom",
     "strichartz_limit",
     "eisenstein_hs_limit",
-    "inversion_mix",
     "inversion_reconstruct",
     "inversion_ratios",
     "asymptotic_residual_sweep",
@@ -303,28 +302,23 @@ def _rescale(vals, s):
     return (vals * s) * s
 
 
-def _weighted_square_profile(pt, ts, kind="spherical", other=None):
+def _weighted_square_profile(pt, ts, kind="spherical"):
     """Radial integrand w(t) sum_eta (d_eta/d_tau) |psi_eta(t)|^2 (the
     rotation average of a Poisson image at a unit vector) in the stable
     form (1-e^{-2t})^{n-1} sum (d_eta/d_tau) |e^{rho t} psi_eta|^2.
 
     kind picks psi as in spherical.radial_kinds: the spherical
     components, the two-term head, or their difference.  A tuple of
-    kinds gives the stack (len(kind), T) from one component grid.  With
-    `other`, a point of the same bundle, each square becomes the pairing
-    psi_eta conj(phi^other_eta) with other's spherical components."""
+    kinds gives the stack (len(kind), T) from one component grid."""
     ts = np.asarray(ts, dtype=float)
     d_tau, d_eta = _dims_table(pt.spec)
     s = np.exp(0.5 * pt.rho * ts)
     weight = _stable_weight(ts, pt.n)
-    pair = None if other is None else component_grid(other, ts)
     rows = []
     for grid in radial_kinds(pt, ts, (kind,) if isinstance(kind, str) else kind):
         out = np.zeros(ts.shape)
         for eta, vals in grid.items():
-            vals = _rescale(vals, s)
-            out = out + d_eta[eta] / d_tau * (
-                np.abs(vals) ** 2 if pair is None else vals * np.conj(_rescale(pair[eta], s)))
+            out = out + d_eta[eta] / d_tau * np.abs(_rescale(vals, s)) ** 2
         rows.append(weight * out)
     return rows[0] if isinstance(kind, str) else np.stack(rows)
 
@@ -422,81 +416,69 @@ def _head_integrals(omegas, n, R):
     return ramp.reshape(R.shape), wave.T.reshape(half.shape[:1] + R.shape)
 
 
-def _head_weights(pt, other=None):
-    """{w: k_w} with w(t) sum_eta (d_eta/d_tau) head_eta conj(head'_eta) =
-    (1 - e^{-2t})^{n-1} sum_w k_w e^{i w t}, head' the head of `other` (pt's
-    own when None): head terms (s lambda, B_s, c_s) and (s' mu, B'_s', c'_s')
-    add c_s conj(c'_s') sum_{B_s & B'_s'} d_eta/d_tau at w = s lambda - s' mu.
-    Unpaired, k_0 = L_head = 1 / (pi nu), the limit of any ball average per |v|^2."""
-    other = other or pt
-    if not (np.isreal(pt.lam) and np.isreal(other.lam)):
+def _head_weights(pt):
+    """{w: k_w} with w(t) sum_eta (d_eta/d_tau) |head_eta|^2 =
+    (1 - e^{-2t})^{n-1} sum_w k_w e^{i w t}: head terms (s lambda, B_s, c_s)
+    and (t lambda, B_t, c_t) add c_s conj(c_t) sum_{B_s & B_t} d_eta/d_tau
+    at w = (s - t) lambda.  k_0 = L_head = 1 / (pi nu), the limit of any
+    ball average per |v|^2."""
+    if not np.isreal(pt.lam):
         raise ValueError("the head average requires real lambda")
     d_tau, d_eta = _dims_table(pt.spec)
     weights = {}
-    for lam_s, blocks, c_s in pt.head_terms:
-        for mu_s, blocks_o, c_o in other.head_terms:
-            dims = sum(d_eta[eta] / d_tau for eta in set(blocks) & set(blocks_o))
-            w = (lam_s - mu_s).real
-            weights[w] = weights.get(w, 0.0) + c_s * np.conj(c_o) * dims
+    for lam_s, blocks_s, c_s in pt.head_terms:
+        for lam_t, blocks_t, c_t in pt.head_terms:
+            dims = sum(d_eta[eta] / d_tau for eta in set(blocks_s) & set(blocks_t))
+            w = (lam_s - lam_t).real
+            weights[w] = weights.get(w, 0.0) + c_s * np.conj(c_t) * dims
     return weights
 
 
-def _head_average(pt, R, other=None):
-    """H(R) = (1/R) int_0^R w(t) sum_eta (d_eta/d_tau) head_eta conj(head'_eta) dt
+def _head_average(pt, R):
+    """H(R) = (1/R) int_0^R w(t) sum_eta (d_eta/d_tau) |head_eta|^2 dt
     = sum_w k_w I(w, R) (_head_weights, _head_integrals) on an array of
-    finite R > 0: real unpaired, complex paired with `other`.  The waves
-    nearly cancel at small lambda R, so H is h0 A + sum_w k_w (I(w) - A),
-    h0 = sum_w k_w taken as the product of the heads at t = 0."""
-    weights = _head_weights(pt, other)
+    finite R > 0.  The waves nearly cancel at small lambda R, so H is
+    h0 A + sum_w k_w (I(w) - A), h0 = sum_w k_w taken as the square of
+    the head at t = 0."""
+    weights = _head_weights(pt)
     d_tau, d_eta = _dims_table(pt.spec)
-    h, h_o = (head_components(q, 0.0) for q in (pt, other or pt))
-    at_zero = sum(d_eta[eta] / d_tau * h[eta] * np.conj(h_o[eta]) for eta in d_eta)
+    h = head_components(pt, 0.0)
+    at_zero = sum(d_eta[eta] / d_tau * h[eta] * np.conj(h[eta]) for eta in d_eta)
     omegas = [w for w in weights if w != 0.0]
     ramp, waves = _head_integrals(omegas, pt.n, R)
     total = at_zero * ramp + sum(weights[w] * wave for w, wave in zip(omegas, waves))
-    return np.real(total) if other is None else total
+    return np.real(total)
 
 
-def _schur_sweep(pt, R_grid, vnorm2=1.0, kinds=("spherical",), other=None):
+def _schur_sweep(pt, R_grid, vnorm2=1.0, kinds=("spherical",)):
     """Exact ball averages (1/R) int_0^R of the weighted square profile of
-    each kind (paired with `other`, when given: the spherical kind only)
-    times vnorm2, with their error estimates, shape (len(kinds),
-    len(R_grid)).  The head kind is _head_average.  The others share one
-    _radial_sweep of their stacked profile, whose panels resolve the
-    larger of the two frequencies; it stops at 2 R0 when the grid goes
-    past it (_extend_past)."""
+    each kind times vnorm2, with their error estimates, shape (len(kinds),
+    len(R_grid)), from one _radial_sweep of their stacked profile; it
+    stops at 2 R0 when the grid goes past it (_extend_past)."""
     R_grid = np.asarray(R_grid, dtype=float)
-    lam = max(abs(q.lam_real) for q in (pt, other or pt))
-    swept = tuple(kind for kind in kinds if kind != "head")
-    rows = {}
-    if swept:
-        r0 = _R0_CHIRAL if pt.spec.chirality != "none" else _R0
-        far = bool(np.any(R_grid > 2.0 * r0))
-        # a sorted set, not np.unique, whose first call imports numpy.ma
-        ends = (np.array(sorted({*R_grid[R_grid <= 2.0 * r0].tolist(), r0, 2.0 * r0}))
-                if far else R_grid)
-        sums, errs = _radial_sweep(
-            lambda ts: _weighted_square_profile(pt, ts, kind=swept, other=other), ends, lam)
-        if far:
-            sums, errs = _extend_past(pt, swept, r0, ends, sums, errs, R_grid, other)
-        rows.update(zip(swept, zip(sums, errs)))
-    if "head" in kinds:
-        rows["head"] = (_head_average(pt, R_grid) * R_grid, np.zeros(R_grid.size))
-    sums, errs = (np.array([rows[kind][i] for kind in kinds]) for i in (0, 1))
+    r0 = _R0_CHIRAL if pt.spec.chirality != "none" else _R0
+    far = bool(np.any(R_grid > 2.0 * r0))
+    # a sorted set, not np.unique, whose first call imports numpy.ma
+    ends = (np.array(sorted({*R_grid[R_grid <= 2.0 * r0].tolist(), r0, 2.0 * r0}))
+            if far else R_grid)
+    sums, errs = _radial_sweep(
+        lambda ts: _weighted_square_profile(pt, ts, kind=kinds), ends, abs(pt.lam_real))
+    if far:
+        sums, errs = _extend_past(pt, kinds, r0, ends, sums, errs, R_grid)
     return sums / R_grid * vnorm2, errs / R_grid * vnorm2
 
 
-def _extend_past(pt, kinds, r0, ends, sums, errs, R_grid, other=None):
+def _extend_past(pt, kinds, r0, ends, sums, errs, R_grid):
     """The integrals R avg(R) of each kind on R_grid, with their errors,
     from a sweep (sums, errs) over `ends` (the radii of R_grid up to 2 r0,
-    r0 and 2 r0).  Past 2 r0 it is R h(R) + C, h being _head_average (paired
-    with `other` when given) for the spherical kind and 0 for the residual,
-    C = S(2 r0) - 2 r0 h(2 r0); its error, the quadrature error at 2 r0 plus
-    |C - (S(r0) - r0 h(r0))|, raises ArithmeticError past _SWEEP_RTOL of
-    |R avg(R)|: a head off by delta leaves a gap of about delta r0."""
+    r0 and 2 r0).  Past 2 r0 it is R h(R) + C, h being _head_average for
+    the spherical kind and 0 for the residual, C = S(2 r0) - 2 r0 h(2 r0);
+    its error, the quadrature error at 2 r0 plus |C - (S(r0) - r0 h(r0))|,
+    raises ArithmeticError past _SWEEP_RTOL of |R avg(R)|: a head off by
+    delta leaves a gap of about delta r0."""
     far = R_grid > 2.0 * r0
     radii = np.concatenate(([r0, 2.0 * r0], R_grid[far]))
-    head = _head_average(pt, radii, other) * radii
+    head = _head_average(pt, radii) * radii
     part = np.array([head if kind == "spherical" else np.zeros_like(radii) for kind in kinds])
     i1, i2 = np.searchsorted(ends, [r0, 2.0 * r0])
     const = sums[:, i2] - part[:, 1]
@@ -676,105 +658,80 @@ def eisenstein_hs_limit(pt, R_grid=None):
 # inversion: boundary values from ball averages of the dual pairing
 
 
-def inversion_ratios(pt, R, mu=None):
+def inversion_ratios(pt, R):
     """Per-block scalars r_{eta'}(R) of the reduced reconstruction, as
     complex values at a radius R, or as complex arrays over an array of
-    radii R, from one sweep per kernel.
-
-    F_R = sum_{eta'} r_{eta'}(R) P_{eta'} F^(mu) for atomic data; the
-    matched kernel (mu = lambda) drives every r_{eta'}(R) -> 1.
+    radii R, from one sweep: F_R = r(R) F for atomic data, with
+    r(R) -> 1 as R grows.
 
     The rotation integral of the pairing kernel is the conjugate of the
     output block's own spherical components,
-    j_{eta',eta}(t; mu) = (d_eta/d_tau) conj phi^{(eta', mu)}_eta(t)
-    (pinned against the zonal quadrature of tests/oracles.py), so
-    r_{eta'}(R) is pi nu times the Schur ball average paired with the
-    point (eta', mu).  At mu = lambda every block pairs to the square
-    profile of sigma (the odd parts of sigma_p's two blocks cancel) and
-    one sweep serves all.  Raises ArithmeticError where the sweep's two
-    orders disagree.
+    j_{eta',eta}(t) = (d_eta/d_tau) conj phi^{(eta', lambda)}_eta(t)
+    (pinned against the zonal quadrature of tests/oracles.py), and every
+    block pairs to the square profile of sigma (the odd parts of sigma_p's
+    two blocks cancel), so each r_{eta'}(R) is the same r(R): pi nu times
+    the Schur ball average of a unit vector.  Raises ArithmeticError where
+    the sweep's two orders disagree.
     """
-    lam = pt.lam_real
-    mu = lam if mu is None else float(mu)
-    nu = plancherel_density(pt)
     radii = np.asarray(R, dtype=float)
-    kernels = {b: None if mu == lam else SpectralPoint(pt.spec, b, mu)
-               for b in xr.sigma_blocks(pt.spec, pt.sigma)}
-    sweeps = {q: pi * nu * _schur_sweep(pt, radii.reshape(-1), other=q)[0][0]
-              for q in dict.fromkeys(kernels.values())}
-    out = {b: sweeps[q].astype(complex).reshape(radii.shape) for b, q in kernels.items()}
-    return {b: complex(r) for b, r in out.items()} if radii.ndim == 0 else out
+    r = pi * plancherel_density(pt) * _schur_sweep(pt, radii.reshape(-1))[0][0]
+    blocks = xr.sigma_blocks(pt.spec, pt.sigma)
+    if radii.ndim == 0:
+        return {b: complex(r[0]) for b in blocks}
+    return {b: r.astype(complex).reshape(radii.shape) for b in blocks}
 
 
-def inversion_mix(pt, R, mu=None):
-    """The matrix sum_{eta'} r_{eta'}(R) P_{eta'} of the reduced
-    reconstruction, (C, C): F_R = mix F^(mu) for atomic data, with the
-    ratios of inversion_ratios."""
-    mix = np.zeros((pt.spec.dim_full,) * 2, dtype=complex)
-    for b, r in inversion_ratios(pt, R, mu=mu).items():
-        mix += r * xr.proj_matrix(pt.spec, b)
-    return mix
-
-
-def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
-                          method="reduced", rng=None, mc_k1=20000):
+def inversion_reconstruct(pt, section, R, samples=1000000, method="reduced", rng=None,
+                          mc_k1=20000):
     """Boundary value F_R(k) = pi nu (1/R) int_{B(R)} e(k^{-1}g) f(g)
-    of the Poisson image f of an atomic section, as a sampled section.
+    of the Poisson image f of an atomic section, as a sampled section,
+    at one radius R (ValueError for anything but one finite R > 0).
 
     reduced: the rotation factor of the ball integral is averaged in
     closed form (Schur), leaving a radial quadrature; exact up to an
     O((1+dist(g_i))/R) ball-shift bias for atoms away from the base
-    point.  The section is inversion_mix(pt, R, mu) applied to the data
-    at mu.  mc: literal Monte Carlo over the rotation factor with mc_k1
+    point.  The section is r(R) F, r the one ratio of inversion_ratios.
+    mc: literal Monte Carlo over the rotation factor with mc_k1
     samples; its variance scales like e^{(n-1)R}/mc_k1, so it is only
-    meaningful for small R; it refuses (ValueError) an R that is not
-    finite and positive and an mc_k1 that is not a positive integer.  The
-    Poisson image on the sheet k1 a_t comes from _Sheet: atoms at a
-    rotation k_a by Phi(k_a^T k1 a_t) = Phi(a_t) tau(k_a^T k1)^T, one
-    component grid over the t-nodes and one extrep.tau_vec_batch over the
-    k1, others by the Cartan decomposition in slabs of one t-node.  Each
-    evaluation rotation k forms every r = k1^T k at once, sample-major;
-    at each t-node liegroup.iwasawa_translates reads the Iwasawa step of
-    a_{-t} r off a_t and r by one matrix product, tau_vec_batch pairs
-    tau(kappa)^T with the image, and one complex weight per sample sums
-    it; P_sigma, linear, is applied once after the node sum.  `samples`
-    is the evaluation budget of the returned section; `mu` probes a
-    mismatched kernel frequency.
+    meaningful for small R; it refuses (ValueError) an mc_k1 that is not
+    a positive integer.  The Poisson image on the sheet k1 a_t comes from
+    _Sheet: atoms at a rotation k_a by Phi(k_a^T k1 a_t) = Phi(a_t)
+    tau(k_a^T k1)^T, one component grid over the t-nodes and one
+    extrep.tau_vec_batch over the k1, others by the Cartan decomposition
+    in slabs of one t-node.  Each evaluation rotation k forms every
+    r = k1^T k at once, sample-major; at each t-node
+    liegroup.iwasawa_translates reads the Iwasawa step of a_{-t} r off
+    a_t and r by one matrix product, tau_vec_batch pairs tau(kappa)^T
+    with the image, and one complex weight e^{(i lambda - rho) H} per
+    sample sums it; P_sigma, linear, is applied once after the node sum.
+    `samples` is the evaluation budget of the returned section.
     """
-    atoms = _atom_list(section)
-    lam = pt.lam_real
-    mu_val = lam if mu is None else float(mu)
+    _atom_list(section)  # refuses a sampler section
+    if np.ndim(R) != 0 or not (isfinite(R) and R > 0.0):
+        raise ValueError(f"ball radii must be positive and finite: inversion_reconstruct "
+                         f"takes one radius, got R = {R!r}")
+    R = float(R)
     if method == "reduced":
-        mix = inversion_mix(pt, R, mu=mu_val)
-        if mu_val == lam:
-            base = section
-        else:
-            pt_mu = SpectralPoint(pt.spec, pt.sigma, mu_val)
-            base = BoundarySection.from_atoms(pt_mu, atoms)
-
-        def sampler(kmats):
-            return np.einsum("ij,bj->bi", mix, base.eval_batch(kmats))
-
-        return BoundarySection.from_sampler(pt, sampler, budget=samples)
+        # every block of sigma has the same ratio
+        r = next(iter(inversion_ratios(pt, R).values()))
+        return BoundarySection.from_sampler(pt, lambda kmats: r * section.eval_batch(kmats),
+                                            budget=samples)
 
     if method != "mc":
         raise ValueError(f"unknown reconstruction method {method!r}")
-    if not (isfinite(R) and R > 0.0):
-        raise ValueError("ball radii must be positive")
     if isinstance(mc_k1, bool) or not isinstance(mc_k1, Integral) or mc_k1 < 1:
         raise ValueError(f"mc_k1 must be a positive integer, got {mc_k1!r}")
     if rng is None:
         rng = np.random.default_rng(0)
     n, p = pt.n, pt.p
     k1 = lg.haar_sample_K(n, size=mc_k1, rng=rng)
-    ts, ws, _ = _sweep_rule([float(R)], max(abs(lam), abs(mu_val)),
-                           gauss_legendre(_MC_INVERSION_ORDER))
+    ts, ws, _ = _sweep_rule([R], abs(pt.lam_real), gauss_legendre(_MC_INVERSION_ORDER))
     # Poisson image on the sample sheet k1 a_t; the Cartan step of an atom
     # away from the base point takes one t-node of mc_k1 matrices at a time,
     # so its temporaries stay below those of fvals
     fvals = _Sheet(pt, section, lg.embed_rotation(k1)).values(ts, ("spherical",), nodes=1)[0]
     # the node weight, the kernel's sqrt(d_{tau,sigma}) and the 1/mc_k1 of the mean
-    coef = (ws * radial_weight(ts, n) * pi * plancherel_density(pt) / float(R)
+    coef = (ws * radial_weight(ts, n) * pi * plancherel_density(pt) / R
             * sqrt(xr.dims(pt.spec, pt.sigma)[2]) / mc_k1)
     proj = xr.proj_matrix(pt.spec, pt.sigma)
     k1_cols = np.ascontiguousarray(k1.transpose(1, 2, 0))  # [a, i, s] = k1_s[a, i]
@@ -791,10 +748,10 @@ def inversion_reconstruct(pt, section, R, samples=1000000, mu=None,
             acc = np.zeros(pt.spec.dim_full, dtype=complex)
             for i, boost in enumerate(boosts):
                 # e(k^{-1} k1 a_t) is the dual kernel at a_{-t} k1^{-1} k:
-                # e^{(i mu - rho) H} tau(kappa)^T, and P_sigma after the node sum
+                # e^{(i lambda - rho) H} tau(kappa)^T, and P_sigma after the node sum
                 h, _, kappa = lg.iwasawa_translates(boost, rots)
                 vals = xr.tau_vec_batch(kappa.transpose(2, 1, 0), p, fvals[i])
-                acc += (coef[i] * np.exp((1j * mu_val - pt.rho) * h)) @ vals
+                acc += (coef[i] * np.exp((1j * pt.lam_real - pt.rho) * h)) @ vals
             out[bi] = proj @ acc
         return out
 

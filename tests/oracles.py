@@ -246,7 +246,7 @@ def energy_capture_loop(f, lam_grid, R, g_samples, k_samples, t_nodes, grid, rng
     return rows
 
 
-def inversion_mc_loop(pt, section, R, kmats, mc_k1, rng, mu=None):
+def inversion_mc_loop(pt, section, R, kmats, mc_k1, rng):
     """F_R at the rotations kmats (B, n, n) by the literal Monte Carlo
     reconstruction on the draws of strichartz.inversion_reconstruct
     (method="mc") with the same rng: the image sum_a w_a Phi(g_a^{-1} k1 a_t) v_a
@@ -254,10 +254,9 @@ def inversion_mc_loop(pt, section, R, kmats, mc_k1, rng, mu=None):
     a_{-t} k1^{-1} k averaged over k1, shape (B, C)."""
     n = pt.n
     lam = pt.lam_real
-    mu = lam if mu is None else float(mu)
     nu = sph.plancherel_density(pt)
     k1e = lg.embed_rotation(lg.haar_sample_K(n, size=mc_k1, rng=rng))
-    ts, ws, _ = st._sweep_rule([float(R)], max(abs(lam), abs(mu)),
+    ts, ws, _ = st._sweep_rule([float(R)], abs(lam),
                                 sf.gauss_legendre(st._MC_INVERSION_ORDER))
     fvals = np.zeros((ts.size, mc_k1, pt.spec.dim_full), dtype=complex)
     at_all = lg.at_mats(ts, n)
@@ -272,7 +271,7 @@ def inversion_mc_loop(pt, section, R, kmats, mc_k1, rng, mu=None):
         k1_inv_k = np.swapaxes(k1e, -1, -2) @ lg.embed_rotation(k)
         for i in range(ts.size):
             ker = PoissonKernel(at_neg[i] @ k1_inv_k, pt.p)
-            out[bi] += radial[i] * ker.dual(pt, fvals[i], lam=mu).mean(axis=0)
+            out[bi] += radial[i] * ker.dual(pt, fvals[i], lam=lam).mean(axis=0)
     return out
 
 

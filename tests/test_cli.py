@@ -21,7 +21,6 @@ from hyperform.cli import main
 from hyperform.extrep import MLabel, default_vector, dims
 from hyperform.liegroup import GroupElement
 from hyperform.specialfn import _Series
-from hyperform.strichartz import inversion_mix
 from hyperform.transforms import BoundaryAtom, BoundarySection
 
 from conftest import bump_norm2, load_tool
@@ -328,6 +327,13 @@ def test_decompose_matrix_passes_on_a_zero_column_past_the_tie(tmp_path):
     assert rows["cartan_roundtrip"]["value"] <= 1e-12
 
 
+def test_decompose_refuses_a_negative_seed_by_name():
+    res = CliRunner().invoke(main, ["decompose", "--random", "--n", "3", "--seed", "-1"])
+    assert res.exit_code == 2, res.output
+    assert "--seed must be a non-negative integer" in res.output
+    assert "matrix" not in res.output
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_decompose_exits_cleanly_where_the_boost_overflows():
     res = CliRunner().invoke(main, ["decompose", "--at", "700", "--n", "3"])
@@ -420,7 +426,7 @@ def test_invert_rows_equal_the_sampled_reconstruction_error(spec, sigma, rng):
     want = BoundarySection.from_atoms(pt, [(atom, 1.0)]).eval_batch(
         haar_sample_K(spec.n, size=4000, rng=rng))
     for R in (20.0, 40.0, 80.0):
-        got = want @ inversion_mix(pt, R).T
+        got = next(iter(st.inversion_ratios(pt, R).values())) * want
         err = np.sqrt(np.sum(np.abs(got - want) ** 2) / np.sum(np.abs(want) ** 2))
         assert abs(rows[f"rel_error[R={R:g}]"]["value"] - err) <= 1e-10
 

@@ -581,6 +581,16 @@ def test_c_pole_at_zero_raises():
         c_jacobi(1.5, -0.5, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_c_poles_of_the_numerator_raise_and_of_the_denominator_give_zero():
+    # Gamma(alpha + 1) at alpha = -1, Gamma(i lambda) at lambda = i, 2i
+    for alpha, lam in ((-1.0, 1.0), (2.0, 1j), (2.0, 2j)):
+        with pytest.raises(ValueError, match="c-function pole"):
+            c_jacobi(alpha, -0.5, lam)
+    # Gamma((i lambda + alpha + beta + 1) / 2) at (i lambda + 2.5) / 2 = 0
+    assert c_jacobi(2.0, -0.5, 2.5j) == 0.0
+
+
 def test_c_against_boundary_group_quadrature():
     """c_{1/2,-1/2}(lam) at n = 3 equals the integral over the opposite
     horospherical group of e^{-(i lam + rho) H}, normalized so that the

@@ -72,10 +72,10 @@ def test_pairing_kernel_is_transpose_dual_spherical_component():
                     (spec, sigma, b, eta)
 
 
-def _oracle_ratios(pt, R, mu):
+def _oracle_ratios(pt, R):
     # inversion_ratios with the pairing kernel from the zonal quadrature
-    ts, ws = st._osc_nodes(0.0, R, max(pt.lam_real, mu), gauss_legendre(20))
-    pair = j_pair_grid(pt, ts, mu)
+    ts, ws = st._osc_nodes(0.0, R, pt.lam_real, gauss_legendre(20))
+    pair = j_pair_grid(pt, ts, pt.lam_real)
     s = np.exp(0.5 * pt.rho * ts)
     weight = st._stable_weight(ts, pt.n) * ws * pi * sph.plancherel_density(pt) / R
     grid = sph.component_grid(pt, ts)
@@ -88,7 +88,7 @@ def _oracle_ratios(pt, R, mu):
 def test_closed_form_pairing_kernel_matches_zonal_quadrature():
     # j_{eta',eta}(t; mu) = (d_eta / d_tau) conj phi^{(eta', mu)}_eta(t):
     # (6,3,minus) is a bundle whose projectors transpose into the other
-    # chirality's; the other cases pair against a mismatched mu != lambda
+    # chirality's; the other cases pair against a kernel at mu != lambda
     cases = [
         (BundleSpec(6, 3, "minus"), sigma_q(3), 1.0, (0.5, 2.0)),
         (BundleSpec(3, 1), sigma_q(1), 1.7, (0.5, 2.0, 6.0)),
@@ -107,8 +107,8 @@ def test_closed_form_pairing_kernel_matches_zonal_quadrature():
         for key in want:
             assert np.max(np.abs(got[key] - want[key])) < 1e-13, (spec, key)
     pt = SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0)
-    got = st.inversion_ratios(pt, 2.0, mu=1.7)
-    want = _oracle_ratios(pt, 2.0, 1.7)
+    got = st.inversion_ratios(pt, 2.0)
+    want = _oracle_ratios(pt, 2.0)
     for b in want:
         assert abs(got[b] - want[b]) < 1e-13
 
@@ -467,14 +467,21 @@ def _every_point(lam):
 
 
 def test_matched_inversion_ratios_are_schur_ball_averages():
-    # at mu = lambda the pairing with each block's own point is the square
-    # profile of sigma (for sigma_p the odd parts of sigma^+- cancel), so
-    # every r_b'(R) is pi nu times the ball average of a unit identity atom
+    # the pairing psi_eta conj phi^{(b, lambda)}_eta with each block's own
+    # point is the square profile of sigma (for sigma_p the odd parts of
+    # sigma^+- cancel), so every r_b'(R) is pi nu times the ball average of
+    # a unit identity atom
     ts = np.linspace(0.05, 6.0, 40)
     for pt in _every_point(0.8):
         square = st._weighted_square_profile(pt, ts)
+        d_tau = xr.dims(pt.spec, xr.branching(pt.spec)[0])[0]
+        s = np.exp(0.5 * pt.rho * ts)
+        psi = sph.component_grid(pt, ts)
         for b in xr.sigma_blocks(pt.spec, pt.sigma):
-            paired = st._weighted_square_profile(pt, ts, other=SpectralPoint(pt.spec, b, 0.8))
+            phi = sph.component_grid(SpectralPoint(pt.spec, b, 0.8), ts)
+            paired = st._stable_weight(ts, pt.n) * sum(
+                xr.dims(pt.spec, eta)[1] / d_tau * st._rescale(vals, s)
+                * np.conj(st._rescale(phi[eta], s)) for eta, vals in psi.items())
             assert np.max(np.abs(paired - square)) <= 1e-14 * np.max(square), (pt, b)
         nu = sph.plancherel_density(pt)
         sec = _e_atom_section(pt)
@@ -487,38 +494,27 @@ def test_matched_inversion_ratios_are_schur_ball_averages():
 
 
 def test_inversion_ratios_on_a_grid_are_the_single_radius_values():
-    # one call over an array of radii (one sweep per kernel) gives each
-    # radius's ratios as complex arrays; a scalar radius gives complex values
+    # one call over an array of radii (one sweep) gives each radius's
+    # ratios as complex arrays; a scalar radius gives complex values
     radii = np.array([3.0, 20.0, 80.0])
     for pt in (SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0),
                SpectralPoint(BundleSpec(5, 2), SIGMA_PLUS, 2.3),
                SpectralPoint(BundleSpec(4, 2, "plus"), sigma_q(2), 1.0)):
-        for mu in (None, 1.7):
-            grid = st.inversion_ratios(pt, radii, mu=mu)
-            for i, R in enumerate(radii):
-                one = st.inversion_ratios(pt, R, mu=mu)
-                assert one.keys() == grid.keys()
-                for b, r in one.items():
-                    assert type(r) is complex
-                    assert grid[b].dtype == complex and grid[b].shape == radii.shape
-                    assert abs(grid[b][i] - r) <= 1e-13 * max(abs(r), 1.0), (pt, mu, R)
+        grid = st.inversion_ratios(pt, radii)
+        for i, R in enumerate(radii):
+            one = st.inversion_ratios(pt, R)
+            assert one.keys() == grid.keys()
+            for b, r in one.items():
+                assert type(r) is complex
+                assert grid[b].dtype == complex and grid[b].shape == radii.shape
+                assert abs(grid[b][i] - r) <= 1e-13 * max(abs(r), 1.0), (pt, R)
 
 
 def test_inversion_ratios_raise_where_the_sweep_cannot_converge(monkeypatch):
     monkeypatch.setattr(st, "_SWEEP_RTOL", 0.0)
     pt = SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0)
-    for mu in (None, 1.7):
-        with pytest.raises(ArithmeticError, match="radial quadrature to R=20 did not converge"):
-            st.inversion_ratios(pt, 20.0, mu=mu)
-
-
-def test_inversion_ratio_for_mismatched_parameter_decays():
-    pt = SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0)
-    r20 = max(abs(r) for r in st.inversion_ratios(pt, 20.0, mu=1.7).values())
-    r80 = max(abs(r) for r in st.inversion_ratios(pt, 80.0, mu=1.7).values())
-    assert r20 < 0.1
-    assert r80 < 0.02
-    assert r80 < r20 / 3.0
+    with pytest.raises(ArithmeticError, match="radial quadrature to R=20 did not converge"):
+        st.inversion_ratios(pt, 20.0)
 
 
 def test_reconstruct_reduced_path_matches_literal_monte_carlo():
@@ -540,29 +536,29 @@ def test_reconstruct_reduced_path_matches_literal_monte_carlo():
 def test_reconstruct_mc_equals_per_node_oracle(make_section):
     # the factored sheet (and the Cartan slabs of a translated atom)
     # against one radial_batch per atom and t-node, on the same draws
-    for pt, mu in ((SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0), None),
-                   (SpectralPoint(BundleSpec(5, 2), SIGMA_PLUS, 1.0), 1.3)):
+    for pt in (SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0),
+               SpectralPoint(BundleSpec(5, 2), SIGMA_PLUS, 1.0)):
         ks = lg.haar_sample_K(pt.n, size=3, rng=np.random.default_rng(8))
         sec = make_section(pt, 41)
-        rec = st.inversion_reconstruct(pt, sec, 1.5, samples=8, method="mc", mu=mu,
+        rec = st.inversion_reconstruct(pt, sec, 1.5, samples=8, method="mc",
                                        mc_k1=300, rng=np.random.default_rng(12))
         got = rec.eval_batch(ks)
-        want = inversion_mc_loop(pt, sec, 1.5, ks, 300, np.random.default_rng(12), mu=mu)
+        want = inversion_mc_loop(pt, sec, 1.5, ks, 300, np.random.default_rng(12))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), pt.spec
 
 
-@pytest.mark.parametrize("spec, sigma, mu", [(BundleSpec(3, 1), sigma_q(1), None),
-                                          (BundleSpec(6, 2), sigma_q(2), None),
-                                          (BundleSpec(4, 2, "plus"), sigma_q(2), 1.3)])
-def test_reconstruct_mc_of_a_base_point_atom_equals_per_node_oracle(spec, sigma, mu):
+@pytest.mark.parametrize("spec, sigma, lam", [(BundleSpec(3, 1), sigma_q(1), 1.0),
+                                           (BundleSpec(6, 2), sigma_q(2), 1.0),
+                                           (BundleSpec(4, 2, "plus"), sigma_q(2), 1.3)])
+def test_reconstruct_mc_of_a_base_point_atom_equals_per_node_oracle(spec, sigma, lam):
     # the benchmark's section: one atom at the identity, R = 2
-    pt = SpectralPoint(spec, sigma, 1.0)
+    pt = SpectralPoint(spec, sigma, lam)
     sec = _e_atom_section(pt, seed=17)
     ks = lg.haar_sample_K(pt.n, size=2, rng=np.random.default_rng(18))
-    rec = st.inversion_reconstruct(pt, sec, 2.0, samples=8, method="mc", mu=mu,
+    rec = st.inversion_reconstruct(pt, sec, 2.0, samples=8, method="mc",
                                    mc_k1=500, rng=np.random.default_rng(19))
     got = rec.eval_batch(ks)
-    want = inversion_mc_loop(pt, sec, 2.0, ks, 500, np.random.default_rng(19), mu=mu)
+    want = inversion_mc_loop(pt, sec, 2.0, ks, 500, np.random.default_rng(19))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -583,6 +579,23 @@ def test_reconstruct_mc_refuses_a_bad_radius_or_sample_count(R, mc_k1, match):
                                  mc_k1=mc_k1)
 
 
+@pytest.mark.parametrize("method", ["reduced", "mc"])
+@pytest.mark.parametrize("R", [[2.0, 20.0], np.array([2.0]), 0.0, float("inf"), float("nan")],
+                         ids=["list", "array", "zero", "inf", "nan"])
+def test_reconstruct_takes_exactly_one_radius(method, R, monkeypatch):
+    # refused before any sweep; at (2,1,+) two radii used to broadcast
+    # against the C(2,1) = 2 coefficients and return neither F_2 nor F_20
+    def no_sweep(*_args, **_kwargs):
+        raise AssertionError("the reconstruction ran a sweep")
+
+    monkeypatch.setattr(st, "_schur_sweep", no_sweep)
+    monkeypatch.setattr(st, "_sweep_rule", no_sweep)
+    for pt in (SpectralPoint(BundleSpec(2, 1, "plus"), sigma_q(1), 1.0),
+               SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0)):
+        with pytest.raises(ValueError, match="ball radii must be positive"):
+            st.inversion_reconstruct(pt, _e_atom_section(pt), R, samples=8, method=method)
+
+
 def test_reconstruct_mc_memory_is_bounded_for_a_translated_atom():
     # 64 t-nodes of 4000 rotations: the image itself is 12.3 MB, and the
     # Cartan geometry of the whole sheet at once would hold about 190 MB
@@ -599,15 +612,15 @@ def test_reconstruct_mc_memory_is_bounded_for_a_translated_atom():
 
 
 def test_inversion_mix_is_the_reduced_reconstruction():
-    # F_R = mix F at mu = lambda, and mix is sum_b r_b P_b
-    pt = SpectralPoint(BundleSpec(5, 2), SIGMA_PLUS, 1.0)
-    sec = _rotation_atom_section(pt, 3)
-    mix = st.inversion_mix(pt, 5.0)
-    want = sum(r * xr.proj_matrix(pt.spec, b) for b, r in st.inversion_ratios(pt, 5.0).items())
-    assert np.array_equal(mix, want)
-    ks = lg.haar_sample_K(5, size=6, rng=np.random.default_rng(4))
-    rec = st.inversion_reconstruct(pt, sec, 5.0, samples=6)
-    assert np.array_equal(rec.eval_batch(ks), np.einsum("ij,bj->bi", mix, sec.eval_batch(ks)))
+    # F_R = r(R) F: one ratio for every block of sigma, the unsplit
+    # sigma_2 of (5,2) included
+    for sigma in (SIGMA_PLUS, sigma_q(2)):
+        pt = SpectralPoint(BundleSpec(5, 2), sigma, 1.0)
+        sec = _rotation_atom_section(pt, 3)
+        (r,) = set(st.inversion_ratios(pt, 5.0).values())
+        ks = lg.haar_sample_K(5, size=6, rng=np.random.default_rng(4))
+        rec = st.inversion_reconstruct(pt, sec, 5.0, samples=6)
+        assert np.array_equal(rec.eval_batch(ks), r * sec.eval_batch(ks)), sigma
 
 
 def test_reconstruction_error_follows_cosine_squared_law():
@@ -888,30 +901,10 @@ def test_averages_past_twice_r0_match_a_direct_sweep(lam):
         assert np.all(errs <= 1e-12 * got), (pt, errs / got)
 
 
-@pytest.mark.parametrize("mu", [0.7, 1.3])
-def test_paired_averages_past_twice_r0_match_a_direct_sweep(mu):
-    # the inversion's paired sweep at mu != lambda is extended past 2 R0 by
-    # the paired closed-form head, as the unpaired one is; the components
-    # underflow past t ~ 157 at n = 8
-    for pt in _every_point(1.0):
-        if pt.n < 3:
-            continue
-        radii = np.array([50.0, 100.0, 150.0] if pt.n >= 7 else [50.0, 100.0, 200.0])
-        for b in xr.sigma_blocks(pt.spec, pt.sigma):
-            other = SpectralPoint(pt.spec, b, mu)
-            (got,), (errs,) = st._schur_sweep(pt, radii, other=other)
-            want, _ = st._radial_sweep(
-                lambda ts, pt=pt, other=other: st._weighted_square_profile(pt, ts, other=other),
-                radii, max(1.0, mu))
-            want = want / radii
-            assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want)), (pt, b)
-            assert np.all(errs <= 1e-12 * np.abs(got)), (pt, b, errs / np.abs(got))
-
-
 def test_mismatched_inversion_ratios_reach_past_the_underflow():
-    # a sweep of [0, 200] meets the component underflow at n = 8; the paired
-    # head past 2 R0 does not
-    ratios = st.inversion_ratios(SpectralPoint(BundleSpec(8, 3), sigma_q(3), 1.0), 200.0, mu=1.3)
+    # a sweep of [0, 200] meets the component underflow at n = 8; the
+    # closed-form head past 2 R0 does not
+    ratios = st.inversion_ratios(SpectralPoint(BundleSpec(8, 3), sigma_q(3), 1.0), 200.0)
     assert ratios and all(np.isfinite(r) for r in ratios.values())
 
 
