@@ -20,7 +20,7 @@ import functools
 import io
 import json
 import sys
-from math import pi, sqrt
+from math import isfinite, pi, sqrt
 
 import click
 import numpy as np
@@ -218,25 +218,29 @@ def decompose(matrix_path, boost, random_g, **kwargs):
     given = [matrix_path is not None, boost is not None, random_g]
     if sum(given) != 1:
         raise click.UsageError("choose exactly one of --matrix, --at, --random")
-    try:
-        if matrix_path is not None:
-            try:
-                mat = np.loadtxt(matrix_path)
-            except (OSError, ValueError) as exc:
-                raise click.UsageError(f"cannot parse matrix file: {exc}")
+    if matrix_path is not None:
+        try:
+            mat = np.loadtxt(matrix_path)
+        except (OSError, ValueError) as exc:
+            raise click.UsageError(f"cannot parse matrix file: {exc}")
+        try:
             g = lg.GroupElement(mat)
-        elif boost is not None:
-            g = lg.make_at(boost, cfg["n"])
-        else:
-            if cfg["seed"] is None:
-                raise click.UsageError("this command is Monte Carlo; --seed is mandatory")
-            if cfg["seed"] < 0:
-                raise click.UsageError(f"--seed must be a non-negative integer, got {cfg['seed']}")
-            rng = np.random.default_rng(cfg["seed"])
-            k1, k2 = lg.haar_sample_K(cfg["n"], size=2, rng=rng)
-            g = lg.make_rotation(k1) @ lg.make_at(rng.uniform(0.5, 2.5), cfg["n"]) @ lg.make_rotation(k2)
-    except ValueError as exc:
-        raise click.UsageError(f"invalid matrix: {exc}")
+        except ValueError as exc:
+            raise click.UsageError(f"invalid matrix: {exc}")
+    elif cfg["n"] < 2:
+        raise click.UsageError("need n >= 2")
+    elif boost is not None:
+        if not isfinite(boost):
+            raise click.UsageError(f"--at must be a finite boost, got {boost}")
+        g = lg.make_at(boost, cfg["n"])
+    else:
+        if cfg["seed"] is None:
+            raise click.UsageError("this command is Monte Carlo; --seed is mandatory")
+        if cfg["seed"] < 0:
+            raise click.UsageError(f"--seed must be a non-negative integer, got {cfg['seed']}")
+        rng = np.random.default_rng(cfg["seed"])
+        k1, k2 = lg.haar_sample_K(cfg["n"], size=2, rng=rng)
+        g = lg.make_rotation(k1) @ lg.make_at(rng.uniform(0.5, 2.5), cfg["n"]) @ lg.make_rotation(k2)
 
     n = g.n
     iw = lg.iwasawa(g)

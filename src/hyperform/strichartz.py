@@ -146,16 +146,19 @@ class BallAverageReport:
 # quadrature helpers
 
 
-def _osc_nodes(a, b, lam, rule, graded=False):
+def _osc_nodes(a, b, lam, rule, graded=False, *, floor=4):
     """Composite nodes and weights on [a, b] of the rule (xs, ws) on
     [-1, 1] (ws one weight row, or a stack of rows on the same nodes)
-    resolving oscillation at frequency ~2 lam: at least 4 panels, none
-    wider than half a period of e^{2 i lam t}, nor than pi/2, the
+    resolving oscillation at frequency ~2 lam: at least `floor` panels,
+    none wider than half a period of e^{2 i lam t}, nor than pi/2, the
     distance of the radial profiles' nearest complex singularities
     (sinh^2 t = -1 at Im t = +-pi/2), the last halved toward b down to b/128
-    if graded (for the bump's chi, not analytic at b and below e^{-60} there)."""
+    if graded (for the bump's chi, not analytic at b and below e^{-60} there).
+    The floor of 4 belongs to the G15/K31 sweeps and the mc_k layouts (whose
+    residual kind is not smooth at t = 0); the literal inversion sampler
+    asks for 1."""
     width = pi / (2.0 * max(abs(float(lam)), 1.0))
-    panels = max(int(ceil((b - a) / width)), 4)
+    panels = max(int(ceil((b - a) / width)), floor)
     edges = np.linspace(a, b, panels + 1)
     if graded:
         gap = edges[-1] - edges[-2]
@@ -169,14 +172,17 @@ def _osc_nodes(a, b, lam, rule, graded=False):
     return nodes, weights
 
 
-def _sweep_rule(ends, lam, rule, graded=None):
+def _sweep_rule(ends, lam, rule, graded=None, *, floor=4):
     """The composite rule (xs, ws) on [0, max ends] with a breakpoint at
     every end (ascending): each segment [ends[j-1], ends[j]] gets the
-    panels of _osc_nodes (graded if it ends at `graded`).  Returns nodes,
-    weights (one row per row of ws) and the segment index j of each node."""
+    panels of _osc_nodes (graded if it ends at `graded`), at least `floor`
+    of them: 4 for the sweeps and the mc_k layouts, 1 for the literal
+    inversion sampler.  Returns nodes, weights (one row per row of ws) and
+    the segment index j of each node."""
     ends = np.asarray(ends, dtype=float)
     starts = np.concatenate(([0.0], ends[:-1]))
-    rules = [_osc_nodes(a, b, lam, rule, graded=b == graded) for a, b in zip(starts, ends)]
+    rules = [_osc_nodes(a, b, lam, rule, graded=b == graded, floor=floor)
+             for a, b in zip(starts, ends)]
     nodes = np.concatenate([ts for ts, _ in rules])
     weights = np.concatenate([ws for _, ws in rules], axis=-1)
     segs = np.concatenate([np.full(ts.size, j) for j, (ts, _) in enumerate(rules)])
@@ -694,8 +700,12 @@ def inversion_reconstruct(pt, section, R, samples=1000000, method="reduced", rng
     mc: literal Monte Carlo over the rotation factor with mc_k1
     samples; its variance scales like e^{(n-1)R}/mc_k1, so it is only
     meaningful for small R; it refuses (ValueError) an mc_k1 that is not
-    a positive integer.  The Poisson image on the sheet k1 a_t comes from
-    _Sheet: atoms at a rotation k_a by Phi(k_a^T k1 a_t) = Phi(a_t)
+    a positive integer.  Its t-rule is 16-point Gauss-Legendre on
+    ceil(R / w) equal panels of [0, R], w = pi / (2 max(|lambda|, 1)) (at
+    most pi/2, the distance of the integrand's nearest singularities, and
+    half a period of e^{2 i lambda t}), with no floor of four panels: 32
+    nodes at R = 2, lambda <= 1.  The Poisson image on the sheet k1 a_t
+    comes from _Sheet: atoms at a rotation k_a by Phi(k_a^T k1 a_t) = Phi(a_t)
     tau(k_a^T k1)^T, one component grid over the t-nodes and one
     extrep.tau_vec_batch over the k1, others by the Cartan decomposition
     in slabs of one t-node.  Each evaluation rotation k forms every
@@ -725,7 +735,7 @@ def inversion_reconstruct(pt, section, R, samples=1000000, method="reduced", rng
         rng = np.random.default_rng(0)
     n, p = pt.n, pt.p
     k1 = lg.haar_sample_K(n, size=mc_k1, rng=rng)
-    ts, ws, _ = _sweep_rule([R], abs(pt.lam_real), gauss_legendre(_MC_INVERSION_ORDER))
+    ts, ws, _ = _sweep_rule([R], abs(pt.lam_real), gauss_legendre(_MC_INVERSION_ORDER), floor=1)
     # Poisson image on the sample sheet k1 a_t; the Cartan step of an atom
     # away from the base point takes one t-node of mc_k1 matrices at a time,
     # so its temporaries stay below those of fvals

@@ -108,6 +108,22 @@ CASES = {
     "decompose_not_lorentz": (lambda tmp: _decompose(tmp, matrix="2 0 0 0\n0 2 0 0\n"
                                                                  "0 0 2 0\n0 0 0 2\n"),
                               click.UsageError, "does not preserve the form"),
+    "decompose_at_nan": (lambda tmp: _decompose(tmp, "--at", "nan", "--n", "3"),
+                         click.UsageError, "--at must be a finite boost"),
+    "decompose_at_inf": (lambda tmp: _decompose(tmp, "--at", "inf", "--n", "3"),
+                         click.UsageError, "--at must be a finite boost"),
+    "decompose_at_minus_inf": (lambda tmp: _decompose(tmp, "--at", "-inf", "--n", "3"),
+                               click.UsageError, "--at must be a finite boost"),
+    "decompose_at_n_1": (lambda tmp: _decompose(tmp, "--at", "1", "--n", "1"),
+                         click.UsageError, "need n >= 2"),
+    "decompose_at_n_0": (lambda tmp: _decompose(tmp, "--at", "1", "--n", "0"),
+                         click.UsageError, "need n >= 2"),
+    "decompose_random_n_1": (lambda tmp: _decompose(tmp, "--random", "--n", "1", "--seed", "1"),
+                             click.UsageError, "need n >= 2"),
+    "decompose_random_n_0": (lambda tmp: _decompose(tmp, "--random", "--n", "0", "--seed", "1"),
+                             click.UsageError, "need n >= 2"),
+    "decompose_matrix_too_small": (lambda tmp: _decompose(tmp, matrix="1 0\n0 1\n"),
+                                   click.UsageError, "invalid matrix"),
 }
 
 

@@ -562,6 +562,47 @@ def test_reconstruct_mc_of_a_base_point_atom_equals_per_node_oracle(spec, sigma,
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("R", [0.5, 4.5])
+@pytest.mark.parametrize("lam", [0.1, 4.0])
+@pytest.mark.parametrize("spec, sigma", [(BundleSpec(8, 3), sigma_q(3)),
+                                         (BundleSpec(2, 1, "minus"), sigma_q(1))])
+@pytest.mark.parametrize("make_section", [_e_atom_section,
+                                          lambda pt: _translated_section(
+                                              pt, np.random.default_rng(23))],
+                         ids=["base_point", "translated"])
+def test_reconstruct_mc_panels_sized_by_the_integrand_equal_the_oracle(
+        R, lam, spec, sigma, make_section):
+    # the sampler's panels (no floor of four) against the oracle on the
+    # four-panel _sweep_rule: at R = 0.5 one or two panels against four
+    pt = SpectralPoint(spec, sigma, lam)
+    sec = make_section(pt)
+    ks = lg.haar_sample_K(pt.n, size=2, rng=np.random.default_rng(24))
+    rec = st.inversion_reconstruct(pt, sec, R, samples=8, method="mc",
+                                   mc_k1=60, rng=np.random.default_rng(25))
+    got = rec.eval_batch(ks)
+    want = inversion_mc_loop(pt, sec, R, ks, 60, np.random.default_rng(25))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_reconstruct_mc_takes_one_iwasawa_step_per_node(monkeypatch):
+    # R = 2, lambda = 1: 2 panels of 16 nodes, where the sweeps' floor
+    # of four panels gives 64
+    assert st._sweep_rule([2.0], 1.0, gauss_legendre(16))[0].size == 64
+    pt = SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0)
+    rec = st.inversion_reconstruct(pt, _e_atom_section(pt), 2.0, samples=8, method="mc",
+                                   mc_k1=10, rng=np.random.default_rng(1))
+    steps = []
+    translates = lg.iwasawa_translates
+
+    def counted(*args):
+        steps.append(1)
+        return translates(*args)
+
+    monkeypatch.setattr(lg, "iwasawa_translates", counted)
+    rec.eval_batch(np.eye(3)[None])
+    assert len(steps) == 32
+
+
 @pytest.mark.parametrize("R, mc_k1, match", [
     (-1.0, 100, "ball radii must be positive"),
     (0.0, 100, "ball radii must be positive"),
@@ -597,7 +638,7 @@ def test_reconstruct_takes_exactly_one_radius(method, R, monkeypatch):
 
 
 def test_reconstruct_mc_memory_is_bounded_for_a_translated_atom():
-    # 64 t-nodes of 4000 rotations: the image itself is 12.3 MB, and the
+    # 32 t-nodes of 4000 rotations: the image itself is 6.1 MB, and the
     # Cartan geometry of the whole sheet at once would hold about 190 MB
     pt = SpectralPoint(BundleSpec(3, 1), sigma_q(1), 1.0)
     sec = _translated_section(pt, np.random.default_rng(21))
