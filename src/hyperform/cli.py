@@ -20,7 +20,7 @@ import functools
 import io
 import json
 import sys
-from math import isfinite, pi, sqrt
+from math import isfinite, pi
 
 import click
 import numpy as np
@@ -399,19 +399,16 @@ def invert(**kwargs):
     grid = [float(R) for R in cfg["R_grid"]]
     # one sweep serves the grid and, for the default bound, _ENVELOPE_R
     radii = np.array(sorted({*grid, *([_ENVELOPE_R] if cfg["tol"] is None else [])}))
-    ratios = st.inversion_ratios(pt, radii)
-    # F_R - F = sum_b (r_b - 1) P_b F on the identity atom, and by Schur
-    # orthogonality the K-mean of |P_b F|^2 is proportional to d_b
-    d_b = {b: xr.dims(pt.spec, b)[1] for b in ratios}
-    errs = [sqrt(sum(abs(ratios[b][i] - 1.0) ** 2 * d for b, d in d_b.items())
-                 / sum(d_b.values())) for i in np.searchsorted(radii, grid)]
+    # F_R - F = (r(R) - 1) F: every block has the one ratio r(R)
+    r = next(iter(st.inversion_ratios(pt, radii).values()))
+    errs = [abs(r[i] - 1.0) for i in np.searchsorted(radii, grid)]
     # the error is O(1/R) but not monotone (cos^2(lambda R)/R for an
     # e-atom at n = 3), so the gate bounds the envelope max_R R err by
     # tol min R; by default by the bundle's own sup_R R err (1 at n = 3),
     # which sigma^{+-} meets at every R (no wave) up to its sweep's rounding
     slack = 1.0
     if cfg["tol"] is None:
-        r_env = next(iter(ratios.values()))[np.searchsorted(radii, _ENVELOPE_R)]
+        r_env = r[np.searchsorted(radii, _ENVELOPE_R)]
         cfg["tol"], slack = _error_envelope(pt, r_env) / min(grid), 1.0 + 1e-6
     tol = cfg["tol"]
     rows = [

@@ -177,9 +177,6 @@ class FormVector:
     def of(cls, spec, coeffs):
         return cls(spec.n, spec.p, coeffs, spec=spec)
 
-    def norm(self):
-        return float(np.linalg.norm(self.coeffs))
-
     def __repr__(self):
         return f"FormVector(n={self.n}, p={self.degree})"
 

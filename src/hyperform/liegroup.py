@@ -118,7 +118,7 @@ class KElement:
     @classmethod
     def _of_rotation(cls, u):
         """KElement(u, mode="repair") with no det check, for u with det +1 by
-        construction: a factor of iwasawa, cartan or polar_k, or of KElements."""
+        construction: a factor of iwasawa, cartan or polar_k."""
         out = object.__new__(cls)
         out._orthonormal(u, "repair")
         return out
@@ -137,20 +137,8 @@ class KElement:
             raise ValueError(f"matrix is not orthogonal: defect {defect:.3e}")
         self.mat = u
 
-    @property
-    def n(self):
-        return self.mat.shape[0]
-
-    def inv(self):
-        return KElement._of_rotation(self.mat.T)
-
-    def __matmul__(self, other):
-        if isinstance(other, KElement):
-            return KElement._of_rotation(self.mat @ other.mat)
-        return NotImplemented
-
     def __repr__(self):
-        return f"KElement(n={self.n})"
+        return f"KElement(n={self.mat.shape[0]})"
 
 
 class GroupElement:

@@ -3,17 +3,15 @@
 For a K-type tau = Lambda^p and an M-type sigma in the branching of
 tau, the spherical function Phi_{sigma,lambda} of type (tau, sigma) is
 determined by scalar components phi_eta(t) on the M-isotypic summands
-of tau restricted to M.  Each component is a combination of Jacobi
-functions phi_lambda^{(alpha,beta)} with alpha in {n/2-1, n/2} and
-beta = -1/2, except in the middle-degree chirality case where a single
-component appears with doubled spectral parameter and half argument.
-
-The module also provides the Harish-Chandra c-function attached to
-sigma (on every bundle a multiple of c^{(n/2, -1/2)}), the Plancherel
-density nu_sigma, the Weyl-group action on (sigma, lambda), and the
-two-term asymptotic head
-
-    Phi(a_t) ~ sum_{s = +-1} e^{(is lambda - rho) t} c_{s sigma}(s lambda) P_{s sigma}.
+of tau restricted to M.  One exact table per (tau, sigma),
+_component_table, writes each as k_a a + (k_c cosh t + k_b) b +
+k_s i lambda sinh t b in a = phi_lambda^{(n/2-1, -1/2)} and
+b = phi_lambda^{(n/2, -1/2)}; as c_a = (i lambda + rho) c_b / (2n), the
+same rationals give the two-term Weyl head, sum over eta and s = +-1 of
+h_s e^{(is lambda - rho) t} P_eta, and the c-function c_sigma behind the
+Plancherel density nu_sigma.  The chirality bundles' one component is
+cosh^2(t/2) phi_{2 lambda}^{(n/2-1, n/2+1)}(t/2); their row, a - (cosh t
+- 1) b / 2, is read by the head and c_sigma alone.
 
 One kernel, CartanGeometry.apply, evaluates these tau-radial operators
 of every kind on stacked g = k1 a_t k2 from t, k1 e_1 and k1 k2 alone (no
@@ -29,6 +27,7 @@ Lambda^p(kappa) are in closed form.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gamma, pi, sqrt
 
@@ -45,7 +44,6 @@ __all__ = [
     "spherical_at",
     "c_sigma",
     "plancherel_density",
-    "weyl_reflect",
     "asymptotic_head",
     "op_norm",
     "eisenstein_integral_at",
@@ -74,8 +72,8 @@ class SpectralPoint:
     lambda may be complex for c-function and asymptotics work; the
     density API insists on real lambda.  rho = (n-1)/2 throughout.
     A point keeps its JacobiParams (with their tables) and its head
-    coefficients c_{s sigma}(s lambda), built on first use; equality,
-    hash and repr read the three fields only.
+    coefficients, built on first use; equality, hash and repr read the
+    three fields only.
     """
 
     spec: xr.BundleSpec
@@ -116,12 +114,44 @@ class SpectralPoint:
 
     @cached_property
     def head_terms(self):
-        """(s lambda, the blocks of s sigma, c_{s sigma}(s lambda)) for s = +1, -1:
-        the two terms of the Weyl head, read by head_components and strichartz."""
+        """{eta: (h_+, h_-)}, h_s = c_b(s lambda) (u + i lambda v_s) from
+        _component_table: the Weyl head's coefficients of e^{(+-i lambda -
+        rho) t} on each block, read by head_components and strichartz."""
         lam = complex(self.lam)
-        terms = [(self.sigma, lam), weyl_reflect(self.sigma, lam)]
-        return tuple((lam_s, xr.sigma_blocks(self.spec, sig),
-                      _c_sigma_scalar(self.spec, sig, lam_s)) for sig, lam_s in terms)
+        cb = [c_jacobi(self.n / 2, -0.5, s * lam) for s in (1, -1)]
+        return {eta: (cb[0] * (u + 1j * lam * vp), cb[1] * (u + 1j * lam * vm))
+                for eta, (_, (u, vp, vm)) in _component_table(self.spec, self.sigma).items()}
+
+
+@lru_cache(maxsize=None)
+def _component_table(spec, sigma):
+    """{eta: ((k_a, k_c, k_b, k_s), (u, v_+, v_-))} over branching(spec), floats
+    of exact rationals: phi_eta = k_a a + (k_c cosh t + k_b) b + k_s i lambda
+    sinh t b, and its head h_s = c_b(s lambda) (u + i lambda v_s), u = k_a
+    rho/(2n) + k_c/2, v_s = s k_a/(2n) + k_s/2, as a ~ c_a e^{(i lambda - rho) t}
+    and b ~ c_b e^{(i lambda - rho - 1) t}, plus their lambda -> -lambda terms.
+    The unsplit sigma_p at p = (n-1)/2 averages sigma^+ and sigma^-."""
+    n, p = spec.n, spec.p
+    b_only = (0, 0, 1, 0)
+    if spec.chirality != "none":
+        rows = {xr.sigma_q(p): (1, Fraction(-1, 2), Fraction(1, 2), 0)}
+    elif sigma.kind != "q":
+        eps = 1 if sigma == xr.SIGMA_PLUS else -1
+        even = (Fraction(2 * n, n + 1), Fraction(1 - n, n + 1), 0)
+        rows = {xr.sigma_q(p - 1): b_only, xr.SIGMA_PLUS: even + (Fraction(2 * eps, n + 1),),
+                xr.SIGMA_MINUS: even + (Fraction(-2 * eps, n + 1),)}
+    else:
+        m = p if sigma.q == p - 1 else n - p
+        own = (Fraction(n, m), Fraction(m - n, m), 0, 0)
+        # sigma's own blocks are sigma_{p-1}, or the labels above it
+        rows = {eta: own if (eta == xr.sigma_q(p - 1)) == (sigma.q == p - 1) else b_only
+                for eta in xr.branching(spec)}
+    rho, out = Fraction(n - 1, 2), {}
+    for eta, (ka, kc, kb, ks) in rows.items():
+        u = ka * rho / (2 * n) + Fraction(kc, 2)
+        v = [Fraction(s * ka, 2 * n) + Fraction(ks, 2) for s in (1, -1)]
+        out[eta] = tuple(map(float, (ka, kc, kb, ks))), tuple(map(float, (u, *v)))
+    return out
 
 
 @dataclass
@@ -139,37 +169,25 @@ def component_grid(pt, ts, sigmas=None):
     sigmas, a list of them, one for each sigma of sigmas at pt's (n,
     lambda): every sigma combines the same Jacobi functions, evaluated once."""
     ts = np.asarray(ts, dtype=float)
-    n, p, lam = pt.n, pt.p, complex(pt.lam)
     spec, labels = pt.spec, [pt.sigma] if sigmas is None else sigmas
     if spec.chirality != "none":
         val = np.cosh(ts / 2.0) ** 2 * jacobi_phi(pt._jacobi[0], ts / 2.0)
-        grids = [{xr.sigma_q(p): val} for _ in labels]
+        grids = [{xr.sigma_q(pt.p): val} for _ in labels]
         return grids if sigmas is not None else grids[0]
     a, b = (jacobi_phi(par, ts) for par in pt._jacobi)
-    ch = np.cosh(ts)
+    ch, odd = np.cosh(ts), None
     grids = []
     for sigma in labels:
         out = {}
-        if sigma == xr.sigma_q(p - 1):
-            out[xr.sigma_q(p - 1)] = (n / p) * a - ((n - p) / p) * ch * b
-            upper = b
-        elif sigma == xr.sigma_q(p):
-            out[xr.sigma_q(p - 1)] = b
-            # the unsplit middle isotype at p = (n-1)/2 averages the two
-            # chirality points, whose odd sinh terms cancel
-            upper = (n / (n - p)) * a - (p / (n - p)) * ch * b
-        else:
-            eps = 1.0 if sigma == xr.SIGMA_PLUS else -1.0
-            out[xr.sigma_q(p - 1)] = b
-            even = (2 * n / (n + 1)) * a - ((n - 1) / (n + 1)) * ch * b
-            odd = (2j * lam / (n + 1)) * np.sinh(ts) * b
-            out[xr.SIGMA_PLUS] = even + eps * odd
-            out[xr.SIGMA_MINUS] = even - eps * odd
-        if sigma.kind == "q" and spec.case == "half_odd":
-            out[xr.SIGMA_PLUS] = upper
-            out[xr.SIGMA_MINUS] = upper.copy()
-        elif sigma.kind == "q":
-            out[xr.sigma_q(p)] = upper
+        for eta, ((ka, kc, kb, ks), _) in _component_table(spec, sigma).items():
+            val = (kc * ch + kb) * b if kc else kb * b
+            if ka:
+                val = ka * a + val
+            if ks:
+                if odd is None:
+                    odd = 1j * complex(pt.lam) * np.sinh(ts) * b
+                val = val + ks * odd
+            out[eta] = val
         grids.append(out)
     return grids if sigmas is not None else grids[0]
 
@@ -188,12 +206,9 @@ def scalar_components(pt, t):
 def head_components(pt, ts):
     """Scalars of the two-term Weyl head on each isotypic summand."""
     ts = np.asarray(ts, dtype=float)
-    out = {eta: np.zeros(ts.shape, dtype=complex) for eta in xr.branching(pt.spec)}
-    for lam_s, blocks, coeff in pt.head_terms:
-        weight = coeff * np.exp((1j * lam_s - pt.rho) * ts)
-        for eta in blocks:
-            out[eta] = out[eta] + weight
-    return out
+    lam = complex(pt.lam)
+    up, down = np.exp((1j * lam - pt.rho) * ts), np.exp((-1j * lam - pt.rho) * ts)
+    return {eta: hp * up + hm * down for eta, (hp, hm) in pt.head_terms.items()}
 
 
 def radial_kinds(pt, ts, kinds):
@@ -283,24 +298,13 @@ def asymptotic_head(pt, g):
 # c-functions and densities
 
 
-def _c_sigma_scalar(spec, sigma, lam):
-    n, p = spec.n, spec.p
-    rho = (n - 1) / 2.0
-    cb = c_jacobi(n / 2, -0.5, lam)
-    if spec.chirality != "none":
-        # 0.25 c_{n/2-1, n/2+1}(2 lambda), the c-function of the component
-        # phi^{(n/2-1, n/2+1)}_{2 lambda}(t/2), in the beta = -1/2 family
-        return (2j * lam - 1.0) / (4 * n) * cb
-    if sigma.kind == "q" and sigma.q == p:
-        return (1j * lam + rho - p) / (2 * (n - p)) * cb
-    if sigma.kind == "q" and sigma.q == p - 1:
-        return (1j * lam - rho + p - 1) / (2 * p) * cb
-    return 2j * lam / (n + 1) * cb
-
-
 def c_sigma(pt):
-    """Harish-Chandra c-function attached to (tau, sigma) at lambda."""
-    return complex(_c_sigma_scalar(pt.spec, pt.sigma, complex(pt.lam)))
+    """Harish-Chandra c-function attached to (tau, sigma) at lambda: the
+    head's h_+ on sigma's first block, c_b(lambda) (u + i lambda v_+)."""
+    lam = complex(pt.lam)
+    block = xr.sigma_blocks(pt.spec, pt.sigma)[0]
+    u, vp, _ = _component_table(pt.spec, pt.sigma)[block][1]
+    return complex(c_jacobi(pt.n / 2, -0.5, lam) * (u + 1j * lam * vp))
 
 
 def _plancherel_base(n, lam, q):
@@ -327,16 +331,6 @@ def plancherel_density(pt):
     q = pt.sigma.q if pt.sigma.kind == "q" else spec.p
     d_tau, d_sig, _ = xr.dims(spec, pt.sigma)
     return float(_plancherel_base(spec.n, lam, q) * d_sig / d_tau)
-
-
-def weyl_reflect(sigma, lam):
-    """Action of the nontrivial Weyl element: (sigma, lambda) maps to
-    (s sigma, -lambda), swapping the two middle chirality types."""
-    if sigma == xr.SIGMA_PLUS:
-        return xr.SIGMA_MINUS, -lam
-    if sigma == xr.SIGMA_MINUS:
-        return xr.SIGMA_PLUS, -lam
-    return sigma, -lam
 
 
 # ---------------------------------------------------------------------------

@@ -239,8 +239,8 @@ def _radial_sweep(profile, R_grid, lam, graded=None, gate=None):
     like lam R).  The vectorized profile is evaluated once over the 31
     nodes of each panel, in blocks of at most _SWEEP_BLOCK nodes, and
     both the K31 and the G15 panel sums (the Gauss nodes are every other
-    Kronrod node, so they cost no extra evaluation) accumulate per R; a
-    complex profile sums its real and imaginary parts apart.  The profile
+    Kronrod node, so they cost no extra evaluation) accumulate per R; the
+    profile is real (np.bincount raises TypeError on a complex one).  It
     may return a stack (..., T) of integrands over the T nodes, each row
     summed on its own bins; panels grade toward `graded` (_sweep_rule).
     Returns (values, errors) of shape (..., len(R_grid)), the value being
@@ -268,10 +268,7 @@ def _radial_sweep(profile, R_grid, lam, graded=None, gate=None):
         count = vals.size // vals.shape[-1]
         # row r of the (..., K31/G15) stack sums on bins r * ends.size + seg
         flat = (np.arange(count)[:, None] * ends.size + segs[sl]).ravel()
-        sums = sums + np.bincount(flat, weights=vals.real.ravel(), minlength=count * ends.size)
-        if np.iscomplexobj(vals):
-            sums = sums + 1j * np.bincount(flat, weights=vals.imag.ravel(),
-                                           minlength=count * ends.size)
+        sums = sums + np.bincount(flat, weights=vals.ravel(), minlength=count * ends.size)
     sums = np.cumsum(sums.reshape(rows + (ends.size,)), axis=-1)
     fine, coarse = sums[..., 0, :], sums[..., 1, :]
     err = np.abs(fine - coarse)
@@ -424,19 +421,21 @@ def _head_integrals(omegas, n, R):
 
 def _head_weights(pt):
     """{w: k_w} with w(t) sum_eta (d_eta/d_tau) |head_eta|^2 =
-    (1 - e^{-2t})^{n-1} sum_w k_w e^{i w t}: head terms (s lambda, B_s, c_s)
-    and (t lambda, B_t, c_t) add c_s conj(c_t) sum_{B_s & B_t} d_eta/d_tau
-    at w = (s - t) lambda.  k_0 = L_head = 1 / (pi nu), the limit of any
-    ball average per |v|^2."""
+    (1 - e^{-2t})^{n-1} sum_w k_w e^{i w t}: the head coefficients (h_+,
+    h_-) of each block eta (SpectralPoint.head_terms) add d_eta/d_tau times
+    |h_+|^2 + |h_-|^2 at w = 0, h_+ conj(h_-) at 2 lambda and h_- conj(h_+)
+    at -2 lambda.  k_0 = L_head = 1 / (pi nu), the limit of any ball
+    average per |v|^2."""
     if not np.isreal(pt.lam):
         raise ValueError("the head average requires real lambda")
     d_tau, d_eta = _dims_table(pt.spec)
-    weights = {}
-    for lam_s, blocks_s, c_s in pt.head_terms:
-        for lam_t, blocks_t, c_t in pt.head_terms:
-            dims = sum(d_eta[eta] / d_tau for eta in set(blocks_s) & set(blocks_t))
-            w = (lam_s - lam_t).real
-            weights[w] = weights.get(w, 0.0) + c_s * np.conj(c_t) * dims
+    lam = complex(pt.lam).real
+    weights = dict.fromkeys((0.0, 2.0 * lam, -2.0 * lam), 0.0)
+    for eta, (hp, hm) in pt.head_terms.items():
+        d = d_eta[eta] / d_tau
+        weights[0.0] += hp * np.conj(hp) * d + hm * np.conj(hm) * d
+        weights[2.0 * lam] += hp * np.conj(hm) * d
+        weights[-2.0 * lam] += hm * np.conj(hp) * d
     return weights
 
 

@@ -43,7 +43,9 @@ the table at the largest w, with each block's partial sums formed as
 the carried sum plus the block's cumulative sum.  e_defect,
 u_intertwine and spectral_projection are the horocyclic defect, the
 Weyl relabelling of atom sections and the Monte Carlo spectral
-projection, which only the tests use.  contract_e1_matrix is the
+projection, which only the tests use; weyl_reflect is the Weyl
+action on (sigma, lambda), and c_sigma_formula the four per-sigma
+formulas of c_sigma that spherical._component_table replaced.  contract_e1_matrix is the
 contraction by e_1, built on index tuples rather than bit masks, for the
 wedge and projector identities of extrep.
 """
@@ -369,12 +371,39 @@ def e_defect(g, x):
     return tp_gx - tp_x - h
 
 
+def weyl_reflect(sigma, lam):
+    """Action of the nontrivial Weyl element: (sigma, lambda) maps to
+    (s sigma, -lambda), swapping the two middle chirality types."""
+    if sigma == xr.SIGMA_PLUS:
+        return xr.SIGMA_MINUS, -lam
+    if sigma == xr.SIGMA_MINUS:
+        return xr.SIGMA_PLUS, -lam
+    return sigma, -lam
+
+
+def c_sigma_formula(spec, sigma, lam):
+    """c_sigma(lambda) by the four hand-derived formulas, each a rational
+    function of lambda times c_b(lambda) = c^{(n/2, -1/2)}(lambda)."""
+    n, p = spec.n, spec.p
+    rho = (n - 1) / 2.0
+    cb = sf.c_jacobi(n / 2, -0.5, lam)
+    if spec.chirality != "none":
+        # 0.25 c_{n/2-1, n/2+1}(2 lambda), the c-function of the component
+        # phi^{(n/2-1, n/2+1)}_{2 lambda}(t/2), in the beta = -1/2 family
+        return (2j * lam - 1.0) / (4 * n) * cb
+    if sigma.kind == "q" and sigma.q == p:
+        return (1j * lam + rho - p) / (2 * (n - p)) * cb
+    if sigma.kind == "q" and sigma.q == p - 1:
+        return (1j * lam - rho + p - 1) / (2 * p) * cb
+    return 2j * lam / (n + 1) * cb
+
+
 def u_intertwine(pt, section):
     """Relabel an atom section to the Weyl-reflected spectral point
     (s sigma, -lambda); the atoms themselves are unchanged."""
     if not section.is_atomic:
         raise ValueError("intertwiner is only realized on atom sections")
-    ssig, slam = sph.weyl_reflect(pt.sigma, pt.lam)
+    ssig, slam = weyl_reflect(pt.sigma, pt.lam)
     new_pt = sph.SpectralPoint(pt.spec, ssig, slam)
     return tfm.BoundarySection.from_atoms(new_pt, section.atoms)
 

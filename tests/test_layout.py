@@ -7,7 +7,8 @@ called only from the scalar cartan, the defining K-integral forms no
 Poisson kernel, the panel rule
 of the radial quadratures has one caller, the breakpoint rule every
 sweep shares, spherical evaluates Jacobi functions only on the
-parameters a SpectralPoint owns, the commands answer without sampling
+parameters a SpectralPoint owns and c-functions only in the head and
+c_sigma, the commands answer without sampling
 routes, every package name the benchmark traces or calls exists,
 evaluating does not import numpy.ma, and the package's public names are
 the modules' __all__ lists, each name with a consumer outside the
@@ -154,6 +155,28 @@ def test_spectral_points_own_their_jacobi_parameters():
     sph = SRC / "spherical.py"
     assert {owner for owner, _ in _calls(sph, "JacobiParams")} == {"SpectralPoint"}
     assert {owner for owner, _ in _calls(sph, "jacobi_phi")} == {"component_grid"}
+
+
+def _call_owners(path, name):
+    """The innermost enclosing function of each call of `name`."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                fn = child.func
+                if (fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)) == name:
+                    out.append(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+    return out
+
+
+def test_c_functions_come_from_the_component_table():
+    # the head and c_sigma scale the table's rationals by c_b; no other
+    # spherical path writes a per-sigma c-function
+    assert set(_call_owners(SRC / "spherical.py", "c_jacobi")) == {"head_terms", "c_sigma"}
 
 
 def test_commands_call_no_sampling_or_matrix_route():

@@ -26,7 +26,6 @@ from hyperform import (
     scalar_components,
     sigma_q,
     spherical_at,
-    weyl_reflect,
     SIGMA_MINUS,
     SIGMA_PLUS,
 )
@@ -39,9 +38,10 @@ from hyperform.transforms import BoundaryAtom, BoundarySection, poisson_mc
 from hyperform.extrep import MLabel, tau_matrix_batch
 from hyperform.liegroup import at_mats, embed_rotation, plane_rotations
 from hyperform.spherical import component_grid, head_components, radial_batch
+from hyperform.specialfn import JacobiParams, jacobi_phi
 
 from conftest import case_points, kernel_points, load_tool
-from oracles import CartanGeometryK, eisenstein_literal
+from oracles import CartanGeometryK, c_sigma_formula, eisenstein_literal, weyl_reflect
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +433,68 @@ def test_weyl_reflection_swaps_middle_types():
     assert weyl_reflect(sigma_q(1), 2.0) == (sigma_q(1), -2.0)
     sig, lam = weyl_reflect(*weyl_reflect(SIGMA_PLUS, 0.7))
     assert (sig, lam) == (SIGMA_PLUS, 0.7)
+
+
+def _every_sigma():
+    """(spec, sigma) at n = 2..8 for every p, both chiralities, and every
+    sigma of the branching or the unsplit sigma_p at p = (n-1)/2."""
+    out = []
+    for n in range(2, 9):
+        for p in range(1, n // 2 + 1):
+            for chir in ("plus", "minus") if 2 * p == n else ("none",):
+                spec = BundleSpec(n, p, chir)
+                extra = [sigma_q(p)] if spec.case == "half_odd" else []
+                out += [(spec, sigma) for sigma in branching(spec) + extra]
+    return out
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.3, 1.0, 5.5, 25.0, 300.0])
+def test_c_sigma_meets_the_per_sigma_formulas(lam):
+    # c_sigma reads h_+ of sigma's first block off the coefficient table
+    for spec, sigma in _every_sigma():
+        want = c_sigma_formula(spec, sigma, lam)
+        got = c_sigma(SpectralPoint(spec, sigma, lam))
+        assert abs(got - want) <= 1e-14 * abs(want), (spec, sigma, lam, got, want)
+
+
+@pytest.mark.parametrize("lam", [0.3, 5.5])
+def test_head_terms_are_the_weyl_sum_with_exact_zeros(lam):
+    # h_+ is c_sigma(lambda) on the blocks of sigma and h_- is c_{s sigma}(-lambda)
+    # on those of s sigma; elsewhere (the b-only rows, h_- of sigma^+- on its
+    # own block) the table's rationals cancel to exactly 0
+    for spec, sigma in _every_sigma():
+        terms = SpectralPoint(spec, sigma, lam).head_terms
+        assert list(terms) == branching(spec)
+        for s, (sig, lam_s) in enumerate([(sigma, lam), weyl_reflect(sigma, lam)]):
+            want = c_sigma_formula(spec, sig, lam_s)
+            for eta, h in terms.items():
+                if eta in xr.sigma_blocks(spec, sig):
+                    assert abs(h[s] - want) <= 1e-14 * abs(want), (spec, sigma, eta, h, want)
+                else:
+                    assert h[s] == 0.0, (spec, sigma, eta, h)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_chirality_row_on_a_and_b_meets_the_component(n):
+    # the chirality bundles evaluate cosh^2(t/2) phi^{(n/2-1, n/2+1)}_{2 lambda}(t/2);
+    # their table row, read only by the head, must be the same function of t
+    spec, sigma = BundleSpec(n, n // 2, "plus"), sigma_q(n // 2)
+    ((eta, ((ka, kc, kb, ks), _)),) = sph._component_table(spec, sigma).items()
+    ts = np.linspace(0.05, 10.0, 200)
+    rho = (n - 1) / 2.0
+    for lam in (0.1, 1.0, 5.5):
+        pt = SpectralPoint(spec, sigma, lam)
+        a, b = (jacobi_phi(JacobiParams(alpha, -0.5, lam), ts) for alpha in (n / 2 - 1, n / 2))
+        row = ka * a + (kc * np.cosh(ts) + kb) * b + ks * 1j * lam * np.sinh(ts) * b
+        assert np.all(np.isfinite(row))
+        for t, r in zip(ts, row):
+            try:
+                phi = component_grid(pt, np.array([t]))[eta][0]
+            except ArithmeticError:
+                # the doubled-parameter Jacobi function refuses a few points
+                # (n = 4, lambda = 5.5, t = 3.6); the row is finite there
+                continue
+            assert abs(r - phi) <= 1e-10 * max(abs(phi), np.exp(-rho * t)), (n, lam, t, r, phi)
 
 
 def test_c_modulus_symmetric_under_reflection():

@@ -766,6 +766,13 @@ def test_radial_sweep_raises_on_unresolved_or_nonfinite_profile():
                          (5.0, 10.0), 1.0)
 
 
+def test_radial_sweep_refuses_a_complex_profile():
+    # the sweep sums real profiles; a complex one raises rather than
+    # losing its imaginary part
+    with pytest.raises(TypeError):
+        st._radial_sweep(lambda ts: np.exp(1j * ts), (1.0, 2.0), 1.0)
+
+
 def test_radial_sweep_refuses_a_non_finite_radius():
     for radii in ([np.inf], [1.0, np.inf], [np.nan]):
         with pytest.raises(ValueError, match="ball radii must be positive and finite"):
@@ -895,7 +902,7 @@ def test_radial_sweep_matches_mpmath_at_small_and_large_lambda(lam, R_grid):
 def test_head_ball_average_approaches_comparison_asymptote():
     spec = BundleSpec(6, 2)
     pt = SpectralPoint(spec, sigma_q(2), 1.0)
-    c2 = abs(sph._c_sigma_scalar(spec, pt.sigma, pt.lam)) ** 2
+    c2 = abs(sph.c_sigma(pt)) ** 2
     d_tau, d_sigma = xr.dims(spec, pt.sigma)[:2]
     asym = 2.0 * c2 * d_sigma / d_tau
     h25 = st.head_ball_average(pt, 25.0)
@@ -988,8 +995,8 @@ def test_a_wrong_head_coefficient_fails_the_limit_sweep(spec, sigma, monkeypatch
     pt = SpectralPoint(spec, sigma, 1.0)
     rep = st.strichartz_limit(pt, _e_atom_section(pt))
     assert max(s / v for s, v in zip(rep.stderrs, rep.values)) < 1e-12
-    c_s = sph._c_sigma_scalar
-    monkeypatch.setattr(sph, "_c_sigma_scalar", lambda *args: c_s(*args) * (1.0 + 1e-6))
+    c_b = sph.c_jacobi
+    monkeypatch.setattr(sph, "c_jacobi", lambda *args: c_b(*args) * (1.0 + 1e-6))
     pt = SpectralPoint(spec, sigma, 1.0)
     with pytest.raises(ArithmeticError, match="residual constant"):
         st.strichartz_limit(pt, _e_atom_section(pt))
