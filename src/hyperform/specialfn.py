@@ -27,12 +27,13 @@ cancellation ratio and the final check run on NumPy and Python scalars,
 with no masks and no arrays, so a single radius pays for its series
 and not for NumPy's fixed cost per array operation.  Any other argument
 takes the array route.  Each rule is one helper that both routes call
-(_pfaff_ok, _phi_pfaff, _phi_connection, _psi_series, _met,
-_Series.count, the tail test of _Series._horner_from); the functions of
-t that values depend on are NumPy's on both (np.square, not pow, for
-squares, as NumPy's arrays do), and the complex products that NumPy's
-array loop may round differently (_times) run on one-element arrays, so
-the two routes take the same branches and term counts and round alike.
+(_pfaff_first, _pfaff_ok, _psi_ok, _phi_pfaff, _phi_connection,
+_psi_series, _met, _Series.count, the tail test of
+_Series._horner_from); the functions of t that values depend on are
+NumPy's on both (np.square, not pow, for squares, as NumPy's arrays
+do), and the complex products that NumPy's array loop may round
+differently (_times) run on one-element arrays, so the two routes take
+the same branches and term counts and round alike.
 NaN or infinite arguments raise ValueError on both routes before any
 series runs.
 
@@ -52,21 +53,27 @@ error, relative to max(|phi|, e^{-(alpha+beta+1) t}):
     Their terms peak near e^{|lambda| sech^2(t) / 4}, and the two
     products may cancel against |phi|.
 
-The Pfaff series is kept wherever its estimate meets the 1e-10 target,
-so at small lambda the two branches meet at T_SWITCH.  Elsewhere the
-connection formula is taken where its estimate meets the target.  At a
-t where none does (at lambda = 100 and (alpha, beta) = (1, 0), about
-t in [0.15, 0.72]), jacobi_phi raises ArithmeticError.  After
-evaluation the estimates are checked against the ratios the kernel
-reports, and a miss raises too.
+Each t takes the cheaper branch whose estimate meets the 1e-10 target.
+Below _T_CROSS = 1.25 that is the Pfaff series, and the connection
+formula where the Pfaff estimate fails.  From _T_CROSS on it is the
+connection formula, whose Psi series need far fewer terms there (at
+lambda <= 4, 27-33 against the Pfaff series' 99-127 at t = 1.25, and
+16-19 against 295-374 at t = 1.8), and the Pfaff series only where the
+connection formula's estimate fails.  At a t where neither passes (at
+lambda = 100 and (alpha, beta) = (1, 0), about t in [0.15, 0.72]),
+jacobi_phi raises ArithmeticError.  After evaluation the chosen
+branch's estimate is checked against the ratios the kernel reports, and
+a miss raises too.
 
 Gamma is the Lanczos approximation with the 15-coefficient table of
 Godfrey (g = 607/128), whose spec sheet quotes relative errors near
-1e-15 on the right half plane, taken in log form.  The reflection
-formula covers Re(z) < 1/2 with log sin(pi z) written through
-e^{-+i pi z} (1 - e^{+-2 i pi z}), which cannot overflow.  c_jacobi
-adds its four log-Gammas before exponentiating, so c(lambda) stays
-finite at large lambda, where Gamma(i lambda) alone underflows.
+1e-15 on the right half plane, taken in log form; its sum is one divide
+over the stack of its terms at every point, added in the order of the
+series.  The reflection formula covers Re(z) < 1/2 with log sin(pi z)
+written through e^{-+i pi z} (1 - e^{+-2 i pi z}), which cannot
+overflow.  c_jacobi adds its four log-Gammas before exponentiating, so
+c(lambda) stays finite at large lambda, where Gamma(i lambda) alone
+underflows.
 """
 
 from dataclasses import dataclass
@@ -94,6 +101,11 @@ W_SWITCH = 0.9
 T_SWITCH = float(np.arctanh(np.sqrt(W_SWITCH)))
 # Psi's series in sech^2(t) is used from here on (ratio <= sech^2(0.5) ~ 0.79).
 _PSI_T_MIN = 0.5
+# From here on jacobi_phi prefers the connection formula, whose Psi
+# series need fewer terms than the Pfaff series (about 30 against 100 at
+# t = 1.25 and small lambda).  Below it the Pfaff series is as cheap:
+# their counts meet near t = 0.9, and a crossover there was measured slower.
+_T_CROSS = 1.25
 
 # Series controls.
 _SERIES_RTOL = 1.0e-16
@@ -137,6 +149,8 @@ _LANCZOS_C = np.array([
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 ])
+# the k of the terms c_k / (x + k), k = 1..14, as a column
+_LANCZOS_K = np.arange(1.0, len(_LANCZOS_C))[:, None]
 
 _LOG_SQRT_2PI = float(0.5 * np.log(2.0 * np.pi))
 _LOG_PI = float(np.log(np.pi))
@@ -146,16 +160,22 @@ _LOG_2 = float(np.log(2.0))
 def _log_gamma(z):
     """log Gamma(z) for a complex array z, up to a multiple of 2 pi i.
 
-    +inf at the poles (the non-positive integers)."""
+    +inf at the poles (the non-positive integers).  The Lanczos sum takes
+    its 14 terms c_k / (x + k) at every point in one divide, a (14, N)
+    stack, and adds them in k order, so it is bit for bit the
+    term-by-term loop it replaced (kept in the tests as its oracle)."""
     z = np.asarray(z, dtype=complex)
+    shape, z = z.shape, z.reshape(-1)
     reflect = z.real < 0.5
     zz = np.where(reflect, 1.0 - z, z)
 
-    # Lanczos sum at zz, Re(zz) >= 0.5.
+    # Lanczos sum at zz, Re(zz) >= 0.5, below c_0 in one stack; a running
+    # sum keeps k order where a reduce would add one point's terms pairwise
     x = zz - 1.0
-    acc = np.full_like(zz, _LANCZOS_C[0])
-    for k in range(1, len(_LANCZOS_C)):
-        acc = acc + _LANCZOS_C[k] / (x + k)
+    terms = np.empty((len(_LANCZOS_C),) + zz.shape, dtype=complex)
+    terms[0] = _LANCZOS_C[0]
+    np.divide(_LANCZOS_C[1:, None], x + _LANCZOS_K, out=terms[1:])
+    acc = np.add.accumulate(terms, out=terms)[-1]
     tt = x + _LANCZOS_G + 0.5
     out = _LOG_SQRT_2PI + (x + 0.5) * np.log(tt) - tt + np.log(acc)
 
@@ -172,7 +192,7 @@ def _log_gamma(z):
     # sin(pi z) only vanishes to roundoff at the exact poles; flag them
     pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.round(z.real))
     out[pole] = complex(np.inf, 0.0)
-    return out
+    return out.reshape(shape)
 
 
 def gamma_c(z):
@@ -398,9 +418,9 @@ class JacobiParams:
     connection formula or the c-function is involved.
 
     An instance keeps, built on first use, its Pfaff and Psi tables,
-    c(lambda), and the reflected triple (alpha, beta, -lambda) for the
-    connection formula at parameters that are not real.  Equality, hash
-    and repr read the three fields only.
+    c(lambda) and c(-lambda), and the reflected triple (alpha, beta,
+    -lambda) for the connection formula at parameters that are not
+    real.  Equality, hash and repr read the three fields only.
     """
 
     alpha: complex
@@ -425,8 +445,16 @@ class JacobiParams:
         return (complex(self.alpha) + complex(self.beta) + 1.0).real
 
     @cached_property
+    def _real(self):
+        return not (complex(self.alpha).imag or complex(self.beta).imag or complex(self.lam).imag)
+
+    @cached_property
     def _c(self):
-        return c_jacobi(self.alpha, self.beta, self.lam)
+        """(c(lambda), c(-lambda)); for real parameters the two are conjugates."""
+        cp = c_jacobi(self.alpha, self.beta, self.lam)
+        if self._real:
+            return cp, cp.conjugate()
+        return cp, c_jacobi(self.alpha, self.beta, -complex(self.lam))
 
     @cached_property
     def _reflected(self):
@@ -451,11 +479,16 @@ class JacobiParams:
                      for (a, b, c), k in _odd_terms(int(m)).items())
 
 
-def _check_lambda_regular(lam, what):
-    """Reject lambda within _LAMBDA_GUARD of i*Z (poles of c / Psi)."""
-    lam = complex(lam)
+def _near_pole(lam):
+    """Whether lambda is within _LAMBDA_GUARD of i*Z (poles of c / Psi)."""
     # lam = i*k  <=>  (Re lam, Im lam) = (0, k)
-    if abs(lam.real) < _LAMBDA_GUARD and abs(lam.imag - round(lam.imag)) < _LAMBDA_GUARD:
+    return abs(lam.real) < _LAMBDA_GUARD and abs(lam.imag - round(lam.imag)) < _LAMBDA_GUARD
+
+
+def _check_lambda_regular(lam, what):
+    """Reject lambda within _LAMBDA_GUARD of i*Z."""
+    lam = complex(lam)
+    if _near_pole(lam):
         raise ValueError(f"{what} has a pole at lambda in i*Z; got lambda = {lam}")
 
 
@@ -491,8 +524,8 @@ def jacobi_phi(par, t):
 
 def _phi_series(par, ts):
     """(phi, estimated error over machine epsilon) by the Pfaff series or
-    the connection formula, chosen at each t by _pfaff_ok."""
-    near = _pfaff_ok(par, ts)
+    the connection formula, chosen at each t by _pfaff_first."""
+    near = _pfaff_first(par, ts)
     if ts.ndim == 0:
         return (_phi_pfaff if near else _phi_connection)(par, ts)
     out = np.empty(ts.shape, dtype=complex)
@@ -552,8 +585,20 @@ def _rounding(val, ratio, lam, t):
     return abs(val) * (_SAFETY * ratio + abs(lam) * t)
 
 
+def _pfaff_first(par, t):
+    """The branch rule: where jacobi_phi takes the Pfaff series.  Below
+    _T_CROSS wherever its estimate passes; from _T_CROSS on only where
+    the connection formula's does not.  Every other t takes the
+    connection formula, which raises where its estimate fails."""
+    near = _pfaff_ok(par, t)
+    late = near & (t >= _T_CROSS)
+    if _any(late):
+        near = near & ~(late & _psi_ok(par, t))
+    return near
+
+
 def _pfaff_ok(par, t):
-    """The branch rule: where jacobi_phi takes the Pfaff series."""
+    """Where the Pfaff series' a-priori estimate passes (t <= T_SWITCH)."""
     lam, rho = abs(complex(par.lam)), par._rho
     # the Pfaff terms peak near e^x / (1 + pi x) with x = |lambda| tanh t,
     # the largest term of sum_k (x/2)^{2k} / k!^2, and cosh(t)^-rho
@@ -572,33 +617,43 @@ def _phi_pfaff(par, t):
     return out, _rounding(out, ratio, par.lam, t)
 
 
-def _phi_connection(par, t):
-    """(phi, estimated error) from the connection formula; raises
-    ArithmeticError where t < 0.5 or the Psi budget is missed."""
-    a, b, lam = complex(par.alpha), complex(par.beta), complex(par.lam)
-    rho = par._rho
-    if _any(t < _PSI_T_MIN):
-        _phi_unreachable(par, t[t < _PSI_T_MIN])
-    _check_lambda_regular(lam, "connection formula")
-    # for real alpha, beta and lambda, c(-lambda) and Psi_(-lambda) are
-    # the conjugates of c(lambda) and Psi_lambda (same series ratio)
-    real = a.imag == 0.0 and b.imag == 0.0 and lam.imag == 0.0
-    cp = par._c
-    cm = cp.conjugate() if real else par._reflected._c
+def _psi_ok(par, t):
+    """Where the connection formula's a-priori estimate passes: t >= 0.5,
+    lambda off i*Z, and the Psi budget met."""
+    lam = complex(par.lam)
+    ok = t >= _PSI_T_MIN
+    if _near_pole(lam):
+        return ok & False  # at no t: c and Psi have their poles on i*Z
+    cp, cm = par._c
     # the Psi terms peak near e^{|lambda| sech^2 t / 4}, and the two
     # products may cancel against |phi|, here bounded by the floor,
     # which (2 sinh t)^-rho exceeds by (1 - e^{-2t})^-rho; for real lambda
-    # and t >= 0.5 all that is at most `bound` (-log(1 - e^-1) < 0.46)
-    bound = abs(lam) / 4.0 + log(2.0 * abs(cp)) + 0.46 * max(rho, 0.0)
-    if not real or bound > _LOG_BUDGET - 1.0:
-        log_sh = np.log(2.0 * np.sinh(t))
-        lead = abs(cp) * np.exp(-lam.imag * log_sh) + abs(cm) * np.exp(lam.imag * log_sh)
-        lift = -rho * np.log(-np.expm1(-2.0 * t))
-        log_est = abs(lam) / (4.0 * np.square(np.cosh(t))) + np.log(lead) + lift
-        if _any(log_est > _LOG_BUDGET):
-            _phi_unreachable(par, t[log_est > _LOG_BUDGET])
+    # and t >= 0.5 all that is at most the bound below (-log(1 - e^-1) < 0.46)
+    if par._real and (abs(lam) / 4.0 + log(2.0 * abs(cp)) + 0.46 * max(par._rho, 0.0)
+                      <= _LOG_BUDGET - 1.0):
+        return ok
+    t = np.maximum(t, _PSI_T_MIN)
+    log_sh = np.log(2.0 * np.sinh(t))
+    lead = abs(cp) * np.exp(-lam.imag * log_sh) + abs(cm) * np.exp(lam.imag * log_sh)
+    lift = -par._rho * np.log(-np.expm1(-2.0 * t))
+    return ok & (abs(lam) / (4.0 * np.square(np.cosh(t))) + np.log(lead) + lift <= _LOG_BUDGET)
+
+
+def _phi_connection(par, t):
+    """(phi, estimated error) from the connection formula; raises
+    ArithmeticError where t < 0.5 or the Psi budget is missed (_psi_ok)."""
+    lam = complex(par.lam)
+    if _any(t < _PSI_T_MIN):
+        _phi_unreachable(par, t[t < _PSI_T_MIN])
+    _check_lambda_regular(lam, "connection formula")
+    ok = _psi_ok(par, t)
+    if _any(~ok):
+        _phi_unreachable(par, t[~ok])
+    # for real parameters Psi_(-lambda) is the conjugate of Psi_lambda
+    # (same series ratio)
+    cp, cm = par._c
     psi_p, _, ratio_p = _psi_series(par, t)
-    if real:
+    if par._real:
         psi_m, ratio_m = psi_p.conj(), ratio_p
     else:
         psi_m, _, ratio_m = _psi_series(par._reflected, t)

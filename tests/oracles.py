@@ -40,7 +40,10 @@ Householder sweep: one LAPACK QR per matrix and a stacked det.
 series_nterms_blocks is the term-count scan of specialfn._Series.sum
 as it stood before the scalar scan: blocks of
 the table at the largest w, with each block's partial sums formed as
-the carried sum plus the block's cumulative sum.  e_defect,
+the carried sum plus the block's cumulative sum.  log_gamma_loop is
+specialfn._log_gamma with its Lanczos sum as the term-by-term loop it
+stood as, and c_jacobi_loop is specialfn.c_jacobi on it; the library
+must reproduce both bit for bit.  e_defect,
 u_intertwine and spectral_projection are the horocyclic defect, the
 Weyl relabelling of atom sections and the Monte Carlo spectral
 projection, which only the tests use; weyl_reflect is the Weyl
@@ -734,3 +737,39 @@ def phi_half_odd(m, lam, t):
         jet = times(np.append(deriv, 0.0), csch)
         pre *= -(2 * k + 1) / (lam * lam + k * k)
     return pre * jet[0]
+
+
+def log_gamma_loop(z):
+    """specialfn._log_gamma as it stood with its Lanczos sum taken term by
+    term, k = 1..14, in a loop over arrays."""
+    z = np.asarray(z, dtype=complex)
+    reflect = z.real < 0.5
+    zz = np.where(reflect, 1.0 - z, z)
+    x = zz - 1.0
+    acc = np.full_like(zz, sf._LANCZOS_C[0])
+    for k in range(1, len(sf._LANCZOS_C)):
+        acc = acc + sf._LANCZOS_C[k] / (x + k)
+    tt = x + sf._LANCZOS_G + 0.5
+    out = sf._LOG_SQRT_2PI + (x + 0.5) * np.log(tt) - tt + np.log(acc)
+    if reflect.any():
+        zr = z[reflect]
+        s = np.where(zr.imag < 0.0, -1.0, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_sin = (np.log(0.5j * s) - 1j * np.pi * s * zr
+                       + np.log1p(-np.exp(2j * np.pi * s * zr)))
+        out[reflect] = sf._LOG_PI - log_sin - out[reflect]
+    pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.round(z.real))
+    out[pole] = complex(np.inf, 0.0)
+    return out
+
+
+def c_jacobi_loop(alpha, beta, lam):
+    """specialfn.c_jacobi's value on log_gamma_loop; None where c_jacobi
+    raises at a pole."""
+    a, b, il = complex(alpha), complex(beta), 1j * complex(lam)
+    if abs(il) < sf._LAMBDA_GUARD:
+        return None
+    lg = log_gamma_loop([a + 1.0, il, (il + a + b + 1.0) / 2.0, (il + a - b + 1.0) / 2.0])
+    if np.isinf(lg[0]) or np.isinf(lg[1]):
+        return None
+    return complex(np.exp((-il + a + b + 1.0) * sf._LOG_2 + lg[0] + lg[1] - lg[2] - lg[3]))

@@ -142,6 +142,18 @@ def test_limit_passes_at_large_lambda():
     assert rows["extrapolated_limit"]["pass"]
 
 
+@pytest.mark.parametrize("args", [["--p", "1", "--sigma", "q:0", "--lambda", "15"],
+                                  ["--p", "2", "--chirality", "plus", "--sigma", "q:2",
+                                   "--lambda", "5.5"]])
+def test_limit_passes_where_the_pfaff_series_was_kept_too_long(args):
+    # jacobi_phi refused t ~ 1.4 .. 1.6 here while it kept the Pfaff
+    # series up to T_SWITCH; the connection formula covers those radii
+    res = CliRunner().invoke(main, ["limit", "--n", "4", *args])
+    assert res.exit_code == 0, res.output
+    rows = {r["name"]: r for r in json.loads(res.output)["rows"]}
+    assert rows["extrapolated_limit"]["pass"]
+
+
 def test_limit_bound_constant_is_informational(monkeypatch):
     # no derivation bounds the two-sided constant (over the coverage matrix
     # it lay in [1.29, 1.78]), so its row has no target or tol and passes
@@ -334,7 +346,6 @@ def test_decompose_refuses_a_negative_seed_by_name():
     assert "matrix" not in res.output
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_decompose_exits_cleanly_where_the_boost_overflows():
     res = CliRunner().invoke(main, ["decompose", "--at", "700", "--n", "3"])
     assert res.exit_code == 1

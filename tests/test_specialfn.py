@@ -30,9 +30,10 @@ from hyperform import (
     make_ny,
     sigma_q,
 )
+from hyperform import specialfn as sf
 from hyperform.specialfn import _Series, gauss_legendre
 
-from oracles import phi_half_odd, series_nterms_blocks
+from oracles import c_jacobi_loop, log_gamma_loop, phi_half_odd, series_nterms_blocks
 
 mpmath.mp.dps = 40
 
@@ -64,6 +65,38 @@ def test_gamma_pole_flags_infinity():
     assert not np.isfinite(gamma_c(0.0))
     assert not np.isfinite(gamma_c(-3.0))
     assert np.isfinite(gamma_c(-3.0 + 1e-9j))
+
+
+def test_lanczos_sum_is_the_term_loop_bit_for_bit():
+    """gamma_c and c_jacobi take their Lanczos sums in one step; on 12,000
+    complex points (half with Re z < 1/2, the non-positive and positive
+    integers and the real axis among them), one at a time and as one array,
+    and on 2,500 (alpha, beta, lambda) triples, they equal the term loop
+    of tests/oracles.py bit for bit."""
+    rng = np.random.default_rng(37)
+    z = rng.uniform(-30.0, 30.0, 12000) + 1j * rng.uniform(-30.0, 30.0, 12000)
+    z[:60] = np.arange(-59, 1)
+    z[60:120] = np.arange(1, 61)
+    z[120:1000] = rng.uniform(-30.0, 30.0, 880)
+    z[1000:2000] = rng.uniform(-3.0, 3.0, 1000) + 1j * rng.uniform(-1e-3, 1e-3, 1000)
+    assert np.count_nonzero(z.real < 0.5) >= 5000
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.exp(log_gamma_loop(z))
+    assert _bits(gamma_c(z)) == _bits(want)
+    assert _bits(gamma_c(z.reshape(100, 120))) == _bits(want.reshape(100, 120))
+    for zi, wi in zip(z[::20], want[::20]):
+        assert _bits(gamma_c(zi)) == _bits(wi)
+    alphas = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, -0.5, 0.3 + 0.2j], 2500)
+    betas = rng.choice([-0.5, 0.0, 0.5, 2.0, 5.0, -1.5], 2500)
+    lams = rng.uniform(-50.0, 50.0, 2500) + 1j * rng.choice([0.0, 0.0, 1.0, -2.5], 2500)
+    lams[:40] = 1j * np.arange(-20, 20)
+    for alpha, beta, lam in zip(alphas, betas, lams):
+        want = c_jacobi_loop(alpha, beta, lam)
+        got = _outcome(c_jacobi, alpha, beta, lam)
+        if want is None:
+            assert isinstance(got, tuple) and got[0] is ValueError, (alpha, beta, lam)
+        else:
+            assert _bits(got) == _bits(want), (alpha, beta, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +377,19 @@ def test_one_point_route_is_the_array_route():
                 assert abs(val - vals[0]) <= 1e-13 * abs(vals[0]), case
     # the grid reaches the refusal bands at lambda >= 25
     assert raised > 0
-    # points that both branch estimates pass and the final check refuses
+    # points the Pfaff series' final check refused while it was kept up to
+    # T_SWITCH: the connection formula answers them, on both routes
     for alpha, beta, lam, t in ((0.0, -0.5, 15.0, 1.3), (0.0, 2.0, 12.0, 1.6),
                                 (1.0, 3.0, 12.0, 1.6)):
+        want = _phi_mpmath(alpha, beta, lam, t)
+        scale = max(abs(want), np.exp(-(alpha + beta + 1.0) * t))
+        for got in (jacobi_phi(JacobiParams(alpha, beta, lam), t),
+                    jacobi_phi(JacobiParams(alpha, beta, lam), np.array([t, t]))[0]):
+            assert abs(got - want) <= 1e-10 * scale, (alpha, beta, lam, t)
+    # points that the chosen branch's estimate passes and the final check refuses
+    for alpha, beta, lam, t in ((0.0, -0.5, 20.0, 0.85), (0.0, 2.0, 15.0, 1.1),
+                                (0.5, 2.5, 15.0, 1.1)):
+        assert sf._pfaff_first(JacobiParams(alpha, beta, lam), np.float64(t))
         for arg in (t, np.array([t, t])):
             with pytest.raises(ArithmeticError, match="cannot be evaluated"):
                 jacobi_phi(JacobiParams(alpha, beta, lam), arg)
@@ -357,6 +400,25 @@ def test_one_point_route_is_the_array_route():
             vals, nterms2, ratios = hyp2f1_negz(a, b, c, np.array([z, z]), full_output=True)
             assert nterms == nterms2[0] and abs(ratio - ratios[0]) <= 1e-12 * ratios[0]
             assert abs(val - vals[0]) <= 1e-13 * abs(vals[0])
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 4.0])
+def test_branch_rule_takes_the_cheaper_series(lam, monkeypatch):
+    """From _T_CROSS to T_SWITCH the connection formula's Psi series,
+    which need fewer terms, and below _T_CROSS the Pfaff series: for every
+    family at lambda in {0.5, 1, 4}, on the one-point and the array
+    routes, the other branch never runs."""
+    def refuse(*args):
+        raise AssertionError("the other branch ran")
+
+    late = np.linspace(sf._T_CROSS, sf.T_SWITCH, 6)
+    early = np.linspace(0.0, sf._T_CROSS, 6, endpoint=False)
+    for ts, other in ((late, "_phi_pfaff"), (early, "_phi_connection")):
+        with monkeypatch.context() as patch:
+            patch.setattr(sf, other, refuse)
+            for alpha, beta in _PHI_FAMILIES:
+                for arg in (*ts, ts):
+                    jacobi_phi(JacobiParams(alpha, beta, lam), arg)
 
 
 def test_bad_arguments_raise_before_any_work(monkeypatch):
@@ -420,13 +482,14 @@ def test_table_prefix_is_independent_of_history():
     # a point next to a zero of phi extends its sum past the block the
     # largest w needs; later growth still reproduces a fresh table.
     # (1, -1/2) sums its Pfaff series there, as (1/2, -1/2) did before its
-    # closed form; zero is a zero of phi^(1,-1/2)_4, found by bisection
+    # closed form; zero is a zero of phi^(1,-1/2)_4, found by bisection.
+    # The later radii sit below _T_CROSS, where the Pfaff series is taken
     lam, zero = 4.0, 0.9509443607658485
     warm = JacobiParams(1.0, -0.5, lam)
     near = jacobi_phi(warm, np.array([0.2, zero + 1e-9, zero + 1e-3]))
     assert abs(near[1]) <= 1e-8
     fresh = JacobiParams(1.0, -0.5, lam)
-    for t in (1.5, 1.8):
+    for t in (1.0, 1.2):
         assert jacobi_phi(warm, t) == jacobi_phi(fresh, t)
     assert np.array_equal(warm._series[0].coef, fresh._series[0].coef)
 
