@@ -36,6 +36,7 @@ GroupElement and KElement wrappers carrying the validation.
 """
 
 import operator
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,6 +86,14 @@ def gate_k(block, what):
         raise ArithmeticError(f"{what} lost orthogonality: defect {defect:.3e}")
 
 
+@lru_cache(maxsize=None)
+def _identity(n):
+    """The n x n identity, built once per n and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _shift_diagonal(a, x):
     """a += x on the diagonals of a C-contiguous stack (..., n, n), in
     place through a strided view; raises if a is not contiguous."""
@@ -124,8 +133,9 @@ class KElement:
         return out
 
     def _orthonormal(self, u, mode):
+        # one matrix: subtracting I is x - 0 = x off the diagonal, as the shift
         gram = u.T @ u
-        _shift_diagonal(gram, -1.0)
+        np.subtract(gram, _identity(len(u)), out=gram)
         defect = np.abs(gram, out=gram).max()
         if mode == "repair":
             if defect > 1.0e-6:
@@ -411,10 +421,11 @@ def cartan_axis(mats):
     norm = np.sqrt((col * col).sum(axis=-1))
     flat = norm == 0.0
     tie = (t < TIE_EPS) | flat
+    if not tie.any():
+        return t, col / norm[..., None], pol
     b = col / np.where(tie, 1.0, norm)[..., None]
-    if tie.any():
-        b[tie] = pol[tie][..., 0]
-        t[flat] = 0.0
+    b[tie] = pol[tie][..., 0]
+    t[flat] = 0.0
     return t, b, pol
 
 
@@ -425,16 +436,18 @@ def _householder_to_e1(b):
     v = np.array(b, dtype=float)
     v[..., 0] -= 1.0
     vv = (v * v).sum(axis=-1)
-    ok = vv > 1.0e-28  # b away from +e_1
-    every = ok.all()
-    # I - 2 v v^T / vv in place: subtracting from 0 keeps the sign of zeros
+    # the b at +e_1 (or NaN); None where every b is away from it, as at
+    # the scalar cartan's b, which then takes no masks
+    near = None if vv.min() > 1.0e-28 else ~(vv > 1.0e-28)
+    # I - 2 v v^T / vv in place: I - x is 0 - x off the diagonal, which
+    # keeps the sign of zeros, and 1 - x on it, as (0 - x) + 1 rounds
     out = 2.0 * v[..., :, None] * v[..., None, :]
-    out /= (vv if every else np.where(ok, vv, 1.0))[..., None, None]
-    np.subtract(0.0, out, out=out)
-    _shift_diagonal(out, 1.0)
+    out /= (vv if near is None else np.where(near, 1.0, vv))[..., None, None]
+    eye = _identity(b.shape[-1])
+    np.subtract(eye, out, out=out)
     out[..., :, -1] *= -1.0
-    if not every:
-        out[~ok] = np.eye(b.shape[-1])
+    if near is not None:
+        out[near] = eye
     return out
 
 

@@ -62,8 +62,40 @@ lambda <= 4, 27-33 against the Pfaff series' 99-127 at t = 1.25, and
 connection formula's estimate fails.  At a t where neither passes (at
 lambda = 100 and (alpha, beta) = (1, 0), about t in [0.15, 0.72]),
 jacobi_phi raises ArithmeticError.  After evaluation the chosen
-branch's estimate is checked against the ratios the kernel reports, and
-a miss raises too.
+branch's estimate is checked against the ratios the kernel reports; at
+a t where that final check misses, the other branch runs if its
+a-priori estimate passes (at (0, -1/2), lambda = 20, t = 0.85 the Pfaff
+series misses and the connection formula answers), and a miss there
+raises too.
+
+jacobi_phi_pair(par, t) gives a = phi^(alpha,-1/2) and b =
+phi^(alpha+1,-1/2), the two Jacobi functions of every spherical
+component off the chirality bundles, from a's series alone.  By
+Koornwinder's derivative formula and the quadratic transformation,
+
+    b(t) = -8 (alpha + 1) / (4 lambda^2 + (2 alpha + 1)^2) a'(t) / sinh t,
+
+and both of a's representations are a power prefactor P(t) times a
+series S(w): P = cosh^-2A t, w = tanh^2 t on the Pfaff side, and P =
+(2 sinh t)^(i lambda - rho) coth^-2A t, w = sech^2 t, for Psi, A the
+series' first parameter.  Either way (P S)' = tanh t P (-2A S +- 2
+sech^2 t S'), + for tanh^2 and - for sech^2, so one branch rule, one
+term count (count's scan meets S's stop and S''s) and one Horner pass
+with a second accumulator for S' give both.  a keeps its estimate, tail
+test, final check and retry; b has its own tail test on S' and its own
+estimate, from the largest term of S' (a second hull of the table) and
+of -2A S, checked against max(|b|, e^{-(alpha+3/2) t}).  At a t where
+b's check misses, or at complex lambda within 1e-6 (relative) of a zero
+of 4 lambda^2 + (2 alpha + 1)^2, b is jacobi_phi(alpha + 1, -1/2,
+lambda) there.  Where both closed forms of the half-odd families are
+taken, both are kept.  b's complex products are plain ones on both
+routes, so a single t and an array may differ in b by its rounding
+(well inside its estimate); a is rounded as jacobi_phi rounds it.  One
+point of a + b, warm (2, -1/2, 1) tables, both versions timed in turns
+in one process (best of 20 x 300 calls; 2 vCPUs shared, Python 3.11,
+NumPy 2.4), two jacobi_phi calls -> one pair: 41.0 -> 30.1, 68.7 ->
+59.9, 75.1 -> 54.8, 63.8 -> 46.4 and 60.9 -> 45.9 us at t = 0.3, 1.0,
+1.5, 2.0 and 2.5.
 
 Gamma is the Lanczos approximation with the 15-coefficient table of
 Godfrey (g = 607/128), whose spec sheet quotes relative errors near
@@ -89,6 +121,7 @@ __all__ = [
     "gamma_c",
     "hyp2f1_negz",
     "jacobi_phi",
+    "jacobi_phi_pair",
     "jacobi_psi",
     "c_jacobi",
     "gauss_legendre",
@@ -220,7 +253,7 @@ def _one_point(x, fn, name):
 def _shaped(shape, *values):
     """One-point results in the argument's shape: NumPy scalars for a 0-d
     argument, arrays of one element otherwise."""
-    return tuple(np.full(shape, v) if shape else np.asarray(v)[()] for v in values)
+    return tuple(np.array([v]).reshape(shape) if shape else np.asarray(v)[()] for v in values)
 
 
 def hyp2f1_negz(a, b, c, z, *, full_output=False):
@@ -259,6 +292,18 @@ def _horner(coef_desc, x):
     return acc
 
 
+def _horner_deriv(coef_desc, x):
+    """(sum_k coef[k] x^k, sum_k k coef[k] x^(k-1)) in one Horner pass with
+    a second accumulator; the first is _horner's, bit for bit."""
+    acc, dacc = x * 0.0 + coef_desc[0], x * 0.0
+    for ck in coef_desc[1:]:
+        dacc *= x
+        dacc += acc
+        acc *= x
+        acc += ck
+    return acc, dacc
+
+
 def _any(mask):
     """mask.any(), without NumPy's reduction at one point."""
     return mask.any() if mask.ndim else bool(mask)
@@ -275,15 +320,16 @@ def _times(x, y):
 
 class _Series:
     """Coefficient table coef[k] = (a)_k (b)_k / ((c)_k k!) of one series
-    triple, and the upper hull of log|coef| with the length it was built
-    for.  The table grows only by doubling in blocks of at least
-    _SERIES_BLOCK terms (1 -> 33 -> 66 -> 132 ...), each one cumulative
-    product, so every prefix is the same whatever was asked before."""
+    triple, and the upper hulls of log|coef[k]| and of log|k coef[k]| with
+    the length they were built for.  The table grows only by doubling in
+    blocks of at least _SERIES_BLOCK terms (1 -> 33 -> 66 -> 132 ...), each
+    one cumulative product, so every prefix is the same whatever was asked
+    before."""
 
     def __init__(self, a, b, c):
         self.a, self.b, self.c = a, b, c
         self.coef = np.ones(1, dtype=complex)
-        self.hull = (0, None)
+        self.hulls = [(0, None), (0, None)]
 
     def upto(self, n):
         """The table, grown to at least n coefficients."""
@@ -294,12 +340,14 @@ class _Series:
             self.coef = np.concatenate((self.coef, self.coef[-1] * np.cumprod(ratios)))
         return self.coef
 
-    def log_peak(self, w):
+    def log_peak(self, w, deriv=False):
         """log max_k |coef[k]| w^k at each w over the table as it stands,
-        from the upper hull of the points (k, log|coef[k]|)."""
-        if self.hull[0] != len(self.coef):
+        from the upper hull of the points (k, log|coef[k]|); with deriv, of
+        the derivative's terms, log max_k |k coef[k]| w^(k-1)."""
+        if self.hulls[deriv][0] != len(self.coef):
+            size = np.abs(self.coef[1:]) * np.arange(1.0, len(self.coef)) if deriv else np.abs(self.coef)
             with np.errstate(divide="ignore"):
-                logc = np.log(np.abs(self.coef))
+                logc = np.log(size)
             k = np.flatnonzero(np.isfinite(logc)).astype(float)
             y = logc[k.astype(int)]
             while k.size > 2:
@@ -309,15 +357,15 @@ class _Series:
                     break
                 keep = np.concatenate(([True], ~low, [True]))
                 k, y = k[keep], y[keep]
-            self.hull = (len(self.coef), (k, y, -np.diff(y) / np.diff(k)))
-        k, y, slopes = self.hull[1]
+            self.hulls[deriv] = (len(self.coef), (k, y, -np.diff(y) / np.diff(k)))
+        k, y, slopes = self.hulls[deriv][1]
         # the hull's slopes fall, so the peak at x = log w sits at the first
         # vertex whose outgoing slope is <= -x
         x = np.log(max(w, _TINY) if w.ndim == 0 else np.maximum(w, _TINY))
         j = slopes.searchsorted(x)
         return y[j] + k[j] * x
 
-    def count(self, wmax, guard):
+    def count(self, wmax, guard, deriv=False):
         """The term count at w = wmax: one past the first k >= 1 with
         |coef[k] wmax^k| * guard <= 1e-16 |S_k|, S_k the partial sums in order.
         Where the geometric tail wmax^k * guard reaches 1e-16 within
@@ -325,49 +373,90 @@ class _Series:
         one vectorised pass over what a tail like wmax^k needs plus
         _SERIES_BLOCK (enough for coefficients like k^3 at wmax <= 0.79), then
         doubling passes.  S_k carries over, so the count depends on neither
-        the pass lengths nor the table's."""
+        the pass lengths nor the table's.
+
+        With deriv, k must also meet the derivative's stop, |k coef[k]
+        wmax^(k-1)| * guard <= 1e-16 |S'_k|; times wmax, that is |k term_k| *
+        guard <= 1e-16 |sum_{j<=k} j term_j|, summed alongside S_k.  Its scalar
+        scan covers 2 _SERIES_BLOCK terms, as its counts run a few past S's."""
         logw = float(np.log(wmax)) if wmax > 0.0 else -inf
-        k0, partial, term = 1, 1.0 + 0.0j, 1.0
-        if wmax ** _SERIES_BLOCK * guard <= _SERIES_RTOL:
-            for k, c in enumerate(self.upto(_SERIES_BLOCK + 1)[1:_SERIES_BLOCK + 1].tolist(), 1):
-                term = c * exp(k * logw)
-                partial += term
-                if abs(term) * guard <= _SERIES_RTOL * (abs(partial) + 1e-300):
-                    return k + 1
-            k0 = _SERIES_BLOCK + 1
+        k0, partial, term, kpartial, kterm = 1, 1.0 + 0.0j, 1.0, 0.0j, 1.0
+        span = _SERIES_BLOCK * (1 + deriv)
+        if wmax ** span * guard <= _SERIES_RTOL:
+            coef = self.upto(span + 1)[1:span + 1].tolist()
+            # one loop per mode, so that S's scan pays nothing for the other
+            if not deriv:
+                for k, c in enumerate(coef, 1):
+                    term = c * exp(k * logw)
+                    partial += term
+                    if abs(term) * guard <= _SERIES_RTOL * (abs(partial) + 1e-300):
+                        return k + 1
+            else:
+                tol, power = _SERIES_RTOL / guard, 1.0
+                for k, c in enumerate(coef, 1):
+                    power *= wmax
+                    term = c * power
+                    partial += term
+                    kterm = k * term
+                    kpartial += kterm
+                    if abs(term) <= tol * (abs(partial) + 1e-300) and (
+                            abs(kterm) <= tol * (abs(kpartial) + 1e-300)):
+                        return k + 1
+            k0 = span + 1
+        # the first pass's length, from the scan's last terms if it ran
         miss = _SERIES_RTOL * (abs(partial) + 1e-300) / (abs(term) * guard)
+        if deriv and k0 > 1 and kterm:
+            miss = min(miss, _SERIES_RTOL * (abs(kpartial) + 1e-300) / (abs(kterm) * guard))
         k1 = k0 + int(min(log(miss) / logw, _SERIES_MAX_TERMS)) + _SERIES_BLOCK if miss > 0 else k0
         while True:
             if k0 > _SERIES_MAX_TERMS:
                 _no_convergence(self, wmax)
             k1 = max(k1, k0 + _SERIES_BLOCK)
-            terms = self.upto(k1)[k0:k1] * np.exp(np.arange(k0, k1) * logw)
+            ks = np.arange(k0, k1)
+            terms = self.upto(k1)[k0:k1] * np.exp(ks * logw)
             bound = np.abs(terms) * guard
+            if deriv:
+                kterms = terms * ks
+                kbound = np.abs(kterms) * guard
+                kterms[0] += kpartial
+                ksums = np.cumsum(kterms, out=kterms)
+                kdone = kbound <= _SERIES_RTOL * (np.abs(ksums) + 1e-300)
+                kpartial = ksums[-1]
             terms[0] += partial
             sums = np.cumsum(terms, out=terms)
             done = bound <= _SERIES_RTOL * (np.abs(sums) + 1e-300)
+            if deriv:
+                done &= kdone
             first = int(done.argmax())
             if done[first]:
                 return k0 + first + 1
             partial, k0, k1 = sums[-1], k1, 2 * k1
 
-    def _horner_from(self, w, nterms, guard, wmax):
-        """(sums, term counts) at w, a NumPy float or a 1-d array; a point
-        failing the stop is summed again with 2 nterms."""
+    def _horner_from(self, w, nterms, guard, wmax, deriv=False):
+        """(sums, [derivatives,] term counts) at w, a NumPy float or a 1-d
+        array; a point failing the stop (with deriv, either stop) is summed
+        again with 2 nterms."""
         if nterms > _SERIES_MAX_TERMS:
             _no_convergence(self, wmax)
         coef = self.upto(nterms)
-        s = _horner(coef[nterms - 1::-1].tolist(), complex(w) if w.ndim == 0 else w.astype(complex))
+        x = complex(w) if w.ndim == 0 else w.astype(complex)
+        sums = (_horner_deriv if deriv else _horner)(coef[nterms - 1::-1].tolist(), x)
+        sums = sums if deriv else (sums,)
         # the tail test: the last term, with the guard, below 1e-16 |sum|
-        done = abs(coef[nterms - 1]) * w ** (nterms - 1) * guard <= _SERIES_RTOL * (abs(s) + 1e-300)
+        last = abs(coef[nterms - 1])
+        done = last * w ** (nterms - 1) * guard <= _SERIES_RTOL * (abs(sums[0]) + 1e-300)
+        if deriv:
+            done &= (last * (nterms - 1) * w ** (nterms - 2) * guard
+                     <= _SERIES_RTOL * (abs(sums[1]) + 1e-300))
         if w.ndim == 0:
-            return (s, nterms) if done else self._horner_from(w, 2 * nterms, guard, wmax)
-        used = np.full(w.shape, nterms)
+            return (*sums, nterms) if done else self._horner_from(w, 2 * nterms, guard, wmax, deriv)
+        out = (*sums, np.full(w.shape, nterms))
         if not done.all():
-            s[~done], used[~done] = self._horner_from(w[~done], 2 * nterms, guard, wmax)
-        return s, used
+            for part, redo in zip(out, self._horner_from(w[~done], 2 * nterms, guard, wmax, deriv)):
+                part[~done] = redo
+        return out
 
-    def sum(self, w):
+    def sum(self, w, deriv=False):
         """Power series sum_k coef[k] w^k for w in [0, 1), a float array or
         a NumPy float (one point, summed on Python scalars): the sum, the
         number of terms summed and the cancellation ratio max|term| / |sum|,
@@ -376,30 +465,53 @@ class _Series:
         bounds the tail, a geometric series of ratio ~ w.  One scan at the
         largest w (count) gives the term count for every point,
         summed by Horner's rule; a point that still fails (next to a zero
-        of the sum) is summed again with twice as many terms.
+        of the sum) is summed again with twice as many terms.  With deriv,
+        the same pass also sums the derivative sum_k k coef[k] w^(k-1), whose
+        terms meet the same stop, and returns it and its largest term
+        max|k coef[k] w^(k-1)| after the three.
         """
         one = w.ndim == 0
         wmax = float(w) if one else float(w.max()) if w.size else 0.0
         guard = max(wmax / (1.0 - wmax), 1.0) if wmax < 1.0 else np.inf
-        total, used = self._horner_from(w if one else w.reshape(-1), self.count(wmax, guard),
-                                        guard, wmax)
+        out = self._horner_from(w if one else w.reshape(-1), self.count(wmax, guard, deriv),
+                                guard, wmax, deriv)
+        total, used = out[0], out[-1]
         if one:
             # math's exp and log raise where NumPy's give inf
             try:
-                return total, used, exp(self.log_peak(w) - log(abs(total)))
+                ratio = exp(self.log_peak(w) - log(abs(total)))
             except (ValueError, OverflowError):
-                return total, used, inf
+                ratio = inf
+            if not deriv:
+                return total, used, ratio
+            try:
+                return total, used, ratio, out[1], exp(self.log_peak(w, True))
+            except OverflowError:
+                return total, used, ratio, out[1], inf
         total, used = total.reshape(w.shape), used.reshape(w.shape)
         with np.errstate(divide="ignore", over="ignore"):
             ratio = np.exp(self.log_peak(w) - np.log(np.abs(total)))
-        return total, used, ratio
+            if not deriv:
+                return total, used, ratio
+            return total, used, ratio, out[1].reshape(w.shape), np.exp(self.log_peak(w, True))
 
 
-def _pfaff(series, z):
+def _pfaff(series, z, slope=None):
     """(2F1(a, b; c; z), nterms, ratio) for z <= 0 (a NumPy float or an
-    array), series (a, c-b, c)."""
-    s, nterms, ratio = series.sum(z / (z - 1.0))
-    return _times((1.0 - z) ** (-series.a), s), nterms, ratio
+    array), series (a, c-b, c).  With a real slope (a float or an array like
+    z), also g = (1 - z)^-a (-2a S(w) + slope S'(w)), where 2F1 = (1 - z)^-a
+    S(w), w = z / (z - 1), and g's estimated rounding error over machine
+    epsilon, less the phase of (1 - z)^-a: from g, jacobi_phi_pair takes
+    the t-derivatives of phi and Psi (see _phi_pfaff and _psi_series)."""
+    pre = (1.0 - z) ** (-series.a)
+    if slope is None:
+        s, nterms, ratio = series.sum(z / (z - 1.0))
+        return _times(pre, s), nterms, ratio
+    s, nterms, ratio, ds, dpeak = series.sum(z / (z - 1.0), deriv=True)
+    a2 = -2.0 * series.a
+    g = pre * (a2 * s + slope * ds)
+    err = abs(pre) * _SAFETY * (abs(a2) * abs(s) * ratio + abs(slope) * dpeak)
+    return _times(pre, s), nterms, ratio, g, err
 
 
 def _no_convergence(series, wmax):
@@ -461,6 +573,25 @@ class JacobiParams:
         return JacobiParams(self.alpha, self.beta, -complex(self.lam))
 
     @cached_property
+    def _raised(self):
+        """The triple (alpha + 1, beta, lambda) of jacobi_phi_pair's b."""
+        return JacobiParams(self.alpha + 1, self.beta, self.lam)
+
+    @cached_property
+    def _lift(self):
+        """(k, amp) with phi^(alpha+1,-1/2) = k phi'(t) / sinh t at beta =
+        -1/2, k = -8 (alpha + 1) / (4 lambda^2 + (2 alpha + 1)^2), and amp the
+        factor by which the denominator's cancellation lifts the rounding of
+        k: 1 at real parameters, and (0, inf) within _LAMBDA_GUARD of a zero."""
+        a, lam = complex(self.alpha), complex(self.lam)
+        den = 4.0 * lam * lam + (2.0 * a + 1.0) ** 2
+        size = 4.0 * abs(lam) ** 2 + abs(2.0 * a + 1.0) ** 2
+        if abs(den) <= _LAMBDA_GUARD * size:
+            return 0.0, inf
+        k = -8.0 * (a + 1.0) / den
+        return (k.real if self._real else k), size / abs(den)
+
+    @cached_property
     def _odd(self):
         """The terms (b, c, wave, k) of phi = sum k coth^b t csch^c t times
         cos(lambda t) (wave 0) or sin(lambda t) / lambda (wave 1), at
@@ -499,7 +630,8 @@ def jacobi_phi(par, t):
     Right to 1e-10 relative to max(|phi|, e^{-(alpha+beta+1)t}) or raises
     ArithmeticError: by the closed form, the Pfaff series or the connection
     formula (which needs lambda off i*Z), chosen at each t by the rule of
-    the module docstring.  At (alpha, beta) = (m - 1/2, -1/2), m = 1..4,
+    the module docstring, and the other branch where the chosen one misses
+    its final check.  At (alpha, beta) = (m - 1/2, -1/2), m = 1..4,
     it never raises for real lambda and t in [0, 40].
 
     A t of one element (a scalar or an array of size 1) takes the
@@ -516,28 +648,115 @@ def jacobi_phi(par, t):
         out, err = _phi_series(par, ts)
     elif _any(redo):
         out[redo], err[redo] = _phi_series(par, ts[redo])
-    met = _met(par, ts, out, err)
-    if _any(~met):
-        _phi_unreachable(par, ts[~met])
+    out = _retried(par, ts, out, err)
     return _shaped(shape, out)[0] if ts.ndim == 0 else out
 
 
-def _phi_series(par, ts):
+def _phi_series(par, ts, near=None, deriv=False):
     """(phi, estimated error over machine epsilon) by the Pfaff series or
-    the connection formula, chosen at each t by _pfaff_first."""
-    near = _pfaff_first(par, ts)
+    the connection formula, chosen at each t by _pfaff_first (or where
+    near is given, the Pfaff series where it holds); with deriv, followed
+    by jacobi_phi_pair's b and its estimated error."""
+    if near is None:
+        near = _pfaff_first(par, ts)
     if ts.ndim == 0:
-        return (_phi_pfaff if near else _phi_connection)(par, ts)
-    out = np.empty(ts.shape, dtype=complex)
-    err = np.empty(ts.shape)
+        return (_phi_pfaff if near else _phi_connection)(par, ts, deriv)
+    out = [np.empty(ts.shape, dtype=kind) for kind in (complex, float) * (1 + deriv)]
     picked = np.count_nonzero(near)  # a branch every t takes needs no masks
     every = picked == ts.size
     near, far = (slice(None),) * 2 if every or not picked else (near, ~near)
-    if picked:
-        out[near], err[near] = _phi_pfaff(par, ts[near])
-    if not every:
-        out[far], err[far] = _phi_connection(par, ts[far])
-    return out, err
+    for mask, branch, runs in ((near, _phi_pfaff, picked), (far, _phi_connection, not every)):
+        if runs:
+            for part, got in zip(out, branch(par, ts[mask], deriv)):
+                part[mask] = got
+    return tuple(out)
+
+
+def _retried(par, ts, out, err):
+    """out, where its final check (_met) passes; at any other t, phi by the
+    branch _pfaff_first did not choose, where that branch's a-priori
+    estimate and then its final check pass.  Raises ArithmeticError at a t
+    where neither branch is accurate."""
+    miss = ~_met(par, ts, out, err)
+    if not _any(miss):
+        return out
+    sub = ts if ts.ndim == 0 else ts[miss]
+    other = ~_pfaff_first(par, sub)
+    if sub.ndim == 0:
+        ok = (_pfaff_ok if other else _psi_ok)(par, sub)
+    else:
+        ok = np.where(other, _pfaff_ok(par, sub), _psi_ok(par, sub))
+    if _any(~ok):
+        _phi_unreachable(par, sub[~ok])
+    new, new_err = _phi_series(par, sub, near=other)
+    met = _met(par, sub, new, new_err)
+    if _any(~met):
+        _phi_unreachable(par, sub[~met])
+    if ts.ndim == 0:
+        return new
+    out[miss] = new
+    return out
+
+
+def jacobi_phi_pair(par, t):
+    """(a, b) = (phi^(alpha,-1/2)_lambda(t), phi^(alpha+1,-1/2)_lambda(t)) for
+    par = (alpha, -1/2, lambda); any other beta raises ValueError.
+
+    b = k a'(t) / sinh t, k = -8 (alpha + 1) / (4 lambda^2 + (2 alpha + 1)^2),
+    comes from a's own series: one branch rule and one term count per call,
+    and one Horner pass that also sums the series' derivative (see the
+    module docstring).  a is right or raises as jacobi_phi(par, t) is, by
+    the same rules; b is right to 1e-10 relative to max(|b|,
+    e^{-(alpha+3/2) t}) by its own estimate, and at a t where that misses
+    (or near a zero of k's denominator at complex lambda) it is
+    jacobi_phi(alpha + 1, -1/2, lambda).  Where both take the closed form
+    of the half-odd families, both keep it.  A t of one element takes the
+    one-point route, as in jacobi_phi.
+    """
+    if complex(par.beta) != -0.5:
+        raise ValueError(f"jacobi_phi_pair requires beta = -1/2; got beta = {par.beta}")
+    ts, shape = _one_point(t, "jacobi_phi_pair", "t")
+    ts = abs(ts)
+    up = par._raised
+    if par._odd or up._odd:
+        a, a_err, b, b_err = _pair_odd(par, up, ts)
+    else:
+        a, a_err, b, b_err = _phi_series(par, ts, deriv=True)
+    a = _retried(par, ts, a, a_err)
+    miss = ~_met(up, ts, b, b_err)
+    if _any(miss):
+        if ts.ndim == 0:
+            b = jacobi_phi(up, ts)
+        else:
+            b[miss] = jacobi_phi(up, ts[miss])
+    return _shaped(shape, a, b) if ts.ndim == 0 else (a, b)
+
+
+def _pair_odd(par, up, ts):
+    """(a, its error, b, its error) of jacobi_phi_pair where a closed form
+    exists: each closed form kept where its check passes, the pair's
+    series at every other t."""
+    odd = [_phi_odd(p, ts) if p._odd else None for p in (par, up)]
+    kept = [np.False_ if v is None else _met(p, ts, *v) for p, v in zip((par, up), odd)]
+    need = ~(kept[0] & kept[1])
+    if not _any(need):
+        return (*odd[0], *odd[1])
+    if ts.ndim == 0 or not _any(~need):
+        got = _phi_series(par, ts, deriv=True)
+    else:
+        got = []
+        for part in _phi_series(par, ts[need], deriv=True):
+            got.append(np.empty(ts.shape, dtype=part.dtype))
+            got[-1][need] = part
+    out = []
+    for keep, v, series in zip(kept, odd, (got[:2], got[2:])):
+        if not _any(keep):
+            out += series
+        elif ts.ndim == 0:
+            out += v
+        else:
+            out += [np.where(keep, vi, si) for vi, si in zip(v, series)]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -611,10 +830,21 @@ def _pfaff_ok(par, t):
     return near
 
 
-def _phi_pfaff(par, t):
-    """(phi, estimated error) from the Pfaff series at t <= T_SWITCH."""
-    out, _, ratio = _pfaff(par._series[0], -np.square(np.sinh(t)))
-    return out, _rounding(out, ratio, par.lam, t)
+def _phi_pfaff(par, t, deriv=False):
+    """(phi, estimated error) from the Pfaff series at t <= T_SWITCH.  With
+    deriv, also jacobi_phi_pair's b = k phi'(t) / sinh t and its estimated
+    error: phi = cosh^-2A(t) S(tanh^2 t) has phi' / sinh t = g / cosh t, g
+    from _pfaff with slope 2 sech^2 t = 2 / (1 - z)."""
+    z = -np.square(np.sinh(t))
+    got = _pfaff(par._series[0], z, 2.0 / (1.0 - z) if deriv else None)
+    out, ratio = got[0], got[2]
+    if not deriv:
+        return out, _rounding(out, ratio, par.lam, t)
+    k, amp = par._lift
+    scale = k / np.cosh(t)
+    b = scale * got[3]
+    return (out, _rounding(out, ratio, par.lam, t),
+            b, abs(scale) * got[4] + abs(b) * (abs(par.lam) * t + amp))
 
 
 def _psi_ok(par, t):
@@ -639,9 +869,11 @@ def _psi_ok(par, t):
     return ok & (abs(lam) / (4.0 * np.square(np.cosh(t))) + np.log(lead) + lift <= _LOG_BUDGET)
 
 
-def _phi_connection(par, t):
+def _phi_connection(par, t, deriv=False):
     """(phi, estimated error) from the connection formula; raises
-    ArithmeticError where t < 0.5 or the Psi budget is missed (_psi_ok)."""
+    ArithmeticError where t < 0.5 or the Psi budget is missed (_psi_ok).
+    With deriv, also jacobi_phi_pair's b = k phi' / sinh t and its
+    estimated error."""
     lam = complex(par.lam)
     if _any(t < _PSI_T_MIN):
         _phi_unreachable(par, t[t < _PSI_T_MIN])
@@ -652,20 +884,31 @@ def _phi_connection(par, t):
     # for real parameters Psi_(-lambda) is the conjugate of Psi_lambda
     # (same series ratio)
     cp, cm = par._c
-    psi_p, _, ratio_p = _psi_series(par, t)
+    psi_p, _, ratio_p, *grad_p = _psi_series(par, t, deriv)
     if par._real:
         psi_m, ratio_m = psi_p.conj(), ratio_p
+        grad_m = (grad_p[0].conj(), grad_p[1]) if deriv else ()
     else:
-        psi_m, _, ratio_m = _psi_series(par._reflected, t)
+        psi_m, _, ratio_m, *grad_m = _psi_series(par._reflected, t, deriv)
     plus, minus = _times(cp, psi_p), _times(cm, psi_m)
-    return plus + minus, _rounding(plus, ratio_p, lam, t) + _rounding(minus, ratio_m, lam, t)
+    out = plus + minus, _rounding(plus, ratio_p, lam, t) + _rounding(minus, ratio_m, lam, t)
+    if not deriv:
+        return out
+    # b = k phi' / sinh t, phi' = c(lambda) Psi'_lambda + c(-lambda) Psi'_-lambda
+    k, amp = par._lift
+    scale = k / np.cosh(t)
+    b = scale * (cp * grad_p[0] + cm * grad_m[0])
+    return (*out, b, abs(scale) * (abs(cp) * grad_p[1] + abs(cm) * grad_m[1]) + abs(b) * amp)
 
 
 def _met(par, t, out, err):
     """The final check: true where the estimated error is within _PHI_RTOL
     of max(|phi|, e^{-(alpha+beta+1) t}), false at NaN."""
     bound = _EPS * err
-    return (bound <= _PHI_RTOL * abs(out)) | (bound <= _PHI_RTOL * np.exp(-par._rho * t))
+    met = bound <= _PHI_RTOL * abs(out)
+    if t.ndim == 0 and met:
+        return met
+    return met | (bound <= _PHI_RTOL * np.exp(-par._rho * t))
 
 
 def _phi_unreachable(par, ts):
@@ -696,13 +939,22 @@ def jacobi_psi(par, t, *, full_output=False):
     return (out, nterms, ratio) if full_output else out
 
 
-def _psi_series(par, t):
+def _psi_series(par, t, deriv=False):
     """(Psi, term counts, cancellation ratios) of jacobi_psi at checked t:
-    a NumPy float or a float array, all >= 0.5."""
+    a NumPy float or a float array, all >= 0.5.  With deriv, also
+    Psi'(t) / tanh t and its estimated error over machine epsilon:
+    Psi = (2 sinh t)^e coth^-2A(t) S(sech^2 t), e = i lambda - rho = -2A,
+    has Psi' / tanh t = (2 sinh t)^e g, g from _pfaff with slope -2 sech^2 t."""
     sh = np.sinh(t)
-    f, nterms, ratio = _pfaff(par._series[1], -1.0 / np.square(sh))
+    z = -1.0 / np.square(sh)
+    got = _pfaff(par._series[1], z, -2.0 * z / (z - 1.0) if deriv else None)
     exponent = 1j * complex(par.lam) - complex(par.alpha) - complex(par.beta) - 1.0
-    return _times((2.0 * sh) ** exponent, f), nterms, ratio
+    power = (2.0 * sh) ** exponent
+    psi = _times(power, got[0])
+    if not deriv:
+        return psi, got[1], got[2]
+    grad = power * got[3]
+    return psi, got[1], got[2], grad, abs(power) * got[4] + abs(grad) * abs(complex(par.lam)) * t
 
 
 def c_jacobi(alpha, beta, lam):

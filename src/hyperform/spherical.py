@@ -35,7 +35,7 @@ import numpy as np
 
 from . import extrep as xr
 from .liegroup import GroupElement, cartan_axis, plane_rotations
-from .specialfn import JacobiParams, c_jacobi, gauss_legendre, jacobi_phi
+from .specialfn import JacobiParams, c_jacobi, gauss_legendre, jacobi_phi, jacobi_phi_pair
 
 __all__ = [
     "SpectralPoint",
@@ -106,11 +106,13 @@ class SpectralPoint:
 
     @cached_property
     def _jacobi(self):
-        """The JacobiParams whose phi component_grid combines."""
+        """The JacobiParams of the phi that component_grid combines: a's
+        (n/2 - 1, -1/2, lambda), whose pair gives b too, or on a chirality
+        bundle (n/2 - 1, n/2 + 1, 2 lambda)."""
         n, lam = self.n, complex(self.lam)
         if self.spec.chirality != "none":
-            return (JacobiParams(n / 2 - 1, n / 2 + 1, 2 * lam),)
-        return JacobiParams(n / 2 - 1, -0.5, lam), JacobiParams(n / 2, -0.5, lam)
+            return JacobiParams(n / 2 - 1, n / 2 + 1, 2 * lam)
+        return JacobiParams(n / 2 - 1, -0.5, lam)
 
     @cached_property
     def head_terms(self):
@@ -171,10 +173,10 @@ def component_grid(pt, ts, sigmas=None):
     ts = np.asarray(ts, dtype=float)
     spec, labels = pt.spec, [pt.sigma] if sigmas is None else sigmas
     if spec.chirality != "none":
-        val = np.cosh(ts / 2.0) ** 2 * jacobi_phi(pt._jacobi[0], ts / 2.0)
+        val = np.cosh(ts / 2.0) ** 2 * jacobi_phi(pt._jacobi, ts / 2.0)
         grids = [{xr.sigma_q(pt.p): val} for _ in labels]
         return grids if sigmas is not None else grids[0]
-    a, b = (jacobi_phi(par, ts) for par in pt._jacobi)
+    a, b = jacobi_phi_pair(pt._jacobi, ts)
     ch, odd = np.cosh(ts), None
     grids = []
     for sigma in labels:

@@ -155,6 +155,9 @@ def test_spectral_points_own_their_jacobi_parameters():
     sph = SRC / "spherical.py"
     assert {owner for owner, _ in _calls(sph, "JacobiParams")} == {"SpectralPoint"}
     assert {owner for owner, _ in _calls(sph, "jacobi_phi")} == {"component_grid"}
+    # the pair, b from a's series, only where component_grid combines a and b
+    callers = {(p.stem, owner) for p in MODULES for owner, _ in _calls(p, "jacobi_phi_pair")}
+    assert callers == {("spherical", "component_grid")}, callers
 
 
 def _call_owners(path, name):

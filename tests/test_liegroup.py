@@ -547,6 +547,31 @@ def test_cartan_is_the_one_element_batch():
     assert ties == 4 * 3 + 3
 
 
+def test_cartan_keeps_the_signed_zeros_of_sparse_axes():
+    # k1 e_1 with exact zeros (a coordinate-plane rotation, a signed
+    # permutation, b = -e_1): the Householder step's I - 2 v v^T / vv keeps
+    # the factors and every sign of zero of the earlier stacked decomposition
+    checked = 0
+    for n in (3, 4, 6):
+        for j in range(1, n):
+            for angle in (0.7, np.pi / 2, np.pi, -2.1):
+                k1 = np.eye(n)
+                k1[[0, 0, j, j], [0, j, 0, j]] = (np.cos(angle), -np.sin(angle),
+                                                  np.sin(angle), np.cos(angle))
+                k2 = np.eye(n)[np.roll(np.arange(n), j)]
+                k2[:, -1] *= np.linalg.det(k2)
+                for t in (0.4, 2.0):
+                    g = (make_rotation(k1) @ make_at(t, n) @ make_rotation(k2)).mat
+                    one = cartan(GroupElement(g))
+                    bt, bk1, bk2 = cartan_batch_copy(g[None])
+                    assert one.t == float(bt[0])
+                    for got, want in ((one.k1.mat, bk1[0]), (one.k2.mat, bk2[0])):
+                        assert np.array_equal(got, want)
+                        assert np.array_equal(np.signbit(got), np.signbit(want))
+                    checked += np.count_nonzero(one.k1.mat == 0.0)
+    assert checked > 0
+
+
 def test_cartan_axis_mixed_stack_is_each_element_alone():
     # ties (t < TIE_EPS), b exactly or nearly along +e_1, and generic
     # elements in one stack: each returns bit for bit what it returns

@@ -49,6 +49,8 @@ CASES = {
                                       ValueError, "is a negative integer"),
     "jacobi_psi_lambda_in_iZ": (lambda _: sf.jacobi_psi(sf.JacobiParams(1.5, -0.5, 2j), 1.0),
                                 ValueError, "pole at lambda in i*Z"),
+    "jacobi_phi_pair_beta": (lambda _: sf.jacobi_phi_pair(sf.JacobiParams(1.0, 0.0, 1.0), 0.5),
+                             ValueError, "requires beta = -1/2"),
     # spherical
     "spectral_point_lambda_near_0": (lambda _: _pt(1e-7), ValueError, "lambda too close to 0"),
     # extrep

@@ -26,6 +26,7 @@ from hyperform import (
     hyp2f1_negz,
     iwasawa,
     jacobi_phi,
+    jacobi_phi_pair,
     jacobi_psi,
     make_ny,
     sigma_q,
@@ -386,13 +387,16 @@ def test_one_point_route_is_the_array_route():
         for got in (jacobi_phi(JacobiParams(alpha, beta, lam), t),
                     jacobi_phi(JacobiParams(alpha, beta, lam), np.array([t, t]))[0]):
             assert abs(got - want) <= 1e-10 * scale, (alpha, beta, lam, t)
-    # points that the chosen branch's estimate passes and the final check refuses
+    # points that the chosen branch's estimate passes and its final check
+    # refuses: the other branch answers them, on both routes
     for alpha, beta, lam, t in ((0.0, -0.5, 20.0, 0.85), (0.0, 2.0, 15.0, 1.1),
                                 (0.5, 2.5, 15.0, 1.1)):
         assert sf._pfaff_first(JacobiParams(alpha, beta, lam), np.float64(t))
-        for arg in (t, np.array([t, t])):
-            with pytest.raises(ArithmeticError, match="cannot be evaluated"):
-                jacobi_phi(JacobiParams(alpha, beta, lam), arg)
+        want = _phi_mpmath(alpha, beta, lam, t)
+        scale = max(abs(want), np.exp(-(alpha + beta + 1.0) * t))
+        for got in (jacobi_phi(JacobiParams(alpha, beta, lam), t),
+                    jacobi_phi(JacobiParams(alpha, beta, lam), np.array([t, t]))[0]):
+            assert abs(got - want) <= 1e-10 * scale, (alpha, beta, lam, t)
     # hyp2f1_negz takes the same route on one z
     for z in (0.0, -0.3, -5.0, -40.0):
         for a, b, c in ((0.5 + 1j, 1.5 - 0.5j, 2.0), (1.25, 0.75, 1.5 + 0.2j)):
@@ -400,6 +404,55 @@ def test_one_point_route_is_the_array_route():
             vals, nterms2, ratios = hyp2f1_negz(a, b, c, np.array([z, z]), full_output=True)
             assert nterms == nterms2[0] and abs(ratio - ratios[0]) <= 1e-12 * ratios[0]
             assert abs(val - vals[0]) <= 1e-13 * abs(vals[0])
+
+
+def _pair_counts(par, t):
+    """The term counts of a's series alone and of the pair's at one t, on
+    the branch the rule picks."""
+    t = np.float64(t)
+    near = sf._pfaff_first(par, t)
+    z = -np.square(np.sinh(t)) if near else -1.0 / np.square(np.sinh(t))
+    series, w = par._series[0 if near else 1], float(z / (z - 1.0))
+    guard = max(w / (1.0 - w), 1.0)
+    return series.count(w, guard), series.count(w, guard, deriv=True)
+
+
+def test_pair_gives_b_from_a_series():
+    """On the mpmath grid, for (alpha, -1/2) with alpha = n/2 - 1, n = 2..8:
+    b from jacobi_phi_pair is within 1e-10 of mpmath relative to
+    max(|b|, e^{-(alpha+3/2) t}); a equals jacobi_phi(a) to 1e-14 of
+    max(|a|, e^{-(alpha+1/2) t}), bit for bit where the pair sums a's number
+    of terms; a single t agrees with [t, t] to 1e-13.  The pair raises only
+    where jacobi_phi(a) does (its refusals are a's), so it answers wherever
+    jacobi_phi(a) and jacobi_phi(b) both do."""
+    lams = (0.1, 0.5, 1.0, 4.0, 10.0, 25.0, 40.0, 100.0, 300.0)
+    ts = (0.0, 0.05, 0.3, 0.5, 0.7, 1.0, 1.5, 1.82, 2.0, 3.0, 5.0, 10.0)
+    same_count = 0
+    for n in range(2, 9):
+        alpha = n / 2 - 1
+        for lam in lams:
+            for t in ts:
+                case = (n, lam, t)
+                a_one = _outcome(jacobi_phi, JacobiParams(alpha, -0.5, lam), t)
+                pair = _outcome(jacobi_phi_pair, JacobiParams(alpha, -0.5, lam), t)
+                if isinstance(pair, tuple) and isinstance(pair[0], type):
+                    assert pair[0] is ArithmeticError and isinstance(a_one, tuple), case
+                    continue
+                a, b = pair
+                assert np.shape(a) == np.shape(b) == ()
+                want = _phi_mpmath(alpha + 1, -0.5, lam, t)
+                b_scale = max(abs(want), np.exp(-(alpha + 1.5) * t))
+                assert abs(b - want) <= 1e-10 * b_scale, case
+                a_scale = max(abs(a_one), np.exp(-(alpha + 0.5) * t))
+                assert abs(a - a_one) <= 1e-14 * a_scale, case
+                counts = _pair_counts(JacobiParams(alpha, -0.5, lam), t)
+                if counts[0] == counts[1]:
+                    same_count += 1
+                    assert _bits(a) == _bits(a_one), case
+                aa, bb = jacobi_phi_pair(JacobiParams(alpha, -0.5, lam), np.array([t, t]))
+                assert aa[0] == aa[1] and bb[0] == bb[1], case
+                assert abs(aa[0] - a) <= 1e-13 * a_scale and abs(bb[0] - b) <= 1e-13 * b_scale, case
+    assert same_count > 0
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 4.0])

@@ -79,7 +79,7 @@ INVOCATIONS = [
     ("out_cfun", "cfun --n 3 --p 1 --sigma q:1 --out cfun.json"),
     ("out_csv_spherical", "spherical --n 3 --p 1 --sigma q:1 --format csv --out spherical.csv"),
     ("r_grid_alias", "fourier --n 3 --p 1 --sigma q:1 --r-grid 2,4"),
-    ("refusal_spherical_n8", "spherical --n 8 --p 3 --sigma q:2 --lambda 0.01 --t 3"),
+    ("refusal_spherical_n8", "spherical --n 8 --p 3 --sigma q:2 --lambda 100 --t 0.5"),
     ("refused_grid_order", "limit --sigma q:1 --R-grid 400,25,50,100"),
     ("refused_grid_cutoff", "limit --n 4 --p 1 --sigma q:1 --R-grid 0.5,25,50,300"),
     ("usage_short_grid", "limit --sigma q:1 --R-grid 10,20,40"),
